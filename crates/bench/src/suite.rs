@@ -47,6 +47,7 @@ use crate::attribution::attribution_run;
 use crate::{fig6_point, overhead_point};
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
+use eternal::hash::{fnv1a, FNV_OFFSET};
 use eternal::properties::FaultToleranceProperties;
 use eternal_obs::attribution::Phase;
 use eternal_sim::Duration;
@@ -113,14 +114,6 @@ struct ThroughputRun {
     state_digest: u64,
 }
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Streams `limit` two-way invocations at a 2-way active counter server
 /// and drains the traffic completely, so two runs that differ only in
 /// the batching budget are comparable at identical delivered-reply
@@ -163,7 +156,7 @@ fn throughput_run(
             m.replies_delivered
         );
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let hosts = cluster.hosting(server);
     let mut reference: Option<Vec<u8>> = None;
     for node in hosts {
@@ -258,7 +251,7 @@ fn chunked_recovery_run(
     }
     let m = cluster.metrics();
     assert_eq!(m.recoveries_completed, 1, "exactly one episode expected");
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut reference: Option<Vec<u8>> = None;
     for node in cluster.hosting(server) {
         let state = cluster

@@ -15,23 +15,11 @@
 //! See `docs/TRACING.md` for the full span taxonomy and wire format.
 
 use crate::gid::{ConnectionName, TransferId};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::message::EternalMessage;
 use eternal_obs::causal::{CausalRecorder, Hop, TraceTag};
 use eternal_obs::SimTime;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use std::fmt;
 
 /// The trace id of one logical IIOP operation. Request and reply share
 /// it (a round trip is one causal chain), and every replica derives the
@@ -154,8 +142,10 @@ impl<'a> HopCtx<'a> {
 
     /// Stamps a hop on the current chain and makes it the parent of
     /// subsequent stamps. Returns the span id (0 when disabled or the
-    /// context is untraced).
-    pub fn stamp(&mut self, at: SimTime, hop: Hop, detail: &str) -> u64 {
+    /// context is untraced). `detail` (pass `format_args!`) is rendered
+    /// only when the hop is recorded, so an untraced run formats and
+    /// allocates nothing.
+    pub fn stamp(&mut self, at: SimTime, hop: Hop, detail: fmt::Arguments<'_>) -> u64 {
         if !self.rec.is_enabled() || self.trace_id == 0 {
             return 0;
         }
@@ -184,7 +174,7 @@ impl<'a> HopCtx<'a> {
         trace_id: u64,
         parent: u64,
         hop: Hop,
-        detail: &str,
+        detail: fmt::Arguments<'_>,
     ) -> u64 {
         if !self.rec.is_enabled() || trace_id == 0 {
             return 0;
@@ -290,19 +280,20 @@ mod tests {
     fn hop_ctx_chains_spans() {
         let mut rec = CausalRecorder::new(16);
         let mut ctx = HopCtx::new(&mut rec, 1, 42, 0, 5);
-        let a = ctx.stamp(SimTime::ZERO, Hop::Deliver, "a");
-        let b = ctx.stamp(SimTime::ZERO, Hop::Dispatch, "b");
+        let a = ctx.stamp(SimTime::ZERO, Hop::Deliver, format_args!("a"));
+        let b = ctx.stamp(SimTime::ZERO, Hop::Dispatch, format_args!("b {}", 2));
         assert_ne!(a, 0);
         let events: Vec<_> = rec.events().collect();
         assert_eq!(events[1].parent, a);
         assert_eq!(events[1].span, b);
+        assert_eq!(events[1].detail, "b 2");
     }
 
     #[test]
     fn disabled_recorder_stamps_nothing() {
         let mut rec = CausalRecorder::disabled();
         let mut ctx = HopCtx::new(&mut rec, 1, 42, 0, 5);
-        assert_eq!(ctx.stamp(SimTime::ZERO, Hop::Deliver, "a"), 0);
+        assert_eq!(ctx.stamp(SimTime::ZERO, Hop::Deliver, format_args!("a")), 0);
         assert!(rec.is_empty());
     }
 }

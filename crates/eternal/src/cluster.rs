@@ -13,6 +13,7 @@
 use crate::app::ClientApp;
 use crate::causal::{self, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, TransferId};
+use crate::hash::{fnv1a, hash_bytes, FNV_OFFSET};
 use crate::manager::{ReplicationManager, ResourceManager};
 use crate::mechanisms::{GroupKind, GroupMeta, MechConfig, Mechanisms, Out};
 use crate::message::{fragment_eternal, EternalMessage, EternalReassembler, RetrievalPurpose};
@@ -92,18 +93,6 @@ impl Default for ClusterConfig {
             health_auditor: AuditorConfig::default(),
         }
     }
-}
-
-/// FNV-1a offset basis: the digest of an empty delivery history.
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a digest.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[derive(Debug)]
@@ -248,8 +237,9 @@ pub struct Cluster {
     /// when the recorder is disabled.
     send_stamped: BTreeSet<(u64, u64)>,
     episodes: BTreeMap<TransferId, EpisodeObs>,
-    /// Per-node chained FNV-1a digest over every reassembled IIOP
-    /// delivery, in delivery order (the batching-invariant witness).
+    /// Per-node chained digest over every reassembled IIOP delivery, in
+    /// delivery order (the batching-invariant witness): each link folds
+    /// one message's identity, length and word-wise body hash.
     delivery_digest: BTreeMap<NodeId, u64>,
     /// Chained digests over each (connection, direction) IIOP stream as
     /// seen at each node; direction encoded 0 = request, 1 = reply.
@@ -668,18 +658,21 @@ impl Cluster {
         &self.timelines
     }
 
-    /// Chained FNV-1a digest over every IIOP message delivered (after
+    /// Chained digest over every IIOP message delivered (after
     /// total-order delivery and reassembly) at `node`, in delivery
     /// order. Two nodes that delivered the same messages in the same
     /// order have equal digests; the digest survives processor restarts
     /// (it keeps accumulating), so compare it across never-crashed
     /// nodes only.
     pub fn delivery_digest(&self, node: NodeId) -> u64 {
-        self.delivery_digest.get(&node).copied().unwrap_or(FNV_SEED)
+        self.delivery_digest
+            .get(&node)
+            .copied()
+            .unwrap_or(FNV_OFFSET)
     }
 
     /// Per-stream delivery digests at `node`: for each logical
-    /// (connection, direction) IIOP stream, the chained FNV-1a digest
+    /// (connection, direction) IIOP stream, the chained digest
     /// over that stream's messages in delivery order (direction encoded
     /// 0 = request, 1 = reply). Deterministically ordered.
     pub fn stream_digests(&self, node: NodeId) -> Vec<((ConnectionName, u8), u64)> {
@@ -1656,9 +1649,7 @@ impl Cluster {
                     );
                     chain = (tag.trace_id, span, clock);
                 }
-                let pushed = self.reasm.get_mut(&node).expect("known").push(&data);
-                eternal_cdr::pool::recycle(data);
-                match pushed {
+                match self.reasm.get_mut(&node).expect("known").push(&data) {
                     Ok(Some(message)) => {
                         self.digest_delivery(node, &message);
                         self.observe_recovery_message(node, &message, now);
@@ -2015,19 +2006,24 @@ impl Cluster {
             Direction::Request => 0u8,
             Direction::Reply => 1u8,
         };
+        // The body is read once, word-wise; each chain then folds one
+        // fixed-size link per message (identity, length, body hash), so
+        // the length keeps message boundaries apart.
+        let body = hash_bytes(bytes);
         let fold = |mut h: u64| {
             h = fnv1a(h, &conn.client.0.to_be_bytes());
             h = fnv1a(h, &conn.server.0.to_be_bytes());
             h = fnv1a(h, &[dir]);
             h = fnv1a(h, &op_seq.to_be_bytes());
-            fnv1a(h, bytes)
+            h = fnv1a(h, &(bytes.len() as u64).to_be_bytes());
+            fnv1a(h, &body.to_be_bytes())
         };
-        let whole = self.delivery_digest.entry(node).or_insert(FNV_SEED);
+        let whole = self.delivery_digest.entry(node).or_insert(FNV_OFFSET);
         *whole = fold(*whole);
         let stream = self
             .stream_digests
             .entry((node, *conn, dir))
-            .or_insert(FNV_SEED);
+            .or_insert(FNV_OFFSET);
         *stream = fold(*stream);
     }
 
@@ -2285,5 +2281,113 @@ mod tests {
             (m.replies_delivered, m.requests_dispatched)
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// Both digests of one node after it delivers `history` — pairs of
+    /// (op_seq, body) on one request stream — in order.
+    fn digests_after(history: &[(u32, &[u8])]) -> (u64, u64) {
+        let mut c = small_cluster(1);
+        let node = NodeId(0);
+        let conn = ConnectionName {
+            client: GroupId(1),
+            server: GroupId(0),
+        };
+        for &(op_seq, body) in history {
+            let message = EternalMessage::Iiop {
+                conn,
+                direction: Direction::Request,
+                op_seq,
+                bytes: body.to_vec(),
+            };
+            c.digest_delivery(node, &message);
+        }
+        let streams = c.stream_digests(node);
+        assert_eq!(streams.len(), usize::from(!history.is_empty()));
+        let stream = streams.first().map_or(FNV_OFFSET, |&(_, h)| h);
+        (c.delivery_digest(node), stream)
+    }
+
+    fn assert_both_differ(a: (u64, u64), b: (u64, u64), why: &str) {
+        assert_ne!(a.0, b.0, "per-node digest: {why}");
+        assert_ne!(a.1, b.1, "per-stream digest: {why}");
+    }
+
+    #[test]
+    fn digests_see_every_body_byte() {
+        let body: Vec<u8> = (0..100u8).collect();
+        let base = digests_after(&[(1, &body)]);
+        assert_eq!(base, digests_after(&[(1, &body)]), "a pure function");
+        assert_both_differ(base, digests_after(&[]), "something was delivered");
+        for i in 0..body.len() {
+            let mut flipped = body.clone();
+            flipped[i] ^= 1;
+            let why = format!("byte {i} flipped");
+            assert_both_differ(base, digests_after(&[(1, &flipped)]), &why);
+        }
+    }
+
+    #[test]
+    fn digests_see_delivery_order() {
+        let (a, b): (&[u8], &[u8]) = (b"first body", b"second body");
+        assert_both_differ(
+            digests_after(&[(1, a), (2, b)]),
+            digests_after(&[(2, b), (1, a)]),
+            "two deliveries swapped",
+        );
+        // Even when the two messages are byte-identical but for their
+        // operation ids.
+        assert_both_differ(
+            digests_after(&[(1, a), (2, a)]),
+            digests_after(&[(2, a), (1, a)]),
+            "two equal bodies swapped",
+        );
+    }
+
+    #[test]
+    fn digests_see_message_boundaries() {
+        // The same bytes in the same order under the same operation
+        // ids, cut differently: only the folded lengths tell them apart
+        // from a stream's point of view.
+        assert_both_differ(
+            digests_after(&[(1, b"ab"), (2, b"c")]),
+            digests_after(&[(1, b"a"), (2, b"bc")]),
+            "a byte moved across a message boundary",
+        );
+        assert_both_differ(
+            digests_after(&[(1, b"abc"), (2, b"")]),
+            digests_after(&[(1, b""), (2, b"abc")]),
+            "a whole body moved across a message boundary",
+        );
+    }
+
+    #[test]
+    fn digests_keep_streams_apart() {
+        let mut c = small_cluster(1);
+        let node = NodeId(0);
+        let conn = ConnectionName {
+            client: GroupId(1),
+            server: GroupId(0),
+        };
+        for direction in [Direction::Request, Direction::Reply] {
+            let message = EternalMessage::Iiop {
+                conn,
+                direction,
+                op_seq: 1,
+                bytes: b"same".to_vec(),
+            };
+            c.digest_delivery(node, &message);
+        }
+        // Non-IIOP traffic is not part of the application order.
+        let before = c.delivery_digest(node);
+        c.digest_delivery(node, &EternalMessage::LoadTick { group: GroupId(1) });
+        assert_eq!(c.delivery_digest(node), before);
+        let streams = c.stream_digests(node);
+        assert_eq!(streams.len(), 2, "one chain per direction");
+        assert_ne!(streams[0].1, streams[1].1);
+        assert!(
+            c.stream_digests(NodeId(1)).is_empty(),
+            "digests are per node"
+        );
+        assert_eq!(c.delivery_digest(NodeId(1)), FNV_OFFSET);
     }
 }

@@ -38,6 +38,7 @@
 
 use crate::app::{BurstClient, CounterServant};
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::{EventKind, MetricsRegistry};
@@ -49,19 +50,6 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
-
-/// FNV-1a offset basis (same constants as the cluster's delivery
-/// digests, so every fingerprint in the repo speaks one hash).
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Parameters of one exploration. Everything that affects the search is
 /// in here — two equal configs produce byte-identical reports.
@@ -391,7 +379,7 @@ fn run_schedule(
     }
 
     let trace = source.borrow().taken.clone();
-    let mut fp = FNV_SEED;
+    let mut fp = FNV_OFFSET;
     for c in &trace {
         fp = fnv1a(fp, &[c.kind.tag(), c.arity, c.branch]);
     }

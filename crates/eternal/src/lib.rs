@@ -73,6 +73,7 @@ pub mod chaos;
 pub mod cluster;
 pub mod explore;
 pub mod gid;
+pub mod hash;
 pub mod health_lab;
 pub mod interceptor;
 pub mod manager;

@@ -29,6 +29,7 @@
 use crate::app::{AppInvocation, ClientApp};
 use crate::causal::{iiop_trace_id, transfer_trace_id, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, OperationId, TransferId};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::interceptor::{inject_trace_context, Interceptor};
 use crate::message::{EternalMessage, RetrievalPurpose, SuffixEntry};
 use crate::properties::{FaultToleranceProperties, ReplicationStyle};
@@ -827,7 +828,7 @@ impl Mechanisms {
                 trace_id,
                 ctx.parent(),
                 Hop::Marshal,
-                &format!("req {conn} {}", inv.operation),
+                format_args!("req {conn} {}", inv.operation),
             );
             let bytes = if marshal != 0 {
                 inject_trace_context(
@@ -938,12 +939,8 @@ impl Mechanisms {
         let mut digests = Vec::new();
         for group in groups {
             if let Some(bytes) = self.probe_application_state(group) {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &b in &bytes {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                h ^= self.health_digest_salt.get(&group).copied().unwrap_or(0);
+                let h = fnv1a(FNV_OFFSET, &bytes)
+                    ^ self.health_digest_salt.get(&group).copied().unwrap_or(0);
                 digests.push((u64::from(group.0), h));
             }
         }
@@ -1088,7 +1085,8 @@ impl Mechanisms {
                         // §5.1 step i in the span tree: the message
                         // parks in the holding queue; its eventual
                         // replay hangs under this hop.
-                        held.trace_parent = ctx.stamp(now, Hop::Hold, "holding-queue");
+                        held.trace_parent =
+                            ctx.stamp(now, Hop::Hold, format_args!("holding-queue"));
                         replica.holding.hold(HeldInput::Iiop(held));
                         self.counters.enqueued_during_recovery += 1;
                         None
@@ -1155,7 +1153,7 @@ impl Mechanisms {
                         let dispatch = ctx.stamp(
                             now,
                             Hop::Dispatch,
-                            &format!("{} op#{}", held.conn, held.op_seq),
+                            format_args!("{} op#{}", held.conn, held.op_seq),
                         );
                         if maybe_reply.is_none() {
                             // A oneway: no reply will ever signal its
@@ -1175,7 +1173,7 @@ impl Mechanisms {
                             // its emission hop hangs under the dispatch
                             // and the TraceContext travels back in the
                             // GIOP reply's service-context list.
-                            let reply_span = ctx.stamp(now, Hop::Reply, "reply");
+                            let reply_span = ctx.stamp(now, Hop::Reply, format_args!("reply"));
                             let reply_bytes = if reply_span != 0 {
                                 inject_trace_context(
                                     reply_bytes,
@@ -1235,7 +1233,7 @@ impl Mechanisms {
                 ctx.stamp(
                     now,
                     Hop::ReplyMatch,
-                    &format!("{} op#{}", held.conn, held.op_seq),
+                    format_args!("{} op#{}", held.conn, held.op_seq),
                 );
                 let mut outs = vec![Out::ReplyDelivered {
                     conn: held.conn,
@@ -1417,7 +1415,7 @@ impl Mechanisms {
             let get_state = ctx.stamp(
                 now,
                 Hop::GetState,
-                &format!("{group} {transfer} {}B", state.application.len()),
+                format_args!("{group} {transfer} {}B", state.application.len()),
             );
             outs.push(Out::StateCaptured {
                 group,
@@ -1548,7 +1546,7 @@ impl Mechanisms {
             transfer_trace_id(transfer),
             parent,
             Hop::StateChunk,
-            &format!("send {}/{} {}B", index + 1, dt.total, end - start),
+            format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
         );
         Out::Multicast {
             delay,
@@ -1648,7 +1646,7 @@ impl Mechanisms {
                 ctx.stamp(
                     now,
                     Hop::StateChunk,
-                    &format!("recv {}/{} {}B", index + 1, total, bytes.len()),
+                    format_args!("recv {}/{} {}B", index + 1, total, bytes.len()),
                 );
                 if last {
                     // §5.1 step i, deferred: the last chunk is the
@@ -1707,7 +1705,7 @@ impl Mechanisms {
             transfer_trace_id(transfer),
             ctx.parent(),
             Hop::StateChunk,
-            &format!("suffix {} entries", entries.len()),
+            format_args!("suffix {} entries", entries.len()),
         );
         vec![Out::Multicast {
             delay: self.config.exec_time + wait,
@@ -1959,7 +1957,7 @@ impl Mechanisms {
         ctx.stamp(
             now,
             Hop::SetState,
-            &format!("{group} {transfer} {app_state_bytes}B"),
+            format_args!("{group} {transfer} {app_state_bytes}B"),
         );
         self.apply_application_state(group, &state.application);
         self.apply_orb_poa_state(group, &state.orb_poa);
@@ -2044,7 +2042,7 @@ impl Mechanisms {
                             held_trace,
                             0,
                             Hop::Replay,
-                            &format!("suffix {conn} op#{op_seq}"),
+                            format_args!("suffix {conn} op#{op_seq}"),
                         );
                         ctx.set_chain(held_trace, replay);
                         let held = HeldIiop {
@@ -2105,7 +2103,7 @@ impl Mechanisms {
                             held_trace,
                             held.trace_parent,
                             Hop::Replay,
-                            &format!("{} op#{}", held.conn, held.op_seq),
+                            format_args!("{} op#{}", held.conn, held.op_seq),
                         );
                         ctx.set_chain(held_trace, replay);
                         outs.extend(self.deliver_to_replica(group, held, now, ctx));
@@ -2418,7 +2416,7 @@ impl Mechanisms {
             held_trace,
             held.trace_parent,
             Hop::Replay,
-            &format!("log {} op#{}", held.conn, held.op_seq),
+            format_args!("log {} op#{}", held.conn, held.op_seq),
         );
         ctx.set_chain(held_trace, replay);
         // Replay happens at fault-delivery time; oneway settling windows

@@ -15,6 +15,7 @@ use crate::recovery::state3::ThreeKindsOfState;
 use eternal_cdr::{CdrDecoder, CdrEncoder, CdrError, Endian};
 use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
+use eternal_sim::Bytes;
 use std::collections::HashMap;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
@@ -493,9 +494,11 @@ fn decode_purpose(dec: &mut CdrDecoder<'_>) -> Result<RetrievalPurpose, CdrError
 }
 
 /// One fragment of an [`EternalMessage`] as carried in a single Totem
-/// broadcast.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFragment {
+/// broadcast. The chunk is borrowed — from the encoded message when
+/// fragmenting, from the delivered payload when reassembling — so the
+/// envelope costs no copy in either direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireFragment<'a> {
     /// The multicasting processor (scopes `msg_id`).
     pub origin: NodeId,
     /// Per-origin message counter.
@@ -505,44 +508,65 @@ pub struct WireFragment {
     /// Total fragments in the message.
     pub total: u32,
     /// The byte slice.
-    pub chunk: Vec<u8>,
+    pub chunk: &'a [u8],
 }
 
 /// Fixed CDR overhead of a fragment envelope (origin + msg_id + index +
 /// total + seq-length word, with alignment).
 pub const FRAGMENT_OVERHEAD: usize = 28;
 
-impl WireFragment {
+impl<'a> WireFragment<'a> {
     /// Serializes the fragment.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = CdrEncoder::new(Endian::Big);
+        self.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Writes the fragment as a CDR stream of its own (aligned from the
+    /// encoder's base).
+    fn encode(&self, enc: &mut CdrEncoder) {
         enc.write_u32(self.origin.0);
         enc.write_u64(self.msg_id);
         enc.write_u32(self.index);
         enc.write_u32(self.total);
-        enc.write_octet_seq(&self.chunk);
-        enc.into_bytes()
+        enc.write_octet_seq(self.chunk);
     }
 
-    /// Deserializes a fragment.
+    /// Deserializes a fragment; its chunk is a view into `bytes`.
     ///
     /// # Errors
     ///
     /// Propagates CDR failures.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CdrError> {
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, CdrError> {
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
+        let origin = NodeId(dec.read_u32()?);
+        let msg_id = dec.read_u64()?;
+        let index = dec.read_u32()?;
+        let total = dec.read_u32()?;
+        let declared = dec.read_u32()?;
+        if declared as usize > dec.remaining() {
+            return Err(CdrError::LengthOverrun {
+                declared,
+                remaining: dec.remaining(),
+            });
+        }
         Ok(WireFragment {
-            origin: NodeId(dec.read_u32()?),
-            msg_id: dec.read_u64()?,
-            index: dec.read_u32()?,
-            total: dec.read_u32()?,
-            chunk: dec.read_octet_seq()?,
+            origin,
+            msg_id,
+            index,
+            total,
+            chunk: dec.read_raw(declared as usize)?,
         })
     }
 }
 
 /// Splits an encoded [`EternalMessage`] into fragment payloads, each of
 /// whose *encoded* size is at most `max_payload` bytes.
+///
+/// The fragments are views into one exactly-sized buffer, so a message
+/// costs one payload allocation however many frames it spans, and that
+/// buffer is freed when the last holder of its last fragment lets go.
 ///
 /// # Panics
 ///
@@ -552,40 +576,54 @@ pub fn fragment_eternal(
     msg_id: u64,
     encoded: &[u8],
     max_payload: usize,
-) -> Vec<Vec<u8>> {
+) -> Vec<Bytes> {
     assert!(
         max_payload > FRAGMENT_OVERHEAD,
         "max_payload {max_payload} cannot hold a fragment envelope"
     );
     let chunk_size = max_payload - FRAGMENT_OVERHEAD;
-    let total = encoded.len().div_ceil(chunk_size).max(1) as u32;
+    let total = encoded.len().div_ceil(chunk_size).max(1);
+    let mut buf = Vec::with_capacity(total * FRAGMENT_OVERHEAD + encoded.len());
+    for index in 0..total {
+        let start = index * chunk_size;
+        let end = (start + chunk_size).min(encoded.len());
+        let mut enc = CdrEncoder::append_to(buf, Endian::Big);
+        WireFragment {
+            origin,
+            msg_id,
+            index: index as u32,
+            total: total as u32,
+            chunk: &encoded[start..end],
+        }
+        .encode(&mut enc);
+        buf = enc.into_bytes();
+    }
+    // Every fragment but the last fills `max_payload` exactly.
+    debug_assert_eq!(buf.len(), total * FRAGMENT_OVERHEAD + encoded.len());
+    let buf = Bytes::from(buf);
     (0..total)
         .map(|index| {
-            let start = index as usize * chunk_size;
-            let end = (start + chunk_size).min(encoded.len());
-            // Encode the envelope around a borrowed chunk slice —
-            // byte-identical to `WireFragment::to_bytes` without
-            // materializing an owned chunk first.
-            let mut enc = CdrEncoder::new(Endian::Big);
-            enc.write_u32(origin.0);
-            enc.write_u64(msg_id);
-            enc.write_u32(index);
-            enc.write_u32(total);
-            enc.write_octet_seq(&encoded[start..end]);
-            enc.into_bytes()
+            let start = index * max_payload;
+            buf.slice(start..(start + max_payload).min(buf.len()))
         })
         .collect()
 }
 
 /// A partially reassembled message: the fragment index expected next,
 /// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes accumulated so far.
+/// agree), and the bytes accumulated so far, in a buffer sized by the
+/// first fragment for the whole message.
 #[derive(Debug)]
 struct Partial {
     next: u32,
     total: u32,
     bytes: Vec<u8>,
 }
+
+/// Most bytes [`EternalReassembler::push`] reserves up front on the word
+/// of a first fragment's `total` (a larger message still reassembles; its
+/// buffer then grows as fragments arrive).
+const MAX_PRESIZE: usize = 1 << 24;
 
 /// Reassembles [`WireFragment`] streams back into [`EternalMessage`]s.
 ///
@@ -643,27 +681,49 @@ impl EternalReassembler {
     /// `total` are reported as [`CdrError::TypeMismatch`] and the
     /// partial entry is dropped.
     pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
-        let frag = WireFragment::from_bytes(payload)?;
-        if frag.total == 0 {
+        let WireFragment {
+            origin,
+            msg_id,
+            index,
+            total,
+            chunk,
+        } = WireFragment::from_bytes(payload)?;
+        if total == 0 {
             return Err(CdrError::TypeMismatch {
                 expected: "fragment total > 0",
                 found: "zero-fragment message",
             });
         }
-        let key = (frag.origin, frag.msg_id);
-        let entry = self.partial.entry(key).or_insert_with(|| Partial {
-            next: 0,
-            total: frag.total,
-            bytes: eternal_cdr::pool::take(),
+        let key = (origin, msg_id);
+        if total == 1 && index == 0 && !self.partial.contains_key(&key) {
+            // The common case — a message that fits one frame — is
+            // decoded straight from the delivered bytes.
+            return EternalMessage::from_bytes(chunk).map(Some);
+        }
+        let entry = self.partial.entry(key).or_insert_with(|| {
+            // Every fragment but the last is as long as the first, so
+            // this holds the whole message and never grows. The bound
+            // keeps a corrupt `total` from reserving the address space.
+            let mut bytes = eternal_cdr::pool::take();
+            bytes.reserve(
+                (total as usize)
+                    .saturating_mul(chunk.len())
+                    .min(MAX_PRESIZE),
+            );
+            Partial {
+                next: 0,
+                total,
+                bytes,
+            }
         });
-        if entry.total != frag.total {
+        if entry.total != total {
             self.partial.remove(&key);
             return Err(CdrError::TypeMismatch {
                 expected: "consistent fragment total",
                 found: "total mismatch within one message",
             });
         }
-        if entry.next != frag.index {
+        if entry.next != index {
             self.partial.remove(&key);
             return Err(CdrError::TypeMismatch {
                 expected: "next fragment index",
@@ -671,8 +731,7 @@ impl EternalReassembler {
             });
         }
         entry.next += 1;
-        entry.bytes.extend_from_slice(&frag.chunk);
-        eternal_cdr::pool::recycle(frag.chunk);
+        entry.bytes.extend_from_slice(chunk);
         if entry.next == entry.total {
             let Partial { bytes, .. } = self.partial.remove(&key).expect("just inserted");
             let msg = EternalMessage::from_bytes(&bytes);
@@ -688,6 +747,7 @@ impl EternalReassembler {
 mod tests {
     use super::*;
     use crate::recovery::state3::{InfraStateTransfer, OrbPoaStateTransfer};
+    use eternal_sim::rng::SimRng;
 
     fn conn() -> ConnectionName {
         ConnectionName {
@@ -830,7 +890,7 @@ mod tests {
             msg_id: 2,
             index: 0,
             total: 1,
-            chunk: vec![0; 100],
+            chunk: &[0; 100],
         };
         assert_eq!(frag.to_bytes().len(), FRAGMENT_OVERHEAD + 100);
     }
@@ -959,7 +1019,7 @@ mod tests {
             msg_id: 9,
             index: 0,
             total: 0,
-            chunk: vec![1, 2, 3],
+            chunk: &[1, 2, 3],
         };
         let mut r = EternalReassembler::new();
         assert!(r.push(&frag.to_bytes()).is_err());
@@ -1024,6 +1084,97 @@ mod tests {
             out = r.push(f).unwrap();
         }
         assert_eq!(out, Some(m));
+    }
+
+    #[test]
+    fn fragments_of_one_message_share_one_exact_buffer() {
+        let encoded = vec![7u8; 250];
+        let frags = fragment_eternal(NodeId(0), 1, &encoded, 100 + FRAGMENT_OVERHEAD);
+        assert_eq!(frags.len(), 3);
+        assert!(frags.iter().all(|f| Bytes::ptr_eq(f, &frags[0])));
+        // Each is byte-for-byte the stand-alone encoding.
+        for (i, f) in frags.iter().enumerate() {
+            let alone = WireFragment {
+                origin: NodeId(0),
+                msg_id: 1,
+                index: i as u32,
+                total: 3,
+                chunk: &encoded[i * 100..(i * 100 + 100).min(250)],
+            };
+            assert_eq!(&f[..], &alone.to_bytes()[..]);
+        }
+    }
+
+    /// An encoded IIOP message `size` bytes long — or, below the
+    /// smallest such message, its truncated (undecodable) prefix.
+    fn encoded_of_size(size: usize, rng: &mut SimRng) -> Vec<u8> {
+        const HEADER: usize = 24;
+        let body = (0..size.saturating_sub(HEADER))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        let mut encoded = EternalMessage::Iiop {
+            conn: conn(),
+            direction: Direction::Reply,
+            op_seq: rng.next_u64() as u32,
+            bytes: body,
+        }
+        .to_bytes();
+        assert_eq!(encoded.len(), size.max(HEADER));
+        encoded.truncate(size);
+        encoded
+    }
+
+    #[test]
+    fn reassembly_equals_decoding_the_whole_at_every_size() {
+        const CHUNK: usize = 100;
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        // Dense around every multiple of the chunk size, sparse between.
+        let mut sizes: Vec<usize> = (0..=3)
+            .flat_map(|k| (k * CHUNK).saturating_sub(3)..=(k * CHUNK + 3).min(3 * CHUNK))
+            .collect();
+        sizes.extend((0..40).map(|_| rng.gen_range(3 * CHUNK as u64 + 1) as usize));
+        let mut r = EternalReassembler::new();
+        for (round, &size_a) in sizes.iter().enumerate() {
+            // Two origins, each sending one message; their fragments
+            // interleave at random.
+            let size_b = sizes[rng.gen_range(sizes.len() as u64) as usize];
+            let msg_id = round as u64;
+            let wholes = [
+                encoded_of_size(size_a, &mut rng),
+                encoded_of_size(size_b, &mut rng),
+            ];
+            let mut queues = [NodeId(0), NodeId(1)].map(|origin| {
+                let whole = &wholes[origin.0 as usize];
+                let frags = fragment_eternal(origin, msg_id, whole, CHUNK + FRAGMENT_OVERHEAD);
+                assert_eq!(frags.len(), whole.len().div_ceil(CHUNK).max(1));
+                (origin, frags.len(), frags.into_iter())
+            });
+            let mut capacity: [Option<usize>; 2] = [None, None];
+            while queues.iter().any(|(_, _, q)| q.len() > 0) {
+                let pick = rng.gen_range(2) as usize;
+                let (origin, _, queue) = &mut queues[pick];
+                let Some(frag) = queue.next() else { continue };
+                let pushed = r.push(&frag);
+                if queue.len() > 0 {
+                    assert_eq!(pushed, Ok(None), "message incomplete");
+                    let held = r.partial[&(*origin, msg_id)].bytes.capacity();
+                    if *capacity[pick].get_or_insert(held) != held {
+                        panic!("partial of {size_a}/{size_b} B reallocated");
+                    }
+                } else {
+                    let whole = EternalMessage::from_bytes(&wholes[pick]);
+                    assert_eq!(pushed, whole.map(Some), "sizes {size_a}/{size_b}");
+                }
+                // Only a message some but not all of whose fragments
+                // have arrived occupies a partial: a single-fragment
+                // message never does.
+                let begun = |(_, total, q): &(_, usize, std::vec::IntoIter<Bytes>)| {
+                    (1..*total).contains(&q.len())
+                };
+                assert_eq!(r.pending(), queues.iter().filter(|q| begun(q)).count());
+            }
+            assert_eq!(r.pending(), 0);
+        }
     }
 
     #[test]

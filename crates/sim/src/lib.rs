@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod choice;
 pub mod net;
 pub mod rng;
@@ -46,6 +47,7 @@ pub use eternal_obs as obs;
 pub use eternal_obs::time;
 pub use eternal_obs::trace;
 
+pub use bytes::Bytes;
 pub use choice::{ChoiceKind, ChoiceSource, FifoChoice, SharedChoiceSource};
 pub use net::{NetworkConfig, NetworkModel};
 pub use sched::Scheduler;

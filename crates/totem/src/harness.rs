@@ -11,7 +11,7 @@ use crate::config::TotemConfig;
 use crate::node::{Action, Delivery, Phase, TotemNode};
 use crate::types::{Frame, Timer};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
-use eternal_sim::{Duration, Scheduler, SimTime};
+use eternal_sim::{Bytes, Duration, Scheduler, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 /// A scheduled occurrence.
@@ -101,7 +101,7 @@ impl TotemHarness {
 
     /// Queues an application payload for totally ordered broadcast from
     /// `id`.
-    pub fn broadcast(&mut self, id: NodeId, data: Vec<u8>) {
+    pub fn broadcast(&mut self, id: NodeId, data: impl Into<Bytes>) {
         if !self.is_alive(id) {
             return;
         }
@@ -148,7 +148,7 @@ impl TotemHarness {
         self.delivered[&id]
             .iter()
             .filter_map(|d| match d {
-                Delivery::Message { data, .. } => Some(data.clone()),
+                Delivery::Message { data, .. } => Some(data.to_vec()),
                 _ => None,
             })
             .collect()

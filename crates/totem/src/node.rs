@@ -27,6 +27,7 @@ use crate::types::{
 };
 use eternal_sim::net::NodeId;
 use eternal_sim::obs::causal::TraceTag;
+use eternal_sim::Bytes;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Something the engine wants its driver to do.
@@ -53,8 +54,9 @@ pub enum Delivery {
         seq: u64,
         /// The broadcasting processor.
         sender: NodeId,
-        /// Application bytes.
-        data: Vec<u8>,
+        /// Application bytes, shared with every other holder of the
+        /// message (other members' deliveries, retransmission stores).
+        data: Bytes,
         /// Causal trace tag the message carried ([`TraceTag::NONE`]
         /// when untraced); preserved through batching, retransmission,
         /// and recovery re-broadcast.
@@ -68,6 +70,15 @@ pub enum Delivery {
         /// Its members, in ring order.
         members: Vec<NodeId>,
     },
+}
+
+/// A frame seen on the medium, borrowed: what
+/// [`TotemNode::observe_progress`] compares with the control frame this
+/// node last forwarded.
+enum Observed<'a> {
+    Regular(&'a RegularMsg),
+    Token(&'a Token),
+    Commit(&'a CommitMsg),
 }
 
 /// Which protocol phase the node is in.
@@ -136,9 +147,9 @@ pub struct TotemNode {
     gather_reason: &'static str,
 
     // ---- application traffic ----
-    pending: VecDeque<(Vec<u8>, TraceTag)>,
+    pending: VecDeque<(Bytes, TraceTag)>,
     /// New-ring app messages buffered until recovery completes.
-    deferred: Vec<(RingId, u64, NodeId, Vec<u8>, TraceTag)>,
+    deferred: Vec<(RingId, u64, NodeId, Bytes, TraceTag)>,
 
     // ---- membership ----
     gather: Option<GatherState>,
@@ -317,7 +328,7 @@ impl TotemNode {
     }
 
     /// Queues an application payload for totally ordered broadcast.
-    pub fn broadcast(&mut self, data: Vec<u8>) -> Vec<Action> {
+    pub fn broadcast(&mut self, data: impl Into<Bytes>) -> Vec<Action> {
         self.broadcast_traced(data, TraceTag::NONE)
     }
 
@@ -325,8 +336,8 @@ impl TotemNode {
     /// attaching a causal trace tag that rides the ring frame (and, for
     /// batched frames, stays aligned with this message) all the way to
     /// every member's [`Delivery::Message`].
-    pub fn broadcast_traced(&mut self, data: Vec<u8>, tag: TraceTag) -> Vec<Action> {
-        self.pending.push_back((data, tag));
+    pub fn broadcast_traced(&mut self, data: impl Into<Bytes>, tag: TraceTag) -> Vec<Action> {
+        self.pending.push_back((data.into(), tag));
         let mut actions = Vec::new();
         // A singleton operational ring has no token; sequence directly.
         if self.phase == Phase::Operational && self.members.len() == 1 {
@@ -667,7 +678,7 @@ impl TotemNode {
     fn on_commit(&mut self, c: CommitMsg, actions: &mut Vec<Action>) {
         // Progress observation: a commit frame farther along than the one
         // we forwarded means our forward arrived.
-        self.observe_progress(&Frame::Commit(c.clone()), actions);
+        self.observe_progress(Observed::Commit(&c), actions);
         // While settled, a commit token for a formation that excludes us
         // means the membership is moving on without us: re-gather.
         if matches!(self.phase, Phase::Operational | Phase::Recover)
@@ -910,7 +921,7 @@ impl TotemNode {
                         let ring = rec.ring;
                         let tag_at = |i: usize| tags.get(i).copied().unwrap_or(TraceTag::NONE);
                         let deliver =
-                            |data: Vec<u8>, trace, count: &mut u64, actions: &mut Vec<Action>| {
+                            |data: Bytes, trace, count: &mut u64, actions: &mut Vec<Action>| {
                                 *count += 1;
                                 actions.push(Action::Deliver(Delivery::Message {
                                     ring,
@@ -989,23 +1000,23 @@ impl TotemNode {
 
     /// Cancels pending retransmission when an observed frame proves the
     /// frame we forwarded was received.
-    fn observe_progress(&mut self, observed: &Frame, actions: &mut Vec<Action>) {
+    fn observe_progress(&mut self, observed: Observed<'_>, actions: &mut Vec<Action>) {
         let Some(fwd) = &self.forwarded else { return };
         let progressed = match (fwd, observed) {
-            (Frame::Token(mine), Frame::Token(theirs)) => {
+            (Frame::Token(mine), Observed::Token(theirs)) => {
                 theirs.ring == mine.ring && theirs.token_seq > mine.token_seq
             }
-            (Frame::Token(mine), Frame::Regular(m)) => {
+            (Frame::Token(mine), Observed::Regular(m)) => {
                 // Only the token holder broadcasts; a regular message on
                 // our ring from the token's target proves receipt.
                 m.ring == mine.ring && m.sender == mine.target
             }
-            (Frame::Commit(mine), Frame::Commit(theirs)) => {
+            (Frame::Commit(mine), Observed::Commit(theirs)) => {
                 theirs.new_ring == mine.new_ring
                     && (theirs.pass, position_of(&theirs.members, theirs.target))
                         > (mine.pass, position_of(&mine.members, mine.target))
             }
-            (Frame::Commit(mine), Frame::Token(t)) => t.ring >= mine.new_ring,
+            (Frame::Commit(mine), Observed::Token(t)) => t.ring >= mine.new_ring,
             _ => false,
         };
         if progressed {
@@ -1050,7 +1061,7 @@ impl TotemNode {
     }
 
     fn on_token(&mut self, t: Token, actions: &mut Vec<Action>) {
-        self.observe_progress(&Frame::Token(t.clone()), actions);
+        self.observe_progress(Observed::Token(&t), actions);
         if self.on_foreign_ring_frame(t.ring, t.target, actions) {
             return;
         }
@@ -1178,7 +1189,7 @@ impl TotemNode {
     }
 
     fn on_regular(&mut self, m: RegularMsg, actions: &mut Vec<Action>) {
-        self.observe_progress(&Frame::Regular(m.clone()), actions);
+        self.observe_progress(Observed::Regular(&m), actions);
         if self.on_foreign_ring_frame(m.ring, m.sender, actions) {
             return;
         }
@@ -1203,7 +1214,7 @@ impl TotemNode {
     /// packed items so each message keeps its own causal chain through
     /// batching; it is empty when no item carries a trace (untraced
     /// traffic pays zero wire bytes).
-    fn pack_batch(&mut self, first: (Vec<u8>, TraceTag)) -> (Payload, Vec<TraceTag>) {
+    fn pack_batch(&mut self, first: (Bytes, TraceTag)) -> (Payload, Vec<TraceTag>) {
         self.broadcast_count += 1;
         let (first, first_tag) = first;
         let budget = self.cfg.batch_budget_bytes;
@@ -1246,26 +1257,32 @@ impl TotemNode {
     /// [`Delivery::Message`] carrying the batch's ring position.
     fn store_and_deliver(&mut self, m: RegularMsg, actions: &mut Vec<Action>) {
         self.received.insert(m.seq, m);
+        // New-ring traffic is buffered while old-ring recovery is still
+        // owed; the phase cannot change inside the loop.
+        let recovering = self.phase == Phase::Recover;
         while let Some(msg) = self.received.get(&(self.my_aru + 1)) {
             self.my_aru += 1;
-            let m = msg.clone();
-            let RegularMsg {
-                ring,
-                seq,
-                sender,
-                payload,
-                ref trace,
-            } = m;
-            match payload {
-                Payload::App(data) => {
-                    let tag = trace.first().copied().unwrap_or(TraceTag::NONE);
-                    self.deliver_or_defer(ring, seq, sender, data, tag, actions)
+            let (ring, seq, sender) = (msg.ring, msg.seq, msg.sender);
+            let mut deliver = |i: usize, data: &Bytes| {
+                let (data, trace) = (data.clone(), msg.tag_at(i));
+                if recovering {
+                    self.deferred.push((ring, seq, sender, data, trace));
+                } else {
+                    self.delivered_count += 1;
+                    actions.push(Action::Deliver(Delivery::Message {
+                        ring,
+                        seq,
+                        sender,
+                        data,
+                        trace,
+                    }));
                 }
+            };
+            match &msg.payload {
+                Payload::App(data) => deliver(0, data),
                 Payload::Batch(items) => {
-                    let tags = trace.clone();
-                    for (i, data) in items.into_iter().enumerate() {
-                        let tag = tags.get(i).copied().unwrap_or(TraceTag::NONE);
-                        self.deliver_or_defer(ring, seq, sender, data, tag, actions);
+                    for (i, data) in items.iter().enumerate() {
+                        deliver(i, data);
                     }
                 }
                 Payload::Recovered {
@@ -1275,45 +1292,16 @@ impl TotemNode {
                     data,
                 } => {
                     // Only meaningful while we are recovering that ring.
-                    if self.phase == Phase::Recover {
-                        if let Some(rec) = self.old_recovery.as_mut() {
-                            if rec.ring == old_ring && !rec.store.contains_key(&old_seq) {
-                                rec.store
-                                    .insert(old_seq, (original_sender, *data, trace.clone()));
-                            }
-                        }
+                    let rec = self.old_recovery.as_mut();
+                    if let Some(rec) = rec.filter(|rec| recovering && rec.ring == *old_ring) {
+                        rec.store.entry(*old_seq).or_insert_with(|| {
+                            (*original_sender, (**data).clone(), msg.trace.clone())
+                        });
                     }
                 }
             }
         }
-        let mut finish = Vec::new();
-        self.try_finish_recovery(&mut finish);
-        actions.extend(finish);
-    }
-
-    /// Delivers one application message, or buffers it if new-ring
-    /// traffic is still blocked behind old-ring recovery.
-    fn deliver_or_defer(
-        &mut self,
-        ring: RingId,
-        seq: u64,
-        sender: NodeId,
-        data: Vec<u8>,
-        tag: TraceTag,
-        actions: &mut Vec<Action>,
-    ) {
-        if self.phase == Phase::Recover {
-            self.deferred.push((ring, seq, sender, data, tag));
-        } else {
-            self.delivered_count += 1;
-            actions.push(Action::Deliver(Delivery::Message {
-                ring,
-                seq,
-                sender,
-                data,
-                trace: tag,
-            }));
-        }
+        self.try_finish_recovery(actions);
     }
 
     /// Sequences pending messages directly on a singleton ring.
@@ -1342,6 +1330,8 @@ fn position_of(members: &[NodeId], m: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::TotemHarness;
+    use eternal_sim::Duration;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -1411,7 +1401,7 @@ mod tests {
         let dels = deliveries(&actions);
         assert!(matches!(
             dels[0],
-            Delivery::Message { seq: 1, data, .. } if data == b"solo"
+            Delivery::Message { seq: 1, data, .. } if &data[..] == b"solo"
         ));
     }
 
@@ -1477,7 +1467,7 @@ mod tests {
             ring: RingId { seq: 0, rep: n(1) },
             seq: 1,
             sender: n(1),
-            payload: Payload::App(vec![1]),
+            payload: Payload::App(vec![1].into()),
             trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(bogus));
@@ -1498,7 +1488,7 @@ mod tests {
             ring: RingId { seq: 0, rep: n(9) },
             seq: 1,
             sender: n(9),
-            payload: Payload::App(vec![1]),
+            payload: Payload::App(vec![1].into()),
             trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(foreign));
@@ -1516,7 +1506,7 @@ mod tests {
             },
             seq: 1,
             sender: n(9),
-            payload: Payload::App(vec![1]),
+            payload: Payload::App(vec![1].into()),
             trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(foreign));
@@ -1532,7 +1522,7 @@ mod tests {
             ring,
             seq: 1,
             sender: n(1),
-            payload: Payload::App(vec![7]),
+            payload: Payload::App(vec![7].into()),
             trace: vec![],
         };
         let first = a.handle_frame(Frame::Regular(msg.clone()));
@@ -1549,7 +1539,7 @@ mod tests {
             ring,
             seq,
             sender: n(1),
-            payload: Payload::App(vec![seq as u8]),
+            payload: Payload::App(vec![seq as u8].into()),
             trace: vec![],
         };
         let acts2 = a.handle_frame(Frame::Regular(mk(2)));
@@ -1598,7 +1588,7 @@ mod tests {
             ring,
             seq: 1,
             sender: n(1),
-            payload: Payload::App(vec![42]),
+            payload: Payload::App(vec![42].into()),
             trace: vec![],
         }));
         let mut rtr = BTreeSet::new();
@@ -1617,7 +1607,7 @@ mod tests {
         let actions = a.handle_frame(Frame::Token(token));
         let frames = multicasts(&actions);
         let retransmitted = frames.iter().any(
-            |f| matches!(f, Frame::Regular(m) if m.seq == 1 && m.payload == Payload::App(vec![42])),
+            |f| matches!(f, Frame::Regular(m) if m.seq == 1 && m.payload == Payload::App(vec![42].into())),
         );
         assert!(retransmitted);
         // And the forwarded token's rtr is now empty.
@@ -1780,7 +1770,7 @@ mod tests {
                 ring,
                 seq,
                 sender: n(1),
-                payload: Payload::App(vec![seq as u8]),
+                payload: Payload::App(vec![seq as u8].into()),
                 trace: vec![],
             }));
         }
@@ -1854,8 +1844,8 @@ mod tests {
         match &regulars[0].payload {
             Payload::Batch(items) => {
                 assert_eq!(items.len(), 20);
-                assert_eq!(items[0], vec![0]);
-                assert_eq!(items[19], vec![19]);
+                assert_eq!(&items[0][..], [0]);
+                assert_eq!(&items[19][..], [19]);
             }
             other => panic!("expected batch, got {other:?}"),
         }
@@ -1865,7 +1855,7 @@ mod tests {
         assert_eq!(dels.len(), 20);
         for (i, d) in dels.iter().enumerate() {
             match d {
-                Delivery::Message { seq: 1, data, .. } => assert_eq!(data, &vec![i as u8]),
+                Delivery::Message { seq: 1, data, .. } => assert_eq!(&data[..], [i as u8]),
                 other => panic!("expected message, got {other:?}"),
             }
         }
@@ -1976,7 +1966,7 @@ mod tests {
             ring,
             seq: 1,
             sender: n(1),
-            payload: Payload::Batch(vec![vec![10], vec![11], vec![12]]),
+            payload: Payload::Batch(vec![vec![10].into(), vec![11].into(), vec![12].into()]),
             trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(batch));
@@ -1984,8 +1974,96 @@ mod tests {
         assert_eq!(dels.len(), 3);
         for (i, d) in dels.iter().enumerate() {
             assert!(matches!(d, Delivery::Message { seq: 1, sender, data, .. }
-                    if *sender == n(1) && data == &vec![10 + i as u8]));
+                    if *sender == n(1) && data[..] == [10 + i as u8]));
         }
         assert_eq!(a.aru(), 1, "a batch occupies exactly one seq");
+    }
+
+    /// Every delivery of `originals` at `id` must be a view into the
+    /// very buffer that was handed to `broadcast`.
+    fn assert_deliveries_share(h: &TotemHarness, id: NodeId, originals: &[Bytes]) {
+        let delivered: Vec<&Bytes> = h
+            .deliveries(id)
+            .iter()
+            .filter_map(|d| match d {
+                Delivery::Message { data, .. } => Some(data),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered.len(), originals.len(), "all delivered at {id}");
+        for data in delivered {
+            let original = originals
+                .iter()
+                .find(|o| *o == data)
+                .expect("delivered bytes were broadcast");
+            assert!(
+                Bytes::ptr_eq(original, data),
+                "payload copied on its way to {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_payload_is_one_allocation_at_every_member() {
+        let mut h = TotemHarness::new(4, cfg(), 11);
+        h.run_until_formed();
+        // Small items travel inside a `Payload::Batch`, the large one
+        // alone as a `Payload::App`.
+        let originals: Vec<Bytes> = [10usize, 20, 30, 2000]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Bytes::from(vec![i as u8; len]))
+            .collect();
+        for data in &originals {
+            h.broadcast(n(1), data.clone());
+        }
+        h.run_for(Duration::from_millis(100));
+        assert!(h.node(n(1)).stats().batches > 0);
+        for id in h.nodes() {
+            assert_deliveries_share(&h, id, &originals);
+        }
+    }
+
+    #[test]
+    fn retransmitted_and_recovered_payloads_are_still_one_allocation() {
+        let mut h = TotemHarness::new(4, cfg(), 3);
+        h.run_until_formed();
+        h.net_mut().set_loss_probability(0.25);
+        let originals: Vec<Bytes> = (0..60u32)
+            .map(|i| Bytes::from(i.to_be_bytes().repeat(1 + (i as usize % 7) * 60)))
+            .collect();
+        for (i, data) in originals.iter().enumerate() {
+            h.broadcast(n(i as u32 % 3), data.clone());
+        }
+        // Crash a member mid-stream; the survivors (the three senders)
+        // reform and must first re-broadcast the old-ring messages some
+        // of them lack, wrapped as `Payload::Recovered`.
+        h.run_for(Duration::from_millis(3));
+        h.kill(n(3));
+        let mut saw_rebroadcast_duty = false;
+        let deadline = h.now() + Duration::from_secs(5);
+        while h.now() < deadline && h.step() {
+            saw_rebroadcast_duty |= h.nodes().into_iter().any(|id| {
+                h.node(id)
+                    .old_recovery
+                    .as_ref()
+                    .is_some_and(|rec| !rec.to_rebroadcast.is_empty())
+            });
+        }
+        assert!(h.formed());
+        let survivors = [n(0), n(1), n(2)];
+        assert!(
+            survivors
+                .iter()
+                .any(|&id| h.node(id).stats().retransmits_served > 0),
+            "the seed must exercise rtr retransmission"
+        );
+        assert!(
+            saw_rebroadcast_duty,
+            "the seed must exercise recovery re-broadcast"
+        );
+        for id in survivors {
+            assert_deliveries_share(&h, id, &originals);
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use eternal_sim::net::NodeId;
 use eternal_sim::obs::causal::TraceTag;
+use eternal_sim::Bytes;
 use std::collections::BTreeSet;
 
 /// Identifies a ring configuration.
@@ -30,16 +31,20 @@ impl std::fmt::Display for RingId {
 }
 
 /// The payload of a regular (sequenced) message.
+///
+/// Application bytes are shared ([`Bytes`]): cloning a payload — into a
+/// frame per destination, a retransmission, a recovery store — bumps
+/// reference counts and copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// An application message (for Eternal: one IIOP chunk).
-    App(Vec<u8>),
+    App(Bytes),
     /// Several application messages packed into one frame during a
     /// single token visit. A batch occupies one sequence number and is
     /// unpacked transparently at delivery, in order, so the total order
     /// over application messages is exactly what it would have been had
     /// each item been broadcast alone.
-    Batch(Vec<Vec<u8>>),
+    Batch(Vec<Bytes>),
     /// An old-ring message re-broadcast on the new ring during membership
     /// recovery, so that all surviving members of the old ring deliver it
     /// before the configuration change (virtual synchrony).
@@ -257,6 +262,10 @@ pub enum Timer {
 mod tests {
     use super::*;
 
+    fn bytes(len: usize) -> Bytes {
+        vec![0; len].into()
+    }
+
     #[test]
     fn ring_id_ordering() {
         let a = RingId {
@@ -278,10 +287,10 @@ mod tests {
 
     #[test]
     fn payload_inner_unwraps_and_counts() {
-        let app = Payload::App(vec![1, 2]);
+        let app = Payload::App(vec![1, 2].into());
         assert_eq!(app.inner(), &app);
         assert_eq!(app.message_count(), 1);
-        let batch = Payload::Batch(vec![vec![1], vec![2], vec![3]]);
+        let batch = Payload::Batch(vec![bytes(1), bytes(2), bytes(3)]);
         assert_eq!(batch.message_count(), 3);
         let rec = Payload::Recovered {
             old_ring: RingId {
@@ -311,8 +320,8 @@ mod tests {
                 trace: vec![],
             })
         };
-        let single = frame(Payload::App(vec![0; 10])).wire_len();
-        let batch = frame(Payload::Batch(vec![vec![0; 10], vec![0; 10]])).wire_len();
+        let single = frame(Payload::App(bytes(10))).wire_len();
+        let batch = frame(Payload::Batch(vec![bytes(10), bytes(10)])).wire_len();
         // Two 10-byte items in one frame: 32 header + 4 count + 2*(4+10),
         // versus 2 * (32 + 10) for two singles.
         assert_eq!(batch, 32 + 4 + 2 * 14);
@@ -323,7 +332,7 @@ mod tests {
             old_ring: ring,
             old_seq: 9,
             original_sender: NodeId(1),
-            data: Box::new(Payload::Batch(vec![vec![0; 10], vec![0; 10]])),
+            data: Box::new(Payload::Batch(vec![bytes(10), bytes(10)])),
         })
         .wire_len();
         assert_eq!(rec, batch + 24);
@@ -338,7 +347,7 @@ mod tests {
             },
             seq: 1,
             sender: NodeId(0),
-            payload: Payload::App(vec![0; 10]),
+            payload: Payload::App(bytes(10)),
             trace: vec![],
         });
         let large = Frame::Regular(RegularMsg {
@@ -348,7 +357,7 @@ mod tests {
             },
             seq: 1,
             sender: NodeId(0),
-            payload: Payload::App(vec![0; 1000]),
+            payload: Payload::App(bytes(1000)),
             trace: vec![],
         });
         assert_eq!(large.wire_len() - small.wire_len(), 990);
@@ -365,7 +374,7 @@ mod tests {
                 },
                 seq: 1,
                 sender: NodeId(0),
-                payload: Payload::Batch(vec![vec![0; 10], vec![0; 10]]),
+                payload: Payload::Batch(vec![bytes(10), bytes(10)]),
                 trace,
             })
         };

@@ -9,9 +9,12 @@
 //! batching may only change how deliveries are packed into frames,
 //! never what is delivered or in what order.
 //!
-//! The evidence is the cluster's delivery digests: chained FNV-1a
-//! hashes over every IIOP message each node delivers (whole-node, and
-//! split per logical connection/direction stream).
+//! The evidence is the cluster's delivery digests: hash chains over
+//! every IIOP message each node delivers (whole-node, and split per
+//! logical connection/direction stream). Each link folds one message's
+//! identity, length and word-wise body hash (`eternal::hash`), so two
+//! chains are equal iff the same messages were delivered in the same
+//! order; the values are only ever compared with each other.
 
 use eternal::app::{CounterServant, StreamingClient};
 use eternal::chaos::{run_campaign, CampaignConfig};

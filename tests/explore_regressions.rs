@@ -111,7 +111,7 @@ fn explorer_rediscovers_and_shrinks_the_planted_bug() {
 
 /// Satellite property: installing the default FIFO tie-breaker is
 /// observationally a no-op for a whole cluster run — per-node delivery
-/// digests (FNV-1a over every totally-ordered delivery) are
+/// digests (a hash chain over every totally-ordered delivery) are
 /// byte-identical with and without the choice layer armed.
 #[test]
 fn fifo_choice_source_preserves_cluster_digests() {
