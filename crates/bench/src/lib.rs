@@ -38,31 +38,6 @@ use eternal_orb::{ClientConnection, ObjectKey, Orb, ServerConnection};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::{Duration, Scheduler, SimTime};
 
-/// Minimal wall-clock benchmarking for the `benches/` targets: times a
-/// closure over a fixed sample count and prints min/mean/max. The
-/// interesting *virtual-time* quantities are printed by the `repro`
-/// binary; these wall-clock numbers only track the cost of running the
-/// experiments, so protocol-implementation regressions show up.
-pub mod timing {
-    use std::time::Instant;
-
-    /// Runs `f` `samples` times and prints a one-line wall-clock summary.
-    pub fn bench<T>(label: &str, samples: u32, mut f: impl FnMut() -> T) {
-        assert!(samples > 0);
-        let mut times = Vec::with_capacity(samples as usize);
-        for _ in 0..samples {
-            let start = Instant::now();
-            let out = f();
-            times.push(start.elapsed());
-            std::hint::black_box(out);
-        }
-        let min = times.iter().min().expect("nonempty");
-        let max = times.iter().max().expect("nonempty");
-        let mean = times.iter().sum::<std::time::Duration>() / samples;
-        println!("{label:<40} min {min:>10.2?}  mean {mean:>10.2?}  max {max:>10.2?}");
-    }
-}
-
 /// One Figure 6 measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Point {

@@ -38,6 +38,11 @@ pub enum Value {
     /// element when inferring a type code; empty sequences infer
     /// `sequence<octet>`.
     Sequence(Vec<Value>),
+    /// A `sequence<octet>` held as one buffer — the shape of an opaque
+    /// application checkpoint, and the only shape [`Value::decode`]
+    /// yields for that type. On the wire it is identical to an
+    /// element-wise `Sequence` of `Octet`s, which `encode` still accepts.
+    Octets(Vec<u8>),
     /// A `struct` with anonymous members (member names live in the
     /// [`TypeCode`]).
     Struct(Vec<Value>),
@@ -64,6 +69,7 @@ impl Value {
             Value::Double(_) => "double",
             Value::String(_) => "string",
             Value::Sequence(_) => "sequence",
+            Value::Octets(_) => "sequence<octet>",
             Value::Struct(_) => "struct",
             Value::Enum(_) => "enum",
             Value::Any(_) => "any",
@@ -95,6 +101,7 @@ impl Value {
                     .map(Value::infer_typecode)
                     .unwrap_or(TypeCode::Octet),
             )),
+            Value::Octets(_) => TypeCode::Sequence(Box::new(TypeCode::Octet)),
             Value::Struct(members) => TypeCode::Struct {
                 name: "anonymous".into(),
                 members: members
@@ -107,10 +114,7 @@ impl Value {
                 name: "anonymous".into(),
                 enumerators: Vec::new(),
             },
-            Value::Any(inner) => {
-                let _ = inner;
-                TypeCode::Any
-            }
+            Value::Any(_) => TypeCode::Any,
         }
     }
 
@@ -138,6 +142,9 @@ impl Value {
             (TypeCode::Float, Value::Float(v)) => enc.write_f32(*v),
             (TypeCode::Double, Value::Double(v)) => enc.write_f64(*v),
             (TypeCode::String, Value::String(s)) => enc.write_string(s)?,
+            (TypeCode::Sequence(elem), Value::Octets(bytes)) if **elem == TypeCode::Octet => {
+                enc.write_octet_seq(bytes)
+            }
             (TypeCode::Sequence(elem), Value::Sequence(items)) => {
                 enc.write_u32(items.len() as u32);
                 for item in items {
@@ -168,8 +175,23 @@ impl Value {
     }
 
     /// Unmarshals a value of type `tc`.
+    ///
+    /// # Errors
+    ///
+    /// Besides malformed input: [`CdrError::LengthOverrun`] for a
+    /// sequence the remaining input cannot back, and
+    /// [`CdrError::NestingTooDeep`] past [`MAX_NESTING_DEPTH`].
     pub fn decode(tc: &TypeCode, dec: &mut CdrDecoder<'_>) -> Result<Value, CdrError> {
-        Ok(match tc {
+        Value::decode_within(tc, dec, &mut DecodeLimits::for_input(dec))
+    }
+
+    fn decode_within(
+        tc: &TypeCode,
+        dec: &mut CdrDecoder<'_>,
+        limits: &mut DecodeLimits,
+    ) -> Result<Value, CdrError> {
+        let start = dec.position();
+        let value = match tc {
             TypeCode::Null => Value::Null,
             TypeCode::Boolean => Value::Boolean(dec.read_bool()?),
             TypeCode::Octet => Value::Octet(dec.read_u8()?),
@@ -184,24 +206,40 @@ impl Value {
             TypeCode::String => Value::String(dec.read_string()?),
             TypeCode::Sequence(elem) => {
                 let len = dec.read_u32()?;
-                // Defensive cap: reject lengths that cannot possibly fit.
-                let min = elem.min_encoded_size();
-                if min > 0 && (len as usize).saturating_mul(min) > dec.remaining() {
-                    return Err(CdrError::LengthOverrun {
-                        declared: len,
-                        remaining: dec.remaining(),
-                    });
+                let overrun = |dec: &CdrDecoder<'_>| CdrError::LengthOverrun {
+                    declared: len,
+                    remaining: dec.remaining(),
+                };
+                // Reject a declared length the input cannot back: bytes
+                // for sized elements, the decode's allowance of empty
+                // values for elements that occupy none.
+                let backed = match elem.min_encoded_size() {
+                    0 => limits.empty_values.unwrap_or(0),
+                    min => dec.remaining() / min,
+                };
+                if len as usize > backed {
+                    return Err(overrun(dec));
                 }
-                let mut items = Vec::with_capacity(len.min(65_536) as usize);
-                for _ in 0..len {
-                    items.push(Value::decode(elem, dec)?);
+                if **elem == TypeCode::Octet {
+                    // One copy into a plain `Vec`: state buffers are
+                    // long-lived and must not draw from `crate::pool`.
+                    Value::Octets(dec.read_raw(len as usize)?.to_vec())
+                } else {
+                    let mut items = Vec::with_capacity(len.min(65_536) as usize);
+                    for _ in 0..len {
+                        items.push(limits.nested(|l| Value::decode_within(elem, dec, l))?);
+                        // Sized elements can still carry empty members.
+                        if limits.empty_values.is_none() {
+                            return Err(overrun(dec));
+                        }
+                    }
+                    Value::Sequence(items)
                 }
-                Value::Sequence(items)
             }
             TypeCode::Struct { members, .. } => {
                 let mut values = Vec::with_capacity(members.len());
                 for (_, mtc) in members {
-                    values.push(Value::decode(mtc, dec)?);
+                    values.push(limits.nested(|l| Value::decode_within(mtc, dec, l))?);
                 }
                 Value::Struct(values)
             }
@@ -215,8 +253,58 @@ impl Value {
                 }
                 Value::Enum(d)
             }
-            TypeCode::Any => Value::Any(Box::new(Any::decode(dec)?)),
-        })
+            TypeCode::Any => Value::Any(Box::new(limits.nested(|l| Any::decode_within(dec, l))?)),
+        };
+        if dec.position() == start {
+            limits.empty_values = limits.empty_values.and_then(|left| left.checked_sub(1));
+        }
+        Ok(value)
+    }
+}
+
+/// Deepest nesting — `any` in `any`, type code in type code, value in
+/// sequence or struct — that decoding follows. Each level costs an
+/// attacker only 4–12 input bytes but costs the decoder a stack frame.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
+/// Empty values (ones occupying no input bytes: `null`, member-less
+/// structs) a decode accepts regardless of input size, so that short
+/// legitimate `sequence<null>`s still round-trip.
+const EMPTY_VALUES_FLOOR: usize = 1024;
+
+/// What one top-level decode may still spend on input-declared work
+/// that input bytes do not pay for.
+pub(crate) struct DecodeLimits {
+    depth: usize,
+    /// Empty values still allowed: one per input byte, at least
+    /// [`EMPTY_VALUES_FLOOR`]; `None` once overdrawn. Only a sequence
+    /// can repeat a type's empty members, so sequences check it: before
+    /// allocating, and after each element.
+    empty_values: Option<usize>,
+}
+
+impl DecodeLimits {
+    pub(crate) fn for_input(dec: &CdrDecoder<'_>) -> Self {
+        DecodeLimits {
+            depth: MAX_NESTING_DEPTH,
+            empty_values: Some(dec.remaining().max(EMPTY_VALUES_FLOOR)),
+        }
+    }
+
+    /// Runs `f` one nesting level down.
+    pub(crate) fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CdrError>,
+    ) -> Result<T, CdrError> {
+        if self.depth == 0 {
+            return Err(CdrError::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH,
+            });
+        }
+        self.depth -= 1;
+        let out = f(self);
+        self.depth += 1;
+        out
     }
 }
 
@@ -235,11 +323,11 @@ impl Any {
     ///
     /// # Errors
     ///
-    /// Returns [`CdrError::TypeMismatch`] if `value` cannot be encoded
-    /// under `typecode` (checked eagerly by a trial encode of shape only
-    /// for scalar mismatches; full validation happens on encode).
+    /// Returns the error [`Any::encode`] would — a
+    /// [`CdrError::TypeMismatch`], an out-of-range enum discriminant, a
+    /// string with an embedded NUL — found eagerly by a full trial
+    /// encode, which costs one pass over `value`.
     pub fn new(typecode: TypeCode, value: Value) -> Result<Self, CdrError> {
-        // Validate by trial encode into a scratch buffer.
         let mut scratch = CdrEncoder::new(crate::Endian::Big);
         value.encode(&typecode, &mut scratch)?;
         Ok(Any { typecode, value })
@@ -253,8 +341,12 @@ impl Any {
 
     /// Unmarshals a type code and then a value of that type.
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<Any, CdrError> {
-        let typecode = TypeCode::decode(dec)?;
-        let value = Value::decode(&typecode, dec)?;
+        Any::decode_within(dec, &mut DecodeLimits::for_input(dec))
+    }
+
+    fn decode_within(dec: &mut CdrDecoder<'_>, limits: &mut DecodeLimits) -> Result<Any, CdrError> {
+        let typecode = TypeCode::decode_within(dec, limits)?;
+        let value = Value::decode_within(&typecode, dec, limits)?;
         Ok(Any { typecode, value })
     }
 
@@ -313,10 +405,7 @@ impl From<Vec<u8>> for Any {
     /// Wraps raw bytes as `sequence<octet>` — the typical shape of an
     /// opaque application checkpoint.
     fn from(bytes: Vec<u8>) -> Self {
-        Any {
-            typecode: TypeCode::Sequence(Box::new(TypeCode::Octet)),
-            value: Value::Sequence(bytes.into_iter().map(Value::Octet).collect()),
-        }
+        Any::from(Value::Octets(bytes))
     }
 }
 
@@ -354,6 +443,7 @@ mod tests {
     #[test]
     fn octet_blob_round_trips() {
         let any = Any::from(vec![0u8, 1, 2, 253, 254, 255]);
+        assert_eq!(any.value.kind_name(), "sequence<octet>");
         assert_eq!(round_trip(&any), any);
     }
 
@@ -439,6 +529,8 @@ mod tests {
             v.infer_typecode(),
             TypeCode::Sequence(Box::new(TypeCode::Octet))
         );
+        // … so on the far side it is an empty octet sequence.
+        assert_eq!(round_trip(&Any::from(v)), Any::from(Vec::<u8>::new()));
     }
 
     #[test]

@@ -25,6 +25,12 @@ pub enum CdrError {
         /// Bytes remaining in the buffer.
         remaining: usize,
     },
+    /// Input nested `any`s, type codes or values deeper than
+    /// [`crate::MAX_NESTING_DEPTH`].
+    NestingTooDeep {
+        /// The deepest nesting the decoder follows.
+        limit: usize,
+    },
     /// An unknown [`crate::TypeCode`] kind tag was read.
     UnknownTypeCodeKind(u32),
     /// An enum discriminant was out of range for its type.
@@ -60,6 +66,9 @@ impl fmt::Display for CdrError {
                 f,
                 "declared length {declared} exceeds remaining input {remaining}"
             ),
+            CdrError::NestingTooDeep { limit } => {
+                write!(f, "input nests deeper than {limit} levels")
+            }
             CdrError::UnknownTypeCodeKind(k) => write!(f, "unknown TypeCode kind {k}"),
             CdrError::InvalidEnumDiscriminant { got, count } => {
                 write!(f, "enum discriminant {got} out of range (count {count})")

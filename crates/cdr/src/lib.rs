@@ -44,7 +44,7 @@ mod error;
 pub mod pool;
 mod typecode;
 
-pub use any::{Any, Value};
+pub use any::{Any, Value, MAX_NESTING_DEPTH};
 pub use decode::CdrDecoder;
 pub use encode::CdrEncoder;
 pub use error::CdrError;

@@ -5,6 +5,7 @@
 //! needs: all fixed-size primitives, strings, octets, sequences, structs,
 //! and enums. Kind numbers follow the CORBA `TCKind` enumeration.
 
+use crate::any::DecodeLimits;
 use crate::{CdrDecoder, CdrEncoder, CdrError};
 
 /// A runtime description of an IDL type.
@@ -181,7 +182,19 @@ impl TypeCode {
     }
 
     /// Unmarshals a type code.
+    ///
+    /// # Errors
+    ///
+    /// Besides malformed input: [`CdrError::NestingTooDeep`] past
+    /// [`crate::MAX_NESTING_DEPTH`] levels of element or member types.
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<TypeCode, CdrError> {
+        TypeCode::decode_within(dec, &mut DecodeLimits::for_input(dec))
+    }
+
+    pub(crate) fn decode_within(
+        dec: &mut CdrDecoder<'_>,
+        limits: &mut DecodeLimits,
+    ) -> Result<TypeCode, CdrError> {
         let kind = dec.read_u32()?;
         Ok(match kind {
             TK_NULL => TypeCode::Null,
@@ -201,7 +214,7 @@ impl TypeCode {
                 TypeCode::String
             }
             TK_SEQUENCE => dec.read_encapsulation(|inner| {
-                let elem = TypeCode::decode(inner)?;
+                let elem = limits.nested(|l| TypeCode::decode_within(inner, l))?;
                 inner.read_u32()?; // bound
                 Ok(TypeCode::Sequence(Box::new(elem)))
             })?,
@@ -211,7 +224,7 @@ impl TypeCode {
                 let mut members = Vec::with_capacity(count.min(1024) as usize);
                 for _ in 0..count {
                     let mname = inner.read_string()?;
-                    let mtc = TypeCode::decode(inner)?;
+                    let mtc = limits.nested(|l| TypeCode::decode_within(inner, l))?;
                     members.push((mname, mtc));
                 }
                 Ok(TypeCode::Struct { name, members })

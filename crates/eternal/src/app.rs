@@ -170,7 +170,7 @@ impl CheckpointableServant for BlobServant {
         // State = touches counter + blob, as a struct of ulong + octets.
         Ok(Any::from(Value::Struct(vec![
             Value::ULong(self.touches),
-            Value::Sequence(self.blob.iter().map(|&b| Value::Octet(b)).collect()),
+            Value::Octets(self.blob.clone()),
         ])))
     }
 
@@ -178,18 +178,11 @@ impl CheckpointableServant for BlobServant {
         let Value::Struct(members) = &state.value else {
             return Err(ServantError::InvalidState);
         };
-        let [Value::ULong(touches), Value::Sequence(items)] = members.as_slice() else {
+        let [Value::ULong(touches), Value::Octets(blob)] = members.as_slice() else {
             return Err(ServantError::InvalidState);
         };
-        let mut blob = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                Value::Octet(b) => blob.push(*b),
-                _ => return Err(ServantError::InvalidState),
-            }
-        }
         self.touches = *touches;
-        self.blob = blob;
+        self.blob.clone_from(blob);
         Ok(())
     }
 }
@@ -281,6 +274,17 @@ impl Servant for KvStoreServant {
     }
 }
 
+/// The elements of a decoded sequence. An empty map's sequence has
+/// nothing to infer an element type from, travels as the default
+/// `sequence<octet>`, and so comes back as empty `Octets`.
+fn sequence_items(value: &Value) -> Option<&[Value]> {
+    match value {
+        Value::Sequence(items) => Some(items),
+        Value::Octets(bytes) if bytes.is_empty() => Some(&[]),
+        _ => None,
+    }
+}
+
 impl CheckpointableServant for KvStoreServant {
     fn get_state(&self) -> Result<Any, ServantError> {
         let entries = Value::Sequence(
@@ -304,7 +308,11 @@ impl CheckpointableServant for KvStoreServant {
         let Value::Struct(top) = &state.value else {
             return Err(ServantError::InvalidState);
         };
-        let [Value::Sequence(entries), Value::Sequence(touches)] = top.as_slice() else {
+        let [entries, touches] = top.as_slice() else {
+            return Err(ServantError::InvalidState);
+        };
+        let (Some(entries), Some(touches)) = (sequence_items(entries), sequence_items(touches))
+        else {
             return Err(ServantError::InvalidState);
         };
         let mut new_entries = std::collections::BTreeMap::new();
@@ -536,9 +544,56 @@ mod tests {
     }
 
     #[test]
-    fn blob_rejects_malformed_state() {
+    fn blob_state_wire_form_is_pinned() {
+        // Captured from the element-wise `Value::Sequence(Octet…)`
+        // representation this servant used before `Value::Octets`:
+        // struct "anonymous" { m0: ulong, m1: sequence<octet> }.
+        let mut b = BlobServant::with_size(8);
+        b.dispatch("touch", &[]).unwrap();
+        let bytes = CheckpointableServant::get_state(&b)
+            .unwrap()
+            .to_bytes()
+            .unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 92] = [
+            0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 64, 0, 0, 0, 0,
+            0, 0, 0, 10, 97, 110, 111, 110, 121, 109, 111, 117, 115, 0, 0, 0,
+            0, 0, 0, 2, 0, 0, 0, 3, 109, 48, 0, 0, 0, 0, 0, 5,
+            0, 0, 0, 3, 109, 49, 0, 0, 0, 0, 0, 19, 0, 0, 0, 12,
+            0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 1,
+            0, 0, 0, 8, 0, 1, 2, 3, 4, 5, 6, 8,
+        ];
+        assert_eq!(bytes, golden);
+        let mut b2 = BlobServant::with_size(0);
+        CheckpointableServant::set_state(&mut b2, &Any::from_bytes(&golden).unwrap()).unwrap();
+        assert_eq!((b2.blob, b2.touches), (b.blob, 1));
+    }
+
+    #[test]
+    fn blob_rejects_malformed_state_and_keeps_its_own() {
         let mut b = BlobServant::with_size(4);
-        assert!(CheckpointableServant::set_state(&mut b, &Any::from(3u32)).is_err());
+        b.dispatch("touch", &[]).unwrap();
+        let elementwise = Value::Sequence(vec![Value::Octet(1), Value::Octet(2)]);
+        for wrong in [
+            Value::ULong(3),
+            Value::Octets(vec![1, 2]),
+            Value::Struct(vec![Value::ULong(9)]),
+            Value::Struct(vec![Value::ULong(9), Value::String("no".into())]),
+            // Only the shape `decode` yields is accepted.
+            Value::Struct(vec![Value::ULong(9), elementwise]),
+            Value::Struct(vec![Value::Octets(vec![1, 2]), Value::ULong(9)]),
+            Value::Struct(vec![
+                Value::ULong(9),
+                Value::Octets(vec![1, 2]),
+                Value::Null,
+            ]),
+        ] {
+            assert!(matches!(
+                CheckpointableServant::set_state(&mut b, &Any::from(wrong)),
+                Err(ServantError::InvalidState)
+            ));
+            assert_eq!((b.blob.as_slice(), b.touches), (&[0u8, 1, 2, 4][..], 1));
+        }
     }
 
     #[test]
@@ -610,6 +665,24 @@ mod tests {
         CheckpointableServant::set_state(&mut kv2, &back).unwrap();
         assert_eq!(kv2.entries, kv.entries);
         assert_eq!(kv2.touches, kv.touches);
+    }
+
+    #[test]
+    fn empty_kv_store_state_round_trips_through_the_wire() {
+        // Empty maps travel as the default `sequence<octet>`.
+        let snap = CheckpointableServant::get_state(&KvStoreServant::default()).unwrap();
+        let back = Any::from_bytes(&snap.to_bytes().unwrap()).unwrap();
+        let mut kv = KvStoreServant::default();
+        kv.dispatch("put", &KvStoreServant::put_args("stale", "1"))
+            .unwrap();
+        CheckpointableServant::set_state(&mut kv, &back).unwrap();
+        assert!(kv.entries.is_empty() && kv.touches.is_empty());
+        // A non-empty octet sequence is still not a map.
+        let wrong = Any::from(Value::Struct(vec![
+            Value::Octets(vec![1]),
+            Value::Octets(Vec::new()),
+        ]));
+        assert!(CheckpointableServant::set_state(&mut kv, &wrong).is_err());
     }
 
     #[test]
