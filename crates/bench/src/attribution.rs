@@ -33,6 +33,7 @@ use eternal::properties::FaultToleranceProperties;
 use eternal_cdr::{Any, Value};
 use eternal_giop::ReplyStatus;
 use eternal_obs::attribution::{attribute, AttributionReport, Phase};
+use eternal_obs::export::json_escape;
 use eternal_sim::Duration;
 use std::fmt::Write as _;
 
@@ -281,7 +282,7 @@ fn render_json(report: &AttributionReport, seed: u64, final_time_ns: u64) -> Str
         let _ = write!(
             out,
             "    \"{}\"{}",
-            v.replace('\\', "\\\\").replace('"', "\\\""),
+            json_escape(v),
             if i + 1 < report.violations.len() {
                 ",\n"
             } else {

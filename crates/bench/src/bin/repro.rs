@@ -81,16 +81,27 @@
 //! cargo run --release -p eternal-bench --bin repro -- attribution --seed 42
 //! ```
 //!
+//! `fingerprint` runs every byte-deterministic artefact above once, at
+//! its standard seed, and prints one line per artefact — name, schema,
+//! XXH64 of its bytes — plus a combined hash. The committed
+//! `FINGERPRINT.txt` is that output; `--check FILE` exits nonzero and
+//! names the artefacts that moved (see `docs/TESTING.md`):
+//!
+//! ```sh
+//! cargo run --release -p eternal-bench --bin repro -- fingerprint --check FINGERPRINT.txt
+//! ```
+//!
 //! Unknown experiment names print the usage and exit 2.
 
 use eternal::chaos::{run_campaign, CampaignConfig, FaultKind};
 use eternal::explore::{run_explore, ExploreConfig};
+use eternal::hash::hash_bytes;
 use eternal::properties::ReplicationStyle;
 use eternal_bench::{
     ablation_run, attribution, checkpoint_sweep_point, compare, fig6_point, fig6_timeline,
     frag_threshold, health, overhead_point, replica_count_point, style_run, suite, trace_run,
 };
-use eternal_obs::timeline::{render_breakdown_json, render_breakdown_table};
+use eternal_obs::timeline::{render_breakdown_json, render_breakdown_table, RecoveryTimeline};
 use eternal_sim::Duration;
 
 /// Experiments runnable by name (an empty argument list runs them all).
@@ -143,6 +154,7 @@ fn usage() {
         "  attribution  per-request latency attribution, writes ATTRIB_eternal.json \
          [--seed N] [--json PATH]"
     );
+    eprintln!("  fingerprint  one hash per deterministic artefact [--check FINGERPRINT.txt]");
 }
 
 fn main() {
@@ -164,6 +176,9 @@ fn main() {
     }
     if args.first().is_some_and(|a| a == "attribution") {
         std::process::exit(attribution_cmd(&args[1..]));
+    }
+    if args.first().is_some_and(|a| a == "fingerprint") {
+        std::process::exit(fingerprint(&args[1..]));
     }
     // `timeline --json PATH` takes a flag; peel it off before the
     // experiment-name scan.
@@ -584,6 +599,95 @@ fn attribution_cmd(args: &[String]) -> i32 {
     i32::from(!run.passed)
 }
 
+/// `repro -- fingerprint [--check FILE]`: every byte-deterministic
+/// artefact at the seed CI pins it at, hashed. A refactoring proves
+/// itself neutral by leaving `FINGERPRINT.txt` unchanged; a behavioural
+/// change shows which artefacts it moved.
+fn fingerprint(args: &[String]) -> i32 {
+    let expected = match args {
+        [] => None,
+        [flag, path] if flag == "--check" => match std::fs::read_to_string(path) {
+            Ok(text) => Some(text),
+            Err(e) => {
+                eprintln!("fingerprint: cannot read {path}: {e}");
+                return 2;
+            }
+        },
+        _ => {
+            eprintln!("fingerprint: expected no flags or --check FILE");
+            return 2;
+        }
+    };
+    let health_json = |fault| health::health_run(42, fault).json;
+    let chaos_json = |seed| {
+        let cfg = CampaignConfig {
+            seed,
+            steps: 10,
+            ..CampaignConfig::default()
+        };
+        run_campaign(&cfg).to_json()
+    };
+    let (timelines, dropped_events) = timeline_runs();
+    let artefacts = [
+        ("bench", suite::run_suite(false).json),
+        ("trace", trace_run(42).chrome_json),
+        ("attribution", attribution::attribution_run(42).json),
+        ("health", health_json(None)),
+        (
+            "health.crash_restart",
+            health_json(Some(FaultKind::CrashRestart)),
+        ),
+        (
+            "health.kill_replica",
+            health_json(Some(FaultKind::KillReplica)),
+        ),
+        ("explore", run_explore(&ExploreConfig::quick()).to_json()),
+        (
+            "timeline",
+            render_breakdown_json(&timelines, dropped_events),
+        ),
+        ("chaos.7", chaos_json(7)),
+        ("chaos.42", chaos_json(42)),
+        ("chaos.60", chaos_json(60)),
+    ];
+    let mut lines = String::new();
+    for (name, text) in &artefacts {
+        let schema = text
+            .split_once("\"schema\": ")
+            .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .unwrap_or("-");
+        lines += &format!(
+            "{name} schema={schema} xxh64={:016x}\n",
+            hash_bytes(text.as_bytes())
+        );
+    }
+    lines += &format!("combined xxh64={:016x}\n", hash_bytes(lines.as_bytes()));
+    print!("{lines}");
+    let Some(expected) = expected else {
+        return 0;
+    };
+    for (want, got) in expected.lines().zip(lines.lines()) {
+        if want != got {
+            eprintln!("fingerprint: expected {want}");
+            eprintln!("fingerprint:      got {got}");
+        }
+    }
+    i32::from(expected != lines)
+}
+
+/// The Figure 6 recovery episodes `timeline` breaks down, with the
+/// trace events evicted while recording them.
+fn timeline_runs() -> (Vec<RecoveryTimeline>, u64) {
+    let mut timelines = Vec::new();
+    let mut dropped_events = 0u64;
+    for &size in &[1_000usize, 10_000, 100_000, 300_000] {
+        let run = fig6_timeline(size, 42);
+        timelines.extend(run.timelines);
+        dropped_events += run.dropped_events;
+    }
+    (timelines, dropped_events)
+}
+
 fn fig6() {
     println!("== Figure 6: recovery time vs application-level state size ==");
     println!("   (2-way active server, packet-driver client, replica killed + re-launched)");
@@ -608,13 +712,7 @@ fn fig6() {
 fn timeline(json_path: Option<&str>) {
     println!("== Figure 6 breakdown: where recovery time goes, per §5.1 phase ==");
     println!("   (same scenario as fig6, observability on; phases tile the episode)");
-    let mut timelines = Vec::new();
-    let mut dropped_events = 0u64;
-    for &size in &[1_000usize, 10_000, 100_000, 300_000] {
-        let run = fig6_timeline(size, 42);
-        timelines.extend(run.timelines);
-        dropped_events += run.dropped_events;
-    }
+    let (timelines, dropped_events) = timeline_runs();
     print!("{}", render_breakdown_table(&timelines));
     if dropped_events > 0 {
         eprintln!(

@@ -118,6 +118,7 @@ impl<'a> Cursor<'a> {
                         other => return Err(format!("unsupported escape \\{}", other as char)),
                     }
                 }
+                0..=0x1f => return Err("unescaped control character in a string".into()),
                 other => out.push(other as char),
             }
         }
@@ -417,6 +418,31 @@ mod tests {
         assert!(flatten("{\"a\": }").is_err());
         assert!(flatten("{\"a\": 1} trailing").is_err());
         assert!(flatten("{\"a\": 1.5}").is_err(), "floats are rejected");
+    }
+
+    /// Violation details are free text: whatever they contain, the
+    /// chaos and explore exports stay strict JSON and give it back.
+    #[test]
+    fn hostile_violation_details_survive_the_exports() {
+        use eternal::chaos::{run_campaign, CampaignConfig};
+        use eternal::explore::{run_explore, ExploreConfig};
+        const DETAIL: &str = "\"\\\n\t\u{1}";
+        let detail_at = |json: String, path: &str| flatten(&json).expect("parses").remove(path);
+        assert!(flatten("{\"a\": \"\n\"}").is_err(), "raw control character");
+
+        let mut cfg = CampaignConfig::default();
+        (cfg.steps, cfg.force_violation) = (1, true);
+        let mut summary = run_campaign(&cfg);
+        summary.violations[0].detail = DETAIL.into();
+        let got = detail_at(summary.to_json(), "violations[0].detail");
+        assert_eq!(got, Some(Leaf::Str(DETAIL.into())));
+
+        let mut cfg = ExploreConfig::default();
+        (cfg.budget, cfg.steps, cfg.force_violation) = (64, 1, true);
+        let mut report = run_explore(&cfg);
+        report.counterexample.as_mut().expect("planted").violations[0].detail = DETAIL.into();
+        let got = detail_at(report.to_json(), "counterexample.violations[0].detail");
+        assert_eq!(got, Some(Leaf::Str(DETAIL.into())));
     }
 
     #[test]

@@ -50,6 +50,7 @@ use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::hash::{fnv1a, FNV_OFFSET};
 use eternal::properties::FaultToleranceProperties;
 use eternal_obs::attribution::Phase;
+use eternal_obs::export::json_escape;
 use eternal_sim::Duration;
 use std::fmt::Write;
 
@@ -645,7 +646,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""));
+        let _ = write!(out, "\"{}\"", json_escape(v));
     }
     out.push_str("]\n}\n");
 

@@ -39,6 +39,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::gid::GroupId;
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
+use eternal_obs::export::json_escape;
 use eternal_obs::EventKind;
 use eternal_sim::net::NodeId;
 use eternal_sim::rng::SimRng;
@@ -267,9 +268,6 @@ impl CampaignSummary {
     /// `repro -- chaos --json` export; the flight-recorder dump is a
     /// separate file and is not embedded). Byte-deterministic.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"steps\": {},", self.steps);
@@ -316,7 +314,7 @@ impl CampaignSummary {
                     "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
                     v.step,
                     v.invariant,
-                    esc(&v.detail)
+                    json_escape(&v.detail)
                 )
             })
             .collect::<Vec<_>>()

@@ -1,6 +1,8 @@
 //! The whole-system harness: processors (Totem node + Eternal
 //! mechanisms + ORB + replicas) over the deterministic network, driven
-//! by one event loop.
+//! by one event loop: the [`Ring`] owns the scheduler, the network
+//! model and the Totem engines, and the cluster is what consumes their
+//! ordered deliveries — everything *above* Totem.
 //!
 //! This is the reproduction's stand-in for the paper's testbed (§6): a
 //! network of workstations running Totem, the Eternal mechanisms, and
@@ -24,12 +26,13 @@ use eternal_obs::health::{AuditorConfig, HealthAuditor, HealthSnapshot};
 use eternal_obs::timeline::PhaseSpan;
 use eternal_obs::{EventKind, MetricsRegistry, RecoveryPhase, RecoveryTimeline};
 use eternal_orb::servant::CheckpointableServant;
-use eternal_sim::choice::{ChoiceKind, SharedChoiceSource};
+use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::trace::Trace;
-use eternal_sim::{Duration, Scheduler, SimTime};
-use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery, Phase, TotemNode};
-use eternal_totem::types::{Frame, Payload, Timer as TotemTimer};
+use eternal_sim::{Duration, SimTime};
+use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery, Phase};
+use eternal_totem::ring::{Fate, Popped, Ring};
+use eternal_totem::types::{Frame, Payload};
 use eternal_totem::TotemConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -45,8 +48,6 @@ pub struct ClusterConfig {
     pub totem: TotemConfig,
     /// Mechanisms parameters (execution time, ablation switches).
     pub mech: MechConfig,
-    /// Time to launch a replica process before it can join recovery.
-    pub launch_delay: Duration,
     /// Whether the resource manager automatically restores the replica
     /// count after faults.
     pub auto_recover: bool,
@@ -83,7 +84,6 @@ impl Default for ClusterConfig {
             net: NetworkConfig::default(),
             totem: TotemConfig::default(),
             mech: MechConfig::default(),
-            launch_delay: Duration::from_millis(2),
             auto_recover: true,
             trace: true,
             trace_capacity: eternal_obs::trace::DEFAULT_CAPACITY,
@@ -95,17 +95,12 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Time to launch a replica process before it can join recovery.
+const LAUNCH_DELAY: Duration = Duration::from_millis(2);
+
+/// The cluster's own occurrences on the [`Ring`]'s schedule.
 #[derive(Debug)]
 enum Event {
-    TotemFrame {
-        dst: NodeId,
-        frame: Frame,
-    },
-    TotemTimer {
-        node: NodeId,
-        timer: TotemTimer,
-        generation: u64,
-    },
     EternalMulticast {
         src: NodeId,
         message: EternalMessage,
@@ -184,22 +179,66 @@ struct BackpressureSample {
     log_suffix: u64,
 }
 
+/// What one processor runs above its Totem engine, plus the cluster's
+/// bookkeeping about it. A restart rebuilds `mech` and `reasm`; the
+/// rest survives.
+#[derive(Debug)]
+struct Processor {
+    mech: Mechanisms,
+    reasm: EternalReassembler,
+    /// Id of the last Eternal message this processor fragmented.
+    next_emsg_id: u64,
+    /// Lamport clock stamped into causal hops and wire tags (receive
+    /// rule: `max(local, tag.clock) + 1`).
+    lamport: u64,
+    /// Last time the rotating token arrived here, for the
+    /// token-rotation-time histogram.
+    last_token_at: Option<SimTime>,
+    /// Latest backpressure gauges, refreshed at each token-visit
+    /// boundary (see [`BackpressureSample`]).
+    backpressure: BackpressureSample,
+    /// Chained digest over every reassembled IIOP delivery, in delivery
+    /// order (the batching-invariant witness): each link folds one
+    /// message's identity, length and word-wise body hash.
+    delivery_digest: u64,
+    /// Restart count, stamped into rebuilt mechanisms so their
+    /// fabricated transfer ids never repeat a pre-crash id.
+    incarnation: u32,
+    /// Next health publish sequence number; not mechanism state, so an
+    /// origin never reuses a (node, seq) identity after a restart.
+    health_seq: u64,
+    /// Epoch tag for the state digests the next health snapshot will
+    /// carry: they are refreshed at each health delivery (a shared
+    /// total-order point), and this records which.
+    health_digest_epoch: u64,
+}
+
+impl Processor {
+    fn new(node: NodeId, config: &ClusterConfig) -> Self {
+        Processor {
+            mech: Mechanisms::new(node, config.mech.clone()),
+            reasm: EternalReassembler::new(),
+            next_emsg_id: 0,
+            lamport: 0,
+            last_token_at: None,
+            backpressure: BackpressureSample::default(),
+            delivery_digest: FNV_OFFSET,
+            incarnation: 0,
+            health_seq: 0,
+            health_digest_epoch: HealthSnapshot::NO_DIGEST,
+        }
+    }
+}
+
 /// The whole simulated system.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    sched: Scheduler<Event>,
-    /// Installed schedule-exploration choice source (also installed
-    /// into `sched` for tie-breaks). `None` outside exploration: every
-    /// nondeterministic decision then takes its default branch.
-    choices: Option<SharedChoiceSource>,
-    net: NetworkModel,
-    totem: BTreeMap<NodeId, TotemNode>,
-    mechs: BTreeMap<NodeId, Mechanisms>,
-    reasm: BTreeMap<NodeId, EternalReassembler>,
-    alive: BTreeMap<NodeId, bool>,
-    timer_gen: HashMap<(NodeId, TotemTimer), u64>,
-    next_emsg_id: BTreeMap<NodeId, u64>,
+    /// The event loop: scheduler, network model, Totem engines, their
+    /// liveness and timers.
+    ring: Ring<Event>,
+    /// One entry per processor, indexed by node id.
+    procs: Vec<Processor>,
     groups: BTreeMap<GroupId, GroupInfo>,
     next_group: u32,
     issue_times: HashMap<(ConnectionName, u32), SimTime>,
@@ -217,16 +256,7 @@ pub struct Cluster {
     /// unique across processors and the total-order check can compare
     /// deliveries of the same frame on different nodes).
     causal: CausalRecorder,
-    /// Per-processor Lamport clocks stamped into causal hops and wire
-    /// tags (receive rule: `max(local, tag.clock) + 1`).
-    lamport: BTreeMap<NodeId, u64>,
     registry: MetricsRegistry,
-    /// Last time the rotating token arrived at each live processor, for
-    /// the token-rotation-time histogram.
-    last_token_at: HashMap<NodeId, SimTime>,
-    /// Latest backpressure gauges per processor, refreshed at each
-    /// token-visit boundary (see [`BackpressureSample`]).
-    backpressure: BTreeMap<NodeId, BackpressureSample>,
     /// `(trace_id, pack_span)` pairs whose [`Hop::Send`] has been
     /// stamped: a packed frame's *first* transmission records the hop;
     /// retransmissions and recovery re-broadcasts re-serve the stored
@@ -237,16 +267,9 @@ pub struct Cluster {
     /// when the recorder is disabled.
     send_stamped: BTreeSet<(u64, u64)>,
     episodes: BTreeMap<TransferId, EpisodeObs>,
-    /// Per-node chained digest over every reassembled IIOP delivery, in
-    /// delivery order (the batching-invariant witness): each link folds
-    /// one message's identity, length and word-wise body hash.
-    delivery_digest: BTreeMap<NodeId, u64>,
     /// Chained digests over each (connection, direction) IIOP stream as
     /// seen at each node; direction encoded 0 = request, 1 = reply.
     stream_digests: BTreeMap<(NodeId, ConnectionName, u8), u64>,
-    /// Restart count per processor, stamped into rebuilt mechanisms so
-    /// their fabricated transfer ids never repeat a pre-crash id.
-    incarnations: BTreeMap<NodeId, u32>,
     timelines: Vec<RecoveryTimeline>,
     repl_mgr: ReplicationManager,
     res_mgr: ResourceManager,
@@ -254,19 +277,11 @@ pub struct Cluster {
     /// Online anomaly auditor over the agreed health-epoch stream
     /// (inert unless [`ClusterConfig::health_period`] is nonzero).
     health_auditor: HealthAuditor,
-    /// Per-origin publish sequence numbers. Cluster-owned (not
-    /// mechanism state) so they survive processor restarts and an
-    /// origin never reuses a (node, seq) identity.
-    health_seq: BTreeMap<NodeId, u64>,
     /// Epoch assigned to each health message at its *first* delivery
     /// anywhere — first-delivery order is the total order, so every
     /// replica observes the same epoch numbering. Pruned once well past.
     health_epoch_of: HashMap<(u64, u64), u64>,
     next_health_epoch: u64,
-    /// Per-node epoch tag for the state digests the node's next
-    /// snapshot will carry: the digests are refreshed at each health
-    /// delivery (a shared total-order point), and this records which.
-    health_digest_epoch: BTreeMap<NodeId, u64>,
 }
 
 impl Cluster {
@@ -277,19 +292,18 @@ impl Cluster {
         // A traced cluster also traces its ORBs (restart_processor
         // clones this config, so adjust it once here).
         config.mech.obs = config.mech.obs || config.trace;
-        let net = NetworkModel::new(config.processors, config.net.clone(), seed);
         let mut cluster = Cluster {
             repl_mgr: ReplicationManager::new(config.processors),
             res_mgr: ResourceManager,
-            sched: Scheduler::new(),
-            choices: None,
-            net,
-            totem: BTreeMap::new(),
-            mechs: BTreeMap::new(),
-            reasm: BTreeMap::new(),
-            alive: BTreeMap::new(),
-            timer_gen: HashMap::new(),
-            next_emsg_id: BTreeMap::new(),
+            ring: Ring::new(
+                config.processors,
+                config.totem.clone(),
+                config.net.clone(),
+                seed,
+            ),
+            procs: (0..config.processors)
+                .map(|i| Processor::new(NodeId(i), &config))
+                .collect(),
             groups: BTreeMap::new(),
             next_group: 0,
             issue_times: HashMap::new(),
@@ -307,15 +321,10 @@ impl Cluster {
             } else {
                 CausalRecorder::disabled()
             },
-            lamport: BTreeMap::new(),
             registry: MetricsRegistry::new(),
-            last_token_at: HashMap::new(),
-            backpressure: BTreeMap::new(),
             send_stamped: BTreeSet::new(),
             episodes: BTreeMap::new(),
-            delivery_digest: BTreeMap::new(),
             stream_digests: BTreeMap::new(),
-            incarnations: BTreeMap::new(),
             timelines: Vec::new(),
             clients_started: false,
             health_auditor: {
@@ -325,10 +334,8 @@ impl Cluster {
                 }
                 HealthAuditor::new(acfg)
             },
-            health_seq: BTreeMap::new(),
             health_epoch_of: HashMap::new(),
             next_health_epoch: 0,
-            health_digest_epoch: BTreeMap::new(),
             config,
         };
         // The encode/decode buffer pool is thread-global: with health
@@ -339,67 +346,35 @@ impl Cluster {
         if cluster.config.health_period > Duration::ZERO {
             eternal_cdr::pool::reset();
         }
-        for i in 0..cluster.config.processors {
-            let id = NodeId(i);
-            let mut node = TotemNode::new(id, cluster.config.totem.clone());
-            let actions = node.start();
-            cluster.totem.insert(id, node);
-            cluster
-                .mechs
-                .insert(id, Mechanisms::new(id, cluster.config.mech.clone()));
-            cluster.reasm.insert(id, EternalReassembler::new());
-            cluster.alive.insert(id, true);
-            cluster.next_emsg_id.insert(id, 0);
-            cluster.apply_totem_actions(id, actions);
+        for node in cluster.processors() {
+            let actions = cluster.ring.start(node);
+            cluster.apply_totem_actions(node, actions);
         }
         if cluster.config.health_period > Duration::ZERO {
-            for i in 0..cluster.config.processors {
-                cluster.sched.schedule_after(
-                    cluster.config.health_period,
-                    Event::HealthTick { node: NodeId(i) },
-                );
+            for node in cluster.processors() {
+                cluster
+                    .ring
+                    .schedule_after(cluster.config.health_period, Event::HealthTick { node });
             }
         }
         cluster
     }
 
-    /// Installs a schedule-exploration
-    /// [`ChoiceSource`](eternal_sim::choice::ChoiceSource). The source
-    /// resolves (a) same-instant scheduler tie-breaks
-    /// ([`ChoiceKind::Tie`]) and (b) the fate of every multicast frame
-    /// at its send boundary ([`ChoiceKind::Token`] for Totem token
-    /// frames — the token-visit boundary — [`ChoiceKind::Frame`] for
-    /// everything else): branch 0 delivers normally, branch 1 drops the
-    /// frame on the wire, branch 2 delays every delivery of it by a
-    /// fixed [`Cluster::EXPLORE_DELAY`]. With no source installed (the
-    /// default) behaviour is byte-identical to before this hook
-    /// existed.
+    /// Installs a schedule-exploration choice source: it resolves
+    /// same-instant scheduler tie-breaks and the deliver / drop / delay
+    /// fate of every multicast frame (see [`Ring::set_choice_source`]).
     pub fn set_choice_source(&mut self, source: SharedChoiceSource) {
-        self.sched.set_choice_source(source.clone());
-        self.choices = Some(source);
+        self.ring.set_choice_source(source);
     }
-
-    /// Removes the installed choice source, restoring pure default
-    /// behaviour.
-    pub fn clear_choice_source(&mut self) {
-        self.sched.clear_choice_source();
-        self.choices = None;
-    }
-
-    /// Extra latency a frame's deliveries incur when a choice source
-    /// picks the delay branch at a frame-fate choice-point: half a
-    /// default token-rotation timeout, enough to reorder against
-    /// same-flight frames without instantly tripping failure detectors.
-    pub const EXPLORE_DELAY: Duration = Duration::from_micros(750);
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sched.now()
+        self.ring.now()
     }
 
     /// The processors, in id order.
     pub fn processors(&self) -> Vec<NodeId> {
-        self.mechs.keys().copied().collect()
+        self.ring.nodes().to_vec()
     }
 
     /// The structured trace.
@@ -432,17 +407,17 @@ impl Cluster {
 
     /// The network model, read-only (for counters).
     pub fn net(&self) -> &NetworkModel {
-        &self.net
+        self.ring.net()
     }
 
     /// The network model, mutable (for partitions).
     pub fn net_mut(&mut self) -> &mut NetworkModel {
-        &mut self.net
+        self.ring.net_mut()
     }
 
     /// The mechanisms of one processor (inspection in tests).
     pub fn mechanisms(&self, node: NodeId) -> &Mechanisms {
-        &self.mechs[&node]
+        &self.procs[node.0 as usize].mech
     }
 
     /// Delivers a load tick to every client group's replicas (see
@@ -462,7 +437,7 @@ impl Cluster {
     /// downstream exactly as at deployment time.
     pub fn kick_clients(&mut self) {
         let now = self.now();
-        let Some(src) = self.mechs.keys().copied().find(|&node| self.is_alive(node)) else {
+        let Some(src) = self.ring.live().next() else {
             return;
         };
         let client_groups: Vec<GroupId> = self
@@ -485,7 +460,9 @@ impl Cluster {
         if !self.is_alive(node) {
             return None;
         }
-        self.mechs.get_mut(&node)?.probe_application_state(group)
+        self.procs[node.0 as usize]
+            .mech
+            .probe_application_state(group)
     }
 
     /// Whether any recovery machinery is in flight: scheduled or
@@ -510,32 +487,23 @@ impl Cluster {
     /// Invocations issued and still awaiting replies, summed over live
     /// processors. Zero once client traffic has drained.
     pub fn outstanding_calls(&self) -> usize {
-        self.mechs
-            .iter()
-            .filter(|&(&n, _)| self.is_alive(n))
-            .map(|(_, m)| m.outstanding_total())
+        self.ring
+            .live()
+            .map(|n| self.mechanisms(n).outstanding_total())
             .sum()
     }
 
     /// Partially reassembled Eternal messages held at `node`.
     pub fn reassembly_pending(&self, node: NodeId) -> usize {
-        self.reasm.get(&node).map(|r| r.pending()).unwrap_or(0)
-    }
-
-    /// The Totem engine status of one processor: protocol phase,
-    /// installed ring, and membership view (diagnostics).
-    pub fn totem_status(
-        &self,
-        node: NodeId,
-    ) -> (Phase, Option<eternal_totem::RingId>, Vec<NodeId>) {
-        let t = &self.totem[&node];
-        (t.phase(), t.ring(), t.members().to_vec())
+        self.procs
+            .get(node.0 as usize)
+            .map_or(0, |p| p.reasm.pending())
     }
 
     /// Aggregated system metrics.
     pub fn metrics(&self) -> Metrics {
         let mut m = self.metrics.clone();
-        for mech in self.mechs.values() {
+        for Processor { mech, .. } in &self.procs {
             let c = mech.counters();
             m.requests_dispatched += c.requests_dispatched;
             m.replies_delivered += c.replies_delivered;
@@ -553,8 +521,8 @@ impl Cluster {
     /// tracing) each processor's ORB registry.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = self.registry.clone();
-        for totem in self.totem.values() {
-            let s = totem.stats();
+        for &node in self.ring.nodes() {
+            let s = self.ring.node(node).stats();
             reg.counter_add("totem.broadcasts", s.broadcasts);
             reg.counter_add("totem.delivered", s.delivered);
             reg.counter_add("totem.config_changes", s.config_changes);
@@ -565,7 +533,7 @@ impl Cluster {
             reg.counter_add("totem.batched_messages", s.batched_messages);
             reg.counter_add("totem.frames_saved", s.frames_saved);
         }
-        for mech in self.mechs.values() {
+        for Processor { mech, .. } in &self.procs {
             let c = mech.counters();
             reg.counter_add("eternal.requests_dispatched", c.requests_dispatched);
             reg.counter_add("eternal.replies_delivered", c.replies_delivered);
@@ -581,9 +549,9 @@ impl Cluster {
             );
             reg.merge(mech.orb().metrics());
         }
-        reg.counter_add("net.frames_sent", self.net.frames_sent());
-        reg.counter_add("net.frames_dropped", self.net.frames_dropped());
-        reg.counter_add("net.bytes_sent", self.net.bytes_sent());
+        reg.counter_add("net.frames_sent", self.net().frames_sent());
+        reg.counter_add("net.frames_dropped", self.net().frames_dropped());
+        reg.counter_add("net.bytes_sent", self.net().bytes_sent());
         // Instantaneous depths as gauges (summed over live processors):
         // the health snapshots sample the same quantities per node, but
         // the registry export is the place dashboards scrape.
@@ -592,15 +560,25 @@ impl Cluster {
         let mut reasm = 0i64;
         let mut recovering = 0i64;
         let mut chunks_pending = 0i64;
-        for (&node, mech) in &self.mechs {
-            if !self.is_alive(node) {
-                continue;
-            }
+        // Backpressure gauges from the latest token-visit samples — the
+        // same values the health snapshots publish per node through the
+        // total order.
+        let mut pending_depth = 0i64;
+        let mut flow_occupancy = 0i64;
+        let mut reassembly_bytes = 0i64;
+        let mut log_suffix = 0i64;
+        for node in self.ring.live() {
+            let proc = &self.procs[node.0 as usize];
+            let (mech, bp) = (&proc.mech, &proc.backpressure);
             holding += mech.holding_depth_total() as i64;
             dedup += mech.dedup_resident() as i64;
             recovering += mech.recovering_replicas() as i64;
-            reasm += self.reassembly_pending(node) as i64;
+            reasm += proc.reasm.pending() as i64;
             chunks_pending += mech.transfer_chunks_pending() as i64;
+            pending_depth += bp.pending_depth as i64;
+            flow_occupancy += bp.flow_occupancy as i64;
+            reassembly_bytes += bp.reassembly_bytes as i64;
+            log_suffix += bp.log_suffix as i64;
         }
         reg.gauge_set("eternal.holding_depth", holding);
         reg.gauge_set("eternal.dedup_resident", dedup);
@@ -608,22 +586,6 @@ impl Cluster {
         reg.gauge_set("eternal.recovering_replicas", recovering);
         reg.gauge_set("eternal.transfer_chunks_pending", chunks_pending);
         reg.gauge_set("eternal.outstanding_calls", self.outstanding_calls() as i64);
-        // Backpressure gauges from the latest token-visit samples
-        // (summed over live processors) — the same values the health
-        // snapshots publish per node through the total order.
-        let mut pending_depth = 0i64;
-        let mut flow_occupancy = 0i64;
-        let mut reassembly_bytes = 0i64;
-        let mut log_suffix = 0i64;
-        for (&node, bp) in &self.backpressure {
-            if !self.is_alive(node) {
-                continue;
-            }
-            pending_depth += bp.pending_depth as i64;
-            flow_occupancy += bp.flow_occupancy as i64;
-            reassembly_bytes += bp.reassembly_bytes as i64;
-            log_suffix += bp.log_suffix as i64;
-        }
         reg.gauge_set("totem.pending_depth", pending_depth);
         reg.gauge_set("totem.flow_occupancy", flow_occupancy);
         reg.gauge_set("eternal.reassembly_bytes", reassembly_bytes);
@@ -647,9 +609,9 @@ impl Cluster {
     /// real digest mismatches (the paper's mechanisms never diverge on
     /// their own; see `docs/HEALTH.md`).
     pub fn corrupt_health_digest(&mut self, node: NodeId, group: GroupId) {
-        if let Some(mech) = self.mechs.get_mut(&node) {
-            mech.corrupt_health_digest(group);
-        }
+        self.procs[node.0 as usize]
+            .mech
+            .corrupt_health_digest(group);
     }
 
     /// Phase-resolved timelines of completed recovery episodes, in
@@ -665,10 +627,7 @@ impl Cluster {
     /// (it keeps accumulating), so compare it across never-crashed
     /// nodes only.
     pub fn delivery_digest(&self, node: NodeId) -> u64 {
-        self.delivery_digest
-            .get(&node)
-            .copied()
-            .unwrap_or(FNV_OFFSET)
+        self.procs[node.0 as usize].delivery_digest
     }
 
     /// Per-stream delivery digests at `node`: for each logical
@@ -743,7 +702,7 @@ impl Cluster {
         self.next_group += 1;
         let hosts = self.repl_mgr.plan_hosts(props.initial_replicas);
         // Register on every processor; instantiate on hosting ones.
-        for (&node, mech) in self.mechs.iter_mut() {
+        for (&node, Processor { mech, .. }) in self.ring.nodes().iter().zip(&mut self.procs) {
             mech.register_group(GroupMeta {
                 id,
                 name: name.to_owned(),
@@ -766,7 +725,7 @@ impl Cluster {
             ReplicationStyle::ColdPassive => hosts.first().copied().into_iter().collect(),
         };
         if props.style.logs_checkpoints() {
-            self.sched.schedule_after(
+            self.ring.schedule_after(
                 props.checkpoint_interval,
                 Event::CheckpointTick { group: id },
             );
@@ -823,7 +782,7 @@ impl Cluster {
         });
         info.make_kind = Arc::clone(&make_kind);
         // Future instantiations everywhere use the new implementation.
-        for mech in self.mechs.values_mut() {
+        for Processor { mech, .. } in &mut self.procs {
             mech.replace_group_kind(group, make_kind());
         }
         let mut old_replicas: Vec<NodeId> = self.groups[&group].hosting.iter().copied().collect();
@@ -885,7 +844,7 @@ impl Cluster {
             self.now(),
             self.config.processors
         );
-        for &node in self.mechs.keys() {
+        for &node in self.ring.nodes() {
             let status = if self.is_alive(node) { "up" } else { "DOWN" };
             let _ = writeln!(out, "  {node}: {status}");
         }
@@ -900,7 +859,7 @@ impl Cluster {
                 if !self.is_alive(node) {
                     continue;
                 }
-                let mech = &self.mechs[&node];
+                let mech = self.mechanisms(node);
                 let phase = mech
                     .replica_phase(group)
                     .map(|p| format!("{p:?}"))
@@ -959,17 +918,12 @@ impl Cluster {
         }
         if !self.clients_started {
             self.clients_started = true;
-            let nodes: Vec<NodeId> = self.mechs.keys().copied().collect();
-            for node in nodes {
+            for node in self.processors() {
                 if self.is_alive(node) {
                     let now = self.now();
-                    let clock = self.lamport.get(&node).copied().unwrap_or(0);
-                    let mut ctx = HopCtx::new(&mut self.causal, node.0 as u64, 0, 0, clock);
-                    let outs = self
-                        .mechs
-                        .get_mut(&node)
-                        .expect("known")
-                        .start_clients(now, &mut ctx);
+                    let proc = &mut self.procs[node.0 as usize];
+                    let mut ctx = HopCtx::new(&mut self.causal, node.0 as u64, 0, 0, proc.lamport);
+                    let outs = proc.mech.start_clients(now, &mut ctx);
                     self.process_outs(node, outs, now, Duration::ZERO);
                 }
             }
@@ -978,46 +932,50 @@ impl Cluster {
 
     /// Whether all live processors share one operational ring.
     pub fn formed(&self) -> bool {
-        let live: Vec<NodeId> = self
-            .totem
-            .keys()
-            .copied()
-            .filter(|&id| self.is_alive(id))
-            .collect();
-        if live.is_empty() {
-            return true;
-        }
-        let first = &self.totem[&live[0]];
-        if first.phase() != Phase::Operational {
-            return false;
-        }
-        let ring = first.ring();
-        live.iter().all(|id| {
-            let n = &self.totem[id];
-            n.phase() == Phase::Operational && n.ring() == ring && n.members() == live.as_slice()
-        })
+        self.ring.formed()
     }
 
     /// Whether a processor is up.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive.get(&node).copied().unwrap_or(false)
+        self.ring.is_alive(node)
     }
 
     /// Executes one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((now, event)) = self.sched.pop() else {
+        let Some(popped) = self.ring.pop() else {
             return false;
         };
-        self.handle_event(now, event);
+        let now = self.now();
+        match popped {
+            Popped::Actions {
+                node,
+                token_visit,
+                actions,
+            } => {
+                if token_visit {
+                    if let Some(prev) = self.procs[node.0 as usize].last_token_at.replace(now) {
+                        self.registry
+                            .histogram_record("totem.token_rotation", now - prev);
+                    }
+                }
+                self.apply_totem_actions(node, actions);
+                if token_visit {
+                    // Backpressure gauges are sampled as the token
+                    // *leaves* the node: this visit's sends have
+                    // drained what flow control allowed, so what
+                    // remains pending is genuine backlog.
+                    self.sample_backpressure(node);
+                }
+            }
+            Popped::Ext(event) => self.handle_event(now, event),
+            Popped::Stale => {}
+        }
         true
     }
 
     /// Runs until `deadline` (events beyond it stay queued).
     pub fn run_until_time(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.ring.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
     }
@@ -1046,11 +1004,7 @@ impl Cluster {
         // complete; abort it so the launch guard doesn't wedge the
         // resource manager's next replacement.
         self.abort_recovery_at(node, Some(group));
-        let outs = self
-            .mechs
-            .get_mut(&node)
-            .expect("known node")
-            .kill_local_replica(group);
+        let outs = self.procs[node.0 as usize].mech.kill_local_replica(group);
         let now = self.now();
         self.trace.record(
             now,
@@ -1061,29 +1015,17 @@ impl Cluster {
         self.process_outs(node, outs, now, monitor);
     }
 
-    /// Manually launches a replacement replica of `group` on `node`
-    /// after the configured launch delay (the §5.1 recovery path).
+    /// Launches a replacement replica of `group` on `node` after
+    /// the 2 ms launch delay (the §5.1 recovery path).
     pub fn launch_replica(&mut self, group: GroupId, node: NodeId) {
-        self.sched.schedule_after(
-            self.config.launch_delay,
-            Event::LaunchReplica { node, group },
-        );
+        self.ring
+            .schedule_after(LAUNCH_DELAY, Event::LaunchReplica { node, group });
     }
 
     /// Crashes an entire processor: Totem membership, mechanisms state,
     /// and all hosted replicas are lost.
     pub fn crash_processor(&mut self, node: NodeId) {
-        self.alive.insert(node, true); // ensure key exists
-        self.alive.insert(node, false);
-        self.net.set_up(node, false);
-        for timer in [
-            TotemTimer::TokenLoss,
-            TotemTimer::TokenRetransmit,
-            TotemTimer::JoinRebroadcast,
-            TotemTimer::ConsensusTimeout,
-        ] {
-            *self.timer_gen.entry((node, timer)).or_insert(0) += 1;
-        }
+        self.ring.crash(node);
         for info in self.groups.values_mut() {
             info.hosting.remove(&node);
         }
@@ -1092,10 +1034,11 @@ impl Cluster {
         // abort those episodes so the launch guards release.
         self.abort_recovery_at(node, None);
         let now = self.now();
-        self.last_token_at.remove(&node);
+        let proc = &mut self.procs[node.0 as usize];
+        proc.last_token_at = None;
         // The crashed node's queues died with it — a stale sample would
         // otherwise surface in its first post-restart health snapshots.
-        self.backpressure.remove(&node);
+        proc.backpressure = BackpressureSample::default();
         self.trace.record(
             now,
             format!("{node}/cluster"),
@@ -1139,15 +1082,11 @@ impl Cluster {
     /// instantiated — recovery launches them).
     pub fn restart_processor(&mut self, node: NodeId) {
         assert!(!self.is_alive(node), "restart of a live processor");
-        self.alive.insert(node, true);
-        self.net.set_up(node, true);
-        let mut totem = TotemNode::new(node, self.config.totem.clone());
-        let actions = totem.start();
-        self.totem.insert(node, totem);
+        let actions = self.ring.restart(node);
+        let proc = &mut self.procs[node.0 as usize];
         let mut mech = Mechanisms::new(node, self.config.mech.clone());
-        let incarnation = self.incarnations.entry(node).or_insert(0);
-        *incarnation += 1;
-        mech.set_incarnation(*incarnation);
+        proc.incarnation += 1;
+        mech.set_incarnation(proc.incarnation);
         for (&id, info) in &self.groups {
             mech.register_group(GroupMeta {
                 id,
@@ -1157,8 +1096,8 @@ impl Cluster {
                 kind: (info.make_kind)(),
             });
         }
-        self.mechs.insert(node, mech);
-        self.reasm.insert(node, EternalReassembler::new());
+        proc.mech = mech;
+        proc.reasm = EternalReassembler::new();
         let now = self.now();
         self.trace.record(
             now,
@@ -1195,41 +1134,6 @@ impl Cluster {
 
     fn handle_event(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::TotemFrame { dst, frame } => {
-                if self.is_alive(dst) {
-                    let token_visit = matches!(&frame, Frame::Token(t) if t.target == dst);
-                    if token_visit {
-                        if let Some(prev) = self.last_token_at.insert(dst, now) {
-                            self.registry
-                                .histogram_record("totem.token_rotation", now - prev);
-                        }
-                    }
-                    let actions = self.totem.get_mut(&dst).expect("known").handle_frame(frame);
-                    self.apply_totem_actions(dst, actions);
-                    if token_visit {
-                        // Backpressure gauges are sampled as the token
-                        // *leaves* the node: this visit's sends have
-                        // drained what flow control allowed, so what
-                        // remains pending is genuine backlog.
-                        self.sample_backpressure(dst);
-                    }
-                }
-            }
-            Event::TotemTimer {
-                node,
-                timer,
-                generation,
-            } => {
-                let current = self.timer_gen.get(&(node, timer)).copied().unwrap_or(0);
-                if generation == current && self.is_alive(node) {
-                    let actions = self
-                        .totem
-                        .get_mut(&node)
-                        .expect("known")
-                        .handle_timer(timer);
-                    self.apply_totem_actions(node, actions);
-                }
-            }
             Event::EternalMulticast {
                 src,
                 message,
@@ -1238,18 +1142,13 @@ impl Cluster {
             Event::CheckpointTick { group } => {
                 if let Some(info) = self.groups.get(&group) {
                     let interval = info.props.checkpoint_interval;
-                    let nodes: Vec<NodeId> = self.mechs.keys().copied().collect();
-                    for node in nodes {
+                    for node in self.processors() {
                         if self.is_alive(node) {
-                            let outs = self
-                                .mechs
-                                .get_mut(&node)
-                                .expect("known")
-                                .checkpoint_due(group);
+                            let outs = self.procs[node.0 as usize].mech.checkpoint_due(group);
                             self.process_outs(node, outs, now, Duration::ZERO);
                         }
                     }
-                    self.sched
+                    self.ring
                         .schedule_after(interval, Event::CheckpointTick { group });
                 }
             }
@@ -1271,10 +1170,8 @@ impl Cluster {
                     EventKind::ReplicaLaunched,
                     format!("{group}"),
                 );
-                let outs = self
-                    .mechs
-                    .get_mut(&node)
-                    .expect("known")
+                let outs = self.procs[node.0 as usize]
+                    .mech
                     .launch_recovering_replica(group);
                 self.process_outs(node, outs, now, Duration::ZERO);
             }
@@ -1282,7 +1179,7 @@ impl Cluster {
                 // Reschedule unconditionally — a crashed processor's
                 // tick keeps firing silently so publishing resumes by
                 // itself after a restart.
-                self.sched
+                self.ring
                     .schedule_after(self.config.health_period, Event::HealthTick { node });
                 self.publish_health(node, now);
             }
@@ -1309,7 +1206,7 @@ impl Cluster {
         // fresh Marshal span, and stamp one Pack hop per Totem fragment.
         let mut tag = tag;
         if self.causal.is_enabled() {
-            let clock = self.lamport.entry(src).or_insert(0);
+            let clock = &mut self.procs[src.0 as usize].lamport;
             *clock = (*clock).max(tag.clock) + 1;
             let clock = *clock;
             if tag.is_none() {
@@ -1336,9 +1233,9 @@ impl Cluster {
             }
         }
         let encoded = message.to_bytes();
-        let max_payload = self.net.config().frame_payload().saturating_sub(32);
+        let max_payload = self.net().config().frame_payload().saturating_sub(32);
         let msg_id = {
-            let id = self.next_emsg_id.get_mut(&src).expect("known");
+            let id = &mut self.procs[src.0 as usize].next_emsg_id;
             *id += 1;
             *id
         };
@@ -1365,11 +1262,7 @@ impl Cluster {
                     clock: tag.clock,
                 }
             };
-            let actions = self
-                .totem
-                .get_mut(&src)
-                .expect("known")
-                .broadcast_traced(frag, frag_tag);
+            let actions = self.ring.broadcast(src, frag, frag_tag);
             self.apply_totem_actions(src, actions);
         }
         eternal_cdr::pool::recycle(encoded);
@@ -1382,24 +1275,14 @@ impl Cluster {
     /// registry (dashboard export), and — indirectly — the attribution
     /// report's token-wait phase, which these depths explain.
     fn sample_backpressure(&mut self, node: NodeId) {
-        let Some(totem) = self.totem.get(&node) else {
-            return;
-        };
-        let sample = BackpressureSample {
+        let totem = self.ring.node(node);
+        let proc = &mut self.procs[node.0 as usize];
+        proc.backpressure = BackpressureSample {
             pending_depth: totem.backlog() as u64,
             flow_occupancy: totem.flow_occupancy(),
-            reassembly_bytes: self
-                .reasm
-                .get(&node)
-                .map(|r| r.pending_bytes() as u64)
-                .unwrap_or(0),
-            log_suffix: self
-                .mechs
-                .get(&node)
-                .map(|m| m.log_suffix_total() as u64)
-                .unwrap_or(0),
+            reassembly_bytes: proc.reasm.pending_bytes() as u64,
+            log_suffix: proc.mech.log_suffix_total() as u64,
         };
-        self.backpressure.insert(node, sample);
     }
 
     /// Publishes one [`HealthSnapshot`] from `node` through the total
@@ -1411,34 +1294,28 @@ impl Cluster {
         if !self.is_alive(node) {
             return;
         }
-        let totem = &self.totem[&node];
+        let totem = self.ring.node(node);
         if totem.phase() != Phase::Operational {
             return;
         }
+        let proc = &mut self.procs[node.0 as usize];
         // No token circulates on a singleton ring; report a zero age
         // rather than time-since-the-ring-last-had-peers.
         let token_age = if totem.members().len() <= 1 {
             Duration::ZERO
         } else {
-            self.last_token_at
-                .get(&node)
-                .map(|&t| now - t)
-                .unwrap_or(Duration::ZERO)
+            proc.last_token_at.map_or(Duration::ZERO, |t| now - t)
         };
         let stats = totem.stats();
-        let mech = &self.mechs[&node];
+        let mech = &proc.mech;
         let pool = eternal_cdr::pool::stats();
         // Backpressure gauges come from the latest token-visit sample
         // rather than being re-read here: the health tick fires at an
         // arbitrary point in the rotation, and sampling mid-visit would
         // conflate "waiting for the token" with "backlogged".
-        let bp = self.backpressure.get(&node).copied().unwrap_or_default();
-        let seq = {
-            let s = self.health_seq.entry(node).or_insert(0);
-            let v = *s;
-            *s += 1;
-            v
-        };
+        let bp = proc.backpressure;
+        let seq = proc.health_seq;
+        proc.health_seq += 1;
         let snap = HealthSnapshot {
             node: u64::from(node.0),
             seq,
@@ -1449,7 +1326,7 @@ impl Cluster {
             retransmits: stats.retransmits_served + stats.token_retransmits,
             reformations: stats.reformations,
             holding_depth: mech.holding_depth_total() as u64,
-            reassembly_depth: self.reassembly_pending(node) as u64,
+            reassembly_depth: proc.reasm.pending() as u64,
             dedup_resident: mech.dedup_resident() as u64,
             pool_takes: pool.takes,
             pool_reused: pool.reused,
@@ -1458,11 +1335,7 @@ impl Cluster {
             flow_occupancy: bp.flow_occupancy,
             reassembly_bytes: bp.reassembly_bytes,
             log_suffix: bp.log_suffix,
-            digest_epoch: self
-                .health_digest_epoch
-                .get(&node)
-                .copied()
-                .unwrap_or(HealthSnapshot::NO_DIGEST),
+            digest_epoch: proc.health_digest_epoch,
             digests: mech.health_digests().to_vec(),
         };
         self.trace.record(
@@ -1512,11 +1385,11 @@ impl Cluster {
                 e
             }
         };
-        self.health_digest_epoch.insert(node, epoch);
+        self.procs[node.0 as usize].health_digest_epoch = epoch;
     }
 
     fn apply_totem_actions(&mut self, node: NodeId, actions: Vec<TotemAction>) {
-        let now = self.sched.now();
+        let now = self.now();
         for action in actions {
             match action {
                 TotemAction::Multicast(frame) => {
@@ -1557,65 +1430,23 @@ impl Cluster {
                             }
                         }
                     }
-                    // Exploration choice-point: the fate of this frame
-                    // on the wire (deliver / drop / delay). Token
-                    // frames are the token-visit boundary; everything
-                    // else is a regular delivery boundary.
-                    let fate = match &self.choices {
-                        Some(source) => {
-                            let kind = if matches!(frame, Frame::Token(_)) {
-                                ChoiceKind::Token
-                            } else {
-                                ChoiceKind::Frame
-                            };
-                            source.borrow_mut().choose(kind, 3).min(2)
-                        }
-                        None => 0,
-                    };
-                    if fate == 1 {
-                        self.registry.counter_add("explore.frames_dropped", 1);
-                        continue;
-                    }
-                    let extra = if fate == 2 {
-                        self.registry.counter_add("explore.frames_delayed", 1);
-                        Self::EXPLORE_DELAY
-                    } else {
-                        Duration::ZERO
-                    };
-                    let wire = frame.wire_len().min(self.net.config().frame_payload());
-                    for d in self.net.multicast(node, wire, now) {
-                        self.sched.schedule_at(
-                            d.at + extra,
-                            Event::TotemFrame {
-                                dst: d.dst,
-                                frame: frame.clone(),
-                            },
-                        );
+                    match self.ring.multicast(node, frame) {
+                        Fate::Delivered => {}
+                        Fate::Dropped => self.registry.counter_add("explore.frames_dropped", 1),
+                        Fate::Delayed => self.registry.counter_add("explore.frames_delayed", 1),
                     }
                 }
-                TotemAction::SetTimer(timer, after) => {
-                    let generation = self.timer_gen.entry((node, timer)).or_insert(0);
-                    *generation += 1;
-                    let generation = *generation;
-                    self.sched.schedule_at(
-                        now + after,
-                        Event::TotemTimer {
-                            node,
-                            timer,
-                            generation,
-                        },
-                    );
+                other => {
+                    if let Some(delivery) = self.ring.execute(node, other) {
+                        self.on_totem_delivery(node, delivery);
+                    }
                 }
-                TotemAction::CancelTimer(timer) => {
-                    *self.timer_gen.entry((node, timer)).or_insert(0) += 1;
-                }
-                TotemAction::Deliver(delivery) => self.on_totem_delivery(node, delivery),
             }
         }
     }
 
     fn on_totem_delivery(&mut self, node: NodeId, delivery: TotemDelivery) {
-        let now = self.sched.now();
+        let now = self.now();
         match delivery {
             TotemDelivery::Message {
                 ring,
@@ -1630,7 +1461,7 @@ impl Cluster {
                 // Reassemble span once a full Eternal message pops out.
                 let mut chain = (0u64, 0u64, 0u64); // (trace_id, parent, clock)
                 if self.causal.is_enabled() && !tag.is_none() {
-                    let clock = self.lamport.entry(node).or_insert(0);
+                    let clock = &mut self.procs[node.0 as usize].lamport;
                     *clock = (*clock).max(tag.clock) + 1;
                     let clock = *clock;
                     let span = self.causal.record(
@@ -1649,7 +1480,7 @@ impl Cluster {
                     );
                     chain = (tag.trace_id, span, clock);
                 }
-                match self.reasm.get_mut(&node).expect("known").push(&data) {
+                match self.procs[node.0 as usize].reasm.push(&data) {
                     Ok(Some(message)) => {
                         self.digest_delivery(node, &message);
                         self.observe_recovery_message(node, &message, now);
@@ -1672,10 +1503,8 @@ impl Cluster {
                         }
                         let mut ctx =
                             HopCtx::new(&mut self.causal, node.0 as u64, chain.0, chain.1, chain.2);
-                        let outs = self
-                            .mechs
-                            .get_mut(&node)
-                            .expect("known")
+                        let outs = self.procs[node.0 as usize]
+                            .mech
                             .on_delivered(message, now, &mut ctx);
                         self.process_outs(node, outs, now, Duration::ZERO);
                     }
@@ -1701,10 +1530,10 @@ impl Cluster {
                 // messages, and may rewind their msg_id counters on
                 // restart; evict their reassembly state (mirroring the
                 // GIOP reassembler's per-connection reset).
-                let reasm = self.reasm.get_mut(&node).expect("known");
-                for origin in self.net.nodes().to_vec() {
+                let proc = &mut self.procs[node.0 as usize];
+                for &origin in self.ring.nodes() {
                     if !members.contains(&origin) {
-                        reasm.forget_origin(origin);
+                        proc.reasm.forget_origin(origin);
                     }
                 }
                 // Cluster-side resource management reacts once, at the
@@ -1712,13 +1541,9 @@ impl Cluster {
                 if members.first() == Some(&node) {
                     self.resource_manager_config_change(&members, now);
                 }
-                let clock = self.lamport.get(&node).copied().unwrap_or(0);
-                let mut ctx = HopCtx::new(&mut self.causal, node.0 as u64, 0, 0, clock);
-                let outs = self
-                    .mechs
-                    .get_mut(&node)
-                    .expect("known")
-                    .on_config_change(&members, now, &mut ctx);
+                let proc = &mut self.procs[node.0 as usize];
+                let mut ctx = HopCtx::new(&mut self.causal, node.0 as u64, 0, 0, proc.lamport);
+                let outs = proc.mech.on_config_change(&members, now, &mut ctx);
                 self.process_outs(node, outs, now, Duration::ZERO);
             }
         }
@@ -1734,13 +1559,7 @@ impl Cluster {
         let EternalMessage::ReplicaFault { group, .. } = message else {
             return;
         };
-        let min_live = self
-            .alive
-            .iter()
-            .filter(|&(_, &up)| up)
-            .map(|(&n, _)| n)
-            .min();
-        if Some(node) != min_live {
+        if Some(node) != self.ring.live().next() {
             return;
         }
         self.restore_strength(*group, now);
@@ -1763,12 +1582,7 @@ impl Cluster {
         if info.hosting.len() >= info.props.min_replicas {
             return;
         }
-        let alive: Vec<NodeId> = self
-            .alive
-            .iter()
-            .filter(|&(_, &up)| up)
-            .map(|(&n, _)| n)
-            .collect();
+        let alive: Vec<NodeId> = self.ring.live().collect();
         let Some(&rm_node) = alive.first() else {
             return;
         };
@@ -1784,13 +1598,7 @@ impl Cluster {
                 format!("{group} -> {replacement}"),
             );
             self.launch_inflight.insert(group);
-            self.sched.schedule_after(
-                self.config.launch_delay,
-                Event::LaunchReplica {
-                    node: replacement,
-                    group,
-                },
-            );
+            self.launch_replica(group, replacement);
         }
     }
 
@@ -1806,12 +1614,6 @@ impl Cluster {
         // change against this shared map, and treating the other side
         // as dead would empty every group's hosting and permanently
         // disable auto-recovery after the heal.
-        let down: BTreeSet<NodeId> = self
-            .alive
-            .iter()
-            .filter(|&(_, &up)| !up)
-            .map(|(&n, _)| n)
-            .collect();
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
         for group in groups {
             let info = self.groups.get_mut(&group).expect("listed");
@@ -1819,7 +1621,7 @@ impl Cluster {
                 .hosting
                 .iter()
                 .copied()
-                .filter(|h| !member_set.contains(h) && down.contains(h))
+                .filter(|&h| !member_set.contains(&h) && !self.ring.is_alive(h))
                 .collect();
             for d in &dead {
                 info.hosting.remove(d);
@@ -1851,13 +1653,7 @@ impl Cluster {
                     format!("{group} -> {replacement}"),
                 );
                 self.launch_inflight.insert(group);
-                self.sched.schedule_after(
-                    self.config.launch_delay,
-                    Event::LaunchReplica {
-                        node: replacement,
-                        group,
-                    },
-                );
+                self.launch_replica(group, replacement);
             }
         }
     }
@@ -1870,7 +1666,7 @@ impl Cluster {
                     message,
                     trace,
                 } => {
-                    self.sched.schedule_at(
+                    self.ring.schedule_at(
                         now + delay + extra,
                         Event::EternalMulticast {
                             src: node,
@@ -2018,7 +1814,7 @@ impl Cluster {
             h = fnv1a(h, &(bytes.len() as u64).to_be_bytes());
             fnv1a(h, &body.to_be_bytes())
         };
-        let whole = self.delivery_digest.entry(node).or_insert(FNV_OFFSET);
+        let whole = &mut self.procs[node.0 as usize].delivery_digest;
         *whole = fold(*whole);
         let stream = self
             .stream_digests

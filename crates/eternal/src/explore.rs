@@ -41,6 +41,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
+use eternal_obs::export::json_escape;
 use eternal_obs::{EventKind, MetricsRegistry};
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::rng::SimRng;
@@ -509,11 +510,6 @@ impl ExploreReport {
     /// Machine-readable rendering (the `repro -- explore --json`
     /// export). Byte-deterministic: equal configs produce equal bytes.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": 1,");
         let _ = writeln!(out, "  \"tool\": \"explore\",");
@@ -575,7 +571,7 @@ impl ExploreReport {
                             "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
                             v.step,
                             v.invariant,
-                            esc(&v.detail)
+                            json_escape(&v.detail)
                         )
                     })
                     .collect::<Vec<_>>()
@@ -588,10 +584,10 @@ impl ExploreReport {
                     "    \"reproduced_with_tracing\": {},",
                     ce.reproduced_with_tracing
                 );
-                let _ = writeln!(out, "    \"skeleton\": \"{}\",", esc(&ce.skeleton));
+                let _ = writeln!(out, "    \"skeleton\": \"{}\",", json_escape(&ce.skeleton));
                 match &ce.flight_recorder {
                     Some(dump) => {
-                        let _ = writeln!(out, "    \"flight_recorder\": \"{}\"", esc(dump));
+                        let _ = writeln!(out, "    \"flight_recorder\": \"{}\"", json_escape(dump));
                     }
                     None => {
                         let _ = writeln!(out, "    \"flight_recorder\": null");

@@ -310,11 +310,6 @@ pub struct MechCounters {
 pub struct MechConfig {
     /// Modeled execution time of one invocation at a replica.
     pub exec_time: Duration,
-    /// Modeled cost of launching a cold-passive replica and loading the
-    /// checkpoint into it at promotion time (§3.3: "launch the new
-    /// primary replica before providing it with the primary's last
-    /// checkpoint").
-    pub cold_load_time: Duration,
     /// Disable ORB/POA-level state transfer (ablation A1/A2: reproduces
     /// the paper's §4.2 failure modes).
     pub transfer_orb_state: bool,
@@ -337,22 +332,27 @@ pub struct MechConfig {
     /// replay memory and warm-promotion time stay bounded under
     /// sustained load. 0 disables.
     pub suffix_checkpoint_len: usize,
-    /// Passive-group suffix bound (bytes). 0 disables.
-    pub suffix_checkpoint_bytes: usize,
 }
+
+/// Modeled cost of launching a cold-passive replica and loading the
+/// checkpoint into it at promotion time (§3.3: "launch the new primary
+/// replica before providing it with the primary's last checkpoint").
+const COLD_LOAD_TIME: Duration = Duration::from_millis(2);
+
+/// Passive-group suffix bound in bytes, beside the configurable bound
+/// in entries ([`MechConfig::suffix_checkpoint_len`]).
+const SUFFIX_CHECKPOINT_BYTES: usize = 4 << 20;
 
 impl Default for MechConfig {
     fn default() -> Self {
         MechConfig {
             exec_time: Duration::from_micros(50),
-            cold_load_time: Duration::from_millis(2),
             transfer_orb_state: true,
             transfer_infra_state: true,
             obs: false,
             chunk_bytes: 32 * 1024,
             chunk_pipeline: 4,
             suffix_checkpoint_len: 2048,
-            suffix_checkpoint_bytes: 4 << 20,
         }
     }
 }
@@ -770,15 +770,6 @@ impl Mechanisms {
             .map(|dt| dt.donor)
     }
 
-    /// Bytes held by the group's local log suffix (the chaos
-    /// suffix-bound invariant watches it).
-    pub fn log_suffix_bytes(&self, group: GroupId) -> usize {
-        self.groups
-            .get(&group)
-            .map(|lg| lg.log.suffix_bytes())
-            .unwrap_or(0)
-    }
-
     // ================================================================
     // Outgoing path: client invocations through the ORB + interceptor
     // ================================================================
@@ -1053,9 +1044,8 @@ impl Mechanisms {
                 // an extra checkpoint when the suffix crosses a bound,
                 // one in flight per group at a time.
                 let len_bound = self.config.suffix_checkpoint_len;
-                let byte_bound = self.config.suffix_checkpoint_bytes;
                 let over = (len_bound > 0 && lg.log.suffix_len() >= len_bound)
-                    || (byte_bound > 0 && lg.log.suffix_bytes() >= byte_bound);
+                    || lg.log.suffix_bytes() >= SUFFIX_CHECKPOINT_BYTES;
                 if over
                     && lg.primary_host() == Some(self.node)
                     && self.suffix_trigger_pending.insert(target_group)
@@ -2360,7 +2350,7 @@ impl Mechanisms {
         // the receivers absorbs any the old primary already sent. A
         // cold promotion first pays the launch + checkpoint-load cost.
         let base = match style {
-            ReplicationStyle::ColdPassive => self.config.cold_load_time,
+            ReplicationStyle::ColdPassive => COLD_LOAD_TIME,
             _ => Duration::ZERO,
         };
         let mut outs = Vec::new();

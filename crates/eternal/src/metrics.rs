@@ -6,10 +6,6 @@ use eternal_sim::{Duration, SimTime};
 /// System-wide counters.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    /// IIOP requests captured by interceptors (pre-dedup copies).
-    pub requests_multicast: u64,
-    /// IIOP replies captured by interceptors (pre-dedup copies).
-    pub replies_multicast: u64,
     /// Requests actually dispatched into server replicas.
     pub requests_dispatched: u64,
     /// Replies actually delivered to client replicas' applications.
@@ -71,75 +67,6 @@ impl Metrics {
         let sum: u64 = self.round_trips.iter().map(|d| d.as_nanos()).sum();
         Some(Duration::from_nanos(sum / self.round_trips.len() as u64))
     }
-
-    /// A sorted snapshot of the round-trip latencies, for percentile
-    /// queries. Sorts once; query it as many times as needed.
-    pub fn round_trip_snapshot(&self) -> RoundTripSnapshot {
-        let mut sorted = self.round_trips.clone();
-        sorted.sort();
-        RoundTripSnapshot { sorted }
-    }
-
-    /// The given percentile (0.0–1.0) of round-trip latency.
-    ///
-    /// Convenience for a single query; for several percentiles take one
-    /// [`Metrics::round_trip_snapshot`] and query that.
-    pub fn round_trip_percentile(&self, p: f64) -> Option<Duration> {
-        self.round_trip_snapshot().percentile(p)
-    }
-}
-
-/// Round-trip latencies sorted once at construction; every percentile
-/// query is then O(1) (the old per-call clone+sort was O(n log n) per
-/// percentile).
-#[derive(Debug, Clone)]
-pub struct RoundTripSnapshot {
-    sorted: Vec<Duration>,
-}
-
-impl RoundTripSnapshot {
-    /// Number of recorded round trips.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// The given percentile (0.0–1.0) by nearest-rank on the sorted data.
-    pub fn percentile(&self, p: f64) -> Option<Duration> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let idx = ((self.sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(self.sorted[idx])
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> Option<Duration> {
-        self.percentile(0.50)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95(&self) -> Option<Duration> {
-        self.percentile(0.95)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> Option<Duration> {
-        self.percentile(0.99)
-    }
-
-    /// Largest recorded latency.
-    pub fn max(&self) -> Option<Duration> {
-        self.sorted.last().copied()
-    }
-
-    /// Mean latency.
-    pub fn mean(&self) -> Option<Duration> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let sum: u64 = self.sorted.iter().map(|d| d.as_nanos()).sum();
-        Some(Duration::from_nanos(sum / self.sorted.len() as u64))
-    }
 }
 
 #[cfg(test)]
@@ -162,46 +89,27 @@ mod tests {
     fn mean_and_percentiles() {
         let mut m = Metrics::default();
         assert!(m.mean_round_trip().is_none());
-        assert!(m.round_trip_percentile(0.5).is_none());
         for ms in [1u64, 2, 3, 4, 5] {
             m.round_trips.push(Duration::from_millis(ms));
         }
         assert_eq!(m.mean_round_trip(), Some(Duration::from_millis(3)));
-        assert_eq!(m.round_trip_percentile(0.0), Some(Duration::from_millis(1)));
-        assert_eq!(m.round_trip_percentile(0.5), Some(Duration::from_millis(3)));
-        assert_eq!(m.round_trip_percentile(1.0), Some(Duration::from_millis(5)));
     }
 
     #[test]
     fn snapshot_sorts_once_and_answers_all_percentiles() {
         let mut m = Metrics::default();
-        // Deliberately unsorted input: the snapshot must not depend on
-        // insertion order (the regression the old clone+sort hid).
+        // Deliberately unsorted input: the mean does not depend on
+        // insertion order, and reading it leaves the source untouched.
         for ms in [9u64, 1, 7, 3, 5, 2, 8, 4, 6, 10] {
             m.round_trips.push(Duration::from_millis(ms));
         }
-        let snap = m.round_trip_snapshot();
-        assert_eq!(snap.count(), 10);
-        assert_eq!(snap.percentile(0.0), Some(Duration::from_millis(1)));
-        assert_eq!(snap.p50(), Some(Duration::from_millis(6)));
-        assert_eq!(snap.max(), Some(Duration::from_millis(10)));
-        assert_eq!(snap.mean(), m.mean_round_trip());
-        // Snapshot agrees with the one-shot convenience path.
-        for p in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(snap.percentile(p), m.round_trip_percentile(p));
-        }
-        // The source vector is untouched (still insertion-ordered).
+        assert_eq!(m.mean_round_trip(), Some(Duration::from_micros(5_500)));
         assert_eq!(m.round_trips[0], Duration::from_millis(9));
     }
 
     #[test]
     fn snapshot_of_empty_metrics() {
         let m = Metrics::default();
-        let snap = m.round_trip_snapshot();
-        assert_eq!(snap.count(), 0);
-        assert!(snap.percentile(0.5).is_none());
-        assert!(snap.p95().is_none());
-        assert!(snap.max().is_none());
-        assert!(snap.mean().is_none());
+        assert!(m.mean_round_trip().is_none() && m.recoveries.is_empty());
     }
 }

@@ -21,6 +21,7 @@
 //! [`CausalRecorder::flight_recorder_json`]) render byte-identically
 //! for the same recorded history.
 
+use crate::export::json_escape;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
@@ -504,25 +505,6 @@ impl CausalRecorder {
         }
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

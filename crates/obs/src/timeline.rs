@@ -9,6 +9,7 @@
 //! observability tests assert.
 
 use crate::event::RecoveryPhase;
+use crate::export::json_escape;
 use crate::time::{Duration, SimTime};
 use std::fmt::Write as _;
 
@@ -139,7 +140,7 @@ pub fn render_breakdown_json(timelines: &[RecoveryTimeline], dropped_events: u64
             out,
             "    {{\"label\": \"{}\", \"app_state_bytes\": {}, \"launched_at_ns\": {}, \
              \"operational_at_ns\": {}, \"total_ns\": {}, \"phases\": {{",
-            t.label.replace('"', "\\\""),
+            json_escape(&t.label),
             t.app_state_bytes,
             t.launched_at.as_nanos(),
             t.operational_at.as_nanos(),

@@ -37,7 +37,6 @@ pub mod choice;
 pub mod net;
 pub mod rng;
 pub mod sched;
-pub mod stats;
 
 // Virtual time and the trace/span machinery moved down into
 // `eternal-obs` so layers without a simulator dependency (the ORB) can

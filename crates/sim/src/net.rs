@@ -16,7 +16,6 @@
 
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a processor attached to the simulated network.
@@ -100,8 +99,10 @@ pub struct NetworkModel {
     config: NetworkConfig,
     rng: SimRng,
     nodes: Vec<NodeId>,
-    up: HashMap<NodeId, bool>,
-    partition_of: HashMap<NodeId, u32>,
+    /// Liveness and partition number per node, indexed by node id (ids
+    /// are dense `0..n`).
+    up: Vec<bool>,
+    partition_of: Vec<u32>,
     busy_until: SimTime,
     busy_time: Duration,
     frames_sent: u64,
@@ -112,15 +113,12 @@ pub struct NetworkModel {
 impl NetworkModel {
     /// Creates a network of `n` nodes (ids `0..n`), all up, unpartitioned.
     pub fn new(n: u32, config: NetworkConfig, seed: u64) -> Self {
-        let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let up = nodes.iter().map(|&id| (id, true)).collect();
-        let partition_of = nodes.iter().map(|&id| (id, 0)).collect();
         NetworkModel {
             config,
             rng: SimRng::seed_from_u64(seed),
-            nodes,
-            up,
-            partition_of,
+            nodes: (0..n).map(NodeId).collect(),
+            up: vec![true; n as usize],
+            partition_of: vec![0; n as usize],
             busy_until: SimTime::ZERO,
             busy_time: Duration::ZERO,
             frames_sent: 0,
@@ -152,13 +150,17 @@ impl NetworkModel {
     }
 
     /// Marks a node as crashed (`false`) or restarted (`true`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not one of this network's nodes.
     pub fn set_up(&mut self, node: NodeId, up: bool) {
-        self.up.insert(node, up);
+        self.up[node.0 as usize] = up;
     }
 
     /// Whether a node is currently up.
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.up.get(&node).copied().unwrap_or(false)
+        self.up.get(node.0 as usize).copied().unwrap_or(false)
     }
 
     /// Splits the network: each slice in `groups` becomes an isolated
@@ -166,30 +168,27 @@ impl NetworkModel {
     /// partitions.
     pub fn partition(&mut self, groups: &[&[NodeId]]) {
         let mut next = groups.len() as u32;
-        for &node in &self.nodes {
-            let assigned = groups
-                .iter()
-                .position(|g| g.contains(&node))
-                .map(|i| i as u32);
-            let p = assigned.unwrap_or_else(|| {
-                let p = next;
-                next += 1;
-                p
-            });
-            self.partition_of.insert(node, p);
+        for (node, slot) in self.nodes.iter().zip(&mut self.partition_of) {
+            *slot = match groups.iter().position(|g| g.contains(node)) {
+                Some(i) => i as u32,
+                None => {
+                    next += 1;
+                    next - 1
+                }
+            };
         }
     }
 
     /// Removes all partitions, re-merging the network.
     pub fn heal(&mut self) {
-        for &node in &self.nodes {
-            self.partition_of.insert(node, 0);
-        }
+        self.partition_of.fill(0);
     }
 
     /// Whether frames from `a` currently reach `b`.
     pub fn can_reach(&self, a: NodeId, b: NodeId) -> bool {
-        self.is_up(a) && self.is_up(b) && self.partition_of.get(&a) == self.partition_of.get(&b)
+        self.is_up(a)
+            && self.is_up(b)
+            && self.partition_of[a.0 as usize] == self.partition_of[b.0 as usize]
     }
 
     /// Computes the deliveries for a multicast frame of `payload` bytes
@@ -237,15 +236,7 @@ impl NetworkModel {
 
         let mut out = Vec::new();
         for &dst in &self.nodes {
-            if dst == src {
-                continue;
-            }
-            if let Some(d) = only {
-                if dst != d {
-                    continue;
-                }
-            }
-            if !self.can_reach(src, dst) {
+            if dst == src || only.is_some_and(|d| d != dst) || !self.can_reach(src, dst) {
                 continue;
             }
             if self.rng.chance(self.config.loss_probability) {

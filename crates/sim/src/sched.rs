@@ -8,10 +8,6 @@ use std::collections::BinaryHeap;
 use crate::choice::{ChoiceKind, SharedChoiceSource};
 use crate::time::{Duration, SimTime};
 
-/// A handle that identifies a scheduled event so it can be cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
@@ -41,12 +37,15 @@ impl<E> Ord for Entry<E> {
 /// Events scheduled for the same instant are delivered in the order they
 /// were scheduled (FIFO), which keeps whole-system simulations
 /// reproducible run-to-run.
+///
+/// There is no cancellation: a driver that re-arms or cancels a timer
+/// bumps a generation counter of its own and ignores the stale firing
+/// when it pops (`eternal_totem::ring`).
 #[derive(Debug)]
 pub struct Scheduler<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     now: SimTime,
     next_seq: u64,
-    pending: std::collections::HashSet<u64>,
     choices: Option<SharedChoiceSource>,
 }
 
@@ -63,7 +62,6 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            pending: std::collections::HashSet::new(),
             choices: None,
         }
     }
@@ -95,14 +93,9 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -111,7 +104,7 @@ impl<E> Scheduler<E> {
     ///
     /// Panics if `time` is earlier than the current time (events cannot
     /// be scheduled in the past).
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule event in the past ({time} < {})",
@@ -119,95 +112,54 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
         self.heap.push(Reverse(Entry { time, seq, event }));
-        EventId(seq)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: Duration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: Duration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event
-    /// was still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.0)
-    }
-
     /// Removes and returns the next event, advancing the clock to its
-    /// timestamp. Cancelled events are skipped. Returns `None` when the
-    /// queue is empty.
+    /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let Reverse(mut next) = self.heap.pop()?;
         if self.choices.is_some() {
-            return self.pop_with_choices();
+            next = self.pick_among_tied(next);
         }
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
-                continue; // cancelled
-            }
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-        None
+        self.now = next.time;
+        Some((next.time, next.event))
     }
 
-    /// `pop` with an installed choice source: gather every live entry
-    /// tied at the minimal timestamp, let the source pick one, and push
-    /// the rest back (they keep their original `seq`, so FIFO order
-    /// among them is preserved for the next tie).
-    fn pop_with_choices(&mut self) -> Option<(SimTime, E)> {
-        let first = loop {
-            match self.heap.pop() {
-                Some(Reverse(entry)) => {
-                    if self.pending.contains(&entry.seq) {
-                        break entry;
-                    }
-                    // cancelled: discard
-                }
-                None => return None,
-            }
-        };
-        // Collect the rest of the tie set; heap pops in (time, seq)
-        // order, so `tied` is FIFO-ordered.
+    /// `pop` with an installed choice source: gather every entry tied
+    /// with `first` at the minimal timestamp, let the source pick one,
+    /// and push the rest back (they keep their original `seq`, so FIFO
+    /// order among them is preserved for the next tie).
+    fn pick_among_tied(&mut self, first: Entry<E>) -> Entry<E> {
+        // The heap pops in (time, seq) order, so `tied` is FIFO-ordered.
         let mut tied = vec![first];
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if !self.pending.contains(&top.seq) {
-                self.heap.pop();
-                continue;
-            }
-            if top.time != tied[0].time {
-                break;
-            }
+        while self.peek_time() == Some(tied[0].time) {
             let Reverse(entry) = self.heap.pop().expect("peeked entry present");
             tied.push(entry);
         }
-        let pick = if tied.len() >= 2 {
-            let source = self.choices.clone().expect("choice source installed");
-            let branch = source.borrow_mut().choose(ChoiceKind::Tie, tied.len());
-            branch.min(tied.len() - 1)
-        } else {
-            0
+        let pick = match &self.choices {
+            Some(source) if tied.len() >= 2 => {
+                let branch = source.borrow_mut().choose(ChoiceKind::Tie, tied.len());
+                branch.min(tied.len() - 1)
+            }
+            _ => 0,
         };
         let chosen = tied.swap_remove(pick);
         for entry in tied {
             self.heap.push(Reverse(entry));
         }
-        self.pending.remove(&chosen.seq);
-        self.now = chosen.time;
-        Some((chosen.time, chosen.event))
+        chosen
     }
 
     /// Returns the timestamp of the next pending event without removing
-    /// it. Lazily discards cancelled entries from the top of the heap.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if self.pending.contains(&e.seq) {
-                return Some(e.time);
-            }
-            self.heap.pop();
-        }
-        None
+    /// it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 }
 
@@ -263,30 +215,6 @@ mod tests {
         s.schedule_at(SimTime::from_nanos(100), ());
         s.pop();
         s.schedule_at(SimTime::from_nanos(50), ());
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut s = Scheduler::new();
-        let a = s.schedule_at(SimTime::from_nanos(10), "a");
-        s.schedule_at(SimTime::from_nanos(20), "b");
-        assert_eq!(s.len(), 2);
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a), "double-cancel reports false");
-        assert_eq!(s.len(), 1);
-        let (_, e) = s.pop().unwrap();
-        assert_eq!(e, "b");
-        assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut s = Scheduler::new();
-        let a = s.schedule_at(SimTime::from_nanos(10), "a");
-        s.schedule_at(SimTime::from_nanos(20), "b");
-        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(10)));
-        s.cancel(a);
-        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(20)));
     }
 
     #[test]
@@ -372,41 +300,6 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(src.borrow().asked.is_empty());
-    }
-
-    #[test]
-    fn cancelled_entries_never_join_a_tie_set() {
-        let mut s = Scheduler::new();
-        let src = Scripted::new(vec![1, 1, 1, 1]);
-        s.set_choice_source(src.clone());
-        let t = SimTime::from_nanos(5);
-        s.schedule_at(t, "a");
-        let b = s.schedule_at(t, "b");
-        s.schedule_at(t, "c");
-        s.cancel(b);
-        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-        assert!(!order.contains(&"b"), "cancelled entry fired: {order:?}");
-        assert_eq!(order, vec!["c", "a"]);
-        // Only one real tie (arity 2): the cancelled entry is excluded.
-        assert_eq!(src.borrow().asked, vec![2]);
-    }
-
-    #[test]
-    fn cancelling_a_permuted_entry_still_works() {
-        // Permute a tie so a later-seq entry pops first, then cancel one
-        // of the re-pushed survivors: it must never fire.
-        let mut s = Scheduler::new();
-        let src = Scripted::new(vec![2]);
-        s.set_choice_source(src);
-        let t = SimTime::from_nanos(5);
-        let a = s.schedule_at(t, "a");
-        s.schedule_at(t, "b");
-        s.schedule_at(t, "c");
-        let (_, first) = s.pop().unwrap();
-        assert_eq!(first, "c");
-        s.cancel(a);
-        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["b"]);
     }
 
     #[test]

@@ -43,30 +43,6 @@ fn scheduler_pops_in_order() {
     }
 }
 
-/// Cancelling a subset removes exactly that subset.
-#[test]
-fn scheduler_cancellation_is_exact() {
-    let mut rng = SimRng::seed_from_u64(0x5EED_0002);
-    for _case in 0..64 {
-        let n = 1 + rng.gen_range(99) as usize;
-        let cancel_mask: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
-        let mut s = Scheduler::new();
-        let ids: Vec<_> = (0..n)
-            .map(|i| s.schedule_at(SimTime::from_nanos(i as u64), i))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                assert!(s.cancel(*id));
-            } else {
-                kept.push(i);
-            }
-        }
-        let popped: Vec<usize> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-        assert_eq!(popped, kept);
-    }
-}
-
 /// The default tie-breaker ([`FifoChoice`], branch 0 everywhere) pops
 /// the exact sequence an un-instrumented scheduler would: installing it
 /// is observationally a no-op.
@@ -87,54 +63,6 @@ fn fifo_choice_source_is_identity() {
         let a: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| instrumented.pop()).collect();
         assert_eq!(a, b);
-    }
-}
-
-/// A cancelled entry never fires, no matter how an adversarial
-/// tie-breaker permutes its tie set — including cancellations issued
-/// *between* pops, after the entry may already have been permuted back
-/// into the heap.
-#[test]
-fn cancelled_entries_never_fire_under_permutation() {
-    let mut rng = SimRng::seed_from_u64(0x5EED_0008);
-    for case in 0..64 {
-        let n = 2 + rng.gen_range(98) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.gen_range(4)).collect();
-        let cancel_mask: Vec<bool> = (0..n).map(|_| rng.chance(0.3)).collect();
-        let mut s = Scheduler::new();
-        s.set_choice_source(Rc::new(RefCell::new(RandomChoice(SimRng::seed_from_u64(
-            0x1000 + case,
-        )))));
-        let ids: Vec<_> = (0..n)
-            .map(|i| s.schedule_at(SimTime::from_nanos(times[i]), i))
-            .collect();
-        // Cancel half the doomed entries up front, half mid-drain. A
-        // mid-drain victim may fire before its turn comes — the
-        // property is that every cancel that *succeeds* is final.
-        let mut cancelled: Vec<usize> = Vec::new();
-        let mut late_cancels: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                if i % 2 == 0 {
-                    assert!(s.cancel(*id));
-                    cancelled.push(i);
-                } else {
-                    late_cancels.push(i);
-                }
-            }
-        }
-        let mut fired = Vec::new();
-        while let Some((_, i)) = s.pop() {
-            fired.push(i);
-            if let Some(victim) = late_cancels.pop() {
-                if s.cancel(ids[victim]) {
-                    cancelled.push(victim);
-                }
-            }
-        }
-        for i in cancelled {
-            assert!(!fired.contains(&i), "cancelled entry {i} fired");
-        }
     }
 }
 

@@ -12,17 +12,9 @@ pub struct TotemConfig {
     /// How long the last forwarder of the token waits for evidence of
     /// progress before retransmitting the token.
     pub token_retransmit_timeout: Duration,
-    /// Interval between join-message re-floods while forming.
-    pub join_rebroadcast_interval: Duration,
-    /// How long to wait for matching join messages before moving
-    /// unresponsive processors to the fail set.
-    pub consensus_timeout: Duration,
     /// Maximum new messages a member may broadcast per token visit
     /// (Totem's flow-control constant).
     pub max_messages_per_token: usize,
-    /// Maximum distance `seq` may run ahead of the slowest member's aru
-    /// before broadcasts are held back.
-    pub window_size: u64,
     /// Aggregation budget for token-visit batching, in payload bytes.
     ///
     /// While holding the token, a member packs consecutive pending small
@@ -42,10 +34,7 @@ impl Default for TotemConfig {
         TotemConfig {
             token_loss_timeout: Duration::from_millis(30),
             token_retransmit_timeout: Duration::from_millis(5),
-            join_rebroadcast_interval: Duration::from_millis(8),
-            consensus_timeout: Duration::from_millis(40),
             max_messages_per_token: 8,
-            window_size: 256,
             batch_budget_bytes: 1408,
         }
     }
@@ -57,7 +46,7 @@ impl TotemConfig {
     /// # Panics
     ///
     /// Panics if the retransmit timeout is not shorter than the loss
-    /// timeout, or if flow-control parameters are zero.
+    /// timeout, or if the flow-control allowance is zero.
     pub fn validate(&self) {
         assert!(
             self.token_retransmit_timeout < self.token_loss_timeout,
@@ -67,7 +56,6 @@ impl TotemConfig {
             self.max_messages_per_token > 0,
             "flow control must allow progress"
         );
-        assert!(self.window_size > 0, "window must allow progress");
     }
 }
 

@@ -1,42 +1,25 @@
-//! A deterministic driver that runs a set of [`TotemNode`]s over the
-//! simulated network.
-//!
-//! The harness owns the scheduler, the network model, and the nodes; it
-//! executes the engines' [`Action`]s (scheduling frame deliveries,
-//! managing timers) and collects ordered [`Delivery`] events per node.
-//! Tests and benchmarks use it directly; the Eternal core embeds an
-//! equivalent loop that also hosts ORBs and replication mechanisms.
+//! A deterministic driver for Totem on its own: a [`Ring`] (which owns
+//! the scheduler, the network model and the engines — see
+//! [`crate::ring`]) with nothing above it. The harness executes every
+//! engine action as it comes and logs the ordered [`Delivery`] events
+//! per node, which is all the protocol tests need. The Eternal cluster
+//! is the other driver of the same [`Ring`], with replication
+//! mechanisms consuming the deliveries instead of a log.
 
 use crate::config::TotemConfig;
-use crate::node::{Action, Delivery, Phase, TotemNode};
-use crate::types::{Frame, Timer};
+use crate::node::{Action, Delivery, TotemNode};
+use crate::ring::{Popped, Ring};
+use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
-use eternal_sim::{Bytes, Duration, Scheduler, SimTime};
-use std::collections::{BTreeMap, HashMap};
-
-/// A scheduled occurrence.
-#[derive(Debug)]
-enum Event {
-    /// A frame arrives at a node.
-    Frame { dst: NodeId, frame: Frame },
-    /// A node timer fires (if its generation is still current).
-    Timer {
-        node: NodeId,
-        timer: Timer,
-        generation: u64,
-    },
-}
+use eternal_sim::obs::causal::TraceTag;
+use eternal_sim::{Bytes, Duration, SimTime};
 
 /// Drives [`TotemNode`]s over the deterministic network model.
 #[derive(Debug)]
 pub struct TotemHarness {
-    sched: Scheduler<Event>,
-    net: NetworkModel,
-    nodes: BTreeMap<NodeId, TotemNode>,
-    alive: HashMap<NodeId, bool>,
-    timer_gen: HashMap<(NodeId, Timer), u64>,
-    delivered: HashMap<NodeId, Vec<Delivery>>,
-    cfg: TotemConfig,
+    ring: Ring<()>,
+    /// Ordered deliveries per node since its (re)start, by node id.
+    delivered: Vec<Vec<Delivery>>,
 }
 
 impl TotemHarness {
@@ -47,105 +30,82 @@ impl TotemHarness {
 
     /// Creates `n` nodes over a custom network and starts them all.
     pub fn with_network(n: u32, cfg: TotemConfig, net_cfg: NetworkConfig, seed: u64) -> Self {
-        let net = NetworkModel::new(n, net_cfg, seed);
         let mut h = TotemHarness {
-            sched: Scheduler::new(),
-            net,
-            nodes: BTreeMap::new(),
-            alive: HashMap::new(),
-            timer_gen: HashMap::new(),
-            delivered: HashMap::new(),
-            cfg: cfg.clone(),
+            ring: Ring::new(n, cfg, net_cfg, seed),
+            delivered: vec![Vec::new(); n as usize],
         };
-        for i in 0..n {
-            let id = NodeId(i);
-            let mut node = TotemNode::new(id, cfg.clone());
-            let actions = node.start();
-            h.nodes.insert(id, node);
-            h.alive.insert(id, true);
-            h.delivered.insert(id, Vec::new());
+        for id in h.nodes() {
+            let actions = h.ring.start(id);
             h.apply_actions(id, actions);
         }
         h
     }
 
+    /// Installs a schedule-exploration choice source (see
+    /// [`Ring::set_choice_source`]).
+    pub fn set_choice_source(&mut self, source: SharedChoiceSource) {
+        self.ring.set_choice_source(source);
+    }
+
     /// Node ids, in id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.ring.nodes().to_vec()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sched.now()
+        self.ring.now()
     }
 
     /// Immutable access to a node's engine.
     pub fn node(&self, id: NodeId) -> &TotemNode {
-        &self.nodes[&id]
+        self.ring.node(id)
     }
 
     /// The network model (for partitioning, statistics).
     pub fn net_mut(&mut self) -> &mut NetworkModel {
-        &mut self.net
+        self.ring.net_mut()
     }
 
     /// The network model, read-only.
     pub fn net(&self) -> &NetworkModel {
-        &self.net
+        self.ring.net()
     }
 
     /// Whether a node is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive.get(&id).copied().unwrap_or(false)
+        self.ring.is_alive(id)
     }
 
     /// Queues an application payload for totally ordered broadcast from
     /// `id`.
     pub fn broadcast(&mut self, id: NodeId, data: impl Into<Bytes>) {
-        if !self.is_alive(id) {
-            return;
-        }
-        let actions = self.nodes.get_mut(&id).expect("known node").broadcast(data);
+        let actions = self.ring.broadcast(id, data, TraceTag::NONE);
         self.apply_actions(id, actions);
     }
 
     /// Crashes a node: it stops sending, receiving, and processing, and
     /// loses all volatile state.
     pub fn kill(&mut self, id: NodeId) {
-        self.alive.insert(id, false);
-        self.net.set_up(id, false);
-        // Invalidate all its timers.
-        for t in [
-            Timer::TokenLoss,
-            Timer::TokenRetransmit,
-            Timer::JoinRebroadcast,
-            Timer::ConsensusTimeout,
-        ] {
-            *self.timer_gen.entry((id, t)).or_insert(0) += 1;
-        }
+        self.ring.crash(id);
     }
 
     /// Restarts a crashed node with a fresh engine (volatile state lost,
     /// as after a real crash). Its delivery log is cleared.
     pub fn restart(&mut self, id: NodeId) {
-        assert!(!self.is_alive(id), "restart of a live node");
-        self.alive.insert(id, true);
-        self.net.set_up(id, true);
-        let mut node = TotemNode::new(id, self.cfg.clone());
-        let actions = node.start();
-        self.nodes.insert(id, node);
-        self.delivered.insert(id, Vec::new());
+        let actions = self.ring.restart(id);
+        self.delivered[id.0 as usize].clear();
         self.apply_actions(id, actions);
     }
 
     /// Ordered deliveries observed at `id` since start/restart.
     pub fn deliveries(&self, id: NodeId) -> &[Delivery] {
-        &self.delivered[&id]
+        &self.delivered[id.0 as usize]
     }
 
     /// Only the message payloads delivered at `id`, in order.
     pub fn delivered_payloads(&self, id: NodeId) -> Vec<Vec<u8>> {
-        self.delivered[&id]
+        self.deliveries(id)
             .iter()
             .filter_map(|d| match d {
                 Delivery::Message { data, .. } => Some(data.to_vec()),
@@ -156,45 +116,17 @@ impl TotemHarness {
 
     /// Executes one scheduled event. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        let Some((_, event)) = self.sched.pop() else {
-            return false;
-        };
-        match event {
-            Event::Frame { dst, frame } => {
-                if self.is_alive(dst) {
-                    let actions = self
-                        .nodes
-                        .get_mut(&dst)
-                        .expect("known node")
-                        .handle_frame(frame);
-                    self.apply_actions(dst, actions);
-                }
-            }
-            Event::Timer {
-                node,
-                timer,
-                generation,
-            } => {
-                let current = self.timer_gen.get(&(node, timer)).copied().unwrap_or(0);
-                if generation == current && self.is_alive(node) {
-                    let actions = self
-                        .nodes
-                        .get_mut(&node)
-                        .expect("known node")
-                        .handle_timer(timer);
-                    self.apply_actions(node, actions);
-                }
-            }
+        match self.ring.pop() {
+            None => return false,
+            Some(Popped::Actions { node, actions, .. }) => self.apply_actions(node, actions),
+            Some(Popped::Ext(()) | Popped::Stale) => {}
         }
         true
     }
 
     /// Runs until virtual time `deadline` (events after it stay queued).
     pub fn run_until_time(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.ring.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
     }
@@ -227,64 +159,13 @@ impl TotemHarness {
     /// Whether all live nodes share one ring containing exactly the live
     /// nodes.
     pub fn formed(&self) -> bool {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|&id| self.is_alive(id))
-            .collect();
-        if live.is_empty() {
-            return true;
-        }
-        let first = &self.nodes[&live[0]];
-        if first.phase() != Phase::Operational {
-            return false;
-        }
-        let ring = first.ring();
-        live.iter().all(|id| {
-            let n = &self.nodes[id];
-            n.phase() == Phase::Operational && n.ring() == ring && n.members() == live.as_slice()
-        })
+        self.ring.formed()
     }
 
     fn apply_actions(&mut self, src: NodeId, actions: Vec<Action>) {
-        let now = self.sched.now();
         for action in actions {
-            match action {
-                Action::Multicast(frame) => {
-                    let wire = frame.wire_len().min(self.net.config().frame_payload());
-                    for d in self.net.multicast(src, wire, now) {
-                        self.sched.schedule_at(
-                            d.at,
-                            Event::Frame {
-                                dst: d.dst,
-                                frame: frame.clone(),
-                            },
-                        );
-                    }
-                }
-                Action::SetTimer(timer, after) => {
-                    let generation = self.timer_gen.entry((src, timer)).or_insert(0);
-                    *generation += 1;
-                    let generation = *generation;
-                    self.sched.schedule_at(
-                        now + after,
-                        Event::Timer {
-                            node: src,
-                            timer,
-                            generation,
-                        },
-                    );
-                }
-                Action::CancelTimer(timer) => {
-                    *self.timer_gen.entry((src, timer)).or_insert(0) += 1;
-                }
-                Action::Deliver(delivery) => {
-                    self.delivered
-                        .get_mut(&src)
-                        .expect("known node")
-                        .push(delivery);
-                }
+            if let Some(delivery) = self.ring.execute(src, action) {
+                self.delivered[src.0 as usize].push(delivery);
             }
         }
     }

@@ -24,10 +24,12 @@
 //!
 //! The protocol engine ([`node::TotemNode`]) is *sans-io*: it consumes
 //! frames and timer expirations and emits actions (frames to multicast,
-//! timers to set, deliveries to the application). [`harness::TotemHarness`]
-//! drives a set of nodes over the deterministic network model of
-//! [`eternal_sim`]; the Eternal core embeds the same pieces in its
-//! whole-system cluster.
+//! timers to set, deliveries to the application). [`ring::Ring`] is the
+//! one event loop that runs a set of engines over the deterministic
+//! network model of [`eternal_sim`] and hands their actions and ordered
+//! deliveries to its driver: [`harness::TotemHarness`] logs them, the
+//! Eternal core's whole-system cluster puts ORBs and replication
+//! mechanisms on top.
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@
 pub mod config;
 pub mod harness;
 pub mod node;
+pub mod ring;
 pub mod types;
 
 pub use config::TotemConfig;

@@ -28,7 +28,19 @@ use crate::types::{
 use eternal_sim::net::NodeId;
 use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::Bytes;
+use eternal_sim::Duration;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Interval between join-message re-floods while forming.
+const JOIN_REBROADCAST_INTERVAL: Duration = Duration::from_millis(8);
+
+/// How long to wait for matching join messages before moving
+/// unresponsive processors to the fail set.
+const CONSENSUS_TIMEOUT: Duration = Duration::from_millis(40);
+
+/// Maximum distance `seq` may run ahead of the slowest member's aru
+/// before broadcasts are held back.
+pub const WINDOW_SIZE: u64 = 256;
 
 /// Something the engine wants its driver to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,10 +302,10 @@ impl TotemNode {
 
     /// Flow-control slot occupancy measured at this node's last token
     /// visit: sequence numbers in flight beyond its
-    /// all-received-up-to, i.e. how much of
-    /// [`TotemConfig::window_size`] was in use when it last held the
-    /// token. A backpressure gauge — near `window_size` means senders
-    /// are stalling on the window, not the medium.
+    /// all-received-up-to, i.e. how much of the flow-control window
+    /// ([`WINDOW_SIZE`]) was in use when it last held the token. A
+    /// backpressure gauge — near the window size means senders are
+    /// stalling on the window, not the medium.
     pub fn flow_occupancy(&self) -> u64 {
         self.last_flow_occupancy
     }
@@ -313,11 +325,6 @@ impl TotemNode {
     /// Highest token sequence number processed or observed.
     pub fn last_token_seq(&self) -> u64 {
         self.last_token_seq
-    }
-
-    /// Number of new-ring messages buffered while recovery completes.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// Begins membership formation (call once at startup/restart).
@@ -395,7 +402,7 @@ impl TotemNode {
                         actions.push(Action::Multicast(Frame::Join(self.my_join(g))));
                         actions.push(Action::SetTimer(
                             Timer::JoinRebroadcast,
-                            self.cfg.join_rebroadcast_interval,
+                            JOIN_REBROADCAST_INTERVAL,
                         ));
                     }
                 } else if self.phase == Phase::Operational && self.members.len() == 1 {
@@ -409,7 +416,7 @@ impl TotemNode {
                     actions.push(Action::Multicast(Frame::Join(announce)));
                     actions.push(Action::SetTimer(
                         Timer::JoinRebroadcast,
-                        self.cfg.join_rebroadcast_interval * 4,
+                        JOIN_REBROADCAST_INTERVAL * 4,
                     ));
                 }
             }
@@ -467,12 +474,9 @@ impl TotemNode {
         actions.push(Action::Multicast(Frame::Join(self.my_join(&g))));
         actions.push(Action::SetTimer(
             Timer::JoinRebroadcast,
-            self.cfg.join_rebroadcast_interval,
+            JOIN_REBROADCAST_INTERVAL,
         ));
-        actions.push(Action::SetTimer(
-            Timer::ConsensusTimeout,
-            self.cfg.consensus_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::ConsensusTimeout, CONSENSUS_TIMEOUT));
         self.gather = Some(g);
     }
 
@@ -519,10 +523,7 @@ impl TotemNode {
                 if changed {
                     let join = self.my_join(self.gather.as_ref().expect("in gather"));
                     actions.push(Action::Multicast(Frame::Join(join)));
-                    actions.push(Action::SetTimer(
-                        Timer::ConsensusTimeout,
-                        self.cfg.consensus_timeout,
-                    ));
+                    actions.push(Action::SetTimer(Timer::ConsensusTimeout, CONSENSUS_TIMEOUT));
                 }
                 self.check_consensus(actions);
             }
@@ -582,10 +583,7 @@ impl TotemNode {
         }
         let join = self.my_join(self.gather.as_ref().expect("in gather"));
         actions.push(Action::Multicast(Frame::Join(join)));
-        actions.push(Action::SetTimer(
-            Timer::ConsensusTimeout,
-            self.cfg.consensus_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::ConsensusTimeout, CONSENSUS_TIMEOUT));
         self.check_consensus(actions);
     }
 
@@ -900,7 +898,7 @@ impl TotemNode {
             // processors (e.g. after a partition heals) can merge with us.
             actions.push(Action::SetTimer(
                 Timer::JoinRebroadcast,
-                self.cfg.join_rebroadcast_interval * 4,
+                JOIN_REBROADCAST_INTERVAL * 4,
             ));
             self.drain_singleton(actions);
         }
@@ -1099,7 +1097,7 @@ impl TotemNode {
         // 2. Broadcast new messages, recovery rebroadcasts first.
         let mut budget = self.cfg.max_messages_per_token;
         if self.phase == Phase::Recover {
-            while budget > 0 && t.seq.saturating_sub(self.my_aru) < self.cfg.window_size {
+            while budget > 0 && t.seq.saturating_sub(self.my_aru) < WINDOW_SIZE {
                 let Some(rec) = self.old_recovery.as_mut() else {
                     break;
                 };
@@ -1137,7 +1135,7 @@ impl TotemNode {
         if self.phase == Phase::Operational {
             while budget > 0
                 && !self.pending.is_empty()
-                && t.seq.saturating_sub(self.my_aru) < self.cfg.window_size
+                && t.seq.saturating_sub(self.my_aru) < WINDOW_SIZE
             {
                 let first = self.pending.pop_front().expect("non-empty");
                 let (payload, tags) = self.pack_batch(first);

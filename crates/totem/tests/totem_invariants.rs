@@ -5,12 +5,16 @@
 //! deterministic `eternal-sim` RNG (fixed seeds) so the suite builds
 //! offline and replays identically.
 
+use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::net::{NetworkConfig, NodeId};
 use eternal_sim::rng::SimRng;
 use eternal_sim::Duration;
 use eternal_totem::harness::TotemHarness;
 use eternal_totem::node::Delivery;
-use eternal_totem::TotemConfig;
+use eternal_totem::{RingId, TotemConfig};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 fn n(i: u32) -> NodeId {
     NodeId(i)
@@ -178,4 +182,106 @@ fn crash_at_any_point_preserves_agreement() {
         let survivor_msgs = (0..40u32).filter(|i| i % 3 != 2).count();
         assert!(l0.len() >= survivor_msgs);
     }
+}
+
+/// An explorer-style fate schedule: each frame at its send boundary is
+/// dropped or delayed with probability `rate` until `budget` faults are
+/// spent; scheduler ties stay FIFO.
+#[derive(Debug)]
+struct RandomFates {
+    rng: SimRng,
+    rate: f64,
+    budget: u32,
+}
+
+impl ChoiceSource for RandomFates {
+    fn choose(&mut self, kind: ChoiceKind, _arity: usize) -> usize {
+        if kind == ChoiceKind::Tie || self.budget == 0 || !self.rng.chance(self.rate) {
+            return 0;
+        }
+        self.budget -= 1;
+        1 + self.rng.gen_range(2) as usize
+    }
+}
+
+/// One node's delivery log cut at its configuration changes: the ring
+/// each change installed and the payloads delivered until the next.
+fn configurations(h: &TotemHarness, id: NodeId) -> Vec<(RingId, Vec<&[u8]>)> {
+    let mut out: Vec<(RingId, Vec<&[u8]>)> = Vec::new();
+    for d in h.deliveries(id) {
+        match d {
+            Delivery::ConfigChange { ring, .. } => out.push((*ring, Vec::new())),
+            Delivery::Message { data, .. } => out.last_mut().expect("a ring first").1.push(data),
+        }
+    }
+    out
+}
+
+/// Totem's own guarantees under explorer fates, with nothing above the
+/// ring. Whatever a bounded schedule of dropped and delayed frames
+/// (tokens, joins, commit tokens) does to the membership: no node
+/// delivers a message twice; two nodes deliver the messages they share
+/// in the same order (agreed order) and, moving together from one
+/// configuration to the next, the same messages in between (virtual
+/// synchrony); and once the faults are spent the ring reforms.
+#[test]
+fn totem_guarantees_hold_under_explorer_fate_schedules() {
+    let mut rng = SimRng::seed_from_u64(0x707_0003);
+    let (mut faults, mut transitions) = (0, 0);
+    for case in 0..64u64 {
+        let budget = 1 + rng.gen_range(96) as u32;
+        let fates = Rc::new(RefCell::new(RandomFates {
+            rng: SimRng::seed_from_u64(0xFA7E_0000 + case),
+            rate: 0.05 + rng.next_f64() * 0.45,
+            budget,
+        }));
+        let mut h = TotemHarness::new(3, TotemConfig::default(), rng.gen_range(10_000));
+        h.run_until_formed();
+        h.set_choice_source(fates.clone());
+        for i in 0..60u32 {
+            h.broadcast(n(i % 3), i.to_be_bytes().to_vec());
+            if i % 15 == 14 {
+                h.run_for(Duration::from_millis(10 + rng.gen_range(30)));
+            }
+        }
+        h.run_for(Duration::from_millis(500));
+        faults += budget - fates.borrow().budget;
+        assert!(h.formed(), "case {case}: ring did not reform");
+
+        let configs: Vec<_> = (0..3).map(|i| configurations(&h, n(i))).collect();
+        let logs: Vec<Vec<&[u8]>> = configs
+            .iter()
+            .map(|c| c.iter().flat_map(|(_, msgs)| msgs).copied().collect())
+            .collect();
+        for (i, log) in logs.iter().enumerate() {
+            // Against itself (`j == i`) this is the no-duplicates check.
+            for (j, other) in logs.iter().enumerate() {
+                let theirs: HashMap<&[u8], usize> = other.iter().copied().zip(0..).collect();
+                let shared: Vec<usize> =
+                    log.iter().filter_map(|m| theirs.get(m).copied()).collect();
+                let agreed = shared.windows(2).all(|w| w[0] < w[1]);
+                assert!(
+                    agreed,
+                    "case {case}: P{i} and P{j} order shared messages differently"
+                );
+            }
+        }
+        for (i, a) in configs.iter().enumerate() {
+            for (wa, wb) in configs[i + 1..]
+                .iter()
+                .flat_map(|b| {
+                    a.windows(2)
+                        .flat_map(|wa| b.windows(2).map(move |wb| (wa, wb)))
+                })
+                .filter(|(wa, wb)| (wa[0].0, wa[1].0) == (wb[0].0, wb[1].0))
+            {
+                transitions += 1;
+                assert_eq!(wa[0].1, wb[0].1, "case {case}: {} -> {}", wa[0].0, wa[1].0);
+            }
+        }
+    }
+    assert!(
+        faults >= 64 && transitions > 0,
+        "the schedules must bite: {faults} faults, {transitions} shared reformations"
+    );
 }
