@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! {
-//!   "schema": 1,
+//!   "schema": 2,
 //!   "seed": …, "period_ns": …, "fault": "none" | <kind>,
 //!   "injected_at_ns": -1 | …, "final_time_ns": …,
 //!   "epochs":    [ {epoch, at_ns, snap{…}} … ],   // the agreed stream
@@ -73,7 +73,7 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
     };
 
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
+    let _ = writeln!(out, "  \"schema\": 2,");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(
         out,

@@ -383,6 +383,126 @@ impl fmt::Display for CampaignSummary {
     }
 }
 
+// ---- fault scripts ----
+//
+// One script per multi-step fault, parameterised by victim and
+// durations: a campaign draws the parameters from its rng, the health
+// lab (`health_lab.rs`) passes constants. A duration that is only
+// needed once something has been observed is a closure, so a campaign
+// draws it then and not before.
+
+/// Crashes `victim` and keeps it down for `quiet`; if `loaded` is
+/// nonzero, re-bursts the clients and keeps it down that much longer,
+/// so the survivors go through the reformation and the recoveries it
+/// triggers under load; then restarts it.
+pub fn crash_restart(cluster: &mut Cluster, victim: NodeId, quiet: Duration, loaded: Duration) {
+    cluster.crash_processor(victim);
+    cluster.run_for(quiet);
+    if !loaded.is_zero() {
+        cluster.kick_clients();
+        cluster.run_for(loaded);
+    }
+    cluster.restart_processor(victim);
+}
+
+/// Splits the live processors into the first `cut` and the rest, holds
+/// the partition for `hold`, heals it.
+pub fn partition_heal(cluster: &mut Cluster, cut: usize, hold: Duration) {
+    let live = cluster.live_processors();
+    let (a, b) = live.split_at(cut);
+    cluster.net_mut().partition(&[a, b]);
+    cluster.run_for(hold);
+    cluster.net_mut().heal();
+}
+
+/// Raises the loss probability to `loss` for `kicks` slices of `slice`
+/// each, re-bursting the clients at the start of every slice.
+pub fn loss_burst(cluster: &mut Cluster, loss: f64, kicks: u32, slice: Duration) {
+    let base = cluster.net().config().loss_probability;
+    cluster.net_mut().set_loss_probability(loss);
+    for _ in 0..kicks {
+        cluster.kick_clients();
+        cluster.run_for(slice);
+    }
+    cluster.net_mut().set_loss_probability(base);
+}
+
+/// Raises the propagation delay to `delay` for `hold`, re-bursting the
+/// clients first if `kick`.
+pub fn delay_spike(cluster: &mut Cluster, delay: Duration, kick: bool, hold: Duration) {
+    let base = cluster.net().config().propagation_delay;
+    cluster.net_mut().set_propagation_delay(delay);
+    if kick {
+        cluster.kick_clients();
+    }
+    cluster.run_for(hold);
+    cluster.net_mut().set_propagation_delay(base);
+}
+
+/// Slices forward in 500 µs steps until `probe` sees what a mid-transfer
+/// fault aims at, for at most 200 ms.
+fn await_target(
+    cluster: &mut Cluster,
+    probe: impl Fn(&Cluster) -> Option<NodeId>,
+) -> Option<NodeId> {
+    let deadline = cluster.now() + Duration::from_millis(200);
+    loop {
+        let seen = probe(cluster);
+        if seen.is_some() || cluster.now() >= deadline {
+            return seen;
+        }
+        cluster.run_for(Duration::from_micros(500));
+    }
+}
+
+/// Kills `victim`'s replica of `group`, waits for the resource manager
+/// to launch the replacement, and lets its state transfer run for
+/// `into()`. Returns the *recovering* host if it can then be crashed
+/// mid-transfer (every group keeps a replica elsewhere) — the caller's
+/// [`crash_restart`]; the abort must release the launch guard so a
+/// second recovery can succeed elsewhere. `None` also when the recovery
+/// never started.
+pub fn kill_mid_transfer(
+    cluster: &mut Cluster,
+    group: GroupId,
+    victim: NodeId,
+    into: impl FnOnce() -> Duration,
+) -> Option<NodeId> {
+    cluster.kill_replica(group, victim);
+    let new_host = await_target(cluster, |c| {
+        let launches = c.pending_launches();
+        launches.iter().find(|&&(g, _)| g == group).map(|&(_, n)| n)
+    })?;
+    cluster.run_for(into());
+    (cluster.is_alive(new_host) && cluster.safe_to_crash(new_host)).then_some(new_host)
+}
+
+/// Kills `victim`'s replica of `group`, waits for the chunk stream of
+/// its replacement to be under way (every operational host retains a
+/// transfer context naming the donor once the retrieval is delivered),
+/// lets `into()` of it land, and kills the *donor's* replica: the next
+/// operational host must resume the stream from the shared cursor
+/// (never from byte zero) for the recovery to converge.
+pub fn kill_donor_mid_stream(
+    cluster: &mut Cluster,
+    group: GroupId,
+    victim: NodeId,
+    into: impl FnOnce() -> Duration,
+) {
+    cluster.kill_replica(group, victim);
+    let Some(donor) = await_target(cluster, |c| {
+        c.live_processors()
+            .into_iter()
+            .find_map(|n| c.mechanisms(n).transfer_donor(group))
+    }) else {
+        return; // transfer never started
+    };
+    cluster.run_for(into());
+    if cluster.is_alive(donor) && cluster.hosting(group).contains(&donor) {
+        cluster.kill_replica(group, donor);
+    }
+}
+
 /// The campaign state while running.
 struct Campaign<'a> {
     cfg: &'a CampaignConfig,
@@ -392,8 +512,6 @@ struct Campaign<'a> {
     /// (`pairs[1]` is always the blob pair, which the mid-transfer
     /// faults target).
     pairs: Vec<OraclePair>,
-    base_loss: f64,
-    base_delay: Duration,
     faults: BTreeMap<&'static str, u64>,
     invariant_checks: u64,
     violations: Vec<Violation>,
@@ -421,8 +539,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     let mut campaign = Campaign {
         cfg,
         rng: SimRng::seed_from_u64(cfg.seed),
-        base_loss: cluster.net().config().loss_probability,
-        base_delay: cluster.net().config().propagation_delay,
         cluster,
         pairs: Vec::new(),
         faults: BTreeMap::new(),
@@ -525,9 +641,9 @@ impl Campaign<'_> {
         for _ in 0..8 {
             let kind = FaultKind::ALL[self.rng.gen_range(FaultKind::ALL.len() as u64) as usize];
             let applicable = match kind {
-                FaultKind::KillReplica => !self.killable_groups().is_empty(),
-                FaultKind::CrashRestart => !self.crashable_processors().is_empty(),
-                FaultKind::PartitionHeal => self.live_processors().len() >= 2,
+                FaultKind::KillReplica => !Self::killable_groups(&self.cluster).is_empty(),
+                FaultKind::CrashRestart => !Self::crashable_processors(&self.cluster).is_empty(),
+                FaultKind::PartitionHeal => self.cluster.live_processors().len() >= 2,
                 FaultKind::LossBurst | FaultKind::DelaySpike => true,
                 FaultKind::KillMidTransfer => {
                     let blob = self.pairs[1].server;
@@ -547,185 +663,80 @@ impl Campaign<'_> {
         FaultKind::LossBurst
     }
 
+    /// Runs `kind`'s script with parameters drawn from the campaign's
+    /// rng. Partitions are applied at traffic quiescence and healed
+    /// before traffic resumes: replicas of one group split across
+    /// components must not diverge, and with no invocations in flight
+    /// they cannot; the short hold still lands the heal in the middle
+    /// of the components' ring reformations.
     fn inject(&mut self, kind: FaultKind) {
+        let cluster = &mut self.cluster;
+        let rng = &mut self.rng;
+        let blob = self.pairs[1].server;
         match kind {
-            FaultKind::KillReplica => self.inject_kill_replica(),
-            FaultKind::CrashRestart => self.inject_crash_restart(),
-            FaultKind::PartitionHeal => self.inject_partition_heal(),
-            FaultKind::LossBurst => self.inject_loss_burst(),
-            FaultKind::DelaySpike => self.inject_delay_spike(),
-            FaultKind::KillMidTransfer => self.inject_kill_mid_transfer(),
-            FaultKind::KillDonorMidStream => self.inject_kill_donor_mid_stream(),
-        }
-    }
-
-    // ---- fault implementations ----
-
-    fn inject_kill_replica(&mut self) {
-        let candidates = self.killable_groups();
-        let &group = self.rng.choose(&candidates).expect("checked applicable");
-        let hosting = self.cluster.hosting(group);
-        let &victim = self.rng.choose(&hosting).expect("hosting >= 2");
-        self.cluster.kill_replica(group, victim);
-    }
-
-    fn inject_crash_restart(&mut self) {
-        let candidates = self.crashable_processors();
-        let &victim = self.rng.choose(&candidates).expect("checked applicable");
-        self.cluster.crash_processor(victim);
-        // Keep the survivors under load through the reformation and the
-        // recoveries it triggers.
-        let downtime = Duration::from_millis(20 + self.rng.gen_range(100));
-        self.cluster.run_for(downtime);
-        self.cluster.kick_clients();
-        self.cluster.run_for(downtime);
-        self.cluster.restart_processor(victim);
-    }
-
-    fn inject_partition_heal(&mut self) {
-        // Partitions are applied at traffic quiescence and healed before
-        // traffic resumes: replicas of one group split across components
-        // must not diverge, and with no invocations in flight they
-        // cannot. The short hold still lands the heal in the middle of
-        // the components' ring reformations.
-        let live = self.live_processors();
-        let cut = 1 + self.rng.gen_range(live.len() as u64 - 1) as usize;
-        let (a, b) = live.split_at(cut);
-        self.cluster.net_mut().partition(&[a, b]);
-        let hold = Duration::from_millis(5 + self.rng.gen_range(55));
-        self.cluster.run_for(hold);
-        self.cluster.net_mut().heal();
-    }
-
-    fn inject_loss_burst(&mut self) {
-        let p = 0.05 + 0.25 * self.rng.next_f64();
-        self.cluster.net_mut().set_loss_probability(p);
-        self.cluster.kick_clients();
-        let hold = Duration::from_millis(20 + self.rng.gen_range(60));
-        self.cluster.run_for(hold);
-        let base = self.base_loss;
-        self.cluster.net_mut().set_loss_probability(base);
-    }
-
-    fn inject_delay_spike(&mut self) {
-        let delay = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.net_mut().set_propagation_delay(delay);
-        self.cluster.kick_clients();
-        let hold = Duration::from_millis(20 + self.rng.gen_range(60));
-        self.cluster.run_for(hold);
-        let base = self.base_delay;
-        self.cluster.net_mut().set_propagation_delay(base);
-    }
-
-    fn inject_kill_mid_transfer(&mut self) {
-        let blob = self.pairs[1].server;
-        let hosting = self.cluster.hosting(blob);
-        let &victim = self.rng.choose(&hosting).expect("checked applicable");
-        self.cluster.kill_replica(blob, victim);
-        // Run in fine slices until the resource manager has launched a
-        // replacement and its state transfer is under way.
-        let deadline = self.cluster.now() + Duration::from_millis(200);
-        let new_host = loop {
-            if let Some(&(_, host)) = self
-                .cluster
-                .pending_launches()
-                .iter()
-                .find(|&&(g, _)| g == blob)
-            {
-                break Some(host);
+            FaultKind::KillReplica => {
+                let candidates = Self::killable_groups(cluster);
+                let &group = rng.choose(&candidates).expect("checked applicable");
+                let hosting = cluster.hosting(group);
+                let &victim = rng.choose(&hosting).expect("hosting >= 2");
+                cluster.kill_replica(group, victim);
             }
-            if self.cluster.now() >= deadline {
-                break None;
+            FaultKind::CrashRestart => {
+                let candidates = Self::crashable_processors(cluster);
+                let &victim = rng.choose(&candidates).expect("checked applicable");
+                let downtime = Duration::from_millis(20 + rng.gen_range(100));
+                crash_restart(cluster, victim, downtime, downtime);
             }
-            self.cluster.run_for(Duration::from_micros(500));
-        };
-        let Some(new_host) = new_host else {
-            return; // recovery never started; settle handles the rest
-        };
-        // Let the transfer progress a little, then crash the recovering
-        // host itself. The abort must release the launch guard so a
-        // second recovery can succeed elsewhere.
-        let into = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.run_for(into);
-        if self.cluster.is_alive(new_host) && self.safe_to_crash(new_host) {
-            self.cluster.crash_processor(new_host);
-            let downtime = Duration::from_millis(20 + self.rng.gen_range(40));
-            self.cluster.run_for(downtime);
-            self.cluster.restart_processor(new_host);
-        }
-    }
-
-    fn inject_kill_donor_mid_stream(&mut self) {
-        let blob = self.pairs[1].server;
-        let hosting = self.cluster.hosting(blob);
-        let &victim = self.rng.choose(&hosting).expect("checked applicable");
-        self.cluster.kill_replica(blob, victim);
-        // Run in fine slices until the chunk stream is under way: every
-        // operational host retains a transfer context naming the donor
-        // once the retrieval is delivered.
-        let deadline = self.cluster.now() + Duration::from_millis(200);
-        let donor = loop {
-            let streaming = self
-                .live_processors()
-                .into_iter()
-                .find_map(|n| self.cluster.mechanisms(n).transfer_donor(blob));
-            if let Some(donor) = streaming {
-                break Some(donor);
+            FaultKind::PartitionHeal => {
+                let live = cluster.live_processors().len() as u64;
+                let cut = 1 + rng.gen_range(live - 1) as usize;
+                let hold = Duration::from_millis(5 + rng.gen_range(55));
+                partition_heal(cluster, cut, hold);
             }
-            if self.cluster.now() >= deadline {
-                break None;
+            FaultKind::LossBurst => {
+                let loss = 0.05 + 0.25 * rng.next_f64();
+                let hold = Duration::from_millis(20 + rng.gen_range(60));
+                loss_burst(cluster, loss, 1, hold);
             }
-            self.cluster.run_for(Duration::from_micros(500));
-        };
-        let Some(donor) = donor else {
-            return; // transfer never started; settle handles the rest
-        };
-        // Let a few chunks land, then kill the donor's replica. The
-        // next operational host must resume the stream from the shared
-        // cursor (never from byte zero) for the recovery to converge.
-        let into = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.run_for(into);
-        if self.cluster.is_alive(donor) && self.cluster.hosting(blob).contains(&donor) {
-            self.cluster.kill_replica(blob, donor);
+            FaultKind::DelaySpike => {
+                let delay = Duration::from_micros(200 + rng.gen_range(1_800));
+                let hold = Duration::from_millis(20 + rng.gen_range(60));
+                delay_spike(cluster, delay, true, hold);
+            }
+            FaultKind::KillMidTransfer | FaultKind::KillDonorMidStream => {
+                let &victim = rng
+                    .choose(&cluster.hosting(blob))
+                    .expect("checked applicable");
+                let into = || Duration::from_micros(200 + rng.gen_range(1_800));
+                if kind == FaultKind::KillDonorMidStream {
+                    kill_donor_mid_stream(cluster, blob, victim, into);
+                } else if let Some(new_host) = kill_mid_transfer(cluster, blob, victim, into) {
+                    let downtime = Duration::from_millis(20 + rng.gen_range(40));
+                    crash_restart(cluster, new_host, downtime, Duration::ZERO);
+                }
+            }
         }
     }
 
     // ---- applicability helpers ----
 
-    fn live_processors(&self) -> Vec<NodeId> {
-        self.cluster
-            .processors()
-            .into_iter()
-            .filter(|&n| self.cluster.is_alive(n))
-            .collect()
-    }
-
     /// Groups that keep at least one replica if one is killed.
-    fn killable_groups(&self) -> Vec<GroupId> {
-        self.cluster
+    fn killable_groups(cluster: &Cluster) -> Vec<GroupId> {
+        cluster
             .groups()
             .into_iter()
             .map(|(g, _)| g)
-            .filter(|&g| self.cluster.hosting(g).len() >= 2)
+            .filter(|&g| cluster.hosting(g).len() >= 2)
             .collect()
     }
 
-    /// Whether every group keeps a live replica elsewhere if `victim`
-    /// goes down (the campaign never takes a whole group out: total
-    /// loss has nothing to transfer state from and is out of scope).
-    fn safe_to_crash(&self, victim: NodeId) -> bool {
-        self.cluster.groups().iter().all(|&(g, _)| {
-            self.cluster
-                .hosting(g)
-                .iter()
-                .any(|&n| n != victim && self.cluster.is_alive(n))
-        })
-    }
-
-    fn crashable_processors(&self) -> Vec<NodeId> {
-        self.live_processors()
+    /// The campaign never takes a whole group out: total loss has
+    /// nothing to transfer state from and is out of scope.
+    fn crashable_processors(cluster: &Cluster) -> Vec<NodeId> {
+        cluster
+            .live_processors()
             .into_iter()
-            .filter(|&n| self.safe_to_crash(n))
+            .filter(|&n| cluster.safe_to_crash(n))
             .collect()
     }
 
@@ -838,11 +849,13 @@ impl Campaign<'_> {
     fn finish(self) -> CampaignSummary {
         let m = self.cluster.metrics();
         let dedup_gaps_skipped = self
+            .cluster
             .live_processors()
             .iter()
             .map(|&n| self.cluster.mechanisms(n).dedup_gaps_skipped())
             .sum();
         let transfer_takeovers = self
+            .cluster
             .live_processors()
             .iter()
             .map(|&n| self.cluster.mechanisms(n).counters().transfer_takeovers)

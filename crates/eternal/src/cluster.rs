@@ -149,16 +149,15 @@ struct EpisodeObs {
     /// Donor-side quiescence reached; `get_state` begins (earliest
     /// donor wins under active replication).
     capture_begin: Option<SimTime>,
-    /// Donor-side `get_state` finished; the assignment is handed to the
-    /// transport.
+    /// Donor-side `get_state` finished; the first chunks are handed to
+    /// the transport.
     send_at: Option<SimTime>,
     /// When the recovering replica began *holding* traffic rather than
-    /// dropping it — the start of the group-blocking window. Monolithic
-    /// transfers enqueue from the retrieval's delivery; chunked
-    /// transfers only from the last chunk's delivery.
+    /// dropping it — the start of the group-blocking window: the last
+    /// chunk's delivery.
     enqueue_at: Option<SimTime>,
-    /// The assignment (or chunked-transfer suffix) was delivered at the
-    /// recovering replica.
+    /// The transfer's closing suffix was delivered at the recovering
+    /// replica: the set_state instant.
     assignment_at: Option<SimTime>,
 }
 
@@ -338,14 +337,6 @@ impl Cluster {
             next_health_epoch: 0,
             config,
         };
-        // The encode/decode buffer pool is thread-global: with health
-        // monitoring on, its counters surface in published snapshots,
-        // so start it cold — otherwise earlier work on this thread (a
-        // previous cluster, a warm pool) leaks into the health output
-        // and breaks same-seed byte-determinism.
-        if cluster.config.health_period > Duration::ZERO {
-            eternal_cdr::pool::reset();
-        }
         for node in cluster.processors() {
             let actions = cluster.ring.start(node);
             cluster.apply_totem_actions(node, actions);
@@ -375,6 +366,19 @@ impl Cluster {
     /// The processors, in id order.
     pub fn processors(&self) -> Vec<NodeId> {
         self.ring.nodes().to_vec()
+    }
+
+    /// The processors currently up, in id order.
+    pub fn live_processors(&self) -> Vec<NodeId> {
+        self.ring.live().collect()
+    }
+
+    /// Whether every group keeps a live replica elsewhere if `victim`
+    /// goes down (fault scripts never take a whole group out).
+    pub fn safe_to_crash(&self, victim: NodeId) -> bool {
+        self.groups
+            .values()
+            .all(|g| g.hosting.iter().any(|&n| n != victim && self.is_alive(n)))
     }
 
     /// The structured trace.
@@ -1308,7 +1312,6 @@ impl Cluster {
         };
         let stats = totem.stats();
         let mech = &proc.mech;
-        let pool = eternal_cdr::pool::stats();
         // Backpressure gauges come from the latest token-visit sample
         // rather than being re-read here: the health tick fires at an
         // arbitrary point in the rotation, and sampling mid-visit would
@@ -1328,8 +1331,6 @@ impl Cluster {
             holding_depth: mech.holding_depth_total() as u64,
             reassembly_depth: proc.reasm.pending() as u64,
             dedup_resident: mech.dedup_resident() as u64,
-            pool_takes: pool.takes,
-            pool_reused: pool.reused,
             recovering: mech.recovering_replicas() as u64,
             pending_depth: bp.pending_depth,
             flow_occupancy: bp.flow_occupancy,
@@ -1691,7 +1692,7 @@ impl Cluster {
                 } => {
                     // Donor-side boundaries: quiescence is reached
                     // `quiesce_wait` after the retrieval's delivery, and
-                    // the assignment leaves `capture_time` later. Under
+                    // the first chunks leave `capture_time` later. Under
                     // active replication every operational replica
                     // captures; the earliest sender defines the episode.
                     // (Donors may see the retrieval before the new host
@@ -1825,8 +1826,9 @@ impl Cluster {
 
     /// Watches delivered recovery-protocol messages to place the episode
     /// boundaries that only the cluster can see: the retrieval opens the
-    /// episode and the assignment's delivery at the recovering replica is
-    /// the set_state instant.
+    /// episode, the last chunk's delivery at the recovering replica
+    /// opens the blocking window, and the suffix's is the set_state
+    /// instant.
     fn observe_recovery_message(&mut self, node: NodeId, message: &EternalMessage, now: SimTime) {
         match message {
             EternalMessage::StateRetrieval {
@@ -1834,7 +1836,7 @@ impl Cluster {
                 transfer,
                 purpose: RetrievalPurpose::Recovery { new_host },
             } if node == *new_host && self.pending_launch.contains_key(&(*group, *new_host)) => {
-                let ep = self.episodes.entry(*transfer).or_insert(EpisodeObs {
+                self.episodes.entry(*transfer).or_insert(EpisodeObs {
                     group: *group,
                     new_host: *new_host,
                     capture_begin: None,
@@ -1842,18 +1844,6 @@ impl Cluster {
                     enqueue_at: None,
                     assignment_at: None,
                 });
-                // Monolithic transfers hold traffic from this instant; a
-                // chunked transfer's last chunk overwrites this below.
-                ep.enqueue_at = Some(now);
-            }
-            EternalMessage::StateAssignment {
-                transfer,
-                purpose: RetrievalPurpose::Recovery { new_host },
-                ..
-            } if node == *new_host => {
-                if let Some(ep) = self.episodes.get_mut(transfer) {
-                    ep.assignment_at.get_or_insert(now);
-                }
             }
             EternalMessage::StateChunk {
                 transfer,

@@ -12,7 +12,7 @@
 //! byte. See `docs/HEALTH.md` for the fault → detector map.
 
 use crate::app::{BlobServant, BurstClient, CounterServant};
-use crate::chaos::FaultKind;
+use crate::chaos::{self, FaultKind};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::gid::GroupId;
 use crate::properties::FaultToleranceProperties;
@@ -236,141 +236,62 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
     }
 }
 
+/// Runs `fault`'s script (`chaos.rs`) with the lab's constants, then
+/// lets the episode play out.
 fn inject(cluster: &mut Cluster, blob: GroupId, fault: FaultKind) {
-    match fault {
+    let ms = Duration::from_millis;
+    // The lowest-id live host of the blob: a deterministic victim.
+    let first_host = cluster.hosting(blob)[0];
+    let tail = match fault {
         FaultKind::KillReplica => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            cluster.run_for(Duration::from_millis(150));
+            cluster.kill_replica(blob, first_host);
+            ms(150)
         }
         FaultKind::CrashRestart => {
-            let victim = highest_safe_processor(cluster);
-            cluster.crash_processor(victim);
-            // Hold well past the silence thresholds while the
+            // The highest-id processor every group can survive losing,
+            // held down well past the silence thresholds while the
             // survivors keep publishing.
-            cluster.run_for(Duration::from_millis(60));
-            cluster.restart_processor(victim);
-            cluster.run_for(Duration::from_millis(150));
+            let victim = cluster
+                .live_processors()
+                .into_iter()
+                .rev()
+                .find(|&n| cluster.safe_to_crash(n))
+                .expect("some processor is safe to crash");
+            chaos::crash_restart(cluster, victim, ms(60), Duration::ZERO);
+            ms(150)
         }
         FaultKind::PartitionHeal => {
-            let live: Vec<NodeId> = cluster
-                .processors()
-                .into_iter()
-                .filter(|&n| cluster.is_alive(n))
-                .collect();
-            let (a, b) = live.split_at(live.len() / 2 + 1);
-            cluster.net_mut().partition(&[a, b]);
-            // Long enough for token-loss detection and a reformation
-            // on each side, so the heal forces a second one.
-            cluster.run_for(Duration::from_millis(60));
-            cluster.net_mut().heal();
-            cluster.run_for(Duration::from_millis(200));
+            // Long enough for each side to install its own ring — the
+            // token-loss timeout (30 ms) plus the consensus timeout that
+            // gives up on the other side (40 ms) — so the heal forces a
+            // second reformation.
+            let cut = cluster.live_processors().len() / 2 + 1;
+            chaos::partition_heal(cluster, cut, ms(100));
+            ms(200)
         }
         FaultKind::LossBurst => {
-            let base = cluster.net().config().loss_probability;
-            cluster.net_mut().set_loss_probability(0.3);
             // Keep traffic flowing through the lossy window so dropped
             // frames keep landing in the token's retransmit-request set.
-            for _ in 0..6 {
-                cluster.kick_clients();
-                cluster.run_for(Duration::from_millis(10));
-            }
-            cluster.net_mut().set_loss_probability(base);
-            cluster.run_for(Duration::from_millis(100));
+            chaos::loss_burst(cluster, 0.3, 6, ms(10));
+            ms(100)
         }
         FaultKind::DelaySpike => {
-            let base = cluster.net().config().propagation_delay;
-            cluster
-                .net_mut()
-                .set_propagation_delay(Duration::from_micros(2_500));
-            cluster.run_for(Duration::from_millis(80));
-            cluster.net_mut().set_propagation_delay(base);
-            cluster.run_for(Duration::from_millis(60));
+            chaos::delay_spike(cluster, Duration::from_micros(2_500), false, ms(80));
+            ms(60)
         }
         FaultKind::KillMidTransfer => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            // Slice forward until the replacement's launch is pending,
-            // then crash the recovering host itself mid-transfer.
-            let deadline = cluster.now() + Duration::from_millis(200);
-            let new_host = loop {
-                if let Some(&(_, host)) =
-                    cluster.pending_launches().iter().find(|&&(g, _)| g == blob)
-                {
-                    break Some(host);
-                }
-                if cluster.now() >= deadline {
-                    break None;
-                }
-                cluster.run_for(Duration::from_micros(500));
-            };
-            if let Some(new_host) = new_host {
-                cluster.run_for(Duration::from_millis(1));
-                if cluster.is_alive(new_host) && safe_to_crash(cluster, new_host) {
-                    cluster.crash_processor(new_host);
-                    cluster.run_for(Duration::from_millis(40));
-                    cluster.restart_processor(new_host);
-                }
+            // Crash the recovering host itself, 1 ms into its transfer.
+            if let Some(new_host) = chaos::kill_mid_transfer(cluster, blob, first_host, || ms(1)) {
+                chaos::crash_restart(cluster, new_host, ms(40), Duration::ZERO);
             }
-            cluster.run_for(Duration::from_millis(250));
+            ms(250)
         }
         FaultKind::KillDonorMidStream => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            // Slice forward until the chunk stream is under way (every
-            // operational host retains a context naming the donor),
-            // then kill the donor's replica: a survivor resumes the
-            // stream from the cursor, and the stretched episode
-            // overruns the tightened recovery SLO.
-            let deadline = cluster.now() + Duration::from_millis(200);
-            let donor = loop {
-                let streaming = cluster
-                    .processors()
-                    .into_iter()
-                    .filter(|&n| cluster.is_alive(n))
-                    .find_map(|n| cluster.mechanisms(n).transfer_donor(blob));
-                if let Some(donor) = streaming {
-                    break Some(donor);
-                }
-                if cluster.now() >= deadline {
-                    break None;
-                }
-                cluster.run_for(Duration::from_micros(500));
-            };
-            if let Some(donor) = donor {
-                cluster.run_for(Duration::from_millis(1));
-                if cluster.is_alive(donor) && cluster.hosting(blob).contains(&donor) {
-                    cluster.kill_replica(blob, donor);
-                }
-            }
-            cluster.run_for(Duration::from_millis(250));
+            // A survivor resumes the stream from the cursor, and the
+            // stretched episode overruns the tightened recovery SLO.
+            chaos::kill_donor_mid_stream(cluster, blob, first_host, || ms(1));
+            ms(250)
         }
-    }
-}
-
-/// The lowest-id live host of `group` (deterministic victim choice).
-fn first_host(cluster: &Cluster, group: GroupId) -> NodeId {
-    *cluster
-        .hosting(group)
-        .first()
-        .expect("scenario group is hosted")
-}
-
-/// The highest-id processor every group can survive losing.
-fn highest_safe_processor(cluster: &Cluster) -> NodeId {
-    cluster
-        .processors()
-        .into_iter()
-        .rev()
-        .find(|&n| cluster.is_alive(n) && safe_to_crash(cluster, n))
-        .expect("some processor is safe to crash")
-}
-
-fn safe_to_crash(cluster: &Cluster, victim: NodeId) -> bool {
-    cluster.groups().iter().all(|&(g, _)| {
-        cluster
-            .hosting(g)
-            .iter()
-            .any(|&n| n != victim && cluster.is_alive(n))
-    })
+    };
+    cluster.run_for(tail);
 }

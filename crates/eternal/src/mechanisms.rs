@@ -31,7 +31,7 @@ use crate::causal::{iiop_trace_id, transfer_trace_id, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, OperationId, TransferId};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::interceptor::{inject_trace_context, Interceptor};
-use crate::message::{EternalMessage, RetrievalPurpose, SuffixEntry};
+use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose};
 use crate::properties::{FaultToleranceProperties, ReplicationStyle};
 use crate::recovery::holding::{HeldEntry, HoldingQueue};
 use crate::recovery::state3::{
@@ -39,13 +39,13 @@ use crate::recovery::state3::{
 };
 use crate::recovery::{CheckpointLog, DuplicateSuppressor, OrbStateObserver, QuiescenceTracker};
 use eternal_cdr::Any;
-use eternal_giop::{GiopMessage, TraceContext};
+use eternal_giop::TraceContext;
 use eternal_obs::causal::{Hop, TraceTag};
 use eternal_orb::servant::CheckpointableServant;
 use eternal_orb::{ObjectKey, Orb};
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Something the mechanisms ask their driver to do.
 #[derive(Debug)]
@@ -116,8 +116,8 @@ pub enum ReplicaPhase {
     /// Loaded as a warm backup: receives checkpoints, not traffic.
     Standby,
     /// Launched for recovery; normal traffic is *dropped* until the
-    /// `get_state` synchronization point is seen (its effects are in the
-    /// transferred state).
+    /// synchronization point — the last chunk of the state stream — is
+    /// seen (its effects are in the transferred state or its suffix).
     AwaitingSync,
     /// Synchronization point seen; normal traffic is enqueued for
     /// delivery after state assignment (§5.1 steps i–v).
@@ -159,34 +159,39 @@ pub struct GroupMeta {
     pub kind: GroupKind,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct HeldIiop {
-    conn: ConnectionName,
-    direction: Direction,
-    op_seq: u32,
-    bytes: Vec<u8>,
-    /// Span of this message's [`Hop::Hold`] stamp (0 = untraced), so
-    /// the eventual [`Hop::Replay`] hangs under the hold in the span
-    /// tree.
-    trace_parent: u64,
-}
-
-/// One totally ordered input a recovering replica may have to hold and
-/// replay after its `set_state` (§5.1 step vi): intercepted IIOP
-/// traffic, or a load tick for a client replica.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum HeldInput {
-    Iiop(HeldIiop),
-    LoadTick,
-}
-
 struct LocalReplica {
     phase: ReplicaPhase,
     /// Client behaviour instance (servers live in the ORB's POA).
     client_app: Option<Box<dyn ClientApp>>,
-    holding: HoldingQueue<HeldInput>,
+    /// Inputs held for replay after `set_state` (§5.1 step vi), each
+    /// with the span of its [`Hop::Hold`] stamp (0 = untraced) so the
+    /// eventual [`Hop::Replay`] hangs under the hold in the span tree.
+    holding: HoldingQueue<(OrderedInput, u64)>,
     /// Quiescence bookkeeping (paper §5): oneway settling windows.
     quiesce: QuiescenceTracker,
+    /// The state transfer this recovering replica is bound to, fixed at
+    /// the retrieval's total-order point, and what has arrived of it.
+    /// A crash-and-relaunch can leave chunks of an abandoned transfer
+    /// in flight; accepting one would bind the new replica's sync point
+    /// to a stream no donor is driving any more, wedging the recovery —
+    /// so the binding lives and dies with the replica.
+    inbound: Option<InboundTransfer>,
+}
+
+impl LocalReplica {
+    /// How long a state capture delivered at `now` must wait for the
+    /// object to be quiescent (§5): the rest of a oneway's settling
+    /// window, if one is open. A nonzero wait counts as a deferral.
+    fn quiescence_wait(&mut self, now: SimTime) -> Duration {
+        let wait = self
+            .quiesce
+            .earliest_quiescence(now)
+            .map_or(Duration::ZERO, |t| t.saturating_since(now));
+        if !wait.is_zero() {
+            self.quiesce.record_deferral();
+        }
+        wait
+    }
 }
 
 impl std::fmt::Debug for LocalReplica {
@@ -227,9 +232,22 @@ impl LocalGroup {
             None
         }
     }
+
+    /// The host that serves a recovery of the replica on `new_host`:
+    /// the lowest-id processor hosting a state-serving replica other
+    /// than the recipient — a deterministic choice every processor
+    /// evaluates identically. It fabricates the `get_state` and streams
+    /// the state; after a donor fault the same rule, against the
+    /// updated view, elects the successor.
+    fn donor_for(&self, new_host: NodeId) -> Option<NodeId> {
+        self.operational_hosts
+            .iter()
+            .copied()
+            .find(|&h| h != new_host)
+    }
 }
 
-/// One retained side of an in-flight *chunked* state transfer
+/// One retained side of an in-flight state transfer
 /// (docs/RECOVERY.md). Every host that captured the checkpoint at the
 /// mark keeps one — not just the streaming donor — so any of them can
 /// take the stream over from the shared cursor after a donor fault,
@@ -255,21 +273,20 @@ struct DonorTransfer {
     /// Ordered group inputs delivered after the mark: the recovering
     /// replica drops its traffic until the last chunk, and this log is
     /// the only copy of what it missed.
-    suffix: Vec<SuffixEntry>,
+    suffix: Vec<OrderedInput>,
     /// Whether the suffix window is still open (closes at the last
     /// chunk's delivery, the same total-order point on every host).
     logging: bool,
 }
 
-/// Recipient-side reassembly of a chunked transfer.
+/// Recipient-side reassembly of a state transfer.
 #[derive(Debug)]
 struct InboundTransfer {
-    group: GroupId,
+    transfer: TransferId,
     buf: Vec<u8>,
     /// Next in-order chunk index expected (duplicates and out-of-order
     /// repeats from takeover races are ignored).
     next_index: u32,
-    total: u32,
 }
 
 /// Per-processor counters (aggregated by the cluster into
@@ -319,14 +336,10 @@ pub struct MechConfig {
     /// processor's ORB. The cluster turns this on when its own trace is
     /// enabled; off by default so bench paths allocate nothing.
     pub obs: bool,
-    /// Chunk payload size of the pipelined recovery state transfer
-    /// (docs/RECOVERY.md). 0 restores the monolithic single-assignment
-    /// transfer, which quiesces the group for the whole state.
+    /// Chunk payload size of the recovery state transfer
+    /// (docs/RECOVERY.md); at least 1. A state no larger than this
+    /// travels as a stream of one chunk.
     pub chunk_bytes: usize,
-    /// Chunks the streaming donor keeps in flight, self-clocked by
-    /// total-order delivery: chunk `k`'s delivery releases chunk
-    /// `k + chunk_pipeline`.
-    pub chunk_pipeline: usize,
     /// Passive-group suffix bound (entries): the primary fabricates a
     /// checkpoint when its log suffix reaches this many messages, so
     /// replay memory and warm-promotion time stay bounded under
@@ -343,6 +356,17 @@ const COLD_LOAD_TIME: Duration = Duration::from_millis(2);
 /// in entries ([`MechConfig::suffix_checkpoint_len`]).
 const SUFFIX_CHECKPOINT_BYTES: usize = 4 << 20;
 
+/// Chunks the streaming donor keeps in flight, self-clocked by
+/// total-order delivery: chunk `k`'s delivery releases chunk
+/// `k + CHUNK_PIPELINE`.
+const CHUNK_PIPELINE: usize = 4;
+
+/// Completed transfers remembered for duplicate suppression. The
+/// duplicates are a takeover race's second `StateSuffix`, a few
+/// messages behind the first; hundreds of other transfers never
+/// complete in between.
+const SEEN_TRANSFERS_WINDOW: usize = 256;
+
 impl Default for MechConfig {
     fn default() -> Self {
         MechConfig {
@@ -351,7 +375,6 @@ impl Default for MechConfig {
             transfer_infra_state: true,
             obs: false,
             chunk_bytes: 32 * 1024,
-            chunk_pipeline: 4,
             suffix_checkpoint_len: 2048,
         }
     }
@@ -368,23 +391,20 @@ pub struct Mechanisms {
     groups: BTreeMap<GroupId, LocalGroup>,
     client_conns: HashMap<ConnectionName, u64>,
     server_conns: HashMap<ConnectionName, u64>,
-    seen_transfers: HashSet<TransferId>,
-    /// Log position of each in-flight checkpoint capture: messages
-    /// logged after the `get_state` point must survive the checkpoint's
-    /// garbage collection (their effects are not in the captured state).
-    checkpoint_marks: HashMap<(GroupId, TransferId), u64>,
-    /// Retained contexts of in-flight chunked transfers this processor
+    /// The last [`SEEN_TRANSFERS_WINDOW`] completed transfers, oldest
+    /// first: a second assignment or suffix of one of them is dropped.
+    seen_transfers: VecDeque<TransferId>,
+    /// Log position of each in-flight checkpoint capture, per group in
+    /// retrieval order: messages logged after the `get_state` point
+    /// must survive the checkpoint's garbage collection (their effects
+    /// are not in the captured state). A recorded checkpoint retires
+    /// its group's older marks with its own — their primary died
+    /// before answering.
+    checkpoint_marks: BTreeMap<GroupId, VecDeque<(TransferId, u64)>>,
+    /// Retained contexts of in-flight transfers this processor
     /// captured state for (BTreeMap: fault handling iterates it, and
     /// the multicasts it emits must come out in deterministic order).
     donor_transfers: BTreeMap<TransferId, DonorTransfer>,
-    /// Chunk streams being reassembled by recovering replicas here.
-    inbound_transfers: BTreeMap<TransferId, InboundTransfer>,
-    /// The transfer each locally recovering replica is bound to, fixed
-    /// at the retrieval's total-order point. A crash-and-relaunch can
-    /// leave chunks of an abandoned transfer in flight; accepting one
-    /// would bind the new replica's sync point to a stream no donor is
-    /// driving any more, wedging the recovery.
-    awaiting_transfer: BTreeMap<GroupId, TransferId>,
     /// Passive groups whose primary (this processor) has a suffix-bound
     /// checkpoint retrieval in flight — one at a time per group.
     suffix_trigger_pending: BTreeSet<GroupId>,
@@ -417,7 +437,16 @@ impl std::fmt::Debug for Mechanisms {
 
 impl Mechanisms {
     /// Creates the mechanisms for `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.chunk_bytes` is 0: it is a size, and a
+    /// recovery's state always travels as at least one chunk.
     pub fn new(node: NodeId, config: MechConfig) -> Self {
+        assert!(
+            config.chunk_bytes > 0,
+            "MechConfig::chunk_bytes is the chunk size of a state transfer and must be at least 1"
+        );
         let mut orb = Orb::new(format!("P{}", node.0));
         if config.obs {
             orb.enable_obs(eternal_obs::trace::DEFAULT_CAPACITY);
@@ -432,11 +461,9 @@ impl Mechanisms {
             groups: BTreeMap::new(),
             client_conns: HashMap::new(),
             server_conns: HashMap::new(),
-            seen_transfers: HashSet::new(),
-            checkpoint_marks: HashMap::new(),
+            seen_transfers: VecDeque::new(),
+            checkpoint_marks: BTreeMap::new(),
             donor_transfers: BTreeMap::new(),
-            inbound_transfers: BTreeMap::new(),
-            awaiting_transfer: BTreeMap::new(),
             suffix_trigger_pending: BTreeSet::new(),
             next_transfer_seq: 0,
             incarnation: 0,
@@ -566,6 +593,7 @@ impl Mechanisms {
             client_app,
             holding: HoldingQueue::new(),
             quiesce: QuiescenceTracker::new(self.config.exec_time),
+            inbound: None,
         });
     }
 
@@ -639,35 +667,28 @@ impl Mechanisms {
         let mut outs = Vec::new();
         let groups: Vec<GroupId> = self.groups.keys().copied().collect();
         for group in groups {
-            let lg = self.groups.get_mut(&group).expect("listed");
-            let Some(replica) = lg.replica.as_mut() else {
-                continue;
-            };
-            if replica.phase != ReplicaPhase::Operational {
-                continue;
+            if let Some(app) = self.operational_client(group) {
+                let invocations = app.on_start();
+                outs.extend(self.issue_invocations(group, invocations, now, ctx));
             }
-            let Some(app) = replica.client_app.as_mut() else {
-                continue;
-            };
-            let invocations = app.on_start();
-            outs.extend(self.issue_invocations(group, invocations, now, ctx));
         }
         outs
+    }
+
+    /// The application of the locally hosted client replica of `group`,
+    /// if there is one and it is operational.
+    fn operational_client(&mut self, group: GroupId) -> Option<&mut Box<dyn ClientApp>> {
+        let replica = self.groups.get_mut(&group)?.replica.as_mut()?;
+        if replica.phase != ReplicaPhase::Operational {
+            return None;
+        }
+        replica.client_app.as_mut()
     }
 
     /// Runs `on_tick` of the locally hosted client replica of `group`
     /// (if operational) and issues the resulting invocations.
     fn tick_replica(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
-        let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
-        };
-        let Some(replica) = lg.replica.as_mut() else {
-            return Vec::new();
-        };
-        if replica.phase != ReplicaPhase::Operational {
-            return Vec::new();
-        }
-        let Some(app) = replica.client_app.as_mut() else {
+        let Some(app) = self.operational_client(group) else {
             return Vec::new();
         };
         let invocations = app.on_tick();
@@ -681,31 +702,53 @@ impl Mechanisms {
     /// inside the transferred state), and an enqueueing replica holds
     /// it for replay after `set_state`.
     fn on_load_tick(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
-        // Open chunked-transfer windows on this group log the tick: the
+        // Open transfer windows on this group log the tick: the
         // recovering replica drops it, and the suffix is its only copy.
         for dt in self.donor_transfers.values_mut() {
             if dt.group == group && dt.logging {
-                dt.suffix.push(SuffixEntry::LoadTick);
+                dt.suffix.push(OrderedInput::LoadTick);
             }
         }
-        let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
-        };
-        match lg.replica.as_mut() {
+        match self.admit(group, OrderedInput::LoadTick, now, ctx) {
+            Some(tick) => self.deliver(group, &tick, now, ctx),
             None => Vec::new(),
-            Some(replica) => match replica.phase {
-                ReplicaPhase::Operational => self.tick_replica(group, now, ctx),
-                ReplicaPhase::Standby => Vec::new(),
-                ReplicaPhase::AwaitingSync => {
-                    self.counters.dropped_pre_sync += 1;
-                    Vec::new()
-                }
-                ReplicaPhase::Enqueueing => {
-                    replica.holding.hold(HeldInput::LoadTick);
-                    self.counters.enqueued_during_recovery += 1;
-                    Vec::new()
-                }
-            },
+        }
+    }
+
+    /// The phase discipline every ordered input meets at the local
+    /// replica of `group`: an operational replica takes it now (it is
+    /// handed back for delivery), a warm backup takes no traffic, a
+    /// recovering replica drops it before its synchronization point —
+    /// its effects arrive inside the transferred state — and holds it
+    /// after (§5.1 step i).
+    fn admit(
+        &mut self,
+        group: GroupId,
+        input: OrderedInput,
+        now: SimTime,
+        ctx: &mut HopCtx,
+    ) -> Option<OrderedInput> {
+        let replica = self.groups.get_mut(&group)?.replica.as_mut()?;
+        match replica.phase {
+            ReplicaPhase::Operational => Some(input),
+            ReplicaPhase::Standby => None,
+            ReplicaPhase::AwaitingSync => {
+                self.counters.dropped_pre_sync += 1;
+                None
+            }
+            ReplicaPhase::Enqueueing => {
+                // In the span tree a held message parks under a hold
+                // hop, and its eventual replay hangs under that.
+                let hold = match input {
+                    OrderedInput::Iiop { .. } => {
+                        ctx.stamp(now, Hop::Hold, format_args!("holding-queue"))
+                    }
+                    OrderedInput::LoadTick => 0,
+                };
+                replica.holding.hold((input, hold));
+                self.counters.enqueued_during_recovery += 1;
+                None
+            }
         }
     }
 
@@ -723,9 +766,7 @@ impl Mechanisms {
                 .dispatch_control(&Self::group_key(group), "get_state", &[])
                 .ok()
         } else {
-            let lg = self.groups.get_mut(&group)?;
-            let app = lg.replica.as_mut()?.client_app.as_mut()?;
-            app.get_state().to_bytes().ok()
+            self.operational_client(group)?.get_state().to_bytes().ok()
         }
     }
 
@@ -746,7 +787,17 @@ impl Mechanisms {
         self.dedup.gaps_skipped()
     }
 
-    /// In-flight chunked transfers retained on this processor.
+    /// Entries in the two per-transfer tables: completed transfers
+    /// remembered for duplicate suppression (a fixed window) and
+    /// checkpoint marks waiting for their assignment (a recorded
+    /// checkpoint retires its group's older ones). The memory invariant
+    /// watches both.
+    pub fn transfer_tables_resident(&self) -> (usize, usize) {
+        let marks = self.checkpoint_marks.values().map(VecDeque::len).sum();
+        (self.seen_transfers.len(), marks)
+    }
+
+    /// In-flight transfers retained on this processor.
     pub fn active_transfers(&self) -> usize {
         self.donor_transfers.len()
     }
@@ -774,6 +825,24 @@ impl Mechanisms {
     // Outgoing path: client invocations through the ORB + interceptor
     // ================================================================
 
+    /// The local ORB's client-side connection for `conn`, opened on
+    /// first use.
+    fn client_conn(&mut self, conn: ConnectionName) -> u64 {
+        *self
+            .client_conns
+            .entry(conn)
+            .or_insert_with(|| self.orb.open_client_connection())
+    }
+
+    /// The local ORB's server-side connection for `conn`, accepted on
+    /// first use.
+    fn server_conn(&mut self, conn: ConnectionName) -> u64 {
+        *self
+            .server_conns
+            .entry(conn)
+            .or_insert_with(|| self.orb.accept_server_connection())
+    }
+
     fn issue_invocations(
         &mut self,
         group: GroupId,
@@ -787,14 +856,7 @@ impl Mechanisms {
                 client: group,
                 server: inv.server,
             };
-            let conn_id = match self.client_conns.get(&conn) {
-                Some(&id) => id,
-                None => {
-                    let id = self.orb.open_client_connection();
-                    self.client_conns.insert(conn, id);
-                    id
-                }
-            };
+            let conn_id = self.client_conn(conn);
             let key = Self::group_key(inv.server);
             let (request_id, bytes) = self
                 .orb
@@ -892,7 +954,7 @@ impl Mechanisms {
                 transfer,
                 purpose,
                 state,
-            } => self.on_assignment(transfer, purpose, state, now, ctx),
+            } => self.on_assignment(transfer, purpose, state, now),
             EternalMessage::StateChunk {
                 group,
                 transfer,
@@ -1005,146 +1067,103 @@ impl Mechanisms {
             Direction::Request => conn.server,
             Direction::Reply => conn.client,
         };
-        let held = HeldIiop {
+        let input = OrderedInput::Iiop {
             conn,
             direction,
             op_seq,
             bytes,
-            trace_parent: ctx.parent(),
         };
-        // Open chunked-transfer windows on this group log the input:
-        // the recovering replica drops its traffic until the last chunk
+        // Open transfer windows on this group log the input: the
+        // recovering replica drops its traffic until the last chunk
         // arrives, and the transfer suffix is its only copy.
         for dt in self.donor_transfers.values_mut() {
             if dt.group == target_group && dt.logging {
-                dt.suffix.push(SuffixEntry::Iiop {
-                    conn,
-                    direction,
-                    op_seq,
-                    bytes: held.bytes.clone(),
-                });
+                dt.suffix.push(input.clone());
             }
         }
         let mut trigger_checkpoint = false;
-        let to_deliver = {
-            let Some(lg) = self.groups.get_mut(&target_group) else {
-                return outs;
-            };
-            // §3.3: passive groups log the ordered messages that follow
-            // the checkpoint, at every processor participating in the
-            // group. The tag encodes (client group, op id) so a replay
-            // can reconstruct the logical connection.
-            if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
-                let tag = ((conn.client.0 as u64) << 32) | op_seq as u64;
-                lg.log.log_message(tag, held.bytes.clone());
-                self.counters.messages_logged += 1;
-                // Bounded suffix: sustained load between periodic
-                // checkpoints must not grow replay memory (or warm
-                // promotion time) without bound. The primary fabricates
-                // an extra checkpoint when the suffix crosses a bound,
-                // one in flight per group at a time.
-                let len_bound = self.config.suffix_checkpoint_len;
-                let over = (len_bound > 0 && lg.log.suffix_len() >= len_bound)
-                    || lg.log.suffix_bytes() >= SUFFIX_CHECKPOINT_BYTES;
-                if over
-                    && lg.primary_host() == Some(self.node)
-                    && self.suffix_trigger_pending.insert(target_group)
-                {
-                    trigger_checkpoint = true;
-                }
-            }
-            if direction == Direction::Reply {
-                // The group-level outstanding table shrinks at *every*
-                // host of the client group, deterministically.
-                lg.outstanding.remove(&(conn, op_seq));
-            }
-            match lg.replica.as_mut() {
-                None => None,
-                Some(replica) => match replica.phase {
-                    ReplicaPhase::Operational => Some(held),
-                    ReplicaPhase::Standby => None, // warm backups take no traffic
-                    ReplicaPhase::AwaitingSync => {
-                        // Pre-synchronization traffic: its effects will
-                        // arrive inside the transferred state (§5.1
-                        // step i starts enqueueing only at get_state).
-                        self.counters.dropped_pre_sync += 1;
-                        None
-                    }
-                    ReplicaPhase::Enqueueing => {
-                        let mut held = held;
-                        // §5.1 step i in the span tree: the message
-                        // parks in the holding queue; its eventual
-                        // replay hangs under this hop.
-                        held.trace_parent =
-                            ctx.stamp(now, Hop::Hold, format_args!("holding-queue"));
-                        replica.holding.hold(HeldInput::Iiop(held));
-                        self.counters.enqueued_during_recovery += 1;
-                        None
-                    }
-                },
-            }
+        let Some(lg) = self.groups.get_mut(&target_group) else {
+            return outs;
         };
-        if trigger_checkpoint {
-            let transfer = self.fresh_transfer_id();
-            self.counters.suffix_checkpoints_triggered += 1;
-            outs.push(Out::Multicast {
-                delay: Duration::ZERO,
-                message: EternalMessage::StateRetrieval {
-                    group: target_group,
-                    transfer,
-                    purpose: RetrievalPurpose::Checkpoint,
-                },
-                trace: TraceTag::NONE,
-            });
+        // §3.3: passive groups log the ordered messages that follow
+        // the checkpoint, at every processor participating in the
+        // group.
+        if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
+            lg.log.log_message(input.clone());
+            self.counters.messages_logged += 1;
+            // Bounded suffix: sustained load between periodic
+            // checkpoints must not grow replay memory (or warm
+            // promotion time) without bound. The primary fabricates
+            // an extra checkpoint when the suffix crosses a bound,
+            // one in flight per group at a time.
+            let len_bound = self.config.suffix_checkpoint_len;
+            let over = (len_bound > 0 && lg.log.suffix_len() >= len_bound)
+                || lg.log.suffix_bytes() >= SUFFIX_CHECKPOINT_BYTES;
+            if over
+                && lg.primary_host() == Some(self.node)
+                && self.suffix_trigger_pending.insert(target_group)
+            {
+                trigger_checkpoint = true;
+            }
         }
-        if let Some(held) = to_deliver {
-            outs.extend(self.deliver_to_replica(target_group, held, now, ctx));
+        if direction == Direction::Reply {
+            // The group-level outstanding table shrinks at *every*
+            // host of the client group, deterministically.
+            lg.outstanding.remove(&(conn, op_seq));
+        }
+        let admitted = self.admit(target_group, input, now, ctx);
+        if trigger_checkpoint {
+            self.counters.suffix_checkpoints_triggered += 1;
+            outs.push(self.retrieval(target_group, RetrievalPurpose::Checkpoint));
+        }
+        if let Some(input) = admitted {
+            outs.extend(self.deliver(target_group, &input, now, ctx));
         }
         outs
     }
 
-    /// Delivers one admitted IIOP message into the local operational
-    /// replica of `group`.
-    fn deliver_to_replica(
+    /// Delivers one admitted input into the local operational replica
+    /// of `group`.
+    fn deliver(
         &mut self,
         group: GroupId,
-        held: HeldIiop,
+        input: &OrderedInput,
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        match held.direction {
-            Direction::Request => self.deliver_request(group, held, now, ctx),
-            Direction::Reply => self.deliver_reply(group, held, now, ctx),
+        match input {
+            OrderedInput::LoadTick => self.tick_replica(group, now, ctx),
+            OrderedInput::Iiop {
+                conn,
+                direction,
+                op_seq,
+                bytes,
+            } => match direction {
+                Direction::Request => self.deliver_request(group, *conn, *op_seq, bytes, now, ctx),
+                Direction::Reply => self.deliver_reply(group, *conn, *op_seq, bytes, now, ctx),
+            },
         }
     }
 
     fn deliver_request(
         &mut self,
         group: GroupId,
-        held: HeldIiop,
+        conn: ConnectionName,
+        op_seq: u32,
+        bytes: &[u8],
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        let conn_id = match self.server_conns.get(&held.conn) {
-            Some(&id) => id,
-            None => {
-                let id = self.orb.accept_server_connection();
-                self.server_conns.insert(held.conn, id);
-                id
-            }
-        };
+        let conn_id = self.server_conn(conn);
         let mut outs = Vec::new();
-        match self.orb.handle_request_disposed(conn_id, &held.bytes) {
+        match self.orb.handle_request_disposed(conn_id, bytes) {
             Ok((maybe_reply, disposition)) => {
                 use eternal_orb::RequestDisposition;
                 match disposition {
                     RequestDisposition::Dispatched => {
                         self.counters.requests_dispatched += 1;
-                        let dispatch = ctx.stamp(
-                            now,
-                            Hop::Dispatch,
-                            format_args!("{} op#{}", held.conn, held.op_seq),
-                        );
+                        let dispatch =
+                            ctx.stamp(now, Hop::Dispatch, format_args!("{conn} op#{op_seq}"));
                         if maybe_reply.is_none() {
                             // A oneway: no reply will ever signal its
                             // completion, so the object is considered
@@ -1177,9 +1196,7 @@ impl Mechanisms {
                             } else {
                                 reply_bytes
                             };
-                            let message =
-                                self.interceptor
-                                    .capture_reply(held.conn, held.op_seq, reply_bytes);
+                            let message = self.interceptor.capture_reply(conn, op_seq, reply_bytes);
                             outs.push(Out::Multicast {
                                 delay: self.config.exec_time,
                                 message,
@@ -1202,11 +1219,13 @@ impl Mechanisms {
     fn deliver_reply(
         &mut self,
         group: GroupId,
-        held: HeldIiop,
+        conn: ConnectionName,
+        op_seq: u32,
+        bytes: &[u8],
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        let Some(&conn_id) = self.client_conns.get(&held.conn) else {
+        let Some(&conn_id) = self.client_conns.get(&conn) else {
             // We never issued on this connection (e.g. a recovered
             // replica without restored ORB state): the reply has nowhere
             // to go. A real ORB without the matching socket simply never
@@ -1214,21 +1233,14 @@ impl Mechanisms {
             self.counters.replies_discarded_by_orb += 1;
             return Vec::new();
         };
-        match self.orb.handle_reply(conn_id, &held.bytes) {
+        match self.orb.handle_reply(conn_id, bytes) {
             Ok(outcome) => {
                 self.counters.replies_delivered += 1;
                 // The round trip closes here; follow-up invocations the
                 // application issues from its reply handler root their
                 // new chains under this span.
-                ctx.stamp(
-                    now,
-                    Hop::ReplyMatch,
-                    format_args!("{} op#{}", held.conn, held.op_seq),
-                );
-                let mut outs = vec![Out::ReplyDelivered {
-                    conn: held.conn,
-                    op_seq: held.op_seq,
-                }];
+                ctx.stamp(now, Hop::ReplyMatch, format_args!("{conn} op#{op_seq}"));
+                let mut outs = vec![Out::ReplyDelivered { conn, op_seq }];
                 let follow_ups = {
                     let lg = self
                         .groups
@@ -1236,7 +1248,7 @@ impl Mechanisms {
                         .expect("delivering to local group");
                     match lg.replica.as_mut().and_then(|r| r.client_app.as_mut()) {
                         Some(app) => app.on_reply(
-                            held.conn.server,
+                            conn.server,
                             &outcome.operation,
                             outcome.status,
                             &outcome.body,
@@ -1261,14 +1273,12 @@ impl Mechanisms {
     // ================================================================
 
     /// Launches a recovering replica of `group` on this processor and
-    /// announces it. The replica drops traffic until its `get_state`
+    /// announces it. The replica drops traffic until its
     /// synchronization point appears in the total order.
     pub fn launch_recovering_replica(&mut self, group: GroupId) -> Vec<Out> {
-        // Chunk streams aimed at a *previous* incarnation of this
-        // replica must not splice into the new one's recovery; the new
-        // one binds to the retrieval that answers ITS joining.
-        self.inbound_transfers.retain(|_, it| it.group != group);
-        self.awaiting_transfer.remove(&group);
+        // A fresh replica is bound to no transfer: chunk streams aimed
+        // at a *previous* incarnation cannot splice into its recovery,
+        // and it binds to the retrieval that answers ITS joining.
         self.instantiate_replica(group, ReplicaPhase::AwaitingSync);
         vec![Out::Multicast {
             delay: Duration::ZERO,
@@ -1293,10 +1303,8 @@ impl Mechanisms {
     pub fn kill_local_replica(&mut self, group: GroupId) -> Vec<Out> {
         // Transfer contexts die with the replica process: a dead donor
         // cannot stream (survivors take over from the shared cursor),
-        // and a dead recipient's partial reassembly is useless.
+        // and a dead recipient's partial reassembly goes with it.
         self.donor_transfers.retain(|_, dt| dt.group != group);
-        self.inbound_transfers.retain(|_, it| it.group != group);
-        self.awaiting_transfer.remove(&group);
         let lg = self.groups.get_mut(&group).expect("group registered");
         if lg.replica.take().is_some() {
             if matches!(lg.meta.kind, GroupKind::Server(_)) {
@@ -1321,25 +1329,25 @@ impl Mechanisms {
         let Some(lg) = self.groups.get(&group) else {
             return Vec::new();
         };
-        // The lowest-id processor hosting a state-serving replica
-        // fabricates the get_state — a deterministic choice every
-        // processor evaluates identically.
-        let issuer = lg.operational_hosts.iter().copied().find(|&h| h != host);
-        if issuer != Some(self.node) {
+        if lg.donor_for(host) != Some(self.node) {
             return Vec::new();
         }
-        let transfer = self.fresh_transfer_id();
-        vec![Out::Multicast {
+        vec![self.retrieval(group, RetrievalPurpose::Recovery { new_host: host })]
+    }
+
+    /// Fabricates a `get_state` under a fresh transfer id. Untagged: a
+    /// recovery's chain roots at the cluster's send path (trace id
+    /// derived from the transfer id).
+    fn retrieval(&mut self, group: GroupId, purpose: RetrievalPurpose) -> Out {
+        Out::Multicast {
             delay: Duration::ZERO,
             message: EternalMessage::StateRetrieval {
                 group,
-                transfer,
-                purpose: RetrievalPurpose::Recovery { new_host: host },
+                transfer: self.fresh_transfer_id(),
+                purpose,
             },
-            // The transfer's chain roots at the cluster's send path
-            // (trace id derived from the transfer id).
             trace: TraceTag::NONE,
-        }]
+        }
     }
 
     /// Fabricates the periodic checkpoint `get_state` if this processor
@@ -1352,16 +1360,7 @@ impl Mechanisms {
         if !lg.meta.props.style.logs_checkpoints() || lg.primary_host() != Some(self.node) {
             return Vec::new();
         }
-        let transfer = self.fresh_transfer_id();
-        vec![Out::Multicast {
-            delay: Duration::ZERO,
-            message: EternalMessage::StateRetrieval {
-                group,
-                transfer,
-                purpose: RetrievalPurpose::Checkpoint,
-            },
-            trace: TraceTag::NONE,
-        }]
+        vec![self.retrieval(group, RetrievalPurpose::Checkpoint)]
     }
 
     fn on_retrieval(
@@ -1387,18 +1386,11 @@ impl Mechanisms {
                 .as_ref()
                 .is_some_and(|r| r.phase == ReplicaPhase::Operational);
         if serves_state {
-            let wait = {
-                let replica = lg.replica.as_mut().expect("checked above");
-                let wait = replica
-                    .quiesce
-                    .earliest_quiescence(now)
-                    .map(|t| t.saturating_since(now))
-                    .unwrap_or(Duration::ZERO);
-                if !wait.is_zero() {
-                    replica.quiesce.record_deferral();
-                }
-                wait
-            };
+            let wait = lg
+                .replica
+                .as_mut()
+                .expect("checked above")
+                .quiescence_wait(now);
             let state = self.capture_three_kinds(group);
             // §5.1 step iii at the donor: the fabricated get_state.
             // The assignment it produces extends the transfer's chain.
@@ -1415,56 +1407,35 @@ impl Mechanisms {
                 capture_time: self.config.exec_time,
                 app_state_bytes: state.application.len(),
             });
-            let chunked =
-                self.config.chunk_bytes > 0 && matches!(purpose, RetrievalPurpose::Recovery { .. });
-            if let (true, RetrievalPurpose::Recovery { new_host }) = (chunked, purpose) {
-                // Chunked transfer (docs/RECOVERY.md): every capturing
-                // host retains the encoded checkpoint and opens the
-                // suffix window; the deterministically elected donor —
-                // the lowest operational host that is not the recipient,
-                // the same choice `on_joining` makes for the issuer —
-                // streams it while the group keeps serving.
-                let bytes = state.to_bytes();
-                let total = bytes.len().div_ceil(self.config.chunk_bytes).max(1) as u32;
-                let donor = self
-                    .groups
-                    .get(&group)
-                    .and_then(|lg| {
-                        lg.operational_hosts
-                            .iter()
-                            .copied()
-                            .find(|&h| h != new_host)
-                    })
-                    .expect("a capturing host exists");
-                let dt = DonorTransfer {
-                    group,
-                    new_host,
-                    donor,
-                    bytes,
-                    total,
-                    cursor: None,
-                    suffix: Vec::new(),
-                    logging: true,
-                };
-                if donor == self.node {
-                    let window = (self.config.chunk_pipeline.max(1) as u32).min(total);
-                    for index in 0..window {
-                        self.counters.chunks_streamed += 1;
-                        outs.push(Self::chunk_multicast(
-                            self.config.chunk_bytes,
-                            &dt,
-                            transfer,
-                            index,
-                            self.config.exec_time + wait,
-                            now,
-                            ctx,
-                            get_state,
-                        ));
+            match purpose {
+                RetrievalPurpose::Recovery { new_host } => {
+                    // Every capturing host retains the encoded state
+                    // and opens the suffix window; the elected donor
+                    // streams it while the group keeps serving
+                    // (docs/RECOVERY.md).
+                    let bytes = state.to_bytes();
+                    let total = bytes.len().div_ceil(self.config.chunk_bytes).max(1) as u32;
+                    let donor = self.groups[&group]
+                        .donor_for(new_host)
+                        .expect("a capturing host exists");
+                    let dt = DonorTransfer {
+                        group,
+                        new_host,
+                        donor,
+                        bytes,
+                        total,
+                        cursor: None,
+                        suffix: Vec::new(),
+                        logging: true,
+                    };
+                    self.donor_transfers.insert(transfer, dt);
+                    if donor == self.node {
+                        let delay = self.config.exec_time + wait;
+                        let window = 0..CHUNK_PIPELINE as u32;
+                        outs.extend(self.send_chunks(transfer, window, delay, get_state, now, ctx));
                     }
                 }
-                self.donor_transfers.insert(transfer, dt);
-            } else {
-                outs.push(Out::Multicast {
+                RetrievalPurpose::Checkpoint => outs.push(Out::Multicast {
                     delay: self.config.exec_time + wait,
                     message: EternalMessage::StateAssignment {
                         transfer,
@@ -1472,84 +1443,89 @@ impl Mechanisms {
                         state,
                     },
                     trace: ctx.tag(ctx.trace_id(), get_state),
-                });
+                }),
             }
         }
-        // Checkpoint retrievals: every logging host records the log
-        // position of the capture point, so the eventual assignment
-        // garbage-collects exactly the messages the checkpoint covers.
-        if purpose == RetrievalPurpose::Checkpoint {
-            if let Some(lg) = self.groups.get(&group) {
-                if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
-                    let mark = lg.log.mark();
-                    self.checkpoint_marks.insert((group, transfer), mark);
+        match purpose {
+            // Every logging host records the log position of the
+            // capture point, so the eventual assignment garbage-collects
+            // exactly the messages the checkpoint covers.
+            RetrievalPurpose::Checkpoint => {
+                if let Some(lg) = self.groups.get(&group) {
+                    if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node)
+                    {
+                        self.checkpoint_marks
+                            .entry(group)
+                            .or_default()
+                            .push_back((transfer, lg.log.mark()));
+                    }
                 }
             }
-        }
-        // Monolithic mode: the recovering replica marks the
-        // synchronization point and starts enqueueing (§5.1 step i).
-        // In chunked mode the sync point defers to the *last chunk*
-        // delivery — the replica keeps dropping while the stream is in
-        // flight (the retaining hosts' suffix log covers that window),
-        // so the blocking window is O(suffix), not O(state).
-        if let RetrievalPurpose::Recovery { new_host } = purpose {
-            if new_host == self.node {
-                if self.config.chunk_bytes == 0 {
-                    if let Some(lg) = self.groups.get_mut(&group) {
-                        if let Some(replica) = lg.replica.as_mut() {
-                            if replica.phase == ReplicaPhase::AwaitingSync {
-                                replica.phase = ReplicaPhase::Enqueueing;
-                                replica.holding.mark_sync_point(transfer);
-                            }
-                        }
-                    }
-                } else if self.replica_phase(group) == Some(ReplicaPhase::AwaitingSync) {
-                    // Chunked: bind the recovering replica to THIS
-                    // transfer. Chunks of any other (a stream abandoned
-                    // by a crash-and-relaunch) are stale and must not
-                    // become its sync point.
-                    self.awaiting_transfer.insert(group, transfer);
+            // Bind the recovering replica to THIS transfer: chunks of
+            // any other (a stream abandoned by a crash-and-relaunch) are
+            // stale and must not become its sync point. It keeps
+            // dropping traffic while the stream is in flight — the
+            // retaining hosts' suffix log covers that window — and its
+            // §5.1 sync point is the *last chunk's* delivery, so the
+            // blocking window is O(suffix), not O(state).
+            RetrievalPurpose::Recovery { new_host } => {
+                let replica = self
+                    .groups
+                    .get_mut(&group)
+                    .and_then(|lg| lg.replica.as_mut())
+                    .filter(|r| new_host == self.node && r.phase == ReplicaPhase::AwaitingSync);
+                if let Some(replica) = replica {
+                    replica.inbound = Some(InboundTransfer {
+                        transfer,
+                        buf: Vec::new(),
+                        next_index: 0,
+                    });
                 }
             }
         }
         outs
     }
 
-    /// Builds the multicast of one state chunk out of a retained
-    /// transfer context. Associated (no `self`) so callers can hold the
-    /// context borrowed from the map while emitting.
-    #[allow(clippy::too_many_arguments)]
-    fn chunk_multicast(
-        chunk_bytes: usize,
-        dt: &DonorTransfer,
+    /// Streams the chunks in `range` (as far as the state goes) of a
+    /// retained transfer, each leaving after `delay` on the transfer's
+    /// chain under `parent`.
+    fn send_chunks(
+        &mut self,
         transfer: TransferId,
-        index: u32,
+        range: std::ops::Range<u32>,
         delay: Duration,
+        parent: u64,
         now: SimTime,
         ctx: &mut HopCtx,
-        parent: u64,
-    ) -> Out {
-        let start = index as usize * chunk_bytes;
-        let end = (start + chunk_bytes).min(dt.bytes.len());
-        let span = ctx.stamp_new(
-            now,
-            transfer_trace_id(transfer),
-            parent,
-            Hop::StateChunk,
-            format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
-        );
-        Out::Multicast {
-            delay,
-            message: EternalMessage::StateChunk {
-                group: dt.group,
-                transfer,
-                new_host: dt.new_host,
-                index,
-                total: dt.total,
-                bytes: dt.bytes[start..end].to_vec(),
-            },
-            trace: ctx.tag(transfer_trace_id(transfer), span),
+    ) -> Vec<Out> {
+        let dt = &self.donor_transfers[&transfer];
+        let size = self.config.chunk_bytes;
+        let mut outs = Vec::new();
+        for index in range.start..range.end.min(dt.total) {
+            let start = index as usize * size;
+            let end = (start + size).min(dt.bytes.len());
+            let span = ctx.stamp_new(
+                now,
+                transfer_trace_id(transfer),
+                parent,
+                Hop::StateChunk,
+                format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
+            );
+            self.counters.chunks_streamed += 1;
+            outs.push(Out::Multicast {
+                delay,
+                message: EternalMessage::StateChunk {
+                    group: dt.group,
+                    transfer,
+                    new_host: dt.new_host,
+                    index,
+                    total: dt.total,
+                    bytes: dt.bytes[start..end].to_vec(),
+                },
+                trace: ctx.tag(transfer_trace_id(transfer), span),
+            });
         }
+        outs
     }
 
     /// One totally ordered state chunk. Three things happen here, at
@@ -1574,62 +1550,47 @@ impl Mechanisms {
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        let mut outs = Vec::new();
         let last = index + 1 == total;
-        let mut send_next = None;
-        let mut close_suffix = false;
+        let mut streaming = false;
         if let Some(dt) = self.donor_transfers.get_mut(&transfer) {
-            let expected = dt.cursor.map_or(0, |c| c + 1);
-            if index == expected {
+            if index == dt.cursor.map_or(0, |c| c + 1) {
                 dt.cursor = Some(index);
-                if last {
-                    dt.logging = false;
-                    close_suffix = dt.donor == self.node;
-                } else if dt.donor == self.node {
-                    let window = self.config.chunk_pipeline.max(1) as u32;
-                    let next = index + window;
-                    if next < dt.total {
-                        send_next = Some(next);
-                    }
-                }
+                dt.logging = !last;
+                streaming = dt.donor == self.node;
             } else {
                 self.counters.chunk_duplicates += 1;
             }
         }
-        if let Some(next) = send_next {
-            let dt = self
-                .donor_transfers
-                .get(&transfer)
-                .expect("cursor advanced");
-            self.counters.chunks_streamed += 1;
-            outs.push(Self::chunk_multicast(
-                self.config.chunk_bytes,
-                dt,
+        let outs = if !streaming {
+            Vec::new()
+        } else if last {
+            self.send_suffix(transfer, now, ctx)
+        } else {
+            // Self-clocking: this delivery releases one more chunk.
+            let next = index + CHUNK_PIPELINE as u32;
+            self.send_chunks(
                 transfer,
-                next,
+                next..next + 1,
                 self.config.exec_time,
+                ctx.parent(),
                 now,
                 ctx,
-                ctx.parent(),
-            ));
-        }
-        if close_suffix {
-            outs.extend(self.send_suffix(transfer, now, ctx));
-        }
-        // ---- the recovering replica assembles the stream.
-        if new_host == self.node
-            && self.replica_phase(group) == Some(ReplicaPhase::AwaitingSync)
-            && self.awaiting_transfer.get(&group) == Some(&transfer)
-        {
-            let inbound =
-                self.inbound_transfers
-                    .entry(transfer)
-                    .or_insert_with(|| InboundTransfer {
-                        group,
-                        buf: Vec::new(),
-                        next_index: 0,
-                        total,
-                    });
+            )
+        };
+        // ---- the recovering replica assembles the stream it is bound to.
+        let replica = self
+            .groups
+            .get_mut(&group)
+            .and_then(|lg| lg.replica.as_mut())
+            .filter(|r| new_host == self.node && r.phase == ReplicaPhase::AwaitingSync);
+        if let Some(replica) = replica {
+            let Some(inbound) = replica
+                .inbound
+                .as_mut()
+                .filter(|it| it.transfer == transfer)
+            else {
+                return outs;
+            };
             if index == inbound.next_index {
                 inbound.buf.extend_from_slice(&bytes);
                 inbound.next_index += 1;
@@ -1644,14 +1605,8 @@ impl Mechanisms {
                     // very position where the retaining hosts closed
                     // their suffix windows. From here traffic is held,
                     // not dropped; the blocking window starts now.
-                    if let Some(replica) = self
-                        .groups
-                        .get_mut(&group)
-                        .and_then(|lg| lg.replica.as_mut())
-                    {
-                        replica.phase = ReplicaPhase::Enqueueing;
-                        replica.holding.mark_sync_point(transfer);
-                    }
+                    replica.phase = ReplicaPhase::Enqueueing;
+                    replica.holding.mark_sync_point(transfer);
                 }
             } else {
                 self.counters.chunk_duplicates += 1;
@@ -1672,24 +1627,14 @@ impl Mechanisms {
         let group = dt.group;
         let new_host = dt.new_host;
         let entries = dt.suffix.clone();
-        let wait = {
-            let Some(replica) = self
-                .groups
-                .get_mut(&group)
-                .and_then(|lg| lg.replica.as_mut())
-            else {
-                return Vec::new();
-            };
-            let wait = replica
-                .quiesce
-                .earliest_quiescence(now)
-                .map(|t| t.saturating_since(now))
-                .unwrap_or(Duration::ZERO);
-            if !wait.is_zero() {
-                replica.quiesce.record_deferral();
-            }
-            wait
+        let Some(replica) = self
+            .groups
+            .get_mut(&group)
+            .and_then(|lg| lg.replica.as_mut())
+        else {
+            return Vec::new();
         };
+        let wait = replica.quiescence_wait(now);
         let span = ctx.stamp_new(
             now,
             transfer_trace_id(transfer),
@@ -1709,30 +1654,32 @@ impl Mechanisms {
         }]
     }
 
-    /// The closing suffix of a chunked transfer: the recovering replica
-    /// applies the reassembled checkpoint, replays the suffix, and
-    /// drains its holding queue; everyone else updates the consistent
-    /// view and releases the retained context.
+    /// The closing suffix of a transfer: the recovering replica applies
+    /// the reassembled state, replays the suffix, and drains its
+    /// holding queue; everyone else updates the consistent view and
+    /// releases the retained context.
     fn on_state_suffix(
         &mut self,
         group: GroupId,
         transfer: TransferId,
         new_host: NodeId,
-        entries: Vec<SuffixEntry>,
+        entries: Vec<OrderedInput>,
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
         // The transfer is over: release the retained context even on
         // the duplicate deliveries a takeover race can produce.
         self.donor_transfers.remove(&transfer);
-        if !self.seen_transfers.insert(transfer) {
+        if !self.first_completion(transfer) {
             return Vec::new();
         }
         let Some(lg) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
-        // Same consistent-view update as a monolithic Recovery
-        // assignment, at this total-order point on every processor.
+        // Every processor updates its consistent view at this
+        // total-order point: an active group's recovered replica serves
+        // state; a passive group's becomes a standby backup (the
+        // primary is unchanged).
         if lg.meta.props.style == ReplicationStyle::Active {
             lg.operational_hosts.insert(new_host);
         } else {
@@ -1741,19 +1688,21 @@ impl Mechanisms {
         if new_host != self.node {
             return Vec::new();
         }
-        let Some(inbound) = self.inbound_transfers.remove(&transfer) else {
-            return Vec::new();
-        };
-        // Stale inbound contexts of earlier abandoned transfers for
-        // this group die with the completed one.
-        self.inbound_transfers.retain(|_, it| it.group != group);
-        if inbound.next_index != inbound.total {
-            return Vec::new(); // incomplete stream (stale transfer)
+        self.complete_recovery(group, transfer, entries, now, ctx)
+    }
+
+    /// Whether this is the first completion (assignment or suffix) of
+    /// `transfer` seen here; later ones are duplicates — one assignment
+    /// per capturing replica, or both suffixes of a takeover race.
+    fn first_completion(&mut self, transfer: TransferId) -> bool {
+        if self.seen_transfers.contains(&transfer) {
+            return false;
         }
-        let Ok(state) = ThreeKindsOfState::from_bytes(&inbound.buf) else {
-            return Vec::new();
-        };
-        self.complete_recovery(group, transfer, state, entries, now, ctx)
+        if self.seen_transfers.len() == SEEN_TRANSFERS_WINDOW {
+            self.seen_transfers.pop_front();
+        }
+        self.seen_transfers.push_back(transfer);
+        true
     }
 
     /// Re-opens the pipeline window after a donor takeover: sends the
@@ -1767,48 +1716,24 @@ impl Mechanisms {
         if dt.cursor == Some(dt.total - 1) {
             return self.send_suffix(transfer, now, ctx);
         }
-        let window = self.config.chunk_pipeline.max(1) as u32;
         let first = dt.cursor.map_or(0, |c| c + 1);
-        let last_exclusive = (first + window).min(dt.total);
-        let mut outs = Vec::new();
-        for index in first..last_exclusive {
-            self.counters.chunks_streamed += 1;
-            outs.push(Self::chunk_multicast(
-                self.config.chunk_bytes,
-                dt,
-                transfer,
-                index,
-                self.config.exec_time,
-                now,
-                ctx,
-                ctx.parent(),
-            ));
-        }
-        outs
+        self.send_chunks(
+            transfer,
+            first..first + CHUNK_PIPELINE as u32,
+            self.config.exec_time,
+            ctx.parent(),
+            now,
+            ctx,
+        )
     }
 
     /// Captures the three kinds of state of the locally hosted,
     /// operational replica of `group` (§4, §5.1 step iii).
     fn capture_three_kinds(&mut self, group: GroupId) -> ThreeKindsOfState {
         // Application-level state, via the Checkpointable interface.
-        let key = Self::group_key(group);
-        let is_server = matches!(
-            self.groups.get(&group).expect("caller verified").meta.kind,
-            GroupKind::Server(_)
-        );
-        let application = if is_server {
-            self.orb
-                .dispatch_control(&key, "get_state", &[])
-                .expect("operational replica has state")
-        } else {
-            let lg = self.groups.get_mut(&group).expect("caller verified");
-            let app = lg
-                .replica
-                .as_mut()
-                .and_then(|r| r.client_app.as_mut())
-                .expect("client replica present");
-            app.get_state().to_bytes().expect("client state encodes")
-        };
+        let application = self
+            .probe_application_state(group)
+            .expect("operational replica has state");
         // ORB/POA-level state: learned by observation, not ORB hooks.
         let orb_poa = if self.config.transfer_orb_state {
             OrbPoaStateTransfer {
@@ -1847,100 +1772,91 @@ impl Mechanisms {
         }
     }
 
+    /// A checkpoint's `set_state()` (§3.3): every host of the group
+    /// logs it, garbage-collecting the messages it covers, and a warm
+    /// backup applies it. A recovery's state never arrives this way.
     fn on_assignment(
         &mut self,
         transfer: TransferId,
         purpose: RetrievalPurpose,
         state: ThreeKindsOfState,
         now: SimTime,
-        ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        let _ = now;
-        // Duplicate assignments (one per operational replica under
-        // active replication) collapse to the first in the total order.
-        if !self.seen_transfers.insert(transfer) {
+        if purpose != RetrievalPurpose::Checkpoint || !self.first_completion(transfer) {
             return Vec::new();
         }
         let group = state.group;
         let Some(lg) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
-        match purpose {
-            RetrievalPurpose::Checkpoint => {
-                // A landed checkpoint re-arms the suffix-bound trigger.
-                self.suffix_trigger_pending.remove(&group);
-                if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
-                    let mark = self
-                        .checkpoint_marks
-                        .remove(&(group, transfer))
-                        .unwrap_or_else(|| lg.log.mark());
-                    lg.log
-                        .record_checkpoint_at_mark(state.to_bytes(), now, mark);
-                    self.counters.checkpoints_logged += 1;
-                }
-                // Warm backups are synchronized to the primary's
-                // checkpoint as it is taken (§3.2).
-                let is_standby = lg
-                    .replica
-                    .as_ref()
-                    .is_some_and(|r| r.phase == ReplicaPhase::Standby);
-                if is_standby {
-                    self.apply_application_state(group, &state.application);
-                }
-                Vec::new()
-            }
-            RetrievalPurpose::Recovery { new_host } => {
-                // Every processor updates its consistent view at this
-                // total-order point: an active group's recovered replica
-                // serves state; a passive group's becomes a standby
-                // backup (the primary is unchanged).
-                if lg.meta.props.style == ReplicationStyle::Active {
-                    lg.operational_hosts.insert(new_host);
-                } else {
-                    lg.standby_hosts.insert(new_host);
-                }
-                if new_host != self.node {
-                    // §5.1 step vi: at existing replicas the set_state is
-                    // discarded once it reaches the queue head.
-                    return Vec::new();
-                }
-                self.complete_recovery(group, transfer, state, Vec::new(), now, ctx)
-            }
+        // A landed checkpoint re-arms the suffix-bound trigger.
+        self.suffix_trigger_pending.remove(&group);
+        if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
+            let marks = self.checkpoint_marks.entry(group).or_default();
+            let mark = match marks.iter().position(|&(t, _)| t == transfer) {
+                // This mark is spent, and the group's earlier ones
+                // belong to retrievals nobody will answer now.
+                Some(at) => marks.drain(..=at).next_back().expect("found").1,
+                None => lg.log.mark(),
+            };
+            lg.log
+                .record_checkpoint_at_mark(state.to_bytes(), now, mark);
+            self.counters.checkpoints_logged += 1;
         }
+        // Warm backups are synchronized to the primary's checkpoint as
+        // it is taken (§3.2).
+        if self.replica_phase(group) == Some(ReplicaPhase::Standby) {
+            self.apply_application_state(group, &state.application);
+        }
+        Vec::new()
     }
 
     /// §5.1 steps v–vi at the recovering replica: overwrite the sync
     /// point with the assignment, apply the three kinds of state in
     /// order (application, ORB/POA, infrastructure), replay the
-    /// transfer suffix (chunked transfers only — the inputs the group
-    /// processed while the stream was in flight), then dequeue and
-    /// deliver the held messages.
+    /// transfer suffix (the inputs the group processed while the
+    /// stream was in flight), then dequeue and deliver the held
+    /// messages.
     fn complete_recovery(
         &mut self,
         group: GroupId,
         transfer: TransferId,
-        state: ThreeKindsOfState,
-        suffix: Vec<SuffixEntry>,
+        suffix: Vec<OrderedInput>,
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
-        let app_state_bytes = state.application.len();
-        {
+        // Only a replica that is enqueueing behind THIS transfer's last
+        // chunk completes; a suffix of any other transfer is stale and
+        // leaves the binding alone.
+        let (state_bytes, replay) = {
             let lg = self.groups.get_mut(&group).expect("checked by caller");
             let Some(replica) = lg.replica.as_mut() else {
                 return Vec::new();
             };
-            if replica.phase != ReplicaPhase::Enqueueing {
-                return Vec::new(); // stale transfer
-            }
-            if !replica
-                .holding
-                .overwrite_sync_point(transfer, state.to_bytes().into_boxed_slice())
+            if replica.phase != ReplicaPhase::Enqueueing
+                || !replica.holding.overwrite_sync_point(transfer)
             {
                 return Vec::new();
             }
-        }
-        self.awaiting_transfer.remove(&group);
+            let inbound = replica.inbound.take().expect("enqueueing behind a stream");
+            // What replays, in order (§5.1 step vi): the transfer
+            // suffix — delivered between the mark and the last chunk,
+            // dropped here while the stream was in flight — then the
+            // held traffic. The assignment itself is applied below, and
+            // a sync point left by an abandoned transfer is skipped.
+            let mut replay: Vec<(OrderedInput, u64, &str)> =
+                suffix.into_iter().map(|e| (e, 0, "suffix ")).collect();
+            while let Some(entry) = replica.holding.pop() {
+                if let HeldEntry::Normal((input, hold)) = entry {
+                    replay.push((input, hold, ""));
+                }
+            }
+            (inbound.buf, replay)
+        };
+        let Ok(state) = ThreeKindsOfState::from_bytes(&state_bytes) else {
+            return Vec::new();
+        };
+        let app_state_bytes = state.application.len();
 
         // Apply in the paper's order (§4.3): application first, then
         // ORB/POA, then infrastructure.
@@ -1964,158 +1880,114 @@ impl Mechanisms {
         // state` holds: the checkpoint IS the transferred state, and
         // the transfer suffix + held traffic (delivered after the
         // capture, so outside it) are re-logged as they replay below.
-        {
-            let lg = self.groups.get_mut(&group).expect("checked by caller");
-            if lg.meta.props.style.logs_checkpoints() {
-                lg.log.clear();
-                lg.log.record_checkpoint(state.to_bytes(), now);
-            }
-        }
-
+        //
         // An active group's recovered replica processes traffic; a
         // passive group's becomes a warm standby behind the primary.
-        let final_phase = {
-            let lg = self.groups.get(&group).expect("checked by caller");
-            if lg.meta.props.style == ReplicationStyle::Active
-                || lg.primary_host() == Some(self.node)
-            {
-                ReplicaPhase::Operational
-            } else {
-                ReplicaPhase::Standby
+        // The phase flips before the replay: held inputs are delivered
+        // to the now-synchronized replica exactly as live traffic would
+        // be (a held load tick in particular re-checks the phase).
+        let (logs, operational) = {
+            let lg = self.groups.get_mut(&group).expect("checked by caller");
+            let logs = lg.meta.props.style.logs_checkpoints();
+            if logs {
+                lg.log.clear();
+                lg.log.record_checkpoint(state_bytes, now);
             }
+            let operational = lg.meta.props.style == ReplicationStyle::Active
+                || lg.primary_host() == Some(self.node);
+            if let Some(replica) = lg.replica.as_mut() {
+                replica.phase = if operational {
+                    ReplicaPhase::Operational
+                } else {
+                    ReplicaPhase::Standby
+                };
+            }
+            (logs, operational)
         };
 
-        // The phase flips before the drain: held inputs are delivered
-        // to the now-synchronized replica exactly as live traffic
-        // would be (a held load tick in particular re-checks the
-        // phase on replay).
-        {
-            let lg = self.groups.get_mut(&group).expect("checked by caller");
-            if let Some(replica) = lg.replica.as_mut() {
-                replica.phase = final_phase;
-            }
-        }
-
+        // The replies a replayed request re-produces (and the
+        // invocations a replayed tick re-issues: same restored
+        // operation counters, same ids) duplicate the siblings' and are
+        // suppressed downstream. A replica completing as a standby
+        // replays nothing — backups take no traffic — but still logs.
         let mut outs = Vec::new();
-        // Replay the transfer suffix first: the inputs delivered
-        // between the checkpoint mark and the last chunk, which this
-        // replica dropped while the stream was in flight. The replies
-        // it re-produces duplicate the donors' and are suppressed
-        // downstream — exactly like the held traffic that drains next.
-        for entry in suffix {
-            match entry {
-                SuffixEntry::Iiop {
-                    conn,
-                    direction,
-                    op_seq,
-                    bytes,
-                } => {
-                    {
-                        // Same logging discipline as live delivery: the
-                        // capture predates these messages, so the fresh
-                        // log baseline must carry them for a future
-                        // promotion.
-                        let lg = self.groups.get_mut(&group).expect("checked by caller");
-                        if lg.meta.props.style.logs_checkpoints() {
-                            let tag = ((conn.client.0 as u64) << 32) | op_seq as u64;
-                            lg.log.log_message(tag, bytes.clone());
-                        }
-                        if direction == Direction::Reply {
-                            lg.outstanding.remove(&(conn, op_seq));
-                        }
-                    }
-                    if final_phase == ReplicaPhase::Operational {
-                        let saved = (ctx.trace_id(), ctx.parent());
-                        let held_trace = iiop_trace_id(conn, op_seq);
-                        let replay = ctx.stamp_new(
-                            now,
-                            held_trace,
-                            0,
-                            Hop::Replay,
-                            format_args!("suffix {conn} op#{op_seq}"),
-                        );
-                        ctx.set_chain(held_trace, replay);
-                        let held = HeldIiop {
-                            conn,
-                            direction,
-                            op_seq,
-                            bytes,
-                            trace_parent: 0,
-                        };
-                        outs.extend(self.deliver_to_replica(group, held, now, ctx));
-                        ctx.set_chain(saved.0, saved.1);
-                    }
-                }
-                SuffixEntry::LoadTick => {
-                    if final_phase == ReplicaPhase::Operational {
-                        outs.extend(self.tick_replica(group, now, ctx));
-                    }
-                }
+        for (input, hold, label) in replay {
+            if let OrderedInput::Iiop {
+                conn,
+                direction: Direction::Reply,
+                op_seq,
+                ..
+            } = &input
+            {
+                // The transferred outstanding table predates these
+                // replies; retire them as they replay.
+                let lg = self.groups.get_mut(&group).expect("checked by caller");
+                lg.outstanding.remove(&(*conn, *op_seq));
             }
-        }
-        // Drain the holding queue in order (§5.1 step vi). A replica
-        // completing as a standby discards the held traffic (backups
-        // take no traffic; the messages are in the local log).
-        loop {
-            let lg = self.groups.get_mut(&group).expect("checked by caller");
-            let Some(replica) = lg.replica.as_mut() else {
-                break;
-            };
-            match replica.holding.pop() {
-                None => break,
-                Some(HeldEntry::Assignment { .. }) | Some(HeldEntry::SyncPoint(_)) => {
-                    // The assignment itself (already applied) or a stale
-                    // sync point from an abandoned transfer.
-                }
-                Some(HeldEntry::Normal(HeldInput::Iiop(held))) => {
-                    // The re-baselined log starts at the transferred
-                    // state; held messages were delivered after the
-                    // capture, so they belong in its suffix (a standby
-                    // discards them from the replica but must be able
-                    // to replay them at promotion).
-                    if lg.meta.props.style.logs_checkpoints() {
-                        let tag = ((held.conn.client.0 as u64) << 32) | held.op_seq as u64;
-                        lg.log.log_message(tag, held.bytes.clone());
-                    }
-                    if held.direction == Direction::Reply {
-                        // The transferred outstanding table predates the
-                        // held replies; retire them as they drain.
-                        lg.outstanding.remove(&(held.conn, held.op_seq));
-                    }
-                    if final_phase == ReplicaPhase::Operational {
-                        // Each held message replays on its *own* chain
-                        // (the hop hangs under its hold span), not on
-                        // the assignment's — excursion and restore.
-                        let saved = (ctx.trace_id(), ctx.parent());
-                        let held_trace = iiop_trace_id(held.conn, held.op_seq);
-                        let replay = ctx.stamp_new(
-                            now,
-                            held_trace,
-                            held.trace_parent,
-                            Hop::Replay,
-                            format_args!("{} op#{}", held.conn, held.op_seq),
-                        );
-                        ctx.set_chain(held_trace, replay);
-                        outs.extend(self.deliver_to_replica(group, held, now, ctx));
-                        ctx.set_chain(saved.0, saved.1);
-                    }
-                }
-                Some(HeldEntry::Normal(HeldInput::LoadTick)) => {
-                    // A tick ordered after the sync point: the donor's
-                    // captured state predates it, so this replica must
-                    // run it too. The re-issued invocations duplicate
-                    // the siblings' (same restored operation counters →
-                    // same ids) and are suppressed downstream.
-                    if final_phase == ReplicaPhase::Operational {
-                        outs.extend(self.tick_replica(group, now, ctx));
-                    }
-                }
+            if operational {
+                outs.extend(self.replay(group, &input, hold, label, None, now, ctx));
+            }
+            if logs && matches!(input, OrderedInput::Iiop { .. }) {
+                let lg = self.groups.get_mut(&group).expect("checked by caller");
+                lg.log.log_message(input);
             }
         }
         outs.push(Out::RecoveryComplete {
             group,
             app_state_bytes,
         });
+        outs
+    }
+
+    /// Replays one ordered input into the local operational replica of
+    /// `group` — the one routine behind transfer-suffix replay,
+    /// holding-queue drain (§5.1 step vi) and promotion replay (§3.3).
+    /// An IIOP message replays on its *own* causal chain, not on the
+    /// chain of whatever triggered the replay: a [`Hop::Replay`]
+    /// labelled `{label}{conn} op#{n}` under `hold` (the span of its
+    /// hold hop; 0 roots it afresh — the original hops of a logged
+    /// message may be long evicted), excursion and restore.
+    ///
+    /// `delay` is set by promotion replay only: the message's position
+    /// in the replay, added to every multicast it produces. Such a
+    /// message is dispatched at [`SimTime::ZERO`], so a oneway opens no
+    /// settling window — that wait is inside the explicit delay.
+    #[allow(clippy::too_many_arguments)]
+    fn replay(
+        &mut self,
+        group: GroupId,
+        input: &OrderedInput,
+        hold: u64,
+        label: &str,
+        delay: Option<Duration>,
+        now: SimTime,
+        ctx: &mut HopCtx,
+    ) -> Vec<Out> {
+        let OrderedInput::Iiop { conn, op_seq, .. } = input else {
+            // A tick ordered after the capture: the transferred state
+            // predates it, so this replica must run it too.
+            return self.deliver(group, input, now, ctx);
+        };
+        let saved = (ctx.trace_id(), ctx.parent());
+        let trace = iiop_trace_id(*conn, *op_seq);
+        let span = ctx.stamp_new(
+            now,
+            trace,
+            hold,
+            Hop::Replay,
+            format_args!("{label}{conn} op#{op_seq}"),
+        );
+        ctx.set_chain(trace, span);
+        let at = if delay.is_some() { SimTime::ZERO } else { now };
+        let mut outs = self.deliver(group, input, at, ctx);
+        ctx.set_chain(saved.0, saved.1);
+        if let Some(delay) = delay {
+            for out in &mut outs {
+                if let Out::Multicast { delay: d, .. } = out {
+                    *d += delay;
+                }
+            }
+        }
         outs
     }
 
@@ -2143,14 +2015,7 @@ impl Mechanisms {
         // connections of the recovered object.
         for &(conn, next_id) in &orb_poa.next_request_ids {
             debug_assert_eq!(conn.client, group);
-            let conn_id = match self.client_conns.get(&conn) {
-                Some(&id) => id,
-                None => {
-                    let id = self.orb.open_client_connection();
-                    self.client_conns.insert(conn, id);
-                    id
-                }
-            };
+            let conn_id = self.client_conn(conn);
             if let Ok(client) = self.orb.client(conn_id) {
                 client.restore_request_id(next_id);
             }
@@ -2164,14 +2029,7 @@ impl Mechanisms {
         // twice and diverge the recovered replica from its siblings.
         for (conn, handshake_bytes) in &orb_poa.handshakes {
             debug_assert_eq!(conn.server, group);
-            let conn_id = match self.server_conns.get(conn) {
-                Some(&id) => id,
-                None => {
-                    let id = self.orb.accept_server_connection();
-                    self.server_conns.insert(*conn, id);
-                    id
-                }
-            };
+            let conn_id = self.server_conn(*conn);
             let _unparseable_ignored = self.orb.absorb_handshake(conn_id, handshake_bytes);
         }
         // Future transfers from this processor must know these facts too.
@@ -2271,13 +2129,7 @@ impl Mechanisms {
             }
             // Same election rule as the original choice, against the
             // already-updated view — identical on every retaining host.
-            let successor = self.groups.get(&group).and_then(|lg| {
-                lg.operational_hosts
-                    .iter()
-                    .copied()
-                    .find(|&h| h != recipient)
-            });
-            let Some(successor) = successor else {
+            let Some(successor) = self.groups[&group].donor_for(recipient) else {
                 // No retaining host left: the transfer dies with its
                 // donors (total group loss is the log's job, §3.3).
                 self.donor_transfers.remove(&transfer);
@@ -2300,124 +2152,72 @@ impl Mechanisms {
     /// needed, applies the logged checkpoint, and replays the logged
     /// message suffix (§3.3).
     fn promote_local(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
-        let style;
-        let checkpoint_bytes;
-        let suffix: Vec<(u64, Vec<u8>)>;
-        {
-            let lg = self.groups.get(&group).expect("promoting local group");
-            style = lg.meta.props.style;
-            checkpoint_bytes = lg.log.checkpoint().map(|(b, _)| b.to_vec());
-            suffix = lg
-                .log
-                .suffix()
-                .iter()
-                .map(|m| (m.tag, m.bytes.clone()))
-                .collect();
-        }
+        let lg = self.groups.get_mut(&group).expect("promoting local group");
+        let style = lg.meta.props.style;
+        // Replay reads the log in place: it is lifted out of the group
+        // for the duration (nothing below logs to it) and put back.
+        let log = std::mem::take(&mut lg.log);
+        let checkpoint = log
+            .checkpoint()
+            .and_then(|(bytes, _)| ThreeKindsOfState::from_bytes(bytes).ok());
         match style {
-            ReplicationStyle::WarmPassive => {
-                // Replica is loaded and synchronized to the last
-                // checkpoint's application state already; restore the
-                // other two kinds from the logged checkpoint.
-                if let Some(bytes) = &checkpoint_bytes {
-                    if let Ok(state) = ThreeKindsOfState::from_bytes(bytes) {
-                        self.apply_orb_poa_state(group, &state.orb_poa);
-                        self.apply_infra_state(group, &state.infrastructure);
-                    }
-                }
-            }
+            // The replica is loaded and synchronized to the last
+            // checkpoint's application state already; the other two
+            // kinds come from the logged checkpoint.
+            ReplicationStyle::WarmPassive => {}
+            // Launch the replica, then checkpoint, then messages — "in
+            // that order" (§3.3).
             ReplicationStyle::ColdPassive => {
-                // Launch the replica, then checkpoint, then messages —
-                // "in that order" (§3.3).
                 self.instantiate_replica(group, ReplicaPhase::Operational);
-                if let Some(bytes) = &checkpoint_bytes {
-                    if let Ok(state) = ThreeKindsOfState::from_bytes(bytes) {
-                        self.apply_application_state(group, &state.application);
-                        self.apply_orb_poa_state(group, &state.orb_poa);
-                        self.apply_infra_state(group, &state.infrastructure);
-                    }
+                if let Some(state) = &checkpoint {
+                    self.apply_application_state(group, &state.application);
                 }
             }
-            ReplicationStyle::Active => return Vec::new(),
+            ReplicationStyle::Active => unreachable!("only passive groups promote"),
         }
-        if let Some(lg) = self.groups.get_mut(&group) {
-            if let Some(replica) = lg.replica.as_mut() {
-                replica.phase = ReplicaPhase::Operational;
-            }
+        if let Some(state) = &checkpoint {
+            self.apply_orb_poa_state(group, &state.orb_poa);
+            self.apply_infra_state(group, &state.infrastructure);
         }
-        // Replay the log suffix through the now-primary replica. The
-        // replies it produces are multicast; duplicate suppression at
-        // the receivers absorbs any the old primary already sent. A
+        if let Some(replica) = self
+            .groups
+            .get_mut(&group)
+            .and_then(|lg| lg.replica.as_mut())
+        {
+            replica.phase = ReplicaPhase::Operational;
+        }
+        // Replay the logged requests through the now-primary replica.
+        // The replies it produces are multicast; duplicate suppression
+        // at the receivers absorbs any the old primary already sent. A
         // cold promotion first pays the launch + checkpoint-load cost.
         let base = match style {
             ReplicationStyle::ColdPassive => COLD_LOAD_TIME,
             _ => Duration::ZERO,
         };
         let mut outs = Vec::new();
-        let replayed = suffix.len();
-        for (i, (tag, bytes)) in suffix.into_iter().enumerate() {
-            if let Ok(GiopMessage::Request(_)) = GiopMessage::from_bytes(&bytes) {
-                // The log tag encodes (client group, op id); see the
-                // logging discipline in `on_iiop`.
-                let conn = ConnectionName {
-                    client: GroupId((tag >> 32) as u32),
-                    server: group,
-                };
-                let held = HeldIiop {
-                    conn,
+        let replayed = log.suffix_len();
+        for (i, logged) in log.suffix().iter().enumerate() {
+            let request = matches!(
+                logged.input,
+                OrderedInput::Iiop {
                     direction: Direction::Request,
-                    op_seq: tag as u32,
-                    bytes,
-                    trace_parent: 0,
-                };
-                let mut delivered = self.deliver_to_replica_with_delay(
-                    group,
-                    held,
-                    base + self.config.exec_time * (i as u64 + 1),
-                    now,
-                    ctx,
-                );
-                outs.append(&mut delivered);
+                    ..
+                }
+            );
+            if request {
+                let delay = base + self.config.exec_time * (i as u64 + 1);
+                outs.extend(self.replay(group, &logged.input, 0, "log ", Some(delay), now, ctx));
             }
         }
+        self.groups
+            .get_mut(&group)
+            .expect("promoting local group")
+            .log = log;
         outs.push(Out::Promoted {
             group,
             replayed,
             ready_after: base + self.config.exec_time * replayed as u64,
         });
-        outs
-    }
-
-    fn deliver_to_replica_with_delay(
-        &mut self,
-        group: GroupId,
-        held: HeldIiop,
-        delay: Duration,
-        now: SimTime,
-        ctx: &mut HopCtx,
-    ) -> Vec<Out> {
-        // A promoted primary replays the logged suffix: each logged
-        // message replays on its own causal chain, rooted fresh (the
-        // original hops predate the log and may be long evicted).
-        let saved = (ctx.trace_id(), ctx.parent());
-        let held_trace = iiop_trace_id(held.conn, held.op_seq);
-        let replay = ctx.stamp_new(
-            now,
-            held_trace,
-            held.trace_parent,
-            Hop::Replay,
-            format_args!("log {} op#{}", held.conn, held.op_seq),
-        );
-        ctx.set_chain(held_trace, replay);
-        // Replay happens at fault-delivery time; oneway settling windows
-        // are folded into the explicit replay delay instead.
-        let mut outs = self.deliver_to_replica(group, held, SimTime::ZERO, ctx);
-        ctx.set_chain(saved.0, saved.1);
-        for out in &mut outs {
-            if let Out::Multicast { delay: d, .. } = out {
-                *d += delay;
-            }
-        }
         outs
     }
 
@@ -2474,6 +2274,9 @@ mod tests {
     struct Bus {
         queue: std::collections::VecDeque<EternalMessage>,
         now: SimTime,
+        /// Every collected `Out` in order, rendered compactly
+        /// (multicasts by delay, kind and a hash of their wire bytes).
+        transcript: Vec<String>,
     }
 
     impl Bus {
@@ -2481,6 +2284,7 @@ mod tests {
             Bus {
                 queue: std::collections::VecDeque::new(),
                 now: SimTime::ZERO,
+                transcript: Vec::new(),
             }
         }
 
@@ -2488,8 +2292,19 @@ mod tests {
             let mut rest = Vec::new();
             for out in outs {
                 match out {
-                    Out::Multicast { message, .. } => self.queue.push_back(message),
-                    other => rest.push(other),
+                    Out::Multicast { delay, message, .. } => {
+                        self.transcript.push(format!(
+                            "mc +{} {} {:016x}",
+                            delay.as_nanos(),
+                            message.kind(),
+                            crate::hash::hash_bytes(&message.to_bytes())
+                        ));
+                        self.queue.push_back(message);
+                    }
+                    other => {
+                        self.transcript.push(format!("{other:?}"));
+                        rest.push(other);
+                    }
                 }
             }
             rest
@@ -2510,6 +2325,9 @@ mod tests {
             for mech in mechs.iter_mut() {
                 let node = mech.node();
                 let outs = with_ctx(|ctx| mech.on_delivered(message.clone(), self.now, ctx));
+                if !outs.is_empty() {
+                    self.transcript.push(format!("at {node}:"));
+                }
                 for out in self.collect(outs) {
                     events.push((node, out));
                 }
@@ -2561,6 +2379,48 @@ mod tests {
         }
     }
 
+    /// Registers the server group — a counter of `style` on
+    /// `server_hosts` — and the `clients()` groups on every processor,
+    /// and deploys each group's replica on its hosts.
+    fn deploy(
+        mechs: &mut [&mut Mechanisms],
+        style: ReplicationStyle,
+        server_hosts: Vec<NodeId>,
+        clients: impl Fn() -> Vec<GroupMeta>,
+    ) {
+        for m in mechs.iter_mut() {
+            let mut groups = vec![server_meta(GroupId(0), server_hosts.clone(), style)];
+            groups.extend(clients());
+            for meta in groups {
+                let (group, hosted) = (meta.id, meta.hosts.contains(&m.node()));
+                m.register_group(meta);
+                if hosted {
+                    m.deploy_local_replica(group);
+                }
+            }
+        }
+    }
+
+    /// A client group on one host streaming `limit` increments at
+    /// `server`, `window` at a time.
+    fn streaming_meta(
+        group: GroupId,
+        host: NodeId,
+        server: GroupId,
+        window: usize,
+        limit: u64,
+    ) -> GroupMeta {
+        GroupMeta {
+            id: group,
+            name: "client-stream".into(),
+            props: FaultToleranceProperties::active(1),
+            hosts: vec![host],
+            kind: GroupKind::Client(Box::new(move |_| {
+                Box::new(StreamingClient::new(server, "increment", window).with_limit(limit))
+            })),
+        }
+    }
+
     /// Two processors: a server replica on each (active), a client on
     /// P0. One full invocation round trip through real GIOP bytes.
     #[test]
@@ -2569,17 +2429,12 @@ mod tests {
         let client = GroupId(1);
         let mut a = Mechanisms::new(n(0), MechConfig::default());
         let mut b = Mechanisms::new(n(1), MechConfig::default());
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::Active,
-            ));
-            m.register_group(client_meta(client, vec![n(0)], server));
-        }
-        a.deploy_local_replica(server);
-        b.deploy_local_replica(server);
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::Active,
+            vec![n(0), n(1)],
+            || vec![client_meta(client, vec![n(0)], server)],
+        );
 
         let mut bus = Bus::new();
         let outs = with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx));
@@ -2645,15 +2500,12 @@ mod tests {
         let server = GroupId(0);
         let mut a = Mechanisms::new(n(0), MechConfig::default());
         let mut b = Mechanisms::new(n(1), MechConfig::default());
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::WarmPassive,
-            ));
-        }
-        a.deploy_local_replica(server); // primary
-        b.deploy_local_replica(server); // warm backup
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::WarmPassive,
+            vec![n(0), n(1)],
+            Vec::new,
+        );
         assert_eq!(a.replica_phase(server), Some(ReplicaPhase::Operational));
         assert_eq!(b.replica_phase(server), Some(ReplicaPhase::Standby));
 
@@ -2673,17 +2525,12 @@ mod tests {
         let client = GroupId(1);
         let mut a = Mechanisms::new(n(0), MechConfig::default());
         let mut b = Mechanisms::new(n(1), MechConfig::default());
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::Active,
-            ));
-            m.register_group(client_meta(client, vec![n(0)], server));
-        }
-        a.deploy_local_replica(server);
-        b.deploy_local_replica(server);
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::Active,
+            vec![n(0), n(1)],
+            || vec![client_meta(client, vec![n(0)], server)],
+        );
 
         let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
@@ -2708,11 +2555,6 @@ mod tests {
         let bytes = recovered.expect("B recovered");
         assert!(bytes > 0, "non-empty application state transferred");
         assert_eq!(b.replica_phase(server), Some(ReplicaPhase::Operational));
-        // Both replicas now dispatch in lock-step again.
-        let before_a = a.counters().requests_dispatched;
-        let before_b = b.counters().requests_dispatched;
-        bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx))); // no-op (already started)
-        let _ = (before_a, before_b);
     }
 
     /// With a chunk size smaller than the checkpoint, the transfer
@@ -2724,22 +2566,16 @@ mod tests {
         let client = GroupId(1);
         let cfg = MechConfig {
             chunk_bytes: 16,
-            chunk_pipeline: 2,
             ..MechConfig::default()
         };
         let mut a = Mechanisms::new(n(0), cfg.clone());
         let mut b = Mechanisms::new(n(1), cfg);
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::Active,
-            ));
-            m.register_group(client_meta(client, vec![n(0)], server));
-        }
-        a.deploy_local_replica(server);
-        b.deploy_local_replica(server);
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::Active,
+            vec![n(0), n(1)],
+            || vec![client_meta(client, vec![n(0)], server)],
+        );
 
         let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
@@ -2756,10 +2592,11 @@ mod tests {
             "B recovered over the chunked path"
         );
         assert_eq!(b.replica_phase(server), Some(ReplicaPhase::Operational));
-        // The checkpoint exceeded one chunk: it actually streamed.
+        // The state exceeded the pipeline window: deliveries released
+        // the later chunks.
         assert!(
-            a.counters().chunks_streamed > 1,
-            "expected a multi-chunk stream, streamed {}",
+            a.counters().chunks_streamed > CHUNK_PIPELINE as u64,
+            "expected a stream longer than the window, streamed {}",
             a.counters().chunks_streamed
         );
         // No retained transfer contexts linger once the suffix lands.
@@ -2781,24 +2618,17 @@ mod tests {
         let client = GroupId(1);
         let cfg = MechConfig {
             chunk_bytes: 8,
-            chunk_pipeline: 2,
             ..MechConfig::default()
         };
         let mut a = Mechanisms::new(n(0), cfg.clone());
         let mut b = Mechanisms::new(n(1), cfg.clone());
         let mut c = Mechanisms::new(n(2), cfg);
-        for m in [&mut a, &mut b, &mut c] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1), n(2)],
-                ReplicationStyle::Active,
-            ));
-            m.register_group(client_meta(client, vec![n(0)], server));
-        }
-        a.deploy_local_replica(server);
-        b.deploy_local_replica(server);
-        c.deploy_local_replica(server);
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b, &mut c],
+            ReplicationStyle::Active,
+            vec![n(0), n(1), n(2)],
+            || vec![client_meta(client, vec![n(0)], server)],
+        );
 
         let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
@@ -2823,7 +2653,7 @@ mod tests {
             }
         };
         assert!(
-            chunk_total > 4,
+            chunk_total > CHUNK_PIPELINE as u32,
             "state must split into enough chunks to interrupt ({chunk_total})"
         );
         assert_eq!(c.replica_phase(server), Some(ReplicaPhase::AwaitingSync));
@@ -2848,7 +2678,7 @@ mod tests {
         // Resumption from the cursor: at most the pipeline window's
         // worth of chunks is ever re-sent, never the whole stream.
         assert!(
-            chunk_messages <= chunk_total + 2,
+            chunk_messages <= chunk_total + CHUNK_PIPELINE as u32,
             "{chunk_messages} chunk sends for a {chunk_total}-chunk checkpoint"
         );
         assert_eq!(c.replica_phase(server), Some(ReplicaPhase::Operational));
@@ -2871,25 +2701,12 @@ mod tests {
         };
         let mut a = Mechanisms::new(n(0), cfg.clone());
         let mut b = Mechanisms::new(n(1), cfg);
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::WarmPassive,
-            ));
-            m.register_group(GroupMeta {
-                id: client,
-                name: "client-stream".into(),
-                props: FaultToleranceProperties::active(1),
-                hosts: vec![n(0)],
-                kind: GroupKind::Client(Box::new(move |_| {
-                    Box::new(StreamingClient::new(server, "increment", 1).with_limit(12))
-                })),
-            });
-        }
-        a.deploy_local_replica(server); // primary
-        b.deploy_local_replica(server); // warm backup
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::WarmPassive,
+            vec![n(0), n(1)],
+            || vec![streaming_meta(client, n(0), server, 1, 12)],
+        );
 
         let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
@@ -2925,30 +2742,16 @@ mod tests {
         let client = GroupId(1);
         let cfg = MechConfig {
             chunk_bytes: 8,
-            chunk_pipeline: 2,
             ..MechConfig::default()
         };
         let mut a = Mechanisms::new(n(0), cfg.clone());
         let mut b = Mechanisms::new(n(1), cfg);
-        for m in [&mut a, &mut b] {
-            m.register_group(server_meta(
-                server,
-                vec![n(0), n(1)],
-                ReplicationStyle::Active,
-            ));
-            m.register_group(GroupMeta {
-                id: client,
-                name: "client-stream".into(),
-                props: FaultToleranceProperties::active(1),
-                hosts: vec![n(0)],
-                kind: GroupKind::Client(Box::new(move |_| {
-                    Box::new(StreamingClient::new(server, "increment", 1).with_limit(40))
-                })),
-            });
-        }
-        a.deploy_local_replica(server);
-        b.deploy_local_replica(server);
-        a.deploy_local_replica(client);
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::Active,
+            vec![n(0), n(1)],
+            || vec![streaming_meta(client, n(0), server, 1, 40)],
+        );
 
         let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
@@ -2997,6 +2800,206 @@ mod tests {
         assert_eq!(
             a.probe_application_state(server),
             b.probe_application_state(server)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk_bytes")]
+    fn zero_chunk_size_is_rejected() {
+        let _ = Mechanisms::new(
+            n(0),
+            MechConfig {
+                chunk_bytes: 0,
+                ..MechConfig::default()
+            },
+        );
+    }
+
+    /// `StateAssignment` is the checkpoint's message. One that claims a
+    /// recovery — only the wire can produce it now — is dropped whole.
+    #[test]
+    fn recovery_purposed_assignment_changes_nothing() {
+        let server = GroupId(0);
+        let mut a = Mechanisms::new(n(0), MechConfig::default());
+        let mut b = Mechanisms::new(n(1), MechConfig::default());
+        for m in [&mut a, &mut b] {
+            m.register_group(server_meta(
+                server,
+                vec![n(0), n(1)],
+                ReplicationStyle::WarmPassive,
+            ));
+        }
+        a.deploy_local_replica(server);
+        let mut bus = Bus::new();
+        bus.collect(b.launch_recovering_replica(server));
+        // Stop at the retrieval: B is bound to the transfer and waiting
+        // for its chunks.
+        let transfer = loop {
+            let (message, _) = bus.step(&mut [&mut a, &mut b]).expect("retrieval issued");
+            if let EternalMessage::StateRetrieval { transfer, .. } = message {
+                break transfer;
+            }
+        };
+        let state = a.capture_three_kinds(server);
+        let wire = EternalMessage::StateAssignment {
+            transfer,
+            purpose: RetrievalPurpose::Recovery { new_host: n(1) },
+            state,
+        }
+        .to_bytes();
+        for m in [&mut a, &mut b] {
+            let before = (
+                m.replica_phase(server),
+                m.operational_hosts(server),
+                m.checkpoints_taken(server),
+                m.log_suffix_len(server),
+                m.transfer_tables_resident(),
+            );
+            let message = EternalMessage::from_bytes(&wire).expect("well-formed");
+            let outs = with_ctx(|ctx| m.on_delivered(message, bus.now, ctx));
+            assert!(outs.is_empty(), "{outs:?}");
+            let after = (
+                m.replica_phase(server),
+                m.operational_hosts(server),
+                m.checkpoints_taken(server),
+                m.log_suffix_len(server),
+                m.transfer_tables_resident(),
+            );
+            assert_eq!(before, after, "{}", m.node());
+        }
+        assert_eq!(b.replica_phase(server), Some(ReplicaPhase::AwaitingSync));
+        // The stream it was waiting for still completes the recovery.
+        bus.run(&mut [&mut a, &mut b]);
+        assert_eq!(b.replica_phase(server), Some(ReplicaPhase::Standby));
+    }
+
+    /// Both per-transfer tables stay bounded over 10 000 checkpoints,
+    /// one in ten of which loses its assignment (the primary "died"
+    /// between `get_state` and `set_state`, leaving a mark behind).
+    #[test]
+    fn transfer_tables_stay_bounded_over_many_checkpoints() {
+        let server = GroupId(0);
+        let mut a = Mechanisms::new(n(0), MechConfig::default());
+        let mut b = Mechanisms::new(n(1), MechConfig::default());
+        deploy(
+            &mut [&mut a, &mut b],
+            ReplicationStyle::WarmPassive,
+            vec![n(0), n(1)],
+            Vec::new,
+        );
+        let mut bus = Bus::new();
+        let mut high_water = (0, 0);
+        for round in 0..10_000 {
+            bus.collect(a.checkpoint_due(server));
+            if round % 10 == 9 {
+                bus.step(&mut [&mut a, &mut b]).expect("the retrieval");
+                let lost = bus.queue.pop_front();
+                assert!(matches!(lost, Some(EternalMessage::StateAssignment { .. })));
+            }
+            bus.run(&mut [&mut a, &mut b]);
+            for m in [&a, &b] {
+                let (seen, marks) = m.transfer_tables_resident();
+                high_water = (high_water.0.max(seen), high_water.1.max(marks));
+            }
+        }
+        assert_eq!(a.checkpoints_taken(server), 9_000);
+        assert_eq!(b.checkpoints_taken(server), 9_000);
+        assert_eq!(high_water.0, SEEN_TRANSFERS_WINDOW);
+        assert!(
+            high_water.1 <= 2,
+            "a lost assignment's mark outlived the next checkpoint ({})",
+            high_water.1
+        );
+    }
+
+    /// Two promotions and one chunked recovery of a warm-passive group
+    /// under load go through the one replay routine and produce, `Out`
+    /// for `Out`, what the three replay loops it replaced produced: the
+    /// expectations were captured from the commit before it existed.
+    #[test]
+    fn promotion_and_chunked_recovery_replay_the_parents_out_sequence() {
+        let server = GroupId(0);
+        let client = GroupId(1);
+        let cfg = MechConfig {
+            chunk_bytes: 16,
+            ..MechConfig::default()
+        };
+        let mut a = Mechanisms::new(n(0), cfg.clone());
+        let mut b = Mechanisms::new(n(1), cfg.clone());
+        let mut c = Mechanisms::new(n(2), cfg);
+        deploy(
+            &mut [&mut a, &mut b, &mut c],
+            ReplicationStyle::WarmPassive,
+            vec![n(0), n(1)],
+            || vec![streaming_meta(client, n(2), server, 2, 60)],
+        );
+
+        let mut bus = Bus::new();
+        bus.collect(with_ctx(|ctx| c.start_clients(SimTime::ZERO, ctx)));
+        let mut steps = |bus: &mut Bus, a: &mut Mechanisms, b: &mut Mechanisms, n: usize| {
+            for _ in 0..n {
+                if bus.step(&mut [&mut *a, &mut *b, &mut c]).is_none() {
+                    break;
+                }
+            }
+        };
+        steps(&mut bus, &mut a, &mut b, 8);
+        // A checkpoint mid-traffic, so the promotion below applies it
+        // and replays only the suffix logged after its mark.
+        bus.collect(a.checkpoint_due(server));
+        steps(&mut bus, &mut a, &mut b, 12);
+        // Promotion 1: the primary dies, the warm backup replays.
+        let promotion_1 = bus.transcript.len();
+        bus.collect(a.kill_local_replica(server));
+        steps(&mut bus, &mut a, &mut b, 10);
+        assert_eq!(b.primary_host(server), Some(n(1)));
+        // Chunked recovery of the dead replica under the remaining
+        // traffic: it completes as a standby whose re-baselined log
+        // carries the transfer suffix and the held messages.
+        bus.collect(a.launch_recovering_replica(server));
+        steps(&mut bus, &mut a, &mut b, 60);
+        assert_eq!(a.replica_phase(server), Some(ReplicaPhase::Standby));
+        // Promotion 2, out of that re-baselined log.
+        bus.collect(b.kill_local_replica(server));
+        steps(&mut bus, &mut a, &mut b, usize::MAX);
+        assert_eq!(a.replica_phase(server), Some(ReplicaPhase::Operational));
+
+        // The first promotion, line for line: the fault, then at P1 the
+        // four requests logged after the checkpoint's mark replayed
+        // 50 µs apart, and the promotion record.
+        let replayed: Vec<&str> = bus.transcript[promotion_1..]
+            .iter()
+            .map(String::as_str)
+            .filter(|l| l.contains("fault") || l.contains("rep op#") || l.contains("Promoted"))
+            .skip_while(|l| !l.contains("fault"))
+            .take(6)
+            .collect();
+        assert_eq!(
+            replayed,
+            [
+                "mc +0 fault G0@P0 fc20f9ab0cffac3c",
+                "mc +100000 iiop G1->G0 rep op#6 fed8d0f31c0e606a",
+                "mc +150000 iiop G1->G0 rep op#7 fa9854042de885cf",
+                "mc +200000 iiop G1->G0 rep op#8 bca716d4275e910f",
+                "mc +250000 iiop G1->G0 rep op#9 931b3976701716a5",
+                "Promoted { group: GroupId(0), replayed: 4, ready_after: Duration(200000) }",
+            ]
+        );
+        // The second replays 22 out of the log the recovery re-baselined
+        // (3 suffix entries, the held traffic, what was logged after).
+        let second = "Promoted { group: GroupId(0), replayed: 22, ready_after: Duration(1100000) }";
+        assert!(bus.transcript.iter().any(|l| l == second));
+        // Servant state: 61 increments, each executed exactly once.
+        assert_eq!(
+            a.probe_application_state(server),
+            Some(vec![0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 61])
+        );
+        // And everything in between.
+        assert_eq!(
+            crate::hash::hash_bytes(bus.transcript.join("\n").as_bytes()),
+            0x239e_a683_42c5_206f,
+            "{}",
+            bus.transcript.join("\n")
         );
     }
 

@@ -21,8 +21,10 @@ use std::collections::HashMap;
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrievalPurpose {
-    /// Recovery of a new/recovering replica hosted on `new_host`; the
-    /// resulting assignment is applied there and discarded elsewhere.
+    /// Recovery of a new/recovering replica hosted on `new_host`: the
+    /// state captured at this mark streams there as
+    /// [`EternalMessage::StateChunk`]s closed by a
+    /// [`EternalMessage::StateSuffix`].
     Recovery {
         /// Processor hosting the replica being recovered.
         new_host: NodeId,
@@ -67,9 +69,9 @@ pub enum EternalMessage {
         /// The processor whose replica died.
         host: NodeId,
     },
-    /// The fabricated `get_state()` invocation: the §5.1 synchronization
-    /// point. Delivered to existing replicas (at quiescence); marks the
-    /// start of enqueueing at the recovering replica.
+    /// The fabricated `get_state()` invocation: the mark in the total
+    /// order at which existing replicas capture their state (at
+    /// quiescence), and to which a recovering replica binds.
     StateRetrieval {
         /// The group whose state is captured.
         group: GroupId,
@@ -78,12 +80,15 @@ pub enum EternalMessage {
         /// Recovery or periodic checkpoint.
         purpose: RetrievalPurpose,
     },
-    /// The fabricated `set_state()` with the piggybacked three kinds of
-    /// state (§5.1 step iv).
+    /// The fabricated `set_state()` of a periodic checkpoint, with the
+    /// piggybacked three kinds of state: logged by every host of the
+    /// group and applied by warm backups (§3.3). A recovery's state
+    /// travels as [`EternalMessage::StateChunk`]s instead.
     StateAssignment {
         /// Matches the originating retrieval.
         transfer: TransferId,
-        /// Recovery or periodic checkpoint (mirrors the retrieval).
+        /// Mirrors the retrieval; only [`RetrievalPurpose::Checkpoint`]
+        /// is ever sent, and anything else is ignored on delivery.
         purpose: RetrievalPurpose,
         /// The complete transferable state.
         state: ThreeKindsOfState,
@@ -107,13 +112,14 @@ pub enum EternalMessage {
         /// The publisher's self-measurement.
         snap: HealthSnapshot,
     },
-    /// One fixed-size slice of a checkpoint captured at the transfer's
-    /// synchronization mark (docs/RECOVERY.md): the chunked replacement
-    /// for a monolithic recovery `StateAssignment`. Chunks stream
-    /// through the total order while the group keeps serving; the
-    /// delivery of the **last** chunk (`index == total - 1`) is the
-    /// shared total-order point at which the recovering replica starts
-    /// enqueueing and the donors close their suffix logs.
+    /// One fixed-size slice of the state captured at a recovery's
+    /// synchronization mark (docs/RECOVERY.md) — the §5.1 `set_state()`
+    /// in pieces; a state that fits one chunk is a stream of one.
+    /// Chunks stream through the total order while the group keeps
+    /// serving; the delivery of the **last** chunk
+    /// (`index == total - 1`) is the shared total-order point at which
+    /// the recovering replica starts enqueueing and the donors close
+    /// their suffix logs.
     StateChunk {
         /// The group whose state is being transferred.
         group: GroupId,
@@ -142,17 +148,19 @@ pub enum EternalMessage {
         /// The processor hosting the recovering replica.
         new_host: NodeId,
         /// The logged post-mark inputs, in delivery order.
-        entries: Vec<SuffixEntry>,
+        entries: Vec<OrderedInput>,
     },
 }
 
-/// One totally ordered input logged between a chunked transfer's
-/// synchronization mark and its last chunk — exactly what the
-/// recovering replica would have held in its queue had it been
-/// enqueueing over that window.
+/// One totally ordered input of a group: intercepted IIOP traffic
+/// aimed at it, or a load tick for a client group. The one record of
+/// "an input that may have to be replayed": the §5.1 holding queue
+/// holds it, the §3.3 checkpoint log logs it, and a transfer's
+/// [`EternalMessage::StateSuffix`] carries it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuffixEntry {
-    /// An intercepted IIOP message targeted at the recovering group.
+pub enum OrderedInput {
+    /// An intercepted IIOP message (the fields of
+    /// [`EternalMessage::Iiop`]).
     Iiop {
         /// The logical client→server connection.
         conn: ConnectionName,
@@ -163,48 +171,82 @@ pub enum SuffixEntry {
         /// The verbatim IIOP bytes.
         bytes: Vec<u8>,
     },
-    /// A load tick ordered for the recovering (client) group.
+    /// A load tick ordered for the (client) group.
     LoadTick,
 }
 
-fn encode_suffix_entry(enc: &mut CdrEncoder, entry: &SuffixEntry) {
-    match entry {
-        SuffixEntry::Iiop {
-            conn,
-            direction,
-            op_seq,
-            bytes,
-        } => {
-            enc.write_u8(0);
-            enc.write_u32(conn.client.0);
-            enc.write_u32(conn.server.0);
-            enc.write_u8(match direction {
-                Direction::Request => 0,
-                Direction::Reply => 1,
-            });
-            enc.write_u32(*op_seq);
-            enc.write_octet_seq(bytes);
+impl OrderedInput {
+    /// Payload bytes the input retains (what the log's suffix-bound
+    /// trigger accounts for).
+    pub fn payload_len(&self) -> usize {
+        match self {
+            OrderedInput::Iiop { bytes, .. } => bytes.len(),
+            OrderedInput::LoadTick => 0,
         }
-        SuffixEntry::LoadTick => enc.write_u8(1),
+    }
+
+    fn encode(&self, enc: &mut CdrEncoder) {
+        match self {
+            OrderedInput::Iiop {
+                conn,
+                direction,
+                op_seq,
+                bytes,
+            } => encode_iiop(enc, *conn, *direction, *op_seq, bytes),
+            OrderedInput::LoadTick => enc.write_u8(1),
+        }
+    }
+
+    fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, CdrError> {
+        Ok(match dec.read_u8()? {
+            0 => {
+                let (conn, direction, op_seq, bytes) = decode_iiop(dec)?;
+                OrderedInput::Iiop {
+                    conn,
+                    direction,
+                    op_seq,
+                    bytes,
+                }
+            }
+            _ => OrderedInput::LoadTick,
+        })
     }
 }
 
-fn decode_suffix_entry(dec: &mut CdrDecoder<'_>) -> Result<SuffixEntry, CdrError> {
-    Ok(match dec.read_u8()? {
-        0 => SuffixEntry::Iiop {
-            conn: ConnectionName {
-                client: GroupId(dec.read_u32()?),
-                server: GroupId(dec.read_u32()?),
-            },
-            direction: match dec.read_u8()? {
-                0 => Direction::Request,
-                _ => Direction::Reply,
-            },
-            op_seq: dec.read_u32()?,
-            bytes: dec.read_octet_seq()?,
-        },
-        _ => SuffixEntry::LoadTick,
-    })
+/// The wire form of an intercepted IIOP message, tag included: the same
+/// bytes whether it travels as an [`EternalMessage::Iiop`] of its own
+/// or as an [`OrderedInput::Iiop`] inside a transfer suffix.
+fn encode_iiop(
+    enc: &mut CdrEncoder,
+    conn: ConnectionName,
+    direction: Direction,
+    op_seq: u32,
+    bytes: &[u8],
+) {
+    enc.write_u8(0);
+    enc.write_u32(conn.client.0);
+    enc.write_u32(conn.server.0);
+    enc.write_u8(match direction {
+        Direction::Request => 0,
+        Direction::Reply => 1,
+    });
+    enc.write_u32(op_seq);
+    enc.write_octet_seq(bytes);
+}
+
+/// Reads what [`encode_iiop`] wrote after its tag.
+fn decode_iiop(
+    dec: &mut CdrDecoder<'_>,
+) -> Result<(ConnectionName, Direction, u32, Vec<u8>), CdrError> {
+    let conn = ConnectionName {
+        client: GroupId(dec.read_u32()?),
+        server: GroupId(dec.read_u32()?),
+    };
+    let direction = match dec.read_u8()? {
+        0 => Direction::Request,
+        _ => Direction::Reply,
+    };
+    Ok((conn, direction, dec.read_u32()?, dec.read_octet_seq()?))
 }
 
 impl EternalMessage {
@@ -257,17 +299,7 @@ impl EternalMessage {
                 direction,
                 op_seq,
                 bytes,
-            } => {
-                enc.write_u8(0);
-                enc.write_u32(conn.client.0);
-                enc.write_u32(conn.server.0);
-                enc.write_u8(match direction {
-                    Direction::Request => 0,
-                    Direction::Reply => 1,
-                });
-                enc.write_u32(*op_seq);
-                enc.write_octet_seq(bytes);
-            }
+            } => encode_iiop(&mut enc, *conn, *direction, *op_seq, bytes),
             EternalMessage::ReplicaJoining { group, host } => {
                 enc.write_u8(1);
                 enc.write_u32(group.0);
@@ -318,8 +350,6 @@ impl EternalMessage {
                     snap.holding_depth,
                     snap.reassembly_depth,
                     snap.dedup_resident,
-                    snap.pool_takes,
-                    snap.pool_reused,
                     snap.recovering,
                     snap.pending_depth,
                     snap.flow_occupancy,
@@ -363,7 +393,7 @@ impl EternalMessage {
                 enc.write_u32(new_host.0);
                 enc.write_u32(entries.len() as u32);
                 for entry in entries {
-                    encode_suffix_entry(&mut enc, entry);
+                    entry.encode(&mut enc);
                 }
             }
         }
@@ -380,18 +410,15 @@ impl EternalMessage {
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
         let tag = dec.read_u8()?;
         Ok(match tag {
-            0 => EternalMessage::Iiop {
-                conn: ConnectionName {
-                    client: GroupId(dec.read_u32()?),
-                    server: GroupId(dec.read_u32()?),
-                },
-                direction: match dec.read_u8()? {
-                    0 => Direction::Request,
-                    _ => Direction::Reply,
-                },
-                op_seq: dec.read_u32()?,
-                bytes: dec.read_octet_seq()?,
-            },
+            0 => {
+                let (conn, direction, op_seq, bytes) = decode_iiop(&mut dec)?;
+                EternalMessage::Iiop {
+                    conn,
+                    direction,
+                    op_seq,
+                    bytes,
+                }
+            }
             1 => EternalMessage::ReplicaJoining {
                 group: GroupId(dec.read_u32()?),
                 host: NodeId(dec.read_u32()?),
@@ -426,8 +453,6 @@ impl EternalMessage {
                     holding_depth: dec.read_u64()?,
                     reassembly_depth: dec.read_u64()?,
                     dedup_resident: dec.read_u64()?,
-                    pool_takes: dec.read_u64()?,
-                    pool_reused: dec.read_u64()?,
                     recovering: dec.read_u64()?,
                     pending_depth: dec.read_u64()?,
                     flow_occupancy: dec.read_u64()?,
@@ -460,7 +485,7 @@ impl EternalMessage {
                 let n = dec.read_u32()?;
                 let mut entries = Vec::with_capacity(n.min(4096) as usize);
                 for _ in 0..n {
-                    entries.push(decode_suffix_entry(&mut dec)?);
+                    entries.push(OrderedInput::decode(&mut dec)?);
                 }
                 EternalMessage::StateSuffix {
                     group,
@@ -813,8 +838,6 @@ mod tests {
                     holding_depth: 0,
                     reassembly_depth: 1,
                     dedup_resident: 12,
-                    pool_takes: 500,
-                    pool_reused: 480,
                     recovering: 0,
                     pending_depth: 6,
                     flow_occupancy: 3,
@@ -845,14 +868,14 @@ mod tests {
                 transfer: TransferId(9),
                 new_host: NodeId(4),
                 entries: vec![
-                    SuffixEntry::Iiop {
+                    OrderedInput::Iiop {
                         conn: conn(),
                         direction: Direction::Request,
                         op_seq: 17,
                         bytes: vec![1, 2, 3, 4],
                     },
-                    SuffixEntry::LoadTick,
-                    SuffixEntry::Iiop {
+                    OrderedInput::LoadTick,
+                    OrderedInput::Iiop {
                         conn: conn(),
                         direction: Direction::Reply,
                         op_seq: 17,
@@ -874,6 +897,33 @@ mod tests {
         for msg in samples() {
             let bytes = msg.to_bytes();
             assert_eq!(EternalMessage::from_bytes(&bytes).unwrap(), msg);
+        }
+    }
+
+    /// Golden wire vectors of the `Iiop` sample and of the `StateSuffix`
+    /// sample (a request, a load tick, a reply), captured at the commit
+    /// before the two shared one codec: the bytes have not moved.
+    #[test]
+    fn iiop_and_suffix_wire_bytes_are_pinned() {
+        let golden = [
+            "000000000000000100000002000000000000002a00000003010203",
+            "0800000000000003000000000000000900000004000000030000000000000001\
+             0000000200000000000000110000000401020304010000000000000100000002\
+             0100000000000011000000020506",
+        ];
+        let pinned = samples().into_iter().filter(|m| match m {
+            EternalMessage::Iiop { .. } => true,
+            EternalMessage::StateSuffix { entries, .. } => !entries.is_empty(),
+            _ => false,
+        });
+        assert_eq!(pinned.clone().count(), golden.len());
+        for (message, hex) in pinned.zip(golden) {
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(message.to_bytes(), bytes);
+            assert_eq!(EternalMessage::from_bytes(&bytes).unwrap(), message);
         }
     }
 

@@ -23,7 +23,8 @@
 //! 4. **No orphaned reassembly state** — partially reassembled
 //!    multicasts do not survive quiescence.
 //! 5. **Bounded dedup memory** — per-processor duplicate-suppression
-//!    tables stay under a resident cap.
+//!    tables (operation ids, completed transfers, checkpoint marks)
+//!    stay under a resident cap.
 //! 6. **Bounded log suffix** — passive-group message logs stay under
 //!    twice the suffix-checkpoint trigger.
 //!
@@ -233,14 +234,6 @@ impl Oracle {
         );
     }
 
-    fn live_processors(cluster: &Cluster) -> Vec<NodeId> {
-        cluster
-            .processors()
-            .into_iter()
-            .filter(|&n| cluster.is_alive(n))
-            .collect()
-    }
-
     /// Invariant 1: byte-identical application state across each
     /// group's live operational replicas, plus availability.
     pub fn check_convergence(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
@@ -361,7 +354,7 @@ impl Oracle {
     /// Invariant 4: no partially reassembled multicast survives a
     /// quiescent point on any live processor.
     pub fn check_reassembly(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
-        for node in Self::live_processors(cluster) {
+        for node in cluster.live_processors() {
             let pending = cluster.reassembly_pending(node);
             if pending > 0 {
                 out.push(OracleViolation {
@@ -372,16 +365,26 @@ impl Oracle {
         }
     }
 
-    /// Invariant 5: duplicate-suppression memory stays bounded.
+    /// Invariant 5: duplicate-suppression memory stays bounded — the
+    /// operation-id tables, and the two per-transfer tables beside them
+    /// (completed transfers remembered, checkpoint marks awaiting their
+    /// assignment).
     pub fn check_dedup_bound(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
         let cap = self.cfg.dedup_resident_cap;
-        for node in Self::live_processors(cluster) {
-            let resident = cluster.mechanisms(node).dedup_resident();
-            if resident > cap {
-                out.push(OracleViolation {
-                    invariant: "dedup-bound",
-                    detail: format!("{node}: {resident} resident dedup ids (cap {cap})"),
-                });
+        for node in cluster.live_processors() {
+            let mech = cluster.mechanisms(node);
+            let (seen, marks) = mech.transfer_tables_resident();
+            for (resident, what) in [
+                (mech.dedup_resident(), "dedup ids"),
+                (seen, "seen transfers"),
+                (marks, "checkpoint marks"),
+            ] {
+                if resident > cap {
+                    out.push(OracleViolation {
+                        invariant: "dedup-bound",
+                        detail: format!("{node}: {resident} resident {what} (cap {cap})"),
+                    });
+                }
             }
         }
     }
@@ -396,7 +399,7 @@ impl Oracle {
         }
         let cap = 2 * threshold;
         for (group, name) in cluster.groups() {
-            for node in Self::live_processors(cluster) {
+            for node in cluster.live_processors() {
                 let len = cluster.mechanisms(node).log_suffix_len(group);
                 if len > cap {
                     out.push(OracleViolation {

@@ -169,10 +169,15 @@ impl DuplicateSuppressor {
     /// transfer (§4.3): a new replica must not re-deliver operations its
     /// group already processed.
     pub fn horizons(&self) -> Vec<(ConnectionName, Direction, u32)> {
-        self.streams
+        let mut v: Vec<_> = self
+            .streams
             .iter()
             .filter_map(|(&(conn, dir), s)| s.horizon.map(|h| (conn, dir, h)))
-            .collect()
+            .collect();
+        // Hash-map order must not reach the wire: two captures of the
+        // same state are the same bytes.
+        v.sort_by_key(|&(conn, dir, _)| (conn, dir == Direction::Reply));
+        v
     }
 
     /// Installs transferred horizons (marking everything at or below

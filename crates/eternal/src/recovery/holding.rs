@@ -25,12 +25,11 @@ pub enum HeldEntry<M> {
     /// the total order (§5.1 step i).
     SyncPoint(TransferId),
     /// The synchronization point after its `set_state()` overwrote it
-    /// (§5.1 step v); `state` is the assignment payload.
+    /// (§5.1 step v). The state itself is applied when it arrives, not
+    /// parked here: the entry only keeps the assignment's position.
     Assignment {
         /// The transfer this assignment belongs to.
         transfer: TransferId,
-        /// Opaque assignment payload (the three kinds of state).
-        state: Box<[u8]>,
     },
 }
 
@@ -86,10 +85,10 @@ impl<M> HoldingQueue<M> {
     /// §5.1 step v: the `set_state()` invocation overwrites the entry
     /// previously occupied by its `get_state()`. Returns `false` if no
     /// matching synchronization point exists (stale/duplicate transfer).
-    pub fn overwrite_sync_point(&mut self, transfer: TransferId, state: Box<[u8]>) -> bool {
+    pub fn overwrite_sync_point(&mut self, transfer: TransferId) -> bool {
         for entry in self.entries.iter_mut() {
             if matches!(entry, HeldEntry::SyncPoint(t) if *t == transfer) {
-                *entry = HeldEntry::Assignment { transfer, state };
+                *entry = HeldEntry::Assignment { transfer };
                 return true;
             }
         }
@@ -99,11 +98,6 @@ impl<M> HoldingQueue<M> {
     /// Pops the head entry.
     pub fn pop(&mut self) -> Option<HeldEntry<M>> {
         self.entries.pop_front()
-    }
-
-    /// Peeks at the head entry.
-    pub fn peek(&self) -> Option<&HeldEntry<M>> {
-        self.entries.front()
     }
 
     /// Drops everything (replica withdrawn).
@@ -137,14 +131,14 @@ mod tests {
         q.mark_sync_point(TransferId(1));
         q.hold("X");
         q.hold("Y");
-        assert!(q.overwrite_sync_point(TransferId(1), Box::from(&b"STATE"[..])));
-        match q.pop().unwrap() {
-            HeldEntry::Assignment { transfer, state } => {
-                assert_eq!(transfer, TransferId(1));
-                assert_eq!(&*state, b"STATE");
-            }
-            other => panic!("head should be the assignment, got {other:?}"),
-        }
+        assert!(q.overwrite_sync_point(TransferId(1)));
+        assert_eq!(
+            q.pop(),
+            Some(HeldEntry::Assignment {
+                transfer: TransferId(1)
+            }),
+            "the head is the assignment"
+        );
         assert_eq!(q.pop(), Some(HeldEntry::Normal("X")));
         assert_eq!(q.pop(), Some(HeldEntry::Normal("Y")));
     }
@@ -153,7 +147,7 @@ mod tests {
     fn overwrite_without_sync_point_fails() {
         let mut q: HoldingQueue<u32> = HoldingQueue::new();
         q.hold(1);
-        assert!(!q.overwrite_sync_point(TransferId(9), Box::from(&[][..])));
+        assert!(!q.overwrite_sync_point(TransferId(9)));
     }
 
     #[test]
@@ -161,15 +155,14 @@ mod tests {
         let mut q: HoldingQueue<u32> = HoldingQueue::new();
         q.mark_sync_point(TransferId(1));
         q.mark_sync_point(TransferId(2));
-        assert!(q.overwrite_sync_point(TransferId(2), Box::from(&b"s2"[..])));
+        assert!(q.overwrite_sync_point(TransferId(2)));
         assert_eq!(q.pop(), Some(HeldEntry::SyncPoint(TransferId(1))));
-        assert!(matches!(
+        assert_eq!(
             q.pop(),
             Some(HeldEntry::Assignment {
-                transfer: TransferId(2),
-                ..
+                transfer: TransferId(2)
             })
-        ));
+        );
     }
 
     #[test]

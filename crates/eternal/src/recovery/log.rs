@@ -7,20 +7,17 @@
 //! applying the checkpoint and then replaying the logged messages, in
 //! order.
 
+use crate::message::OrderedInput;
 use eternal_sim::SimTime;
 
-/// One logged, totally ordered message (the raw IIOP bytes plus the
-//  metadata needed to replay it).
+/// One logged, totally ordered input of the group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedMessage {
     /// Position in the group's delivery order (monotonically increasing
     /// per log).
     pub order: u64,
-    /// The logical connection the message arrived on, encoded by the
-    /// caller (kept opaque here).
-    pub tag: u64,
-    /// The IIOP bytes.
-    pub bytes: Vec<u8>,
+    /// The input, exactly as a replay needs it.
+    pub input: OrderedInput,
 }
 
 /// The checkpoint + suffix log kept for one replicated object.
@@ -80,17 +77,17 @@ impl CheckpointLog {
         let before = self.messages.len();
         self.messages.retain(|m| m.order >= mark);
         self.messages_discarded += (before - self.messages.len()) as u64;
-        self.suffix_byte_total = self.messages.iter().map(|m| m.bytes.len()).sum();
+        self.suffix_byte_total = self.messages.iter().map(|m| m.input.payload_len()).sum();
         self.checkpoints_taken += 1;
     }
 
-    /// Appends an ordered message after the current checkpoint.
-    pub fn log_message(&mut self, tag: u64, bytes: Vec<u8>) {
+    /// Appends an ordered input after the current checkpoint.
+    pub fn log_message(&mut self, input: OrderedInput) {
         let order = self.next_order;
         self.next_order += 1;
         self.messages_logged += 1;
-        self.suffix_byte_total += bytes.len();
-        self.messages.push(LoggedMessage { order, tag, bytes });
+        self.suffix_byte_total += input.payload_len();
+        self.messages.push(LoggedMessage { order, input });
     }
 
     /// The current checkpoint, if any.
@@ -145,13 +142,34 @@ impl CheckpointLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gid::{ConnectionName, Direction, GroupId};
+
+    /// A logged request whose one payload byte tells it apart.
+    fn msg(b: u8) -> OrderedInput {
+        OrderedInput::Iiop {
+            conn: ConnectionName {
+                client: GroupId(1),
+                server: GroupId(0),
+            },
+            direction: Direction::Request,
+            op_seq: u32::from(b),
+            bytes: vec![b],
+        }
+    }
+
+    fn payload(m: &LoggedMessage) -> u8 {
+        match &m.input {
+            OrderedInput::Iiop { bytes, .. } => bytes[0],
+            OrderedInput::LoadTick => panic!("only requests are logged here"),
+        }
+    }
 
     #[test]
     fn checkpoint_overwrites_and_gcs() {
         let mut log = CheckpointLog::new();
         log.record_checkpoint(vec![1], SimTime::from_nanos(10));
-        log.log_message(0, vec![10]);
-        log.log_message(0, vec![11]);
+        log.log_message(msg(10));
+        log.log_message(msg(11));
         assert_eq!(log.suffix_len(), 2);
         log.record_checkpoint(vec![2], SimTime::from_nanos(20));
         assert_eq!(log.suffix_len(), 0, "suffix GC'd by new checkpoint");
@@ -168,12 +186,12 @@ mod tests {
         // capture (get_state point) and the checkpoint's arrival at the
         // log are AFTER the checkpoint; GC must spare them.
         let mut log = CheckpointLog::new();
-        log.log_message(0, vec![1]); // covered by the capture
+        log.log_message(msg(1)); // covered by the capture
         let mark = log.mark();
-        log.log_message(0, vec![2]); // in flight during the capture
-        log.log_message(0, vec![3]);
+        log.log_message(msg(2)); // in flight during the capture
+        log.log_message(msg(3));
         log.record_checkpoint_at_mark(vec![9], SimTime::from_nanos(5), mark);
-        let kept: Vec<u8> = log.suffix().iter().map(|m| m.bytes[0]).collect();
+        let kept: Vec<u8> = log.suffix().iter().map(payload).collect();
         assert_eq!(kept, vec![2, 3], "post-capture messages survive");
         assert_eq!(log.messages_discarded(), 1);
     }
@@ -183,11 +201,11 @@ mod tests {
         let mut log = CheckpointLog::new();
         log.record_checkpoint(vec![], SimTime::ZERO);
         for i in 0..5u8 {
-            log.log_message(i as u64, vec![i]);
+            log.log_message(msg(i));
         }
         let orders: Vec<u64> = log.suffix().iter().map(|m| m.order).collect();
         assert_eq!(orders, vec![0, 1, 2, 3, 4]);
-        let payloads: Vec<u8> = log.suffix().iter().map(|m| m.bytes[0]).collect();
+        let payloads: Vec<u8> = log.suffix().iter().map(payload).collect();
         assert_eq!(payloads, vec![0, 1, 2, 3, 4]);
         assert_eq!(log.suffix_bytes(), 5);
     }
@@ -195,9 +213,9 @@ mod tests {
     #[test]
     fn orders_stay_monotonic_across_checkpoints() {
         let mut log = CheckpointLog::new();
-        log.log_message(0, vec![1]);
+        log.log_message(msg(1));
         log.record_checkpoint(vec![], SimTime::ZERO);
-        log.log_message(0, vec![2]);
+        log.log_message(msg(2));
         assert_eq!(log.suffix()[0].order, 1);
     }
 
@@ -212,7 +230,7 @@ mod tests {
     fn clear_resets() {
         let mut log = CheckpointLog::new();
         log.record_checkpoint(vec![1], SimTime::ZERO);
-        log.log_message(0, vec![2]);
+        log.log_message(msg(2));
         log.clear();
         assert!(log.checkpoint().is_none());
         assert_eq!(log.suffix_len(), 0);
@@ -226,7 +244,7 @@ mod tests {
         // pre-clear mark could GC the wrong suffix.
         let mut log = CheckpointLog::new();
         for i in 0..5u8 {
-            log.log_message(0, vec![i]);
+            log.log_message(msg(i));
         }
         log.record_checkpoint(vec![9], SimTime::from_nanos(1));
         assert_eq!(log.messages_discarded(), 5);
@@ -236,7 +254,7 @@ mod tests {
         assert_eq!(log.messages_logged(), 0);
         assert_eq!(log.messages_discarded(), 0, "no phantom discards");
         // The fresh incarnation numbers from zero again.
-        log.log_message(0, vec![7]);
+        log.log_message(msg(7));
         assert_eq!(log.suffix()[0].order, 0);
     }
 
@@ -248,14 +266,14 @@ mod tests {
         // the checkpoint does not contain.
         let mut log = CheckpointLog::new();
         for i in 0..10u8 {
-            log.log_message(0, vec![i]);
+            log.log_message(msg(i));
         }
         let stale_mark = log.mark(); // 10, against the old incarnation
         log.clear();
-        log.log_message(0, vec![100]); // logged *after* the capture point
-        log.log_message(0, vec![101]);
+        log.log_message(msg(100)); // logged *after* the capture point
+        log.log_message(msg(101));
         log.record_checkpoint_at_mark(vec![1], SimTime::from_nanos(2), stale_mark);
-        let kept: Vec<u8> = log.suffix().iter().map(|m| m.bytes[0]).collect();
+        let kept: Vec<u8> = log.suffix().iter().map(payload).collect();
         assert_eq!(kept, vec![100, 101], "post-capture messages survive");
         assert_eq!(log.messages_discarded(), 0);
     }
@@ -269,7 +287,7 @@ mod tests {
         // And after a clear, mark 0 against the new incarnation keeps
         // the messages logged since.
         log.clear();
-        log.log_message(0, vec![5]);
+        log.log_message(msg(5));
         log.record_checkpoint_at_mark(vec![2], SimTime::from_nanos(3), 0);
         assert_eq!(log.suffix_len(), 1, "post-mark message retained");
         assert_eq!(log.messages_discarded(), 0);
@@ -280,10 +298,10 @@ mod tests {
         let mut log = CheckpointLog::new();
         for cycle in 0..3 {
             for i in 0..4u8 {
-                log.log_message(0, vec![i]);
+                log.log_message(msg(i));
             }
             let mark = log.mark();
-            log.log_message(0, vec![99]); // in flight during capture
+            log.log_message(msg(99)); // in flight during capture
             log.record_checkpoint_at_mark(vec![cycle], SimTime::from_nanos(u64::from(cycle)), mark);
             assert_eq!(
                 log.messages_discarded(),

@@ -61,10 +61,6 @@ pub struct HealthSnapshot {
     pub reassembly_depth: u64,
     /// Duplicate-suppression ids resident above the horizons.
     pub dedup_resident: u64,
-    /// Buffer-pool takes so far (process-wide).
-    pub pool_takes: u64,
-    /// Buffer-pool takes served by reuse (process-wide).
-    pub pool_reused: u64,
     /// Locally hosted replicas currently mid-recovery (awaiting sync
     /// or enqueueing).
     pub recovering: u64,
@@ -96,7 +92,7 @@ impl HealthSnapshot {
     /// the `repro -- health` report embeds these verbatim).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"node\":{},\"seq\":{},\"published_ns\":{},\"token_age_ns\":{},\"broadcasts\":{},\"delivered\":{},\"retransmits\":{},\"reformations\":{},\"holding_depth\":{},\"reassembly_depth\":{},\"dedup_resident\":{},\"pool_takes\":{},\"pool_reused\":{},\"recovering\":{},\"pending_depth\":{},\"flow_occupancy\":{},\"reassembly_bytes\":{},\"log_suffix\":{},\"digest_epoch\":{},\"digests\":[",
+            "{{\"node\":{},\"seq\":{},\"published_ns\":{},\"token_age_ns\":{},\"broadcasts\":{},\"delivered\":{},\"retransmits\":{},\"reformations\":{},\"holding_depth\":{},\"reassembly_depth\":{},\"dedup_resident\":{},\"recovering\":{},\"pending_depth\":{},\"flow_occupancy\":{},\"reassembly_bytes\":{},\"log_suffix\":{},\"digest_epoch\":{},\"digests\":[",
             self.node,
             self.seq,
             self.published_ns,
@@ -108,8 +104,6 @@ impl HealthSnapshot {
             self.holding_depth,
             self.reassembly_depth,
             self.dedup_resident,
-            self.pool_takes,
-            self.pool_reused,
             self.recovering,
             self.pending_depth,
             self.flow_occupancy,

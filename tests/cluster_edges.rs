@@ -8,16 +8,8 @@ use eternal::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use eternal::properties::FaultToleranceProperties;
 use eternal_sim::Duration;
 
-/// Runs the cluster to genuine quiescence (drained workload, no
-/// recovery in flight) so the oracle's invariants apply.
-fn settle(c: &mut Cluster) {
-    let deadline = c.now() + Duration::from_secs(2);
-    while c.outstanding_calls() > 0 || c.recovery_in_flight() || !c.formed() {
-        assert!(c.now() < deadline, "cluster failed to quiesce");
-        c.run_for(Duration::from_millis(10));
-    }
-    c.run_for(Duration::from_millis(10));
-}
+mod common;
+use common::settle;
 
 #[test]
 fn deployment_shapes_match_styles() {

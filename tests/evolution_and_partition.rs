@@ -11,16 +11,8 @@ use eternal_orb::servant::{CheckpointableServant, Servant, ServantError};
 use eternal_sim::net::NodeId;
 use eternal_sim::Duration;
 
-/// Runs the cluster to genuine quiescence (drained workload, no
-/// recovery in flight) so the oracle's invariants apply.
-fn settle(c: &mut Cluster) {
-    let deadline = c.now() + Duration::from_secs(2);
-    while c.outstanding_calls() > 0 || c.recovery_in_flight() || !c.formed() {
-        assert!(c.now() < deadline, "cluster failed to quiesce");
-        c.run_for(Duration::from_millis(10));
-    }
-    c.run_for(Duration::from_millis(10));
-}
+mod common;
+use common::settle;
 
 /// Version 2 of the counter: same state format, adds `decrement` and
 /// stamps replies with a version marker via `version`.

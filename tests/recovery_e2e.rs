@@ -12,21 +12,11 @@ use eternal_giop::ReplyStatus;
 use eternal_obs::{EventKind, RecoveryPhase};
 use eternal_sim::Duration;
 
+mod common;
+use common::settle;
+
 fn cluster(seed: u64) -> Cluster {
     Cluster::new(ClusterConfig::default(), seed)
-}
-
-/// Runs until the cluster is genuinely quiescent (no outstanding
-/// invocations, no recovery in flight) so the oracle's quiescent-point
-/// invariants apply. Panics if quiescence is not reached in 2 s of
-/// virtual time — these scenarios use drained (limited) workloads.
-fn settle(c: &mut Cluster) {
-    let deadline = c.now() + Duration::from_secs(2);
-    while c.outstanding_calls() > 0 || c.recovery_in_flight() || !c.formed() {
-        assert!(c.now() < deadline, "cluster failed to quiesce");
-        c.run_for(Duration::from_millis(10));
-    }
-    c.run_for(Duration::from_millis(10));
 }
 
 #[test]
