@@ -27,9 +27,6 @@
 //!   interval of the same episode — what a §5.1 replica that held
 //!   traffic from the `get_state` mark would have blocked for. The
 //!   window must be at least 5x shorter at the largest size.
-//! * **allocations** — encode/decode buffer-pool statistics over the
-//!   throughput workload: how many buffer takes were served from the
-//!   pool instead of the allocator.
 //! * **attribution_overhead** — the `repro -- attribution` workload's
 //!   per-phase p99 latencies gated against the absolute budgets of
 //!   [`ATTRIBUTION_P99_BUDGET_NS`], plus the zero-cost-when-off proof:
@@ -458,24 +455,13 @@ pub fn run_suite(quick: bool) -> BenchReport {
         ));
     }
 
-    // --- allocation behaviour of the buffer pool ---
-    // Reset, run the batched workload once more, read the thread-local
-    // pool statistics: deterministic allocation counts without any
-    // allocator hooks.
-    eternal_cdr::pool::reset();
-    let untraced_rerun = throughput_run(default_budget, limit, seed, false, Duration::ZERO);
-    let pool = eternal_cdr::pool::stats();
-    let reuse_pct_x100 = (pool.reused * 10_000).checked_div(pool.takes).unwrap_or(0);
-    if pool.reused == 0 {
-        violations.push("allocations: buffer pool never reused a buffer".to_string());
-    }
-
     // --- attribution: per-phase p99 budgets + zero cost when off ---
-    // The rerun above executed *after* every traced section of this
+    // This rerun executes *after* every traced section of this
     // suite; with tracing off it must reproduce the first untraced run
     // field for field (frames, wire bytes, busy time, state digest).
     // Any drift means the attribution instrumentation leaks into
     // untraced execution.
+    let untraced_rerun = throughput_run(default_budget, limit, seed, false, Duration::ZERO);
     let untraced_identical = untraced_rerun == batched;
     if !untraced_identical {
         violations.push(format!(
@@ -507,7 +493,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
     // --- render (fixed key order, integers and strings only) ---
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 6,");
+    let _ = writeln!(out, "  \"schema\": 7,");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"quick\": {},", u8::from(quick));
     let _ = writeln!(
@@ -583,12 +569,6 @@ pub fn run_suite(quick: bool) -> BenchReport {
         );
     }
     out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"allocations\": {{\"takes\": {}, \"fresh\": {}, \"reused\": {}, \
-         \"recycled\": {}, \"dropped\": {}, \"reuse_pct_x100\": {}}},",
-        pool.takes, pool.fresh, pool.reused, pool.recycled, pool.dropped, reuse_pct_x100
-    );
     out.push_str("  \"attribution_overhead\": {\n");
     let _ = writeln!(
         out,

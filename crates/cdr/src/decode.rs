@@ -1,7 +1,7 @@
 //! The CDR decoder: a cursor over a byte slice applying CDR alignment
 //! rules.
 
-use crate::{pool, CdrError, Endian};
+use crate::{CdrError, Endian};
 
 /// Decodes values from a CDR stream.
 ///
@@ -141,8 +141,9 @@ impl<'a> CdrDecoder<'a> {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    /// Reads a CDR string (length includes the NUL terminator).
-    pub fn read_string(&mut self) -> Result<String, CdrError> {
+    /// Reads a CDR string (length includes the NUL terminator) as a
+    /// view into the input: checked, not copied.
+    pub fn read_str(&mut self) -> Result<&'a str, CdrError> {
         let len = self.read_u32()?;
         if len == 0 {
             return Err(CdrError::BadStringTerminator);
@@ -158,12 +159,16 @@ impl<'a> CdrDecoder<'a> {
         if *last != 0 || body.contains(&0) {
             return Err(CdrError::BadStringTerminator);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidUtf8)
+        std::str::from_utf8(body).map_err(|_| CdrError::InvalidUtf8)
     }
 
-    /// Reads a `sequence<octet>` into a pooled buffer (callers that
-    /// finish with the bytes may [`pool::recycle`] them).
-    pub fn read_octet_seq(&mut self) -> Result<Vec<u8>, CdrError> {
+    /// Reads a CDR string into an owned `String`.
+    pub fn read_string(&mut self) -> Result<String, CdrError> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// Reads a `sequence<octet>` as a view into the input.
+    pub fn read_octets(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()?;
         if len as usize > self.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -171,10 +176,12 @@ impl<'a> CdrDecoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let slice = self.take(len as usize)?;
-        let mut out = pool::take();
-        out.extend_from_slice(slice);
-        Ok(out)
+        self.take(len as usize)
+    }
+
+    /// Reads a `sequence<octet>` into an owned buffer.
+    pub fn read_octet_seq(&mut self) -> Result<Vec<u8>, CdrError> {
+        self.read_octets().map(<[u8]>::to_vec)
     }
 
     /// Reads `n` raw bytes with no alignment.
@@ -188,7 +195,7 @@ impl<'a> CdrDecoder<'a> {
         &mut self,
         parse: impl FnOnce(&mut CdrDecoder<'_>) -> Result<T, CdrError>,
     ) -> Result<T, CdrError> {
-        let bytes = self.read_octet_seq()?;
+        let bytes = self.read_octets()?;
         if bytes.is_empty() {
             return Err(CdrError::BufferUnderflow {
                 needed: 1,
@@ -196,11 +203,9 @@ impl<'a> CdrDecoder<'a> {
             });
         }
         let endian = Endian::from_flag(bytes[0]);
-        let mut inner = CdrDecoder::new(&bytes, endian);
+        let mut inner = CdrDecoder::new(bytes, endian);
         inner.read_u8()?; // consume flag byte; alignment stays relative to buffer start
-        let out = parse(&mut inner);
-        pool::recycle(bytes);
-        out
+        parse(&mut inner)
     }
 }
 

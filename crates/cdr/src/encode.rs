@@ -31,6 +31,19 @@ impl CdrEncoder {
         }
     }
 
+    /// As [`CdrEncoder::new`], with room for `capacity` bytes reserved
+    /// in one step: a caller that knows the encoded length beforehand
+    /// never regrows the buffer.
+    pub fn with_capacity(endian: Endian, capacity: usize) -> Self {
+        let mut buf = pool::take();
+        buf.reserve_exact(capacity);
+        CdrEncoder {
+            buf,
+            base: 0,
+            endian,
+        }
+    }
+
     /// Creates an encoder that appends to `buf`, treating the current
     /// end of `buf` as CDR position 0 for alignment. [`into_bytes`]
     /// returns the whole buffer, prefix included.

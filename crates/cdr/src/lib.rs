@@ -41,6 +41,7 @@ mod any;
 mod decode;
 mod encode;
 mod error;
+pub mod layout;
 pub mod pool;
 mod typecode;
 

@@ -1,18 +1,19 @@
 //! A thread-local pool of recycled byte buffers.
 //!
-//! Every GIOP message, Eternal wire fragment, and Totem payload in the
-//! hot path used to begin life as a fresh `Vec::new()` and die in a
-//! drop — an allocate-copy-drop chain repeated per message. The pool
-//! breaks that chain: encode paths [`take`] a cleared buffer (reusing a
-//! previously recycled allocation when one is available) and delivery
-//! paths [`recycle`] buffers once their bytes have been consumed.
+//! Encode scratch — the buffer a GIOP or Eternal message is encoded
+//! into before its bytes are copied into a Totem payload — is needed
+//! again by the very next message. Encode paths [`take`] a cleared
+//! buffer (reusing a previously recycled allocation when one is
+//! available) and [`recycle`] it once its bytes have been consumed.
+//! Decoded values are never pooled: whoever decodes a byte sequence
+//! keeps it for as long as it likes.
 //!
 //! The pool is deliberately simple and fully deterministic: a LIFO
 //! stack of at most [`MAX_POOLED`] buffers, each retained only if its
 //! capacity is at most [`MAX_RETAINED_CAPACITY`] (so one 350 kB state
 //! transfer does not pin megabytes forever). [`PoolStats`] counts
-//! takes/reuses/fresh allocations, giving the benchmark suite an exact,
-//! reproducible allocation count — no allocator hooks needed.
+//! takes/reuses/fresh allocations exactly and reproducibly; the
+//! benchmark (`perf/`) reads them beside its counting allocator.
 
 use std::cell::RefCell;
 

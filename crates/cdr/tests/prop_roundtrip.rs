@@ -554,3 +554,90 @@ fn arbitrary_truncated_and_bit_flipped_inputs_never_panic_or_overallocate() {
         }
     }
 }
+
+/// The borrowed and the owning read of a string or an octet sequence at
+/// `at` in `input`: the same verdict with the same error, equal contents,
+/// the same cursor afterwards — and the borrowed one is a slice of the
+/// input, not a copy. Returns whether they accepted.
+fn borrowed_and_owned_reads_agree(input: &[u8], at: usize, endian: Endian) -> bool {
+    let started = || {
+        let mut dec = CdrDecoder::new(input, endian);
+        dec.read_raw(at).unwrap();
+        dec
+    };
+    let inside = |slice: &[u8]| input.as_ptr_range().contains(&slice.as_ptr()) || slice.is_empty();
+
+    let (mut borrowing, mut owning) = (started(), started());
+    let (view, owned) = (borrowing.read_str(), owning.read_string());
+    assert_eq!(
+        view.clone().map(str::to_owned),
+        owned,
+        "string at {at} of {input:02x?}"
+    );
+    assert_eq!(borrowing.position(), owning.position());
+    assert!(view.iter().all(|s| inside(s.as_bytes())));
+
+    let (mut borrowing, mut owning) = (started(), started());
+    let (octets, seq) = (borrowing.read_octets(), owning.read_octet_seq());
+    assert_eq!(
+        octets.clone().map(<[u8]>::to_vec),
+        seq,
+        "octets at {at} of {input:02x?}"
+    );
+    assert_eq!(borrowing.position(), owning.position());
+    assert!(octets.iter().all(|s| inside(s)));
+    view.is_ok() || octets.is_ok()
+}
+
+#[test]
+fn borrowed_reads_accept_reject_and_yield_what_the_owning_reads_do() {
+    let mut rng = SimRng::seed_from_u64(0xCD45);
+    let (mut accepted, mut rejected) = (0, 0);
+    let mut tally = |ok: bool| *(if ok { &mut accepted } else { &mut rejected }) += 1;
+    for _ in 0..256 {
+        let endian = [Endian::Big, Endian::Little][rng.gen_range(2) as usize];
+        // Some bytes in front (every alignment), then a string — or an
+        // octet sequence, which reads as a string only by accident.
+        let at = rng.gen_range(9) as usize;
+        let mut enc = CdrEncoder::new(endian);
+        enc.write_raw(&[0xEE; 8][..at]);
+        if rng.chance(0.5) {
+            enc.write_string(&gen_string(&mut rng)).unwrap();
+        } else {
+            let len = rng.gen_range(24) as usize;
+            enc.write_octet_seq(&gen_bytes(&mut rng, len));
+        }
+        let well_formed = enc.into_bytes();
+        assert!(borrowed_and_owned_reads_agree(&well_formed, at, endian));
+        // Truncated at every length.
+        for cut in at..well_formed.len() {
+            tally(borrowed_and_owned_reads_agree(
+                &well_formed[..cut],
+                at,
+                endian,
+            ));
+        }
+        // The length word inflated.
+        let word = at.next_multiple_of(4);
+        for huge in [u32::MAX, 0x7FFF_FFFF, well_formed.len() as u32] {
+            let mut inflated = well_formed.clone();
+            let huge = match endian {
+                Endian::Big => huge.to_be_bytes(),
+                Endian::Little => huge.to_le_bytes(),
+            };
+            inflated[word..word + 4].copy_from_slice(&huge);
+            assert!(!borrowed_and_owned_reads_agree(&inflated, at, endian));
+        }
+        // Every single bit flipped: a NUL moved or lost, a byte made
+        // invalid UTF-8, the length a little off.
+        for bit in 8 * word..8 * well_formed.len() {
+            let mut flipped = well_formed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            tally(borrowed_and_owned_reads_agree(&flipped, at, endian));
+        }
+    }
+    assert!(
+        accepted > 1000 && rejected > 1000,
+        "{accepted} / {rejected}"
+    );
+}

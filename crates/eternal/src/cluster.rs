@@ -15,7 +15,7 @@
 use crate::app::ClientApp;
 use crate::causal::{self, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, TransferId};
-use crate::hash::{fnv1a, hash_bytes, FNV_OFFSET};
+use crate::hash::{fold_word, hash_bytes, FNV_OFFSET};
 use crate::manager::{ReplicationManager, ResourceManager};
 use crate::mechanisms::{GroupKind, GroupMeta, MechConfig, Mechanisms, Out};
 use crate::message::{fragment_eternal, EternalMessage, EternalReassembler, RetrievalPurpose};
@@ -240,7 +240,7 @@ pub struct Cluster {
     procs: Vec<Processor>,
     groups: BTreeMap<GroupId, GroupInfo>,
     next_group: u32,
-    issue_times: HashMap<(ConnectionName, u32), SimTime>,
+    issue_times: BTreeMap<(ConnectionName, u32), SimTime>,
     pending_launch: HashMap<(GroupId, NodeId), SimTime>,
     /// Groups with a replacement launch scheduled or in progress, so the
     /// two fault-detection paths (ReplicaFault message, membership
@@ -305,7 +305,7 @@ impl Cluster {
                 .collect(),
             groups: BTreeMap::new(),
             next_group: 0,
-            issue_times: HashMap::new(),
+            issue_times: BTreeMap::new(),
             pending_launch: HashMap::new(),
             launch_inflight: BTreeSet::new(),
             upgrades: BTreeMap::new(),
@@ -1799,29 +1799,26 @@ impl Cluster {
         else {
             return;
         };
-        let dir = match direction {
-            Direction::Request => 0u8,
-            Direction::Reply => 1u8,
-        };
-        // The body is read once, word-wise; each chain then folds one
-        // fixed-size link per message (identity, length, body hash), so
-        // the length keeps message boundaries apart.
-        let body = hash_bytes(bytes);
-        let fold = |mut h: u64| {
-            h = fnv1a(h, &conn.client.0.to_be_bytes());
-            h = fnv1a(h, &conn.server.0.to_be_bytes());
-            h = fnv1a(h, &[dir]);
-            h = fnv1a(h, &op_seq.to_be_bytes());
-            h = fnv1a(h, &(bytes.len() as u64).to_be_bytes());
-            fnv1a(h, &body.to_be_bytes())
-        };
+        let dir = direction.wire_byte();
+        // The body is read once, word-wise, and so is the fixed-size
+        // link it goes into (identity, length — which keeps message
+        // boundaries apart — and body hash); each chain then folds that
+        // one word.
+        let mut link = [0u8; 29];
+        link[..4].copy_from_slice(&conn.client.0.to_be_bytes());
+        link[4..8].copy_from_slice(&conn.server.0.to_be_bytes());
+        link[8] = dir;
+        link[9..13].copy_from_slice(&op_seq.to_be_bytes());
+        link[13..21].copy_from_slice(&(bytes.len() as u64).to_be_bytes());
+        link[21..].copy_from_slice(&hash_bytes(bytes).to_be_bytes());
+        let link = hash_bytes(&link);
         let whole = &mut self.procs[node.0 as usize].delivery_digest;
-        *whole = fold(*whole);
+        *whole = fold_word(*whole, link);
         let stream = self
             .stream_digests
             .entry((node, *conn, dir))
             .or_insert(FNV_OFFSET);
-        *stream = fold(*stream);
+        *stream = fold_word(*stream, link);
     }
 
     /// Watches delivered recovery-protocol messages to place the episode

@@ -14,12 +14,22 @@ impl fmt::Display for GroupId {
 }
 
 /// Which way an IIOP message flows on a logical connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// Client group → server group (GIOP Request).
     Request,
     /// Server group → client group (GIOP Reply).
     Reply,
+}
+
+impl Direction {
+    /// The octet a direction travels as.
+    pub fn wire_byte(self) -> u8 {
+        match self {
+            Direction::Request => 0,
+            Direction::Reply => 1,
+        }
+    }
 }
 
 /// Names the logical connection between a replicated client and a

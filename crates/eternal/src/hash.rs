@@ -40,6 +40,12 @@ fn merge(h: u64, lane: u64) -> u64 {
     (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
 }
 
+/// Folds one more word into a running chain. Order matters: folding
+/// `a` then `b` and `b` then `a` leave different chains.
+pub fn fold_word(chain: u64, word: u64) -> u64 {
+    merge(chain, word)
+}
+
 fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
 }

@@ -45,7 +45,7 @@ use eternal_orb::servant::CheckpointableServant;
 use eternal_orb::{ObjectKey, Orb};
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Something the mechanisms ask their driver to do.
 #[derive(Debug)]
@@ -389,8 +389,10 @@ pub struct Mechanisms {
     observer: OrbStateObserver,
     dedup: DuplicateSuppressor,
     groups: BTreeMap<GroupId, LocalGroup>,
-    client_conns: HashMap<ConnectionName, u64>,
-    server_conns: HashMap<ConnectionName, u64>,
+    /// The local ORB's client-side connection per logical connection,
+    /// with the object key its requests are addressed to.
+    client_conns: BTreeMap<ConnectionName, (u64, ObjectKey)>,
+    server_conns: BTreeMap<ConnectionName, u64>,
     /// The last [`SEEN_TRANSFERS_WINDOW`] completed transfers, oldest
     /// first: a second assignment or suffix of one of them is dropped.
     seen_transfers: VecDeque<TransferId>,
@@ -459,8 +461,8 @@ impl Mechanisms {
             observer: OrbStateObserver::new(),
             dedup: DuplicateSuppressor::new(),
             groups: BTreeMap::new(),
-            client_conns: HashMap::new(),
-            server_conns: HashMap::new(),
+            client_conns: BTreeMap::new(),
+            server_conns: BTreeMap::new(),
             seen_transfers: VecDeque::new(),
             checkpoint_marks: BTreeMap::new(),
             donor_transfers: BTreeMap::new(),
@@ -669,7 +671,7 @@ impl Mechanisms {
         for group in groups {
             if let Some(app) = self.operational_client(group) {
                 let invocations = app.on_start();
-                outs.extend(self.issue_invocations(group, invocations, now, ctx));
+                self.issue_invocations(group, invocations, now, ctx, &mut outs);
             }
         }
         outs
@@ -687,12 +689,18 @@ impl Mechanisms {
 
     /// Runs `on_tick` of the locally hosted client replica of `group`
     /// (if operational) and issues the resulting invocations.
-    fn tick_replica(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
+    fn tick_replica(
+        &mut self,
+        group: GroupId,
+        now: SimTime,
+        ctx: &mut HopCtx,
+        outs: &mut Vec<Out>,
+    ) {
         let Some(app) = self.operational_client(group) else {
-            return Vec::new();
+            return;
         };
         let invocations = app.on_tick();
-        self.issue_invocations(group, invocations, now, ctx)
+        self.issue_invocations(group, invocations, now, ctx, outs);
     }
 
     /// A totally ordered [`EternalMessage::LoadTick`]: ticks the local
@@ -701,7 +709,13 @@ impl Mechanisms {
     /// it (the donor ran it before the capture, so its effects arrive
     /// inside the transferred state), and an enqueueing replica holds
     /// it for replay after `set_state`.
-    fn on_load_tick(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
+    fn on_load_tick(
+        &mut self,
+        group: GroupId,
+        now: SimTime,
+        ctx: &mut HopCtx,
+        outs: &mut Vec<Out>,
+    ) {
         // Open transfer windows on this group log the tick: the
         // recovering replica drops it, and the suffix is its only copy.
         for dt in self.donor_transfers.values_mut() {
@@ -709,9 +723,8 @@ impl Mechanisms {
                 dt.suffix.push(OrderedInput::LoadTick);
             }
         }
-        match self.admit(group, OrderedInput::LoadTick, now, ctx) {
-            Some(tick) => self.deliver(group, &tick, now, ctx),
-            None => Vec::new(),
+        if let Some(tick) = self.admit(group, OrderedInput::LoadTick, now, ctx) {
+            self.deliver(group, &tick, now, ctx, outs);
         }
     }
 
@@ -826,12 +839,16 @@ impl Mechanisms {
     // ================================================================
 
     /// The local ORB's client-side connection for `conn`, opened on
-    /// first use.
+    /// first use (when the key of the object at its far end is worked
+    /// out, once).
     fn client_conn(&mut self, conn: ConnectionName) -> u64 {
-        *self
-            .client_conns
-            .entry(conn)
-            .or_insert_with(|| self.orb.open_client_connection())
+        let opened = self.client_conns.entry(conn).or_insert_with(|| {
+            (
+                self.orb.open_client_connection(),
+                Self::group_key(conn.server),
+            )
+        });
+        opened.0
     }
 
     /// The local ORB's server-side connection for `conn`, accepted on
@@ -849,20 +866,20 @@ impl Mechanisms {
         invocations: Vec<AppInvocation>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
-        let mut outs = Vec::new();
+        outs: &mut Vec<Out>,
+    ) {
         for inv in invocations {
             let conn = ConnectionName {
                 client: group,
                 server: inv.server,
             };
             let conn_id = self.client_conn(conn);
-            let key = Self::group_key(inv.server);
+            let key = &self.client_conns[&conn].1;
             let (request_id, bytes) = self
                 .orb
                 .invoke(
                     conn_id,
-                    &key,
+                    key,
                     &inv.operation,
                     &inv.args,
                     inv.response_expected,
@@ -909,7 +926,7 @@ impl Mechanisms {
                         conn,
                         op_seq,
                         request_id,
-                        operation: inv.operation.clone(),
+                        operation: inv.operation,
                     },
                 );
             }
@@ -919,7 +936,6 @@ impl Mechanisms {
                 trace: ctx.tag(trace_id, marshal),
             });
         }
-        outs
     }
 
     // ================================================================
@@ -936,20 +952,27 @@ impl Mechanisms {
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
         self.orb.set_clock(now);
+        // The one sink of this delivery: whatever handles the message,
+        // however deep, pushes what it asks of the driver here, in order.
+        let mut outs = Vec::new();
         match message {
             EternalMessage::Iiop {
                 conn,
                 direction,
                 op_seq,
                 bytes,
-            } => self.on_iiop(conn, direction, op_seq, bytes, now, ctx),
-            EternalMessage::ReplicaJoining { group, host } => self.on_joining(group, host),
-            EternalMessage::ReplicaFault { group, host } => self.on_fault(group, host, now, ctx),
+            } => self.on_iiop(conn, direction, op_seq, bytes, now, ctx, &mut outs),
+            EternalMessage::ReplicaJoining { group, host } => {
+                self.on_joining(group, host, &mut outs)
+            }
+            EternalMessage::ReplicaFault { group, host } => {
+                self.on_fault(group, host, now, ctx, &mut outs)
+            }
             EternalMessage::StateRetrieval {
                 group,
                 transfer,
                 purpose,
-            } => self.on_retrieval(group, transfer, purpose, now, ctx),
+            } => self.on_retrieval(group, transfer, purpose, now, ctx, &mut outs),
             EternalMessage::StateAssignment {
                 transfer,
                 purpose,
@@ -962,14 +985,16 @@ impl Mechanisms {
                 index,
                 total,
                 bytes,
-            } => self.on_state_chunk(group, transfer, new_host, index, total, bytes, now, ctx),
+            } => self.on_state_chunk(
+                group, transfer, new_host, index, total, bytes, now, ctx, &mut outs,
+            ),
             EternalMessage::StateSuffix {
                 group,
                 transfer,
                 new_host,
                 entries,
-            } => self.on_state_suffix(group, transfer, new_host, entries, now, ctx),
-            EternalMessage::LoadTick { group } => self.on_load_tick(group, now, ctx),
+            } => self.on_state_suffix(group, transfer, new_host, entries, now, ctx, &mut outs),
+            EternalMessage::LoadTick { group } => self.on_load_tick(group, now, ctx, &mut outs),
             EternalMessage::Health { .. } => {
                 // The snapshot itself is consumed by the cluster driver
                 // (epoch assignment + auditing). The mechanisms' job at
@@ -979,9 +1004,9 @@ impl Mechanisms {
                 // digests the same total-order prefix here — equal
                 // digests at equal health epochs, by construction.
                 self.refresh_health_digests();
-                Vec::new()
             }
         }
+        outs
     }
 
     /// Recomputes the per-group application-state digests of every
@@ -1039,6 +1064,7 @@ impl Mechanisms {
             .count()
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_iiop(
         &mut self,
         conn: ConnectionName,
@@ -1047,7 +1073,8 @@ impl Mechanisms {
         bytes: Vec<u8>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let op = OperationId {
             conn,
             direction,
@@ -1055,14 +1082,13 @@ impl Mechanisms {
         };
         if !self.dedup.admit(op) {
             self.counters.duplicates_suppressed += 1;
-            return Vec::new();
+            return;
         }
         if direction == Direction::Request {
             // Learn ORB/POA-level state by parsing (§4.2): request ids
             // and the stored handshake for later replay.
             self.observer.observe_request(conn, &bytes);
         }
-        let mut outs = Vec::new();
         let target_group = match direction {
             Direction::Request => conn.server,
             Direction::Reply => conn.client,
@@ -1083,7 +1109,7 @@ impl Mechanisms {
         }
         let mut trigger_checkpoint = false;
         let Some(lg) = self.groups.get_mut(&target_group) else {
-            return outs;
+            return;
         };
         // §3.3: passive groups log the ordered messages that follow
         // the checkpoint, at every processor participating in the
@@ -1117,9 +1143,8 @@ impl Mechanisms {
             outs.push(self.retrieval(target_group, RetrievalPurpose::Checkpoint));
         }
         if let Some(input) = admitted {
-            outs.extend(self.deliver(target_group, &input, now, ctx));
+            self.deliver(target_group, &input, now, ctx, outs);
         }
-        outs
     }
 
     /// Delivers one admitted input into the local operational replica
@@ -1130,21 +1155,27 @@ impl Mechanisms {
         input: &OrderedInput,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         match input {
-            OrderedInput::LoadTick => self.tick_replica(group, now, ctx),
+            OrderedInput::LoadTick => self.tick_replica(group, now, ctx, outs),
             OrderedInput::Iiop {
                 conn,
                 direction,
                 op_seq,
                 bytes,
             } => match direction {
-                Direction::Request => self.deliver_request(group, *conn, *op_seq, bytes, now, ctx),
-                Direction::Reply => self.deliver_reply(group, *conn, *op_seq, bytes, now, ctx),
+                Direction::Request => {
+                    self.deliver_request(group, *conn, *op_seq, bytes, now, ctx, outs)
+                }
+                Direction::Reply => {
+                    self.deliver_reply(group, *conn, *op_seq, bytes, now, ctx, outs)
+                }
             },
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn deliver_request(
         &mut self,
         group: GroupId,
@@ -1153,9 +1184,9 @@ impl Mechanisms {
         bytes: &[u8],
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let conn_id = self.server_conn(conn);
-        let mut outs = Vec::new();
         match self.orb.handle_request_disposed(conn_id, bytes) {
             Ok((maybe_reply, disposition)) => {
                 use eternal_orb::RequestDisposition;
@@ -1213,9 +1244,9 @@ impl Mechanisms {
             }
             Err(_) => { /* unparseable request; real ORBs send MessageError */ }
         }
-        outs
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn deliver_reply(
         &mut self,
         group: GroupId,
@@ -1224,14 +1255,15 @@ impl Mechanisms {
         bytes: &[u8],
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
-        let Some(&conn_id) = self.client_conns.get(&conn) else {
+        outs: &mut Vec<Out>,
+    ) {
+        let Some(&(conn_id, _)) = self.client_conns.get(&conn) else {
             // We never issued on this connection (e.g. a recovered
             // replica without restored ORB state): the reply has nowhere
             // to go. A real ORB without the matching socket simply never
             // sees it.
             self.counters.replies_discarded_by_orb += 1;
-            return Vec::new();
+            return;
         };
         match self.orb.handle_reply(conn_id, bytes) {
             Ok(outcome) => {
@@ -1240,7 +1272,7 @@ impl Mechanisms {
                 // application issues from its reply handler root their
                 // new chains under this span.
                 ctx.stamp(now, Hop::ReplyMatch, format_args!("{conn} op#{op_seq}"));
-                let mut outs = vec![Out::ReplyDelivered { conn, op_seq }];
+                outs.push(Out::ReplyDelivered { conn, op_seq });
                 let follow_ups = {
                     let lg = self
                         .groups
@@ -1256,14 +1288,12 @@ impl Mechanisms {
                         None => Vec::new(),
                     }
                 };
-                outs.extend(self.issue_invocations(group, follow_ups, now, ctx));
-                outs
+                self.issue_invocations(group, follow_ups, now, ctx, outs);
             }
             Err(_) => {
                 // §4.2.1 failure mode: request-id mismatch → the ORB
                 // discards an otherwise valid reply.
                 self.counters.replies_discarded_by_orb += 1;
-                Vec::new()
             }
         }
     }
@@ -1325,14 +1355,14 @@ impl Mechanisms {
         }
     }
 
-    fn on_joining(&mut self, group: GroupId, host: NodeId) -> Vec<Out> {
-        let Some(lg) = self.groups.get(&group) else {
-            return Vec::new();
-        };
-        if lg.donor_for(host) != Some(self.node) {
-            return Vec::new();
+    fn on_joining(&mut self, group: GroupId, host: NodeId, outs: &mut Vec<Out>) {
+        let elected = self
+            .groups
+            .get(&group)
+            .is_some_and(|lg| lg.donor_for(host) == Some(self.node));
+        if elected {
+            outs.push(self.retrieval(group, RetrievalPurpose::Recovery { new_host: host }));
         }
-        vec![self.retrieval(group, RetrievalPurpose::Recovery { new_host: host })]
     }
 
     /// Fabricates a `get_state` under a fresh transfer id. Untagged: a
@@ -1370,11 +1400,11 @@ impl Mechanisms {
         purpose: RetrievalPurpose,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
+            return;
         };
-        let mut outs = Vec::new();
         // Existing replicas with current state perform get_state — at
         // quiescence (§5): if the object is settling a oneway, the
         // capture waits out the remaining window (state effects applied
@@ -1432,7 +1462,7 @@ impl Mechanisms {
                     if donor == self.node {
                         let delay = self.config.exec_time + wait;
                         let window = 0..CHUNK_PIPELINE as u32;
-                        outs.extend(self.send_chunks(transfer, window, delay, get_state, now, ctx));
+                        self.send_chunks(transfer, window, delay, get_state, now, ctx, outs);
                     }
                 }
                 RetrievalPurpose::Checkpoint => outs.push(Out::Multicast {
@@ -1483,12 +1513,12 @@ impl Mechanisms {
                 }
             }
         }
-        outs
     }
 
     /// Streams the chunks in `range` (as far as the state goes) of a
     /// retained transfer, each leaving after `delay` on the transfer's
     /// chain under `parent`.
+    #[allow(clippy::too_many_arguments)]
     fn send_chunks(
         &mut self,
         transfer: TransferId,
@@ -1497,10 +1527,10 @@ impl Mechanisms {
         parent: u64,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let dt = &self.donor_transfers[&transfer];
         let size = self.config.chunk_bytes;
-        let mut outs = Vec::new();
         for index in range.start..range.end.min(dt.total) {
             let start = index as usize * size;
             let end = (start + size).min(dt.bytes.len());
@@ -1525,7 +1555,6 @@ impl Mechanisms {
                 trace: ctx.tag(transfer_trace_id(transfer), span),
             });
         }
-        outs
     }
 
     /// One totally ordered state chunk. Three things happen here, at
@@ -1549,7 +1578,8 @@ impl Mechanisms {
         bytes: Vec<u8>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let last = index + 1 == total;
         let mut streaming = false;
         if let Some(dt) = self.donor_transfers.get_mut(&transfer) {
@@ -1561,11 +1591,9 @@ impl Mechanisms {
                 self.counters.chunk_duplicates += 1;
             }
         }
-        let outs = if !streaming {
-            Vec::new()
-        } else if last {
-            self.send_suffix(transfer, now, ctx)
-        } else {
+        if streaming && last {
+            self.send_suffix(transfer, now, ctx, outs);
+        } else if streaming {
             // Self-clocking: this delivery releases one more chunk.
             let next = index + CHUNK_PIPELINE as u32;
             self.send_chunks(
@@ -1575,8 +1603,9 @@ impl Mechanisms {
                 ctx.parent(),
                 now,
                 ctx,
-            )
-        };
+                outs,
+            );
+        }
         // ---- the recovering replica assembles the stream it is bound to.
         let replica = self
             .groups
@@ -1589,7 +1618,7 @@ impl Mechanisms {
                 .as_mut()
                 .filter(|it| it.transfer == transfer)
             else {
-                return outs;
+                return;
             };
             if index == inbound.next_index {
                 inbound.buf.extend_from_slice(&bytes);
@@ -1612,7 +1641,6 @@ impl Mechanisms {
                 self.counters.chunk_duplicates += 1;
             }
         }
-        outs
     }
 
     /// The donor's closing step: the last chunk is through, every
@@ -1620,9 +1648,15 @@ impl Mechanisms {
     /// is enqueueing. Ship the suffix after the modeled execution delay
     /// — waiting out any oneway settling window first (§5), the only
     /// quiescence the chunked protocol ever needs.
-    fn send_suffix(&mut self, transfer: TransferId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
+    fn send_suffix(
+        &mut self,
+        transfer: TransferId,
+        now: SimTime,
+        ctx: &mut HopCtx,
+        outs: &mut Vec<Out>,
+    ) {
         let Some(dt) = self.donor_transfers.get(&transfer) else {
-            return Vec::new();
+            return;
         };
         let group = dt.group;
         let new_host = dt.new_host;
@@ -1632,7 +1666,7 @@ impl Mechanisms {
             .get_mut(&group)
             .and_then(|lg| lg.replica.as_mut())
         else {
-            return Vec::new();
+            return;
         };
         let wait = replica.quiescence_wait(now);
         let span = ctx.stamp_new(
@@ -1642,7 +1676,7 @@ impl Mechanisms {
             Hop::StateChunk,
             format_args!("suffix {} entries", entries.len()),
         );
-        vec![Out::Multicast {
+        outs.push(Out::Multicast {
             delay: self.config.exec_time + wait,
             message: EternalMessage::StateSuffix {
                 group,
@@ -1651,13 +1685,14 @@ impl Mechanisms {
                 entries,
             },
             trace: ctx.tag(transfer_trace_id(transfer), span),
-        }]
+        });
     }
 
     /// The closing suffix of a transfer: the recovering replica applies
     /// the reassembled state, replays the suffix, and drains its
     /// holding queue; everyone else updates the consistent view and
     /// releases the retained context.
+    #[allow(clippy::too_many_arguments)]
     fn on_state_suffix(
         &mut self,
         group: GroupId,
@@ -1666,15 +1701,16 @@ impl Mechanisms {
         entries: Vec<OrderedInput>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         // The transfer is over: release the retained context even on
         // the duplicate deliveries a takeover race can produce.
         self.donor_transfers.remove(&transfer);
         if !self.first_completion(transfer) {
-            return Vec::new();
+            return;
         }
         let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
+            return;
         };
         // Every processor updates its consistent view at this
         // total-order point: an active group's recovered replica serves
@@ -1685,10 +1721,9 @@ impl Mechanisms {
         } else {
             lg.standby_hosts.insert(new_host);
         }
-        if new_host != self.node {
-            return Vec::new();
+        if new_host == self.node {
+            self.complete_recovery(group, transfer, entries, now, ctx, outs);
         }
-        self.complete_recovery(group, transfer, entries, now, ctx)
     }
 
     /// Whether this is the first completion (assignment or suffix) of
@@ -1709,12 +1744,18 @@ impl Mechanisms {
     /// chunks after the shared cursor — never from byte zero — or the
     /// closing suffix if every chunk already made it through and only
     /// the dead donor's suffix was lost.
-    fn resume_stream(&mut self, transfer: TransferId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
+    fn resume_stream(
+        &mut self,
+        transfer: TransferId,
+        now: SimTime,
+        ctx: &mut HopCtx,
+        outs: &mut Vec<Out>,
+    ) {
         let Some(dt) = self.donor_transfers.get(&transfer) else {
-            return Vec::new();
+            return;
         };
         if dt.cursor == Some(dt.total - 1) {
-            return self.send_suffix(transfer, now, ctx);
+            return self.send_suffix(transfer, now, ctx, outs);
         }
         let first = dt.cursor.map_or(0, |c| c + 1);
         self.send_chunks(
@@ -1724,7 +1765,8 @@ impl Mechanisms {
             ctx.parent(),
             now,
             ctx,
-        )
+            outs,
+        );
     }
 
     /// Captures the three kinds of state of the locally hosted,
@@ -1781,13 +1823,13 @@ impl Mechanisms {
         purpose: RetrievalPurpose,
         state: ThreeKindsOfState,
         now: SimTime,
-    ) -> Vec<Out> {
+    ) {
         if purpose != RetrievalPurpose::Checkpoint || !self.first_completion(transfer) {
-            return Vec::new();
+            return;
         }
         let group = state.group;
         let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
+            return;
         };
         // A landed checkpoint re-arms the suffix-bound trigger.
         self.suffix_trigger_pending.remove(&group);
@@ -1808,7 +1850,6 @@ impl Mechanisms {
         if self.replica_phase(group) == Some(ReplicaPhase::Standby) {
             self.apply_application_state(group, &state.application);
         }
-        Vec::new()
     }
 
     /// §5.1 steps v–vi at the recovering replica: overwrite the sync
@@ -1824,19 +1865,20 @@ impl Mechanisms {
         suffix: Vec<OrderedInput>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         // Only a replica that is enqueueing behind THIS transfer's last
         // chunk completes; a suffix of any other transfer is stale and
         // leaves the binding alone.
         let (state_bytes, replay) = {
             let lg = self.groups.get_mut(&group).expect("checked by caller");
             let Some(replica) = lg.replica.as_mut() else {
-                return Vec::new();
+                return;
             };
             if replica.phase != ReplicaPhase::Enqueueing
                 || !replica.holding.overwrite_sync_point(transfer)
             {
-                return Vec::new();
+                return;
             }
             let inbound = replica.inbound.take().expect("enqueueing behind a stream");
             // What replays, in order (§5.1 step vi): the transfer
@@ -1854,7 +1896,7 @@ impl Mechanisms {
             (inbound.buf, replay)
         };
         let Ok(state) = ThreeKindsOfState::from_bytes(&state_bytes) else {
-            return Vec::new();
+            return;
         };
         let app_state_bytes = state.application.len();
 
@@ -1910,7 +1952,6 @@ impl Mechanisms {
         // operation counters, same ids) duplicate the siblings' and are
         // suppressed downstream. A replica completing as a standby
         // replays nothing — backups take no traffic — but still logs.
-        let mut outs = Vec::new();
         for (input, hold, label) in replay {
             if let OrderedInput::Iiop {
                 conn,
@@ -1925,7 +1966,7 @@ impl Mechanisms {
                 lg.outstanding.remove(&(*conn, *op_seq));
             }
             if operational {
-                outs.extend(self.replay(group, &input, hold, label, None, now, ctx));
+                self.replay(group, &input, hold, label, None, now, ctx, outs);
             }
             if logs && matches!(input, OrderedInput::Iiop { .. }) {
                 let lg = self.groups.get_mut(&group).expect("checked by caller");
@@ -1936,7 +1977,6 @@ impl Mechanisms {
             group,
             app_state_bytes,
         });
-        outs
     }
 
     /// Replays one ordered input into the local operational replica of
@@ -1962,11 +2002,12 @@ impl Mechanisms {
         delay: Option<Duration>,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let OrderedInput::Iiop { conn, op_seq, .. } = input else {
             // A tick ordered after the capture: the transferred state
             // predates it, so this replica must run it too.
-            return self.deliver(group, input, now, ctx);
+            return self.deliver(group, input, now, ctx, outs);
         };
         let saved = (ctx.trace_id(), ctx.parent());
         let trace = iiop_trace_id(*conn, *op_seq);
@@ -1979,16 +2020,16 @@ impl Mechanisms {
         );
         ctx.set_chain(trace, span);
         let at = if delay.is_some() { SimTime::ZERO } else { now };
-        let mut outs = self.deliver(group, input, at, ctx);
+        let produced_from = outs.len();
+        self.deliver(group, input, at, ctx, outs);
         ctx.set_chain(saved.0, saved.1);
         if let Some(delay) = delay {
-            for out in &mut outs {
+            for out in &mut outs[produced_from..] {
                 if let Out::Multicast { delay: d, .. } = out {
                     *d += delay;
                 }
             }
         }
-        outs
     }
 
     fn apply_application_state(&mut self, group: GroupId, application: &[u8]) {
@@ -2044,7 +2085,7 @@ impl Mechanisms {
         // Re-arm the ORB's pending-reply table for invocations issued by
         // the group before this replica recovered.
         for call in &calls {
-            if let Some(&conn_id) = self.client_conns.get(&call.conn) {
+            if let Some(&(conn_id, _)) = self.client_conns.get(&call.conn) {
                 if let Ok(client) = self.orb.client(conn_id) {
                     client.restore_outstanding(call.request_id, &call.operation);
                 }
@@ -2060,9 +2101,10 @@ impl Mechanisms {
         host: NodeId,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
+        outs: &mut Vec<Out>,
+    ) {
         let Some(lg) = self.groups.get_mut(&group) else {
-            return Vec::new();
+            return;
         };
         let was_primary = lg.is_primary_style() && lg.primary_host() == Some(host);
         lg.operational_hosts.remove(&host);
@@ -2071,9 +2113,9 @@ impl Mechanisms {
         // group can no longer be assumed in flight; let the trigger
         // re-arm at the (possibly new) primary.
         self.suffix_trigger_pending.remove(&group);
-        let mut outs = self.handle_transfer_fault(group, host, now, ctx);
+        self.handle_transfer_fault(group, host, now, ctx, outs);
         if !was_primary {
-            return outs;
+            return;
         }
         // Primary failed: promote (paper §3.2). The new primary is the
         // lowest-id designated host that is still a candidate.
@@ -2085,15 +2127,13 @@ impl Mechanisms {
             ReplicationStyle::Active => None,
         };
         let Some(new_primary) = candidate else {
-            return outs;
+            return;
         };
         lg.operational_hosts.insert(new_primary);
         lg.standby_hosts.remove(&new_primary);
-        if new_primary != self.node {
-            return outs;
+        if new_primary == self.node {
+            self.promote_local(group, now, ctx, outs);
         }
-        outs.extend(self.promote_local(group, now, ctx));
-        outs
     }
 
     /// Chunked-transfer fault handling, at the fault's total-order
@@ -2107,8 +2147,8 @@ impl Mechanisms {
         host: NodeId,
         now: SimTime,
         ctx: &mut HopCtx,
-    ) -> Vec<Out> {
-        let mut outs = Vec::new();
+        outs: &mut Vec<Out>,
+    ) {
         let transfers: Vec<TransferId> = self
             .donor_transfers
             .iter()
@@ -2143,15 +2183,20 @@ impl Mechanisms {
                 continue;
             }
             self.counters.transfer_takeovers += 1;
-            outs.extend(self.resume_stream(transfer, now, ctx));
+            self.resume_stream(transfer, now, ctx, outs);
         }
-        outs
     }
 
     /// Promotes the local backup to primary: cold-loads the replica if
     /// needed, applies the logged checkpoint, and replays the logged
     /// message suffix (§3.3).
-    fn promote_local(&mut self, group: GroupId, now: SimTime, ctx: &mut HopCtx) -> Vec<Out> {
+    fn promote_local(
+        &mut self,
+        group: GroupId,
+        now: SimTime,
+        ctx: &mut HopCtx,
+        outs: &mut Vec<Out>,
+    ) {
         let lg = self.groups.get_mut(&group).expect("promoting local group");
         let style = lg.meta.props.style;
         // Replay reads the log in place: it is lifted out of the group
@@ -2194,7 +2239,6 @@ impl Mechanisms {
             ReplicationStyle::ColdPassive => COLD_LOAD_TIME,
             _ => Duration::ZERO,
         };
-        let mut outs = Vec::new();
         let replayed = log.suffix_len();
         for (i, logged) in log.suffix().iter().enumerate() {
             let request = matches!(
@@ -2206,7 +2250,7 @@ impl Mechanisms {
             );
             if request {
                 let delay = base + self.config.exec_time * (i as u64 + 1);
-                outs.extend(self.replay(group, &logged.input, 0, "log ", Some(delay), now, ctx));
+                self.replay(group, &logged.input, 0, "log ", Some(delay), now, ctx, outs);
             }
         }
         self.groups
@@ -2218,7 +2262,6 @@ impl Mechanisms {
             replayed,
             ready_after: base + self.config.exec_time * replayed as u64,
         });
-        outs
     }
 
     /// Processes a Totem configuration change: replicas on processors
@@ -2243,7 +2286,7 @@ impl Mechanisms {
                     .collect()
             };
             for host in dead {
-                outs.extend(self.on_fault(group, host, now, ctx));
+                self.on_fault(group, host, now, ctx, &mut outs);
             }
         }
         outs
@@ -3002,6 +3045,162 @@ mod tests {
             bus.transcript.join("\n")
         );
     }
+
+    /// A client that alternates a oneway `notify` with a two-way `put`,
+    /// `rounds` times: each reply releases the next pair.
+    struct NotifyAndPut {
+        server: GroupId,
+        rounds: u32,
+        issued: u32,
+    }
+
+    impl NotifyAndPut {
+        fn pair(&mut self) -> Vec<AppInvocation> {
+            if self.issued == self.rounds {
+                return Vec::new();
+            }
+            self.issued += 1;
+            let key = format!("k{}", self.issued);
+            vec![
+                AppInvocation {
+                    server: self.server,
+                    operation: "notify".into(),
+                    args: crate::app::KvStoreServant::key_args(&key),
+                    response_expected: false,
+                },
+                AppInvocation {
+                    server: self.server,
+                    operation: "put".into(),
+                    args: crate::app::KvStoreServant::put_args(&key, "v"),
+                    response_expected: true,
+                },
+            ]
+        }
+    }
+
+    impl crate::app::ClientApp for NotifyAndPut {
+        fn on_start(&mut self) -> Vec<AppInvocation> {
+            self.pair()
+        }
+        fn on_reply(
+            &mut self,
+            _: GroupId,
+            _: &str,
+            _: ReplyStatus,
+            _: &[u8],
+        ) -> Vec<AppInvocation> {
+            self.pair()
+        }
+        fn get_state(&self) -> Any {
+            Any::from(self.issued)
+        }
+        fn set_state(&mut self, _: &Any) {}
+    }
+
+    /// Oneways, two-way round trips and a promotion's log replay push
+    /// into the one sink of their delivery exactly what the per-function
+    /// vectors it replaced concatenated to: the expectations were
+    /// captured from the commit before the sink existed.
+    #[test]
+    fn oneway_two_way_and_promotion_replay_keep_the_parents_out_sequence() {
+        let server = GroupId(0);
+        let client = GroupId(1);
+        let kv = |hosts: Vec<NodeId>| GroupMeta {
+            id: server,
+            name: "kv".into(),
+            props: FaultToleranceProperties::warm_passive(hosts.len()).with_min_replicas(1),
+            hosts,
+            kind: GroupKind::Server(Box::new(|| Box::new(crate::app::KvStoreServant::default()))),
+        };
+        let driver = || GroupMeta {
+            id: client,
+            name: "driver".into(),
+            props: FaultToleranceProperties::active(1),
+            hosts: vec![n(2)],
+            kind: GroupKind::Client(Box::new(move |_| {
+                Box::new(NotifyAndPut {
+                    server,
+                    rounds: 3,
+                    issued: 0,
+                })
+            })),
+        };
+        let mut a = Mechanisms::new(n(0), MechConfig::default());
+        let mut b = Mechanisms::new(n(1), MechConfig::default());
+        let mut c = Mechanisms::new(n(2), MechConfig::default());
+        for m in [&mut a, &mut b, &mut c] {
+            for meta in [kv(vec![n(0), n(1)]), driver()] {
+                let (group, hosted) = (meta.id, meta.hosts.contains(&m.node()));
+                m.register_group(meta);
+                if hosted {
+                    m.deploy_local_replica(group);
+                }
+            }
+        }
+
+        let mut bus = Bus::new();
+        bus.collect(with_ctx(|ctx| c.start_clients(SimTime::ZERO, ctx)));
+        bus.run(&mut [&mut a, &mut b, &mut c]);
+        // Three oneways and three two-ways went through the primary.
+        assert_eq!(a.counters().requests_dispatched, 6);
+        assert_eq!(c.counters().replies_delivered, 3);
+        let steady: Vec<&str> = bus.transcript.iter().map(String::as_str).collect();
+        assert_eq!(
+            steady,
+            STEADY_TRANSCRIPT.lines().map(str::trim).collect::<Vec<_>>(),
+            "{}",
+            bus.transcript.join("\n")
+        );
+
+        // The primary dies; the warm backup replays all six logged
+        // requests: the oneways produce nothing, each `put` its reply.
+        let promotion = bus.transcript.len();
+        bus.collect(a.kill_local_replica(server));
+        bus.run(&mut [&mut a, &mut b, &mut c]);
+        assert_eq!(b.primary_host(server), Some(n(1)));
+        assert_eq!(b.counters().requests_dispatched, 6);
+        let replayed: Vec<&str> = bus.transcript[promotion..]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            replayed,
+            PROMOTION_TRANSCRIPT
+                .lines()
+                .map(str::trim)
+                .collect::<Vec<_>>(),
+            "{}",
+            bus.transcript[promotion..].join("\n")
+        );
+    }
+
+    const STEADY_TRANSCRIPT: &str = "\
+        mc +0 iiop G1->G0 req op#0 1f5dc58cba87382e
+        mc +0 iiop G1->G0 req op#1 a55f0fe464a2f7b0
+        at P0:
+        mc +50000 iiop G1->G0 rep op#1 4074bfdf561b4975
+        at P2:
+        ReplyDelivered { conn: ConnectionName { client: GroupId(1), server: GroupId(0) }, op_seq: 1 }
+        mc +0 iiop G1->G0 req op#2 fda7890392f62bd6
+        mc +0 iiop G1->G0 req op#3 dfd7ccaa0be215ad
+        at P0:
+        mc +50000 iiop G1->G0 rep op#3 f2b688c14dd748d2
+        at P2:
+        ReplyDelivered { conn: ConnectionName { client: GroupId(1), server: GroupId(0) }, op_seq: 3 }
+        mc +0 iiop G1->G0 req op#4 35c3b4e0b65023c9
+        mc +0 iiop G1->G0 req op#5 847e51eda31cc919
+        at P0:
+        mc +50000 iiop G1->G0 rep op#5 65ec7ec321a298d0
+        at P2:
+        ReplyDelivered { conn: ConnectionName { client: GroupId(1), server: GroupId(0) }, op_seq: 5 }";
+
+    const PROMOTION_TRANSCRIPT: &str = "\
+        mc +0 fault G0@P0 fc20f9ab0cffac3c
+        at P1:
+        mc +150000 iiop G1->G0 rep op#1 4074bfdf561b4975
+        mc +250000 iiop G1->G0 rep op#3 f2b688c14dd748d2
+        mc +350000 iiop G1->G0 rep op#5 65ec7ec321a298d0
+        Promoted { group: GroupId(0), replayed: 6, ready_after: Duration(300000) }";
 
     #[test]
     fn oneway_invocations_dispatch_without_replies() {

@@ -12,11 +12,13 @@
 
 use crate::gid::{ConnectionName, Direction, GroupId, TransferId};
 use crate::recovery::state3::ThreeKindsOfState;
+use eternal_cdr::layout::{end_octet_seq, end_u32};
 use eternal_cdr::{CdrDecoder, CdrEncoder, CdrError, Endian};
 use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
 use eternal_sim::Bytes;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,11 +207,37 @@ impl OrderedInput {
                     conn,
                     direction,
                     op_seq,
-                    bytes,
+                    bytes: bytes.to_vec(),
                 }
             }
-            _ => OrderedInput::LoadTick,
+            1 => OrderedInput::LoadTick,
+            other => return Err(bad_discriminant(other)),
         })
+    }
+
+    /// Where the encoding ends in a stream it starts at `at`.
+    fn encoded_end(&self, at: usize) -> usize {
+        match self {
+            OrderedInput::Iiop { bytes, .. } => iiop_end(at, bytes.len()),
+            OrderedInput::LoadTick => at + 1,
+        }
+    }
+}
+
+/// A two-valued discriminant octet held something no encoder writes.
+fn bad_discriminant(got: u8) -> CdrError {
+    CdrError::InvalidEnumDiscriminant {
+        got: u32::from(got),
+        count: 2,
+    }
+}
+
+/// Reads what [`Direction::wire_byte`] wrote, and nothing else.
+pub(crate) fn decode_direction(dec: &mut CdrDecoder<'_>) -> Result<Direction, CdrError> {
+    match dec.read_u8()? {
+        0 => Ok(Direction::Request),
+        1 => Ok(Direction::Reply),
+        other => Err(bad_discriminant(other)),
     }
 }
 
@@ -226,27 +254,30 @@ fn encode_iiop(
     enc.write_u8(0);
     enc.write_u32(conn.client.0);
     enc.write_u32(conn.server.0);
-    enc.write_u8(match direction {
-        Direction::Request => 0,
-        Direction::Reply => 1,
-    });
+    enc.write_u8(direction.wire_byte());
     enc.write_u32(op_seq);
     enc.write_octet_seq(bytes);
 }
 
-/// Reads what [`encode_iiop`] wrote after its tag.
-fn decode_iiop(
-    dec: &mut CdrDecoder<'_>,
-) -> Result<(ConnectionName, Direction, u32, Vec<u8>), CdrError> {
+/// Where [`encode_iiop`] of a `body`-byte message stops when it starts
+/// at `at`: tag, the connection's two groups, direction, operation id,
+/// body.
+fn iiop_end(at: usize, body: usize) -> usize {
+    let direction = end_u32(end_u32(at + 1)) + 1;
+    end_octet_seq(end_u32(direction), body)
+}
+
+/// Reads what [`encode_iiop`] wrote after its tag; the body is a view
+/// into the input.
+fn decode_iiop<'a>(
+    dec: &mut CdrDecoder<'a>,
+) -> Result<(ConnectionName, Direction, u32, &'a [u8]), CdrError> {
     let conn = ConnectionName {
         client: GroupId(dec.read_u32()?),
         server: GroupId(dec.read_u32()?),
     };
-    let direction = match dec.read_u8()? {
-        0 => Direction::Request,
-        _ => Direction::Reply,
-    };
-    Ok((conn, direction, dec.read_u32()?, dec.read_octet_seq()?))
+    let direction = decode_direction(dec)?;
+    Ok((conn, direction, dec.read_u32()?, dec.read_octets()?))
 }
 
 impl EternalMessage {
@@ -290,9 +321,42 @@ impl EternalMessage {
         }
     }
 
-    /// Serializes to CDR bytes (big-endian stream).
+    /// Length of [`EternalMessage::to_bytes`]' output, from the fields
+    /// alone: every one is fixed-size or carries its length.
+    fn encoded_len(&self) -> usize {
+        // After the tag: a u32 ends at 8, a u32 and a u64 — or a u64
+        // alone — at 16.
+        match self {
+            EternalMessage::Iiop { bytes, .. } => iiop_end(0, bytes.len()),
+            EternalMessage::ReplicaJoining { .. } | EternalMessage::ReplicaFault { .. } => 12,
+            EternalMessage::StateRetrieval { purpose, .. } => purpose_end(16, *purpose),
+            EternalMessage::StateAssignment { purpose, state, .. } => {
+                state.encoded_end(purpose_end(16, *purpose))
+            }
+            EternalMessage::LoadTick { .. } => 8,
+            EternalMessage::Health { snap } => {
+                // 17 u64 gauges from 8, the digest count, then pairs of
+                // u64 (8-aligned).
+                let count_end = end_u32(8 + 17 * 8);
+                match snap.digests.len() {
+                    0 => count_end,
+                    n => count_end.next_multiple_of(8) + 16 * n,
+                }
+            }
+            // new_host, index and total follow the group and transfer.
+            EternalMessage::StateChunk { bytes, .. } => end_octet_seq(16 + 12, bytes.len()),
+            // new_host and the entry count follow them.
+            EternalMessage::StateSuffix { entries, .. } => entries
+                .iter()
+                .fold(16 + 8, |at, entry| entry.encoded_end(at)),
+        }
+    }
+
+    /// Serializes to CDR bytes (big-endian stream), into a buffer
+    /// reserved once at the encoding's exact length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(Endian::Big);
+        let len = self.encoded_len();
+        let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
         match self {
             EternalMessage::Iiop {
                 conn,
@@ -397,6 +461,7 @@ impl EternalMessage {
                 }
             }
         }
+        debug_assert_eq!(enc.len(), len, "{}", self.kind());
         enc.into_bytes()
     }
 
@@ -407,16 +472,60 @@ impl EternalMessage {
     /// Propagates CDR failures; unknown tags yield
     /// [`CdrError::UnknownTypeCodeKind`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CdrError> {
+        let (mut message, bulk) = Self::decode(bytes)?;
+        if let Some(body) = message.bulk_mut() {
+            *body = bytes[bulk].to_vec();
+        }
+        Ok(message)
+    }
+
+    /// As [`EternalMessage::from_bytes`], out of a buffer the caller is
+    /// finished with (a reassembled message's): the body of an `Iiop`
+    /// or a `StateChunk` — nearly all of such a buffer — stays in it,
+    /// moved down over the header, and is not copied out.
+    ///
+    /// # Errors
+    ///
+    /// As [`EternalMessage::from_bytes`].
+    pub fn from_owned_bytes(mut buf: Vec<u8>) -> Result<Self, CdrError> {
+        let (mut message, bulk) = Self::decode(&buf)?;
+        if let Some(body) = message.bulk_mut() {
+            buf.truncate(bulk.end);
+            buf.drain(..bulk.start);
+            *body = buf;
+        }
+        Ok(message)
+    }
+
+    /// The bulk body of the two variants that have one.
+    fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
+        match self {
+            EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => {
+                Some(bytes)
+            }
+            _ => None,
+        }
+    }
+
+    /// The one decoder. The bulk body of an `Iiop` or a `StateChunk` is
+    /// left empty in the returned message and reported as where it lies
+    /// in `bytes`, for the caller to copy or to keep.
+    fn decode(bytes: &[u8]) -> Result<(Self, Range<usize>), CdrError> {
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
         let tag = dec.read_u8()?;
-        Ok(match tag {
+        // `body`, the last thing read, ends where the decoder stands.
+        let just_read =
+            |body: &[u8], dec: &CdrDecoder<'_>| dec.position() - body.len()..dec.position();
+        let mut bulk = 0..0;
+        let message = match tag {
             0 => {
-                let (conn, direction, op_seq, bytes) = decode_iiop(&mut dec)?;
+                let (conn, direction, op_seq, body) = decode_iiop(&mut dec)?;
+                bulk = just_read(body, &dec);
                 EternalMessage::Iiop {
                     conn,
                     direction,
                     op_seq,
-                    bytes,
+                    bytes: Vec::new(),
                 }
             }
             1 => EternalMessage::ReplicaJoining {
@@ -470,14 +579,22 @@ impl EternalMessage {
                 }
                 EternalMessage::Health { snap }
             }
-            7 => EternalMessage::StateChunk {
-                group: GroupId(dec.read_u32()?),
-                transfer: TransferId(dec.read_u64()?),
-                new_host: NodeId(dec.read_u32()?),
-                index: dec.read_u32()?,
-                total: dec.read_u32()?,
-                bytes: dec.read_octet_seq()?,
-            },
+            7 => {
+                let group = GroupId(dec.read_u32()?);
+                let transfer = TransferId(dec.read_u64()?);
+                let new_host = NodeId(dec.read_u32()?);
+                let index = dec.read_u32()?;
+                let total = dec.read_u32()?;
+                bulk = just_read(dec.read_octets()?, &dec);
+                EternalMessage::StateChunk {
+                    group,
+                    transfer,
+                    new_host,
+                    index,
+                    total,
+                    bytes: Vec::new(),
+                }
+            }
             8 => {
                 let group = GroupId(dec.read_u32()?);
                 let transfer = TransferId(dec.read_u64()?);
@@ -495,7 +612,8 @@ impl EternalMessage {
                 }
             }
             other => return Err(CdrError::UnknownTypeCodeKind(other as u32)),
-        })
+        };
+        Ok((message, bulk))
     }
 }
 
@@ -509,12 +627,21 @@ fn encode_purpose(enc: &mut CdrEncoder, p: RetrievalPurpose) {
     }
 }
 
+/// Where [`encode_purpose`] stops when it starts at `at`.
+fn purpose_end(at: usize, p: RetrievalPurpose) -> usize {
+    match p {
+        RetrievalPurpose::Recovery { .. } => end_u32(at + 1),
+        RetrievalPurpose::Checkpoint => at + 1,
+    }
+}
+
 fn decode_purpose(dec: &mut CdrDecoder<'_>) -> Result<RetrievalPurpose, CdrError> {
     Ok(match dec.read_u8()? {
         0 => RetrievalPurpose::Recovery {
             new_host: NodeId(dec.read_u32()?),
         },
-        _ => RetrievalPurpose::Checkpoint,
+        1 => RetrievalPurpose::Checkpoint,
+        other => return Err(bad_discriminant(other)),
     })
 }
 
@@ -543,7 +670,8 @@ pub const FRAGMENT_OVERHEAD: usize = 28;
 impl<'a> WireFragment<'a> {
     /// Serializes the fragment.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(Endian::Big);
+        let len = FRAGMENT_OVERHEAD + self.chunk.len();
+        let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
         self.encode(&mut enc);
         enc.into_bytes()
     }
@@ -569,19 +697,12 @@ impl<'a> WireFragment<'a> {
         let msg_id = dec.read_u64()?;
         let index = dec.read_u32()?;
         let total = dec.read_u32()?;
-        let declared = dec.read_u32()?;
-        if declared as usize > dec.remaining() {
-            return Err(CdrError::LengthOverrun {
-                declared,
-                remaining: dec.remaining(),
-            });
-        }
         Ok(WireFragment {
             origin,
             msg_id,
             index,
             total,
-            chunk: dec.read_raw(declared as usize)?,
+            chunk: dec.read_octets()?,
         })
     }
 }
@@ -729,16 +850,14 @@ impl EternalReassembler {
             // Every fragment but the last is as long as the first, so
             // this holds the whole message and never grows. The bound
             // keeps a corrupt `total` from reserving the address space.
-            let mut bytes = eternal_cdr::pool::take();
-            bytes.reserve(
-                (total as usize)
-                    .saturating_mul(chunk.len())
-                    .min(MAX_PRESIZE),
-            );
+            // Not a pooled buffer: the message keeps it.
+            let whole = (total as usize)
+                .saturating_mul(chunk.len())
+                .min(MAX_PRESIZE);
             Partial {
                 next: 0,
                 total,
-                bytes,
+                bytes: Vec::with_capacity(whole),
             }
         });
         if entry.total != total {
@@ -759,9 +878,8 @@ impl EternalReassembler {
         entry.bytes.extend_from_slice(chunk);
         if entry.next == entry.total {
             let Partial { bytes, .. } = self.partial.remove(&key).expect("just inserted");
-            let msg = EternalMessage::from_bytes(&bytes);
-            eternal_cdr::pool::recycle(bytes);
-            msg.map(Some)
+            // The buffer is this reassembler's own: the message keeps it.
+            EternalMessage::from_owned_bytes(bytes).map(Some)
         } else {
             Ok(None)
         }
@@ -924,6 +1042,92 @@ mod tests {
                 .collect();
             assert_eq!(message.to_bytes(), bytes);
             assert_eq!(EternalMessage::from_bytes(&bytes).unwrap(), message);
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The three two-valued discriminants of the wire format — an IIOP
+    /// message's direction, a suffix entry's tag, a retrieval's purpose
+    /// — take the two values their encoders write and no other: one
+    /// flipped bit must not turn a request into a reply, or an entry
+    /// into a tick. Positions are into the pinned vectors above, and
+    /// into those of the two retrievals of `samples()`.
+    #[test]
+    fn discriminants_other_than_zero_and_one_are_rejected() {
+        let iiop = "000000000000000100000002000000000000002a00000003010203";
+        let suffix = "0800000000000003000000000000000900000004000000030000000000000001\
+                      0000000200000000000000110000000401020304010000000000000100000002\
+                      0100000000000011000000020506";
+        let recovery = "030000000000000300000000000000090000000000000004";
+        let checkpoint = "0300000000000003000000000000000a01";
+        let positions = [
+            (iiop, 12, "direction of an Iiop"),
+            (suffix, 36, "direction of a suffix entry"),
+            (suffix, 52, "tag of a suffix entry"),
+            (suffix, 64, "direction of a later suffix entry"),
+            (recovery, 16, "purpose: recovery"),
+            (checkpoint, 16, "purpose: checkpoint"),
+        ];
+        for (hex, at, what) in positions {
+            let vector = unhex(hex);
+            let message = EternalMessage::from_bytes(&vector).expect(what);
+            assert_eq!(message.to_bytes(), vector, "{what}");
+            assert!(vector[at] <= 1, "{what}");
+            for other in 2..=255 {
+                let mut damaged = vector.clone();
+                damaged[at] = other;
+                let expected = CdrError::InvalidEnumDiscriminant {
+                    got: u32::from(other),
+                    count: 2,
+                };
+                assert_eq!(
+                    EternalMessage::from_bytes(&damaged),
+                    Err(expected),
+                    "{what}"
+                );
+            }
+        }
+        // The other legal value in a direction's place is the other
+        // direction, byte for byte.
+        let mut reply = unhex(iiop);
+        reply[12] = 1;
+        let message = EternalMessage::from_bytes(&reply).unwrap();
+        assert!(matches!(
+            message,
+            EternalMessage::Iiop {
+                direction: Direction::Reply,
+                ..
+            }
+        ));
+        assert_eq!(message.to_bytes(), reply);
+    }
+
+    /// Every variant is encoded into a buffer reserved once, at exactly
+    /// the length computed from its fields beforehand.
+    #[test]
+    fn every_variant_is_encoded_into_a_buffer_of_exactly_its_length() {
+        let fragment = WireFragment {
+            origin: NodeId(1),
+            msg_id: 2,
+            index: 0,
+            total: 1,
+            chunk: &[9; 33],
+        };
+        eternal_cdr::pool::reset();
+        let encoded = fragment.to_bytes();
+        assert_eq!(encoded.capacity(), encoded.len());
+        for message in samples() {
+            // An empty pool, so the buffer is the encoder's own.
+            eternal_cdr::pool::reset();
+            let encoded = message.to_bytes();
+            assert_eq!(encoded.len(), message.encoded_len(), "{}", message.kind());
+            assert_eq!(encoded.capacity(), encoded.len(), "{}", message.kind());
         }
     }
 
@@ -1224,6 +1428,34 @@ mod tests {
                 assert_eq!(r.pending(), queues.iter().filter(|q| begun(q)).count());
             }
             assert_eq!(r.pending(), 0);
+        }
+        // The hand-over of a reassembled buffer: decoding a message out
+        // of a buffer of its own — with a reassembly buffer's spare
+        // capacity — yields what decoding a copy of it does, at every
+        // size (the smallest are truncated, hence undecodable), and the
+        // body of the two bulk variants stays where it was.
+        for &size in &sizes {
+            let chunk = EternalMessage::StateChunk {
+                group: GroupId(3),
+                transfer: TransferId(9),
+                new_host: NodeId(4),
+                index: 1,
+                total: 2,
+                bytes: vec![0xC4; size],
+            };
+            for whole in [encoded_of_size(size, &mut rng), chunk.to_bytes()] {
+                let mut own = Vec::with_capacity(whole.len() + CHUNK);
+                own.extend_from_slice(&whole);
+                let buffer = own.as_ptr();
+                let handed_over = EternalMessage::from_owned_bytes(own);
+                assert_eq!(handed_over, EternalMessage::from_bytes(&whole), "{size}");
+                if let Ok(
+                    EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. },
+                ) = handed_over
+                {
+                    assert_eq!(bytes.as_ptr(), buffer, "the body was copied out");
+                }
+            }
         }
     }
 

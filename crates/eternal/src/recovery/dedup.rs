@@ -9,7 +9,7 @@
 //! they ever reach the target ORB.
 
 use crate::gid::{ConnectionName, Direction, OperationId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Default bound on the per-stream sparse id set; see
 /// [`DuplicateSuppressor::with_window`].
@@ -28,7 +28,7 @@ pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
 /// re-execute).
 #[derive(Debug)]
 pub struct DuplicateSuppressor {
-    streams: HashMap<(ConnectionName, Direction), Stream>,
+    streams: BTreeMap<(ConnectionName, Direction), Stream>,
     suppressed: u64,
     window: usize,
     gaps_skipped: u64,
@@ -37,7 +37,7 @@ pub struct DuplicateSuppressor {
 impl Default for DuplicateSuppressor {
     fn default() -> Self {
         Self {
-            streams: HashMap::new(),
+            streams: BTreeMap::new(),
             suppressed: 0,
             window: DEFAULT_DEDUP_WINDOW,
             gaps_skipped: 0,
@@ -64,6 +64,13 @@ impl Stream {
     /// Records `id`; returns how many missing ids were skipped over to
     /// keep the sparse set within `window`.
     fn record(&mut self, id: u32, window: usize) -> u64 {
+        // In order and nothing waiting above: the horizon moves up by
+        // one and the sparse set is not touched.
+        let next = self.horizon.map_or(Some(0), |h| h.checked_add(1));
+        if self.above.is_empty() && next == Some(id) {
+            self.horizon = next;
+            return 0;
+        }
         self.above.insert(id);
         self.advance_contiguous();
         let mut skipped = 0;
@@ -169,15 +176,12 @@ impl DuplicateSuppressor {
     /// transfer (§4.3): a new replica must not re-deliver operations its
     /// group already processed.
     pub fn horizons(&self) -> Vec<(ConnectionName, Direction, u32)> {
-        let mut v: Vec<_> = self
-            .streams
+        // In stream order (a connection's requests before its replies):
+        // two captures of the same state are the same bytes.
+        self.streams
             .iter()
             .filter_map(|(&(conn, dir), s)| s.horizon.map(|h| (conn, dir, h)))
-            .collect();
-        // Hash-map order must not reach the wire: two captures of the
-        // same state are the same bytes.
-        v.sort_by_key(|&(conn, dir, _)| (conn, dir == Direction::Reply));
-        v
+            .collect()
     }
 
     /// Installs transferred horizons (marking everything at or below

@@ -13,8 +13,8 @@
 //!   request from that client.
 
 use crate::gid::ConnectionName;
-use eternal_giop::{GiopMessage, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR};
-use std::collections::HashMap;
+use eternal_giop::{MessageView, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR};
+use std::collections::BTreeMap;
 
 /// Per-connection ORB-level facts learned from the wire.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub struct ObservedConnection {
 /// state of every connection it sees.
 #[derive(Debug, Default)]
 pub struct OrbStateObserver {
-    connections: HashMap<ConnectionName, ObservedConnection>,
+    connections: BTreeMap<ConnectionName, ObservedConnection>,
 }
 
 impl OrbStateObserver {
@@ -39,11 +39,12 @@ impl OrbStateObserver {
         Self::default()
     }
 
-    /// Observes one outgoing/incoming IIOP request on `conn`.
+    /// Observes one outgoing/incoming IIOP request on `conn`, reading
+    /// it where it lies: only the first handshake is ever copied.
     /// Non-request messages and unparseable bytes are ignored (the
     /// observer must never disturb the traffic it watches).
     pub fn observe_request(&mut self, conn: ConnectionName, bytes: &[u8]) {
-        let Ok(GiopMessage::Request(req)) = GiopMessage::from_bytes(bytes) else {
+        let Ok(MessageView::Request(req)) = MessageView::parse(bytes) else {
             return;
         };
         let entry = self.connections.entry(conn).or_default();
@@ -69,14 +70,11 @@ impl OrbStateObserver {
         &self,
         mut is_client: impl FnMut(ConnectionName) -> bool,
     ) -> Vec<(ConnectionName, u32)> {
-        let mut v: Vec<_> = self
-            .connections
+        self.connections
             .iter()
             .filter(|(&c, o)| is_client(c) && o.last_request_id.is_some())
             .map(|(&c, o)| (c, o.last_request_id.expect("filtered Some").wrapping_add(1)))
-            .collect();
-        v.sort_by_key(|&(c, _)| c);
-        v
+            .collect()
     }
 
     /// §4.2.2: the stored handshake messages for each connection where
@@ -85,14 +83,11 @@ impl OrbStateObserver {
         &self,
         mut is_server: impl FnMut(ConnectionName) -> bool,
     ) -> Vec<(ConnectionName, Vec<u8>)> {
-        let mut v: Vec<_> = self
-            .connections
+        self.connections
             .iter()
             .filter(|(&c, _)| is_server(c))
             .filter_map(|(&c, o)| o.handshake.clone().map(|h| (c, h)))
-            .collect();
-        v.sort_by_key(|&(c, _)| c);
-        v
+            .collect()
     }
 
     /// Installs observations transferred from another processor's
@@ -124,7 +119,7 @@ impl OrbStateObserver {
 mod tests {
     use super::*;
     use crate::gid::GroupId;
-    use eternal_giop::{RequestMessage, ServiceContextList};
+    use eternal_giop::{GiopMessage, RequestMessage, ServiceContextList};
 
     fn conn() -> ConnectionName {
         ConnectionName {

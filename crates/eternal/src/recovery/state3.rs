@@ -3,6 +3,8 @@
 //! them onto the fabricated `set_state()` invocation (§5.1 step iii).
 
 use crate::gid::{ConnectionName, Direction, GroupId};
+use crate::message::decode_direction;
+use eternal_cdr::layout::{end_octet_seq, end_string, end_u32};
 use eternal_cdr::{CdrDecoder, CdrEncoder, CdrError, Endian};
 
 /// ORB/POA-level state (§4.2), as transferred between Recovery
@@ -95,6 +97,16 @@ impl OrbPoaStateTransfer {
         }
     }
 
+    /// Where [`OrbPoaStateTransfer::encode`] stops in a stream it
+    /// starts at `at`.
+    fn encoded_end(&self, at: usize) -> usize {
+        // A connection and an id: three words.
+        let at = end_u32(at) + 12 * self.next_request_ids.len();
+        self.handshakes.iter().fold(end_u32(at), |at, (_, bytes)| {
+            end_octet_seq(end_u32(at) + 4, bytes.len())
+        })
+    }
+
     /// Unmarshals from `dec`.
     ///
     /// # Errors
@@ -133,10 +145,7 @@ impl InfraStateTransfer {
         enc.write_u32(self.dedup_horizons.len() as u32);
         for &(conn, dir, horizon) in &self.dedup_horizons {
             encode_conn(enc, conn);
-            enc.write_u8(match dir {
-                Direction::Request => 0,
-                Direction::Reply => 1,
-            });
+            enc.write_u8(dir.wire_byte());
             enc.write_u32(horizon);
         }
         enc.write_u32(self.op_counters.len() as u32);
@@ -145,6 +154,19 @@ impl InfraStateTransfer {
             enc.write_u32(next);
         }
         Ok(())
+    }
+
+    /// Where [`InfraStateTransfer::encode`] stops in a stream it starts
+    /// at `at`.
+    fn encoded_end(&self, at: usize) -> usize {
+        // A connection and two ids (four words), then the name.
+        let at = self.outstanding.iter().fold(end_u32(at), |at, call| {
+            end_string(end_u32(at) + 12, &call.operation)
+        });
+        // A connection, the direction octet, the (aligned) horizon.
+        let at = end_u32(at) + 16 * self.dedup_horizons.len();
+        // A connection and a counter.
+        end_u32(at) + 12 * self.op_counters.len()
     }
 
     /// Unmarshals from `dec`.
@@ -167,10 +189,7 @@ impl InfraStateTransfer {
         let mut dedup_horizons = Vec::with_capacity(n.min(4096) as usize);
         for _ in 0..n {
             let conn = decode_conn(dec)?;
-            let dir = match dec.read_u8()? {
-                0 => Direction::Request,
-                _ => Direction::Reply,
-            };
+            let dir = decode_direction(dec)?;
             dedup_horizons.push((conn, dir, dec.read_u32()?));
         }
         let n = dec.read_u32()?;
@@ -210,11 +229,22 @@ impl ThreeKindsOfState {
         })
     }
 
-    /// Convenience: full round-trip to bytes (big-endian stream).
+    /// Where [`ThreeKindsOfState::encode`] stops in a stream it starts
+    /// at `at`: every field is fixed-size or carries its length.
+    pub(crate) fn encoded_end(&self, at: usize) -> usize {
+        let at = end_octet_seq(end_u32(at), self.application.len());
+        self.infrastructure
+            .encoded_end(self.orb_poa.encoded_end(at))
+    }
+
+    /// Convenience: full round-trip to bytes (big-endian stream), in a
+    /// buffer reserved once at the encoding's exact length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(Endian::Big);
+        let len = self.encoded_end(0);
+        let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
         self.encode(&mut enc)
             .expect("operation names contain no NUL");
+        debug_assert_eq!(enc.len(), len);
         enc.into_bytes()
     }
 
@@ -279,6 +309,80 @@ mod tests {
             infrastructure: InfraStateTransfer::default(),
         };
         assert_eq!(ThreeKindsOfState::from_bytes(&s.to_bytes()).unwrap(), s);
+    }
+
+    /// Random states — lists of every length from none, byte strings and
+    /// operation names of every length modulo the alignment — encode to
+    /// exactly the length computed from their fields, wherever in a
+    /// stream they start.
+    #[test]
+    fn the_length_computed_from_the_fields_is_the_length_encoded() {
+        let mut rng = eternal_sim::rng::SimRng::seed_from_u64(0x57A7E);
+        let bytes = |rng: &mut eternal_sim::rng::SimRng| vec![7u8; rng.gen_range(9) as usize];
+        for _ in 0..256 {
+            let n = |rng: &mut eternal_sim::rng::SimRng| 0..rng.gen_range(4);
+            let state = ThreeKindsOfState {
+                group: GroupId(7),
+                application: bytes(&mut rng),
+                orb_poa: OrbPoaStateTransfer {
+                    next_request_ids: n(&mut rng).map(|i| (conn(7, i as u32), 3)).collect(),
+                    handshakes: n(&mut rng)
+                        .map(|i| (conn(i as u32, 7), bytes(&mut rng)))
+                        .collect(),
+                },
+                infrastructure: InfraStateTransfer {
+                    outstanding: n(&mut rng)
+                        .map(|i| OutstandingCall {
+                            conn: conn(7, 9),
+                            op_seq: i as u32,
+                            request_id: i as u32,
+                            operation: "deposits"[..rng.gen_range(9) as usize].into(),
+                        })
+                        .collect(),
+                    dedup_horizons: n(&mut rng)
+                        .map(|i| (conn(3, 7), Direction::Reply, i as u32))
+                        .collect(),
+                    op_counters: n(&mut rng).map(|i| (conn(7, 9), i as u32)).collect(),
+                },
+            };
+            for at in 0..8 {
+                let mut enc = CdrEncoder::new(Endian::Big);
+                enc.write_raw(&[0; 8][..at]);
+                state.encode(&mut enc).unwrap();
+                assert_eq!(state.encoded_end(at), enc.len(), "{state:?} at {at}");
+            }
+            // And the buffer `to_bytes` reserves is the buffer it fills.
+            eternal_cdr::pool::reset();
+            let encoded = state.to_bytes();
+            assert_eq!(encoded.capacity(), encoded.len());
+        }
+    }
+
+    #[test]
+    fn a_direction_octet_is_zero_or_one() {
+        let mut state = sample();
+        state.infrastructure.outstanding.clear();
+        let mut bytes = state.to_bytes();
+        // The last horizon: connection, direction, padding, id — then
+        // the one op counter (a count and three words).
+        let direction = bytes.len() - 16 - 8;
+        assert_eq!(bytes[direction], 1);
+        for other in 2..=255 {
+            bytes[direction] = other;
+            assert_eq!(
+                ThreeKindsOfState::from_bytes(&bytes),
+                Err(CdrError::InvalidEnumDiscriminant {
+                    got: u32::from(other),
+                    count: 2
+                })
+            );
+        }
+        bytes[direction] = 0;
+        let flipped = ThreeKindsOfState::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            flipped.infrastructure.dedup_horizons[1].1,
+            Direction::Request
+        );
     }
 
     #[test]

@@ -40,6 +40,7 @@ mod header;
 mod ior;
 mod message;
 mod service_context;
+mod view;
 
 pub use error::GiopError;
 pub use fragment::{fragment_message, Reassembler};
@@ -50,7 +51,8 @@ pub use message::{
     RequestMessage, SystemExceptionBody,
 };
 pub use service_context::{
-    CodeSetContext, ServiceContext, ServiceContextList, TraceContext, VendorHandshake,
-    CODESET_ISO_8859_1, CODESET_UTF_16, CODESET_UTF_8, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_TRACE,
-    CONTEXT_ETERNAL_VENDOR,
+    CodeSetContext, ServiceContext, ServiceContextIter, ServiceContextList, ServiceContextsView,
+    TraceContext, VendorHandshake, CODESET_ISO_8859_1, CODESET_UTF_16, CODESET_UTF_8,
+    CONTEXT_CODE_SETS, CONTEXT_ETERNAL_TRACE, CONTEXT_ETERNAL_VENDOR,
 };
+pub use view::{MessageView, ReplyView, RequestView};

@@ -1,4 +1,5 @@
-//! GIOP message bodies and the top-level [`GiopMessage`] codec.
+//! GIOP message bodies and the top-level [`GiopMessage`]: the owned
+//! form of the messages whose codec is [`MessageView`].
 //!
 //! One deliberate simplification relative to the OMG specification:
 //! CDR alignment in a body is computed relative to the *start of the
@@ -7,8 +8,9 @@
 //! (the OMG rule exists only for in-place header prefixing, which we do
 //! not need).
 
-use crate::header::{GiopHeader, MessageType, GIOP_HEADER_LEN};
+use crate::header::MessageType;
 use crate::service_context::ServiceContextList;
+use crate::view::MessageView;
 use crate::GiopError;
 use eternal_cdr::{CdrDecoder, CdrEncoder, Endian};
 
@@ -45,7 +47,7 @@ pub enum ReplyStatus {
 }
 
 impl ReplyStatus {
-    fn from_u32(v: u32) -> Result<Self, GiopError> {
+    pub(crate) fn from_u32(v: u32) -> Result<Self, GiopError> {
         Ok(match v {
             0 => ReplyStatus::NoException,
             1 => ReplyStatus::UserException,
@@ -124,7 +126,7 @@ pub enum LocateStatus {
 }
 
 impl LocateStatus {
-    fn from_u32(v: u32) -> Result<Self, GiopError> {
+    pub(crate) fn from_u32(v: u32) -> Result<Self, GiopError> {
         Ok(match v {
             0 => LocateStatus::UnknownObject,
             1 => LocateStatus::ObjectHere,
@@ -175,129 +177,18 @@ pub enum GiopMessage {
 impl GiopMessage {
     /// The message type this variant serializes as.
     pub fn message_type(&self) -> MessageType {
-        match self {
-            GiopMessage::Request(_) => MessageType::Request,
-            GiopMessage::Reply(_) => MessageType::Reply,
-            GiopMessage::CancelRequest { .. } => MessageType::CancelRequest,
-            GiopMessage::LocateRequest(_) => MessageType::LocateRequest,
-            GiopMessage::LocateReply(_) => MessageType::LocateReply,
-            GiopMessage::CloseConnection => MessageType::CloseConnection,
-            GiopMessage::MessageError => MessageType::MessageError,
-            GiopMessage::Fragment { .. } => MessageType::Fragment,
-        }
+        self.view().message_type()
     }
 
-    /// Serializes header + body. Always emits big-endian streams; the
-    /// decoder honours either byte order.
-    ///
-    /// Header and body share one pooled buffer: the 12 header bytes are
-    /// reserved up front, the body is CDR-encoded in place behind them
-    /// (alignment relative to the body start, as before), and the
-    /// header — which needs the final body length — is patched into the
-    /// reservation at the end. One allocation-free buffer instead of
-    /// the old encode-then-concatenate copy.
+    /// Serializes header + body (see [`MessageView::to_bytes`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>, GiopError> {
-        let endian = Endian::Big;
-        let mut buf = eternal_cdr::pool::take();
-        buf.resize(GIOP_HEADER_LEN, 0);
-        let mut body = CdrEncoder::append_to(buf, endian);
-        let mut more_fragments = false;
-        match self {
-            GiopMessage::Request(r) => {
-                r.service_context.encode(&mut body);
-                body.write_u32(r.request_id);
-                body.write_bool(r.response_expected);
-                body.write_octet_seq(&r.object_key);
-                body.write_string(&r.operation)?;
-                body.write_octet_seq(&r.body);
-            }
-            GiopMessage::Reply(r) => {
-                r.service_context.encode(&mut body);
-                body.write_u32(r.request_id);
-                body.write_u32(r.reply_status as u32);
-                body.write_octet_seq(&r.body);
-            }
-            GiopMessage::CancelRequest { request_id } => body.write_u32(*request_id),
-            GiopMessage::LocateRequest(l) => {
-                body.write_u32(l.request_id);
-                body.write_octet_seq(&l.object_key);
-            }
-            GiopMessage::LocateReply(l) => {
-                body.write_u32(l.request_id);
-                body.write_u32(l.locate_status as u32);
-            }
-            GiopMessage::CloseConnection | GiopMessage::MessageError => {}
-            GiopMessage::Fragment { more, data } => {
-                more_fragments = *more;
-                body.write_raw(data);
-            }
-        }
-        let body_len = body.len() as u32;
-        let mut header = GiopHeader::new(self.message_type(), endian, body_len);
-        header.more_fragments = more_fragments;
-        let mut out = body.into_bytes();
-        out[..GIOP_HEADER_LEN].copy_from_slice(&header.to_bytes());
-        Ok(out)
+        self.view().to_bytes()
     }
 
-    /// Parses one complete message (header + exactly one body).
+    /// Parses one complete message (header + exactly one body) into
+    /// owned fields (see [`MessageView::parse`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<GiopMessage, GiopError> {
-        let header = GiopHeader::from_bytes(bytes)?;
-        let body = &bytes[GIOP_HEADER_LEN..];
-        if body.len() != header.body_len as usize {
-            return Err(GiopError::SizeMismatch {
-                declared: header.body_len,
-                actual: body.len(),
-            });
-        }
-        let mut dec = CdrDecoder::new(body, header.endian);
-        Ok(match header.message_type {
-            MessageType::Request => {
-                let service_context = ServiceContextList::decode(&mut dec)?;
-                let request_id = dec.read_u32()?;
-                let response_expected = dec.read_bool()?;
-                let object_key = dec.read_octet_seq()?;
-                let operation = dec.read_string()?;
-                let req_body = dec.read_octet_seq()?;
-                GiopMessage::Request(RequestMessage {
-                    service_context,
-                    request_id,
-                    response_expected,
-                    object_key,
-                    operation,
-                    body: req_body,
-                })
-            }
-            MessageType::Reply => {
-                let service_context = ServiceContextList::decode(&mut dec)?;
-                let request_id = dec.read_u32()?;
-                let reply_status = ReplyStatus::from_u32(dec.read_u32()?)?;
-                let rep_body = dec.read_octet_seq()?;
-                GiopMessage::Reply(ReplyMessage {
-                    service_context,
-                    request_id,
-                    reply_status,
-                    body: rep_body,
-                })
-            }
-            MessageType::CancelRequest => GiopMessage::CancelRequest {
-                request_id: dec.read_u32()?,
-            },
-            MessageType::LocateRequest => GiopMessage::LocateRequest(LocateRequestMessage {
-                request_id: dec.read_u32()?,
-                object_key: dec.read_octet_seq()?,
-            }),
-            MessageType::LocateReply => GiopMessage::LocateReply(LocateReplyMessage {
-                request_id: dec.read_u32()?,
-                locate_status: LocateStatus::from_u32(dec.read_u32()?)?,
-            }),
-            MessageType::CloseConnection => GiopMessage::CloseConnection,
-            MessageType::MessageError => GiopMessage::MessageError,
-            MessageType::Fragment => GiopMessage::Fragment {
-                more: header.more_fragments,
-                data: body.to_vec(),
-            },
-        })
+        Ok(MessageView::parse(bytes)?.to_message())
     }
 
     /// Convenience: the request id carried by this message, if any.

@@ -8,6 +8,7 @@
 //! short-object-key negotiation).
 
 use crate::GiopError;
+use eternal_cdr::layout::{end_octet_seq, end_u32};
 use eternal_cdr::{CdrDecoder, CdrEncoder, Endian};
 
 /// Standard CORBA service-context id for code-set negotiation.
@@ -84,27 +85,121 @@ impl ServiceContextList {
         Some(self.contexts.remove(idx))
     }
 
+    /// The list as a borrowed view.
+    pub fn view(&self) -> ServiceContextsView<'_> {
+        ServiceContextsView(Repr::List(&self.contexts))
+    }
+
     /// Marshals the list.
     pub fn encode(&self, enc: &mut CdrEncoder) {
-        enc.write_u32(self.contexts.len() as u32);
-        for c in &self.contexts {
-            enc.write_u32(c.id);
-            enc.write_octet_seq(&c.data);
-        }
+        self.view().encode(enc);
     }
 
     /// Unmarshals the list.
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, GiopError> {
-        let count = dec.read_u32()?;
-        let mut contexts = Vec::with_capacity(count.min(64) as usize);
-        for _ in 0..count {
-            let id = dec.read_u32()?;
-            let data = dec.read_octet_seq()?;
-            contexts.push(ServiceContext { id, data });
-        }
-        Ok(ServiceContextList { contexts })
+        Ok(ServiceContextsView::parse(dec)?.to_list())
     }
 }
+
+/// The service contexts of a message, borrowed: `(id, payload)` pairs
+/// still lying in the wire bytes they were parsed from, or in the owned
+/// [`ServiceContextList`] they are about to be encoded from.
+#[derive(Debug, Clone)]
+pub struct ServiceContextsView<'a>(Repr<'a>);
+
+#[derive(Debug, Clone)]
+enum Repr<'a> {
+    /// `count` contexts in wire form, every one already checked by
+    /// [`ServiceContextsView::parse`]; `dec` stands at the first.
+    Wire { dec: CdrDecoder<'a>, count: u32 },
+    /// The contexts of an owned list.
+    List(&'a [ServiceContext]),
+}
+
+impl<'a> ServiceContextsView<'a> {
+    /// Checks the list `dec` stands at and steps over it.
+    pub(crate) fn parse(dec: &mut CdrDecoder<'a>) -> Result<Self, GiopError> {
+        let count = dec.read_u32()?;
+        let first = dec.clone();
+        for _ in 0..count {
+            dec.read_u32()?;
+            dec.read_octets()?;
+        }
+        Ok(ServiceContextsView(Repr::Wire { dec: first, count }))
+    }
+
+    /// The contexts in transmission order.
+    pub fn iter(&self) -> ServiceContextIter<'a> {
+        ServiceContextIter(self.0.clone())
+    }
+
+    /// The payload of the first context with the given id.
+    pub fn find(&self, id: u32) -> Option<&'a [u8]> {
+        self.iter().find(|&(i, _)| i == id).map(|(_, data)| data)
+    }
+
+    /// The contexts as an owned list.
+    pub fn to_list(&self) -> ServiceContextList {
+        let contexts = self
+            .iter()
+            .map(|(id, data)| ServiceContext {
+                id,
+                data: data.to_vec(),
+            })
+            .collect();
+        ServiceContextList { contexts }
+    }
+
+    pub(crate) fn encode(&self, enc: &mut CdrEncoder) {
+        let contexts = self.iter();
+        enc.write_u32(contexts.len() as u32);
+        for (id, data) in contexts {
+            enc.write_u32(id);
+            enc.write_octet_seq(data);
+        }
+    }
+
+    /// Where the encoded list ends in a CDR stream it starts (aligned).
+    pub(crate) fn encoded_len(&self) -> usize {
+        // The count, then per context an id and a payload.
+        self.iter()
+            .fold(4, |at, (_, data)| end_octet_seq(end_u32(at), data.len()))
+    }
+}
+
+/// Iterator over the `(id, payload)` pairs of a [`ServiceContextsView`].
+#[derive(Debug, Clone)]
+pub struct ServiceContextIter<'a>(Repr<'a>);
+
+impl<'a> Iterator for ServiceContextIter<'a> {
+    type Item = (u32, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Repr::Wire { count: 0, .. } => None,
+            Repr::Wire { dec, count } => {
+                *count -= 1;
+                let id = dec.read_u32().expect("checked by parse");
+                Some((id, dec.read_octets().expect("checked by parse")))
+            }
+            Repr::List(contexts) => {
+                let (first, rest) = contexts.split_first()?;
+                *contexts = rest;
+                Some((first.id, &first.data))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            Repr::Wire { count, .. } => *count as usize,
+            Repr::List(contexts) => contexts.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for ServiceContextIter<'_> {}
 
 /// The payload of a [`CONTEXT_CODE_SETS`] context: the transmission code
 /// sets the client proposes (request) or the server confirms (reply).

@@ -193,21 +193,26 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<String, LogHistogram>,
 }
 
+/// Applies `change` to the metric called `name`, created at its default
+/// on first use — the only time the name is copied into a key.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, change: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(metric) => change(metric),
+        None => change(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds `n` to the named counter (creating it at zero).
+    /// Adds `n` to the named counter, creating it at zero: adding 0
+    /// registers a counter so it shows up in renders/exports even
+    /// before its first increment.
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        if n == 0 && !self.counters.contains_key(name) {
-            // Register the counter so it shows up in renders/exports
-            // even before the first increment.
-            self.counters.insert(name.to_string(), 0);
-            return;
-        }
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        update(&mut self.counters, name, |c| *c += n);
     }
 
     /// Current value of the named counter (zero if never touched).
@@ -227,19 +232,13 @@ impl MetricsRegistry {
 
     /// Records a sample into the named histogram (creating it).
     pub fn histogram_record(&mut self, name: &str, d: Duration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
+        update(&mut self.histograms, name, |h| h.record(d));
     }
 
     /// Records a dimensionless sample into the named histogram (see
     /// [`LogHistogram::record_value`]).
     pub fn histogram_record_value(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_value(v);
+        update(&mut self.histograms, name, |h| h.record_value(v));
     }
 
     /// The named histogram, if any samples were recorded.

@@ -12,8 +12,8 @@ use crate::object::ObjectKey;
 use crate::state::{ClientConnectionState, NegotiatedState};
 use crate::OrbError;
 use eternal_giop::{
-    CodeSetContext, GiopMessage, ReplyMessage, ReplyStatus, RequestMessage, ServiceContextList,
-    VendorHandshake, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR,
+    CodeSetContext, MessageView, ReplyStatus, RequestView, ServiceContextList, VendorHandshake,
+    CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR,
 };
 use std::collections::BTreeMap;
 
@@ -43,8 +43,11 @@ pub struct ClientConnection {
     outstanding: BTreeMap<u32, Outstanding>,
     negotiated: NegotiatedState,
     handshake_started: bool,
-    /// Aliases we proposed, keyed by full object key.
-    proposed_aliases: BTreeMap<Vec<u8>, u32>,
+    /// The wire form requests use for each object key the server has
+    /// confirmed an alias for: `negotiated.short_keys` read the other
+    /// way round (a key's lowest alias), so a request looks its key's
+    /// bytes up instead of searching for an alias and building them.
+    short_forms: BTreeMap<Vec<u8>, [u8; 7]>,
     next_alias: u32,
     /// Replies discarded because their request id matched nothing
     /// outstanding (the §4.2.1 failure counter).
@@ -62,7 +65,7 @@ impl ClientConnection {
             outstanding: BTreeMap::new(),
             negotiated: NegotiatedState::default(),
             handshake_started: false,
-            proposed_aliases: BTreeMap::new(),
+            short_forms: BTreeMap::new(),
             next_alias: 1,
             discarded_replies: 0,
         }
@@ -150,7 +153,6 @@ impl ClientConnection {
             );
             let alias = self.next_alias;
             self.next_alias += 1;
-            self.proposed_aliases.insert(key.as_bytes().to_vec(), alias);
             service_context.set(
                 CONTEXT_ETERNAL_VENDOR,
                 VendorHandshake {
@@ -162,14 +164,9 @@ impl ClientConnection {
         }
 
         // Use the short form only after the server confirmed the alias.
-        let object_key = match self
-            .negotiated
-            .short_keys
-            .iter()
-            .find(|(_, full)| full.as_slice() == key.as_bytes())
-        {
-            Some((&alias, _)) => ObjectKey::short_form(alias),
-            None => key.as_bytes().to_vec(),
+        let object_key = match self.short_forms.get(key.as_bytes()) {
+            Some(short) => short,
+            None => key.as_bytes(),
         };
 
         if response_expected {
@@ -180,15 +177,27 @@ impl ClientConnection {
                 },
             );
         }
-        let msg = GiopMessage::Request(RequestMessage {
-            service_context,
+        // Encoded straight from the caller's slices.
+        let msg = MessageView::Request(RequestView {
+            service_context: service_context.view(),
             request_id,
             response_expected,
             object_key,
-            operation: operation.to_owned(),
-            body: args.to_vec(),
+            operation,
+            body: args,
         });
         Ok((request_id, msg.to_bytes()?))
+    }
+
+    /// Rebuilds `short_forms` from the confirmed aliases (on a
+    /// handshake confirmation or a restore, never per request).
+    fn index_short_forms(&mut self) {
+        self.short_forms.clear();
+        // Descending, so a key's lowest alias is the one that stays.
+        for (&alias, full_key) in self.negotiated.short_keys.iter().rev() {
+            self.short_forms
+                .insert(full_key.clone(), ObjectKey::short_form(alias));
+        }
     }
 
     /// Builds a GIOP `LocateRequest` probing whether the server knows
@@ -201,10 +210,10 @@ impl ClientConnection {
     /// [`OrbError::RequestIdsExhausted`] once all ids are consumed.
     pub fn build_locate_request(&mut self, key: &ObjectKey) -> Result<(u32, Vec<u8>), OrbError> {
         let request_id = self.allocate_request_id()?;
-        let msg = GiopMessage::LocateRequest(eternal_giop::LocateRequestMessage {
+        let msg = MessageView::LocateRequest {
             request_id,
-            object_key: key.as_bytes().to_vec(),
-        });
+            object_key: key.as_bytes(),
+        };
         Ok((request_id, msg.to_bytes()?))
     }
 
@@ -221,7 +230,7 @@ impl ClientConnection {
                 "cancel of a request that is not outstanding",
             ));
         }
-        Ok(GiopMessage::CancelRequest { request_id }.to_bytes()?)
+        Ok(MessageView::CancelRequest { request_id }.to_bytes()?)
     }
 
     /// Consumes an incoming IIOP reply.
@@ -232,40 +241,34 @@ impl ClientConnection {
     /// reproducing the commercial-ORB behaviour that makes request-id
     /// recovery necessary (paper §4.2.1).
     pub fn handle_reply(&mut self, bytes: &[u8]) -> Result<ReplyOutcome, OrbError> {
-        let msg = GiopMessage::from_bytes(bytes)?;
-        let GiopMessage::Reply(ReplyMessage {
-            service_context,
-            request_id,
-            reply_status,
-            body,
-        }) = msg
-        else {
+        let MessageView::Reply(reply) = MessageView::parse(bytes)? else {
             return Err(OrbError::UnexpectedMessage(
                 "client connection received a non-reply message",
             ));
         };
-        let Some(outstanding) = self.outstanding.remove(&request_id) else {
+        let Some(outstanding) = self.outstanding.remove(&reply.request_id) else {
             self.discarded_replies += 1;
             return Err(OrbError::UnexpectedMessage(
                 "reply request_id matches no outstanding request; discarded",
             ));
         };
         // Fold in handshake confirmations.
-        if let Some(cs) = service_context.find(CONTEXT_CODE_SETS) {
-            if let Ok(ctx) = CodeSetContext::from_context_data(&cs.data) {
+        if let Some(cs) = reply.service_context.find(CONTEXT_CODE_SETS) {
+            if let Ok(ctx) = CodeSetContext::from_context_data(cs) {
                 self.negotiated.code_sets = Some(ctx);
             }
         }
-        if let Some(vh) = service_context.find(CONTEXT_ETERNAL_VENDOR) {
-            if let Ok(hs) = VendorHandshake::from_context_data(&vh.data) {
+        if let Some(vh) = reply.service_context.find(CONTEXT_ETERNAL_VENDOR) {
+            if let Ok(hs) = VendorHandshake::from_context_data(vh) {
                 self.negotiated.short_keys.insert(hs.short_key, hs.full_key);
+                self.index_short_forms();
             }
         }
         Ok(ReplyOutcome {
-            request_id,
+            request_id: reply.request_id,
             operation: outstanding.operation,
-            status: reply_status,
-            body,
+            status: reply.reply_status,
+            body: reply.body.to_vec(),
         })
     }
 
@@ -291,6 +294,7 @@ impl ClientConnection {
     /// of the server-side handshake replay).
     pub fn restore_negotiated(&mut self, negotiated: NegotiatedState) {
         self.negotiated = negotiated;
+        self.index_short_forms();
         self.handshake_started = true;
     }
 
@@ -311,7 +315,7 @@ impl ClientConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eternal_giop::ServiceContext;
+    use eternal_giop::{GiopMessage, ReplyMessage, ServiceContext};
 
     fn key() -> ObjectKey {
         ObjectKey::from("bank/account")

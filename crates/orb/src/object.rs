@@ -1,6 +1,8 @@
 //! Object keys and reference helpers.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
 
 /// Marker prefix identifying a *short object key*: the compressed alias
 /// negotiated by the vendor handshake (paper §4.2.2). Real object keys
@@ -31,21 +33,39 @@ impl ObjectKey {
     }
 
     /// Encodes a short-key alias as wire-format object-key bytes.
-    pub fn short_form(alias: u32) -> Vec<u8> {
-        let mut v = SHORT_KEY_PREFIX.to_vec();
-        v.extend_from_slice(&alias.to_be_bytes());
-        v
+    pub fn short_form(alias: u32) -> [u8; 7] {
+        let mut wire = [0; 7];
+        wire[..3].copy_from_slice(SHORT_KEY_PREFIX);
+        wire[3..].copy_from_slice(&alias.to_be_bytes());
+        wire
     }
 
     /// Decodes wire-format object-key bytes: either a full key or a
     /// short-key alias.
-    pub fn parse_wire(bytes: &[u8]) -> WireKey {
+    pub fn parse_wire(bytes: &[u8]) -> WireKey<'_> {
         if bytes.len() == 7 && bytes.starts_with(SHORT_KEY_PREFIX) {
             let alias = u32::from_be_bytes(bytes[3..7].try_into().expect("len checked"));
             WireKey::Short(alias)
         } else {
-            WireKey::Full(ObjectKey(bytes.to_vec()))
+            WireKey::Full(bytes)
         }
+    }
+}
+
+/// A key is its bytes: it derefs to them, and a map keyed by
+/// [`ObjectKey`] is searched with the key bytes of a request as they
+/// lie in the message.
+impl Deref for ObjectKey {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Borrow<[u8]> for ObjectKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
     }
 }
 
@@ -62,10 +82,10 @@ impl From<&str> for ObjectKey {
 }
 
 /// The two wire forms an object key can take on a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireKey {
-    /// The complete key.
-    Full(ObjectKey),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireKey<'a> {
+    /// The complete key, as it lies in the message.
+    Full(&'a [u8]),
     /// The negotiated alias; only resolvable by a server connection that
     /// saw the handshake.
     Short(u32),
@@ -80,7 +100,7 @@ mod tests {
         let k = ObjectKey::from("bank/account-7");
         assert_eq!(
             ObjectKey::parse_wire(k.as_bytes()),
-            WireKey::Full(k.clone())
+            WireKey::Full(k.as_bytes())
         );
         assert_eq!(k.to_string(), "bank/account-7");
     }

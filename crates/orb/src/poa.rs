@@ -127,8 +127,9 @@ impl Poa {
         self.servants.remove(key).is_some()
     }
 
-    /// Whether a servant is active under `key`.
-    pub fn is_active(&self, key: &ObjectKey) -> bool {
+    /// Whether a servant is active under `key` (an [`ObjectKey`] or
+    /// the bytes of one).
+    pub fn is_active(&self, key: &[u8]) -> bool {
         self.servants.contains_key(key)
     }
 
@@ -137,7 +138,8 @@ impl Poa {
         self.servants.keys().cloned().collect()
     }
 
-    /// Dispatches an operation to the servant under `key`.
+    /// Dispatches an operation to the servant under `key` (an
+    /// [`ObjectKey`] or the bytes of one).
     ///
     /// `get_state`/`set_state` are routed to the [`CheckpointableServant`]
     /// methods, with the state marshalled as a CDR `any` (FT-CORBA wire
@@ -149,7 +151,7 @@ impl Poa {
     /// otherwise.
     pub fn dispatch(
         &mut self,
-        key: &ObjectKey,
+        key: &[u8],
         operation: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, OrbError> {
@@ -163,7 +165,7 @@ impl Poa {
         let reg = self
             .servants
             .get_mut(key)
-            .ok_or_else(|| OrbError::ObjectNotExist(key.to_string()))?;
+            .ok_or_else(|| OrbError::ObjectNotExist(String::from_utf8_lossy(key).into_owned()))?;
         self.dispatch_count += 1;
         match (operation, reg) {
             (OP_GET_STATE, Registered::Checkpointable(s)) => {

@@ -13,8 +13,9 @@ use crate::servant::ServantError;
 use crate::state::{NegotiatedState, ServerConnectionState};
 use crate::OrbError;
 use eternal_giop::{
-    CodeSetContext, GiopMessage, ReplyMessage, ReplyStatus, ServiceContextList,
-    SystemExceptionBody, VendorHandshake, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR,
+    CodeSetContext, LocateReplyMessage, LocateStatus, MessageView, ReplyStatus, ReplyView,
+    RequestView, ServiceContextList, SystemExceptionBody, VendorHandshake, CONTEXT_CODE_SETS,
+    CONTEXT_ETERNAL_VENDOR,
 };
 use std::collections::BTreeMap;
 
@@ -100,38 +101,14 @@ impl ServerConnection {
         bytes: &[u8],
         poa: &mut Poa,
     ) -> Result<(Option<Vec<u8>>, RequestDisposition), OrbError> {
-        let msg = GiopMessage::from_bytes(bytes)?;
-        let GiopMessage::Request(req) = msg else {
-            return Err(OrbError::UnexpectedMessage(
-                "server connection received a non-request message",
-            ));
-        };
-        self.last_seen_request_id = Some(req.request_id);
-
-        // Handshake processing: cache and prepare confirmations.
-        let mut reply_contexts = ServiceContextList::new();
-        if let Some(cs) = req.service_context.find(CONTEXT_CODE_SETS) {
-            if let Ok(ctx) = CodeSetContext::from_context_data(&cs.data) {
-                self.negotiated.code_sets = Some(ctx);
-                reply_contexts.set(CONTEXT_CODE_SETS, ctx.to_context_data());
-            }
-        }
-        if let Some(vh) = req.service_context.find(CONTEXT_ETERNAL_VENDOR) {
-            if let Ok(hs) = VendorHandshake::from_context_data(&vh.data) {
-                self.short_keys
-                    .insert(hs.short_key, ObjectKey::new(hs.full_key.clone()));
-                self.negotiated
-                    .short_keys
-                    .insert(hs.short_key, hs.full_key.clone());
-                reply_contexts.set(CONTEXT_ETERNAL_VENDOR, hs.to_context_data());
-            }
-        }
+        let req = request_view(bytes)?;
+        let reply_contexts = self.negotiate(&req);
 
         // Resolve the object key, which may use the negotiated alias.
-        let key = match ObjectKey::parse_wire(&req.object_key) {
+        let key = match ObjectKey::parse_wire(req.object_key) {
             WireKey::Full(k) => k,
             WireKey::Short(alias) => match self.short_keys.get(&alias) {
-                Some(k) => k.clone(),
+                Some(k) => k.as_bytes(),
                 None => {
                     // §4.2.2: a server that missed the handshake cannot
                     // interpret the negotiated form; the request is
@@ -142,39 +119,57 @@ impl ServerConnection {
             },
         };
 
-        let outcome = poa.dispatch(&key, &req.operation, &req.body);
+        let outcome = poa.dispatch(key, req.operation, req.body);
         self.handled_requests += 1;
         if !req.response_expected {
             return Ok((None, RequestDisposition::Dispatched));
         }
-        let reply = match outcome {
-            Ok(body) => ReplyMessage {
-                service_context: reply_contexts,
-                request_id: req.request_id,
-                reply_status: ReplyStatus::NoException,
-                body,
-            },
+        let (reply_status, body) = match outcome {
+            Ok(body) => (ReplyStatus::NoException, body),
             Err(OrbError::Servant(
                 e @ (ServantError::UserException(_)
                 | ServantError::NoStateAvailable
                 | ServantError::InvalidState),
-            )) => ReplyMessage {
-                service_context: reply_contexts,
-                request_id: req.request_id,
-                reply_status: ReplyStatus::UserException,
-                body: exception_body(&format!("IDL:Eternal/{e}:1.0")),
-            },
-            Err(e) => ReplyMessage {
-                service_context: reply_contexts,
-                request_id: req.request_id,
-                reply_status: ReplyStatus::SystemException,
-                body: exception_body(&format!("IDL:omg.org/CORBA/UNKNOWN:1.0 ({e})")),
-            },
+            )) => (
+                ReplyStatus::UserException,
+                exception_body(&format!("IDL:Eternal/{e}:1.0")),
+            ),
+            Err(e) => (
+                ReplyStatus::SystemException,
+                exception_body(&format!("IDL:omg.org/CORBA/UNKNOWN:1.0 ({e})")),
+            ),
         };
-        Ok((
-            Some(GiopMessage::Reply(reply).to_bytes()?),
-            RequestDisposition::Dispatched,
-        ))
+        // Encoded straight from the servant's result.
+        let reply = MessageView::Reply(ReplyView {
+            service_context: reply_contexts.view(),
+            request_id: req.request_id,
+            reply_status,
+            body: &body,
+        });
+        Ok((Some(reply.to_bytes()?), RequestDisposition::Dispatched))
+    }
+
+    /// Records the request's id and caches what its handshake contexts
+    /// (if it carries any) negotiate; returns the confirmations a reply
+    /// to it carries.
+    fn negotiate(&mut self, req: &RequestView<'_>) -> ServiceContextList {
+        self.last_seen_request_id = Some(req.request_id);
+        let mut confirmations = ServiceContextList::new();
+        if let Some(cs) = req.service_context.find(CONTEXT_CODE_SETS) {
+            if let Ok(ctx) = CodeSetContext::from_context_data(cs) {
+                self.negotiated.code_sets = Some(ctx);
+                confirmations.set(CONTEXT_CODE_SETS, ctx.to_context_data());
+            }
+        }
+        if let Some(vh) = req.service_context.find(CONTEXT_ETERNAL_VENDOR) {
+            if let Ok(hs) = VendorHandshake::from_context_data(vh) {
+                confirmations.set(CONTEXT_ETERNAL_VENDOR, hs.to_context_data());
+                self.short_keys
+                    .insert(hs.short_key, ObjectKey::new(hs.full_key.clone()));
+                self.negotiated.short_keys.insert(hs.short_key, hs.full_key);
+            }
+        }
+        confirmations
     }
 
     /// Absorbs a *replayed* handshake request: caches its negotiated
@@ -196,27 +191,7 @@ impl ServerConnection {
     ///
     /// Parse failures, or a non-request message.
     pub fn absorb_handshake(&mut self, bytes: &[u8]) -> Result<(), OrbError> {
-        let msg = GiopMessage::from_bytes(bytes)?;
-        let GiopMessage::Request(req) = msg else {
-            return Err(OrbError::UnexpectedMessage(
-                "server connection received a non-request message",
-            ));
-        };
-        self.last_seen_request_id = Some(req.request_id);
-        if let Some(cs) = req.service_context.find(CONTEXT_CODE_SETS) {
-            if let Ok(ctx) = CodeSetContext::from_context_data(&cs.data) {
-                self.negotiated.code_sets = Some(ctx);
-            }
-        }
-        if let Some(vh) = req.service_context.find(CONTEXT_ETERNAL_VENDOR) {
-            if let Ok(hs) = VendorHandshake::from_context_data(&vh.data) {
-                self.short_keys
-                    .insert(hs.short_key, ObjectKey::new(hs.full_key.clone()));
-                self.negotiated
-                    .short_keys
-                    .insert(hs.short_key, hs.full_key.clone());
-            }
-        }
+        self.negotiate(&request_view(bytes)?);
         Ok(())
     }
 
@@ -228,21 +203,24 @@ impl ServerConnection {
     ///
     /// Parse failures, or a non-locate message.
     pub fn handle_locate_request(&mut self, bytes: &[u8], poa: &Poa) -> Result<Vec<u8>, OrbError> {
-        let msg = GiopMessage::from_bytes(bytes)?;
-        let GiopMessage::LocateRequest(req) = msg else {
+        let MessageView::LocateRequest {
+            request_id,
+            object_key,
+        } = MessageView::parse(bytes)?
+        else {
             return Err(OrbError::UnexpectedMessage("expected a LocateRequest"));
         };
-        let status = match ObjectKey::parse_wire(&req.object_key) {
-            WireKey::Full(k) if poa.is_active(&k) => eternal_giop::LocateStatus::ObjectHere,
-            WireKey::Short(alias) => match self.short_keys.get(&alias) {
-                Some(k) if poa.is_active(k) => eternal_giop::LocateStatus::ObjectHere,
-                _ => eternal_giop::LocateStatus::UnknownObject,
-            },
-            _ => eternal_giop::LocateStatus::UnknownObject,
+        let key = match ObjectKey::parse_wire(object_key) {
+            WireKey::Full(k) => Some(k),
+            WireKey::Short(alias) => self.short_keys.get(&alias).map(ObjectKey::as_bytes),
         };
-        Ok(GiopMessage::LocateReply(eternal_giop::LocateReplyMessage {
-            request_id: req.request_id,
-            locate_status: status,
+        let locate_status = match key {
+            Some(k) if poa.is_active(k) => LocateStatus::ObjectHere,
+            _ => LocateStatus::UnknownObject,
+        };
+        Ok(MessageView::LocateReply(LocateReplyMessage {
+            request_id,
+            locate_status,
         })
         .to_bytes()?)
     }
@@ -266,6 +244,16 @@ impl ServerConnection {
     }
 }
 
+/// The request in `bytes`, in place.
+fn request_view(bytes: &[u8]) -> Result<RequestView<'_>, OrbError> {
+    match MessageView::parse(bytes)? {
+        MessageView::Request(req) => Ok(req),
+        _ => Err(OrbError::UnexpectedMessage(
+            "server connection received a non-request message",
+        )),
+    }
+}
+
 fn exception_body(id: &str) -> Vec<u8> {
     SystemExceptionBody {
         exception_id: id.to_owned(),
@@ -282,6 +270,7 @@ mod tests {
     use crate::client::ClientConnection;
     use crate::servant::{CheckpointableServant, Servant};
     use eternal_cdr::{Any, Value};
+    use eternal_giop::GiopMessage;
 
     struct Counter(u32);
     impl Servant for Counter {

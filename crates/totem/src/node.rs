@@ -357,7 +357,16 @@ impl TotemNode {
     /// multicast; the node decides relevance (token/commit frames carry a
     /// target).
     pub fn handle_frame(&mut self, frame: Frame) -> Vec<Action> {
-        let mut actions = Vec::new();
+        // Room for what the frame itself announces — the timers, a
+        // delivery per packed message, a frame per retransmission
+        // request and the forwarded token — so the vector regrows only
+        // for what it cannot (a closing gap, a reformation).
+        let mut actions = Vec::with_capacity(match &frame {
+            Frame::Regular(m) => 2 + m.payload.message_count(),
+            Frame::Token(t) if t.target == self.id => 4 + t.rtr.len(),
+            Frame::Token(_) => 2,
+            Frame::Join(_) | Frame::Commit(_) => 0,
+        });
         match frame {
             Frame::Regular(m) => self.on_regular(m, &mut actions),
             Frame::Token(t) => self.on_token(t, &mut actions),
@@ -1139,6 +1148,8 @@ impl TotemNode {
             {
                 let first = self.pending.pop_front().expect("non-empty");
                 let (payload, tags) = self.pack_batch(first);
+                // The frame, and our own delivery of each message in it.
+                actions.reserve(1 + payload.message_count());
                 t.seq += 1;
                 let msg = RegularMsg {
                     ring: t.ring,
@@ -1218,32 +1229,37 @@ impl TotemNode {
         let budget = self.cfg.batch_budget_bytes;
         // A batch costs 4 bytes (item count) plus 4 bytes per item.
         let mut batch_len = 4 + 4 + first.len();
-        if budget == 0 || batch_len > budget {
-            let tags = if first_tag.is_none() {
-                vec![]
-            } else {
-                vec![first_tag]
-            };
-            return (Payload::App(first), tags);
-        }
-        let mut items = vec![first];
-        let mut tags = vec![first_tag];
-        while let Some((next, _)) = self.pending.front() {
+        // How many of the messages queued behind `first` fit (none when
+        // batching is off or `first` alone is over budget), and whether
+        // any message of the batch is traced: both vectors are then
+        // allocated once at their final size — untraced, the tags not
+        // at all.
+        let mut traced = !first_tag.is_none();
+        let mut fitting = 0;
+        for (next, tag) in &self.pending {
             if batch_len + 4 + next.len() > budget {
                 break;
             }
             batch_len += 4 + next.len();
-            let (data, tag) = self.pending.pop_front().expect("non-empty");
+            traced |= !tag.is_none();
+            fitting += 1;
+        }
+        let mut tags = Vec::with_capacity(if traced { 1 + fitting } else { 0 });
+        if traced {
+            tags.push(first_tag);
+        }
+        if fitting == 0 {
+            return (Payload::App(first), tags);
+        }
+        let mut items = Vec::with_capacity(1 + fitting);
+        items.push(first);
+        for (data, tag) in self.pending.drain(..fitting) {
             items.push(data);
-            tags.push(tag);
-            self.broadcast_count += 1;
+            if traced {
+                tags.push(tag);
+            }
         }
-        if tags.iter().all(|t| t.is_none()) {
-            tags.clear();
-        }
-        if items.len() == 1 {
-            return (Payload::App(items.pop().expect("single item")), tags);
-        }
+        self.broadcast_count += fitting as u64;
         self.batches += 1;
         self.batched_messages += items.len() as u64;
         self.frames_saved += items.len() as u64 - 1;
