@@ -33,9 +33,9 @@ use eternal::properties::FaultToleranceProperties;
 use eternal_cdr::{Any, Value};
 use eternal_giop::ReplyStatus;
 use eternal_obs::attribution::{attribute, AttributionReport, Phase};
-use eternal_obs::export::json_escape;
+use eternal_obs::export::{JsonWriter, Layout};
+use eternal_obs::LogHistogram;
 use eternal_sim::Duration;
-use std::fmt::Write as _;
 
 /// A client whose `put` values span several Totem fragments, so the
 /// attribution's critical-path rule (reassembly completes at the
@@ -181,7 +181,7 @@ pub fn attribution_run(seed: u64) -> AttributionRun {
 
     let report = attribute(cluster.causal());
     let passed = !report.requests.is_empty() && report.violations.is_empty();
-    let json = render_json(&report, seed, cluster.now().as_nanos());
+    let json = render_json(&report, seed, cluster.now().as_nanos(), passed);
     let text = report.render_text(TOP_K);
     let summary = format!(
         "attribution: seed={seed} requests={} incomplete={} non_monotone={} dropped={} \
@@ -202,106 +202,55 @@ pub fn attribution_run(seed: u64) -> AttributionRun {
     }
 }
 
-fn render_json(report: &AttributionReport, seed: u64, final_time_ns: u64) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"final_time_ns\": {final_time_ns},");
-    let _ = writeln!(out, "  \"requests\": {},", report.requests.len());
-    let _ = writeln!(
-        out,
-        "  \"incomplete_chains\": {},",
-        report.incomplete_chains
-    );
-    let _ = writeln!(
-        out,
-        "  \"non_monotone_chains\": {},",
-        report.non_monotone_chains
-    );
-    let _ = writeln!(out, "  \"dropped_events\": {},", report.dropped_events);
-    out.push_str("  \"phases\": [\n");
-    for (i, phase) in Phase::ALL.into_iter().enumerate() {
-        let h = &report.phase_histograms[phase.index()];
-        let _ = write!(
-            out,
-            "    {{\"phase\": \"{}\", \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}{}",
-            phase.name(),
-            h.count(),
-            h.sum_nanos(),
-            h.percentile(50.0).as_nanos(),
-            h.percentile(99.0).as_nanos(),
-            h.max().as_nanos(),
-            if i + 1 < Phase::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
+/// The `count` … `max_ns` members shared by the `phases` rows and `rtt`.
+fn histogram_fields(w: &mut JsonWriter, h: &LogHistogram) {
+    w.field("count", h.count())
+        .field("total_ns", h.sum_nanos())
+        .field("p50_ns", h.percentile(50.0).as_nanos())
+        .field("p99_ns", h.percentile(99.0).as_nanos())
+        .field("max_ns", h.max().as_nanos());
+}
+
+fn render_json(report: &AttributionReport, seed: u64, final_time_ns: u64, passed: bool) -> String {
+    let mut w = JsonWriter::default();
+    w.object(Layout::Block)
+        .field("schema", 1)
+        .field("seed", seed)
+        .field("final_time_ns", final_time_ns)
+        .field("requests", report.requests.len())
+        .field("incomplete_chains", report.incomplete_chains)
+        .field("non_monotone_chains", report.non_monotone_chains)
+        .field("dropped_events", report.dropped_events)
+        .key("phases")
+        .array(Layout::Block);
+    for phase in Phase::ALL {
+        w.object(Layout::Spaced).field_str("phase", phase.name());
+        histogram_fields(&mut w, &report.phase_histograms[phase.index()]);
+        w.end();
     }
-    out.push_str("  ],\n");
-    let rtt = &report.rtt_histogram;
-    let _ = writeln!(
-        out,
-        "  \"rtt\": {{\"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"max_ns\": {}}},",
-        rtt.count(),
-        rtt.sum_nanos(),
-        rtt.percentile(50.0).as_nanos(),
-        rtt.percentile(99.0).as_nanos(),
-        rtt.max().as_nanos()
-    );
-    out.push_str("  \"top\": [\n");
-    let top = report.top_k(TOP_K);
-    for (i, r) in top.iter().enumerate() {
-        let mut phases = String::new();
-        for (j, phase) in Phase::ALL.into_iter().enumerate() {
-            let _ = write!(
-                phases,
-                "\"{}\": {}{}",
-                phase.name(),
-                r.phase_ns[phase.index()],
-                if j + 1 < Phase::ALL.len() { ", " } else { "" }
-            );
+    w.end().key("rtt").object(Layout::Spaced);
+    histogram_fields(&mut w, &report.rtt_histogram);
+    w.end().key("top").array(Layout::Block);
+    for r in report.top_k(TOP_K) {
+        w.object(Layout::Spaced)
+            .field("trace_id", r.trace_id)
+            .field("client_node", r.client_node)
+            .field("started_at_ns", r.started_at.as_nanos())
+            .field("rtt_ns", r.rtt.as_nanos())
+            .field_str("dominant", r.dominant().name())
+            .key("phases")
+            .object(Layout::Spaced);
+        for phase in Phase::ALL {
+            w.field(phase.name(), r.phase_ns[phase.index()]);
         }
-        let _ = write!(
-            out,
-            "    {{\"trace_id\": {}, \"client_node\": {}, \"started_at_ns\": {}, \
-             \"rtt_ns\": {}, \"dominant\": \"{}\", \"phases\": {{{phases}}}, \"hops\": {}}}{}",
-            r.trace_id,
-            r.client_node,
-            r.started_at.as_nanos(),
-            r.rtt.as_nanos(),
-            r.dominant().name(),
-            r.hops,
-            if i + 1 < top.len() { ",\n" } else { "\n" }
-        );
+        w.end().field("hops", r.hops).end();
     }
-    out.push_str("  ],\n  \"violations\": [\n");
-    for (i, v) in report.violations.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    \"{}\"{}",
-            json_escape(v),
-            if i + 1 < report.violations.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
+    w.end().key("violations").array(Layout::Block);
+    for v in &report.violations {
+        w.string(v);
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"passed\": {}",
-        if !report.requests.is_empty() && report.violations.is_empty() {
-            "true"
-        } else {
-            "false"
-        }
-    );
-    out.push_str("}\n");
-    out
+    w.end().field("passed", passed).end();
+    w.finish()
 }
 
 #[cfg(test)]

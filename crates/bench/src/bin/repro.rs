@@ -1,683 +1,490 @@
-//! Regenerates every figure/table of the DSN 2001 evaluation as text
-//! tables. Results are recorded in `EXPERIMENTS.md`.
+//! Regenerates the DSN 2001 evaluation as text tables (recorded in
+//! `EXPERIMENTS.md`) and every byte-deterministic artefact that gates a
+//! change to this repository.
 //!
 //! ```sh
-//! cargo run --release -p eternal-bench --bin repro            # everything
-//! cargo run --release -p eternal-bench --bin repro -- fig6    # one experiment
-//! ```
-//!
-//! Experiments: `fig6`, `timeline`, `overhead`, `styles`,
-//! `checkpoint-sweep`, `frag-threshold`, `replicas`, `ablation-reqid`,
-//! `ablation-handshake`.
-//!
-//! In addition, `chaos` runs a deterministic fault-injection campaign
-//! (not part of the default everything-run; see `docs/CHAOS.md`):
-//!
-//! ```sh
+//! cargo run --release -p eternal-bench --bin repro            # every experiment
+//! cargo run --release -p eternal-bench --bin repro -- fig6    # experiments by name
 //! cargo run --release -p eternal-bench --bin repro -- chaos --seed 7 --steps 12
-//! ```
-//!
-//! It prints the campaign summary and exits nonzero if any invariant
-//! was violated, so CI can gate on it. `--json <path>` additionally
-//! writes the summary as JSON; `--causal` records causal traces and
-//! dumps `flight_recorder.json` on violation; `--force-violation`
-//! injects a synthetic violation (flight-recorder path testing).
-//!
-//! `trace` runs the causal-tracing scenario (see `docs/TRACING.md`),
-//! writes Chrome trace-event JSON (default `TRACE_eternal.json`,
-//! override with `--json <path>`), prints a sample span tree, and exits
-//! nonzero if any replica disagreed on the total order:
-//!
-//! ```sh
-//! cargo run --release -p eternal-bench --bin repro -- trace --seed 42
-//! ```
-//!
-//! `explore` runs the systematic schedule-space explorer (see
-//! `docs/TESTING.md`), writing the schema'd exploration report (default
-//! `EXPLORE_eternal.json`, byte-identical per seed+budget) and, on a
-//! violation, `flight_recorder.json` from the traced re-run of the
-//! shrunk minimal schedule. It exits nonzero if any explored schedule
-//! violated the single-copy oracle; `--force-violation` plants a
-//! synthetic exactly-once bug so CI can exercise the detect → shrink →
-//! report path:
-//!
-//! ```sh
-//! cargo run --release -p eternal-bench --bin repro -- explore --quick
-//! cargo run --release -p eternal-bench --bin repro -- explore --seed 7 --budget 1000
-//! ```
-//!
-//! `bench` runs the deterministic benchmark suite (also outside the
-//! everything-run; see `docs/BENCHMARKS.md`), writing
-//! `BENCH_eternal.json` and exiting nonzero on violated invariants.
-//! `--compare <baseline.json>` additionally diffs the fresh report
-//! against a recorded baseline, prints per-metric deltas, and exits
-//! nonzero if any metric moved more than the threshold
-//! (`--threshold-pct-x100 N`, default 500 = 5 %):
-//!
-//! ```sh
-//! cargo run --release -p eternal-bench --bin repro -- bench --quick
-//! cargo run --release -p eternal-bench --bin repro -- bench --compare BENCH_eternal.json
-//! ```
-//!
-//! `health` runs the totally-ordered health-monitoring scenario (see
-//! `docs/HEALTH.md`), writing `HEALTH_eternal.json` (byte-identical per
-//! seed+fault) and printing the Prometheus exposition of the final
-//! metrics registry. A fault-free run exits nonzero if *any* diagnosis
-//! fired (false positive); a `--fault KIND` run exits nonzero if the
-//! documented detector for that kind did *not* fire:
-//!
-//! ```sh
-//! cargo run --release -p eternal-bench --bin repro -- health --seed 42
-//! cargo run --release -p eternal-bench --bin repro -- health --fault crash_restart
-//! ```
-//!
-//! `attribution` runs the per-request latency-attribution scenario
-//! (see `docs/ATTRIBUTION.md`), writing `ATTRIB_eternal.json`
-//! (byte-identical per seed) and printing the where-does-the-time-go
-//! report; it exits nonzero if any attributed request failed to tile
-//! its round trip exactly into the pipeline phases:
-//!
-//! ```sh
-//! cargo run --release -p eternal-bench --bin repro -- attribution --seed 42
-//! ```
-//!
-//! `fingerprint` runs every byte-deterministic artefact above once, at
-//! its standard seed, and prints one line per artefact — name, schema,
-//! XXH64 of its bytes — plus a combined hash. The committed
-//! `FINGERPRINT.txt` is that output; `--check FILE` exits nonzero and
-//! names the artefacts that moved (see `docs/TESTING.md`):
-//!
-//! ```sh
 //! cargo run --release -p eternal-bench --bin repro -- fingerprint --check FINGERPRINT.txt
 //! ```
 //!
-//! Unknown experiment names print the usage and exit 2.
+//! The experiments ([`EXPERIMENTS`]) print tables and take no flags.
+//! The subcommands are one table, [`TOOLS`]: each row names a tool,
+//! its flags, the artefact it writes and the runs of it that
+//! `fingerprint` hashes, and points at a function that turns parsed
+//! flags into stdout text, artefact bytes and a verdict. One loop
+//! ([`parse`]) reads every tool's flags, one driver ([`run_tool`])
+//! prints, writes and exits, and the usage text is generated from the
+//! table, so a tool cannot exist without appearing in all three.
+//!
+//! Exit codes are uniform: 0 when the tool's invariants held, 1 when
+//! one was violated (a chaos or explorer violation, a bench invariant,
+//! a false-positive or missed health diagnosis, a total-order
+//! disagreement, an inexact attribution tiling, a moved fingerprint)
+//! or an artefact could not be written, 2 on a flag error. A violation
+//! under `chaos --causal` or `explore` also dumps
+//! `flight_recorder.json`. See `docs/CHAOS.md`, `BENCHMARKS.md`,
+//! `TRACING.md`, `HEALTH.md`, `TESTING.md` and `ATTRIBUTION.md` for
+//! what each artefact holds.
 
-use eternal::chaos::{run_campaign, CampaignConfig, FaultKind};
+use eternal::chaos::{run_campaign, CampaignConfig};
 use eternal::explore::{run_explore, ExploreConfig};
 use eternal::hash::hash_bytes;
 use eternal::properties::ReplicationStyle;
 use eternal_bench::{
-    ablation_run, attribution, checkpoint_sweep_point, compare, fig6_point, fig6_timeline,
-    frag_threshold, health, overhead_point, replica_count_point, style_run, suite, trace_run,
+    ablation_run, attribution, checkpoint_sweep_point, fig6_point, fig6_timeline, frag_threshold,
+    health, overhead_point, replica_count_point, style_run, suite, trace_run,
 };
-use eternal_obs::timeline::{render_breakdown_json, render_breakdown_table, RecoveryTimeline};
+use eternal_obs::timeline::{render_breakdown_json, render_breakdown_table};
 use eternal_sim::Duration;
+use std::fmt;
 
-/// Experiments runnable by name (an empty argument list runs them all).
-const EXPERIMENTS: [&str; 9] = [
-    "fig6",
-    "timeline",
-    "overhead",
-    "styles",
-    "checkpoint-sweep",
-    "frag-threshold",
-    "replicas",
-    "ablation-reqid",
-    "ablation-handshake",
+/// Experiments runnable by name, in the order an empty argument list
+/// runs them all.
+const EXPERIMENTS: [(&str, fn()); 9] = [
+    ("fig6", fig6),
+    ("timeline", timeline_experiment),
+    ("overhead", overhead),
+    ("styles", styles),
+    ("checkpoint-sweep", checkpoint_sweep),
+    ("frag-threshold", frag),
+    ("replicas", replicas),
+    ("ablation-reqid", ablation_reqid),
+    ("ablation-handshake", ablation_handshake),
+];
+
+/// What a flag's value must be.
+enum Value {
+    /// A switch: the flag takes no value.
+    None,
+    /// An unsigned integer; the text names it in the error message.
+    Number(&'static str),
+    /// A file path.
+    Path,
+    /// One of a fixed set of names.
+    OneOf(fn() -> Vec<&'static str>),
+}
+
+impl Value {
+    fn accepts(&self, v: &str) -> bool {
+        match self {
+            Value::None | Value::Path => true,
+            Value::Number(_) => v.parse::<u64>().is_ok(),
+            Value::OneOf(names) => names().contains(&v),
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::None => Ok(()),
+            Value::Number(what) => write!(f, "a {what}"),
+            Value::Path => f.write_str("a path"),
+            Value::OneOf(names) => write!(f, "one of: {}", names().join(", ")),
+        }
+    }
+}
+
+/// One flag a tool accepts; `meta` is the value's placeholder in the
+/// usage line (empty for a switch).
+struct Flag {
+    name: &'static str,
+    meta: &'static str,
+    value: Value,
+}
+
+impl fmt::Display for Flag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)?;
+        if !self.meta.is_empty() {
+            write!(f, " {}", self.meta)?;
+        }
+        Ok(())
+    }
+}
+
+const fn flag(name: &'static str, meta: &'static str, value: Value) -> Flag {
+    Flag { name, meta, value }
+}
+
+const SEED: Flag = flag("--seed", "N", Value::Number("numeric seed"));
+const JSON: Flag = flag("--json", "PATH", Value::Path);
+const QUICK: Flag = flag("--quick", "", Value::None);
+const FORCE_VIOLATION: Flag = flag("--force-violation", "", Value::None);
+
+/// A tool's parsed flags in command-line order; a switch's value is
+/// empty.
+struct Args(Vec<(&'static str, String)>);
+
+impl Args {
+    fn get(&self, flag: &str) -> Option<&str> {
+        let found = self.0.iter().rev().find(|(name, _)| *name == flag);
+        found.map(|(_, value)| value.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn num(&self, flag: &str, default: u64) -> u64 {
+        self.get(flag)
+            .map_or(default, |v| v.parse().expect("parse() accepted the number"))
+    }
+}
+
+/// What one run of a tool produced.
+#[derive(Default)]
+struct Outcome {
+    /// The report for stdout.
+    stdout: String,
+    /// Warnings and violations for stderr, one per line.
+    stderr: String,
+    /// The artefact's bytes.
+    artefact: String,
+    /// The flight-recorder dump of a traced violation.
+    flight_recorder: Option<String>,
+    /// Whether the tool's invariants held.
+    passed: bool,
+}
+
+/// One row of the tool table.
+struct Tool {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    /// Where the artefact goes when `--json` does not say; `None`
+    /// writes it only on request.
+    output: Option<&'static str>,
+    /// The `(label, flags)` runs whose artefacts `fingerprint` hashes,
+    /// at the seeds CI pins them at.
+    fingerprinted: &'static [(&'static str, &'static [&'static str])],
+    /// Runs the tool; `Err` is a flag-level error (exit 2).
+    run: fn(&Args) -> Result<Outcome, String>,
+}
+
+/// Every subcommand, in the order `fingerprint` hashes them.
+static TOOLS: [Tool; 8] = [
+    Tool {
+        name: "bench",
+        about: "deterministic benchmark suite",
+        flags: &[QUICK],
+        output: Some("BENCH_eternal.json"),
+        fingerprinted: &[("bench", &[])],
+        run: bench,
+    },
+    Tool {
+        name: "trace",
+        about: "end-to-end causal tracing",
+        flags: &[SEED, JSON],
+        output: Some("TRACE_eternal.json"),
+        fingerprinted: &[("trace", &[])],
+        run: trace,
+    },
+    Tool {
+        name: "attribution",
+        about: "per-request latency attribution",
+        flags: &[SEED, JSON],
+        output: Some("ATTRIB_eternal.json"),
+        fingerprinted: &[("attribution", &[])],
+        run: attribution_cmd,
+    },
+    Tool {
+        name: "health",
+        about: "totally-ordered health monitoring",
+        flags: &[
+            SEED,
+            flag("--fault", "KIND", Value::OneOf(health::fault_names)),
+            JSON,
+        ],
+        output: Some("HEALTH_eternal.json"),
+        fingerprinted: &[
+            ("health", &[]),
+            ("health.crash_restart", &["--fault", "crash_restart"]),
+            ("health.kill_replica", &["--fault", "kill_replica"]),
+        ],
+        run: health_cmd,
+    },
+    Tool {
+        name: "explore",
+        about: "systematic schedule-space exploration",
+        flags: &[
+            SEED,
+            flag("--budget", "B", Value::Number("run count")),
+            QUICK,
+            JSON,
+            FORCE_VIOLATION,
+        ],
+        output: Some("EXPLORE_eternal.json"),
+        fingerprinted: &[("explore", &["--quick"])],
+        run: explore,
+    },
+    Tool {
+        name: "timeline",
+        about: "figure-6 recovery breakdown by §5.1 phase",
+        flags: &[JSON],
+        output: None,
+        fingerprinted: &[("timeline", &[])],
+        run: timeline,
+    },
+    Tool {
+        name: "chaos",
+        about: "deterministic fault-injection campaign",
+        flags: &[
+            SEED,
+            flag("--steps", "M", Value::Number("numeric step count")),
+            JSON,
+            flag("--causal", "", Value::None),
+            FORCE_VIOLATION,
+        ],
+        output: None,
+        fingerprinted: &[
+            ("chaos.7", &["--seed", "7", "--steps", "10"]),
+            ("chaos.42", &["--seed", "42", "--steps", "10"]),
+            ("chaos.60", &["--seed", "60", "--steps", "10"]),
+        ],
+        run: chaos,
+    },
+    Tool {
+        name: "fingerprint",
+        about: "one hash per deterministic artefact",
+        flags: &[flag("--check", "FINGERPRINT.txt", Value::Path)],
+        output: None,
+        fingerprinted: &[],
+        run: fingerprint,
+    },
 ];
 
 fn usage() {
     eprintln!("usage: repro [EXPERIMENT ...] | repro SUBCOMMAND [FLAGS]");
     eprintln!();
+    let experiments: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "experiments (no arguments runs them all): {}",
-        EXPERIMENTS.join(", ")
+        experiments.join(", ")
     );
     eprintln!();
     eprintln!("subcommands:");
-    eprintln!(
-        "  timeline     figure-6 recovery breakdown by §5.1 phase \
-         [--json PATH]"
-    );
-    eprintln!(
-        "  chaos        deterministic fault-injection campaign \
-         [--seed N] [--steps M] [--json PATH] [--causal] [--force-violation]"
-    );
-    eprintln!(
-        "  bench        deterministic benchmark suite, writes BENCH_eternal.json \
-         [--quick] [--compare BASELINE.json] [--threshold-pct-x100 N]"
-    );
-    eprintln!(
-        "  trace        end-to-end causal tracing, writes TRACE_eternal.json \
-         [--seed N] [--json PATH]"
-    );
-    eprintln!(
-        "  health       totally-ordered health monitoring, writes HEALTH_eternal.json \
-         [--seed N] [--fault KIND] [--json PATH]"
-    );
-    eprintln!(
-        "  explore      systematic schedule-space exploration, writes EXPLORE_eternal.json \
-         [--seed N] [--budget B] [--quick] [--json PATH] [--force-violation]"
-    );
-    eprintln!(
-        "  attribution  per-request latency attribution, writes ATTRIB_eternal.json \
-         [--seed N] [--json PATH]"
-    );
-    eprintln!("  fingerprint  one hash per deterministic artefact [--check FINGERPRINT.txt]");
+    for tool in &TOOLS {
+        let writes = tool
+            .output
+            .map_or(String::new(), |p| format!(", writes {p}"));
+        let flags: Vec<String> = tool.flags.iter().map(|f| format!("[{f}]")).collect();
+        eprintln!(
+            "  {:<12} {}{writes} {}",
+            tool.name,
+            tool.about,
+            flags.join(" ")
+        );
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "chaos") {
-        std::process::exit(chaos(&args[1..]));
+    if let Some(tool) = args.first().and_then(|a| find_tool(a)) {
+        std::process::exit(run_tool(tool, &args[1..]));
     }
-    if args.first().is_some_and(|a| a == "explore") {
-        std::process::exit(explore(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "bench") {
-        std::process::exit(bench(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "trace") {
-        std::process::exit(trace(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "health") {
-        std::process::exit(health_cmd(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "attribution") {
-        std::process::exit(attribution_cmd(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "fingerprint") {
-        std::process::exit(fingerprint(&args[1..]));
-    }
-    // `timeline --json PATH` takes a flag; peel it off before the
-    // experiment-name scan.
-    let mut timeline_json: Option<String> = None;
-    let mut args = args;
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        if args.get(i.saturating_sub(1)).map(String::as_str) != Some("timeline") {
-            eprintln!("repro: --json here only applies to the timeline experiment");
-            usage();
-            std::process::exit(2);
-        }
-        if i + 1 >= args.len() {
-            eprintln!("repro: --json needs a path");
-            std::process::exit(2);
-        }
-        timeline_json = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+    let known = |arg: &String| EXPERIMENTS.iter().any(|(name, _)| name == arg);
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
         eprintln!("repro: unknown experiment {unknown:?}");
         usage();
         std::process::exit(2);
     }
-    let all = args.is_empty();
-    let want = |name: &str| all || args.iter().any(|a| a == name);
-
-    if want("fig6") {
-        fig6();
-    }
-    if want("timeline") {
-        timeline(timeline_json.as_deref());
-    }
-    if want("overhead") {
-        overhead();
-    }
-    if want("styles") {
-        styles();
-    }
-    if want("checkpoint-sweep") {
-        checkpoint_sweep();
-    }
-    if want("frag-threshold") {
-        frag();
-    }
-    if want("replicas") {
-        replicas();
-    }
-    if want("ablation-reqid") {
-        ablation_reqid();
-    }
-    if want("ablation-handshake") {
-        ablation_handshake();
+    for (name, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            run();
+        }
     }
 }
 
-/// `repro -- chaos [--seed N] [--steps M]`: one seeded campaign; the
-/// same seed always reproduces the same summary byte for byte.
-fn chaos(args: &[String]) -> i32 {
-    let mut cfg = CampaignConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let parse = |v: Option<&String>, what: &str| -> Option<u64> {
-            let parsed = v.and_then(|s| s.parse().ok());
-            if parsed.is_none() {
-                eprintln!("chaos: {flag} needs a numeric {what}");
-            }
-            parsed
+fn find_tool(name: &str) -> Option<&'static Tool> {
+    TOOLS.iter().find(|t| t.name == name)
+}
+
+/// The one flag loop: every argument must be one of the tool's flags,
+/// followed by a value its [`Value`] accepts.
+fn parse<S: AsRef<str>>(tool: &Tool, raw: &[S]) -> Result<Args, String> {
+    let mut args = Vec::new();
+    let mut it = raw.iter().map(AsRef::as_ref);
+    while let Some(arg) = it.next() {
+        let Some(flag) = tool.flags.iter().find(|f| f.name == arg) else {
+            let accepted: Vec<String> = tool.flags.iter().map(|f| f.to_string()).collect();
+            return Err(format!(
+                "unknown flag {arg} (expected {})",
+                accepted.join(" / ")
+            ));
         };
-        match flag.as_str() {
-            "--seed" => match parse(it.next(), "seed") {
-                Some(s) => cfg.seed = s,
-                None => return 2,
-            },
-            "--steps" => match parse(it.next(), "step count") {
-                Some(s) => cfg.steps = s as usize,
-                None => return 2,
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("chaos: --json needs a path");
-                    return 2;
-                }
-            },
-            "--causal" => cfg.causal = true,
-            "--force-violation" => {
-                cfg.causal = true;
-                cfg.force_violation = true;
-            }
-            other => {
-                eprintln!(
-                    "chaos: unknown flag {other} (expected --seed N / --steps M / \
-                     --json PATH / --causal / --force-violation)"
-                );
-                return 2;
-            }
-        }
+        let value = match flag.value {
+            Value::None => "",
+            ref kind => it
+                .next()
+                .filter(|v| kind.accepts(v))
+                .ok_or_else(|| format!("{arg} needs {kind}"))?,
+        };
+        args.push((flag.name, value.to_owned()));
     }
-    let summary = run_campaign(&cfg);
-    println!("{summary}");
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, summary.to_json()) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            return 1;
-        }
-        eprintln!("chaos: wrote {path}");
-    }
-    if let Some(dump) = &summary.flight_recorder {
-        if let Err(e) = std::fs::write("flight_recorder.json", dump) {
-            eprintln!("chaos: cannot write flight_recorder.json: {e}");
-            return 1;
-        }
-        eprintln!("chaos: wrote flight_recorder.json");
-    }
-    i32::from(!summary.passed())
+    Ok(Args(args))
 }
 
-/// `repro -- explore [--seed N] [--budget B] [--quick]`: one
-/// deterministic schedule-space exploration (see `docs/TESTING.md`).
-/// The same seed+budget always reproduces the same report byte for
-/// byte; on a violation the shrunk counterexample's flight-recorder
-/// dump lands in `flight_recorder.json`.
-fn explore(args: &[String]) -> i32 {
-    let mut cfg = ExploreConfig::default();
-    let mut json_path = String::from("EXPLORE_eternal.json");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => cfg.seed = s,
-                None => {
-                    eprintln!("explore: --seed needs a numeric seed");
-                    return 2;
-                }
-            },
-            "--budget" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(b) => cfg.budget = b,
-                None => {
-                    eprintln!("explore: --budget needs a run count");
-                    return 2;
-                }
-            },
-            "--quick" => cfg.budget = ExploreConfig::quick().budget,
-            "--json" => match it.next() {
-                Some(p) => json_path = p.clone(),
-                None => {
-                    eprintln!("explore: --json needs a path");
-                    return 2;
-                }
-            },
-            "--force-violation" => cfg.force_violation = true,
-            other => {
-                eprintln!(
-                    "explore: unknown flag {other} (expected --seed N / --budget B / \
-                     --quick / --json PATH / --force-violation)"
-                );
-                return 2;
-            }
-        }
-    }
-    let report = run_explore(&cfg);
-    println!("{report}");
-    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
-        eprintln!("explore: cannot write {json_path}: {e}");
-        return 1;
-    }
-    eprintln!("explore: wrote {json_path}");
-    if let Some(ce) = &report.counterexample {
-        if let Some(dump) = &ce.flight_recorder {
-            if let Err(e) = std::fs::write("flight_recorder.json", dump) {
-                eprintln!("explore: cannot write flight_recorder.json: {e}");
-                return 1;
-            }
-            eprintln!("explore: wrote flight_recorder.json");
-        }
-    }
-    i32::from(!report.passed())
-}
-
-/// `repro -- trace [--seed N] [--json PATH]`: the causal-tracing
-/// scenario of `docs/TRACING.md`. Writes the Chrome trace-event export
-/// (byte-identical per seed), prints one sample span tree, and exits
-/// nonzero if replicas disagreed on the total order.
-fn trace(args: &[String]) -> i32 {
-    let mut seed = 42u64;
-    let mut json_path = String::from("TRACE_eternal.json");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("trace: --seed needs a numeric seed");
-                    return 2;
-                }
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = p.clone(),
-                None => {
-                    eprintln!("trace: --json needs a path");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("trace: unknown flag {other} (expected --seed N / --json PATH)");
-                return 2;
-            }
-        }
-    }
-    let run = trace_run(seed);
-    println!(
-        "causal trace: seed={seed} spans={} traces={} dropped={} total_order_violations={}",
-        run.spans,
-        run.trace_count,
-        run.dropped_events,
-        run.violations.len()
-    );
-    if run.dropped_events > 0 {
-        eprintln!(
-            "trace: WARNING {} span(s) were evicted from the causal ring — the \
-             export shows a truncated history",
-            run.dropped_events
-        );
-    }
-    println!("-- sample span tree (first trace) --");
-    print!("{}", run.sample_tree);
-    for v in &run.violations {
-        eprintln!("trace: VIOLATION {v}");
-    }
-    if let Err(e) = std::fs::write(&json_path, &run.chrome_json) {
-        eprintln!("trace: cannot write {json_path}: {e}");
-        return 1;
-    }
-    eprintln!("trace: wrote {json_path}");
-    i32::from(!run.violations.is_empty())
-}
-
-/// `repro -- bench [--quick] [--compare BASELINE.json]`: the
-/// deterministic benchmark suite. Writes `BENCH_eternal.json` to the
-/// current directory and exits nonzero if any suite invariant was
-/// violated (see `docs/BENCHMARKS.md`). With `--compare`, the baseline
-/// is read *before* the fresh report overwrites it, diffed metric by
-/// metric, and any delta past the threshold also fails the run.
-fn bench(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut baseline_path: Option<String> = None;
-    let mut threshold = compare::DEFAULT_THRESHOLD_PCT_X100;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--compare" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("bench: --compare needs a baseline path");
-                    return 2;
-                }
-            },
-            "--threshold-pct-x100" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(t) => threshold = t,
-                None => {
-                    eprintln!("bench: --threshold-pct-x100 needs a number (500 = 5%)");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!(
-                    "bench: unknown flag {other} (expected --quick / --compare PATH / \
-                     --threshold-pct-x100 N)"
-                );
-                return 2;
-            }
-        }
-    }
-    // Read the baseline up front: the usual invocation compares against
-    // the committed BENCH_eternal.json, which we are about to replace.
-    let baseline = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("bench: cannot read baseline {path}: {e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
-    let report = suite::run_suite(quick);
-    print!("{}", report.json);
-    if let Err(e) = std::fs::write("BENCH_eternal.json", &report.json) {
-        eprintln!("bench: cannot write BENCH_eternal.json: {e}");
-        return 1;
-    }
-    eprintln!("bench: wrote BENCH_eternal.json");
-    for v in &report.violations {
-        eprintln!("bench: VIOLATION {v}");
-    }
-    let mut failed = !report.violations.is_empty();
-    if let Some(baseline) = baseline {
-        match compare::compare(&baseline, &report.json, threshold) {
-            Ok(cmp) => {
-                print!("{}", cmp.render());
-                if !cmp.passed() {
-                    eprintln!(
-                        "bench: {} regression(s) vs {}",
-                        cmp.regressions.len(),
-                        baseline_path.as_deref().unwrap_or("baseline")
-                    );
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("bench: compare failed: {e}");
-                return 2;
-            }
-        }
-    }
-    i32::from(failed)
-}
-
-/// `repro -- health [--seed N] [--fault KIND] [--json PATH]`: the
-/// totally-ordered health-monitoring scenario of `docs/HEALTH.md`.
-/// Prints the Prometheus exposition and a one-line summary, writes the
-/// epoch/diagnosis document (byte-identical per seed+fault), and exits
-/// nonzero when the run misses its detection contract: a fault-free
-/// run that fired anything, or a forced-fault run whose documented
-/// detector stayed silent.
-fn health_cmd(args: &[String]) -> i32 {
-    let mut seed = 42u64;
-    let mut fault: Option<FaultKind> = None;
-    let mut json_path = String::from("HEALTH_eternal.json");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("health: --seed needs a numeric seed");
-                    return 2;
-                }
-            },
-            "--fault" => match it.next().map(String::as_str).and_then(health::parse_fault) {
-                Some(k) => fault = Some(k),
-                None => {
-                    eprintln!(
-                        "health: --fault needs one of: {}",
-                        FaultKind::ALL.map(FaultKind::name).join(", ")
-                    );
-                    return 2;
-                }
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = p.clone(),
-                None => {
-                    eprintln!("health: --json needs a path");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!(
-                    "health: unknown flag {other} (expected --seed N / --fault KIND / \
-                     --json PATH)"
-                );
-                return 2;
-            }
-        }
-    }
-    let run = health::health_run(seed, fault);
-    print!("{}", run.prometheus);
-    println!("{}", run.summary);
-    if let Err(e) = std::fs::write(&json_path, &run.json) {
-        eprintln!("health: cannot write {json_path}: {e}");
-        return 1;
-    }
-    eprintln!("health: wrote {json_path}");
-    i32::from(!run.passed)
-}
-
-/// `repro -- attribution [--seed N] [--json PATH]`: the per-request
-/// latency-attribution scenario of `docs/ATTRIBUTION.md`. Prints the
-/// phase table and slowest-requests report, writes the attribution
-/// document (byte-identical per seed), and exits nonzero if any
-/// attributed request failed to tile its round trip exactly.
-fn attribution_cmd(args: &[String]) -> i32 {
-    let mut seed = 42u64;
-    let mut json_path = String::from("ATTRIB_eternal.json");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("attribution: --seed needs a numeric seed");
-                    return 2;
-                }
-            },
-            "--json" => match it.next() {
-                Some(p) => json_path = p.clone(),
-                None => {
-                    eprintln!("attribution: --json needs a path");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("attribution: unknown flag {other} (expected --seed N / --json PATH)");
-                return 2;
-            }
-        }
-    }
-    let run = attribution::attribution_run(seed);
-    print!("{}", run.report);
-    println!("{}", run.summary);
-    if let Err(e) = std::fs::write(&json_path, &run.json) {
-        eprintln!("attribution: cannot write {json_path}: {e}");
-        return 1;
-    }
-    eprintln!("attribution: wrote {json_path}");
-    i32::from(!run.passed)
-}
-
-/// `repro -- fingerprint [--check FILE]`: every byte-deterministic
-/// artefact at the seed CI pins it at, hashed. A refactoring proves
-/// itself neutral by leaving `FINGERPRINT.txt` unchanged; a behavioural
-/// change shows which artefacts it moved.
-fn fingerprint(args: &[String]) -> i32 {
-    let expected = match args {
-        [] => None,
-        [flag, path] if flag == "--check" => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("fingerprint: cannot read {path}: {e}");
-                return 2;
-            }
-        },
-        _ => {
-            eprintln!("fingerprint: expected no flags or --check FILE");
+/// Runs one tool end to end: flags, report, artefact files, exit code.
+fn run_tool<S: AsRef<str>>(tool: &Tool, raw: &[S]) -> i32 {
+    let name = tool.name;
+    let run = |args| Ok(((tool.run)(&args)?, args));
+    let (out, args) = match parse(tool, raw).and_then(run) {
+        Ok(done) => done,
+        Err(msg) => {
+            eprintln!("{name}: {msg}");
             return 2;
         }
     };
-    let health_json = |fault| health::health_run(42, fault).json;
-    let chaos_json = |seed| {
-        let cfg = CampaignConfig {
-            seed,
-            steps: 10,
-            ..CampaignConfig::default()
-        };
-        run_campaign(&cfg).to_json()
-    };
-    let (timelines, dropped_events) = timeline_runs();
-    let artefacts = [
-        ("bench", suite::run_suite(false).json),
-        ("trace", trace_run(42).chrome_json),
-        ("attribution", attribution::attribution_run(42).json),
-        ("health", health_json(None)),
-        (
-            "health.crash_restart",
-            health_json(Some(FaultKind::CrashRestart)),
-        ),
-        (
-            "health.kill_replica",
-            health_json(Some(FaultKind::KillReplica)),
-        ),
-        ("explore", run_explore(&ExploreConfig::quick()).to_json()),
-        (
-            "timeline",
-            render_breakdown_json(&timelines, dropped_events),
-        ),
-        ("chaos.7", chaos_json(7)),
-        ("chaos.42", chaos_json(42)),
-        ("chaos.60", chaos_json(60)),
+    print!("{}", out.stdout);
+    eprint!("{}", out.stderr);
+    let files = [
+        (args.get("--json").or(tool.output), Some(&out.artefact)),
+        (Some("flight_recorder.json"), out.flight_recorder.as_ref()),
     ];
-    let mut lines = String::new();
-    for (name, text) in &artefacts {
-        let schema = text
-            .split_once("\"schema\": ")
-            .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
-            .unwrap_or("-");
-        lines += &format!(
-            "{name} schema={schema} xxh64={:016x}\n",
-            hash_bytes(text.as_bytes())
-        );
-    }
-    lines += &format!("combined xxh64={:016x}\n", hash_bytes(lines.as_bytes()));
-    print!("{lines}");
-    let Some(expected) = expected else {
-        return 0;
-    };
-    for (want, got) in expected.lines().zip(lines.lines()) {
-        if want != got {
-            eprintln!("fingerprint: expected {want}");
-            eprintln!("fingerprint:      got {got}");
+    for (path, bytes) in files {
+        let (Some(path), Some(bytes)) = (path, bytes) else {
+            continue;
+        };
+        if let Err(e) = std::fs::write(path, bytes) {
+            eprintln!("{name}: cannot write {path}: {e}");
+            return 1;
         }
+        eprintln!("{name}: wrote {path}");
     }
-    i32::from(expected != lines)
+    i32::from(!out.passed)
 }
 
-/// The Figure 6 recovery episodes `timeline` breaks down, with the
-/// trace events evicted while recording them.
-fn timeline_runs() -> (Vec<RecoveryTimeline>, u64) {
+/// `chaos`: one seeded campaign (`docs/CHAOS.md`); the same seed and
+/// step count reproduce the same summary byte for byte. `--causal`
+/// records causal traces, `--force-violation` plants a synthetic
+/// violation so the flight-recorder path can be exercised.
+fn chaos(args: &Args) -> Result<Outcome, String> {
+    let mut cfg = CampaignConfig::default();
+    cfg.seed = args.num("--seed", cfg.seed);
+    cfg.steps = args.num("--steps", cfg.steps as u64) as usize;
+    cfg.force_violation = args.has("--force-violation");
+    cfg.causal = cfg.force_violation || args.has("--causal");
+    let summary = run_campaign(&cfg);
+    Ok(Outcome {
+        stdout: format!("{summary}\n"),
+        artefact: summary.to_json(),
+        passed: summary.passed(),
+        flight_recorder: summary.flight_recorder,
+        ..Outcome::default()
+    })
+}
+
+/// `explore`: one deterministic schedule-space exploration
+/// (`docs/TESTING.md`), byte-identical per seed and budget. A violating
+/// schedule is shrunk and its traced re-run flight-recorded;
+/// `--force-violation` plants an exactly-once bug to exercise that path.
+fn explore(args: &Args) -> Result<Outcome, String> {
+    let mut cfg = ExploreConfig::default();
+    cfg.seed = args.num("--seed", cfg.seed);
+    if args.has("--quick") {
+        cfg.budget = ExploreConfig::quick().budget;
+    }
+    cfg.budget = args.num("--budget", cfg.budget as u64) as usize;
+    cfg.force_violation = args.has("--force-violation");
+    let report = run_explore(&cfg);
+    let flight_recorder = report
+        .counterexample
+        .as_ref()
+        .and_then(|ce| ce.flight_recorder.clone());
+    Ok(Outcome {
+        stdout: format!("{report}\n"),
+        artefact: report.to_json(),
+        flight_recorder,
+        passed: report.passed(),
+        ..Outcome::default()
+    })
+}
+
+/// `trace`: the causal-tracing scenario of `docs/TRACING.md`. The
+/// artefact is the Chrome trace-event export; the run fails if replicas
+/// disagreed on the total order.
+fn trace(args: &Args) -> Result<Outcome, String> {
+    let seed = args.num("--seed", 42);
+    let run = trace_run(seed);
+    let mut stderr = String::new();
+    if run.dropped_events > 0 {
+        stderr += &format!(
+            "trace: WARNING {} span(s) were evicted from the causal ring — the \
+             export shows a truncated history\n",
+            run.dropped_events
+        );
+    }
+    for v in &run.violations {
+        stderr += &format!("trace: VIOLATION {v}\n");
+    }
+    Ok(Outcome {
+        stdout: format!(
+            "causal trace: seed={seed} spans={} traces={} dropped={} total_order_violations={}\n\
+             -- sample span tree (first trace) --\n{}",
+            run.spans,
+            run.trace_count,
+            run.dropped_events,
+            run.violations.len(),
+            run.sample_tree
+        ),
+        stderr,
+        artefact: run.chrome_json,
+        passed: run.violations.is_empty(),
+        ..Outcome::default()
+    })
+}
+
+/// `bench`: the deterministic benchmark suite (`docs/BENCHMARKS.md`).
+/// The report is both printed and written; the run fails on a violated
+/// suite invariant.
+fn bench(args: &Args) -> Result<Outcome, String> {
+    let report = suite::run_suite(args.has("--quick"));
+    let violations = report.violations.iter();
+    Ok(Outcome {
+        stdout: report.json.clone(),
+        stderr: violations
+            .map(|v| format!("bench: VIOLATION {v}\n"))
+            .collect(),
+        passed: report.violations.is_empty(),
+        artefact: report.json,
+        ..Outcome::default()
+    })
+}
+
+/// `health`: the totally-ordered health-monitoring scenario of
+/// `docs/HEALTH.md`. Prints the Prometheus exposition and a summary; a
+/// fault-free run fails if anything fired, a `--fault KIND` run if the
+/// documented detector for that kind stayed silent.
+fn health_cmd(args: &Args) -> Result<Outcome, String> {
+    let fault = args.get("--fault").and_then(health::parse_fault);
+    let run = health::health_run(args.num("--seed", 42), fault);
+    Ok(Outcome {
+        stdout: format!("{}{}\n", run.prometheus, run.summary),
+        artefact: run.json,
+        passed: run.passed,
+        ..Outcome::default()
+    })
+}
+
+/// `attribution`: the per-request latency-attribution scenario of
+/// `docs/ATTRIBUTION.md`. Fails if any attributed request did not tile
+/// its round trip exactly.
+fn attribution_cmd(args: &Args) -> Result<Outcome, String> {
+    let run = attribution::attribution_run(args.num("--seed", 42));
+    Ok(Outcome {
+        stdout: format!("{}{}\n", run.report, run.summary),
+        artefact: run.json,
+        passed: run.passed,
+        ..Outcome::default()
+    })
+}
+
+/// `timeline`: the Figure 6 recovery episodes broken down by §5.1
+/// phase; `--json` also writes the breakdown.
+fn timeline(_: &Args) -> Result<Outcome, String> {
     let mut timelines = Vec::new();
     let mut dropped_events = 0u64;
     for &size in &[1_000usize, 10_000, 100_000, 300_000] {
@@ -685,7 +492,93 @@ fn timeline_runs() -> (Vec<RecoveryTimeline>, u64) {
         timelines.extend(run.timelines);
         dropped_events += run.dropped_events;
     }
-    (timelines, dropped_events)
+    let mut stderr = String::new();
+    if dropped_events > 0 {
+        stderr = format!(
+            "timeline: WARNING {dropped_events} trace event(s) were evicted from the \
+             ring — the breakdown reflects a truncated history\n"
+        );
+    }
+    Ok(Outcome {
+        stdout: format!(
+            "== Figure 6 breakdown: where recovery time goes, per §5.1 phase ==\n   \
+             (same scenario as fig6, observability on; phases tile the episode)\n\
+             {}   (transfer dominates as state grows — fragmentation over the ring;\n    \
+             quiesce + get_state are the state-size-independent floor)\n\n",
+            render_breakdown_table(&timelines)
+        ),
+        stderr,
+        artefact: render_breakdown_json(&timelines, dropped_events),
+        passed: true,
+        ..Outcome::default()
+    })
+}
+
+fn timeline_experiment() {
+    run_tool(find_tool("timeline").expect("in the table"), &[] as &[&str]);
+}
+
+/// `fingerprint`: every run the table marks as fingerprinted, hashed —
+/// one line per artefact (label, schema, XXH64) plus a combined hash.
+/// A refactoring proves itself neutral by leaving `FINGERPRINT.txt`
+/// unchanged; `--check FILE` fails and names, per artefact, what is
+/// `missing` from the fresh lines, `unexpected` in them, or `moved`.
+fn fingerprint(args: &Args) -> Result<Outcome, String> {
+    let expected = match args.get("--check") {
+        Some(path) => {
+            Some(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?)
+        }
+        None => None,
+    };
+    let mut lines = String::new();
+    for tool in &TOOLS {
+        for (label, flags) in tool.fingerprinted {
+            let args = parse(tool, flags).expect("the table uses the tool's own flags");
+            let text = (tool.run)(&args)?.artefact;
+            let schema = text
+                .split_once("\"schema\": ")
+                .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .unwrap_or("-");
+            lines += &format!(
+                "{label} schema={schema} xxh64={:016x}\n",
+                hash_bytes(text.as_bytes())
+            );
+        }
+    }
+    lines += &format!("combined xxh64={:016x}\n", hash_bytes(lines.as_bytes()));
+    let stderr = expected.map_or(String::new(), |want| fingerprint_diff(&want, &lines));
+    Ok(Outcome {
+        passed: stderr.is_empty(),
+        stdout: lines,
+        stderr,
+        ..Outcome::default()
+    })
+}
+
+/// Compares fingerprint lines by artefact name, so a list that gained,
+/// lost or reordered entries still names exactly the ones that differ.
+fn fingerprint_diff(expected: &str, fresh: &str) -> String {
+    fn entries(text: &str) -> Vec<(&str, &str)> {
+        let split = |line| str::split_once(line, ' ').unwrap_or((line, ""));
+        text.lines().map(split).collect()
+    }
+    let (want, got) = (entries(expected), entries(fresh));
+    let mut out = String::new();
+    for (name, hash) in &want {
+        match got.iter().find(|(n, _)| n == name) {
+            None => out += &format!("fingerprint: missing {name} (expected {hash})\n"),
+            Some((_, new)) if new != hash => {
+                out += &format!("fingerprint: moved {name}: expected {hash}, got {new}\n");
+            }
+            Some(_) => {}
+        }
+    }
+    for (name, hash) in &got {
+        if !want.iter().any(|(n, _)| n == name) {
+            out += &format!("fingerprint: unexpected {name} ({hash})\n");
+        }
+    }
+    out
 }
 
 fn fig6() {
@@ -706,28 +599,6 @@ fn fig6() {
             p.recovery.to_string()
         );
     }
-    println!();
-}
-
-fn timeline(json_path: Option<&str>) {
-    println!("== Figure 6 breakdown: where recovery time goes, per §5.1 phase ==");
-    println!("   (same scenario as fig6, observability on; phases tile the episode)");
-    let (timelines, dropped_events) = timeline_runs();
-    print!("{}", render_breakdown_table(&timelines));
-    if dropped_events > 0 {
-        eprintln!(
-            "timeline: WARNING {dropped_events} trace event(s) were evicted from the \
-             ring — the breakdown reflects a truncated history"
-        );
-    }
-    if let Some(path) = json_path {
-        match std::fs::write(path, render_breakdown_json(&timelines, dropped_events)) {
-            Ok(()) => eprintln!("timeline: wrote {path}"),
-            Err(e) => eprintln!("timeline: cannot write {path}: {e}"),
-        }
-    }
-    println!("   (transfer dominates as state grows — fragmentation over the ring;");
-    println!("    quiesce + get_state are the state-size-independent floor)");
     println!();
 }
 

@@ -25,7 +25,7 @@
 
 use eternal::chaos::FaultKind;
 use eternal::health_lab::{expected_detector, run_scenario, LabConfig};
-use eternal_obs::export::registry_to_prometheus;
+use eternal_obs::export::{registry_to_prometheus, JsonWriter, Layout};
 use eternal_obs::health::Severity;
 use std::fmt::Write as _;
 
@@ -72,82 +72,53 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
         }
     };
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": 2,");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(
-        out,
-        "  \"period_ns\": {},",
-        run.cluster.health_auditor().config().period_ns
-    );
-    let _ = writeln!(
-        out,
-        "  \"fault\": \"{}\",",
-        fault.map_or("none", FaultKind::name)
-    );
-    let _ = writeln!(
-        out,
-        "  \"injected_at_ns\": {},",
-        run.injected_at
-            .map_or_else(|| "-1".to_string(), |t| t.as_nanos().to_string())
-    );
-    let _ = writeln!(
-        out,
-        "  \"final_time_ns\": {},",
-        run.cluster.now().as_nanos()
-    );
-    out.push_str("  \"epochs\": [\n");
     let epochs = auditor.epochs();
-    for (i, rec) in epochs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"epoch\": {}, \"at_ns\": {}, \"snap\": {}}}{}",
-            rec.epoch,
-            rec.at_ns,
-            rec.snap.to_json(),
-            if i + 1 < epochs.len() { ",\n" } else { "\n" }
-        );
-    }
-    out.push_str("  ],\n  \"nodes\": [\n");
-    let nodes = auditor.node_summaries();
-    for (i, s) in nodes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {}{}",
-            s.to_json(),
-            if i + 1 < nodes.len() { ",\n" } else { "\n" }
-        );
-    }
-    out.push_str("  ],\n  \"diagnoses\": [\n");
-    for (i, d) in diagnoses.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {}{}",
-            d.to_json(),
-            if i + 1 < diagnoses.len() { ",\n" } else { "\n" }
-        );
-    }
-    out.push_str("  ],\n");
     // Truncated-observability accounting: overflow of the structured
     // trace ring and the causal recorder during this run (both 0 on the
     // default lab config, which records neither — the keys exist so a
     // traced rerun can never silently hide eviction).
     let trace_dropped = run.cluster.trace().dropped_events();
     let causal_dropped = run.cluster.causal().dropped();
-    let _ = writeln!(
-        out,
-        "  \"counts\": {{\"epochs\": {}, \"diagnoses\": {}, \"warning\": {warning}, \
-         \"critical\": {critical}, \"trace_dropped_events\": {trace_dropped}, \
-         \"causal_dropped_events\": {causal_dropped}}},",
-        epochs.len(),
-        diagnoses.len()
-    );
-    let _ = writeln!(
-        out,
-        "  \"passed\": {}",
-        if passed { "true" } else { "false" }
-    );
-    out.push_str("}\n");
+    let mut w = JsonWriter::default();
+    w.object(Layout::Block)
+        .field("schema", 2)
+        .field("seed", seed)
+        .field("period_ns", auditor.config().period_ns)
+        .field_str("fault", fault.map_or("none", FaultKind::name))
+        .field(
+            "injected_at_ns",
+            run.injected_at.map_or(-1, |t| t.as_nanos() as i64),
+        )
+        .field("final_time_ns", run.cluster.now().as_nanos())
+        .key("epochs")
+        .array(Layout::Block);
+    for rec in epochs {
+        w.object(Layout::Spaced)
+            .field("epoch", rec.epoch)
+            .field("at_ns", rec.at_ns)
+            .field("snap", rec.snap.to_json())
+            .end();
+    }
+    w.end().key("nodes").array(Layout::Block);
+    for s in auditor.node_summaries() {
+        w.value(s.to_json());
+    }
+    w.end().key("diagnoses").array(Layout::Block);
+    for d in diagnoses {
+        w.value(d.to_json());
+    }
+    w.end()
+        .key("counts")
+        .object(Layout::Spaced)
+        .field("epochs", epochs.len())
+        .field("diagnoses", diagnoses.len())
+        .field("warning", warning)
+        .field("critical", critical)
+        .field("trace_dropped_events", trace_dropped)
+        .field("causal_dropped_events", causal_dropped)
+        .end()
+        .field("passed", passed)
+        .end();
 
     let mut summary = format!(
         "health: seed={seed} fault={} epochs={} diagnoses={} warning={warning} critical={critical} verdict={}",
@@ -166,7 +137,7 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
     }
 
     HealthRun {
-        json: out,
+        json: w.finish(),
         prometheus: registry_to_prometheus(&run.cluster.metrics_registry()),
         summary,
         passed,
@@ -176,6 +147,11 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
 /// Parses a `--fault` argument into a kind.
 pub fn parse_fault(name: &str) -> Option<FaultKind> {
     FaultKind::ALL.into_iter().find(|k| k.name() == name)
+}
+
+/// The names `--fault` accepts.
+pub fn fault_names() -> Vec<&'static str> {
+    FaultKind::ALL.map(FaultKind::name).to_vec()
 }
 
 #[cfg(test)]

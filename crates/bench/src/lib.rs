@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
-pub mod compare;
 pub mod health;
 pub mod suite;
 
@@ -33,7 +32,7 @@ use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::gid::GroupId;
 use eternal::properties::{FaultToleranceProperties, ReplicationStyle};
-use eternal_obs::{MetricsRegistry, RecoveryTimeline};
+use eternal_obs::RecoveryTimeline;
 use eternal_orb::{ClientConnection, ObjectKey, Orb, ServerConnection};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::{Duration, Scheduler, SimTime};
@@ -55,37 +54,11 @@ pub struct Fig6Point {
 /// client streaming two-way invocations at a 2-way actively replicated
 /// server; one replica killed and re-launched; recovery time measured.
 pub fn fig6_point(state_bytes: usize, seed: u64) -> Fig6Point {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(config, seed);
-    let server = cluster.deploy_server("blob", FaultToleranceProperties::active(2), move || {
-        Box::new(BlobServant::with_size(state_bytes))
-    });
-    cluster.deploy_client("driver", FaultToleranceProperties::active(1), move |_| {
-        Box::new(StreamingClient::new(server, "touch", 4))
-    });
-    cluster.run_until_deployed();
-    cluster.run_for(Duration::from_millis(50));
-
-    let victim = cluster.hosting(server)[0];
-    cluster.kill_replica(server, victim);
-    cluster.run_for(Duration::from_secs(5));
-
-    let m = cluster.metrics();
-    assert_eq!(m.recoveries_completed, 1, "recovery must complete");
-    Fig6Point {
-        state_bytes,
-        transferred_bytes: m.recoveries[0].app_state_bytes,
-        recovery: m.recoveries[0].recovery_time(),
-        frames: cluster.net().frames_sent(),
-    }
+    fig6_run(state_bytes, seed, false).point
 }
 
 /// A [`fig6_point`] run with observability on: the same recovery
-/// scenario, plus the phase-resolved timeline of each episode and the
-/// aggregated metrics registry.
+/// scenario, plus the phase-resolved timeline of each episode.
 #[derive(Debug, Clone)]
 pub struct TimelineRun {
     /// The Figure 6 measurement itself.
@@ -93,8 +66,6 @@ pub struct TimelineRun {
     /// Phase breakdown (quiesce → get_state → transfer → set_state →
     /// replay) of every completed recovery episode.
     pub timelines: Vec<RecoveryTimeline>,
-    /// Counters/gauges/histograms from all three layers.
-    pub registry: MetricsRegistry,
     /// Structured-trace ring overflow: events evicted before the
     /// breakdown was computed (nonzero = truncated observability).
     pub dropped_events: u64,
@@ -103,7 +74,16 @@ pub struct TimelineRun {
 /// Runs the Figure 6 scenario for one state size with tracing enabled
 /// and returns the per-phase recovery breakdown.
 pub fn fig6_timeline(state_bytes: usize, seed: u64) -> TimelineRun {
-    let config = ClusterConfig::default(); // trace on by default
+    fig6_run(state_bytes, seed, true)
+}
+
+/// The one Figure 6 scenario; `trace` only decides whether the
+/// structured trace that the timelines are built from is recorded.
+fn fig6_run(state_bytes: usize, seed: u64, trace: bool) -> TimelineRun {
+    let config = ClusterConfig {
+        trace,
+        ..ClusterConfig::default()
+    };
     let mut cluster = Cluster::new(config, seed);
     let server = cluster.deploy_server("blob", FaultToleranceProperties::active(2), move || {
         Box::new(BlobServant::with_size(state_bytes))
@@ -128,7 +108,6 @@ pub fn fig6_timeline(state_bytes: usize, seed: u64) -> TimelineRun {
             frames: cluster.net().frames_sent(),
         },
         timelines: cluster.recovery_timelines().to_vec(),
-        registry: cluster.metrics_registry(),
         dropped_events: cluster.trace().dropped_events(),
     }
 }

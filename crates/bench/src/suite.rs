@@ -44,13 +44,13 @@ use crate::attribution::attribution_run;
 use crate::{fig6_point, overhead_point};
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
+use eternal::gid::GroupId;
 use eternal::hash::{fnv1a, FNV_OFFSET};
 use eternal::properties::FaultToleranceProperties;
 use eternal_obs::attribution::Phase;
-use eternal_obs::export::json_escape;
+use eternal_obs::export::{JsonWriter, Layout};
 use eternal_obs::RecoveryPhase;
 use eternal_sim::Duration;
-use std::fmt::Write;
 
 /// Seed every section runs under.
 pub const SUITE_SEED: u64 = 42;
@@ -74,8 +74,8 @@ pub const TRACING_WIRE_BUDGET_PCT_X100: u64 = 6_000;
 /// reassembly completion, reply match are instantaneous in the
 /// simulation's cost model) — each budget leaves roughly 2x headroom so
 /// a pipeline regression (extra rotation on the critical path, double
-/// execution, hold leakage into dispatch) trips the suite and the
-/// `--compare` gate, while scheduling jitter does not.
+/// execution, hold leakage into dispatch) trips the suite, while
+/// scheduling jitter does not.
 pub const ATTRIBUTION_P99_BUDGET_NS: [u64; 7] = [
     10_000,    // client_marshal
     1_600_000, // token_wait
@@ -155,21 +155,7 @@ fn throughput_run(
             m.replies_delivered
         );
     }
-    let mut digest = FNV_OFFSET;
-    let hosts = cluster.hosting(server);
-    let mut reference: Option<Vec<u8>> = None;
-    for node in hosts {
-        let state = cluster
-            .probe_application_state(node, server)
-            .expect("replica operational at quiescence");
-        match &reference {
-            None => {
-                digest = fnv1a(digest, &state);
-                reference = Some(state);
-            }
-            Some(r) => assert_eq!(r, &state, "replica state diverged within one run"),
-        }
-    }
+    let state_digest = converged_state_digest(&mut cluster, server);
     let m = cluster.metrics();
     let reg = cluster.metrics_registry();
     ThroughputRun {
@@ -182,8 +168,22 @@ fn throughput_run(
         frames_saved: reg.counter("totem.frames_saved"),
         health_epochs: cluster.health_auditor().epochs().len() as u64,
         health_diagnoses: cluster.health_auditor().diagnoses().len() as u64,
-        state_digest: digest,
+        state_digest,
     }
+}
+
+/// FNV-1a over the server group's application state at quiescence,
+/// which must be byte-identical on every hosting replica.
+fn converged_state_digest(cluster: &mut Cluster, server: GroupId) -> u64 {
+    let mut states = Vec::new();
+    for node in cluster.hosting(server) {
+        let state = cluster.probe_application_state(node, server);
+        states.push(state.expect("replica operational at quiescence"));
+    }
+    for state in &states[1..] {
+        assert_eq!(&states[0], state, "replica state diverged within one run");
+    }
+    fnv1a(FNV_OFFSET, &states[0])
 }
 
 /// One drained recovery-under-load run.
@@ -248,20 +248,7 @@ fn chunked_recovery_run(state_bytes: usize, limit: u64, seed: u64) -> ChunkedRec
     }
     let m = cluster.metrics();
     assert_eq!(m.recoveries_completed, 1, "exactly one episode expected");
-    let mut digest = FNV_OFFSET;
-    let mut reference: Option<Vec<u8>> = None;
-    for node in cluster.hosting(server) {
-        let state = cluster
-            .probe_application_state(node, server)
-            .expect("replica operational at quiescence");
-        match &reference {
-            None => {
-                digest = fnv1a(digest, &state);
-                reference = Some(state);
-            }
-            Some(r) => assert_eq!(r, &state, "replica state diverged within one run"),
-        }
-    }
+    let state_digest = converged_state_digest(&mut cluster, server);
     let chunks_streamed = cluster
         .processors()
         .into_iter()
@@ -277,7 +264,7 @@ fn chunked_recovery_run(state_bytes: usize, limit: u64, seed: u64) -> ChunkedRec
         mark_to_operational_ns: episode.operational_at.saturating_since(mark).as_nanos(),
         recovery_ns: m.recoveries[0].recovery_time().as_nanos(),
         replies: m.replies_delivered,
-        state_digest: digest,
+        state_digest,
         chunks_streamed,
     }
 }
@@ -289,20 +276,22 @@ fn reduction_pct_x100(unbatched: u64, batched: u64) -> u64 {
     unbatched.saturating_sub(batched) * 10_000 / unbatched
 }
 
-fn throughput_json(out: &mut String, label: &str, r: &ThroughputRun) {
-    let _ = write!(
-        out,
-        "    \"{label}\": {{\"frames\": {}, \"wire_bytes\": {}, \"busy_ns\": {}, \
-         \"batches\": {}, \"batched_messages\": {}, \"frames_saved\": {}, \
-         \"state_digest\": \"{}\"}}",
-        r.frames,
-        r.wire_bytes,
-        r.busy_ns,
-        r.batches,
-        r.batched_messages,
-        r.frames_saved,
-        r.state_digest
-    );
+/// How much larger `with` is than `without`, in hundredths of a percent.
+fn overhead_pct_x100(with: u64, without: u64) -> u64 {
+    with.saturating_sub(without).saturating_mul(10_000) / without.max(1)
+}
+
+fn throughput_json(w: &mut JsonWriter, label: &str, r: &ThroughputRun) {
+    w.key(label)
+        .object(Layout::Spaced)
+        .field("frames", r.frames)
+        .field("wire_bytes", r.wire_bytes)
+        .field("busy_ns", r.busy_ns)
+        .field("batches", r.batches)
+        .field("batched_messages", r.batched_messages)
+        .field("frames_saved", r.frames_saved)
+        .field_str("state_digest", r.state_digest)
+        .end();
 }
 
 /// Runs the whole suite. `quick` shrinks the workloads for CI smoke
@@ -313,11 +302,10 @@ pub fn run_suite(quick: bool) -> BenchReport {
 
     // --- fault-free round trip (T1 mid-band point) ---
     let rtt = overhead_point(Duration::from_micros(500), seed);
-    let overhead_pct_x100 = {
-        let r = rtt.replicated_rtt.as_nanos();
-        let u = rtt.unreplicated_rtt.as_nanos();
-        r.saturating_sub(u) * 10_000 / u.max(1)
-    };
+    let rtt_overhead = overhead_pct_x100(
+        rtt.replicated_rtt.as_nanos(),
+        rtt.unreplicated_rtt.as_nanos(),
+    );
 
     // --- small-message throughput: batching on vs off ---
     let limit: u64 = if quick { 150 } else { 400 };
@@ -362,11 +350,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
             traced.state_digest, batched.state_digest
         ));
     }
-    let tracing_overhead = traced
-        .wire_bytes
-        .saturating_sub(batched.wire_bytes)
-        .saturating_mul(10_000)
-        / batched.wire_bytes.max(1);
+    let tracing_overhead = overhead_pct_x100(traced.wire_bytes, batched.wire_bytes);
     if tracing_overhead > TRACING_WIRE_BUDGET_PCT_X100 {
         violations.push(format!(
             "tracing: wire-byte overhead {}.{:02}% exceeds the {}.{:02}% budget \
@@ -406,11 +390,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
             monitored.health_diagnoses
         ));
     }
-    let health_overhead = monitored
-        .wire_bytes
-        .saturating_sub(batched.wire_bytes)
-        .saturating_mul(10_000)
-        / batched.wire_bytes.max(1);
+    let health_overhead = overhead_pct_x100(monitored.wire_bytes, batched.wire_bytes);
 
     // --- recovery time at three state sizes (Figure 6) ---
     let sizes: [usize; 3] = if quick {
@@ -491,130 +471,88 @@ pub fn run_suite(quick: bool) -> BenchReport {
     }
 
     // --- render (fixed key order, integers and strings only) ---
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 7,");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"quick\": {},", u8::from(quick));
-    let _ = writeln!(
-        out,
-        "  \"fault_free_rtt\": {{\"exec_time_ns\": {}, \"replicated_ns\": {}, \
-         \"unreplicated_ns\": {}, \"overhead_pct_x100\": {}}},",
-        rtt.exec_time.as_nanos(),
-        rtt.replicated_rtt.as_nanos(),
-        rtt.unreplicated_rtt.as_nanos(),
-        overhead_pct_x100
-    );
-    out.push_str("  \"small_message_throughput\": {\n");
-    let _ = writeln!(out, "    \"replies\": {},", batched.replies);
-    throughput_json(&mut out, "batched", &batched);
-    out.push_str(",\n");
-    throughput_json(&mut out, "unbatched", &unbatched);
-    out.push_str(",\n");
-    let _ = writeln!(out, "    \"frame_reduction_pct_x100\": {frame_reduction},");
-    let _ = writeln!(
-        out,
-        "    \"wire_byte_reduction_pct_x100\": {byte_reduction}"
-    );
-    out.push_str("  },\n");
-    let _ = writeln!(
-        out,
-        "  \"tracing_overhead\": {{\"traced_wire_bytes\": {}, \"untraced_wire_bytes\": {}, \
-         \"overhead_pct_x100\": {}, \"budget_pct_x100\": {}}},",
-        traced.wire_bytes, batched.wire_bytes, tracing_overhead, TRACING_WIRE_BUDGET_PCT_X100
-    );
-    let _ = writeln!(
-        out,
-        "  \"health_overhead\": {{\"monitored_wire_bytes\": {}, \"unmonitored_wire_bytes\": {}, \
-         \"overhead_pct_x100\": {}, \"epochs\": {}, \"diagnoses\": {}}},",
-        monitored.wire_bytes,
-        batched.wire_bytes,
-        health_overhead,
-        monitored.health_epochs,
-        monitored.health_diagnoses
-    );
-    out.push_str("  \"recovery\": [\n");
-    for (i, p) in recovery.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"state_bytes\": {}, \"transferred_bytes\": {}, \"recovery_ns\": {}, \
-             \"frames\": {}}}{}",
-            p.state_bytes,
-            p.transferred_bytes,
-            p.recovery.as_nanos(),
-            p.frames,
-            if i + 1 < recovery.len() { ",\n" } else { "\n" }
-        );
+    let mut w = JsonWriter::default();
+    w.object(Layout::Block)
+        .field("schema", 7)
+        .field("seed", seed)
+        .field("quick", u8::from(quick))
+        .key("fault_free_rtt")
+        .object(Layout::Spaced)
+        .field("exec_time_ns", rtt.exec_time.as_nanos())
+        .field("replicated_ns", rtt.replicated_rtt.as_nanos())
+        .field("unreplicated_ns", rtt.unreplicated_rtt.as_nanos())
+        .field("overhead_pct_x100", rtt_overhead)
+        .end()
+        .key("small_message_throughput")
+        .object(Layout::Block)
+        .field("replies", batched.replies);
+    throughput_json(&mut w, "batched", &batched);
+    throughput_json(&mut w, "unbatched", &unbatched);
+    w.field("frame_reduction_pct_x100", frame_reduction)
+        .field("wire_byte_reduction_pct_x100", byte_reduction)
+        .end()
+        .key("tracing_overhead")
+        .object(Layout::Spaced)
+        .field("traced_wire_bytes", traced.wire_bytes)
+        .field("untraced_wire_bytes", batched.wire_bytes)
+        .field("overhead_pct_x100", tracing_overhead)
+        .field("budget_pct_x100", TRACING_WIRE_BUDGET_PCT_X100)
+        .end()
+        .key("health_overhead")
+        .object(Layout::Spaced)
+        .field("monitored_wire_bytes", monitored.wire_bytes)
+        .field("unmonitored_wire_bytes", batched.wire_bytes)
+        .field("overhead_pct_x100", health_overhead)
+        .field("epochs", monitored.health_epochs)
+        .field("diagnoses", monitored.health_diagnoses)
+        .end()
+        .key("recovery")
+        .array(Layout::Block);
+    for p in &recovery {
+        w.object(Layout::Spaced)
+            .field("state_bytes", p.state_bytes)
+            .field("transferred_bytes", p.transferred_bytes)
+            .field("recovery_ns", p.recovery.as_nanos())
+            .field("frames", p.frames)
+            .end();
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"recovery_chunked\": [\n");
-    for (i, (s, run)) in chunked_recovery.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"state_bytes\": {}, \"mark_to_operational_ns\": {}, \
-             \"chunked_blocking_ns\": {}, \"chunked_recovery_ns\": {}, \
-             \"chunks_streamed\": {}, \"replies\": {}, \"state_digest\": \"{}\"}}{}",
-            s,
-            run.mark_to_operational_ns,
-            run.blocking_ns,
-            run.recovery_ns,
-            run.chunks_streamed,
-            run.replies,
-            run.state_digest,
-            if i + 1 < chunked_recovery.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
+    w.end().key("recovery_chunked").array(Layout::Block);
+    for (s, run) in &chunked_recovery {
+        w.object(Layout::Spaced)
+            .field("state_bytes", s)
+            .field("mark_to_operational_ns", run.mark_to_operational_ns)
+            .field("chunked_blocking_ns", run.blocking_ns)
+            .field("chunked_recovery_ns", run.recovery_ns)
+            .field("chunks_streamed", run.chunks_streamed)
+            .field("replies", run.replies)
+            .field_str("state_digest", run.state_digest)
+            .end();
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"attribution_overhead\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"untraced_rerun_identical\": {},",
-        u8::from(untraced_identical)
-    );
-    let _ = writeln!(
-        out,
-        "    \"requests\": {},",
-        attrib.attribution.requests.len()
-    );
-    let _ = writeln!(
-        out,
-        "    \"incomplete_chains\": {},",
-        attrib.attribution.incomplete_chains
-    );
-    let _ = writeln!(
-        out,
-        "    \"dropped_events\": {},",
-        attrib.attribution.dropped_events
-    );
-    let _ = writeln!(
-        out,
-        "    \"tiling_violations\": {},",
-        attrib.attribution.violations.len()
-    );
-    out.push_str("    \"phase_p99_ns\": {\n");
-    for (i, (name, measured, budget)) in phase_p99.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      \"{name}\": {{\"p99_ns\": {measured}, \"budget_ns\": {budget}}}{}",
-            if i + 1 < phase_p99.len() { ",\n" } else { "\n" }
-        );
+    w.end()
+        .key("attribution_overhead")
+        .object(Layout::Block)
+        .field("untraced_rerun_identical", u8::from(untraced_identical))
+        .field("requests", attrib.attribution.requests.len())
+        .field("incomplete_chains", attrib.attribution.incomplete_chains)
+        .field("dropped_events", attrib.attribution.dropped_events)
+        .field("tiling_violations", attrib.attribution.violations.len())
+        .key("phase_p99_ns")
+        .object(Layout::Block);
+    for (name, measured, budget) in &phase_p99 {
+        w.key(name)
+            .object(Layout::Spaced)
+            .field("p99_ns", measured)
+            .field("budget_ns", budget)
+            .end();
     }
-    out.push_str("    }\n  },\n");
-    out.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", json_escape(v));
+    w.end().end().key("violations").array(Layout::Spaced);
+    for v in &violations {
+        w.string(v);
     }
-    out.push_str("]\n}\n");
+    w.end().end();
 
     BenchReport {
-        json: out,
+        json: w.finish(),
         violations,
     }
 }

@@ -39,14 +39,13 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::gid::GroupId;
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
-use eternal_obs::export::json_escape;
+use eternal_obs::export::{JsonWriter, Layout};
 use eternal_obs::EventKind;
 use eternal_sim::net::NodeId;
 use eternal_sim::rng::SimRng;
 use eternal_sim::{Duration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -209,6 +208,17 @@ pub struct Violation {
     pub detail: String,
 }
 
+impl Violation {
+    /// Writes the violation as one inline object of a JSON export.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Spaced)
+            .field("step", self.step)
+            .field_str("invariant", self.invariant)
+            .field_str("detail", &self.detail)
+            .end();
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "step {}: {}: {}", self.step, self.invariant, self.detail)
@@ -268,72 +278,40 @@ impl CampaignSummary {
     /// `repro -- chaos --json` export; the flight-recorder dump is a
     /// separate file and is not embedded). Byte-deterministic.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"steps\": {},", self.steps);
-        let _ = writeln!(out, "  \"final_time_ns\": {},", self.final_time.as_nanos());
-        let faults = self
-            .faults
-            .iter()
-            .map(|(name, n)| format!("\"{name}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"faults\": {{{faults}}},");
-        let _ = writeln!(
-            out,
-            "  \"requests_dispatched\": {},",
-            self.requests_dispatched
-        );
-        let _ = writeln!(out, "  \"replies_delivered\": {},", self.replies_delivered);
-        let _ = writeln!(
-            out,
-            "  \"duplicates_suppressed\": {},",
-            self.duplicates_suppressed
-        );
-        let _ = writeln!(
-            out,
-            "  \"recoveries_completed\": {},",
-            self.recoveries_completed
-        );
-        let _ = writeln!(
-            out,
-            "  \"transfer_takeovers\": {},",
-            self.transfer_takeovers
-        );
-        let _ = writeln!(
-            out,
-            "  \"dedup_gaps_skipped\": {},",
-            self.dedup_gaps_skipped
-        );
-        let _ = writeln!(out, "  \"invariant_checks\": {},", self.invariant_checks);
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
-                    v.step,
-                    v.invariant,
-                    json_escape(&v.detail)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"violations\": [{violations}],");
-        if let Some(h) = &self.health {
-            let _ = writeln!(
-                out,
-                "  \"health\": {{\"epochs\": {}, \"diagnoses\": {}, \"critical\": {}}},",
-                h.epochs, h.diagnoses, h.critical
-            );
+        let mut w = JsonWriter::default();
+        w.object(Layout::Block)
+            .field("seed", self.seed)
+            .field("steps", self.steps)
+            .field("final_time_ns", self.final_time.as_nanos())
+            .key("faults")
+            .object(Layout::Spaced);
+        for (name, n) in &self.faults {
+            w.field(name, n);
         }
-        let _ = writeln!(
-            out,
-            "  \"passed\": {}",
-            if self.passed() { "true" } else { "false" }
-        );
-        out.push_str("}\n");
-        out
+        w.end()
+            .field("requests_dispatched", self.requests_dispatched)
+            .field("replies_delivered", self.replies_delivered)
+            .field("duplicates_suppressed", self.duplicates_suppressed)
+            .field("recoveries_completed", self.recoveries_completed)
+            .field("transfer_takeovers", self.transfer_takeovers)
+            .field("dedup_gaps_skipped", self.dedup_gaps_skipped)
+            .field("invariant_checks", self.invariant_checks)
+            .key("violations")
+            .array(Layout::Spaced);
+        for v in &self.violations {
+            v.write_json(&mut w);
+        }
+        w.end();
+        if let Some(h) = &self.health {
+            w.key("health")
+                .object(Layout::Spaced)
+                .field("epochs", h.epochs)
+                .field("diagnoses", h.diagnoses)
+                .field("critical", h.critical)
+                .end();
+        }
+        w.field("passed", self.passed()).end();
+        w.finish()
     }
 }
 
@@ -413,6 +391,28 @@ pub fn partition_heal(cluster: &mut Cluster, cut: usize, hold: Duration) {
     cluster.net_mut().partition(&[a, b]);
     cluster.run_for(hold);
     cluster.net_mut().heal();
+}
+
+/// Runs until the system is quiet — ring formed, no recovery machinery
+/// in flight, no outstanding invocations, and no progress across one
+/// full `slice` — or until `cap` has passed (returns `false`: a
+/// bounded-recovery violation).
+pub fn settle(cluster: &mut Cluster, slice: Duration, cap: Duration) -> bool {
+    let deadline = cluster.now() + cap;
+    let mut last = cluster.progress();
+    loop {
+        cluster.run_for(slice);
+        let snap = cluster.progress();
+        let quiet =
+            cluster.formed() && !cluster.recovery_in_flight() && cluster.outstanding_calls() == 0;
+        if quiet && snap == last {
+            return true;
+        }
+        last = snap;
+        if cluster.now() >= deadline {
+            return false;
+        }
+    }
 }
 
 /// Raises the loss probability to `loss` for `kicks` slices of `slice`
@@ -614,7 +614,11 @@ impl Campaign<'_> {
     fn run(&mut self) {
         // Post-deployment baseline: the invariants must hold before any
         // fault is injected (step 0).
-        let settled = self.settle();
+        let settled = settle(
+            &mut self.cluster,
+            self.cfg.settle_slice,
+            self.cfg.settle_cap,
+        );
         self.check_invariants(0, settled);
         for step in 1..=self.cfg.steps {
             let kind = self.pick_fault();
@@ -629,7 +633,11 @@ impl Campaign<'_> {
             // Re-burst traffic over the (now repaired) system, then
             // drain it to the next quiescent point and audit.
             self.cluster.kick_clients();
-            let settled = self.settle();
+            let settled = settle(
+                &mut self.cluster,
+                self.cfg.settle_slice,
+                self.cfg.settle_cap,
+            );
             self.check_invariants(step, settled);
         }
     }
@@ -738,40 +746,6 @@ impl Campaign<'_> {
             .into_iter()
             .filter(|&n| cluster.safe_to_crash(n))
             .collect()
-    }
-
-    // ---- quiescence ----
-
-    /// Runs until the system is quiet — ring formed, no recovery
-    /// machinery in flight, no outstanding invocations, and no metrics
-    /// movement across one full slice — or until the settle cap is
-    /// exceeded (returns `false`: a bounded-recovery violation).
-    fn settle(&mut self) -> bool {
-        let deadline = self.cluster.now() + self.cfg.settle_cap;
-        let mut last = self.progress_snapshot();
-        loop {
-            self.cluster.run_for(self.cfg.settle_slice);
-            let snap = self.progress_snapshot();
-            let quiet = self.cluster.formed()
-                && !self.cluster.recovery_in_flight()
-                && self.cluster.outstanding_calls() == 0;
-            if quiet && snap == last {
-                return true;
-            }
-            last = snap;
-            if self.cluster.now() >= deadline {
-                return false;
-            }
-        }
-    }
-
-    fn progress_snapshot(&self) -> (u64, u64, u64) {
-        let m = self.cluster.metrics();
-        (
-            m.requests_dispatched,
-            m.replies_delivered,
-            m.recoveries_completed,
-        )
     }
 
     // ---- invariants ----
@@ -956,6 +930,21 @@ mod tests {
         let s = run_campaign(&quick(5, 2)).to_string();
         assert!(s.starts_with("chaos campaign: seed=5 steps=2"));
         assert!(s.contains("verdict: PASS"), "{s}");
+    }
+
+    /// Violation details are free text: whatever they contain, the
+    /// export stays strict JSON.
+    #[test]
+    fn hostile_violation_detail_is_escaped_in_the_export() {
+        let mut cfg = quick(1, 1);
+        cfg.force_violation = true;
+        let mut summary = run_campaign(&cfg);
+        summary.violations[0].detail = "\"\\\n\t\u{1}".into();
+        let json = summary.to_json();
+        assert!(
+            json.contains(r#""detail": "\"\\\n\t\u0001"}"#),
+            "detail not escaped: {json}"
+        );
     }
 
     #[test]

@@ -520,6 +520,18 @@ impl Cluster {
         m
     }
 
+    /// Requests dispatched, replies delivered and recoveries completed
+    /// so far — what a settle loop watches — without the clone
+    /// [`Cluster::metrics`] makes of every retained round trip.
+    pub fn progress(&self) -> [u64; 3] {
+        let mut p = [0, 0, self.metrics.recoveries_completed];
+        for Processor { mech, .. } in &self.procs {
+            p[0] += mech.counters().requests_dispatched;
+            p[1] += mech.counters().replies_delivered;
+        }
+        p
+    }
+
     /// Layer-local metrics aggregated into one registry: cluster-level
     /// histograms, Totem engine counters, network counters, and (when
     /// tracing) each processor's ORB registry.

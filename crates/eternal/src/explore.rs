@@ -37,11 +37,12 @@
 //! `docs/TESTING.md`.
 
 use crate::app::{BurstClient, CounterServant};
+use crate::chaos::{settle, Violation};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
-use eternal_obs::export::json_escape;
+use eternal_obs::export::{JsonWriter, Layout};
 use eternal_obs::{EventKind, MetricsRegistry};
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::rng::SimRng;
@@ -143,24 +144,6 @@ pub struct RecordedChoice {
     pub arity: u8,
 }
 
-/// One oracle (or liveness) violation observed during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreViolation {
-    /// Load step after which the check ran (0 = post-deployment
-    /// baseline).
-    pub step: usize,
-    /// Invariant name.
-    pub invariant: &'static str,
-    /// What was observed.
-    pub detail: String,
-}
-
-impl fmt::Display for ExploreViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "step {}: {}: {}", self.step, self.invariant, self.detail)
-    }
-}
-
 /// The deterministic result of running one schedule.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -169,7 +152,7 @@ pub struct RunOutcome {
     /// Every armed choice-point resolution, in order.
     pub trace: Vec<RecordedChoice>,
     /// Oracle violations, in discovery order.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<Violation>,
     /// Virtual time at the end of the run, nanoseconds.
     pub final_time_ns: u64,
     /// Frames dropped by non-default frame-fate branches.
@@ -308,28 +291,26 @@ fn run_schedule(
     });
 
     let mut violations = Vec::new();
-    let audit = |cluster: &mut Cluster,
-                 violations: &mut Vec<ExploreViolation>,
-                 step: usize,
-                 settled: bool| {
-        if !settled {
-            violations.push(ExploreViolation {
-                step,
-                invariant: "bounded-recovery",
-                detail: format!("cluster failed to quiesce within {}", cfg.settle_cap),
-            });
-        }
-        for v in oracle.check(cluster) {
-            violations.push(ExploreViolation {
-                step,
-                invariant: v.invariant,
-                detail: v.detail,
-            });
-        }
-    };
+    let audit =
+        |cluster: &mut Cluster, violations: &mut Vec<Violation>, step: usize, settled: bool| {
+            if !settled {
+                violations.push(Violation {
+                    step,
+                    invariant: "bounded-recovery",
+                    detail: format!("cluster failed to quiesce within {}", cfg.settle_cap),
+                });
+            }
+            for v in oracle.check(cluster) {
+                violations.push(Violation {
+                    step,
+                    invariant: v.invariant,
+                    detail: v.detail,
+                });
+            }
+        };
 
     // Post-deployment baseline, then the load steps.
-    let settled = settle(&mut cluster, cfg);
+    let settled = settle(&mut cluster, cfg.settle_slice, cfg.settle_cap);
     audit(&mut cluster, &mut violations, 0, settled);
     for step in 1..=cfg.steps {
         // Fault choice-point: when the server group can lose a replica,
@@ -355,7 +336,7 @@ fn run_schedule(
             }
         }
         cluster.kick_clients();
-        let settled = settle(&mut cluster, cfg);
+        let settled = settle(&mut cluster, cfg.settle_slice, cfg.settle_cap);
         audit(&mut cluster, &mut violations, step, settled);
     }
 
@@ -370,7 +351,7 @@ fn run_schedule(
     let frames_dropped = registry.counter("explore.frames_dropped");
     let frames_delayed = registry.counter("explore.frames_delayed");
     if cfg.force_violation && frames_dropped > 0 {
-        violations.push(ExploreViolation {
+        violations.push(Violation {
             step: cfg.steps,
             invariant: "exactly-once",
             detail: format!(
@@ -396,7 +377,7 @@ fn run_schedule(
         let reason = outcome
             .violations
             .iter()
-            .map(ExploreViolation::to_string)
+            .map(Violation::to_string)
             .collect::<Vec<_>>()
             .join("; ");
         cluster.record_event(
@@ -411,35 +392,6 @@ fn run_schedule(
     (outcome, flight)
 }
 
-/// Runs until the cluster is quiet (ring formed, no recovery in
-/// flight, no outstanding invocations, no metrics movement for a full
-/// slice) or the settle cap is exceeded.
-fn settle(cluster: &mut Cluster, cfg: &ExploreConfig) -> bool {
-    let deadline = cluster.now() + cfg.settle_cap;
-    let snapshot = |c: &Cluster| {
-        let m = c.metrics();
-        (
-            m.requests_dispatched,
-            m.replies_delivered,
-            m.recoveries_completed,
-        )
-    };
-    let mut last = snapshot(cluster);
-    loop {
-        cluster.run_for(cfg.settle_slice);
-        let snap = snapshot(cluster);
-        let quiet =
-            cluster.formed() && !cluster.recovery_in_flight() && cluster.outstanding_calls() == 0;
-        if quiet && snap == last {
-            return true;
-        }
-        last = snap;
-        if cluster.now() >= deadline {
-            return false;
-        }
-    }
-}
-
 /// A shrunk counterexample schedule, ready to be pinned as a test.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
@@ -450,7 +402,7 @@ pub struct Counterexample {
     /// The minimal schedule's full recorded trace.
     pub trace: Vec<RecordedChoice>,
     /// Violations the minimal schedule produces.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<Violation>,
     /// Prefix length before shrinking.
     pub shrunk_from: usize,
     /// Schedule re-runs the shrinker spent.
@@ -510,99 +462,69 @@ impl ExploreReport {
     /// Machine-readable rendering (the `repro -- explore --json`
     /// export). Byte-deterministic: equal configs produce equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": 1,");
-        let _ = writeln!(out, "  \"tool\": \"explore\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"budget\": {},", self.budget);
-        let _ = writeln!(out, "  \"runs\": {},", self.runs);
-        let _ = writeln!(
-            out,
-            "  \"distinct_fingerprints\": {},",
-            self.distinct_fingerprints
-        );
-        let _ = writeln!(out, "  \"dfs_runs\": {},", self.dfs_runs);
-        let _ = writeln!(out, "  \"walk_runs\": {},", self.walk_runs);
-        let _ = writeln!(out, "  \"violating_runs\": {},", self.violating_runs);
-        let counts = self
-            .choice_counts
-            .iter()
-            .map(|(name, n)| format!("\"{name}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"choice_points\": {{{counts}}},");
-        let _ = writeln!(out, "  \"frames_dropped\": {},", self.frames_dropped);
-        let _ = writeln!(out, "  \"frames_delayed\": {},", self.frames_delayed);
-        let _ = writeln!(out, "  \"max_trace_len\": {},", self.max_trace_len);
-        let _ = writeln!(out, "  \"max_final_time_ns\": {},", self.max_final_time_ns);
-        match &self.counterexample {
-            None => {
-                let _ = writeln!(out, "  \"counterexample\": null,");
-            }
-            Some(ce) => {
-                let _ = writeln!(out, "  \"counterexample\": {{");
-                let _ = writeln!(out, "    \"fingerprint\": \"{:#018x}\",", ce.fingerprint);
-                let prefix = ce
-                    .prefix
-                    .iter()
-                    .map(u8::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "    \"prefix\": [{prefix}],");
-                let trace = ce
-                    .trace
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"kind\": \"{}\", \"branch\": {}, \"arity\": {}}}",
-                            c.kind.name(),
-                            c.branch,
-                            c.arity
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "    \"trace\": [{trace}],");
-                let violations = ce
-                    .violations
-                    .iter()
-                    .map(|v| {
-                        format!(
-                            "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
-                            v.step,
-                            v.invariant,
-                            json_escape(&v.detail)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "    \"violations\": [{violations}],");
-                let _ = writeln!(out, "    \"shrunk_from\": {},", ce.shrunk_from);
-                let _ = writeln!(out, "    \"shrink_runs\": {},", ce.shrink_runs);
-                let _ = writeln!(
-                    out,
-                    "    \"reproduced_with_tracing\": {},",
-                    ce.reproduced_with_tracing
-                );
-                let _ = writeln!(out, "    \"skeleton\": \"{}\",", json_escape(&ce.skeleton));
-                match &ce.flight_recorder {
-                    Some(dump) => {
-                        let _ = writeln!(out, "    \"flight_recorder\": \"{}\"", json_escape(dump));
-                    }
-                    None => {
-                        let _ = writeln!(out, "    \"flight_recorder\": null");
-                    }
-                }
-                let _ = writeln!(out, "  }},");
-            }
+        let mut w = JsonWriter::default();
+        w.object(Layout::Block)
+            .field("schema", 1)
+            .field_str("tool", "explore")
+            .field("seed", self.seed)
+            .field("budget", self.budget)
+            .field("runs", self.runs)
+            .field("distinct_fingerprints", self.distinct_fingerprints)
+            .field("dfs_runs", self.dfs_runs)
+            .field("walk_runs", self.walk_runs)
+            .field("violating_runs", self.violating_runs)
+            .key("choice_points")
+            .object(Layout::Spaced);
+        for (name, n) in &self.choice_counts {
+            w.field(name, n);
         }
-        let _ = writeln!(
-            out,
-            "  \"passed\": {}",
-            if self.passed() { "true" } else { "false" }
-        );
-        out.push_str("}\n");
-        out
+        w.end()
+            .field("frames_dropped", self.frames_dropped)
+            .field("frames_delayed", self.frames_delayed)
+            .field("max_trace_len", self.max_trace_len)
+            .field("max_final_time_ns", self.max_final_time_ns)
+            .key("counterexample");
+        match &self.counterexample {
+            None => w.value("null"),
+            Some(ce) => ce.write_json(&mut w),
+        };
+        w.field("passed", self.passed()).end();
+        w.finish()
+    }
+}
+
+impl Counterexample {
+    fn write_json<'w>(&self, w: &'w mut JsonWriter) -> &'w mut JsonWriter {
+        w.object(Layout::Block)
+            .field_str("fingerprint", format_args!("{:#018x}", self.fingerprint))
+            .key("prefix")
+            .array(Layout::Spaced);
+        for branch in &self.prefix {
+            w.value(branch);
+        }
+        w.end().key("trace").array(Layout::Spaced);
+        for c in &self.trace {
+            w.object(Layout::Spaced)
+                .field_str("kind", c.kind.name())
+                .field("branch", c.branch)
+                .field("arity", c.arity)
+                .end();
+        }
+        w.end().key("violations").array(Layout::Spaced);
+        for v in &self.violations {
+            v.write_json(w);
+        }
+        w.end()
+            .field("shrunk_from", self.shrunk_from)
+            .field("shrink_runs", self.shrink_runs)
+            .field("reproduced_with_tracing", self.reproduced_with_tracing)
+            .field_str("skeleton", &self.skeleton)
+            .key("flight_recorder");
+        match &self.flight_recorder {
+            Some(dump) => w.string(dump),
+            None => w.value("null"),
+        };
+        w.end()
     }
 }
 
@@ -933,6 +855,26 @@ mod tests {
         // The pinned prefix reproduces the violation on replay.
         let again = replay_prefix(&cfg, &ce.prefix);
         assert!(!again.violations.is_empty());
+    }
+
+    /// As for the chaos export: a hostile violation detail comes out as
+    /// an escaped JSON string.
+    #[test]
+    fn hostile_violation_detail_is_escaped_in_the_export() {
+        let cfg = ExploreConfig {
+            budget: 64,
+            steps: 1,
+            force_violation: true,
+            ..ExploreConfig::default()
+        };
+        let mut report = run_explore(&cfg);
+        report.counterexample.as_mut().expect("planted").violations[0].detail =
+            "\"\\\n\t\u{1}".into();
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""detail": "\"\\\n\t\u0001"}"#),
+            "detail not escaped: {json}"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! [`CausalRecorder::flight_recorder_json`]) render byte-identically
 //! for the same recorded history.
 
-use crate::export::json_escape;
+use crate::export::{JsonWriter, Layout};
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
@@ -343,114 +343,101 @@ impl CausalRecorder {
                 durs[prev] = gap.max(1);
             }
         }
+        let us = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
+        let mut lines: Vec<String> = Vec::new();
+        for (i, e) in self.events.iter().enumerate() {
+            let (ts, tid) = (us(e.at.as_nanos()), tids[&e.trace_id]);
+            let mut w = JsonWriter::default();
+            w.object(Layout::Spaced)
+                .field_str("name", e.hop.code())
+                .field_str("cat", "eternal")
+                .field_str("ph", "X")
+                .field("ts", &ts)
+                .field("dur", us(durs[i]))
+                .field("pid", e.node)
+                .field("tid", tid)
+                .key("args")
+                .object(Layout::Spaced)
+                .field_str("trace_id", format_args!("{:#018x}", e.trace_id))
+                .field("span", e.span)
+                .field("parent", e.parent)
+                .field("clock", e.clock);
+            if let Some(o) = e.order {
+                w.field_str("ring", format_args!("P{}/{}", o.ring_rep, o.ring_seq))
+                    .field("seq", o.seq);
+            }
+            if !e.detail.is_empty() {
+                w.field_str("detail", &e.detail);
+            }
+            w.end().end();
+            lines.push(w.finish());
+            // Causal arrows (flow id = the parent's span id): the parent
+            // emits the start, each child a step.
+            let flow = |ph: &str, id: u64| {
+                let mut w = JsonWriter::default();
+                w.object(Layout::Spaced)
+                    .field_str("name", "causal")
+                    .field_str("cat", "flow")
+                    .field_str("ph", ph)
+                    .field("id", id)
+                    .field("ts", &ts)
+                    .field("pid", e.node)
+                    .field("tid", tid);
+                if ph == "t" {
+                    w.field_str("bp", "e");
+                }
+                w.end();
+                w.finish()
+            };
+            if e.parent != 0 {
+                lines.push(flow("t", e.parent));
+            }
+            if self.events.iter().any(|c| c.parent == e.span) {
+                lines.push(flow("s", e.span));
+            }
+        }
         // Extra top-level keys are legal in the Chrome trace object
         // form; `droppedEvents` makes ring truncation visible in the
         // export itself rather than only in the recorder's counters.
-        let mut out = format!(
-            "{{\"displayTimeUnit\": \"ns\", \"droppedEvents\": {}, \"traceEvents\": [\n",
-            self.dropped
-        );
-        let mut first = true;
-        let ts = |t: SimTime| {
-            let ns = t.as_nanos();
-            format!("{}.{:03}", ns / 1_000, ns % 1_000)
-        };
-        for (i, e) in self.events.iter().enumerate() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let tid = tids[&e.trace_id];
-            let mut args = format!(
-                "\"trace_id\": \"{:#018x}\", \"span\": {}, \"parent\": {}, \"clock\": {}",
-                e.trace_id, e.span, e.parent, e.clock
-            );
-            if let Some(o) = e.order {
-                let _ = write!(
-                    args,
-                    ", \"ring\": \"P{}/{}\", \"seq\": {}",
-                    o.ring_rep, o.ring_seq, o.seq
-                );
-            }
-            if !e.detail.is_empty() {
-                let _ = write!(args, ", \"detail\": \"{}\"", json_escape(&e.detail));
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"cat\": \"eternal\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}.{:03}, \"pid\": {}, \"tid\": {}, \"args\": {{{args}}}}}",
-                e.hop.code(),
-                ts(e.at),
-                durs[i] / 1_000,
-                durs[i] % 1_000,
-                e.node,
-                tid
-            );
-            // Causal arrow from parent to this hop (flow id = parent
-            // span id; the parent emits the start, each child a step).
-            if e.parent != 0 {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\": \"causal\", \"cat\": \"flow\", \"ph\": \"t\", \"id\": {}, \
-                     \"ts\": {}, \"pid\": {}, \"tid\": {}, \"bp\": \"e\"}}",
-                    e.parent,
-                    ts(e.at),
-                    e.node,
-                    tid
-                );
-            }
-            if self.events.iter().any(|c| c.parent == e.span) {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\": \"causal\", \"cat\": \"flow\", \"ph\": \"s\", \"id\": {}, \
-                     \"ts\": {}, \"pid\": {}, \"tid\": {}}}",
-                    e.span,
-                    ts(e.at),
-                    e.node,
-                    tid
-                );
-            }
-        }
-        out.push_str("\n]}\n");
-        out
+        // One event per line, so the file diffs and greps by hop.
+        let mut w = JsonWriter::default();
+        w.object(Layout::Spaced)
+            .field_str("displayTimeUnit", "ns")
+            .field("droppedEvents", self.dropped)
+            .field("traceEvents", format_args!("[\n{}\n]", lines.join(",\n")))
+            .end();
+        w.finish() + "\n"
     }
 
     /// Renders the retained ring — the last `capacity` spans before a
     /// failure — as the `flight_recorder.json` dump (schema documented
     /// in `docs/TRACING.md`). Rendering is byte-deterministic.
     pub fn flight_recorder_json(&self, reason: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": 1,");
-        let _ = writeln!(out, "  \"reason\": \"{}\",", json_escape(reason));
-        let _ = writeln!(out, "  \"dropped_spans\": {},", self.dropped);
-        let _ = writeln!(out, "  \"spans\": [");
-        let n = self.events.len();
-        for (i, e) in self.events.iter().enumerate() {
-            let order = match e.order {
-                Some(o) => format!(
-                    ", \"ring_rep\": {}, \"ring_seq\": {}, \"seq\": {}",
-                    o.ring_rep, o.ring_seq, o.seq
-                ),
-                None => String::new(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"at_ns\": {}, \"node\": {}, \"trace_id\": \"{:#018x}\", \
-                 \"span\": {}, \"parent\": {}, \"hop\": \"{}\", \"clock\": {}{order}, \
-                 \"detail\": \"{}\"}}",
-                e.at.as_nanos(),
-                e.node,
-                e.trace_id,
-                e.span,
-                e.parent,
-                e.hop.code(),
-                e.clock,
-                json_escape(&e.detail)
-            );
-            out.push_str(if i + 1 < n { ",\n" } else { "\n" });
+        let mut w = JsonWriter::default();
+        w.object(Layout::Block)
+            .field("schema", 1)
+            .field_str("reason", reason)
+            .field("dropped_spans", self.dropped)
+            .key("spans")
+            .array(Layout::Block);
+        for e in &self.events {
+            w.object(Layout::Spaced)
+                .field("at_ns", e.at.as_nanos())
+                .field("node", e.node)
+                .field_str("trace_id", format_args!("{:#018x}", e.trace_id))
+                .field("span", e.span)
+                .field("parent", e.parent)
+                .field_str("hop", e.hop.code())
+                .field("clock", e.clock);
+            if let Some(o) = e.order {
+                w.field("ring_rep", o.ring_rep)
+                    .field("ring_seq", o.ring_seq)
+                    .field("seq", o.seq);
+            }
+            w.field_str("detail", &e.detail).end();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 
     /// Renders the span tree of one trace as indented text (parents

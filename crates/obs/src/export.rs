@@ -1,107 +1,159 @@
-//! Dependency-free JSONL export of traces, registries, and timelines.
+//! The one JSON writer behind every artefact, plus the Prometheus text
+//! exposition of a metrics registry.
 //!
-//! One JSON object per line, hand-serialized (the workspace builds
-//! offline with no external crates). Line shapes:
-//!
-//! * trace event — `{"t":…,"src":…,"kind":…,"detail":…}` plus
-//!   `"span"`, `"edge"`, and optional `"parent"` for span edges;
-//! * counter — `{"metric":…,"type":"counter","value":…}`;
-//! * gauge — `{"metric":…,"type":"gauge","value":…}`;
-//! * histogram — `{"metric":…,"type":"histogram","count":…,…}`;
-//! * timeline — `{"timeline":…,"bytes":…,"total_ns":…,"phases":[…]}`.
-//!
-//! Times are integer nanoseconds of virtual time.
+//! [`JsonWriter`] streams a document into a `String`: it owns string
+//! escaping, comma placement and the three container layouts the
+//! artefacts use ([`Layout`]). There is no value tree and no reader —
+//! artefacts are compared as bytes (`repro -- fingerprint`), never
+//! parsed back. Times are integer nanoseconds of virtual time.
 
-use crate::event::{SpanEdge, TraceEvent};
 use crate::metrics::MetricsRegistry;
-use crate::timeline::RecoveryTimeline;
-use crate::trace::Trace;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// How a container lays out its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One member per line, indented two spaces per open container; a
+    /// document's outermost block ends with a newline.
+    Block,
+    /// One line, a space after each `:` and `,` — `{"a": 1, "b": 2}`.
+    Spaced,
+    /// One line, no spaces — `{"a":1,"b":2}`.
+    Compact,
 }
 
-/// Serializes one trace event as a JSON object (no trailing newline).
-pub fn event_to_json(e: &TraceEvent) -> String {
-    let mut line = format!(
-        "{{\"t\":{},\"src\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"",
-        e.at.as_nanos(),
-        json_escape(&e.source),
-        e.kind.code(),
-        json_escape(&e.detail),
-    );
-    if let Some(span) = e.span {
-        let edge = match span.edge {
-            SpanEdge::Begin => "begin",
-            SpanEdge::End => "end",
+/// Streaming JSON writer. Callers open containers, write members in
+/// document order and close what they opened. Keys and
+/// [`JsonWriter::string`]s are escaped; [`JsonWriter::value`] takes what
+/// is already JSON (a number, `true`, `null`, a rendered object).
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Open containers, innermost last: (layout, closer, has members).
+    open: Vec<(Layout, char, bool)>,
+    /// A key is written and its value is due: no separator before it.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Opens an object as the next element.
+    pub fn object(&mut self, layout: Layout) -> &mut Self {
+        self.container(layout, '{', '}')
+    }
+
+    /// Opens an array as the next element.
+    pub fn array(&mut self, layout: Layout) -> &mut Self {
+        self.container(layout, '[', ']')
+    }
+
+    fn container(&mut self, layout: Layout, open: char, close: char) -> &mut Self {
+        self.element();
+        self.out.push(open);
+        self.open.push((layout, close, false));
+        self
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        let (layout, close, _) = self.open.pop().expect("end() without an open container");
+        if layout == Layout::Block {
+            self.newline();
+        }
+        self.out.push(close);
+        if layout == Layout::Block && self.open.is_empty() {
+            self.out.push('\n');
+        }
+        self
+    }
+
+    /// Writes an object member's key; its value is the next element.
+    pub fn key(&mut self, name: impl Display) -> &mut Self {
+        self.string(name);
+        self.out.push(':');
+        if !matches!(self.open.last(), Some((Layout::Compact, ..))) {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    /// Writes `v` verbatim as the next element.
+    pub fn value(&mut self, v: impl Display) -> &mut Self {
+        self.element();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes `s` as a quoted, escaped string.
+    pub fn string(&mut self, s: impl Display) -> &mut Self {
+        self.element();
+        self.out.push('"');
+        let _ = write!(Escaped(&mut self.out), "{s}");
+        self.out.push('"');
+        self
+    }
+
+    /// `key(name)` then `value(v)`.
+    pub fn field(&mut self, name: impl Display, v: impl Display) -> &mut Self {
+        self.key(name).value(v)
+    }
+
+    /// `key(name)` then `string(s)`.
+    pub fn field_str(&mut self, name: impl Display, s: impl Display) -> &mut Self {
+        self.key(name).string(s)
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        assert!(self.open.is_empty(), "finish() with an open container");
+        self.out
+    }
+
+    /// Separator and line break due before the next element.
+    fn element(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let Some((layout, _, members)) = self.open.last_mut() else {
+            return;
         };
-        let _ = write!(line, ",\"span\":{},\"edge\":\"{edge}\"", span.id.0);
-        if let Some(parent) = span.parent {
-            let _ = write!(line, ",\"parent\":{}", parent.0);
+        let (layout, first) = (*layout, !std::mem::replace(members, true));
+        if !first {
+            self.out.push(',');
+        }
+        match layout {
+            Layout::Block => self.newline(),
+            Layout::Spaced if !first => self.out.push(' '),
+            _ => {}
         }
     }
-    line.push('}');
-    line
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.open.len() {
+            self.out.push_str("  ");
+        }
+    }
 }
 
-/// Serializes every held trace event, one JSON object per line.
-pub fn trace_to_jsonl(trace: &Trace) -> String {
-    let mut out = String::new();
-    for e in trace.events() {
-        out.push_str(&event_to_json(e));
-        out.push('\n');
-    }
-    out
-}
+/// Escapes what is written through it for a JSON string literal.
+struct Escaped<'a>(&'a mut String);
 
-/// Serializes a registry snapshot, one metric per line.
-pub fn registry_to_jsonl(registry: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    for (name, value) in registry.counters() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"{}\",\"type\":\"counter\",\"value\":{value}}}",
-            json_escape(name)
-        );
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                '\t' => self.0.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
-    for (name, value) in registry.gauges() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"{}\",\"type\":\"gauge\",\"value\":{value}}}",
-            json_escape(name)
-        );
-    }
-    for (name, h) in registry.histograms() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"{}\",\"type\":\"histogram\",\"count\":{},\"min_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            json_escape(name),
-            h.count(),
-            h.min().as_nanos(),
-            h.mean().as_nanos(),
-            h.p50().as_nanos(),
-            h.p95().as_nanos(),
-            h.p99().as_nanos(),
-            h.max().as_nanos(),
-        );
-    }
-    out
 }
 
 /// Sanitizes a dotted metric name into the Prometheus exposition
@@ -151,89 +203,107 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// Serializes recovery timelines, one episode per line.
-pub fn timelines_to_jsonl(timelines: &[RecoveryTimeline]) -> String {
-    let mut out = String::new();
-    for t in timelines {
-        let _ = write!(
-            out,
-            "{{\"timeline\":\"{}\",\"bytes\":{},\"launched_ns\":{},\"operational_ns\":{},\"total_ns\":{},\"phases\":[",
-            json_escape(&t.label),
-            t.app_state_bytes,
-            t.launched_at.as_nanos(),
-            t.operational_at.as_nanos(),
-            t.total().as_nanos(),
-        );
-        for (i, p) in t.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"begin_ns\":{},\"end_ns\":{}}}",
-                p.phase.name(),
-                p.begin.as_nanos(),
-                p.end.as_nanos(),
-            );
-        }
-        out.push_str("]}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use super::Layout::{Block, Compact, Spaced};
     use super::*;
-    use crate::event::{EventKind, RecoveryPhase};
-    use crate::time::{Duration, SimTime};
-    use crate::timeline::PhaseSpan;
+    use crate::time::Duration;
+
+    fn string(s: &str) -> String {
+        let mut w = JsonWriter::default();
+        w.string(s);
+        w.finish()
+    }
 
     #[test]
     fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(string("\r\t"), r#""\r\t""#);
+        assert_eq!(string("plain"), "\"plain\"");
+        assert_eq!(string("naïve → 日本"), "\"naïve → 日本\"");
+        for c in (0..0x20u8).filter(|c| !b"\n\r\t".contains(c)) {
+            let got = string(&char::from(c).to_string());
+            assert_eq!(got, format!("\"\\u{c:04x}\""), "control {c:#x}");
+        }
+        // Keys go through the same escaper; Display values are escaped
+        // as they are formatted.
+        let mut w = JsonWriter::default();
+        w.object(Compact)
+            .field_str("k\"", format_args!("{}\n", 1))
+            .end();
+        assert_eq!(w.finish(), r#"{"k\"":"1\n"}"#);
     }
 
+    /// One, two and no members in every layout: the first member takes
+    /// no comma, the last none after it.
     #[test]
-    fn trace_events_export_one_line_each() {
-        let mut tr = Trace::new();
-        tr.record(
-            SimTime::from_nanos(5),
-            "P0/rm",
-            EventKind::ReplicaKilled,
-            "say \"hi\"",
-        );
-        let id = tr.span_begin(
-            SimTime::from_nanos(10),
-            "P1",
-            EventKind::RecoveryEpisode,
-            "",
-            None,
-        );
-        tr.span_end(SimTime::from_nanos(20), id);
-        let text = trace_to_jsonl(&tr);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+    fn commas_and_empties_in_each_layout() {
+        let render = |layout, n: u64| {
+            let mut w = JsonWriter::default();
+            w.object(layout);
+            for i in 0..n {
+                w.field(format_args!("k{i}"), i);
+            }
+            w.key("a").array(layout);
+            for i in 0..n {
+                w.value(i);
+            }
+            w.end().end();
+            w.finish()
+        };
+        assert_eq!(render(Compact, 0), r#"{"a":[]}"#);
+        assert_eq!(render(Compact, 1), r#"{"k0":0,"a":[0]}"#);
+        assert_eq!(render(Compact, 2), r#"{"k0":0,"k1":1,"a":[0,1]}"#);
+        assert_eq!(render(Spaced, 0), r#"{"a": []}"#);
+        assert_eq!(render(Spaced, 2), r#"{"k0": 0, "k1": 1, "a": [0, 1]}"#);
+        assert_eq!(render(Block, 0), "{\n  \"a\": [\n  ]\n}\n");
         assert_eq!(
-            lines[0],
-            "{\"t\":5,\"src\":\"P0/rm\",\"kind\":\"replica.killed\",\"detail\":\"say \\\"hi\\\"\"}"
+            render(Block, 2),
+            "{\n  \"k0\": 0,\n  \"k1\": 1,\n  \"a\": [\n    0,\n    1\n  ]\n}\n"
         );
-        assert!(lines[1].contains("\"span\":1,\"edge\":\"begin\""));
-        assert!(lines[2].contains("\"edge\":\"end\""));
+        for (layout, want) in [(Compact, "{}"), (Spaced, "{}"), (Block, "{\n}\n")] {
+            let mut w = JsonWriter::default();
+            w.object(layout).end();
+            assert_eq!(w.finish(), want);
+        }
     }
 
     #[test]
-    fn registry_exports_all_metric_types() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("c", 2);
-        r.gauge_set("g", -1);
-        r.histogram_record("h", Duration::from_micros(7));
-        let text = registry_to_jsonl(&r);
-        assert!(text.contains("{\"metric\":\"c\",\"type\":\"counter\",\"value\":2}"));
-        assert!(text.contains("{\"metric\":\"g\",\"type\":\"gauge\",\"value\":-1}"));
-        assert!(text.contains("\"type\":\"histogram\",\"count\":1"));
-        assert!(text.contains("\"max_ns\":7000"));
+    fn block_nests_inline_nests_compact() {
+        let mut w = JsonWriter::default();
+        w.object(Block).field("schema", 1).key("rows").array(Block);
+        for i in 0..2 {
+            w.object(Spaced).field("i", i).key("snap").object(Compact);
+            w.field("n", i).key("d").array(Compact);
+            w.array(Compact).value(0).value(i).end();
+            w.end().end().end();
+        }
+        w.end().key("inner").object(Block).field("null", "null");
+        w.end().key("flags").array(Spaced).string("a").string("b");
+        w.end().end();
+        assert_eq!(
+            w.finish(),
+            r#"{
+  "schema": 1,
+  "rows": [
+    {"i": 0, "snap": {"n":0,"d":[[0,0]]}},
+    {"i": 1, "snap": {"n":1,"d":[[0,1]]}}
+  ],
+  "inner": {
+    "null": null
+  },
+  "flags": ["a", "b"]
+}
+"#
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "open container")]
+    fn finish_rejects_an_unclosed_document() {
+        let mut w = JsonWriter::default();
+        w.object(Block);
+        w.finish();
     }
 
     #[test]
@@ -249,24 +319,5 @@ mod tests {
         assert!(text.contains("orb_round_trip{quantile=\"0.5\"} 10000"));
         assert!(text.contains("orb_round_trip_sum 10000\norb_round_trip_count 1\n"));
         assert_eq!(prometheus_name("9lives.x-y"), "_9lives_x_y");
-    }
-
-    #[test]
-    fn timeline_exports_phase_array() {
-        let tl = RecoveryTimeline {
-            label: "G0 -> P2".into(),
-            launched_at: SimTime::from_nanos(0),
-            operational_at: SimTime::from_nanos(50),
-            app_state_bytes: 16,
-            phases: vec![PhaseSpan {
-                phase: RecoveryPhase::Quiesce,
-                begin: SimTime::from_nanos(0),
-                end: SimTime::from_nanos(50),
-            }],
-        };
-        let text = timelines_to_jsonl(&[tl]);
-        assert!(text.contains("\"timeline\":\"G0 -> P2\""));
-        assert!(text.contains("\"total_ns\":50"));
-        assert!(text.contains("{\"phase\":\"quiesce\",\"begin_ns\":0,\"end_ns\":50}"));
     }
 }

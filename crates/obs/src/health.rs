@@ -26,10 +26,9 @@
 //! operational replicas — any mismatch at equal digest epochs is a real
 //! consistency violation, never measurement skew.
 
-use crate::export::json_escape;
+use crate::export::{JsonWriter, Layout};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// One replica's periodic self-measurement, published through the
 /// total order. All identifiers are plain integers (this crate sits
@@ -91,38 +90,33 @@ impl HealthSnapshot {
     /// Serializes the snapshot as one JSON object (stable field order;
     /// the `repro -- health` report embeds these verbatim).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"node\":{},\"seq\":{},\"published_ns\":{},\"token_age_ns\":{},\"broadcasts\":{},\"delivered\":{},\"retransmits\":{},\"reformations\":{},\"holding_depth\":{},\"reassembly_depth\":{},\"dedup_resident\":{},\"recovering\":{},\"pending_depth\":{},\"flow_occupancy\":{},\"reassembly_bytes\":{},\"log_suffix\":{},\"digest_epoch\":{},\"digests\":[",
-            self.node,
-            self.seq,
-            self.published_ns,
-            self.token_age_ns,
-            self.broadcasts,
-            self.delivered,
-            self.retransmits,
-            self.reformations,
-            self.holding_depth,
-            self.reassembly_depth,
-            self.dedup_resident,
-            self.recovering,
-            self.pending_depth,
-            self.flow_occupancy,
-            self.reassembly_bytes,
-            self.log_suffix,
-            if self.digest_epoch == Self::NO_DIGEST {
-                -1i64
-            } else {
-                self.digest_epoch as i64
-            },
-        );
-        for (i, (g, d)) in self.digests.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{g},{d}]");
+        let mut w = JsonWriter::default();
+        w.object(Layout::Compact)
+            .field("node", self.node)
+            .field("seq", self.seq)
+            .field("published_ns", self.published_ns)
+            .field("token_age_ns", self.token_age_ns)
+            .field("broadcasts", self.broadcasts)
+            .field("delivered", self.delivered)
+            .field("retransmits", self.retransmits)
+            .field("reformations", self.reformations)
+            .field("holding_depth", self.holding_depth)
+            .field("reassembly_depth", self.reassembly_depth)
+            .field("dedup_resident", self.dedup_resident)
+            .field("recovering", self.recovering)
+            .field("pending_depth", self.pending_depth)
+            .field("flow_occupancy", self.flow_occupancy)
+            .field("reassembly_bytes", self.reassembly_bytes)
+            .field("log_suffix", self.log_suffix)
+            // `NO_DIGEST` is `u64::MAX`: it renders as -1.
+            .field("digest_epoch", self.digest_epoch as i64)
+            .key("digests")
+            .array(Layout::Compact);
+        for (g, d) in &self.digests {
+            w.array(Layout::Compact).value(g).value(d).end();
         }
-        out.push_str("]}");
-        out
+        w.end().end();
+        w.finish()
     }
 }
 
@@ -247,17 +241,18 @@ pub struct Diagnosis {
 impl Diagnosis {
     /// Serializes the diagnosis as one JSON object (stable order).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"epoch\":{},\"at_ns\":{},\"detector\":\"{}\",\"severity\":\"{}\",\"subject\":\"{}\",\"value\":{},\"threshold\":{},\"detail\":\"{}\"}}",
-            self.epoch,
-            self.at_ns,
-            self.detector.name(),
-            self.severity.name(),
-            json_escape(&self.subject),
-            self.value,
-            self.threshold,
-            json_escape(&self.detail),
-        )
+        let mut w = JsonWriter::default();
+        w.object(Layout::Compact)
+            .field("epoch", self.epoch)
+            .field("at_ns", self.at_ns)
+            .field_str("detector", self.detector)
+            .field_str("severity", self.severity)
+            .field_str("subject", &self.subject)
+            .field("value", self.value)
+            .field("threshold", self.threshold)
+            .field_str("detail", &self.detail)
+            .end();
+        w.finish()
     }
 }
 
@@ -383,19 +378,20 @@ pub struct NodeSummary {
 impl NodeSummary {
     /// Serializes the summary as one JSON object (stable order).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"node\":{},\"snapshots\":{},\"max_token_age_ns\":{},\"max_holding_depth\":{},\"max_reassembly_depth\":{},\"max_dedup_resident\":{},\"max_pending_depth\":{},\"reformations\":{},\"retransmits\":{},\"recovering_epochs\":{}}}",
-            self.node,
-            self.snapshots,
-            self.max_token_age_ns,
-            self.max_holding_depth,
-            self.max_reassembly_depth,
-            self.max_dedup_resident,
-            self.max_pending_depth,
-            self.reformations,
-            self.retransmits,
-            self.recovering_epochs,
-        )
+        let mut w = JsonWriter::default();
+        w.object(Layout::Compact)
+            .field("node", self.node)
+            .field("snapshots", self.snapshots)
+            .field("max_token_age_ns", self.max_token_age_ns)
+            .field("max_holding_depth", self.max_holding_depth)
+            .field("max_reassembly_depth", self.max_reassembly_depth)
+            .field("max_dedup_resident", self.max_dedup_resident)
+            .field("max_pending_depth", self.max_pending_depth)
+            .field("reformations", self.reformations)
+            .field("retransmits", self.retransmits)
+            .field("recovering_epochs", self.recovering_epochs)
+            .end();
+        w.finish()
     }
 }
 

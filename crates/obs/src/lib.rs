@@ -38,8 +38,8 @@
 //!   total order, the agreed epoch stream, and the online
 //!   [`health::HealthAuditor`] with its severity-graded detectors
 //!   (`docs/HEALTH.md`).
-//! * [`export`] — a dependency-free JSONL exporter for traces and
-//!   registry snapshots, plus a Prometheus-style text exposition.
+//! * [`export`] — the one JSON writer behind every artefact, plus a
+//!   Prometheus-style text exposition of a registry.
 //!
 //! The crate has no dependencies at all — it sits below `eternal-sim`
 //! (which re-exports it) and below `eternal-orb`.

@@ -9,7 +9,7 @@
 //! observability tests assert.
 
 use crate::event::RecoveryPhase;
-use crate::export::json_escape;
+use crate::export::{JsonWriter, Layout};
 use crate::time::{Duration, SimTime};
 use std::fmt::Write as _;
 
@@ -131,32 +131,27 @@ pub fn render_breakdown_table(timelines: &[RecoveryTimeline]) -> String {
 /// computed from a truncated history, and consumers must see that
 /// rather than silently trusting the numbers.
 pub fn render_breakdown_json(timelines: &[RecoveryTimeline], dropped_events: u64) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"dropped_events\": {dropped_events},");
-    out.push_str("  \"episodes\": [\n");
-    let n = timelines.len();
-    for (i, t) in timelines.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"app_state_bytes\": {}, \"launched_at_ns\": {}, \
-             \"operational_at_ns\": {}, \"total_ns\": {}, \"phases\": {{",
-            json_escape(&t.label),
-            t.app_state_bytes,
-            t.launched_at.as_nanos(),
-            t.operational_at.as_nanos(),
-            t.total().as_nanos()
-        );
-        for (j, span) in t.phases.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{:?}\": {}", span.phase, span.duration().as_nanos());
+    let mut w = JsonWriter::default();
+    w.object(Layout::Block)
+        .field("dropped_events", dropped_events)
+        .key("episodes")
+        .array(Layout::Block);
+    for t in timelines {
+        w.object(Layout::Spaced)
+            .field_str("label", &t.label)
+            .field("app_state_bytes", t.app_state_bytes)
+            .field("launched_at_ns", t.launched_at.as_nanos())
+            .field("operational_at_ns", t.operational_at.as_nanos())
+            .field("total_ns", t.total().as_nanos())
+            .key("phases")
+            .object(Layout::Spaced);
+        for span in &t.phases {
+            w.field(format_args!("{:?}", span.phase), span.duration().as_nanos());
         }
-        out.push_str("}}");
-        out.push_str(if i + 1 < n { ",\n" } else { "\n" });
+        w.end().end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]

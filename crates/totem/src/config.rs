@@ -2,16 +2,21 @@
 
 use eternal_sim::Duration;
 
+/// How long a member waits without seeing the token (or any ring
+/// traffic) before declaring token loss and starting membership
+/// formation.
+pub const TOKEN_LOSS_TIMEOUT: Duration = Duration::from_millis(30);
+
+/// How long the last forwarder of the token waits for evidence of
+/// progress before retransmitting the token.
+pub const TOKEN_RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(5);
+
+// The token must be retransmitted before its loss is declared.
+const _: () = assert!(TOKEN_RETRANSMIT_TIMEOUT.as_nanos() < TOKEN_LOSS_TIMEOUT.as_nanos());
+
 /// Tunable parameters of the Totem protocol engine.
 #[derive(Debug, Clone)]
 pub struct TotemConfig {
-    /// How long a member waits without seeing the token (or any ring
-    /// traffic) before declaring token loss and starting membership
-    /// formation.
-    pub token_loss_timeout: Duration,
-    /// How long the last forwarder of the token waits for evidence of
-    /// progress before retransmitting the token.
-    pub token_retransmit_timeout: Duration,
     /// Maximum new messages a member may broadcast per token visit
     /// (Totem's flow-control constant).
     pub max_messages_per_token: usize,
@@ -32,8 +37,6 @@ pub struct TotemConfig {
 impl Default for TotemConfig {
     fn default() -> Self {
         TotemConfig {
-            token_loss_timeout: Duration::from_millis(30),
-            token_retransmit_timeout: Duration::from_millis(5),
             max_messages_per_token: 8,
             batch_budget_bytes: 1408,
         }
@@ -41,17 +44,12 @@ impl Default for TotemConfig {
 }
 
 impl TotemConfig {
-    /// Sanity-checks parameter relationships that the protocol relies on.
+    /// Sanity-checks the parameters the protocol relies on.
     ///
     /// # Panics
     ///
-    /// Panics if the retransmit timeout is not shorter than the loss
-    /// timeout, or if the flow-control allowance is zero.
+    /// Panics if the flow-control allowance is zero.
     pub fn validate(&self) {
-        assert!(
-            self.token_retransmit_timeout < self.token_loss_timeout,
-            "token retransmit timeout must be shorter than token loss timeout"
-        );
         assert!(
             self.max_messages_per_token > 0,
             "flow control must allow progress"
@@ -66,17 +64,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         TotemConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "retransmit")]
-    fn inverted_timeouts_rejected() {
-        let cfg = TotemConfig {
-            token_retransmit_timeout: Duration::from_millis(100),
-            token_loss_timeout: Duration::from_millis(10),
-            ..TotemConfig::default()
-        };
-        cfg.validate();
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    configuration deliver the same set of old-ring messages ahead of
 //!    the configuration change (virtual synchrony).
 
-use crate::config::TotemConfig;
+use crate::config::{TotemConfig, TOKEN_LOSS_TIMEOUT, TOKEN_RETRANSMIT_TIMEOUT};
 use crate::types::{
     CommitEntry, CommitMsg, Frame, JoinMsg, Payload, RegularMsg, RingId, RotationAru, Timer, Token,
 };
@@ -400,7 +400,7 @@ impl TotemNode {
                         actions.push(Action::Multicast(frame));
                         actions.push(Action::SetTimer(
                             Timer::TokenRetransmit,
-                            self.cfg.token_retransmit_timeout,
+                            TOKEN_RETRANSMIT_TIMEOUT,
                         ));
                     }
                 }
@@ -653,10 +653,7 @@ impl TotemNode {
         self.phase = Phase::Commit;
         self.forward_control(Frame::Commit(commit), actions);
         // Watchdog: if formation stalls, token-loss fires and regathers.
-        actions.push(Action::SetTimer(
-            Timer::TokenLoss,
-            self.cfg.token_loss_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
         actions.push(Action::CancelTimer(Timer::JoinRebroadcast));
     }
 
@@ -716,10 +713,7 @@ impl TotemNode {
                     c2.target = c2.members[1];
                     self.install_ring(c2.new_ring, c2.members.clone(), c2.entries.clone(), actions);
                     self.forward_control(Frame::Commit(c2), actions);
-                    actions.push(Action::SetTimer(
-                        Timer::TokenLoss,
-                        self.cfg.token_loss_timeout,
-                    ));
+                    actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
                 } else {
                     // Append our entry and forward.
                     if !matches!(self.phase, Phase::Gather | Phase::Commit) {
@@ -742,10 +736,7 @@ impl TotemNode {
                     }
                     actions.push(Action::CancelTimer(Timer::JoinRebroadcast));
                     self.forward_control(Frame::Commit(c), actions);
-                    actions.push(Action::SetTimer(
-                        Timer::TokenLoss,
-                        self.cfg.token_loss_timeout,
-                    ));
+                    actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
                 }
             }
             2 => {
@@ -774,10 +765,7 @@ impl TotemNode {
                     };
                     self.last_token_seq = token.token_seq;
                     self.forward_control(Frame::Token(token), actions);
-                    actions.push(Action::SetTimer(
-                        Timer::TokenLoss,
-                        self.cfg.token_loss_timeout,
-                    ));
+                    actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
                 } else {
                     if self.ring == Some(c.new_ring) {
                         return; // duplicate pass-2 delivery; our own
@@ -795,10 +783,7 @@ impl TotemNode {
                     c.target = c.members[(my_pos + 1) % c.members.len()];
                     self.install_ring(c.new_ring, members, entries, actions);
                     self.forward_control(Frame::Commit(c), actions);
-                    actions.push(Action::SetTimer(
-                        Timer::TokenLoss,
-                        self.cfg.token_loss_timeout,
-                    ));
+                    actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
                 }
             }
             _ => {}
@@ -895,10 +880,7 @@ impl TotemNode {
         self.phase = Phase::Recover;
         actions.push(Action::CancelTimer(Timer::JoinRebroadcast));
         actions.push(Action::CancelTimer(Timer::ConsensusTimeout));
-        actions.push(Action::SetTimer(
-            Timer::TokenLoss,
-            self.cfg.token_loss_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
         self.try_finish_recovery(actions);
         if self.phase == Phase::Operational && self.members.len() == 1 {
             actions.push(Action::CancelTimer(Timer::TokenLoss));
@@ -1001,7 +983,7 @@ impl TotemNode {
         actions.push(Action::Multicast(frame));
         actions.push(Action::SetTimer(
             Timer::TokenRetransmit,
-            self.cfg.token_retransmit_timeout,
+            TOKEN_RETRANSMIT_TIMEOUT,
         ));
     }
 
@@ -1073,10 +1055,7 @@ impl TotemNode {
             return;
         }
         // Any current-ring token is evidence of life.
-        actions.push(Action::SetTimer(
-            Timer::TokenLoss,
-            self.cfg.token_loss_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
         if t.target != self.id {
             self.last_token_seq = self.last_token_seq.max(t.token_seq);
             return;
@@ -1202,10 +1181,7 @@ impl TotemNode {
         if self.on_foreign_ring_frame(m.ring, m.sender, actions) {
             return;
         }
-        actions.push(Action::SetTimer(
-            Timer::TokenLoss,
-            self.cfg.token_loss_timeout,
-        ));
+        actions.push(Action::SetTimer(Timer::TokenLoss, TOKEN_LOSS_TIMEOUT));
         if self.phase != Phase::Operational && self.phase != Phase::Recover {
             return;
         }
