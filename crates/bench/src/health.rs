@@ -83,7 +83,7 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
     w.object(Layout::Block)
         .field("schema", 2)
         .field("seed", seed)
-        .field("period_ns", auditor.config().period_ns)
+        .field("period_ns", auditor.period_ns())
         .field_str("fault", fault.map_or("none", FaultKind::name))
         .field(
             "injected_at_ns",

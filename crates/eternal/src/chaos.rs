@@ -97,6 +97,34 @@ impl FaultKind {
     }
 }
 
+/// Cluster size of a campaign, and of a health-lab scenario: both
+/// topologies (three-way active groups beside their drivers) need at
+/// least four processors.
+pub(crate) const PROCESSORS: u32 = 5;
+
+/// Two-way invocations each driver replica issues per load tick, here
+/// and in the health lab.
+pub(crate) const BURST: u64 = 4;
+
+/// Upper bound on any completed recovery episode (invariant 3).
+const RECOVERY_CAP: Duration = Duration::from_millis(1_000);
+
+/// Settle-loop slice of every harness: quiescence requires one full
+/// slice with no metrics movement.
+const SETTLE_SLICE: Duration = Duration::from_millis(10);
+
+/// Settle-loop deadline per campaign step; exceeding it is itself a
+/// bounded-recovery violation.
+const SETTLE_CAP: Duration = Duration::from_secs(3);
+
+/// Suffix-bound checkpoint trigger applied to every processor's
+/// [`MechConfig::suffix_checkpoint_len`](crate::mechanisms::MechConfig)
+/// — tight enough that the campaign's warm-passive ledger trips it
+/// under load. Invariant 6 audits suffixes against twice this value
+/// (the trigger's fabricated retrieval needs a round trip through the
+/// total order, during which the suffix keeps growing).
+const SUFFIX_CHECKPOINT_LEN: usize = 24;
+
 /// Parameters of one campaign. Everything that affects the run is in
 /// here — two equal configs produce byte-identical summaries.
 #[derive(Debug, Clone)]
@@ -105,36 +133,15 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Number of fault steps to inject.
     pub steps: usize,
-    /// Cluster size.
-    pub processors: u32,
-    /// Two-way invocations each driver replica issues per load tick.
-    pub burst: u64,
     /// Application-level state size of the blob server (sized so a
     /// state transfer spans many frames, opening a window for
     /// [`FaultKind::KillMidTransfer`]).
     pub blob_size: usize,
-    /// Upper bound on any completed recovery episode (invariant 3).
-    pub recovery_cap: Duration,
-    /// Settle-loop slice: quiescence requires one full slice with no
-    /// metrics movement.
-    pub settle_slice: Duration,
-    /// Settle-loop deadline per step; exceeding it is itself a
-    /// bounded-recovery violation.
-    pub settle_cap: Duration,
-    /// Upper bound on per-processor dedup residency (invariant 5).
-    pub dedup_resident_cap: usize,
     /// Chunk payload size applied to every processor's
     /// [`MechConfig::chunk_bytes`](crate::mechanisms::MechConfig):
     /// small enough that the blob's transfer streams many chunks,
     /// opening the window [`FaultKind::KillDonorMidStream`] aims at.
     pub chunk_bytes: usize,
-    /// Suffix-bound checkpoint trigger applied to every processor's
-    /// [`MechConfig::suffix_checkpoint_len`](crate::mechanisms::MechConfig)
-    /// — tight enough that the campaign's warm-passive ledger trips it
-    /// under load. Invariant 6 audits suffixes against twice this value
-    /// (the trigger's fabricated retrieval needs a round trip through
-    /// the total order, during which the suffix keeps growing).
-    pub suffix_checkpoint_len: usize,
     /// Overrides Totem's token-visit batching budget for the run
     /// (`Some(0)` disables batching, `None` keeps the protocol
     /// default). The invariants must hold at any budget — the batching
@@ -164,15 +171,8 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 42,
             steps: 10,
-            processors: 5,
-            burst: 4,
             blob_size: 60_000,
-            recovery_cap: Duration::from_millis(1_000),
-            settle_slice: Duration::from_millis(10),
-            settle_cap: Duration::from_secs(3),
-            dedup_resident_cap: 8_192,
             chunk_bytes: 4_096,
-            suffix_checkpoint_len: 24,
             batch_budget_bytes: None,
             causal: false,
             force_violation: false,
@@ -395,13 +395,13 @@ pub fn partition_heal(cluster: &mut Cluster, cut: usize, hold: Duration) {
 
 /// Runs until the system is quiet — ring formed, no recovery machinery
 /// in flight, no outstanding invocations, and no progress across one
-/// full `slice` — or until `cap` has passed (returns `false`: a
-/// bounded-recovery violation).
-pub fn settle(cluster: &mut Cluster, slice: Duration, cap: Duration) -> bool {
+/// full settle slice (10 ms) — or until `cap` has passed (returns
+/// `false`: a bounded-recovery violation).
+pub fn settle(cluster: &mut Cluster, cap: Duration) -> bool {
     let deadline = cluster.now() + cap;
     let mut last = cluster.progress();
     loop {
-        cluster.run_for(slice);
+        cluster.run_for(SETTLE_SLICE);
         let snap = cluster.progress();
         let quiet =
             cluster.formed() && !cluster.recovery_in_flight() && cluster.outstanding_calls() == 0;
@@ -520,19 +520,15 @@ struct Campaign<'a> {
 
 /// Runs one campaign to completion.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
-    assert!(
-        cfg.processors >= 4,
-        "campaign topology needs >= 4 processors"
-    );
     let mut cluster_cfg = ClusterConfig {
-        processors: cfg.processors,
+        processors: PROCESSORS,
         ..ClusterConfig::default()
     };
     if let Some(budget) = cfg.batch_budget_bytes {
         cluster_cfg.totem.batch_budget_bytes = budget;
     }
     cluster_cfg.mech.chunk_bytes = cfg.chunk_bytes;
-    cluster_cfg.mech.suffix_checkpoint_len = cfg.suffix_checkpoint_len;
+    cluster_cfg.mech.suffix_checkpoint_len = SUFFIX_CHECKPOINT_LEN;
     cluster_cfg.causal = cfg.causal;
     cluster_cfg.health_period = cfg.health_period;
     let cluster = Cluster::new(cluster_cfg, cfg.seed.wrapping_add(1));
@@ -553,7 +549,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
 
 impl Campaign<'_> {
     fn deploy(&mut self) {
-        let burst = self.cfg.burst;
         let blob_size = self.cfg.blob_size;
         let counter = self.cluster.deploy_server(
             "chaos-counter",
@@ -579,17 +574,17 @@ impl Campaign<'_> {
         let counter_driver = self.cluster.deploy_client(
             "chaos-counter-driver",
             FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(counter, "increment", burst)),
+            move |_| Box::new(BurstClient::new(counter, "increment", BURST)),
         );
         let blob_driver = self.cluster.deploy_client(
             "chaos-blob-driver",
             FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(blob, "touch", burst)),
+            move |_| Box::new(BurstClient::new(blob, "touch", BURST)),
         );
         let ledger_driver = self.cluster.deploy_client(
             "chaos-ledger-driver",
             FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(ledger, "increment", burst)),
+            move |_| Box::new(BurstClient::new(ledger, "increment", BURST)),
         );
         self.pairs = vec![
             OraclePair {
@@ -614,11 +609,7 @@ impl Campaign<'_> {
     fn run(&mut self) {
         // Post-deployment baseline: the invariants must hold before any
         // fault is injected (step 0).
-        let settled = settle(
-            &mut self.cluster,
-            self.cfg.settle_slice,
-            self.cfg.settle_cap,
-        );
+        let settled = settle(&mut self.cluster, SETTLE_CAP);
         self.check_invariants(0, settled);
         for step in 1..=self.cfg.steps {
             let kind = self.pick_fault();
@@ -633,11 +624,7 @@ impl Campaign<'_> {
             // Re-burst traffic over the (now repaired) system, then
             // drain it to the next quiescent point and audit.
             self.cluster.kick_clients();
-            let settled = settle(
-                &mut self.cluster,
-                self.cfg.settle_slice,
-                self.cfg.settle_cap,
-            );
+            let settled = settle(&mut self.cluster, SETTLE_CAP);
             self.check_invariants(step, settled);
         }
     }
@@ -776,7 +763,7 @@ impl Campaign<'_> {
             self.violation(
                 step,
                 "bounded-recovery",
-                format!("cluster failed to quiesce within {}", self.cfg.settle_cap),
+                format!("cluster failed to quiesce within {SETTLE_CAP}"),
             );
         }
         // Invariants 1, 2, 4, 5, 6 plus the single-copy reference
@@ -792,8 +779,7 @@ impl Campaign<'_> {
     /// The shared oracle configured for this campaign's caps and pairs.
     fn oracle(&self) -> Oracle {
         let mut oracle = Oracle::new(OracleConfig {
-            dedup_resident_cap: self.cfg.dedup_resident_cap,
-            suffix_checkpoint_len: self.cfg.suffix_checkpoint_len,
+            suffix_checkpoint_len: SUFFIX_CHECKPOINT_LEN,
         });
         for &pair in &self.pairs {
             oracle.add_pair(pair);
@@ -805,7 +791,7 @@ impl Campaign<'_> {
     /// finished within the cap.
     fn check_recovery_times(&mut self, step: usize) {
         let records = self.cluster.metrics().recoveries;
-        let cap = self.cfg.recovery_cap;
+        let cap = RECOVERY_CAP;
         for rec in &records[self.recoveries_seen..] {
             let took = rec.recovery_time();
             if took > cap {

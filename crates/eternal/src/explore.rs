@@ -53,6 +53,25 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+/// Cluster size per run.
+const PROCESSORS: u32 = 3;
+
+/// Two-way invocations each driver replica issues per load tick.
+const BURST: u64 = 2;
+
+/// Prefix expansion window: only the first this-many recorded choice
+/// positions of a run are branched during the breadth-first phase (the
+/// tail is covered by random walks).
+const DFS_WINDOW: usize = 48;
+
+/// Max branches explored per position during prefix expansion (arity
+/// is clamped to this).
+const MAX_ARITY: usize = 3;
+
+/// Settle-loop deadline per step; exceeding it is a bounded-recovery
+/// violation.
+const SETTLE_CAP: Duration = Duration::from_secs(2);
+
 /// Parameters of one exploration. Everything that affects the search is
 /// in here — two equal configs produce byte-identical reports.
 #[derive(Debug, Clone)]
@@ -63,20 +82,9 @@ pub struct ExploreConfig {
     /// expansion + random walks; shrinking and the traced re-run are
     /// not counted against it).
     pub budget: usize,
-    /// Cluster size per run.
-    pub processors: u32,
     /// Load steps per run: each step optionally injects a fault
     /// choice, kicks the drivers, settles, and audits the oracle.
     pub steps: usize,
-    /// Two-way invocations each driver replica issues per load tick.
-    pub burst: u64,
-    /// Prefix expansion window: only the first this-many recorded
-    /// choice positions of a run are branched during the breadth-first
-    /// phase (the tail is covered by random walks).
-    pub dfs_window: usize,
-    /// Max branches explored per position during prefix expansion
-    /// (arity is clamped to this).
-    pub max_arity: usize,
     /// Per-run cap on non-default branches: bounds both the expansion
     /// depth (iterative deepening) and a random walk's divergence.
     pub nondefault_budget: usize,
@@ -87,11 +95,6 @@ pub struct ExploreConfig {
     /// it every choice defaults, which forces the run to drain
     /// deterministically.
     pub max_trace: usize,
-    /// Settle-loop slice (quiescence requires one full quiet slice).
-    pub settle_slice: Duration,
-    /// Settle-loop deadline per step; exceeding it is a
-    /// bounded-recovery violation.
-    pub settle_cap: Duration,
     /// Plant a synthetic exactly-once bug that fires whenever a
     /// schedule actually drops a frame: the run then reports the
     /// re-execution a broken duplicate detector would have produced.
@@ -107,16 +110,10 @@ impl Default for ExploreConfig {
         ExploreConfig {
             seed: 42,
             budget: 2_048,
-            processors: 3,
             steps: 2,
-            burst: 2,
-            dfs_window: 48,
-            max_arity: 3,
             nondefault_budget: 4,
             walk_bias: 3,
             max_trace: 20_000,
-            settle_slice: Duration::from_millis(10),
-            settle_cap: Duration::from_secs(2),
             force_violation: false,
         }
     }
@@ -256,14 +253,13 @@ fn run_schedule(
     causal: bool,
 ) -> (RunOutcome, Option<String>) {
     let cluster_cfg = ClusterConfig {
-        processors: cfg.processors,
+        processors: PROCESSORS,
         trace: causal,
         causal,
         ..ClusterConfig::default()
     };
     let suffix_threshold = cluster_cfg.mech.suffix_checkpoint_len;
     let mut cluster = Cluster::new(cluster_cfg, cfg.seed);
-    let burst = cfg.burst;
     let server = cluster.deploy_server(
         "explore-counter",
         FaultToleranceProperties::active(2),
@@ -272,7 +268,7 @@ fn run_schedule(
     let driver = cluster.deploy_client(
         "explore-driver",
         FaultToleranceProperties::active(1),
-        move |_| Box::new(BurstClient::new(server, "increment", burst)),
+        move |_| Box::new(BurstClient::new(server, "increment", BURST)),
     );
     cluster.run_until_deployed();
 
@@ -281,7 +277,6 @@ fn run_schedule(
     source.borrow_mut().armed = true;
 
     let oracle = Oracle::new(OracleConfig {
-        dedup_resident_cap: 8_192,
         suffix_checkpoint_len: suffix_threshold,
     })
     .with_pair(OraclePair {
@@ -297,7 +292,7 @@ fn run_schedule(
                 violations.push(Violation {
                     step,
                     invariant: "bounded-recovery",
-                    detail: format!("cluster failed to quiesce within {}", cfg.settle_cap),
+                    detail: format!("cluster failed to quiesce within {SETTLE_CAP}"),
                 });
             }
             for v in oracle.check(cluster) {
@@ -310,7 +305,7 @@ fn run_schedule(
         };
 
     // Post-deployment baseline, then the load steps.
-    let settled = settle(&mut cluster, cfg.settle_slice, cfg.settle_cap);
+    let settled = settle(&mut cluster, SETTLE_CAP);
     audit(&mut cluster, &mut violations, 0, settled);
     for step in 1..=cfg.steps {
         // Fault choice-point: when the server group can lose a replica,
@@ -336,7 +331,7 @@ fn run_schedule(
             }
         }
         cluster.kick_clients();
-        let settled = settle(&mut cluster, cfg.settle_slice, cfg.settle_cap);
+        let settled = settle(&mut cluster, SETTLE_CAP);
         audit(&mut cluster, &mut violations, step, settled);
     }
 
@@ -643,9 +638,9 @@ pub fn run_explore(cfg: &ExploreConfig) -> ExploreReport {
                 .iter()
                 .rposition(|c| c.branch != 0)
                 .map_or(0, |p| p + 1);
-            let window = outcome.trace.len().min(cfg.dfs_window);
+            let window = outcome.trace.len().min(DFS_WINDOW);
             for pos in explored_from..window {
-                let arity = usize::from(outcome.trace[pos].arity).min(cfg.max_arity);
+                let arity = usize::from(outcome.trace[pos].arity).min(MAX_ARITY);
                 for branch in 1..arity {
                     if queue.len() + runs >= cfg.budget {
                         break;

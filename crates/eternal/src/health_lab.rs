@@ -46,11 +46,10 @@ pub struct LabConfig {
     /// load shape, not a failure, and keeping it out of the chaos fault
     /// set preserves the campaigns' RNG schedule byte for byte.
     pub overload_kicks: u32,
-    /// Cluster size.
-    pub processors: u32,
-    /// Health-snapshot publish interval.
-    pub period: Duration,
 }
+
+/// Health-snapshot publish interval of every scenario.
+const PERIOD: Duration = Duration::from_millis(1);
 
 impl Default for LabConfig {
     fn default() -> Self {
@@ -60,8 +59,6 @@ impl Default for LabConfig {
             corrupt_digest: false,
             throttled_ring: false,
             overload_kicks: 0,
-            processors: 5,
-            period: Duration::from_millis(1),
         }
     }
 }
@@ -143,14 +140,9 @@ pub fn auditor_config_for(fault: Option<FaultKind>) -> AuditorConfig {
 
 /// Runs one scenario to completion.
 pub fn run_scenario(cfg: &LabConfig) -> LabRun {
-    assert!(
-        cfg.processors >= 4,
-        "scenario topology needs >= 4 processors"
-    );
-    assert!(cfg.period > Duration::ZERO, "health must be on in the lab");
     let mut cluster_cfg = ClusterConfig {
-        processors: cfg.processors,
-        health_period: cfg.period,
+        processors: chaos::PROCESSORS,
+        health_period: PERIOD,
         health_auditor: auditor_config_for(cfg.fault),
         ..ClusterConfig::default()
     };
@@ -165,7 +157,6 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
     }
     let mut cluster = Cluster::new(cluster_cfg, cfg.seed.wrapping_add(1));
 
-    let burst = 4;
     // Overload runs shrink the blob: its state transfer is irrelevant
     // to backpressure and would crawl through the throttled ring.
     let blob_size = if cfg.throttled_ring { 4_000 } else { 60_000 };
@@ -184,12 +175,12 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
     cluster.deploy_client(
         "health-counter-driver",
         FaultToleranceProperties::active(2),
-        move |_| Box::new(BurstClient::new(counter, "increment", burst)),
+        move |_| Box::new(BurstClient::new(counter, "increment", chaos::BURST)),
     );
     cluster.deploy_client(
         "health-blob-driver",
         FaultToleranceProperties::active(2),
-        move |_| Box::new(BurstClient::new(blob, "touch", burst)),
+        move |_| Box::new(BurstClient::new(blob, "touch", chaos::BURST)),
     );
     cluster.run_until_deployed();
 

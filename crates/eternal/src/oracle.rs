@@ -129,24 +129,16 @@ pub struct OraclePair {
     pub kind: ServantKind,
 }
 
+/// Upper bound on per-processor dedup residency (invariant 5).
+const DEDUP_RESIDENT_CAP: usize = 8_192;
+
 /// Caps for the resource-bound invariants.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OracleConfig {
-    /// Upper bound on per-processor dedup residency (invariant 5).
-    pub dedup_resident_cap: usize,
     /// The suffix-bound checkpoint trigger the cluster was configured
     /// with; audited suffixes must stay under twice this value
     /// (invariant 6). `0` disables the check.
     pub suffix_checkpoint_len: usize,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            dedup_resident_cap: 8_192,
-            suffix_checkpoint_len: 0,
-        }
-    }
 }
 
 /// One oracle violation at a quiescent point.
@@ -370,7 +362,7 @@ impl Oracle {
     /// (completed transfers remembered, checkpoint marks awaiting their
     /// assignment).
     pub fn check_dedup_bound(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
-        let cap = self.cfg.dedup_resident_cap;
+        let cap = DEDUP_RESIDENT_CAP;
         for node in cluster.live_processors() {
             let mech = cluster.mechanisms(node);
             let (seen, marks) = mech.transfer_tables_resident();

@@ -7,12 +7,10 @@ pub mod dedup;
 pub mod holding;
 pub mod log;
 pub mod observer;
-pub mod quiesce;
 pub mod state3;
 
 pub use dedup::DuplicateSuppressor;
 pub use holding::HoldingQueue;
 pub use log::CheckpointLog;
 pub use observer::OrbStateObserver;
-pub use quiesce::QuiescenceTracker;
 pub use state3::{InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall, ThreeKindsOfState};

@@ -272,69 +272,56 @@ impl fmt::Display for Diagnosis {
     }
 }
 
-/// Detector thresholds. The defaults are *service-level objectives*
-/// tuned against the reproduction's network and Totem defaults so that
-/// fault-free runs fire nothing; tests and operators tighten them to
-/// make a specific envelope observable (see `docs/HEALTH.md`).
+/// The detector thresholds scenarios tune; the rest are the constants
+/// below. All are *service-level objectives* tuned against the
+/// reproduction's network and Totem defaults so that fault-free runs
+/// fire nothing; tests tighten these three to make a specific envelope
+/// observable (see `docs/HEALTH.md`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditorConfig {
-    /// Expected publish period in nanoseconds (zero disables the
-    /// period-scaled silence detector).
-    pub period_ns: u64,
-    /// Token age past this is a slow token (warning).
-    pub token_slow_ns: u64,
-    /// Token age past this is a presumed-stuck token (critical).
-    pub token_stuck_ns: u64,
     /// Sliding window (snapshots per node) for the delta detectors.
     pub window_epochs: usize,
-    /// Reformations within the window at/past this → storm (warning;
-    /// twice this → critical).
-    pub reformation_storm: u64,
     /// Retransmissions within the window at/past this → surge
     /// (warning; twice this → critical).
     pub retransmit_surge: u64,
-    /// Holding-queue depth cap (at/past → warning; twice → critical).
-    pub holding_cap: u64,
-    /// Reassembly-table cap (at/past → warning; twice → critical).
-    pub reassembly_cap: u64,
-    /// Dedup-table resident cap (at/past → warning; twice →
-    /// critical).
-    pub dedup_cap: u64,
-    /// Minimum total pending-depth growth, across a node's *full*
-    /// sliding window of monotone-nondecreasing samples, for the
-    /// backpressure detector (warning; twice → critical; zero
-    /// disables).
-    pub backpressure_growth: u64,
     /// A replica continuously mid-recovery past this is an overrun
     /// (critical).
     pub recovery_deadline_ns: u64,
-    /// A node not heard from for `silence_factor × period_ns` is
-    /// silent (warning; twice that → critical).
-    pub silence_factor: u64,
-    /// Consecutive clear observations of a subject before its detector
-    /// re-arms (hysteresis).
-    pub clear_epochs: u32,
 }
 
 impl Default for AuditorConfig {
     fn default() -> Self {
         AuditorConfig {
-            period_ns: 5_000_000,
-            token_slow_ns: 8_000_000,
-            token_stuck_ns: 25_000_000,
             window_epochs: 8,
-            reformation_storm: 2,
             retransmit_surge: 20,
-            holding_cap: 256,
-            reassembly_cap: 64,
-            dedup_cap: 8192,
-            backpressure_growth: 8,
             recovery_deadline_ns: 400_000_000,
-            silence_factor: 4,
-            clear_epochs: 2,
         }
     }
 }
+
+/// Token age past this is a slow token (warning).
+const TOKEN_SLOW_NS: u64 = 8_000_000;
+/// Token age past this is a presumed-stuck token (critical).
+const TOKEN_STUCK_NS: u64 = 25_000_000;
+/// Reformations within the window at/past this → storm (warning;
+/// twice this → critical).
+const REFORMATION_STORM: u64 = 2;
+/// Holding-queue depth cap (at/past → warning; twice → critical).
+const HOLDING_CAP: u64 = 256;
+/// Reassembly-table cap (at/past → warning; twice → critical).
+const REASSEMBLY_CAP: u64 = 64;
+/// Dedup-table resident cap (at/past → warning; twice → critical).
+const DEDUP_CAP: u64 = 8192;
+/// Minimum total pending-depth growth, across a node's *full* sliding
+/// window of monotone-nondecreasing samples, for the backpressure
+/// detector (warning; twice → critical).
+const BACKPRESSURE_GROWTH: u64 = 8;
+/// A node not heard from for this many publish periods is silent
+/// (warning; twice that → critical).
+const SILENCE_FACTOR: u64 = 4;
+/// Consecutive clear observations of a subject before its detector
+/// re-arms (hysteresis).
+const CLEAR_EPOCHS: u32 = 2;
 
 /// One agreed health epoch: the epoch index, its assignment time, and
 /// the snapshot that occupies it.
@@ -428,6 +415,9 @@ const DIGEST_RETAIN_EPOCHS: u64 = 64;
 #[derive(Debug)]
 pub struct HealthAuditor {
     cfg: AuditorConfig,
+    /// Expected publish period in nanoseconds (zero disables the
+    /// period-scaled silence detector).
+    period_ns: u64,
     /// The full agreed epoch stream, in order.
     epochs: Vec<EpochRecord>,
     /// Per-node sliding window of recent snapshots.
@@ -444,17 +434,13 @@ pub struct HealthAuditor {
     diagnoses: Vec<Diagnosis>,
 }
 
-impl Default for HealthAuditor {
-    fn default() -> Self {
-        Self::new(AuditorConfig::default())
-    }
-}
-
 impl HealthAuditor {
-    /// Creates an auditor with the given thresholds.
-    pub fn new(cfg: AuditorConfig) -> Self {
+    /// Creates an auditor with the given thresholds for snapshots
+    /// published every `period_ns`.
+    pub fn new(cfg: AuditorConfig, period_ns: u64) -> Self {
         HealthAuditor {
             cfg,
+            period_ns,
             epochs: Vec::new(),
             window: BTreeMap::new(),
             last_seen_ns: BTreeMap::new(),
@@ -468,6 +454,11 @@ impl HealthAuditor {
     /// The thresholds in force.
     pub fn config(&self) -> &AuditorConfig {
         &self.cfg
+    }
+
+    /// The publish period the silence detector scales by.
+    pub fn period_ns(&self) -> u64 {
+        self.period_ns
     }
 
     /// The agreed epoch stream observed so far.
@@ -557,7 +548,7 @@ impl HealthAuditor {
     fn check_token(&mut self, epoch: u64, now_ns: u64, snap: &HealthSnapshot) {
         let subject = Subject::Node(snap.node);
         let age = snap.token_age_ns;
-        if age >= self.cfg.token_stuck_ns {
+        if age >= TOKEN_STUCK_NS {
             self.fire(
                 epoch,
                 now_ns,
@@ -565,10 +556,10 @@ impl HealthAuditor {
                 Severity::Critical,
                 subject,
                 age,
-                self.cfg.token_stuck_ns,
+                TOKEN_STUCK_NS,
                 format!("token presumed stuck: age {age}ns"),
             );
-        } else if age >= self.cfg.token_slow_ns {
+        } else if age >= TOKEN_SLOW_NS {
             self.fire(
                 epoch,
                 now_ns,
@@ -576,7 +567,7 @@ impl HealthAuditor {
                 Severity::Warning,
                 subject,
                 age,
-                self.cfg.token_slow_ns,
+                TOKEN_SLOW_NS,
                 format!("slow token rotation: age {age}ns"),
             );
         } else {
@@ -602,7 +593,7 @@ impl HealthAuditor {
             Detector::ReformationStorm,
             subject,
             reformations,
-            self.cfg.reformation_storm,
+            REFORMATION_STORM,
             format!("{reformations} reformations in {window} epochs"),
         );
         self.graded(
@@ -621,17 +612,13 @@ impl HealthAuditor {
         // Report the worst offender relative to its cap; one arm state
         // per node keeps a multi-queue blowup from triple-firing.
         let candidates = [
-            ("holding queue", snap.holding_depth, self.cfg.holding_cap),
-            (
-                "reassembly table",
-                snap.reassembly_depth,
-                self.cfg.reassembly_cap,
-            ),
-            ("dedup table", snap.dedup_resident, self.cfg.dedup_cap),
+            ("holding queue", snap.holding_depth, HOLDING_CAP),
+            ("reassembly table", snap.reassembly_depth, REASSEMBLY_CAP),
+            ("dedup table", snap.dedup_resident, DEDUP_CAP),
         ];
         let worst = candidates
             .iter()
-            .filter(|(_, v, cap)| *cap > 0 && v >= cap)
+            .filter(|(_, v, cap)| v >= cap)
             .max_by(|a, b| {
                 // Compare v/cap ratios without division: v_a·cap_b vs
                 // v_b·cap_a (widened so huge depths cannot overflow).
@@ -660,9 +647,6 @@ impl HealthAuditor {
     }
 
     fn check_backpressure(&mut self, epoch: u64, now_ns: u64, snap: &HealthSnapshot) {
-        if self.cfg.backpressure_growth == 0 {
-            return;
-        }
         let subject = Subject::Node(snap.node);
         let Some(win) = self.window.get(&snap.node) else {
             return;
@@ -683,7 +667,7 @@ impl HealthAuditor {
             .expect("nonempty")
             .pending_depth
             .saturating_sub(win.front().expect("nonempty").pending_depth);
-        if monotone && growth >= self.cfg.backpressure_growth {
+        if monotone && growth >= BACKPRESSURE_GROWTH {
             let depth = win.back().expect("nonempty").pending_depth;
             self.graded(
                 epoch,
@@ -691,7 +675,7 @@ impl HealthAuditor {
                 Detector::BackpressureGrowth,
                 subject,
                 growth,
-                self.cfg.backpressure_growth,
+                BACKPRESSURE_GROWTH,
                 format!(
                     "pending depth grew monotonically by {growth} over {full} epochs \
                      (now {depth})"
@@ -732,10 +716,10 @@ impl HealthAuditor {
     }
 
     fn check_silence(&mut self, epoch: u64, now_ns: u64, speaker: u64) {
-        if self.cfg.period_ns == 0 || self.cfg.silence_factor == 0 {
+        if self.period_ns == 0 {
             return;
         }
-        let warn_after = self.cfg.silence_factor.saturating_mul(self.cfg.period_ns);
+        let warn_after = SILENCE_FACTOR.saturating_mul(self.period_ns);
         let nodes: Vec<(u64, u64)> = self
             .last_seen_ns
             .iter()
@@ -889,13 +873,12 @@ impl HealthAuditor {
         });
     }
 
-    /// Records a clear observation; after
-    /// [`AuditorConfig::clear_epochs`] consecutive clears the subject
-    /// re-arms.
+    /// Records a clear observation; after [`CLEAR_EPOCHS`] consecutive
+    /// clears the subject re-arms.
     fn clear(&mut self, detector: Detector, subject: Subject) {
         if let Some(st) = self.arm.get_mut(&(detector, subject)) {
             st.clear_streak += 1;
-            if st.clear_streak >= self.cfg.clear_epochs.max(1) {
+            if st.clear_streak >= CLEAR_EPOCHS {
                 self.arm.remove(&(detector, subject));
             }
         }
@@ -905,6 +888,12 @@ impl HealthAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PERIOD_NS: u64 = 5_000_000;
+
+    fn auditor() -> HealthAuditor {
+        HealthAuditor::new(AuditorConfig::default(), PERIOD_NS)
+    }
 
     fn snap(node: u64, seq: u64, at_ns: u64) -> HealthSnapshot {
         HealthSnapshot {
@@ -919,7 +908,7 @@ mod tests {
 
     #[test]
     fn quiet_stream_fires_nothing() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let period = 5_000_000u64;
         let mut epoch = 0;
         for round in 0..20u64 {
@@ -935,14 +924,14 @@ mod tests {
 
     #[test]
     fn token_stall_edges_and_hysteresis() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let mut s = snap(0, 0, 5_000_000);
         // One below the edge: nothing.
-        s.token_age_ns = a.config().token_slow_ns - 1;
+        s.token_age_ns = TOKEN_SLOW_NS - 1;
         a.observe(0, 5_000_000, &s);
         assert!(a.diagnoses().is_empty());
         // At the edge: warning.
-        s.token_age_ns = a.config().token_slow_ns;
+        s.token_age_ns = TOKEN_SLOW_NS;
         a.observe(1, 10_000_000, &s);
         assert_eq!(a.diagnoses().len(), 1);
         assert_eq!(a.diagnoses()[0].severity, Severity::Warning);
@@ -950,7 +939,7 @@ mod tests {
         a.observe(2, 15_000_000, &s);
         assert_eq!(a.diagnoses().len(), 1);
         // Escalates to critical exactly once.
-        s.token_age_ns = a.config().token_stuck_ns;
+        s.token_age_ns = TOKEN_STUCK_NS;
         a.observe(3, 20_000_000, &s);
         a.observe(4, 25_000_000, &s);
         assert_eq!(a.diagnoses().len(), 2);
@@ -958,17 +947,17 @@ mod tests {
         assert_eq!(a.critical_count(), 1);
         // Clears for clear_epochs, then re-fires on the next excursion.
         s.token_age_ns = 100_000;
-        for i in 0..a.config().clear_epochs as u64 {
+        for i in 0..u64::from(CLEAR_EPOCHS) {
             a.observe(5 + i, 30_000_000 + i, &s);
         }
-        s.token_age_ns = a.config().token_slow_ns;
+        s.token_age_ns = TOKEN_SLOW_NS;
         a.observe(10, 50_000_000, &s);
         assert_eq!(a.diagnoses().len(), 3);
     }
 
     #[test]
     fn reformation_storm_uses_window_deltas() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let mut s = snap(1, 0, 5_000_000);
         s.reformations = 40; // large absolute baseline: deltas matter
         a.observe(0, 5_000_000, &s);
@@ -983,9 +972,9 @@ mod tests {
 
     #[test]
     fn queue_growth_grades_by_cap() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let mut s = snap(2, 0, 5_000_000);
-        s.dedup_resident = a.config().dedup_cap * 2;
+        s.dedup_resident = DEDUP_CAP * 2;
         a.observe(0, 5_000_000, &s);
         assert_eq!(a.diagnoses().len(), 1);
         let d = &a.diagnoses()[0];
@@ -1000,7 +989,7 @@ mod tests {
             recovery_deadline_ns: 10_000_000,
             ..AuditorConfig::default()
         };
-        let mut a = HealthAuditor::new(cfg);
+        let mut a = HealthAuditor::new(cfg, PERIOD_NS);
         let mut s = snap(0, 0, 5_000_000);
         s.recovering = 1;
         a.observe(0, 5_000_000, &s);
@@ -1020,8 +1009,8 @@ mod tests {
 
     #[test]
     fn silence_noticed_via_other_speakers() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
-        let period = a.config().period_ns;
+        let mut a = auditor();
+        let period = a.period_ns();
         // Both nodes speak once.
         a.observe(0, period, &snap(0, 0, period));
         a.observe(1, period + 1000, &snap(1, 0, period + 1000));
@@ -1043,7 +1032,7 @@ mod tests {
 
     #[test]
     fn digest_divergence_compares_equal_epochs_only() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let mut s0 = snap(0, 0, 5_000_000);
         s0.digest_epoch = 3;
         s0.digests = vec![(0, 0xAAAA)];
@@ -1074,9 +1063,9 @@ mod tests {
 
     #[test]
     fn backpressure_fires_on_sustained_monotone_growth() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let window = a.config().window_epochs as u64;
-        let growth_min = a.config().backpressure_growth;
+        let growth_min = BACKPRESSURE_GROWTH;
         // Depth climbs by growth_min every epoch, never shrinking.
         for i in 0..window + 2 {
             let t = (i + 1) * 5_000_000;
@@ -1097,9 +1086,9 @@ mod tests {
 
     #[test]
     fn backpressure_ignores_transient_bursts() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let window = a.config().window_epochs as u64;
-        let growth_min = a.config().backpressure_growth;
+        let growth_min = BACKPRESSURE_GROWTH;
         // A burst grows the queue fast, then it drains: every window
         // containing the shrink is non-monotone, and windows after the
         // drain have zero growth.
@@ -1129,8 +1118,8 @@ mod tests {
 
     #[test]
     fn backpressure_needs_a_full_window() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
-        let growth_min = a.config().backpressure_growth;
+        let mut a = auditor();
+        let growth_min = BACKPRESSURE_GROWTH;
         // Fewer epochs than the window: growth alone must not fire.
         for i in 0..(a.config().window_epochs as u64 - 1) {
             let t = (i + 1) * 5_000_000;
@@ -1143,7 +1132,7 @@ mod tests {
 
     #[test]
     fn node_summaries_roll_up_the_stream() {
-        let mut a = HealthAuditor::new(AuditorConfig::default());
+        let mut a = auditor();
         let mut s = snap(0, 0, 1000);
         s.retransmits = 5;
         a.observe(0, 1000, &s);

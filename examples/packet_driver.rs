@@ -45,6 +45,6 @@ fn main() {
         println!("{size:>9} B  ->  {t:>12}   ({replies} replies delivered)");
     }
     println!();
-    println!("recovery time grows with state size: the state travels as one");
-    println!("IIOP message, fragmented into 1518-byte Ethernet multicasts.");
+    println!("recovery time grows with state size: the state travels as a stream");
+    println!("of 32 kB chunks, each fragmented into 1518-byte Ethernet multicasts.");
 }

@@ -1,8 +1,9 @@
 //! Edge cases of the cluster harness and managers: double faults,
 //! launches on dead processors, disabled auto-recovery, deployment
-//! shapes.
+//! shapes, and the guards around the cluster's table of replica
+//! launches in flight.
 
-use eternal::app::{CounterServant, StreamingClient};
+use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use eternal::properties::FaultToleranceProperties;
@@ -196,4 +197,123 @@ fn report_renders_system_state() {
     assert!(report.contains("Standby"), "{report}");
     assert!(report.contains("totals:"), "{report}");
     assert_eq!(c.groups().len(), 2);
+}
+
+/// A blob server on three hosts under a streaming driver, with one
+/// replica killed: the stage for the launch-table guards below.
+/// Returns the cluster, the group and the killed replica's host.
+fn blob_cluster_with_a_dead_replica(
+    auto_recover: bool,
+    seed: u64,
+) -> (Cluster, eternal::GroupId, eternal_sim::net::NodeId) {
+    let mut config = ClusterConfig {
+        auto_recover,
+        ..ClusterConfig::default()
+    };
+    // Small chunks: the transfer streams long enough for a fault to
+    // land in the middle of it.
+    config.mech.chunk_bytes = 4_096;
+    let mut c = Cluster::new(config, seed);
+    let server = c.deploy_server("blob", FaultToleranceProperties::active(3), || {
+        Box::new(BlobServant::with_size(200_000))
+    });
+    c.deploy_client("d", FaultToleranceProperties::active(1), move |_| {
+        Box::new(StreamingClient::new(server, "touch", 2).with_limit(400))
+    });
+    c.run_until_deployed();
+    c.run_for(Duration::from_millis(30));
+    let victim = c.hosting(server)[0];
+    c.kill_replica(server, victim);
+    (c, server, victim)
+}
+
+/// Steps the cluster until `done` holds (at most 2 s of virtual time).
+fn step_until(c: &mut Cluster, what: &str, done: impl Fn(&Cluster) -> bool) {
+    let deadline = c.now() + Duration::from_secs(2);
+    while !done(c) {
+        assert!(c.step() && c.now() < deadline, "never saw {what}");
+    }
+}
+
+/// The host streaming `group`'s state transfer, once one is under way.
+fn streaming_donor(c: &Cluster, group: eternal::GroupId) -> Option<eternal_sim::net::NodeId> {
+    c.live_processors()
+        .into_iter()
+        .find_map(|n| c.mechanisms(n).transfer_donor(group))
+}
+
+/// Guard: a donor's capture that arrives after the recovering host
+/// crashed must not resurrect the aborted launch. The crash lands when
+/// exactly one of the two donors has captured; the other one's capture
+/// of the same (totally ordered) retrieval follows it.
+#[test]
+fn donor_capture_after_the_recovering_host_crashed_does_not_resurrect_the_launch() {
+    let (mut c, server, new_host) = blob_cluster_with_a_dead_replica(false, 67);
+    c.run_for(Duration::from_millis(30));
+    c.launch_replica(server, new_host);
+    assert!(c.recovery_in_flight(), "in flight from the decision on");
+    let capturing = |c: &Cluster| {
+        let donors = c.hosting(server).into_iter().filter(|&n| n != new_host);
+        donors
+            .filter(|&n| c.mechanisms(n).active_transfers() > 0)
+            .count()
+    };
+    step_until(&mut c, "the first capture", |c| capturing(c) > 0);
+    assert_eq!(capturing(&c), 1, "the second donor has yet to capture");
+    assert_eq!(c.pending_launches(), [(server, new_host)]);
+    c.crash_processor(new_host);
+    assert!(!c.recovery_in_flight(), "the crash aborts the launch");
+    c.run_for(Duration::from_millis(500));
+    assert!(!c.recovery_in_flight(), "and the late capture leaves it so");
+    assert_eq!(c.metrics().recoveries_completed, 0);
+    assert_eq!(c.hosting(server).len(), 2);
+}
+
+/// Guard: a retry on the same host after an aborted transfer leaves
+/// nothing of the first attempt open. The recovering host crashes
+/// mid-stream and restarts at once; the resource manager launches the
+/// replacement there again, and its completion is the only recovery
+/// on record.
+#[test]
+fn a_retry_after_an_aborted_transfer_leaves_nothing_open() {
+    let (mut c, server, new_host) = blob_cluster_with_a_dead_replica(true, 68);
+    step_until(&mut c, "the chunk stream", |c| {
+        streaming_donor(c, server).is_some()
+    });
+    assert_eq!(c.pending_launches(), [(server, new_host)]);
+    c.crash_processor(new_host);
+    assert!(!c.recovery_in_flight(), "the crash aborts the launch");
+    c.restart_processor(new_host);
+    step_until(&mut c, "the retry", |c| !c.pending_launches().is_empty());
+    assert_eq!(c.pending_launches(), [(server, new_host)], "same host");
+    c.run_for(Duration::from_secs(1));
+    assert!(!c.recovery_in_flight(), "the first attempt left open");
+    assert_eq!(c.metrics().recoveries_completed, 1);
+    assert_eq!(c.recovery_timelines().len(), 1);
+    assert_eq!(c.hosting(server).len(), 3);
+}
+
+/// Guard: a fault delivered while a launch of its group is in flight —
+/// here the streaming donor's, mid-chunk-stream — is dropped by the
+/// double-launch guard, so the group's strength must be re-examined
+/// when that launch ends: the second replacement follows the first.
+#[test]
+fn a_fault_during_a_launch_is_re_examined_when_the_launch_ends() {
+    let (mut c, server, _) = blob_cluster_with_a_dead_replica(true, 69);
+    step_until(&mut c, "the chunk stream", |c| {
+        streaming_donor(c, server).is_some()
+    });
+    let first_launch = c.pending_launches();
+    assert_eq!(first_launch.len(), 1);
+    let donor = streaming_donor(&c, server).expect("streaming");
+    c.kill_replica(server, donor);
+    // The donor's fault is detected and delivered while the first
+    // launch is still streaming: nothing new is launched for it yet.
+    c.run_for(Duration::from_millis(12));
+    assert_eq!(c.pending_launches(), first_launch);
+    assert_eq!(c.metrics().recoveries_completed, 0);
+    c.run_for(Duration::from_secs(1));
+    assert!(!c.recovery_in_flight());
+    assert_eq!(c.metrics().recoveries_completed, 2, "both replaced");
+    assert_eq!(c.hosting(server).len(), 3, "back at full strength");
 }
