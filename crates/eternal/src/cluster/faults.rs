@@ -447,7 +447,9 @@ impl Cluster {
             EternalMessage::StateRetrieval { .. } => {
                 launch.episodes.entry(transfer).or_default();
             }
-            EternalMessage::StateChunk { index, total, .. } if index + 1 == *total => {
+            EternalMessage::StateChunk { index, total, .. }
+                if u64::from(*index) + 1 == u64::from(*total) =>
+            {
                 if let Some(ep) = launch.episodes.get_mut(&transfer) {
                     ep.enqueue_at = Some(now);
                 }

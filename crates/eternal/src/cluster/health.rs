@@ -94,7 +94,7 @@ impl Cluster {
         let bp = proc.backpressure;
         let seq = proc.health_seq;
         proc.health_seq += 1;
-        let snap = HealthSnapshot {
+        let snap = Box::new(HealthSnapshot {
             node: u64::from(node.0),
             seq,
             published_ns: now.as_nanos(),
@@ -113,7 +113,7 @@ impl Cluster {
             log_suffix: bp.log_suffix,
             digest_epoch: proc.health_digest_epoch,
             digests: mech.health_digests().to_vec(),
-        };
+        });
         self.record_event(
             format!("{node}/health"),
             EventKind::HealthSnapshot,

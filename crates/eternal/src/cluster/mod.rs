@@ -36,6 +36,7 @@ use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NodeId};
 use eternal_sim::trace::Trace;
+use eternal_sim::Bytes;
 use eternal_sim::{Duration, SimTime};
 use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery};
 use eternal_totem::ring::{Fate, Popped, Ring};
@@ -137,6 +138,9 @@ enum Event {
         node: NodeId,
     },
 }
+
+// What each of the scheduler's slab slots holds.
+const _: () = assert!(Ring::<Event>::EVENT_BYTES <= 104);
 
 struct GroupInfo {
     name: String,
@@ -635,17 +639,20 @@ impl Cluster {
                 tag.clock = clock;
             }
         }
-        let encoded = message.to_bytes();
         let max_payload = self.net().config().frame_payload().saturating_sub(32);
         let msg_id = {
             let id = &mut self.procs[src.0 as usize].next_emsg_id;
             *id += 1;
             *id
         };
-        for (i, frag) in fragment_eternal(src, msg_id, &encoded, max_payload)
-            .into_iter()
-            .enumerate()
-        {
+        // A message that fits one frame is written into it directly;
+        // a larger one is encoded and cut up.
+        let whole = message.single_fragment(src, msg_id, max_payload);
+        let encoded = whole.is_none().then(|| message.to_bytes());
+        let cut = encoded.as_deref().map_or_else(Vec::new, |encoded| {
+            fragment_eternal(src, msg_id, encoded, max_payload)
+        });
+        for (i, frag) in whole.map(Bytes::from).into_iter().chain(cut).enumerate() {
             let frag_tag = if tag.is_none() {
                 TraceTag::NONE
             } else {
@@ -668,7 +675,9 @@ impl Cluster {
             let actions = self.ring.broadcast(src, frag, frag_tag);
             self.apply_totem_actions(src, actions);
         }
-        eternal_cdr::pool::recycle(encoded);
+        if let Some(encoded) = encoded {
+            eternal_cdr::pool::recycle(encoded);
+        }
     }
 
     fn apply_totem_actions(&mut self, node: NodeId, actions: Vec<TotemAction>) {
@@ -763,12 +772,13 @@ impl Cluster {
                     );
                     chain = (tag.trace_id, span, clock);
                 }
-                match self.procs[node.0 as usize].reasm.push(&data) {
-                    Ok(Some(message)) => {
-                        self.digest_delivery(node, &message);
-                        self.observe_recovery_message(node, &message, now);
-                        self.resource_manager_hook(node, &message);
-                        if let EternalMessage::Health { snap } = &message {
+                match self.procs[node.0 as usize].reasm.push_view(&data) {
+                    Ok(Some(delivered)) => {
+                        self.digest_delivery(node, &delivered);
+                        let message = &delivered.head;
+                        self.observe_recovery_message(node, message, now);
+                        self.resource_manager_hook(node, message);
+                        if let EternalMessage::Health { snap } = message {
                             self.on_health_delivered(node, snap, now);
                         }
                         if chain.0 != 0 {
@@ -788,7 +798,7 @@ impl Cluster {
                             HopCtx::new(&mut self.causal, node.0 as u64, chain.0, chain.1, chain.2);
                         let outs = self.procs[node.0 as usize]
                             .mech
-                            .on_delivered(message, now, &mut ctx);
+                            .on_delivered_view(delivered, now, &mut ctx);
                         self.process_outs(node, outs, now, Duration::ZERO);
                     }
                     Ok(None) => {}
@@ -1013,7 +1023,7 @@ mod tests {
                 op_seq,
                 bytes: body.to_vec(),
             };
-            c.digest_delivery(node, &message);
+            c.digest_delivery(node, &message.into());
         }
         let streams = c.stream_digests(node);
         assert_eq!(streams.len(), usize::from(!history.is_empty()));
@@ -1089,11 +1099,11 @@ mod tests {
                 op_seq: 1,
                 bytes: b"same".to_vec(),
             };
-            c.digest_delivery(node, &message);
+            c.digest_delivery(node, &message.into());
         }
         // Non-IIOP traffic is not part of the application order.
         let before = c.delivery_digest(node);
-        c.digest_delivery(node, &EternalMessage::LoadTick { group: GroupId(1) });
+        c.digest_delivery(node, &EternalMessage::LoadTick { group: GroupId(1) }.into());
         assert_eq!(c.delivery_digest(node), before);
         let streams = c.stream_digests(node);
         assert_eq!(streams.len(), 2, "one chain per direction");

@@ -6,7 +6,7 @@ use super::{Cluster, Processor};
 use crate::gid::{ConnectionName, GroupId};
 use crate::hash::{fold_word, hash_bytes, FNV_OFFSET};
 use crate::mechanisms::{MechCounters, Mechanisms};
-use crate::message::EternalMessage;
+use crate::message::{Delivered, EternalMessage};
 use crate::metrics::Metrics;
 use eternal_obs::causal::CausalRecorder;
 use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
@@ -322,16 +322,17 @@ impl Cluster {
     /// protocol messages are excluded: they are identical by
     /// construction across batching modes, and the invariant of
     /// interest is the total order of *application* traffic.
-    pub(super) fn digest_delivery(&mut self, node: NodeId, message: &EternalMessage) {
+    pub(super) fn digest_delivery(&mut self, node: NodeId, delivered: &Delivered<'_>) {
         let EternalMessage::Iiop {
             conn,
             direction,
             op_seq,
-            bytes,
-        } = message
+            ..
+        } = &delivered.head
         else {
             return;
         };
+        let bytes = &delivered.body[..];
         let dir = direction.wire_byte();
         // The body is read once, word-wise, and so is the fixed-size
         // link it goes into (identity, length — which keeps message

@@ -41,7 +41,7 @@ pub use registry::{GroupKind, GroupMeta};
 use crate::causal::HopCtx;
 use crate::gid::{ConnectionName, GroupId, TransferId};
 use crate::interceptor::Interceptor;
-use crate::message::{EternalMessage, RetrievalPurpose};
+use crate::message::{Delivered, EternalMessage, RetrievalPurpose};
 use crate::recovery::{DuplicateSuppressor, OrbStateObserver};
 use eternal_obs::causal::TraceTag;
 use eternal_orb::{ObjectKey, Orb};
@@ -111,6 +111,9 @@ pub enum Out {
         app_state_bytes: usize,
     },
 }
+
+// The first push of every `Vec<Out>` reserves four of them.
+const _: () = assert!(std::mem::size_of::<Out>() <= 104);
 
 impl Out {
     /// The mechanisms' own chatter (joining, fault, retrieval): sent at
@@ -362,25 +365,37 @@ impl Mechanisms {
         ObjectKey::new(format!("group/{}", group.0).into_bytes())
     }
 
-    /// Handles one totally ordered message. `now` is the delivery time;
-    /// `ctx` is the causal-stamping context the cluster built from the
-    /// delivered frame's [`TraceTag`] (inert when tracing is off).
+    /// Handles one totally ordered message, owned: it goes the way of
+    /// a delivered one, its body moved.
     pub fn on_delivered(
         &mut self,
         message: EternalMessage,
         now: SimTime,
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
+        self.on_delivered_view(message.into(), now, ctx)
+    }
+
+    /// Handles one totally ordered message. `now` is the delivery time;
+    /// `ctx` is the causal-stamping context the cluster built from the
+    /// delivered frame's [`TraceTag`] (inert when tracing is off).
+    pub fn on_delivered_view(
+        &mut self,
+        delivered: Delivered<'_>,
+        now: SimTime,
+        ctx: &mut HopCtx,
+    ) -> Vec<Out> {
         self.orb.set_clock(now);
         let mut outs = Vec::new();
         let d = &mut Delivery::new(now, ctx, &mut outs);
-        match message {
+        let Delivered { head, body } = delivered;
+        match head {
             EternalMessage::Iiop {
                 conn,
                 direction,
                 op_seq,
-                bytes,
-            } => self.on_iiop(conn, direction, op_seq, bytes, d),
+                ..
+            } => self.on_iiop(conn, direction, op_seq, body, d),
             EternalMessage::ReplicaJoining { group, host } => self.on_joining(group, host, d.outs),
             EternalMessage::ReplicaFault { group, host } => self.on_fault(group, host, d),
             EternalMessage::StateRetrieval {
@@ -392,15 +407,15 @@ impl Mechanisms {
                 transfer,
                 purpose,
                 state,
-            } => self.on_assignment(transfer, purpose, state, now),
+            } => self.on_assignment(transfer, purpose, *state, now),
             EternalMessage::StateChunk {
                 group,
                 transfer,
                 new_host,
                 index,
                 total,
-                bytes,
-            } => self.on_state_chunk(group, transfer, new_host, index, total, bytes, d),
+                ..
+            } => self.on_state_chunk(group, transfer, new_host, index, total, &body, d),
             EternalMessage::StateSuffix {
                 group,
                 transfer,
@@ -453,6 +468,9 @@ mod tests {
         /// Every collected `Out` in order, rendered compactly
         /// (multicasts by delay, kind and a hash of their wire bytes).
         transcript: Vec<String>,
+        /// Deliver each message as the cluster does — encoded, and
+        /// viewed in its wire bytes at every node — instead of owned.
+        as_views: bool,
     }
 
     impl Bus {
@@ -461,6 +479,7 @@ mod tests {
                 queue: std::collections::VecDeque::new(),
                 now: SimTime::ZERO,
                 transcript: Vec::new(),
+                as_views: false,
             }
         }
 
@@ -498,9 +517,16 @@ mod tests {
             let message = self.queue.pop_front()?;
             self.now += Duration::from_micros(100);
             let mut events = Vec::new();
+            let wire = message.to_bytes();
             for mech in mechs.iter_mut() {
                 let node = mech.node();
-                let outs = with_ctx(|ctx| mech.on_delivered(message.clone(), self.now, ctx));
+                let outs = with_ctx(|ctx| match self.as_views {
+                    true => {
+                        let view = Delivered::view(&wire).expect("decodes");
+                        mech.on_delivered_view(view, self.now, ctx)
+                    }
+                    false => mech.on_delivered(message.clone(), self.now, ctx),
+                });
                 if !outs.is_empty() {
                     self.transcript.push(format!("at {node}:"));
                 }
@@ -1020,7 +1046,7 @@ mod tests {
         let wire = EternalMessage::StateAssignment {
             transfer,
             purpose: RetrievalPurpose::Recovery { new_host: n(1) },
-            state,
+            state: Box::new(state),
         }
         .to_bytes();
         for m in [&mut a, &mut b] {
@@ -1089,11 +1115,10 @@ mod tests {
     }
 
     /// Two promotions and one chunked recovery of a warm-passive group
-    /// under load go through the one replay routine and produce, `Out`
-    /// for `Out`, what the three replay loops it replaced produced: the
-    /// expectations were captured from the commit before it existed.
-    #[test]
-    fn promotion_and_chunked_recovery_replay_the_parents_out_sequence() {
+    /// (P0, P1) under a client's load (P2), through `bus`. Returns the
+    /// three processors and where in the transcript the first promotion
+    /// starts.
+    fn two_promotions_and_a_chunked_recovery(bus: &mut Bus) -> ([Mechanisms; 3], usize) {
         let server = GroupId(0);
         let client = GroupId(1);
         let cfg = MechConfig {
@@ -1110,7 +1135,6 @@ mod tests {
             || vec![streaming_meta(client, n(2), server, 2, 60)],
         );
 
-        let mut bus = Bus::new();
         bus.collect(with_ctx(|ctx| c.start_clients(SimTime::ZERO, ctx)));
         let mut steps = |bus: &mut Bus, a: &mut Mechanisms, b: &mut Mechanisms, n: usize| {
             for _ in 0..n {
@@ -1119,26 +1143,38 @@ mod tests {
                 }
             }
         };
-        steps(&mut bus, &mut a, &mut b, 8);
+        steps(bus, &mut a, &mut b, 8);
         // A checkpoint mid-traffic, so the promotion below applies it
         // and replays only the suffix logged after its mark.
         bus.collect(a.checkpoint_due(server));
-        steps(&mut bus, &mut a, &mut b, 12);
+        steps(bus, &mut a, &mut b, 12);
         // Promotion 1: the primary dies, the warm backup replays.
         let promotion_1 = bus.transcript.len();
         bus.collect(a.kill_local_replica(server));
-        steps(&mut bus, &mut a, &mut b, 10);
+        steps(bus, &mut a, &mut b, 10);
         assert_eq!(b.primary_host(server), Some(n(1)));
         // Chunked recovery of the dead replica under the remaining
         // traffic: it completes as a standby whose re-baselined log
         // carries the transfer suffix and the held messages.
         bus.collect(a.launch_recovering_replica(server));
-        steps(&mut bus, &mut a, &mut b, 60);
+        steps(bus, &mut a, &mut b, 60);
         assert_eq!(a.replica_phase(server), Some(ReplicaPhase::Standby));
         // Promotion 2, out of that re-baselined log.
         bus.collect(b.kill_local_replica(server));
-        steps(&mut bus, &mut a, &mut b, usize::MAX);
+        steps(bus, &mut a, &mut b, usize::MAX);
         assert_eq!(a.replica_phase(server), Some(ReplicaPhase::Operational));
+        ([a, b, c], promotion_1)
+    }
+
+    /// Two promotions and one chunked recovery of a warm-passive group
+    /// under load go through the one replay routine and produce, `Out`
+    /// for `Out`, what the three replay loops it replaced produced: the
+    /// expectations were captured from the commit before it existed.
+    #[test]
+    fn promotion_and_chunked_recovery_replay_the_parents_out_sequence() {
+        let server = GroupId(0);
+        let mut bus = Bus::new();
+        let ([mut a, ..], promotion_1) = two_promotions_and_a_chunked_recovery(&mut bus);
 
         // The first promotion, line for line: the fault, then at P1 the
         // four requests logged after the checkpoint's mark replayed
@@ -1177,6 +1213,43 @@ mod tests {
             "{}",
             bus.transcript.join("\n")
         );
+    }
+
+    /// A stream delivered the way the cluster delivers it — every node
+    /// viewing the wire bytes — and the same stream delivered as owned
+    /// messages are one path: the same `Out`s in the same order, the
+    /// same counters, the same replica state. The scenario passes
+    /// through each of the three places that keep a copy of a message
+    /// they were shown: the passive group's log, the transfer-suffix
+    /// window of the chunked recovery, and the recovering replica's
+    /// holding queue.
+    #[test]
+    fn views_and_owned_messages_are_delivered_alike() {
+        let server = GroupId(0);
+        let observe = |as_views: bool| {
+            let mut bus = Bus::new();
+            bus.as_views = as_views;
+            let (mechs, _) = two_promotions_and_a_chunked_recovery(&mut bus);
+            let state = mechs.map(|mut m| {
+                let state = (
+                    m.replica_phase(server),
+                    m.probe_application_state(server),
+                    m.checkpoints_taken(server),
+                    m.suppressed(),
+                );
+                (m.counters(), state)
+            });
+            (bus.transcript, state)
+        };
+        let (owned, viewed) = (observe(false), observe(true));
+        assert_eq!(owned.0.join("\n"), viewed.0.join("\n"));
+        assert_eq!(format!("{:?}", owned.1), format!("{:?}", viewed.1));
+        // Each keeping site saw traffic: the hosts logged, the donor's
+        // window shipped a non-empty suffix, the recipient held.
+        let [(a, _), (b, _), _] = viewed.1;
+        assert!(b.messages_logged > 0 && a.enqueued_during_recovery > 0);
+        let shipped = |l: &String| l.contains("state_suffix") && !l.contains(" 0 entries");
+        assert!(viewed.0.iter().any(shipped));
     }
 
     /// A client that alternates a oneway `notify` with a two-way `put`,

@@ -208,11 +208,12 @@ impl Transfers {
 
     /// Logs one ordered input of `group` into every suffix window open
     /// on it: the recovering replica drops its traffic until the last
-    /// chunk arrives, and the transfer suffix is its only copy.
-    pub(super) fn log_input(&mut self, group: GroupId, input: &OrderedInput) {
+    /// chunk arrives, and the transfer suffix is its only copy. The
+    /// record is made per window, so none is made when none is open.
+    pub(super) fn log_input(&mut self, group: GroupId, input: impl Fn() -> OrderedInput) {
         for dt in self.donor_transfers.values_mut() {
             if dt.group == group && dt.logging {
-                dt.suffix.push(input.clone());
+                dt.suffix.push(input());
             }
         }
     }
@@ -490,7 +491,7 @@ impl Mechanisms {
                     message: EternalMessage::StateAssignment {
                         transfer,
                         purpose,
-                        state,
+                        state: Box::new(state),
                     },
                     trace: d.ctx.tag(d.ctx.trace_id(), get_state),
                 }),
@@ -585,10 +586,11 @@ impl Mechanisms {
         new_host: NodeId,
         index: u32,
         total: u32,
-        bytes: Vec<u8>,
+        bytes: &[u8],
         d: &mut Delivery,
     ) {
-        let last = index + 1 == total;
+        // Off the wire: an index of `u32::MAX` must not overflow.
+        let last = u64::from(index) + 1 == u64::from(total);
         let step = self.transfers.chunk_delivered(transfer, index, last);
         if step == ChunkStep::Duplicate {
             self.counters.chunk_duplicates += 1;
@@ -617,7 +619,7 @@ impl Mechanisms {
             self.counters.chunk_duplicates += 1;
             return;
         }
-        inbound.buf.extend_from_slice(&bytes);
+        inbound.buf.extend_from_slice(bytes);
         inbound.next_index += 1;
         d.ctx.stamp(
             d.now,
@@ -1128,14 +1130,14 @@ mod tests {
     #[test]
     fn suffix_window_logs_from_the_mark_to_the_last_chunk() {
         let mut t = Transfers::new(n(2));
-        t.log_input(G, &request(1)); // before the mark: no window yet
+        t.log_input(G, || request(1)); // before the mark: no window yet
         t.retain(T, G, n(9), n(1), vec![0; 20], 10);
-        t.log_input(G, &request(2));
-        t.log_input(GroupId(3), &request(3)); // another group's traffic
+        t.log_input(G, || request(2));
+        t.log_input(GroupId(3), || request(3)); // another group's traffic
         t.chunk_delivered(T, 0, false);
-        t.log_input(G, &OrderedInput::LoadTick);
+        t.log_input(G, || OrderedInput::LoadTick);
         t.chunk_delivered(T, 1, true);
-        t.log_input(G, &request(4)); // after the last chunk: held, not logged
+        t.log_input(G, || request(4)); // after the last chunk: held, not logged
         assert_eq!(
             t.donor_transfers[&T].suffix,
             [request(2), OrderedInput::LoadTick]

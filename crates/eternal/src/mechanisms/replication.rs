@@ -16,6 +16,7 @@ use crate::recovery::state3::OutstandingCall;
 use eternal_giop::TraceContext;
 use eternal_obs::causal::Hop;
 use eternal_sim::{Duration, SimTime};
+use std::borrow::Cow;
 
 /// `bytes` — an intercepted GIOP request or reply — carrying the causal
 /// [`TraceContext`] of the hop `span` in-band, in its service-context
@@ -78,35 +79,39 @@ impl Mechanisms {
     pub(super) fn on_load_tick(&mut self, group: GroupId, d: &mut Delivery) {
         // Open transfer windows on this group log the tick: the
         // recovering replica drops it, and the suffix is its only copy.
-        self.transfers.log_input(group, &OrderedInput::LoadTick);
-        if let Some(tick) = self.admit(group, OrderedInput::LoadTick, d) {
-            self.deliver(group, &tick, d);
+        self.transfers.log_input(group, || OrderedInput::LoadTick);
+        if self.admit(group, || OrderedInput::LoadTick, d) {
+            self.tick_replica(group, d);
         }
     }
 
     /// The phase discipline every ordered input meets at the local
-    /// replica of `group`: an operational replica takes it now (it is
-    /// handed back for delivery), a warm backup takes no traffic, a
-    /// recovering replica drops it before its synchronization point —
-    /// its effects arrive inside the transferred state — and holds it
-    /// after (§5.1 step i).
+    /// replica of `group`: an operational replica takes it now (`true`:
+    /// deliver it), a warm backup takes no traffic, a recovering
+    /// replica drops it before its synchronization point — its effects
+    /// arrive inside the transferred state — and holds it after (§5.1
+    /// step i), which is the one case an owned `input` is made for.
     fn admit(
         &mut self,
         group: GroupId,
-        input: OrderedInput,
+        input: impl FnOnce() -> OrderedInput,
         d: &mut Delivery,
-    ) -> Option<OrderedInput> {
-        let replica = self.groups.get_mut(&group)?.replica.as_mut()?;
+    ) -> bool {
+        let Some(replica) = self
+            .groups
+            .get_mut(&group)
+            .and_then(|lg| lg.replica.as_mut())
+        else {
+            return false;
+        };
         match replica.phase {
-            ReplicaPhase::Operational => Some(input),
-            ReplicaPhase::Standby => None,
-            ReplicaPhase::AwaitingSync => {
-                self.counters.dropped_pre_sync += 1;
-                None
-            }
+            ReplicaPhase::Operational => return true,
+            ReplicaPhase::Standby => {}
+            ReplicaPhase::AwaitingSync => self.counters.dropped_pre_sync += 1,
             ReplicaPhase::Enqueueing => {
                 // In the span tree a held message parks under a hold
                 // hop, and its eventual replay hangs under that.
+                let input = input();
                 let hold = match input {
                     OrderedInput::Iiop { .. } => {
                         d.ctx.stamp(d.now, Hop::Hold, format_args!("holding-queue"))
@@ -115,9 +120,9 @@ impl Mechanisms {
                 };
                 replica.holding.hold((input, hold));
                 self.counters.enqueued_during_recovery += 1;
-                None
             }
         }
+        false
     }
 
     /// The local ORB's client-side connection for `conn`, opened on
@@ -206,12 +211,18 @@ impl Mechanisms {
         }
     }
 
+    /// One totally ordered IIOP message. Everything that decides its
+    /// fate here — duplicate, request id, target group, who logs it,
+    /// the local replica's phase — is read from the header and from
+    /// `body` in place; an owned [`OrderedInput`] is made only where
+    /// one is kept: an open transfer-suffix window, a passive group's
+    /// log, an enqueueing replica's holding queue.
     pub(super) fn on_iiop(
         &mut self,
         conn: ConnectionName,
         direction: Direction,
         op_seq: u32,
-        bytes: Vec<u8>,
+        mut body: Cow<'_, [u8]>,
         d: &mut Delivery,
     ) {
         let op = OperationId {
@@ -226,13 +237,13 @@ impl Mechanisms {
         if direction == Direction::Request {
             // Learn ORB/POA-level state by parsing (§4.2): request ids
             // and the stored handshake for later replay.
-            self.observer.observe_request(conn, &bytes);
+            self.observer.observe_request(conn, &body);
         }
         let target_group = match direction {
             Direction::Request => conn.server,
             Direction::Reply => conn.client,
         };
-        let input = OrderedInput::Iiop {
+        let record = |bytes: Vec<u8>| OrderedInput::Iiop {
             conn,
             direction,
             op_seq,
@@ -241,7 +252,8 @@ impl Mechanisms {
         // Open transfer windows on this group log the input: the
         // recovering replica drops its traffic until the last chunk
         // arrives, and the transfer suffix is its only copy.
-        self.transfers.log_input(target_group, &input);
+        self.transfers
+            .log_input(target_group, || record(body.to_vec()));
         let mut trigger_checkpoint = false;
         let Some(lg) = self.groups.get_mut(&target_group) else {
             return;
@@ -250,7 +262,7 @@ impl Mechanisms {
         // the checkpoint, at every processor participating in the
         // group.
         if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
-            lg.log.log_message(input.clone());
+            lg.log.log_message(record(body.to_vec()));
             self.counters.messages_logged += 1;
             // Bounded suffix: sustained load between periodic
             // checkpoints must not grow replay memory (or warm
@@ -266,14 +278,17 @@ impl Mechanisms {
             // host of the client group, deterministically.
             lg.outstanding.remove(&(conn, op_seq));
         }
-        let admitted = self.admit(target_group, input, d);
+        // Held, the body is taken: one that came in several fragments
+        // is moved, not copied.
+        let held = || record(std::mem::take(&mut body).into_owned());
+        let admitted = self.admit(target_group, held, d);
         if trigger_checkpoint {
             self.counters.suffix_checkpoints_triggered += 1;
             d.outs
                 .push(self.retrieval(target_group, RetrievalPurpose::Checkpoint));
         }
-        if let Some(input) = admitted {
-            self.deliver(target_group, &input, d);
+        if admitted {
+            self.deliver_iiop(target_group, conn, direction, op_seq, &body, d);
         }
     }
 
@@ -287,10 +302,23 @@ impl Mechanisms {
                 direction,
                 op_seq,
                 bytes,
-            } => match direction {
-                Direction::Request => self.deliver_request(group, *conn, *op_seq, bytes, d),
-                Direction::Reply => self.deliver_reply(group, *conn, *op_seq, bytes, d),
-            },
+            } => self.deliver_iiop(group, *conn, *direction, *op_seq, bytes, d),
+        }
+    }
+
+    /// Hands an admitted IIOP message to the local ORB's connection.
+    fn deliver_iiop(
+        &mut self,
+        group: GroupId,
+        conn: ConnectionName,
+        direction: Direction,
+        op_seq: u32,
+        bytes: &[u8],
+        d: &mut Delivery,
+    ) {
+        match direction {
+            Direction::Request => self.deliver_request(group, conn, op_seq, bytes, d),
+            Direction::Reply => self.deliver_reply(group, conn, op_seq, bytes, d),
         }
     }
 

@@ -17,7 +17,8 @@ use eternal_cdr::{CdrDecoder, CdrEncoder, CdrError, Endian};
 use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
 use eternal_sim::Bytes;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
@@ -92,8 +93,9 @@ pub enum EternalMessage {
         /// Mirrors the retrieval; only [`RetrievalPurpose::Checkpoint`]
         /// is ever sent, and anything else is ignored on delivery.
         purpose: RetrievalPurpose,
-        /// The complete transferable state.
-        state: ThreeKindsOfState,
+        /// The complete transferable state (boxed: the one fat,
+        /// rare payload would otherwise set every message's size).
+        state: Box<ThreeKindsOfState>,
     },
     /// An external load stimulus for a replicated client group,
     /// multicast so every replica ticks at the same total-order point.
@@ -111,8 +113,9 @@ pub enum EternalMessage {
     /// health epochs — the cluster agrees on its own health history the
     /// same way it agrees on application state.
     Health {
-        /// The publisher's self-measurement.
-        snap: HealthSnapshot,
+        /// The publisher's self-measurement (boxed, as
+        /// [`EternalMessage::StateAssignment`]'s state is).
+        snap: Box<HealthSnapshot>,
     },
     /// One fixed-size slice of the state captured at a recovery's
     /// synchronization mark (docs/RECOVERY.md) — the §5.1 `set_state()`
@@ -153,6 +156,9 @@ pub enum EternalMessage {
         entries: Vec<OrderedInput>,
     },
 }
+
+// Every scheduled multicast and every `Out` carries one by value.
+const _: () = assert!(std::mem::size_of::<EternalMessage>() <= 64);
 
 /// One totally ordered input of a group: intercepted IIOP traffic
 /// aimed at it, or a load tick for a client group. The one record of
@@ -314,7 +320,7 @@ impl EternalMessage {
                 index,
                 total,
                 ..
-            } => format!("state_chunk {transfer} {}/{total}", index + 1),
+            } => format!("state_chunk {transfer} {}/{total}", u64::from(*index) + 1),
             EternalMessage::StateSuffix {
                 transfer, entries, ..
             } => format!("state_suffix {transfer} {} entries", entries.len()),
@@ -357,13 +363,53 @@ impl EternalMessage {
     pub fn to_bytes(&self) -> Vec<u8> {
         let len = self.encoded_len();
         let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
+        self.encode(&mut enc);
+        debug_assert_eq!(enc.len(), len, "{}", self.kind());
+        enc.into_bytes()
+    }
+
+    /// The one Totem payload that holds all of the message as
+    /// `origin`'s `msg_id`-th, when envelope and message fit
+    /// `max_payload` together: what [`fragment_eternal`] makes of
+    /// [`EternalMessage::to_bytes`] then, written once into one
+    /// exactly-sized buffer.
+    pub fn single_fragment(
+        &self,
+        origin: NodeId,
+        msg_id: u64,
+        max_payload: usize,
+    ) -> Option<Vec<u8>> {
+        let len = self.encoded_len();
+        if FRAGMENT_OVERHEAD + len > max_payload {
+            return None;
+        }
+        let buf = Vec::with_capacity(FRAGMENT_OVERHEAD + len);
+        let mut enc = CdrEncoder::append_to(buf, Endian::Big);
+        let envelope = WireFragment {
+            origin,
+            msg_id,
+            index: 0,
+            total: 1,
+            chunk: &[],
+        };
+        envelope.encode_envelope(&mut enc, len);
+        // The message is a CDR stream of its own: aligned from where
+        // the envelope ends.
+        let mut enc = CdrEncoder::append_to(enc.into_bytes(), Endian::Big);
+        self.encode(&mut enc);
+        debug_assert_eq!(enc.len(), len, "{}", self.kind());
+        Some(enc.into_bytes())
+    }
+
+    /// Writes the message as a CDR stream from `enc`'s base.
+    fn encode(&self, enc: &mut CdrEncoder) {
         match self {
             EternalMessage::Iiop {
                 conn,
                 direction,
                 op_seq,
                 bytes,
-            } => encode_iiop(&mut enc, *conn, *direction, *op_seq, bytes),
+            } => encode_iiop(enc, *conn, *direction, *op_seq, bytes),
             EternalMessage::ReplicaJoining { group, host } => {
                 enc.write_u8(1);
                 enc.write_u32(group.0);
@@ -382,7 +428,7 @@ impl EternalMessage {
                 enc.write_u8(3);
                 enc.write_u32(group.0);
                 enc.write_u64(transfer.0);
-                encode_purpose(&mut enc, *purpose);
+                encode_purpose(enc, *purpose);
             }
             EternalMessage::StateAssignment {
                 transfer,
@@ -391,10 +437,8 @@ impl EternalMessage {
             } => {
                 enc.write_u8(4);
                 enc.write_u64(transfer.0);
-                encode_purpose(&mut enc, *purpose);
-                state
-                    .encode(&mut enc)
-                    .expect("operation names contain no NUL");
+                encode_purpose(enc, *purpose);
+                state.encode(enc).expect("operation names contain no NUL");
             }
             EternalMessage::LoadTick { group } => {
                 enc.write_u8(5);
@@ -457,12 +501,10 @@ impl EternalMessage {
                 enc.write_u32(new_host.0);
                 enc.write_u32(entries.len() as u32);
                 for entry in entries {
-                    entry.encode(&mut enc);
+                    entry.encode(enc);
                 }
             }
         }
-        debug_assert_eq!(enc.len(), len, "{}", self.kind());
-        enc.into_bytes()
     }
 
     /// Deserializes from [`EternalMessage::to_bytes`] output.
@@ -472,29 +514,7 @@ impl EternalMessage {
     /// Propagates CDR failures; unknown tags yield
     /// [`CdrError::UnknownTypeCodeKind`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CdrError> {
-        let (mut message, bulk) = Self::decode(bytes)?;
-        if let Some(body) = message.bulk_mut() {
-            *body = bytes[bulk].to_vec();
-        }
-        Ok(message)
-    }
-
-    /// As [`EternalMessage::from_bytes`], out of a buffer the caller is
-    /// finished with (a reassembled message's): the body of an `Iiop`
-    /// or a `StateChunk` — nearly all of such a buffer — stays in it,
-    /// moved down over the header, and is not copied out.
-    ///
-    /// # Errors
-    ///
-    /// As [`EternalMessage::from_bytes`].
-    pub fn from_owned_bytes(mut buf: Vec<u8>) -> Result<Self, CdrError> {
-        let (mut message, bulk) = Self::decode(&buf)?;
-        if let Some(body) = message.bulk_mut() {
-            buf.truncate(bulk.end);
-            buf.drain(..bulk.start);
-            *body = buf;
-        }
-        Ok(message)
+        Delivered::view(bytes).map(Delivered::into_message)
     }
 
     /// The bulk body of the two variants that have one.
@@ -509,7 +529,7 @@ impl EternalMessage {
 
     /// The one decoder. The bulk body of an `Iiop` or a `StateChunk` is
     /// left empty in the returned message and reported as where it lies
-    /// in `bytes`, for the caller to copy or to keep.
+    /// in `bytes`, for [`Delivered`] to view or to keep.
     fn decode(bytes: &[u8]) -> Result<(Self, Range<usize>), CdrError> {
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
         let tag = dec.read_u8()?;
@@ -544,7 +564,7 @@ impl EternalMessage {
             4 => EternalMessage::StateAssignment {
                 transfer: TransferId(dec.read_u64()?),
                 purpose: decode_purpose(&mut dec)?,
-                state: ThreeKindsOfState::decode(&mut dec)?,
+                state: Box::new(ThreeKindsOfState::decode(&mut dec)?),
             },
             5 => EternalMessage::LoadTick {
                 group: GroupId(dec.read_u32()?),
@@ -577,7 +597,9 @@ impl EternalMessage {
                     let d = dec.read_u64()?;
                     snap.digests.push((g, d));
                 }
-                EternalMessage::Health { snap }
+                EternalMessage::Health {
+                    snap: Box::new(snap),
+                }
             }
             7 => {
                 let group = GroupId(dec.read_u32()?);
@@ -614,6 +636,80 @@ impl EternalMessage {
             other => return Err(CdrError::UnknownTypeCodeKind(other as u32)),
         };
         Ok((message, bulk))
+    }
+}
+
+/// An ordered message as a processor receives it: every field decoded
+/// but the bulk body, which is not copied. All that decides a message's
+/// fate — whose it is, whether it is a duplicate, whether anything
+/// local wants it — is in the head; only a replica that takes the
+/// message, or a log that keeps it, reads or copies the body.
+#[derive(Debug)]
+pub struct Delivered<'a> {
+    /// The message, with the body of an [`EternalMessage::Iiop`] or an
+    /// [`EternalMessage::StateChunk`] left empty.
+    pub head: EternalMessage,
+    /// That body (empty for the other variants): a view into the
+    /// delivered Totem payload when the message came in one fragment,
+    /// the reassembly buffer itself when it came in several.
+    pub body: Cow<'a, [u8]>,
+}
+
+impl<'a> Delivered<'a> {
+    /// Decodes [`EternalMessage::to_bytes`] output; the body stays in
+    /// `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// As [`EternalMessage::from_bytes`].
+    pub fn view(bytes: &'a [u8]) -> Result<Self, CdrError> {
+        let (head, bulk) = EternalMessage::decode(bytes)?;
+        let body = Cow::Borrowed(&bytes[bulk]);
+        Ok(Delivered { head, body })
+    }
+
+    /// As [`Delivered::view`], out of a buffer the caller is finished
+    /// with (a reassembled message's): the body — nearly all of such a
+    /// buffer — stays in it, moved down over the header, and is not
+    /// copied out.
+    ///
+    /// # Errors
+    ///
+    /// As [`EternalMessage::from_bytes`].
+    pub fn from_buffer(mut buf: Vec<u8>) -> Result<Delivered<'static>, CdrError> {
+        let (head, bulk) = EternalMessage::decode(&buf)?;
+        let body = if bulk.is_empty() {
+            // Nothing to keep: the buffer is freed here, not held
+            // through the delivery.
+            Cow::Borrowed(&[][..])
+        } else {
+            buf.truncate(bulk.end);
+            buf.drain(..bulk.start);
+            Cow::Owned(buf)
+        };
+        Ok(Delivered { head, body })
+    }
+
+    /// The owned message: the body is copied if it was a view, moved if
+    /// it was a buffer.
+    pub fn into_message(self) -> EternalMessage {
+        let mut message = self.head;
+        if let Some(body) = message.bulk_mut() {
+            *body = self.body.into_owned();
+        }
+        message
+    }
+}
+
+impl From<EternalMessage> for Delivered<'static> {
+    /// An owned message as it would have been delivered; its body is
+    /// moved, not copied.
+    fn from(mut head: EternalMessage) -> Self {
+        let body = head.bulk_mut().map(std::mem::take).unwrap_or_default();
+        Delivered {
+            head,
+            body: Cow::Owned(body),
+        }
     }
 }
 
@@ -679,11 +775,19 @@ impl<'a> WireFragment<'a> {
     /// Writes the fragment as a CDR stream of its own (aligned from the
     /// encoder's base).
     fn encode(&self, enc: &mut CdrEncoder) {
+        self.encode_envelope(enc, self.chunk.len());
+        enc.write_raw(self.chunk);
+    }
+
+    /// Writes all of the fragment but its chunk, announced as
+    /// `chunk_len` bytes long: the [`FRAGMENT_OVERHEAD`] bytes that end
+    /// in that length, for the chunk to follow.
+    fn encode_envelope(&self, enc: &mut CdrEncoder, chunk_len: usize) {
         enc.write_u32(self.origin.0);
         enc.write_u64(self.msg_id);
         enc.write_u32(self.index);
         enc.write_u32(self.total);
-        enc.write_octet_seq(self.chunk);
+        enc.write_u32(chunk_len as u32);
     }
 
     /// Deserializes a fragment; its chunk is a view into `bytes`.
@@ -782,7 +886,7 @@ const MAX_PRESIZE: usize = 1 << 24;
 /// with the reused key and corrupt or swallow the new message.
 #[derive(Debug, Default)]
 pub struct EternalReassembler {
-    partial: HashMap<(NodeId, u64), Partial>,
+    partial: BTreeMap<(NodeId, u64), Partial>,
 }
 
 impl EternalReassembler {
@@ -821,12 +925,23 @@ impl EternalReassembler {
     ///
     /// # Errors
     ///
+    /// As [`EternalReassembler::push_view`].
+    pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
+        Ok(self.push_view(payload)?.map(Delivered::into_message))
+    }
+
+    /// Consumes one Totem payload; returns the completed message when
+    /// this was its last fragment, its body a view into `payload` if it
+    /// was also its first.
+    ///
+    /// # Errors
+    ///
     /// Propagates envelope/message decode failures; out-of-order
     /// fragments (impossible under Totem's guarantees), a fragment
     /// whose `total` disagrees with the first fragment's, or a zero
     /// `total` are reported as [`CdrError::TypeMismatch`] and the
     /// partial entry is dropped.
-    pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
+    pub fn push_view<'a>(&mut self, payload: &'a [u8]) -> Result<Option<Delivered<'a>>, CdrError> {
         let WireFragment {
             origin,
             msg_id,
@@ -841,10 +956,11 @@ impl EternalReassembler {
             });
         }
         let key = (origin, msg_id);
-        if total == 1 && index == 0 && !self.partial.contains_key(&key) {
+        let begun = !self.partial.is_empty() && self.partial.contains_key(&key);
+        if total == 1 && index == 0 && !begun {
             // The common case — a message that fits one frame — is
             // decoded straight from the delivered bytes.
-            return EternalMessage::from_bytes(chunk).map(Some);
+            return Delivered::view(chunk).map(Some);
         }
         let entry = self.partial.entry(key).or_insert_with(|| {
             // Every fragment but the last is as long as the first, so
@@ -879,7 +995,7 @@ impl EternalReassembler {
         if entry.next == entry.total {
             let Partial { bytes, .. } = self.partial.remove(&key).expect("just inserted");
             // The buffer is this reassembler's own: the message keeps it.
-            EternalMessage::from_owned_bytes(bytes).map(Some)
+            Delivered::from_buffer(bytes).map(Some)
         } else {
             Ok(None)
         }
@@ -932,7 +1048,7 @@ mod tests {
                 purpose: RetrievalPurpose::Recovery {
                     new_host: NodeId(4),
                 },
-                state: ThreeKindsOfState {
+                state: Box::new(ThreeKindsOfState {
                     group: GroupId(3),
                     application: vec![7; 100],
                     orb_poa: OrbPoaStateTransfer {
@@ -940,11 +1056,11 @@ mod tests {
                         handshakes: vec![(conn(), vec![9, 9])],
                     },
                     infrastructure: InfraStateTransfer::default(),
-                },
+                }),
             },
             EternalMessage::LoadTick { group: GroupId(7) },
             EternalMessage::Health {
-                snap: HealthSnapshot {
+                snap: Box::new(HealthSnapshot {
                     node: 2,
                     seq: 41,
                     published_ns: 123_456_789,
@@ -963,15 +1079,15 @@ mod tests {
                     log_suffix: 17,
                     digest_epoch: 9,
                     digests: vec![(0, 0xDEAD), (1, 0xBEEF)],
-                },
+                }),
             },
             EternalMessage::Health {
-                snap: HealthSnapshot {
+                snap: Box::new(HealthSnapshot {
                     node: 0,
                     seq: 0,
                     digest_epoch: HealthSnapshot::NO_DIGEST,
                     ..HealthSnapshot::default()
-                },
+                }),
             },
             EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1163,12 +1279,12 @@ mod tests {
         let msg = EternalMessage::StateAssignment {
             transfer: TransferId(1),
             purpose: RetrievalPurpose::Checkpoint,
-            state: ThreeKindsOfState {
+            state: Box::new(ThreeKindsOfState {
                 group: GroupId(1),
                 application: (0..350_000u32).map(|i| (i % 251) as u8).collect(),
                 orb_poa: OrbPoaStateTransfer::default(),
                 infrastructure: InfraStateTransfer::default(),
-            },
+            }),
         };
         let encoded = msg.to_bytes();
         let frags = fragment_eternal(NodeId(2), 5, &encoded, 1416);
@@ -1433,7 +1549,8 @@ mod tests {
         // of a buffer of its own — with a reassembly buffer's spare
         // capacity — yields what decoding a copy of it does, at every
         // size (the smallest are truncated, hence undecodable), and the
-        // body of the two bulk variants stays where it was.
+        // body of the two bulk variants stays where it was (an empty
+        // one has no place: the buffer is freed).
         for &size in &sizes {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1447,13 +1564,16 @@ mod tests {
                 let mut own = Vec::with_capacity(whole.len() + CHUNK);
                 own.extend_from_slice(&whole);
                 let buffer = own.as_ptr();
-                let handed_over = EternalMessage::from_owned_bytes(own);
+                let handed_over = Delivered::from_buffer(own).map(Delivered::into_message);
                 assert_eq!(handed_over, EternalMessage::from_bytes(&whole), "{size}");
                 if let Ok(
                     EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. },
                 ) = handed_over
                 {
-                    assert_eq!(bytes.as_ptr(), buffer, "the body was copied out");
+                    assert!(
+                        bytes.is_empty() || bytes.as_ptr() == buffer,
+                        "the body was copied out"
+                    );
                 }
             }
         }

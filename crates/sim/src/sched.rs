@@ -1,6 +1,12 @@
 //! The discrete-event scheduler: a priority queue of `(time, event)`
 //! pairs with a deterministic FIFO tie-break for events scheduled at the
 //! same instant.
+//!
+//! The queue orders 24-byte keys — `(time, seq, slot)` — and the events
+//! themselves wait in a slab whose free slots are chained through one
+//! another, so a sift moves a key, never an event, and a heap of a
+//! thousand pending timers stays in the first-level cache whatever an
+//! event weighs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -8,29 +14,25 @@ use std::collections::BinaryHeap;
 use crate::choice::{ChoiceKind, SharedChoiceSource};
 use crate::time::{Duration, SimTime};
 
+/// What the heap orders: when, the scheduling order among equal times,
+/// and where in the slab the event waits. `(time, seq)` is unique, so
+/// the slot never decides a comparison.
+type Key = (SimTime, u64, u32);
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+/// One place in the slab.
 #[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+enum Slot<E> {
+    /// A pending event, named by exactly one key in the heap.
+    Pending(E),
+    /// Free, and which slot was freed before it ([`NO_SLOT`] for none):
+    /// the free list, last freed first reused.
+    Free(u32),
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+/// The end of the free list.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A deterministic discrete-event scheduler.
 ///
@@ -43,7 +45,13 @@ impl<E> Ord for Entry<E> {
 /// when it pops (`eternal_totem::ring`).
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// The pending events, each at the slot its key names. It grows
+    /// only when no slot is free, so its length is the most events that
+    /// were ever pending at once.
+    slab: Vec<Slot<E>>,
+    /// The slot freed last, head of the free list.
+    free: u32,
     now: SimTime,
     next_seq: u64,
     choices: Option<SharedChoiceSource>,
@@ -60,6 +68,8 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: NO_SLOT,
             now: SimTime::ZERO,
             next_seq: 0,
             choices: None,
@@ -112,7 +122,22 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        let slot = match self.free {
+            NO_SLOT => {
+                let slot = self.slab.len();
+                assert!(slot < NO_SLOT as usize, "too many events pending");
+                self.slab.push(Slot::Pending(event));
+                slot as u32
+            }
+            slot => {
+                match std::mem::replace(&mut self.slab[slot as usize], Slot::Pending(event)) {
+                    Slot::Free(next) => self.free = next,
+                    Slot::Pending(_) => unreachable!("the free list names a pending slot"),
+                }
+                slot
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -127,18 +152,23 @@ impl<E> Scheduler<E> {
         if self.choices.is_some() {
             next = self.pick_among_tied(next);
         }
-        self.now = next.time;
-        Some((next.time, next.event))
+        let (time, _, slot) = next;
+        let freed = Slot::Free(std::mem::replace(&mut self.free, slot));
+        let Slot::Pending(event) = std::mem::replace(&mut self.slab[slot as usize], freed) else {
+            unreachable!("a key names a free slot")
+        };
+        self.now = time;
+        Some((time, event))
     }
 
-    /// `pop` with an installed choice source: gather every entry tied
+    /// `pop` with an installed choice source: gather every key tied
     /// with `first` at the minimal timestamp, let the source pick one,
     /// and push the rest back (they keep their original `seq`, so FIFO
     /// order among them is preserved for the next tie).
-    fn pick_among_tied(&mut self, first: Entry<E>) -> Entry<E> {
+    fn pick_among_tied(&mut self, first: Key) -> Key {
         // The heap pops in (time, seq) order, so `tied` is FIFO-ordered.
         let mut tied = vec![first];
-        while self.peek_time() == Some(tied[0].time) {
+        while self.peek_time() == Some(tied[0].0) {
             let Reverse(entry) = self.heap.pop().expect("peeked entry present");
             tied.push(entry);
         }
@@ -159,7 +189,14 @@ impl<E> Scheduler<E> {
     /// Returns the timestamp of the next pending event without removing
     /// it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|&Reverse((time, ..))| time)
+    }
+
+    /// Slots the event slab has grown to: the most events that were
+    /// ever pending at once, since a freed slot is reused before a new
+    /// one is made.
+    pub fn slots(&self) -> usize {
+        self.slab.len()
     }
 }
 

@@ -43,6 +43,129 @@ fn scheduler_pops_in_order() {
     }
 }
 
+/// A tie-breaker that replays a list of branches (some out of range,
+/// to be clamped) and records the arity of every tie it was asked.
+#[derive(Debug)]
+struct Scripted {
+    branches: Vec<usize>,
+    asked: Vec<usize>,
+}
+
+impl ChoiceSource for Scripted {
+    fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize {
+        assert_eq!(kind, ChoiceKind::Tie);
+        self.asked.push(arity);
+        self.branches[self.asked.len() - 1]
+    }
+}
+
+/// The scheduler against a model that is nothing but its contract: a
+/// `Vec` of `(time, seq, payload)` kept sorted, popped from the front,
+/// the tied front entries offered to the tie-breaker in `seq` order.
+/// Random interleavings of `schedule_at`, `schedule_after` and `pop`
+/// with no choice source, with [`FifoChoice`] and with a scripted one:
+/// the same pops at the same instants, the same ties asked, and a slab
+/// that is exactly as long as the most events ever pending at once.
+#[test]
+fn scheduler_matches_a_sorted_vec_model() {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Source {
+        None,
+        Fifo,
+        Scripted,
+    }
+    let mut rng = SimRng::seed_from_u64(0x5EED_0023);
+    let mut ties = 0;
+    for case in 0..96 {
+        let source = [Source::None, Source::Fifo, Source::Scripted][case % 3];
+        let ops = 1 + rng.gen_range(400);
+        // More branches than there can be ties; every eighth overshoots.
+        let branches: Vec<usize> = (0..=ops)
+            .map(|i| match i % 8 {
+                7 => usize::MAX,
+                _ => rng.gen_range(6) as usize,
+            })
+            .collect();
+        let scripted = Rc::new(RefCell::new(Scripted {
+            branches: branches.clone(),
+            asked: Vec::new(),
+        }));
+        let mut s: Scheduler<u64> = Scheduler::new();
+        match source {
+            Source::None => {}
+            Source::Fifo => s.set_choice_source(Rc::new(RefCell::new(FifoChoice))),
+            Source::Scripted => s.set_choice_source(scripted.clone()),
+        }
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let (mut now, mut next_seq, mut high_water) = (0u64, 0u64, 0usize);
+        let mut expected_asked = Vec::new();
+        let mut model_pop = |model: &mut Vec<(u64, u64, u64)>| {
+            let &(front, ..) = model.first()?;
+            let tied = model.iter().take_while(|e| e.0 == front).count();
+            let pick = if source == Source::Scripted && tied >= 2 {
+                expected_asked.push(tied);
+                branches[expected_asked.len() - 1].min(tied - 1)
+            } else {
+                0
+            };
+            Some(model.remove(pick))
+        };
+        // Schedule-heavy first, pop-heavy after, so the queue both
+        // builds up and runs down to empty within a case.
+        for op in 0..ops {
+            let pop_weight = if op < ops / 2 { 1 } else { 3 };
+            if rng.gen_range(4) < pop_weight {
+                let popped = s.pop();
+                let expected = model_pop(&mut model);
+                assert_eq!(
+                    popped.map(|(at, payload)| (at.as_nanos(), payload)),
+                    expected.map(|(at, _, payload)| (at, payload)),
+                    "case {case} op {op}"
+                );
+                if let Some((at, ..)) = expected {
+                    now = at;
+                }
+            } else {
+                // Coarse delays force plenty of same-instant ties.
+                let delay = rng.gen_range(4) * 10;
+                let payload = rng.next_u64();
+                if rng.chance(0.5) {
+                    s.schedule_at(SimTime::from_nanos(now + delay), payload);
+                } else {
+                    s.schedule_after(Duration::from_nanos(delay), payload);
+                }
+                let at = model.partition_point(|e| e.0 <= now + delay);
+                model.insert(at, (now + delay, next_seq, payload));
+                next_seq += 1;
+            }
+            high_water = high_water.max(model.len());
+            assert_eq!(s.now(), SimTime::from_nanos(now));
+            assert_eq!(
+                s.peek_time().map(SimTime::as_nanos),
+                model.first().map(|e| e.0)
+            );
+            assert_eq!(s.is_empty(), model.is_empty());
+            assert_eq!(s.slots(), high_water, "case {case} op {op}");
+        }
+        while let Some((at, _, payload)) = model_pop(&mut model) {
+            assert_eq!(s.pop(), Some((SimTime::from_nanos(at), payload)));
+            now = at;
+        }
+        assert_eq!(s.pop(), None);
+        assert_eq!(scripted.borrow().asked, expected_asked, "case {case}");
+        ties += expected_asked.len();
+        // Every slot is free again and every one is reused before the
+        // slab grows by one.
+        for i in 0..high_water {
+            s.schedule_at(SimTime::from_nanos(now), i as u64);
+            assert_eq!(s.slots(), high_water);
+        }
+        s.schedule_at(SimTime::from_nanos(now), 0);
+        assert_eq!(s.slots(), high_water + 1);
+    }
+    assert!(ties > 500, "only {ties} ties were put to the script");
+}
+
 /// The default tie-breaker ([`FifoChoice`], branch 0 everywhere) pops
 /// the exact sequence an un-instrumented scheduler would: installing it
 /// is observationally a no-op.

@@ -110,6 +110,10 @@ pub struct Ring<X> {
 }
 
 impl<X> Ring<X> {
+    /// Bytes one scheduled occurrence takes in the scheduler's slab: a
+    /// driver pins its own event type's weight against this.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Event<X>>();
+
     /// Creates `n` engines (ids `0..n`) over a fresh network, all alive
     /// and none started: the driver calls [`Ring::start`] on each.
     pub fn new(n: u32, cfg: TotemConfig, net_cfg: NetworkConfig, seed: u64) -> Self {
@@ -241,11 +245,12 @@ impl<X> Ring<X> {
     /// Whether all live nodes are operational on one ring whose
     /// membership is exactly the live set.
     pub fn formed(&self) -> bool {
-        let live: Vec<NodeId> = self.live().collect();
-        let ring = live.first().and_then(|&first| self.node(first).ring());
-        live.iter().all(|&id| {
+        let ring = self.live().next().and_then(|first| self.node(first).ring());
+        self.live().all(|id| {
             let n = self.node(id);
-            n.phase() == Phase::Operational && n.ring() == ring && n.members() == live.as_slice()
+            n.phase() == Phase::Operational
+                && n.ring() == ring
+                && n.members().iter().copied().eq(self.live())
         })
     }
 
