@@ -156,7 +156,7 @@ impl<'a> CdrDecoder<'a> {
         }
         let bytes = self.take(len as usize)?;
         let (last, body) = bytes.split_last().expect("len >= 1");
-        if *last != 0 || body.contains(&0) {
+        if *last != 0 || crate::has_nul(body) {
             return Err(CdrError::BadStringTerminator);
         }
         std::str::from_utf8(body).map_err(|_| CdrError::InvalidUtf8)
@@ -283,6 +283,14 @@ mod tests {
         // length 2, bytes "ab" (no NUL)
         let mut d = CdrDecoder::new(&[0, 0, 0, 2, b'a', b'b'], Endian::Big);
         assert_eq!(d.read_string(), Err(CdrError::BadStringTerminator));
+    }
+
+    #[test]
+    fn string_with_embedded_nul_rejected_before_its_utf8_is_looked_at() {
+        let mut d = CdrDecoder::new(&[0, 0, 0, 4, b'a', 0, b'b', 0], Endian::Big);
+        assert_eq!(d.read_string(), Err(CdrError::BadStringTerminator));
+        let mut d = CdrDecoder::new(&[0, 0, 0, 4, 0xFF, 0, b'b', 0], Endian::Big);
+        assert_eq!(d.read_str(), Err(CdrError::BadStringTerminator));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl CdrEncoder {
     /// Returns [`CdrError::BadStringTerminator`] if `s` contains an
     /// embedded NUL, which CDR cannot represent.
     pub fn write_string(&mut self, s: &str) -> Result<(), CdrError> {
-        if s.as_bytes().contains(&0) {
+        if crate::has_nul(s.as_bytes()) {
             return Err(CdrError::BadStringTerminator);
         }
         self.write_u32((s.len() + 1) as u32);

@@ -10,15 +10,18 @@
 
 use std::fmt;
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// An immutable, reference-counted view of a byte buffer.
 ///
 /// Equality is by content. The buffer is freed when the last view of it
-/// is dropped.
+/// is dropped. The count is a plain [`Rc`]: the simulator runs on one
+/// thread, and `eternal_totem::ring::Ring`, which carries every
+/// `Bytes`, already holds an `Rc` choice source, so nothing that owned
+/// one could cross a thread when the count was atomic either.
 #[derive(Clone)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    buf: Rc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -36,7 +39,7 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            buf: Arc::clone(&self.buf),
+            buf: Rc::clone(&self.buf),
             start: self.start + range.start,
             end: self.start + range.end,
         }
@@ -45,7 +48,7 @@ impl Bytes {
     /// Whether `a` and `b` are views into the same allocation (a clone
     /// or slice of one another, however many hands they passed through).
     pub fn ptr_eq(a: &Bytes, b: &Bytes) -> bool {
-        Arc::ptr_eq(&a.buf, &b.buf)
+        Rc::ptr_eq(&a.buf, &b.buf)
     }
 }
 
@@ -54,7 +57,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(buf: Vec<u8>) -> Self {
         let end = buf.len();
         Bytes {
-            buf: Arc::new(buf),
+            buf: Rc::new(buf),
             start: 0,
             end,
         }

@@ -66,6 +66,10 @@ impl ChoiceSource for Scripted {
 /// with no choice source, with [`FifoChoice`] and with a scripted one:
 /// the same pops at the same instants, the same ties asked, and a slab
 /// that is exactly as long as the most events ever pending at once.
+/// The last six cases have the shape a cluster gives the scheduler — a
+/// thousand pending fixed-delay re-arms interleaved with near arrivals,
+/// now and then a key out of order or far in the future — which is the
+/// one its sorted runs were made for.
 #[test]
 fn scheduler_matches_a_sorted_vec_model() {
     #[derive(Clone, Copy, PartialEq, Debug)]
@@ -76,9 +80,10 @@ fn scheduler_matches_a_sorted_vec_model() {
     }
     let mut rng = SimRng::seed_from_u64(0x5EED_0023);
     let mut ties = 0;
-    for case in 0..96 {
+    for case in 0..102 {
         let source = [Source::None, Source::Fifo, Source::Scripted][case % 3];
-        let ops = 1 + rng.gen_range(400);
+        let timers = case >= 96;
+        let ops = if timers { 6000 } else { 1 + rng.gen_range(400) };
         // More branches than there can be ties; every eighth overshoots.
         let branches: Vec<usize> = (0..=ops)
             .map(|i| match i % 8 {
@@ -98,6 +103,8 @@ fn scheduler_matches_a_sorted_vec_model() {
         }
         let mut model: Vec<(u64, u64, u64)> = Vec::new();
         let (mut now, mut next_seq, mut high_water) = (0u64, 0u64, 0usize);
+        // When the shared medium is next free: arrivals follow it.
+        let mut medium = 0;
         let mut expected_asked = Vec::new();
         let mut model_pop = |model: &mut Vec<(u64, u64, u64)>| {
             let &(front, ..) = model.first()?;
@@ -113,7 +120,12 @@ fn scheduler_matches_a_sorted_vec_model() {
         // Schedule-heavy first, pop-heavy after, so the queue both
         // builds up and runs down to empty within a case.
         for op in 0..ops {
-            let pop_weight = if op < ops / 2 { 1 } else { 3 };
+            let pop_weight = match timers {
+                // Build up to a thousand pending, then hold there.
+                true => 1 + (model.len() >= 1000) as u64,
+                false if op < ops / 2 => 1,
+                false => 3,
+            };
             if rng.gen_range(4) < pop_weight {
                 let popped = s.pop();
                 let expected = model_pop(&mut model);
@@ -127,7 +139,17 @@ fn scheduler_matches_a_sorted_vec_model() {
                 }
             } else {
                 // Coarse delays force plenty of same-instant ties.
-                let delay = rng.gen_range(4) * 10;
+                let delay = match (timers, rng.gen_range(64)) {
+                    (false, _) => rng.gen_range(4) * 10,
+                    (true, 0..=23) => 30_000,
+                    (true, 24..=31) => 5_000,
+                    (true, 32..=61) => {
+                        medium = now.max(medium) + rng.gen_range(3) * 10;
+                        medium + 100 - now
+                    }
+                    (true, 62) => rng.gen_range(10) * 10,
+                    (true, _) => 1_000_000,
+                };
                 let payload = rng.next_u64();
                 if rng.chance(0.5) {
                     s.schedule_at(SimTime::from_nanos(now + delay), payload);
@@ -163,7 +185,7 @@ fn scheduler_matches_a_sorted_vec_model() {
         s.schedule_at(SimTime::from_nanos(now), 0);
         assert_eq!(s.slots(), high_water + 1);
     }
-    assert!(ties > 500, "only {ties} ties were put to the script");
+    assert!(ties > 4000, "only {ties} ties were put to the script");
 }
 
 /// The default tie-breaker ([`FifoChoice`], branch 0 everywhere) pops

@@ -55,6 +55,7 @@ pub mod harness;
 pub mod node;
 pub mod ring;
 pub mod types;
+mod window;
 
 pub use config::TotemConfig;
 pub use node::{Action, Delivery, TotemNode, TotemStats};

@@ -25,6 +25,7 @@ use crate::config::{TotemConfig, TOKEN_LOSS_TIMEOUT, TOKEN_RETRANSMIT_TIMEOUT};
 use crate::types::{
     CommitEntry, CommitMsg, Frame, JoinMsg, Payload, RegularMsg, RingId, RotationAru, Timer, Token,
 };
+use crate::window::Window;
 use eternal_sim::net::NodeId;
 use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::Bytes;
@@ -140,8 +141,9 @@ pub struct TotemNode {
     // ---- installed ring ----
     ring: Option<RingId>,
     members: Vec<NodeId>,
-    /// Messages received on the current ring, keyed by seq.
-    received: BTreeMap<u64, RegularMsg>,
+    /// Messages received on the current ring, by seq. Its floor is
+    /// `safe_upto` whenever a frame or a timer is handled.
+    received: Window,
     /// All of `1..=my_aru` received (and delivered or deferred).
     my_aru: u64,
     /// Everyone's aru was at least this during the last full rotation.
@@ -177,6 +179,7 @@ pub struct TotemNode {
     batches: u64,
     batched_messages: u64,
     frames_saved: u64,
+    store_refused: u64,
     last_flow_occupancy: u64,
 }
 
@@ -207,6 +210,9 @@ pub struct TotemStats {
     /// batches`): each batch of *k* messages replaces *k* frames with
     /// one.
     pub frames_saved: u64,
+    /// Regular messages the retransmission store refused because their
+    /// seq lay beyond its window: handled as lost frames.
+    pub store_refused: u64,
 }
 
 impl TotemNode {
@@ -219,7 +225,7 @@ impl TotemNode {
             phase: Phase::Gather,
             ring: None,
             members: Vec::new(),
-            received: BTreeMap::new(),
+            received: Window::new(),
             my_aru: 0,
             safe_upto: 0,
             last_token_seq: 0,
@@ -241,6 +247,7 @@ impl TotemNode {
             batches: 0,
             batched_messages: 0,
             frames_saved: 0,
+            store_refused: 0,
             last_flow_occupancy: 0,
         }
     }
@@ -292,6 +299,7 @@ impl TotemNode {
             batches: self.batches,
             batched_messages: self.batched_messages,
             frames_saved: self.frames_saved,
+            store_refused: self.store_refused,
         }
     }
 
@@ -658,12 +666,8 @@ impl TotemNode {
     }
 
     fn my_commit_entry(&self) -> CommitEntry {
-        let held_above_aru: BTreeSet<u64> = self
-            .received
-            .keys()
-            .copied()
-            .filter(|&s| s > self.my_aru)
-            .collect();
+        let held_above_aru: BTreeSet<u64> =
+            self.received.keys().filter(|&s| s > self.my_aru).collect();
         CommitEntry {
             member: self.id,
             old_ring: self.ring,
@@ -672,7 +676,6 @@ impl TotemNode {
                 .received
                 .keys()
                 .next_back()
-                .copied()
                 .unwrap_or(self.my_aru)
                 .max(self.my_aru),
             held_above_aru,
@@ -852,7 +855,7 @@ impl TotemNode {
             let store: BTreeMap<u64, (NodeId, Payload, Vec<TraceTag>)> = self
                 .received
                 .iter()
-                .map(|(&s, m)| (s, (m.sender, m.payload.inner().clone(), m.trace.clone())))
+                .map(|(s, m)| (s, (m.sender, m.payload.inner().clone(), m.trace.clone())))
                 .collect();
             OldRecovery {
                 ring: old_ring,
@@ -865,7 +868,7 @@ impl TotemNode {
         self.ring = Some(new_ring);
         self.ring_seq_high = self.ring_seq_high.max(new_ring.seq);
         self.members = members;
-        self.received = BTreeMap::new();
+        self.received = Window::new();
         self.my_aru = 0;
         self.safe_upto = 0;
         // Token hop counters are per-ring: every member resets here,
@@ -1072,7 +1075,7 @@ impl TotemNode {
         // 1. Retransmit requested messages we hold.
         let mut served = Vec::new();
         for &s in &t.rtr {
-            if let Some(m) = self.received.get(&s) {
+            if let Some(m) = self.received.get(s) {
                 actions.push(Action::Multicast(Frame::Regular(m.clone())));
                 served.push(s);
             }
@@ -1085,7 +1088,7 @@ impl TotemNode {
         // 2. Broadcast new messages, recovery rebroadcasts first.
         let mut budget = self.cfg.max_messages_per_token;
         if self.phase == Phase::Recover {
-            while budget > 0 && t.seq.saturating_sub(self.my_aru) < WINDOW_SIZE {
+            while budget > 0 && self.may_sequence_after(t.seq) {
                 let Some(rec) = self.old_recovery.as_mut() else {
                     break;
                 };
@@ -1121,10 +1124,7 @@ impl TotemNode {
             self.try_finish_recovery(actions);
         }
         if self.phase == Phase::Operational {
-            while budget > 0
-                && !self.pending.is_empty()
-                && t.seq.saturating_sub(self.my_aru) < WINDOW_SIZE
-            {
+            while budget > 0 && !self.pending.is_empty() && self.may_sequence_after(t.seq) {
                 let first = self.pending.pop_front().expect("non-empty");
                 let (payload, tags) = self.pack_batch(first);
                 // The frame, and our own delivery of each message in it.
@@ -1150,7 +1150,7 @@ impl TotemNode {
 
         // 3. Request retransmission of our gaps.
         for s in (self.my_aru + 1)..=t.seq {
-            if !self.received.contains_key(&s) && t.rtr.len() < 128 {
+            if !self.received.contains(s) && t.rtr.len() < 128 {
                 t.rtr.insert(s);
             }
         }
@@ -1164,16 +1164,27 @@ impl TotemNode {
         } else {
             t.aru.this_rotation_min = t.aru.this_rotation_min.min(self.my_aru);
         }
-        self.safe_upto = t.aru.last_rotation_min.min(self.my_aru);
+        // The rotation minimum folded this node's aru in and arus only
+        // grow, so neither clamp binds on a token a member could send;
+        // with them `safe_upto` is the store's floor whatever arrives.
+        let safe = t.aru.last_rotation_min.min(self.my_aru);
+        self.safe_upto = self.safe_upto.max(safe);
         // Garbage-collect messages everyone holds.
-        let floor = t.aru.last_rotation_min;
-        self.received.retain(|&s, _| s > floor);
+        self.received.discard_through(self.safe_upto);
 
         // 5. Forward.
         t.target = self.next_member();
         t.token_seq += 1;
         self.last_token_seq = t.token_seq - 1; // we processed up to our own hop
         self.forward_control(Frame::Token(t), actions);
+    }
+
+    /// Flow control: whether this node may give the seq after `seq` to
+    /// a message of its own — within [`WINDOW_SIZE`] of its aru, and
+    /// inside the window of its store, so that what it multicasts it
+    /// also holds for retransmission.
+    fn may_sequence_after(&self, seq: u64) -> bool {
+        seq.saturating_sub(self.my_aru) < WINDOW_SIZE && self.received.accepts(seq + 1)
     }
 
     fn on_regular(&mut self, m: RegularMsg, actions: &mut Vec<Action>) {
@@ -1185,7 +1196,8 @@ impl TotemNode {
         if self.phase != Phase::Operational && self.phase != Phase::Recover {
             return;
         }
-        if m.seq <= self.safe_upto || self.received.contains_key(&m.seq) {
+        debug_assert_eq!(self.received.floor(), self.safe_upto);
+        if m.seq <= self.safe_upto || self.received.contains(m.seq) {
             return; // duplicate or already collected
         }
         self.store_and_deliver(m, actions);
@@ -1246,11 +1258,16 @@ impl TotemNode {
     /// Batches unpack here, transparently: each item becomes its own
     /// [`Delivery::Message`] carrying the batch's ring position.
     fn store_and_deliver(&mut self, m: RegularMsg, actions: &mut Vec<Action>) {
-        self.received.insert(m.seq, m);
+        if !self.received.insert(m) {
+            // Beyond the window: as good as lost, and asked for again
+            // through the token like any other gap.
+            self.store_refused += 1;
+            return;
+        }
         // New-ring traffic is buffered while old-ring recovery is still
         // owed; the phase cannot change inside the loop.
         let recovering = self.phase == Phase::Recover;
-        while let Some(msg) = self.received.get(&(self.my_aru + 1)) {
+        while let Some(msg) = self.received.get(self.my_aru + 1) {
             self.my_aru += 1;
             let (ring, seq, sender) = (msg.ring, msg.seq, msg.sender);
             let mut deliver = |i: usize, data: &Bytes| {
@@ -1309,6 +1326,10 @@ impl TotemNode {
             };
             // No receivers to multicast to, but deliver locally in order.
             self.store_and_deliver(msg, actions);
+            // No token collects on a ring of one, and what its only
+            // member has delivered every member holds.
+            self.safe_upto = self.my_aru;
+            self.received.discard_through(self.safe_upto);
         }
     }
 }
@@ -1797,6 +1818,104 @@ mod tests {
             .iter()
             .any(|f| matches!(f, Frame::Regular(m) if m.seq == 2));
         assert!(!served, "GC'd message must not be retransmitted");
+    }
+
+    #[test]
+    fn singleton_ring_collects_what_it_delivers() {
+        let mut node = TotemNode::new(n(0), cfg());
+        node.start();
+        node.handle_timer(Timer::ConsensusTimeout);
+        // More than the store's window spans, with no token to collect.
+        let sent = crate::window::WINDOW_CAP + 10;
+        for i in 0..sent {
+            let actions = node.broadcast(i.to_be_bytes().to_vec());
+            assert_eq!(deliveries(&actions).len(), 1, "message {i}");
+        }
+        assert_eq!((node.aru(), node.safe_upto()), (sent, sent));
+        assert_eq!(node.stats().store_refused, 0);
+        assert_eq!(node.received.keys().count(), 0);
+    }
+
+    /// A one-byte message from `n(1)`, the other member of a pair.
+    fn regular(ring: RingId, seq: u64) -> Frame {
+        Frame::Regular(RegularMsg {
+            ring,
+            seq,
+            sender: n(1),
+            payload: Payload::App(vec![seq as u8].into()),
+            trace: vec![],
+        })
+    }
+
+    /// A token for `n(0)` whose last two rotations both had minimum
+    /// aru `min`.
+    fn token(ring: RingId, token_seq: u64, seq: u64, min: u64) -> Frame {
+        Frame::Token(Token {
+            ring,
+            target: n(0),
+            token_seq,
+            seq,
+            rtr: BTreeSet::new(),
+            aru: RotationAru {
+                this_rotation_min: min,
+                last_rotation_min: min,
+            },
+        })
+    }
+
+    #[test]
+    fn a_seq_beyond_the_window_is_refused_and_the_sender_holds_back_at_its_edge() {
+        let (mut a, _) = form_pair();
+        let ring = a.ring().unwrap();
+        let cap = crate::window::WINDOW_CAP;
+        // One past the window: dropped like a lost frame, never held.
+        a.handle_frame(regular(ring, cap + 1));
+        assert_eq!(a.stats().store_refused, 1);
+        assert_eq!(a.received.keys().count(), 0);
+        // The whole window, with no rotation minimum to collect it by.
+        for seq in 1..=cap {
+            a.handle_frame(regular(ring, seq));
+        }
+        assert_eq!((a.aru(), a.stats().store_refused), (cap, 1));
+        // Its own message would be seq cap + 1, which it could not hold
+        // for retransmission: it waits ...
+        a.broadcast(vec![7]);
+        let acts = a.handle_frame(token(ring, 100, cap, 0));
+        assert!(!multicasts(&acts)
+            .iter()
+            .any(|f| matches!(f, Frame::Regular(_))));
+        assert_eq!(a.backlog(), 1);
+        // ... for the visit after a rotation minimum moves the floor.
+        a.handle_frame(token(ring, 102, cap, cap));
+        assert_eq!((a.backlog(), a.safe_upto()), (1, cap));
+        let acts = a.handle_frame(token(ring, 104, cap, cap));
+        assert!(multicasts(&acts)
+            .iter()
+            .any(|f| matches!(f, Frame::Regular(m) if m.seq == cap + 1)));
+        assert_eq!((a.backlog(), a.stats().store_refused), (0, 1));
+    }
+
+    #[test]
+    fn a_token_from_no_member_neither_lowers_the_floor_nor_collects_the_undelivered() {
+        let (mut a, _) = form_pair();
+        let ring = a.ring().unwrap();
+        for seq in [1, 2, 3, 5] {
+            a.handle_frame(regular(ring, seq));
+        }
+        // A rotation minimum above this node's aru (3): 5 stays held.
+        a.handle_frame(token(ring, 100, 5, 9));
+        assert_eq!((a.aru(), a.safe_upto()), (3, 3));
+        assert_eq!(a.received.keys().collect::<Vec<_>>(), [5]);
+        // A rotation minimum below the last one: the floor stays.
+        a.handle_frame(token(ring, 102, 5, 1));
+        assert_eq!(a.safe_upto(), 3);
+        // Both keep `safe_upto` the store's floor, which a late copy of
+        // a collected message then meets (debug builds assert it).
+        let acts = a.handle_frame(regular(ring, 2));
+        assert!(deliveries(&acts).is_empty());
+        let acts = a.handle_frame(regular(ring, 4));
+        assert_eq!(deliveries(&acts).len(), 2);
+        assert_eq!(a.stats().store_refused, 0);
     }
 
     fn token_for(ring: RingId) -> Token {

@@ -5,9 +5,12 @@
 # run in alternating pairs — parent first on odd pairs, this checkout
 # first on even ones.
 #
-#   scripts/perf-pairs.sh <parent-checkout> <workload> [seed] [pairs]
+#   scripts/perf-pairs.sh <parent-checkout> <workload>|all [seed] [pairs]
 #
-# seed defaults to 42, pairs to 10. The command and the run length are
+# seed defaults to 42, pairs to 10; `all` runs every workload of
+# BENCHMARK.json in turn and ends with one row per metric and one column
+# per workload (parent median → change median, `=` where both sides'
+# medians and quartiles are the same). The command and the run length are
 # read from this checkout's BENCHMARK.json and run from each checkout's
 # own root, so each side builds and runs its own perf/. Prints one row
 # per pair, then for every end-to-end metric both sides' median and
@@ -22,6 +25,26 @@ pairs=${4:-10}
 manifest() {
     python3 -c "import json; b = json.load(open('$here/BENCHMARK.json')); print($1)"
 }
+if [ "$workload" = all ]; then
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+    workloads=$(manifest "' '.join(w['name'] for w in b['workloads'])")
+    for w in $workloads; do "$0" "$parent" "$w" "$seed" "$pairs" | tee "$out/$w"; echo; done
+    python3 - "$out" $workloads <<'ALL'
+import re, sys
+out, *workloads = sys.argv[1:]
+row = re.compile(r"\| (`\w+` \(\S+\)) \| ((\S+) \[.*?\]) \| ((\S+) \[.*?\]) \| × (\S+) \|")
+cells = {}
+for w in workloads:
+    for metric, parent, p, change, c, ratio in row.findall(open(f"{out}/{w}").read()):
+        cells.setdefault(metric, {})[w] = f"{p} =" if parent == change else f"{p} → {c} (×{ratio})"
+print("| metric (unit) | " + " | ".join(f"`{w}`" for w in workloads) + " |")
+print("|---|" + "---:|" * len(workloads))
+for metric, by in cells.items():
+    print(f"| {metric} | " + " | ".join(by[w] for w in workloads) + " |")
+ALL
+    exit
+fi
 command=$(manifest "' '.join(b['command'])")
 build=$(manifest "' '.join('build' if a == 'run' else a for a in b['command'] if a != '--')")
 seconds=$(manifest "b['run_seconds']")
