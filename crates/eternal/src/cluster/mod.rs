@@ -524,7 +524,12 @@ impl Cluster {
 
     /// Executes one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(popped) = self.ring.pop(&mut self.actions) else {
+        self.step_until(SimTime::FAR_FUTURE)
+    }
+
+    /// Executes the next event at or before `until`; `false` if none.
+    fn step_until(&mut self, until: SimTime) -> bool {
+        let Some(popped) = self.ring.pop(until, &mut self.actions) else {
             return false;
         };
         let now = self.now();
@@ -546,16 +551,13 @@ impl Cluster {
                 }
             }
             Popped::Ext(event) => self.handle_event(now, event),
-            Popped::Stale => {}
         }
         true
     }
 
     /// Runs until `deadline` (events beyond it stay queued).
     pub fn run_until_time(&mut self, deadline: SimTime) {
-        while self.ring.peek_time().is_some_and(|t| t <= deadline) {
-            self.step();
-        }
+        while self.step_until(deadline) {}
     }
 
     /// Runs for `d` of virtual time.

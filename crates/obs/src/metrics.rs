@@ -29,6 +29,10 @@ pub struct LogHistogram {
     sum_ns: u128,
     min_ns: u64,
     max_ns: u64,
+    /// Whether the samples are counts, not nanoseconds: set by
+    /// [`MetricsRegistry::histogram_record_value`], read by
+    /// [`summary`](LogHistogram::summary).
+    counts: bool,
 }
 
 impl Default for LogHistogram {
@@ -39,6 +43,7 @@ impl Default for LogHistogram {
             sum_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
+            counts: false,
         }
     }
 }
@@ -166,17 +171,23 @@ impl LogHistogram {
         self.sum_ns += other.sum_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
+        self.counts |= other.counts;
     }
 
-    /// One-line summary: `count=… p50=… p95=… p99=… max=…`.
+    /// One-line summary: `count=… p50=… p95=… p99=… max=…`, durations
+    /// unless the samples are counts.
     pub fn summary(&self) -> String {
+        let show = |d: Duration| match self.counts {
+            true => d.as_nanos().to_string(),
+            false => d.to_string(),
+        };
         format!(
             "count={} p50={} p95={} p99={} max={}",
             self.count,
-            self.p50(),
-            self.p95(),
-            self.p99(),
-            self.max()
+            show(self.p50()),
+            show(self.p95()),
+            show(self.p99()),
+            show(self.max())
         )
     }
 }
@@ -236,9 +247,13 @@ impl MetricsRegistry {
     }
 
     /// Records a dimensionless sample into the named histogram (see
-    /// [`LogHistogram::record_value`]).
+    /// [`LogHistogram::record_value`]); [`render`](Self::render) prints
+    /// it as a plain number.
     pub fn histogram_record_value(&mut self, name: &str, v: u64) {
-        update(&mut self.histograms, name, |h| h.record_value(v));
+        update(&mut self.histograms, name, |h| {
+            h.counts = true;
+            h.record_value(v)
+        });
     }
 
     /// The named histogram, if any samples were recorded.
@@ -390,6 +405,16 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.histogram_record_value("totem.batch.occupancy", 3);
         assert_eq!(r.histogram("totem.batch.occupancy").unwrap().count(), 1);
+        // Rendered as counts, not as nanoseconds.
+        r.histogram_record_value("explore.trace_len", 1535);
+        r.histogram_record("orb.round_trip", us(2));
+        let text = r.render();
+        assert!(text.contains("totem.batch.occupancy: count=1 p50=3 p95=3 p99=3 max=3\n"));
+        assert!(text.contains("explore.trace_len: count=1 p50=1535 p95=1535 p99=1535 max=1535"));
+        assert!(
+            text.contains("orb.round_trip: count=1 p50=2.000us"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -6,17 +6,9 @@
 //! themselves wait in a slab whose free slots are chained through one
 //! another, so ordering moves a key, never an event, whatever an event
 //! weighs.
-//!
-//! Nearly every key arrives already in order — a timer is `now +
-//! constant`, a frame arrival follows the shared medium's monotone
-//! clock — so the pending keys are kept as a few sorted runs plus a
-//! heap: a key that extends a run is appended to it, only a key that
-//! extends none is sifted, and a pop takes the least of the runs'
-//! fronts and the heap's top. The order popped is the order of the
-//! keys, whichever container each waited in.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::choice::{ChoiceKind, SharedChoiceSource};
 use crate::time::{Duration, SimTime};
@@ -27,15 +19,6 @@ use crate::time::{Duration, SimTime};
 type Key = (SimTime, u64, u32);
 
 const _: () = assert!(std::mem::size_of::<Key>() == 24);
-
-/// How many sorted runs take the keys that arrive in order. A cluster
-/// schedules at four recurring distances — the token-loss and
-/// token-retransmit timeouts, frame arrivals, and the mechanisms' sends
-/// one servant execution time from now — and each settles into a run of
-/// its own: four runs take 93 % of an `active_small` cluster's keys
-/// where three take 54 %, and a fifth would have only the heap's last
-/// 7 % to win (DESIGN.md, "The schedule's weight").
-const RUNS: usize = 4;
 
 /// One place in the slab.
 #[derive(Debug)]
@@ -56,15 +39,12 @@ const NO_SLOT: u32 = u32::MAX;
 /// were scheduled (FIFO), which keeps whole-system simulations
 /// reproducible run-to-run.
 ///
-/// There is no cancellation: a driver that re-arms or cancels a timer
-/// bumps a generation counter of its own and ignores the stale firing
-/// when it pops (`eternal_totem::ring`).
+/// A driver that re-arms a timer keeps one firing scheduled and moves a
+/// deadline of its own; only a re-arm to an *earlier* instant takes the
+/// firing back, through [`Scheduler::withdraw`] (`eternal_totem::ring`).
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    /// Each ascending: [`Scheduler::push_key`] appends a key to the
-    /// first run it does not precede the last key of.
-    runs: [VecDeque<Key>; RUNS],
-    /// The keys that extended no run.
+    /// The pending keys, least on top.
     heap: BinaryHeap<Reverse<Key>>,
     /// The pending events, each at the slot its key names. It grows
     /// only when no slot is free, so its length is the most events that
@@ -87,7 +67,6 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Scheduler {
-            runs: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: NO_SLOT,
@@ -126,7 +105,7 @@ impl<E> Scheduler<E> {
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.runs.iter().all(VecDeque::is_empty)
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -158,44 +137,23 @@ impl<E> Scheduler<E> {
                 slot
             }
         };
-        self.push_key((time, seq, slot));
+        self.heap.push(Reverse((time, seq, slot)));
     }
 
-    /// Adds a pending key: to the back of the first run it keeps
-    /// ascending, to the heap if there is none.
-    fn push_key(&mut self, key: Key) {
-        match self
-            .runs
-            .iter_mut()
-            .find(|run| run.back().is_none_or(|last| *last <= key))
-        {
-            Some(run) => run.push_back(key),
-            None => self.heap.push(Reverse(key)),
-        }
-    }
-
-    /// The least pending key and the container it waits in (a run's
-    /// index, [`RUNS`] for the heap).
-    fn least_key(&self) -> Option<(Key, usize)> {
-        let mut least = self.heap.peek().map(|&Reverse(key)| (key, RUNS));
-        for (at, run) in self.runs.iter().enumerate() {
-            if let Some(&key) = run.front() {
-                if least.is_none_or(|(least, _)| key < least) {
-                    least = Some((key, at));
-                }
+    /// Takes back every event pending at `time` that `unwanted` picks,
+    /// freeing its slot. It passes over every pending key, so a driver
+    /// keeps it off its common path: the ring withdraws a timer's firing
+    /// only when the timer is re-armed to an earlier instant.
+    pub fn withdraw(&mut self, time: SimTime, mut unwanted: impl FnMut(&E) -> bool) {
+        let (slab, free) = (&mut self.slab, &mut self.free);
+        self.heap.retain(|&Reverse((at, _, slot))| {
+            let place = &mut slab[slot as usize];
+            let gone = at == time && matches!(place, Slot::Pending(event) if unwanted(event));
+            if gone {
+                *place = Slot::Free(std::mem::replace(free, slot));
             }
-        }
-        least
-    }
-
-    /// Removes and returns the least pending key.
-    fn pop_key(&mut self) -> Option<Key> {
-        let (key, at) = self.least_key()?;
-        match self.runs.get_mut(at) {
-            Some(run) => run.pop_front(),
-            None => self.heap.pop().map(|Reverse(key)| key),
-        };
-        Some(key)
+            !gone
+        });
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -206,7 +164,7 @@ impl<E> Scheduler<E> {
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut next = self.pop_key()?;
+        let Reverse(mut next) = self.heap.pop()?;
         if self.choices.is_some() {
             next = self.pick_among_tied(next);
         }
@@ -227,7 +185,7 @@ impl<E> Scheduler<E> {
         // Keys pop in (time, seq) order, so `tied` is FIFO-ordered.
         let mut tied = vec![first];
         while self.peek_time() == Some(first.0) {
-            tied.push(self.pop_key().expect("peeked entry present"));
+            tied.push(self.heap.pop().expect("peeked entry present").0);
         }
         let pick = match &self.choices {
             Some(source) if tied.len() >= 2 => {
@@ -237,16 +195,14 @@ impl<E> Scheduler<E> {
             _ => 0,
         };
         let chosen = tied.swap_remove(pick);
-        for entry in tied {
-            self.push_key(entry);
-        }
+        self.heap.extend(tied.into_iter().map(Reverse));
         chosen
     }
 
     /// Returns the timestamp of the next pending event without removing
     /// it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.least_key().map(|((time, ..), _)| time)
+        self.heap.peek().map(|&Reverse((time, ..))| time)
     }
 
     /// Slots the event slab has grown to: the most events that were
@@ -319,46 +275,19 @@ mod tests {
         assert!(s.pop().is_none());
     }
 
-    /// The stream a cluster gives the scheduler (the last cases of
-    /// `sim_props.rs::scheduler_matches_a_sorted_vec_model`): a thousand
-    /// pending re-arms at two fixed delays, arrivals that follow the
-    /// medium between them, now and then a key ahead of the arrivals or
-    /// a slow periodic timer's far behind everything. (Far keys at
-    /// *random* distances would each close a run to all nearer keys
-    /// until it popped; the heap takes those, as it took every key
-    /// before there were runs.)
     #[test]
-    fn nine_keys_in_ten_of_a_clusters_stream_extend_a_run() {
-        let mut rng = crate::rng::SimRng::seed_from_u64(0x5EED_0024);
+    fn withdraw_frees_only_the_picked_events_at_that_instant() {
         let mut s = Scheduler::new();
-        let (mut keys, mut sifted) = (0, 0);
-        // When the shared medium is next free: arrivals follow it.
-        let mut medium = 0;
-        for _ in 0..20_000 {
-            let pending = s.runs.iter().map(VecDeque::len).sum::<usize>() + s.heap.len();
-            if rng.gen_range(4) < 1 + (pending >= 1000) as u64 {
-                s.pop();
-                continue;
-            }
-            let delay = match rng.gen_range(64) {
-                0..=23 => 30_000,
-                24..=31 => 5_000,
-                32..=61 => {
-                    medium = s.now().as_nanos().max(medium) + rng.gen_range(3) * 10;
-                    medium + 100 - s.now().as_nanos()
-                }
-                62 => rng.gen_range(10) * 10,
-                _ => 1_000_000,
-            };
-            let in_heap = s.heap.len();
-            s.schedule_after(Duration::from_nanos(delay), ());
-            keys += 1;
-            sifted += s.heap.len() - in_heap;
+        let (t, u) = (SimTime::from_nanos(5), SimTime::from_nanos(9));
+        for e in [1, 2, 3] {
+            s.schedule_at(t, e);
         }
-        assert!(keys > 10_000 && sifted * 10 <= keys, "{sifted} of {keys}");
-        for run in &s.runs {
-            assert!(run.iter().is_sorted());
-        }
+        s.schedule_at(u, 2);
+        s.withdraw(t, |&e| e == 2);
+        s.schedule_at(u, 4);
+        assert_eq!(s.slots(), 4, "the withdrawn event's slot is reused");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
+        assert_eq!(order, [(t, 1), (t, 3), (u, 2), (u, 4)]);
     }
 
     use crate::choice::{ChoiceKind, ChoiceSource, FifoChoice};

@@ -62,14 +62,13 @@ impl ChoiceSource for Scripted {
 /// The scheduler against a model that is nothing but its contract: a
 /// `Vec` of `(time, seq, payload)` kept sorted, popped from the front,
 /// the tied front entries offered to the tie-breaker in `seq` order.
-/// Random interleavings of `schedule_at`, `schedule_after` and `pop`
-/// with no choice source, with [`FifoChoice`] and with a scripted one:
-/// the same pops at the same instants, the same ties asked, and a slab
-/// that is exactly as long as the most events ever pending at once.
-/// The last six cases have the shape a cluster gives the scheduler — a
-/// thousand pending fixed-delay re-arms interleaved with near arrivals,
-/// now and then a key out of order or far in the future — which is the
-/// one its sorted runs were made for.
+/// Random interleavings of `schedule_at`, `schedule_after`, `pop` and
+/// `withdraw` with no choice source, with [`FifoChoice`] and with a
+/// scripted one: the same pops at the same instants, the same ties
+/// asked, and a slab that is exactly as long as the most events ever
+/// pending at once. The last six cases are deep: a thousand pending
+/// fixed-delay keys interleaved with near arrivals, now and then a key
+/// out of order or far in the future.
 #[test]
 fn scheduler_matches_a_sorted_vec_model() {
     #[derive(Clone, Copy, PartialEq, Debug)]
@@ -126,7 +125,12 @@ fn scheduler_matches_a_sorted_vec_model() {
                 false if op < ops / 2 => 1,
                 false => 3,
             };
-            if rng.gen_range(4) < pop_weight {
+            if !model.is_empty() && rng.gen_range(16) == 0 {
+                // Take back the even payloads pending at one instant.
+                let at = model[rng.gen_range(model.len() as u64) as usize].0;
+                s.withdraw(SimTime::from_nanos(at), |payload| payload % 2 == 0);
+                model.retain(|e| e.0 != at || e.2 % 2 != 0);
+            } else if rng.gen_range(4) < pop_weight {
                 let popped = s.pop();
                 let expected = model_pop(&mut model);
                 assert_eq!(

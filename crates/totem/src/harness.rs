@@ -121,19 +121,22 @@ impl TotemHarness {
 
     /// Executes one scheduled event. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        match self.ring.pop(&mut self.actions) {
+        self.step_until(SimTime::FAR_FUTURE)
+    }
+
+    /// Executes the next event at or before `until`; `false` if none.
+    fn step_until(&mut self, until: SimTime) -> bool {
+        match self.ring.pop(until, &mut self.actions) {
             None => return false,
             Some(Popped::Actions { node, .. }) => self.apply_actions(node),
-            Some(Popped::Ext(()) | Popped::Stale) => {}
+            Some(Popped::Ext(())) => {}
         }
         true
     }
 
     /// Runs until virtual time `deadline` (events after it stay queued).
     pub fn run_until_time(&mut self, deadline: SimTime) {
-        while self.ring.peek_time().is_some_and(|t| t <= deadline) {
-            self.step();
-        }
+        while self.step_until(deadline) {}
     }
 
     /// Runs for `d` of virtual time from now.
@@ -361,11 +364,11 @@ mod tests {
             };
             let mut h = TotemHarness::with_network(4, TotemConfig::default(), net_cfg, 12);
             h.run_until_formed();
-            let step = |h: &mut TotemHarness| {
+            let step = |h: &mut TotemHarness, until| {
                 if fresh {
                     h.actions = Vec::new();
                 }
-                h.step()
+                h.step_until(until)
             };
             for i in 0..300u32 {
                 match i {
@@ -378,13 +381,11 @@ mod tests {
                 }
                 h.broadcast(n(i % 3), vec![i as u8; 1 + (i as usize * 13) % 900]);
                 for _ in 0..8 {
-                    step(&mut h);
+                    step(&mut h, SimTime::FAR_FUTURE);
                 }
             }
             let deadline = h.now() + Duration::from_secs(2);
-            while h.ring.peek_time().is_some_and(|t| t <= deadline) {
-                step(&mut h);
-            }
+            while step(&mut h, deadline) {}
             assert!(h.formed());
             let record: Vec<Vec<Delivery>> = h
                 .nodes()

@@ -2,25 +2,32 @@
 //! network, under whatever sits above them.
 //!
 //! A [`Ring`] is the single owner of the scheduler, the network model,
-//! the protocol engines, their liveness and their timer generations.
+//! the protocol engines, their liveness and their timer deadlines.
 //! Its two drivers — [`TotemHarness`](crate::harness::TotemHarness)
 //! (`Ring<()>`) and the whole-system `eternal::Cluster` (`Ring` over its
 //! own event type) — are thin loops around three calls:
 //!
-//! * [`Ring::pop`] takes the next scheduled occurrence: a frame or a
-//!   still-current timer is run through its engine and the engine's
-//!   [`Action`]s are appended to the driver's buffer; [`Popped::Ext`]
-//!   is an event the driver scheduled itself; a frame for a crashed
-//!   node, or a timer re-armed or cancelled since, is [`Popped::Stale`].
+//! * [`Ring::pop`] takes the next scheduled occurrence that does
+//!   something: a frame or a due timer is run through its engine and
+//!   the engine's [`Action`]s are appended to the driver's buffer;
+//!   [`Popped::Ext`] is an event the driver scheduled itself. A frame
+//!   for a crashed node, and a timer firing that finds its timer
+//!   cancelled or re-armed later, are passed over.
 //! * [`Ring::execute`] does an action's mechanical part (frame fan-out,
 //!   timer arm/cancel) and returns an ordered [`Delivery`] to the
 //!   driver: the only thing the layers above Totem are driven by.
 //! * [`Ring::multicast`] is the fan-out alone, for a driver that wants
 //!   to see a frame before it leaves and learn its [`Fate`] after.
 //!
-//! **Timers are cancelled by generation, not in the scheduler.** Each
-//! node keeps one counter per [`Timer`] kind; arming or cancelling bumps
-//! it, and a firing that does not carry the current value is stale.
+//! **One scheduled firing per timer.** Each node keeps, per [`Timer`]
+//! kind, a deadline and at most one firing on the schedule. Arming sets
+//! the deadline and schedules a firing only if none is pending at or
+//! before it; cancelling, or crashing, clears the deadline. A firing
+//! that pops before the deadline re-schedules itself at it, so the
+//! re-arm of the token-loss timeout at every token and regular frame
+//! costs no event, and a timer still fires at the instant of its last
+//! arming. Only a re-arm to an *earlier* instant withdraws the pending
+//! firing from the schedule.
 //!
 //! **The call-order rule.** Same-instant events pop in the order they
 //! were scheduled and a choice source is consulted in call order, so a
@@ -51,8 +58,8 @@ pub const EXPLORE_DELAY: Duration = Duration::from_micros(750);
 enum Event<X> {
     /// A frame arrives at a node.
     Frame(NodeId, Frame),
-    /// A node's timer fires, if the generation is still current.
-    Timer(NodeId, Timer, u64),
+    /// A node's timer's one scheduled firing.
+    Timer(NodeId, Timer),
     /// An occurrence of the embedding driver's own.
     Ext(X),
 }
@@ -72,9 +79,6 @@ pub enum Popped<X> {
     },
     /// An event the driver scheduled through [`Ring::schedule_at`].
     Ext(X),
-    /// A frame for a crashed node or an outdated timer firing: nothing
-    /// happened.
-    Stale,
 }
 
 /// What became of a frame at its send boundary. Without a choice source
@@ -90,12 +94,21 @@ pub enum Fate {
     Delayed,
 }
 
+/// One of a node's timers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Armed {
+    /// When the timer is due; `None` while it is not armed.
+    deadline: Option<SimTime>,
+    /// When its one firing on the schedule pops; never after `deadline`.
+    firing: Option<SimTime>,
+}
+
 #[derive(Debug)]
 struct Slot {
     engine: TotemNode,
     alive: bool,
-    /// Current generation of each [`Timer`] kind, indexed by kind.
-    timer_gen: [u64; 4],
+    /// Each [`Timer`] kind's deadline and firing, indexed by kind.
+    timers: [Armed; 4],
 }
 
 /// Totem engines on the simulated network, with room on the schedule
@@ -123,7 +136,7 @@ impl<X> Ring<X> {
         let slot = |i| Slot {
             engine: TotemNode::new(NodeId(i), cfg.clone()),
             alive: true,
-            timer_gen: [0; 4],
+            timers: [Armed::default(); 4],
         };
         Ring {
             sched: Scheduler::new(),
@@ -149,11 +162,6 @@ impl<X> Ring<X> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sched.now()
-    }
-
-    /// Time of the next scheduled occurrence, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.sched.peek_time()
     }
 
     /// All node ids, alive or not, in id order.
@@ -219,13 +227,11 @@ impl<X> Ring<X> {
     }
 
     /// Crashes `node`: it stops sending, receiving and processing, and
-    /// every firing of its timers already on the schedule becomes stale.
+    /// every one of its timers is disarmed.
     pub fn crash(&mut self, node: NodeId) {
         let slot = &mut self.slots[node.0 as usize];
         slot.alive = false;
-        slot.timer_gen
-            .iter_mut()
-            .for_each(|generation| *generation += 1);
+        slot.timers.iter_mut().for_each(|t| t.deadline = None);
         self.net.set_up(node, false);
     }
 
@@ -257,29 +263,54 @@ impl<X> Ring<X> {
         })
     }
 
-    /// Takes the next occurrence off the schedule, advancing the clock
-    /// to it; an engine that runs appends its actions to `actions`.
-    /// Returns `None` when nothing is scheduled.
-    pub fn pop(&mut self, actions: &mut Vec<Action>) -> Option<Popped<X>> {
-        let (node, token_visit) = match self.sched.pop()?.1 {
-            Event::Ext(event) => return Some(Popped::Ext(event)),
-            Event::Frame(dst, frame) if self.is_alive(dst) => {
-                let token_visit = matches!(&frame, Frame::Token(t) if t.target == dst);
-                let engine = &mut self.slots[dst.0 as usize].engine;
-                engine.handle_frame_into(frame, actions);
-                (dst, token_visit)
+    /// Takes the next occurrence at or before `until` off the schedule,
+    /// advancing the clock to it; an engine that runs appends its
+    /// actions to `actions`. What does nothing is passed over: a frame
+    /// for a crashed node, a firing whose timer was cancelled, and a
+    /// firing that re-schedules itself at its timer's later deadline.
+    /// Returns `None` when nothing else is scheduled at or before
+    /// `until` ([`SimTime::FAR_FUTURE`] bounds nothing).
+    pub fn pop(&mut self, until: SimTime, actions: &mut Vec<Action>) -> Option<Popped<X>> {
+        while self.sched.peek_time()? <= until {
+            let (at, event) = self.sched.pop()?;
+            match event {
+                Event::Ext(event) => return Some(Popped::Ext(event)),
+                Event::Frame(dst, frame) => {
+                    let slot = &mut self.slots[dst.0 as usize];
+                    if slot.alive {
+                        let token_visit = matches!(&frame, Frame::Token(t) if t.target == dst);
+                        slot.engine.handle_frame_into(frame, actions);
+                        return Some(Popped::Actions {
+                            node: dst,
+                            token_visit,
+                        });
+                    }
+                }
+                Event::Timer(node, timer) => {
+                    let slot = &mut self.slots[node.0 as usize];
+                    let armed = &mut slot.timers[timer as usize];
+                    armed.firing = None;
+                    match armed.deadline {
+                        Some(due) if due > at => {
+                            armed.firing = Some(due);
+                            self.sched.schedule_at(due, Event::Timer(node, timer));
+                        }
+                        Some(_) => {
+                            armed.deadline = None;
+                            if slot.alive {
+                                slot.engine.handle_timer_into(timer, actions);
+                                return Some(Popped::Actions {
+                                    node,
+                                    token_visit: false,
+                                });
+                            }
+                        }
+                        None => {}
+                    }
+                }
             }
-            Event::Timer(node, timer, generation)
-                if self.is_alive(node)
-                    && self.slots[node.0 as usize].timer_gen[timer as usize] == generation =>
-            {
-                let engine = &mut self.slots[node.0 as usize].engine;
-                engine.handle_timer_into(timer, actions);
-                (node, false)
-            }
-            Event::Frame(..) | Event::Timer(..) => return Some(Popped::Stale),
-        };
-        Some(Popped::Actions { node, token_visit })
+        }
+        None
     }
 
     /// Performs the mechanical part of one of `node`'s actions and
@@ -289,25 +320,31 @@ impl<X> Ring<X> {
             Action::Multicast(frame) => {
                 self.multicast(node, frame);
             }
-            Action::SetTimer(timer, after) => {
-                let generation = self.next_generation(node, timer);
-                self.sched
-                    .schedule_after(after, Event::Timer(node, timer, generation));
-            }
+            Action::SetTimer(timer, after) => self.arm(node, timer, self.now() + after),
             Action::CancelTimer(timer) => {
-                self.next_generation(node, timer);
+                self.slots[node.0 as usize].timers[timer as usize].deadline = None;
             }
             Action::Deliver(delivery) => return Some(delivery),
         }
         None
     }
 
-    /// Invalidates every scheduled firing of `node`'s `timer` and
-    /// returns the generation a new firing must carry to be current.
-    fn next_generation(&mut self, node: NodeId, timer: Timer) -> u64 {
-        let generation = &mut self.slots[node.0 as usize].timer_gen[timer as usize];
-        *generation += 1;
-        *generation
+    /// Arms `node`'s `timer` to fire at `due`. A firing already on the
+    /// schedule serves if it pops no later (it re-schedules itself at
+    /// `due`); a later one is withdrawn for a new one at `due`.
+    fn arm(&mut self, node: NodeId, timer: Timer, due: SimTime) {
+        let armed = &mut self.slots[node.0 as usize].timers[timer as usize];
+        armed.deadline = Some(due);
+        if armed.firing.is_some_and(|at| at <= due) {
+            return;
+        }
+        if let Some(later) = armed.firing.replace(due) {
+            self.sched.withdraw(
+                later,
+                |event| matches!(event, Event::Timer(n, t) if (*n, *t) == (node, timer)),
+            );
+        }
+        self.sched.schedule_at(due, Event::Timer(node, timer));
     }
 
     /// Sends `frame` from `src`: asks the choice source (if any) for
@@ -360,13 +397,12 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    /// Pops the next occurrence: the node whose engine ran and whether
-    /// it was a token visit, or `None` for a stale one.
-    fn ran(ring: &mut Ring<()>) -> Option<(NodeId, bool)> {
-        match ring.pop(&mut Vec::new()).expect("something scheduled") {
-            Popped::Actions { node, token_visit } => Some((node, token_visit)),
-            Popped::Stale => None,
-            Popped::Ext(()) => unreachable!("nothing external was scheduled"),
+    /// Pops the next occurrence that runs something: the node whose
+    /// engine ran and whether it was a token visit.
+    fn ran(ring: &mut Ring<()>) -> (NodeId, bool) {
+        match ring.pop(SimTime::FAR_FUTURE, &mut Vec::new()) {
+            Some(Popped::Actions { node, token_visit }) => (node, token_visit),
+            other => panic!("expected an engine to run, popped {other:?}"),
         }
     }
 
@@ -379,19 +415,36 @@ mod tests {
         })
     }
 
+    fn at(n: u64) -> SimTime {
+        SimTime::ZERO + ms(n)
+    }
+
     #[test]
-    fn rearmed_and_cancelled_timers_fire_stale() {
+    fn rearmed_and_cancelled_timers_fire_once_at_their_last_deadline() {
         let mut ring: Ring<()> = ring(1);
         ring.execute(N0, Action::SetTimer(Timer::JoinRebroadcast, ms(5)));
         ring.execute(N0, Action::CancelTimer(Timer::JoinRebroadcast));
         ring.execute(N0, Action::SetTimer(Timer::TokenLoss, ms(10)));
         ring.execute(N0, Action::SetTimer(Timer::TokenLoss, ms(20)));
-        assert_eq!(ran(&mut ring), None, "cancelled");
-        assert_eq!(ran(&mut ring), None, "re-armed");
-        assert_eq!(ring.now(), SimTime::ZERO + ms(10));
-        assert_eq!(ran(&mut ring), Some((N0, false)));
-        assert_eq!(ring.now(), SimTime::ZERO + ms(20));
-        assert!(ring.pop(&mut Vec::new()).is_none());
+        assert_eq!(ring.sched.slots(), 2, "one firing per timer");
+        // The cancelled firing does nothing, and the re-armed timer's
+        // firing moves itself on to the deadline, without passing the
+        // driver's bound.
+        assert!(ring.pop(at(15), &mut Vec::new()).is_none());
+        assert_eq!(ring.now(), at(10));
+        assert_eq!(ran(&mut ring), (N0, false));
+        assert_eq!(ring.now(), at(20));
+        assert!(ring.pop(SimTime::FAR_FUTURE, &mut Vec::new()).is_none());
+
+        // Re-armed to an earlier instant, the timer trades its later
+        // firing for one at the new deadline.
+        ring.execute(N0, Action::SetTimer(Timer::TokenLoss, ms(30)));
+        ring.execute(N0, Action::SetTimer(Timer::TokenLoss, ms(5)));
+        assert_eq!(ring.sched.slots(), 2);
+        assert_eq!(ran(&mut ring), (N0, false));
+        assert_eq!(ring.now(), at(25));
+        assert!(ring.pop(SimTime::FAR_FUTURE, &mut Vec::new()).is_none());
+        assert_eq!(ring.now(), at(25), "nothing was left at 50 ms");
     }
 
     #[test]
@@ -409,18 +462,21 @@ mod tests {
         assert_eq!(ring.live().collect::<Vec<_>>(), [N1]);
         ring.broadcast(N0, vec![2], TraceTag::NONE, &mut actions);
         assert!(actions.is_empty());
-        assert_eq!(ran(&mut ring), None, "a frame for the dead");
+        assert!(
+            ring.pop(at(0) + Duration::from_micros(999), &mut actions)
+                .is_none(),
+            "a frame for the dead runs nothing"
+        );
+        assert!(ring.now() > SimTime::ZERO, "the frame arrived");
 
         ring.restart(N0, &mut actions);
         assert!(!actions.is_empty(), "formation begins again");
         assert!(ring.is_alive(N0) && ring.net().is_up(N0));
         assert_eq!(ring.node(N0).backlog(), 0, "the old engine's queue is gone");
-        // Alive again, yet the firings armed before the crash belong to
-        // the node's previous life.
-        for _ in ALL_TIMERS {
-            assert_eq!(ran(&mut ring), None);
-        }
-        assert!(ring.pop(&mut actions).is_none());
+        // Alive again, yet the timers armed before the crash belong to
+        // the node's previous life: their firings pop and run nothing.
+        assert!(ring.pop(SimTime::FAR_FUTURE, &mut actions).is_none());
+        assert_eq!(ring.now(), at(ALL_TIMERS.len() as u64));
     }
 
     #[test]
@@ -430,12 +486,10 @@ mod tests {
         ring.execute(N0, Action::SetTimer(Timer::TokenLoss, ms(1)));
         ring.schedule_after(ms(1), "last");
         let actions = &mut Vec::new();
-        assert!(matches!(ring.pop(actions), Some(Popped::Ext("first"))));
-        assert!(matches!(
-            ring.pop(actions),
-            Some(Popped::Actions { node: N0, .. })
-        ));
-        assert!(matches!(ring.pop(actions), Some(Popped::Ext("last"))));
+        let mut pop = || ring.pop(SimTime::FAR_FUTURE, actions);
+        assert!(matches!(pop(), Some(Popped::Ext("first"))));
+        assert!(matches!(pop(), Some(Popped::Actions { node: N0, .. })));
+        assert!(matches!(pop(), Some(Popped::Ext("last"))));
         assert_eq!(ring.now(), SimTime::ZERO + ms(1));
     }
 
@@ -455,17 +509,17 @@ mod tests {
     fn scripted_fates_drop_before_the_network_and_delay_by_the_constant() {
         let mut plain: Ring<()> = ring(2);
         assert_eq!(plain.multicast(N0, join()), Fate::Delivered);
-        let undelayed = plain.peek_time().expect("one arrival");
+        let undelayed = plain.sched.peek_time().expect("one arrival");
 
         let source = Rc::new(RefCell::new(Scripted(vec![1, 2, 0], Vec::new())));
         let mut ring: Ring<()> = ring(2);
         ring.set_choice_source(source.clone());
         assert_eq!(ring.multicast(N0, join()), Fate::Dropped);
         assert_eq!(ring.net().frames_sent(), 0, "dropped before the medium");
-        assert_eq!(ring.peek_time(), None);
+        assert_eq!(ring.sched.peek_time(), None);
         assert_eq!(ring.multicast(N0, join()), Fate::Delayed);
         assert_eq!(ring.net().frames_sent(), 1);
-        assert_eq!(ring.peek_time(), Some(undelayed + EXPLORE_DELAY));
+        assert_eq!(ring.sched.peek_time(), Some(undelayed + EXPLORE_DELAY));
 
         let token = Frame::Token(Token {
             ring: RingId { seq: 4, rep: N0 },
@@ -483,7 +537,146 @@ mod tests {
         assert_eq!(source.borrow().1, asked);
         // The token overtakes the delayed join, and its arrival at its
         // addressee is a token visit.
-        assert_eq!(ran(&mut ring), Some((N1, true)));
-        assert_eq!(ran(&mut ring), Some((N1, false)));
+        assert_eq!(ran(&mut ring), (N1, true));
+        assert_eq!(ran(&mut ring), (N1, false));
+    }
+
+    /// The scheme this ring's timers replaced, kept as their reference:
+    /// every arming schedules a firing of its own under a fresh
+    /// generation, cancelling and crashing bump the generation, and a
+    /// firing runs its timer only if its node is alive and its
+    /// generation still current.
+    struct Generations {
+        generation: Vec<[u64; 4]>,
+        alive: Vec<bool>,
+        /// `(when, node, timer, generation)` of every firing not yet due.
+        pending: Vec<(SimTime, NodeId, Timer, u64)>,
+    }
+
+    impl Generations {
+        fn new(n: usize) -> Self {
+            Generations {
+                generation: vec![[0; 4]; n],
+                alive: vec![true; n],
+                pending: Vec::new(),
+            }
+        }
+
+        fn bump(&mut self, node: NodeId, timer: Timer) -> u64 {
+            let generation = &mut self.generation[node.0 as usize][timer as usize];
+            *generation += 1;
+            *generation
+        }
+
+        /// The `(instant, node, timer)` of every timer run up to `until`,
+        /// sorted.
+        fn run_until(&mut self, until: SimTime) -> Vec<(SimTime, NodeId, usize)> {
+            let mut ran = Vec::new();
+            self.pending.retain(|&(when, node, timer, generation)| {
+                let (i, t) = (node.0 as usize, timer as usize);
+                if when <= until && self.alive[i] && self.generation[i][t] == generation {
+                    ran.push((when, node, t));
+                }
+                when > until
+            });
+            ran.sort();
+            ran
+        }
+    }
+
+    /// Every `(node, timer)`'s deadline, node-major.
+    fn deadlines(ring: &Ring<()>) -> Vec<Option<SimTime>> {
+        let slots = ring.slots.iter();
+        slots.flat_map(|s| s.timers.map(|t| t.deadline)).collect()
+    }
+
+    /// Pops up to and including the driver's own event at `until`,
+    /// naming each timer run: the one whose deadline the pop consumed.
+    fn run_until(ring: &mut Ring<()>, until: SimTime) -> Vec<(SimTime, NodeId, usize)> {
+        let mut ran = Vec::new();
+        loop {
+            let before = deadlines(ring);
+            match ring.pop(SimTime::FAR_FUTURE, &mut Vec::new()) {
+                Some(Popped::Actions { node, .. }) => {
+                    let after = deadlines(ring);
+                    let now = Some(ring.now());
+                    let i = (0..before.len())
+                        .find(|&i| before[i] == now && after[i].is_none())
+                        .expect("a due timer ran");
+                    assert_eq!(i / 4, node.0 as usize);
+                    ran.push((ring.now(), node, i % 4));
+                }
+                Some(Popped::Ext(())) if ring.now() == until => break,
+                other => panic!("popped {other:?} before {until}"),
+            }
+        }
+        ran.sort();
+        ran
+    }
+
+    /// Random arming (to earlier instants as well as later ones),
+    /// cancelling, crashing and restarting over two to four nodes: every
+    /// timer runs at the instants the generation scheme runs it, from at
+    /// most one firing per `(node, timer)` on the schedule.
+    #[test]
+    fn timers_fire_as_under_generations_from_one_firing_each() {
+        let mut rng = eternal_sim::rng::SimRng::seed_from_u64(0x5EED_0026);
+        let (mut runs, mut earlier) = (0, 0);
+        for case in 0..64 {
+            let n = 2 + rng.gen_range(3) as usize;
+            let mut ring: Ring<()> = ring(n as u32);
+            let mut model = Generations::new(n);
+            let mut now = SimTime::ZERO;
+            for op in 0..400 {
+                // Operations fall 1 ns past the millisecond, timers a
+                // whole number of them later: no firing shares an instant
+                // with an operation.
+                now += ms(rng.gen_range(6)) + Duration::from_nanos(1);
+                ring.schedule_at(now, ());
+                let ran = run_until(&mut ring, now);
+                assert_eq!(ran, model.run_until(now), "case {case} op {op}");
+                runs += ran.len();
+
+                let node = NodeId(rng.gen_range(n as u64) as u32);
+                let timer = ALL_TIMERS[rng.gen_range(4) as usize];
+                match rng.gen_range(10) {
+                    0..=5 => {
+                        let after = ms(1 + rng.gen_range(40));
+                        let armed = ring.slots[node.0 as usize].timers[timer as usize];
+                        earlier += armed.firing.is_some_and(|at| now + after < at) as usize;
+                        ring.execute(node, Action::SetTimer(timer, after));
+                        let generation = model.bump(node, timer);
+                        model.pending.push((now + after, node, timer, generation));
+                    }
+                    6..=7 => {
+                        ring.execute(node, Action::CancelTimer(timer));
+                        model.bump(node, timer);
+                    }
+                    _ if ring.is_alive(node) => {
+                        ring.crash(node);
+                        model.alive[node.0 as usize] = false;
+                        for timer in ALL_TIMERS {
+                            model.bump(node, timer);
+                        }
+                    }
+                    _ => {
+                        // The fresh engine's own arming is not executed.
+                        ring.restart(node, &mut Vec::new());
+                        model.alive[node.0 as usize] = true;
+                    }
+                }
+                // Every firing ever pending at once, plus the driver's
+                // own event: at most one firing per (node, timer).
+                assert!(ring.sched.slots() <= 4 * n + 1, "case {case} op {op}");
+            }
+            ring.schedule_at(now + ms(100), ());
+            let ran = run_until(&mut ring, now + ms(100));
+            assert_eq!(ran, model.run_until(SimTime::FAR_FUTURE), "case {case}");
+            assert!(ring.sched.is_empty());
+        }
+        assert!(
+            runs > 3_000 && earlier > 1_000,
+            "{runs} runs, {earlier} earlier re-arms"
+        );
     }
 }

@@ -17,7 +17,7 @@ use eternal::app::{BurstClient, CounterServant};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::explore::{replay_prefix, run_explore, ExploreConfig};
 use eternal::properties::FaultToleranceProperties;
-use eternal_sim::choice::FifoChoice;
+use eternal_sim::choice::{ChoiceKind, FifoChoice};
 use eternal_sim::Duration;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,16 +31,17 @@ fn planted(force_violation: bool) -> ExploreConfig {
 }
 
 /// Pinned by `repro -- explore --seed 42 --force-violation`: schedule
-/// 0x7536af85ea75ab91, the shrinker's minimal prefix. One non-default
+/// 0xf59fbbf3415c32b5, the shrinker's minimal prefix. One non-default
 /// branch: dropping a token-carrying frame at the third armed
 /// choice-point.
 #[test]
-fn explore_regression_7536af85ea75ab91() {
+fn explore_regression_f59fbbf3415c32b5() {
     let outcome = replay_prefix(&planted(true), &[0, 0, 1]);
     assert_eq!(
-        outcome.fingerprint, 0x7536_af85_ea75_ab91,
+        outcome.fingerprint, 0xf59f_bbf3_415c_32b5,
         "schedule drifted"
     );
+    assert_eq!(outcome.trace[2].kind, ChoiceKind::Token);
     assert_eq!(outcome.frames_dropped, 1);
     assert!(
         outcome
@@ -53,20 +54,21 @@ fn explore_regression_7536af85ea75ab91() {
     // Without the plant, the same frame-drop schedule is handled
     // correctly by the real duplicate detector.
     let clean = replay_prefix(&planted(false), &[0, 0, 1]);
-    assert_eq!(clean.fingerprint, 0x7536_af85_ea75_ab91);
+    assert_eq!(clean.fingerprint, 0xf59f_bbf3_415c_32b5);
     assert!(clean.violations.is_empty(), "{:?}", clean.violations);
 }
 
-/// Pinned by the same campaign: schedule 0x1ad4ee4693d2e848, a distinct
+/// Pinned by the same campaign: schedule 0x4dff07b0382c7838, a distinct
 /// minimal counterexample that drops a *data* frame (fifth armed
 /// choice-point) instead of a token frame.
 #[test]
-fn explore_regression_1ad4ee4693d2e848() {
+fn explore_regression_4dff07b0382c7838() {
     let outcome = replay_prefix(&planted(true), &[0, 0, 0, 0, 1]);
     assert_eq!(
-        outcome.fingerprint, 0x1ad4_ee46_93d2_e848,
+        outcome.fingerprint, 0x4dff_07b0_382c_7838,
         "schedule drifted"
     );
+    assert_eq!(outcome.trace[4].kind, ChoiceKind::Frame);
     assert_eq!(outcome.frames_dropped, 1);
     assert!(
         outcome
@@ -77,7 +79,7 @@ fn explore_regression_1ad4ee4693d2e848() {
         outcome.violations
     );
     let clean = replay_prefix(&planted(false), &[0, 0, 0, 0, 1]);
-    assert_eq!(clean.fingerprint, 0x1ad4_ee46_93d2_e848);
+    assert_eq!(clean.fingerprint, 0x4dff_07b0_382c_7838);
     assert!(clean.violations.is_empty(), "{:?}", clean.violations);
 }
 
@@ -87,6 +89,11 @@ fn explore_regression_1ad4ee4693d2e848() {
 #[test]
 fn delayed_frames_do_not_trip_the_planted_bug() {
     let outcome = replay_prefix(&planted(true), &[0, 0, 2]);
+    assert_eq!(
+        outcome.trace[2].kind,
+        ChoiceKind::Token,
+        "the frame the first pin drops"
+    );
     assert_eq!(outcome.frames_dropped, 0);
     assert_eq!(outcome.frames_delayed, 1);
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
