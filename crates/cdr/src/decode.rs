@@ -51,6 +51,7 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Skips padding so the next read is `align`-aligned.
+    #[inline]
     pub fn align(&mut self, align: usize) -> Result<(), CdrError> {
         debug_assert!(align.is_power_of_two());
         let misalign = self.pos % align;
@@ -60,6 +61,7 @@ impl<'a> CdrDecoder<'a> {
         Ok(())
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
         if self.remaining() < n {
             return Err(CdrError::BufferUnderflow {
@@ -73,11 +75,13 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Reads a single octet.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, CdrError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a boolean octet, rejecting values other than 0 and 1.
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, CdrError> {
         match self.read_u8()? {
             0 => Ok(false),
@@ -97,6 +101,7 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Reads a 4-byte unsigned integer, 4-aligned.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, CdrError> {
         self.align(4)?;
         let b: [u8; 4] = self.take(4)?.try_into().expect("len checked");
@@ -107,6 +112,7 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Reads an 8-byte unsigned integer, 8-aligned.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, CdrError> {
         self.align(8)?;
         let b: [u8; 8] = self.take(8)?.try_into().expect("len checked");
@@ -143,6 +149,7 @@ impl<'a> CdrDecoder<'a> {
 
     /// Reads a CDR string (length includes the NUL terminator) as a
     /// view into the input: checked, not copied.
+    #[inline]
     pub fn read_str(&mut self) -> Result<&'a str, CdrError> {
         let len = self.read_u32()?;
         if len == 0 {
@@ -168,6 +175,7 @@ impl<'a> CdrDecoder<'a> {
     }
 
     /// Reads a `sequence<octet>` as a view into the input.
+    #[inline]
     pub fn read_octets(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()?;
         if len as usize > self.remaining() {

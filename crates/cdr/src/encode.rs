@@ -23,6 +23,7 @@ pub struct CdrEncoder {
 impl CdrEncoder {
     /// Creates an empty encoder with the given byte order. The backing
     /// buffer comes from the thread-local [`pool`].
+    #[inline]
     pub fn new(endian: Endian) -> Self {
         CdrEncoder {
             buf: pool::take(),
@@ -34,6 +35,7 @@ impl CdrEncoder {
     /// As [`CdrEncoder::new`], with room for `capacity` bytes reserved
     /// in one step: a caller that knows the encoded length beforehand
     /// never regrows the buffer.
+    #[inline]
     pub fn with_capacity(endian: Endian, capacity: usize) -> Self {
         let mut buf = pool::take();
         buf.reserve_exact(capacity);
@@ -84,6 +86,7 @@ impl CdrEncoder {
 
     /// Inserts padding bytes so the next write is `align`-aligned
     /// relative to the encoder's base. CDR pads with zero bytes.
+    #[inline]
     pub fn align(&mut self, align: usize) {
         debug_assert!(align.is_power_of_two());
         let misalign = (self.buf.len() - self.base) % align;
@@ -93,11 +96,13 @@ impl CdrEncoder {
     }
 
     /// Writes a single octet (no alignment).
+    #[inline]
     pub fn write_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a boolean as an octet (1 = true, 0 = false).
+    #[inline]
     pub fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));
     }
@@ -112,6 +117,7 @@ impl CdrEncoder {
     }
 
     /// Writes a 4-byte unsigned integer, 4-aligned.
+    #[inline]
     pub fn write_u32(&mut self, v: u32) {
         self.align(4);
         match self.endian {
@@ -121,6 +127,7 @@ impl CdrEncoder {
     }
 
     /// Writes an 8-byte unsigned integer, 8-aligned.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.align(8);
         match self.endian {
@@ -161,6 +168,7 @@ impl CdrEncoder {
     ///
     /// Returns [`CdrError::BadStringTerminator`] if `s` contains an
     /// embedded NUL, which CDR cannot represent.
+    #[inline]
     pub fn write_string(&mut self, s: &str) -> Result<(), CdrError> {
         if crate::has_nul(s.as_bytes()) {
             return Err(CdrError::BadStringTerminator);
@@ -172,12 +180,14 @@ impl CdrEncoder {
     }
 
     /// Writes a `sequence<octet>`: u32 length then raw bytes.
+    #[inline]
     pub fn write_octet_seq(&mut self, bytes: &[u8]) {
         self.write_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes raw bytes with no length prefix and no alignment.
+    #[inline]
     pub fn write_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }

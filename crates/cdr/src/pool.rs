@@ -50,6 +50,7 @@ thread_local! {
 }
 
 /// Takes a cleared buffer from the pool, or allocates a fresh one.
+#[inline]
 pub fn take() -> Vec<u8> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();

@@ -77,6 +77,7 @@ impl GiopHeader {
     }
 
     /// Serializes the 12 header bytes.
+    #[inline]
     pub fn to_bytes(&self) -> [u8; GIOP_HEADER_LEN] {
         let mut out = [0u8; GIOP_HEADER_LEN];
         out[0..4].copy_from_slice(&GIOP_MAGIC);
@@ -94,6 +95,7 @@ impl GiopHeader {
     }
 
     /// Parses the 12 header bytes.
+    #[inline]
     pub fn from_bytes(bytes: &[u8]) -> Result<GiopHeader, GiopError> {
         if bytes.len() < GIOP_HEADER_LEN {
             return Err(GiopError::SizeMismatch {

@@ -118,6 +118,7 @@ enum Repr<'a> {
 
 impl<'a> ServiceContextsView<'a> {
     /// Checks the list `dec` stands at and steps over it.
+    #[inline]
     pub(crate) fn parse(dec: &mut CdrDecoder<'a>) -> Result<Self, GiopError> {
         let count = dec.read_u32()?;
         let first = dec.clone();
@@ -134,6 +135,7 @@ impl<'a> ServiceContextsView<'a> {
     }
 
     /// The payload of the first context with the given id.
+    #[inline]
     pub fn find(&self, id: u32) -> Option<&'a [u8]> {
         self.iter().find(|&(i, _)| i == id).map(|(_, data)| data)
     }
@@ -150,6 +152,7 @@ impl<'a> ServiceContextsView<'a> {
         ServiceContextList { contexts }
     }
 
+    #[inline]
     pub(crate) fn encode(&self, enc: &mut CdrEncoder) {
         let contexts = self.iter();
         enc.write_u32(contexts.len() as u32);
@@ -160,6 +163,7 @@ impl<'a> ServiceContextsView<'a> {
     }
 
     /// Where the encoded list ends in a CDR stream it starts (aligned).
+    #[inline]
     pub(crate) fn encoded_len(&self) -> usize {
         // The count, then per context an id and a payload.
         self.iter()
@@ -174,6 +178,7 @@ pub struct ServiceContextIter<'a>(Repr<'a>);
 impl<'a> Iterator for ServiceContextIter<'a> {
     type Item = (u32, &'a [u8]);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             Repr::Wire { count: 0, .. } => None,

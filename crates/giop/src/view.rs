@@ -84,6 +84,7 @@ pub enum MessageView<'a> {
 
 impl<'a> MessageView<'a> {
     /// Parses one complete message (header + exactly one body).
+    #[inline]
     pub fn parse(bytes: &'a [u8]) -> Result<Self, GiopError> {
         let header = GiopHeader::from_bytes(bytes)?;
         let body = &bytes[GIOP_HEADER_LEN..];
@@ -146,6 +147,7 @@ impl<'a> MessageView<'a> {
     /// Length of the encoded body: every field below is either fixed
     /// size or carries its length, so the buffer is sized before the
     /// first byte is written.
+    #[inline]
     fn body_len(&self) -> usize {
         match self {
             MessageView::Request(r) => {
@@ -171,6 +173,7 @@ impl<'a> MessageView<'a> {
     /// Serializes header + body into one pooled buffer, reserved once
     /// at its final size. Always emits big-endian streams; the parser
     /// honours either byte order.
+    #[inline]
     pub fn to_bytes(&self) -> Result<Vec<u8>, GiopError> {
         let endian = Endian::Big;
         let body_len = self.body_len();

@@ -233,7 +233,7 @@ impl MetricsRegistry {
 
     /// Sets the named gauge.
     pub fn gauge_set(&mut self, name: &str, value: i64) {
-        self.gauges.insert(name.to_string(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Current value of the named gauge, if set.

@@ -73,12 +73,14 @@ impl Duration {
 
 impl Add for Duration {
     type Output = Duration;
+    #[inline]
     fn add(self, rhs: Duration) -> Duration {
         Duration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for Duration {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         *self = *self + rhs;
     }
@@ -159,6 +161,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> Duration {
         Duration(
             self.0
@@ -170,6 +173,7 @@ impl SimTime {
 
 impl Add<Duration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: Duration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("time overflow"))
     }
@@ -183,6 +187,7 @@ impl AddAssign<Duration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> Duration {
         self.since(rhs)
     }

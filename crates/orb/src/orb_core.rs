@@ -134,6 +134,7 @@ impl Orb {
     /// # Errors
     ///
     /// [`OrbError::UnknownConnection`] if absent.
+    #[inline]
     pub fn client(&mut self, id: u64) -> Result<&mut ClientConnection, OrbError> {
         self.clients
             .get_mut(&id)
@@ -157,6 +158,7 @@ impl Orb {
     /// # Errors
     ///
     /// Unknown connection or encoding failure.
+    #[inline]
     pub fn invoke(
         &mut self,
         conn: u64,
@@ -295,6 +297,7 @@ impl Orb {
     ///
     /// Unknown connection, parse failure, or a request-id mismatch (the
     /// reply is then discarded, per §4.2.1).
+    #[inline]
     pub fn handle_reply(&mut self, conn: u64, bytes: &[u8]) -> Result<ReplyOutcome, OrbError> {
         let result = self.client(conn)?.handle_reply(bytes);
         if self.trace.is_enabled() {

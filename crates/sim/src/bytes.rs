@@ -32,6 +32,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if `range` is decreasing or reaches past `self.len()`.
+    #[inline]
     pub fn slice(&self, range: Range<usize>) -> Bytes {
         assert!(
             range.start <= range.end && range.end <= self.len(),
@@ -54,6 +55,7 @@ impl Bytes {
 
 impl From<Vec<u8>> for Bytes {
     /// Takes ownership of `buf` without copying it.
+    #[inline]
     fn from(buf: Vec<u8>) -> Self {
         let end = buf.len();
         Bytes {
@@ -67,6 +69,7 @@ impl From<Vec<u8>> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf[self.start..self.end]
     }

@@ -74,6 +74,7 @@ impl NetworkConfig {
 
     /// Time for a frame carrying `payload` bytes to serialize onto the
     /// medium (headers included).
+    #[inline]
     pub fn serialization_time(&self, payload: usize) -> Duration {
         let wire_bytes = (payload + self.frame_overhead).min(self.max_frame) as u64;
         Duration::from_nanos(wire_bytes * 8 * 1_000_000_000 / self.bandwidth_bps)
@@ -203,6 +204,7 @@ impl NetworkModel {
 
     /// Computes the delivery for a unicast frame (used by the
     /// unreplicated point-to-point IIOP baseline).
+    #[inline]
     pub fn unicast(
         &mut self,
         src: NodeId,

@@ -1,15 +1,38 @@
 """The symbolizer of scripts/profile.sh.
 
-    profile-report.py <samples> <binary> [top]
+    profile-report.py <samples> <binary> <root> [top]
 
 Reads what scripts/profile-sampler.c wrote (the process's memory map,
 then one sample per line: a program counter and the return addresses
 above it), resolves every address through `readelf` (load segments) and
 `nm` (symbols; the binary's own table, libc's dynamic one), and prints,
-for the samples whose stack passes through `Cluster::step`, each
-function's self share (the sample's innermost frame) and inclusive share
-(anywhere in its stack). Time in a shared library is charged to its
-innermost caller in the binary; the libc total is printed on its own.
+for the samples whose stack passes through `root` (a demangled function
+name without its hash), three tables: each function's self share (the
+sample's innermost frame) and inclusive share (anywhere in its stack),
+the inclusive table alone, and the crate-boundary table. Time in a
+shared library is charged to its innermost caller in the binary; the
+libc total is printed on its own. Exits 1, naming the root, when the
+binary has no function of that name or fewer than a tenth of the
+samples pass through it: a root that was renamed or inlined away would
+otherwise leave an empty or unrepresentative report.
+
+The crate-boundary table charges a sample's self frame to its function
+when that function's crate differs from the crate of the nearest frame
+that called it and is not `core`, `alloc`, `std` or the allocator shim
+`__rustc`: self time in a function called from another crate, which the
+caller cannot inline unless the function is marked `#[inline]` (rustc
+offers only small functions that call nothing across crates unasked;
+DESIGN.md "Crate boundaries"). A function's crate is the leading path
+segment of its demangled name, or of the self type in a `<Type as
+Trait>` name. `copies` counts the function's symbols in the binary: more
+than one means it is generic or already `#[inline]`, compiled into each
+calling crate, and the second total leaves those rows out. Caveat: a
+generic function, closure parameters included, is compiled in its
+caller's crate, yet keeps its defining crate's name, so the table lists
+it although nothing stands between it and its caller, with one copy if
+one crate instantiates it. A legacy-demangled name does not show the
+generic parameters (`eternal_sim::net::NetworkModel::transmit` takes a
+closure): check the source before marking a row `#[inline]`.
 """
 
 import bisect
@@ -19,7 +42,8 @@ import re
 import subprocess
 import sys
 
-ROOT = "eternal::cluster::Cluster::step"
+MIN_ROOT_SHARE = 0.10
+STD_CRATES = {"core", "alloc", "std", "__rustc"}
 
 
 def load_segments(path):
@@ -46,6 +70,13 @@ def symbols(path, dynamic):
     return table
 
 
+def crate(name):
+    """The leading path segment of `name`, or of its self type if it is a
+    `<Type as Trait>` name."""
+    m = re.match(r"[<&*\[]*(?:(?:mut|const|dyn) )*(\w+)", name)
+    return m.group(1) if m else "?"
+
+
 class Object:
     def __init__(self, path, is_binary):
         self.path, self.is_binary = path, is_binary
@@ -62,19 +93,24 @@ class Object:
 
 
 def main():
-    samples_path, binary = sys.argv[1], sys.argv[2]
-    top = int(sys.argv[3]) if len(sys.argv) > 3 else 25
+    samples_path, binary, root = sys.argv[1:4]
+    top = int(sys.argv[4]) if len(sys.argv) > 4 else 25
+    program = Object(binary, is_binary=True)
+    objects = {os.path.realpath(binary): program}
+    if not any(name == root for _, name in program.table):
+        sys.exit(f"profile-report: no function `{root}` in {binary}'s symbol table: "
+                 "renamed or inlined? Pass the root that the workload's samples run through.")
     lines = open(samples_path).read().splitlines()
     split = next(i for i, l in enumerate(lines) if l.startswith("samples "))
     mode, lost = lines[split].split()[1:]
-    maps, objects = [], {}
+    maps = []
     for line in lines[1:split]:
         fields = line.split()
         if len(fields) < 6 or "x" not in fields[1] or not fields[5].startswith("/"):
             continue
-        path = fields[5]
+        path = os.path.realpath(fields[5])
         if path not in objects:
-            objects[path] = Object(path, os.path.realpath(path) == os.path.realpath(binary))
+            objects[path] = Object(path, is_binary=False)
         start, end = (int(x, 16) for x in fields[0].split("-"))
         maps.append((start, end, int(fields[2], 16), objects[path]))
     maps.sort(key=lambda m: m[0])
@@ -93,25 +129,31 @@ def main():
 
     total, kept = 0, 0
     self_count, incl_count, libc_self = collections.Counter(), collections.Counter(), collections.Counter()
+    boundary, callers = collections.Counter(), collections.defaultdict(collections.Counter)
     for line in lines[split + 1:]:
         total += 1
         addrs = [int(a, 16) for a in line.split()]
         # Return addresses point after the call: look up the call itself.
         frames = [resolve(a if i == 0 else a - 1) for i, a in enumerate(addrs)]
         names = [n for _, n in frames]
-        if ROOT not in names:
+        if root not in names:
             continue
         kept += 1
-        inner = next((n for own, n in frames if own), "?")
+        own = [n for is_own, n in frames if is_own]
+        inner = own[0] if own else "?"
         self_count[inner] += 1
         if not frames[0][0]:
             libc_self[frames[0][1]] += 1
-        for n in set(names[: names.index(ROOT) + 1]):
+        if len(own) > 1 and crate(inner) not in STD_CRATES and crate(inner) != crate(own[1]):
+            boundary[inner] += 1
+            callers[inner][crate(own[1])] += 1
+        for n in set(names[: names.index(root) + 1]):
             incl_count[n] += 1
     what = "allocator calls (1 in 16 sampled)" if mode == "alloc" else "CPU-time samples"
-    print(f"{kept} of {total} {what} under {ROOT}" + (f"; {lost} lost, buffer full" if lost != "0" else ""))
-    if not kept:
-        return
+    print(f"{kept} of {total} {what} under {root}" + (f"; {lost} lost, buffer full" if lost != "0" else ""))
+    if kept < MIN_ROOT_SHARE * total:
+        sys.exit(f"profile-report: only {kept} of {total} samples pass through `{root}` "
+                 f"(under {MIN_ROOT_SHARE:.0%}): is it still the workload's loop?")
     share = lambda n: f"{100 * n / kept:6.2f} %"
     print(f"\nlibc and other shared objects, charged to their callers below: {share(sum(libc_self.values()))}")
     for name, n in libc_self.most_common(8):
@@ -122,6 +164,13 @@ def main():
     print(f"\n| inclusive | function |\n|---:|---|")
     for name, n in incl_count.most_common(top):
         print(f"| {share(n)} | `{name}` |")
+    copies = collections.Counter(name for _, name in program.table)
+    single = sum(n for name, n in boundary.items() if copies[name] == 1)
+    print(f"\nself time called across a crate boundary: {share(sum(boundary.values()))}; "
+          f"in functions with one copy: {share(single)}")
+    print(f"\n| self | function | copies | called from |\n|---:|---|---:|---|")
+    for name, n in boundary.most_common(top):
+        print(f"| {share(n)} | `{name}` | {copies[name]} | {', '.join(c for c, _ in callers[name].most_common())} |")
 
 
 if __name__ == "__main__":

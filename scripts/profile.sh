@@ -1,6 +1,7 @@
 #!/bin/sh
 # A sampling profile of one benchmark workload, for sizing an issue before
-# anyone edits the code (EXPERIMENTS.md P6 has one before and after).
+# anyone edits the code (EXPERIMENTS.md P6 and P7 have them before and
+# after).
 #
 #   scripts/profile.sh <workload> [seconds] [cpu|alloc] [seed]
 #
@@ -10,8 +11,13 @@
 # (scripts/profile-sampler.c) with the system `cc` into a temporary
 # directory, runs the workload's untraced pass once with the sampler
 # LD_PRELOADed, and prints scripts/profile-report.py's tables: each
-# function's self and inclusive share of the samples under
-# `Cluster::step`, time in libc charged to its caller in the binary. cpu
+# function's self and inclusive share of the samples under the
+# workload's root, time in libc charged to its caller in the binary, and
+# the self time of functions called from another crate. The root is
+# `Cluster::step_until` for the four cluster workloads and perf's
+# `run_round` for unreplicated_rpc (its `rpc_round` is inlined there);
+# the report exits 1 if the root is missing from the binary or holds
+# under a tenth of the samples, which is how a rename shows. cpu
 # asks for a sample every millisecond of CPU time (the kernel rounds that
 # to its tick, 4 ms on the sandbox); alloc takes every 16th malloc,
 # calloc or realloc (a fill of its 32 MB buffer is reported: use fewer
@@ -38,5 +44,9 @@ CARGO_TARGET_DIR="$here/target/profile" RUSTFLAGS="-C force-frame-pointers=yes" 
 binary="$here/target/profile/release/perf"
 (cd "$here" && PROFILE_MODE="$mode" PROFILE_OUT="$tmp/samples" LD_PRELOAD="$tmp/sampler.so" \
     "$binary" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 > "$tmp/perf.out")
+case $workload in
+unreplicated_rpc) root=perf::workloads::run_round ;;
+*) root=eternal::cluster::Cluster::step_until ;;
+esac
 echo "scripts/profile.sh $workload $seconds $mode $seed: $(tail -n 1 "$tmp/perf.out" | cut -c1-80)..."
-python3 "$here/scripts/profile-report.py" "$tmp/samples" "$binary"
+python3 "$here/scripts/profile-report.py" "$tmp/samples" "$binary" "$root"

@@ -10,7 +10,8 @@
 //! many Totem frames (`active_frag`) — and counts allocator calls per
 //! reply once the stream is warm. The counts are exact and repeat: the
 //! simulation is deterministic and nothing else allocates on the
-//! measuring thread.
+//! measuring thread. A third case holds the metrics registry to its
+//! rule that a name is copied only when its metric is created.
 
 use eternal::app::{AppInvocation, ClientApp, CounterServant, KvStoreServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
@@ -18,6 +19,7 @@ use eternal::gid::GroupId;
 use eternal::properties::FaultToleranceProperties;
 use eternal_cdr::Any;
 use eternal_giop::ReplyStatus;
+use eternal_obs::MetricsRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -190,4 +192,17 @@ fn fragmented_stream_allocations_per_reply_stay_within_budget() {
         |server| Box::new(Putter { server, sent: 0 }),
     );
     assert_within_budget("fragmented puts", per_reply, FRAG_AT_ISSUE_25);
+}
+
+/// A metric's name is copied into its key once, when the metric is
+/// created; setting a gauge that exists, as counters and histograms are
+/// updated, makes no allocator call.
+#[test]
+fn setting_an_existing_gauge_allocates_nothing() {
+    let mut registry = MetricsRegistry::new();
+    registry.gauge_set("eternal.holding_depth", 1);
+    let before = CALLS.get();
+    registry.gauge_set("eternal.holding_depth", 2);
+    assert_eq!(CALLS.get() - before, 0, "re-setting a gauge allocated");
+    assert_eq!(registry.gauge("eternal.holding_depth"), Some(2));
 }
