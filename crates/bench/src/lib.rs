@@ -32,7 +32,7 @@ use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::gid::GroupId;
 use eternal::properties::{FaultToleranceProperties, ReplicationStyle};
-use eternal_obs::RecoveryTimeline;
+use eternal_obs::{EventKind, RecoveryTimeline};
 use eternal_orb::{ClientConnection, ObjectKey, Orb, ServerConnection};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::{Duration, Scheduler, SimTime};
@@ -77,8 +77,9 @@ pub fn fig6_timeline(state_bytes: usize, seed: u64) -> TimelineRun {
     fig6_run(state_bytes, seed, true)
 }
 
-/// The one Figure 6 scenario; `trace` only decides whether the
-/// structured trace that the timelines are built from is recorded.
+/// The one Figure 6 scenario. Every run records its recovery
+/// timelines; `trace` only decides whether the structured trace, whose
+/// overflow count the timeline export reports, is recorded too.
 fn fig6_run(state_bytes: usize, seed: u64, trace: bool) -> TimelineRun {
     let config = ClusterConfig {
         trace,
@@ -294,7 +295,8 @@ pub fn style_run(style: ReplicationStyle, seed: u64) -> StyleRun {
         ReplicationStyle::Active => m.recoveries.first().map(|r| r.operational_at),
         _ => cluster
             .trace()
-            .first_of_kind("promotion.complete")
+            .of(EventKind::PromotionComplete)
+            .next()
             .map(|e| e.at),
     };
     let redundancy_restored = restored_at
@@ -386,7 +388,8 @@ pub fn checkpoint_sweep_point(interval: Duration, seed: u64) -> CheckpointSweepP
     // Pull the replay count from the promotion trace record.
     let replayed = cluster
         .trace()
-        .last_of_kind("promotion.complete")
+        .of(EventKind::PromotionComplete)
+        .last()
         .and_then(|e| e.detail.split("replayed=").nth(1))
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(0);

@@ -145,14 +145,13 @@ fn throughput_run(
         // so idle token rotations don't blur cross-run wire-byte
         // comparisons (batched vs unbatched, traced vs untraced).
         cluster.run_for(Duration::from_millis(1));
-        let m = cluster.metrics();
-        if m.replies_delivered >= limit && cluster.outstanding_calls() == 0 {
+        let [_, replies, _] = cluster.progress();
+        if replies >= limit && cluster.outstanding_calls() == 0 {
             break;
         }
         assert!(
             cluster.now() < deadline,
-            "throughput workload failed to drain (replies={} of {limit})",
-            m.replies_delivered
+            "throughput workload failed to drain (replies={replies} of {limit})"
         );
     }
     let state_digest = converged_state_digest(&mut cluster, server);
@@ -233,17 +232,13 @@ fn chunked_recovery_run(state_bytes: usize, limit: u64, seed: u64) -> ChunkedRec
     let deadline = cluster.now() + Duration::from_secs(60);
     loop {
         cluster.run_for(Duration::from_millis(1));
-        let m = cluster.metrics();
-        if m.replies_delivered >= limit
-            && cluster.outstanding_calls() == 0
-            && !cluster.recovery_in_flight()
-        {
+        let [_, replies, _] = cluster.progress();
+        if replies >= limit && cluster.outstanding_calls() == 0 && !cluster.recovery_in_flight() {
             break;
         }
         assert!(
             cluster.now() < deadline,
-            "recovery-under-load run failed to drain (replies={} of {limit})",
-            m.replies_delivered
+            "recovery-under-load run failed to drain (replies={replies} of {limit})"
         );
     }
     let m = cluster.metrics();
@@ -254,15 +249,15 @@ fn chunked_recovery_run(state_bytes: usize, limit: u64, seed: u64) -> ChunkedRec
         .into_iter()
         .map(|n| cluster.mechanisms(n).counters().chunks_streamed)
         .sum();
-    let episode = &cluster.recovery_timelines()[0];
+    let episode = &m.recoveries[0];
     let mark = episode
         .phase(RecoveryPhase::GetState)
         .expect("five phases")
         .begin;
     ChunkedRecoveryRun {
-        blocking_ns: m.recoveries[0].blocking_window.as_nanos(),
+        blocking_ns: episode.blocking_window.as_nanos(),
         mark_to_operational_ns: episode.operational_at.saturating_since(mark).as_nanos(),
-        recovery_ns: m.recoveries[0].recovery_time().as_nanos(),
+        recovery_ns: episode.recovery_time().as_nanos(),
         replies: m.replies_delivered,
         state_digest,
         chunks_streamed,

@@ -29,12 +29,6 @@ impl<'a> CdrDecoder<'a> {
         self.endian
     }
 
-    /// Changes the byte order mid-stream (used after reading an
-    /// encapsulation's flag byte).
-    pub fn set_endian(&mut self, endian: Endian) {
-        self.endian = endian;
-    }
-
     /// Current cursor position.
     pub fn position(&self) -> usize {
         self.pos

@@ -40,7 +40,7 @@ use crate::gid::GroupId;
 use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::export::{JsonWriter, Layout};
-use eternal_obs::EventKind;
+use eternal_obs::{EventKind, RecoveryTimeline};
 use eternal_sim::net::NodeId;
 use eternal_sim::rng::SimRng;
 use eternal_sim::{Duration, SimTime};
@@ -614,7 +614,6 @@ impl Campaign<'_> {
         for step in 1..=self.cfg.steps {
             let kind = self.pick_fault();
             *self.faults.entry(kind.name()).or_insert(0) += 1;
-            self.cluster.counter_add("chaos.faults", 1);
             self.cluster.record_event(
                 "chaos/campaign",
                 EventKind::ChaosFault,
@@ -738,7 +737,6 @@ impl Campaign<'_> {
     // ---- invariants ----
 
     fn violation(&mut self, step: usize, invariant: &'static str, detail: String) {
-        self.cluster.counter_add("chaos.invariant_violations", 1);
         self.cluster.record_event(
             "chaos/invariants",
             EventKind::InvariantViolation,
@@ -752,7 +750,6 @@ impl Campaign<'_> {
     }
 
     fn check_invariants(&mut self, step: usize, settled: bool) {
-        self.cluster.counter_add("chaos.invariant_checks", 1);
         self.cluster.record_event(
             "chaos/invariants",
             EventKind::InvariantCheck,
@@ -790,20 +787,21 @@ impl Campaign<'_> {
     /// Invariant 3 (episode half): every newly completed recovery
     /// finished within the cap.
     fn check_recovery_times(&mut self, step: usize) {
-        let records = self.cluster.metrics().recoveries;
         let cap = RECOVERY_CAP;
-        for rec in &records[self.recoveries_seen..] {
-            let took = rec.recovery_time();
-            if took > cap {
-                self.violation(
-                    step,
-                    "bounded-recovery",
-                    format!("episode took {took} (cap {cap})"),
-                );
-            }
-            self.cluster.histogram_record("chaos.recovery_time", took);
+        let timelines = self.cluster.recovery_timelines();
+        let overruns: Vec<Duration> = timelines[self.recoveries_seen..]
+            .iter()
+            .map(RecoveryTimeline::recovery_time)
+            .filter(|&took| took > cap)
+            .collect();
+        self.recoveries_seen = timelines.len();
+        for took in overruns {
+            self.violation(
+                step,
+                "bounded-recovery",
+                format!("episode took {took} (cap {cap})"),
+            );
         }
-        self.recoveries_seen = records.len();
     }
 
     fn finish(self) -> CampaignSummary {

@@ -12,7 +12,6 @@
 use super::{server_kind, Cluster, Event, Processor};
 use crate::gid::{GroupId, TransferId};
 use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose};
-use crate::metrics::RecoveryRecord;
 use crate::properties::ReplicationStyle;
 use eternal_obs::causal::TraceTag;
 use eternal_obs::timeline::PhaseSpan;
@@ -57,6 +56,29 @@ struct EpisodeObs {
     /// The transfer's closing suffix was delivered at the recovering
     /// replica: the set_state instant.
     assignment_at: Option<SimTime>,
+}
+
+impl EpisodeObs {
+    /// The five contiguous phases of a recovery episode, tiling
+    /// [launched_at, operational_at] exactly (§5.1's quiesce →
+    /// get_state → transfer → set_state → replay).
+    fn phases(&self, launched_at: SimTime, operational_at: SimTime) -> Vec<PhaseSpan> {
+        let clamp = |t: SimTime, lo: SimTime| t.max(lo).min(operational_at);
+        let t0 = launched_at;
+        let cb = clamp(self.capture_begin.unwrap_or(t0), t0);
+        let snd = clamp(self.send_at.unwrap_or(cb), cb);
+        let ta = clamp(self.assignment_at.unwrap_or(operational_at), snd);
+        let bounds = [t0, cb, snd, ta, ta, operational_at];
+        RecoveryPhase::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &phase)| PhaseSpan {
+                phase,
+                begin: bounds[i],
+                end: bounds[i + 1],
+            })
+            .collect()
+    }
 }
 
 impl Cluster {
@@ -491,91 +513,27 @@ impl Cluster {
             // from its start.
             let enqueue_at = episodes.values().filter_map(|ep| ep.enqueue_at).max();
             let blocking_window = now - enqueue_at.unwrap_or(t0).min(now);
-            self.metrics.recoveries.push(RecoveryRecord {
-                launched_at: t0,
-                operational_at: now,
-                app_state_bytes,
-                blocking_window,
-            });
-            self.metrics.recoveries_completed += 1;
-            self.registry
-                .histogram_record("eternal.recovery_time", now - t0);
-            self.registry
-                .histogram_record("eternal.blocking_window", blocking_window);
             // The completed attempt is the one whose suffix reached the
             // new host (the latest such transfer wins); a retry after an
             // aborted transfer can have left an earlier one beside it.
             let completed = episodes
                 .into_iter()
-                .max_by_key(|(transfer, ep)| (ep.assignment_at.is_some(), *transfer));
-            if let Some((_, ep)) = completed {
-                self.record_timeline(node, group, &ep, t0, now, app_state_bytes);
-            }
+                .max_by_key(|(transfer, ep)| (ep.assignment_at.is_some(), *transfer))
+                .map(|(_, ep)| ep)
+                .unwrap_or_default();
+            self.metrics.recoveries.push(RecoveryTimeline {
+                label: format!("{group}@{node}"),
+                launched_at: t0,
+                operational_at: now,
+                app_state_bytes,
+                blocking_window,
+                phases: completed.phases(t0, now),
+            });
         }
         self.record_event(
             format!("{node}/recovery"),
             EventKind::RecoveryComplete,
             format!("{group} {app_state_bytes}B"),
         );
-    }
-
-    /// Turns a completed launch's episode into a phase-resolved
-    /// [`RecoveryTimeline`]: five contiguous phases tiling
-    /// [launched_at, operational_at] exactly (§5.1's quiesce →
-    /// get_state → transfer → set_state → replay). When tracing, the
-    /// timeline is also emitted retrospectively as nested spans.
-    fn record_timeline(
-        &mut self,
-        node: NodeId,
-        group: GroupId,
-        ep: &EpisodeObs,
-        launched_at: SimTime,
-        operational_at: SimTime,
-        app_state_bytes: usize,
-    ) {
-        let clamp = |t: SimTime, lo: SimTime| t.max(lo).min(operational_at);
-        let t0 = launched_at;
-        let cb = clamp(ep.capture_begin.unwrap_or(t0), t0);
-        let snd = clamp(ep.send_at.unwrap_or(cb), cb);
-        let ta = clamp(ep.assignment_at.unwrap_or(operational_at), snd);
-        let bounds = [t0, cb, snd, ta, ta, operational_at];
-        let phases: Vec<PhaseSpan> = RecoveryPhase::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &phase)| PhaseSpan {
-                phase,
-                begin: bounds[i],
-                end: bounds[i + 1],
-            })
-            .collect();
-        let timeline = RecoveryTimeline {
-            label: format!("{group}@{node}"),
-            launched_at,
-            operational_at,
-            app_state_bytes,
-            phases,
-        };
-        if self.trace.is_enabled() {
-            let source = format!("{node}/recovery");
-            let episode = self.trace.span_begin(
-                launched_at,
-                source.clone(),
-                EventKind::RecoveryEpisode,
-                format!("{group} {app_state_bytes}B"),
-                None,
-            );
-            for p in &timeline.phases {
-                let s = self.trace.span_begin(
-                    p.begin,
-                    source.clone(),
-                    EventKind::Phase(p.phase),
-                    String::new(),
-                    Some(episode),
-                );
-                self.trace.span_end(p.end, s);
-            }
-            self.trace.span_end(operational_at, episode);
-        }
-        self.timelines.push(timeline);
     }
 }

@@ -31,7 +31,7 @@ use crate::metrics::Metrics;
 use crate::properties::{FaultToleranceProperties, ReplicationStyle};
 use eternal_obs::causal::{CausalRecorder, Hop, OrderPos, TraceTag};
 use eternal_obs::health::{AuditorConfig, HealthAuditor, HealthSnapshot};
-use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
+use eternal_obs::{EventKind, MetricsRegistry};
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NodeId};
@@ -279,7 +279,6 @@ pub struct Cluster {
     /// Chained digests over each (connection, direction) IIOP stream as
     /// seen at each node; direction encoded 0 = request, 1 = reply.
     stream_digests: BTreeMap<(NodeId, ConnectionName, u8), u64>,
-    timelines: Vec<RecoveryTimeline>,
     repl_mgr: ReplicationManager,
     res_mgr: ResourceManager,
     clients_started: bool,
@@ -330,7 +329,6 @@ impl Cluster {
             actions: Vec::new(),
             outs: Vec::new(),
             stream_digests: BTreeMap::new(),
-            timelines: Vec::new(),
             clients_started: false,
             health_auditor: HealthAuditor::new(
                 config.health_auditor.clone(),
@@ -889,7 +887,6 @@ impl Cluster {
                 Out::ReplyDelivered { conn, op_seq } => {
                     if let Some(t0) = self.issue_times.remove(&(conn, op_seq)) {
                         self.metrics.round_trips.push(now - t0);
-                        self.registry.histogram_record("orb.round_trip", now - t0);
                     }
                 }
                 Out::StateCaptured {

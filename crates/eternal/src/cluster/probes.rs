@@ -47,16 +47,6 @@ impl Cluster {
         self.trace.record(now, source, kind, detail);
     }
 
-    /// Adds to a named counter in the cluster-level metrics registry.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        self.registry.counter_add(name, n);
-    }
-
-    /// Records a duration sample in a cluster-level histogram.
-    pub fn histogram_record(&mut self, name: &str, d: Duration) {
-        self.registry.histogram_record(name, d);
-    }
-
     /// The network model, read-only (for counters).
     pub fn net(&self) -> &NetworkModel {
         self.ring.net()
@@ -125,6 +115,7 @@ impl Cluster {
         m.requests_discarded_unnegotiated += t.requests_discarded_unnegotiated;
         m.checkpoints_logged += t.checkpoints_logged;
         m.messages_logged += t.messages_logged;
+        m.recoveries_completed = m.recoveries.len() as u64;
         m
     }
 
@@ -136,16 +127,24 @@ impl Cluster {
         [
             t.requests_dispatched,
             t.replies_delivered,
-            self.metrics.recoveries_completed,
+            self.metrics.recoveries.len() as u64,
         ]
     }
 
     /// Layer-local metrics aggregated into one registry: cluster-level
-    /// histograms, Totem engine counters, the mechanisms' counters,
-    /// network counters, and (when tracing) each processor's ORB
-    /// registry.
+    /// histograms, the round-trip and recovery histograms derived from
+    /// [`Cluster::metrics`]' records, Totem engine counters, the
+    /// mechanisms' counters, network counters, and (when tracing) each
+    /// processor's ORB registry.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = self.registry.clone();
+        for &rtt in &self.metrics.round_trips {
+            reg.histogram_record("orb.round_trip", rtt);
+        }
+        for r in &self.metrics.recoveries {
+            reg.histogram_record("eternal.recovery_time", r.recovery_time());
+            reg.histogram_record("eternal.blocking_window", r.blocking_window);
+        }
         for &node in self.ring.nodes() {
             let s = self.ring.node(node).stats();
             reg.counter_add("totem.broadcasts", s.broadcasts);
@@ -216,9 +215,10 @@ impl Cluster {
     }
 
     /// Phase-resolved timelines of completed recovery episodes, in
-    /// completion order.
+    /// completion order: the records [`Cluster::metrics`] reports as
+    /// `recoveries`.
     pub fn recovery_timelines(&self) -> &[RecoveryTimeline] {
-        &self.timelines
+        &self.metrics.recoveries
     }
 
     /// Chained digest over every IIOP message delivered (after

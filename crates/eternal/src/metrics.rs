@@ -1,7 +1,8 @@
 //! Counters and timing records collected by the cluster, mined by the
 //! benchmark harness for the tables in `EXPERIMENTS.md`.
 
-use eternal_sim::{Duration, SimTime};
+use eternal_obs::RecoveryTimeline;
+use eternal_sim::Duration;
 
 /// System-wide counters.
 #[derive(Debug, Clone, Default)]
@@ -23,39 +24,15 @@ pub struct Metrics {
     pub checkpoints_logged: u64,
     /// Messages appended to checkpoint logs.
     pub messages_logged: u64,
-    /// State transfers completed (recoveries).
+    /// State transfers completed (recoveries): the length of
+    /// `recoveries`, filled in when the metrics are read.
     pub recoveries_completed: u64,
     /// Primary promotions (passive styles).
     pub promotions: u64,
     /// Completed round-trip invocation latencies (client-observed).
     pub round_trips: Vec<Duration>,
-    /// Completed recovery episodes.
-    pub recoveries: Vec<RecoveryRecord>,
-}
-
-/// One completed recovery: from replica (re)launch to reinstatement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryRecord {
-    /// When the replacement replica was launched.
-    pub launched_at: SimTime,
-    /// When it was reinstated to normal operation.
-    pub operational_at: SimTime,
-    /// Bytes of application-level state transferred.
-    pub app_state_bytes: usize,
-    /// The group-blocking window: how long the recovering replica held
-    /// (rather than dropped or processed) its traffic. Monolithic
-    /// transfers block from the retrieval's delivery — O(state size);
-    /// chunked transfers block only from the last chunk's delivery —
-    /// O(suffix). The `recovery_chunked` bench section compares the
-    /// two.
-    pub blocking_window: Duration,
-}
-
-impl RecoveryRecord {
-    /// The recovery time the paper's Figure 6 plots.
-    pub fn recovery_time(&self) -> Duration {
-        self.operational_at - self.launched_at
-    }
+    /// Completed recovery episodes, in completion order.
+    pub recoveries: Vec<RecoveryTimeline>,
 }
 
 impl Metrics {
@@ -72,14 +49,17 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eternal_sim::SimTime;
 
     #[test]
     fn recovery_time_is_interval() {
-        let r = RecoveryRecord {
+        let r = RecoveryTimeline {
+            label: "G0@P1".into(),
             launched_at: SimTime::from_nanos(100),
             operational_at: SimTime::from_nanos(350),
             app_state_bytes: 10,
             blocking_window: Duration::from_nanos(40),
+            phases: Vec::new(),
         };
         assert_eq!(r.recovery_time(), Duration::from_nanos(250));
         assert!(r.blocking_window < r.recovery_time());

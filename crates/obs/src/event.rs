@@ -1,10 +1,8 @@
 //! The typed event taxonomy shared by every protocol layer.
 //!
 //! Each [`TraceEvent`] carries an [`EventKind`] instead of a free-form
-//! string, so tests match on variants and the exporter never has to
-//! guess at spellings. Every kind still has a stable string **code**
-//! ([`EventKind::code`]) used by the JSONL exporter and by the
-//! string-based trace queries that predate the typed API.
+//! string, so tests match on variants. Every kind also has a stable
+//! string **code** ([`EventKind::code`]), which is how an event prints.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -89,12 +87,6 @@ pub enum EventKind {
     ConfigChange,
 
     // ---- recovery protocol (§5.1) ----
-    /// Umbrella span of one recovery episode (launch → operational).
-    RecoveryEpisode,
-    /// Span of one §5.1 phase inside an episode.
-    Phase(RecoveryPhase),
-    /// A donor replica captured its three kinds of state.
-    StateCaptured,
     /// A §5.1 state transfer completed; the replica is operational.
     RecoveryComplete,
     /// A passive backup was promoted to primary.
@@ -144,8 +136,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The stable string code of this kind (used by the exporter and by
-    /// string-based queries such as [`crate::trace::Trace::of_kind`]).
+    /// The stable string code of this kind.
     pub const fn code(self) -> &'static str {
         match self {
             EventKind::ReplicaKilled => "replica.killed",
@@ -157,13 +148,6 @@ impl EventKind {
             EventKind::UpgradeComplete => "upgrade.complete",
             EventKind::ReassemblyError => "reassembly.error",
             EventKind::ConfigChange => "config.change",
-            EventKind::RecoveryEpisode => "recovery.episode",
-            EventKind::Phase(RecoveryPhase::Quiesce) => "recovery.quiesce",
-            EventKind::Phase(RecoveryPhase::GetState) => "recovery.get_state",
-            EventKind::Phase(RecoveryPhase::Transfer) => "recovery.transfer",
-            EventKind::Phase(RecoveryPhase::SetState) => "recovery.set_state",
-            EventKind::Phase(RecoveryPhase::Replay) => "recovery.replay",
-            EventKind::StateCaptured => "state.captured",
             EventKind::RecoveryComplete => "recovery.complete",
             EventKind::PromotionComplete => "promotion.complete",
             EventKind::OrbRequestIssued => "orb.request.issued",
@@ -190,36 +174,6 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// Identifier of a span within one [`crate::trace::Trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-impl SpanId {
-    /// The id returned by span operations on a disabled trace; ending
-    /// it is a no-op.
-    pub const NONE: SpanId = SpanId(0);
-}
-
-/// Whether a span-carrying event opens or closes its span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanEdge {
-    /// The span opens at this event.
-    Begin,
-    /// The span closes at this event.
-    End,
-}
-
-/// Span bookkeeping attached to a [`TraceEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRef {
-    /// The span this event belongs to.
-    pub id: SpanId,
-    /// Opening or closing edge.
-    pub edge: SpanEdge,
-    /// The enclosing span, if nested.
-    pub parent: Option<SpanId>,
-}
-
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -231,8 +185,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Free-form details.
     pub detail: String,
-    /// Span edge, if this event opens or closes a span.
-    pub span: Option<SpanRef>,
 }
 
 impl fmt::Display for TraceEvent {
@@ -254,7 +206,7 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let mut all = vec![
+        let all = [
             EventKind::ReplicaKilled,
             EventKind::ReplicaLaunched,
             EventKind::ProcessorCrashed,
@@ -264,8 +216,6 @@ mod tests {
             EventKind::UpgradeComplete,
             EventKind::ReassemblyError,
             EventKind::ConfigChange,
-            EventKind::RecoveryEpisode,
-            EventKind::StateCaptured,
             EventKind::RecoveryComplete,
             EventKind::PromotionComplete,
             EventKind::OrbRequestIssued,
@@ -283,7 +233,6 @@ mod tests {
             EventKind::ExploreChoice,
             EventKind::ExploreCounterexample,
         ];
-        all.extend(RecoveryPhase::ALL.iter().map(|&p| EventKind::Phase(p)));
         let codes: std::collections::BTreeSet<&str> = all.iter().map(|k| k.code()).collect();
         assert_eq!(codes.len(), all.len(), "codes must be unique");
         // Codes consumed by pre-existing tests/benches must not change.
@@ -307,7 +256,6 @@ mod tests {
             source: "P0/rm".into(),
             kind: EventKind::OrbRequestDispatched,
             detail: "req 3".into(),
-            span: None,
         };
         assert_eq!(
             e.to_string(),

@@ -25,14 +25,13 @@
 //!   histograms and a top-K slowest-requests table
 //!   (`docs/ATTRIBUTION.md`).
 //! * [`trace`] — a bounded, drop-oldest [`trace::Trace`] ring buffer
-//!   with a span API ([`trace::Trace::span_begin`] /
-//!   [`trace::Trace::span_end`]); all record paths are no-ops when the
-//!   trace is disabled.
+//!   of point events; recording is a no-op when the trace is disabled.
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of named counters,
 //!   gauges, and log-bucketed latency histograms (p50/p95/p99/max).
 //! * [`timeline`] — the phase-resolved
 //!   [`timeline::RecoveryTimeline`] (quiesce → `get_state` → transfer
-//!   → `set_state` → replay) and its Figure-6 breakdown table.
+//!   → `set_state` → replay), the one record of a recovery episode, and
+//!   its Figure-6 breakdown table.
 //! * [`health`] — totally-ordered cluster health: the
 //!   [`health::HealthSnapshot`] each replica publishes through the
 //!   total order, the agreed epoch stream, and the online
@@ -59,7 +58,7 @@ pub mod trace;
 
 pub use attribution::{attribute, AttributionReport, Phase, RequestAttribution};
 pub use causal::{CausalEvent, CausalRecorder, Hop, OrderPos, TraceTag};
-pub use event::{EventKind, RecoveryPhase, SpanEdge, SpanId, SpanRef, TraceEvent};
+pub use event::{EventKind, RecoveryPhase, TraceEvent};
 pub use health::{
     AuditorConfig, Detector, Diagnosis, EpochRecord, HealthAuditor, HealthSnapshot, NodeSummary,
     Severity,
@@ -67,4 +66,4 @@ pub use health::{
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use time::{Duration, SimTime};
 pub use timeline::{PhaseSpan, RecoveryTimeline};
-pub use trace::{Span, Trace};
+pub use trace::Trace;

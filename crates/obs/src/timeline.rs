@@ -4,9 +4,11 @@
 //! contiguous [`PhaseSpan`]s (quiesce → `get_state` → transfer →
 //! `set_state` → replay) tiling the interval from replica launch to
 //! reinstatement. Because the phases tile the episode, their durations
-//! sum *exactly* to `RecoveryRecord::recovery_time()` — the invariant
+//! sum *exactly* to [`RecoveryTimeline::recovery_time`] — the invariant
 //! [`RecoveryTimeline::covers_episode_within`] checks and the
-//! observability tests assert.
+//! observability tests assert. The timeline is the one record a
+//! recovery leaves: the cluster's metrics keep these, and the registry's
+//! recovery histograms are derived from them when read.
 
 use crate::event::RecoveryPhase;
 use crate::export::{JsonWriter, Layout};
@@ -42,14 +44,21 @@ pub struct RecoveryTimeline {
     pub operational_at: SimTime,
     /// Application-state bytes moved by the transfer.
     pub app_state_bytes: usize,
+    /// The group-blocking window: how long the recovering replica held
+    /// (rather than dropped or processed) its traffic. Monolithic
+    /// transfers block from the retrieval's delivery — O(state size);
+    /// chunked transfers block only from the last chunk's delivery —
+    /// O(suffix). The `recovery_chunked` bench section compares the
+    /// two.
+    pub blocking_window: Duration,
     /// The five phases, in order, tiling `[launched_at, operational_at]`.
     pub phases: Vec<PhaseSpan>,
 }
 
 impl RecoveryTimeline {
-    /// End-to-end episode duration (equals
-    /// `RecoveryRecord::recovery_time()` for the same episode).
-    pub fn total(&self) -> Duration {
+    /// The recovery time the paper's Figure 6 plots: launch to
+    /// reinstatement.
+    pub fn recovery_time(&self) -> Duration {
         self.operational_at.saturating_since(self.launched_at)
     }
 
@@ -85,7 +94,7 @@ impl RecoveryTimeline {
     /// Whether the phase durations sum to the episode total within the
     /// given relative tolerance (e.g. `0.05` for 5%).
     pub fn covers_episode_within(&self, tolerance: f64) -> bool {
-        let total = self.total().as_nanos() as f64;
+        let total = self.recovery_time().as_nanos() as f64;
         let sum = self.phase_sum().as_nanos() as f64;
         if total == 0.0 {
             return sum == 0.0;
@@ -118,7 +127,7 @@ pub fn render_breakdown_table(timelines: &[RecoveryTimeline]) -> String {
             cell(RecoveryPhase::Transfer),
             cell(RecoveryPhase::SetState),
             cell(RecoveryPhase::Replay),
-            t.total().to_string(),
+            t.recovery_time().to_string(),
         );
     }
     out
@@ -142,7 +151,7 @@ pub fn render_breakdown_json(timelines: &[RecoveryTimeline], dropped_events: u64
             .field("app_state_bytes", t.app_state_bytes)
             .field("launched_at_ns", t.launched_at.as_nanos())
             .field("operational_at_ns", t.operational_at.as_nanos())
-            .field("total_ns", t.total().as_nanos())
+            .field("total_ns", t.recovery_time().as_nanos())
             .key("phases")
             .object(Layout::Spaced);
         for span in &t.phases {
@@ -169,6 +178,7 @@ mod tests {
             launched_at: bounds[0],
             operational_at: bounds[5],
             app_state_bytes: 4096,
+            blocking_window: Duration::from_micros(40),
             phases: RecoveryPhase::ALL
                 .iter()
                 .enumerate()
@@ -185,7 +195,7 @@ mod tests {
     fn contiguous_phases_sum_exactly() {
         let tl = sample();
         assert!(tl.is_contiguous());
-        assert_eq!(tl.phase_sum(), tl.total());
+        assert_eq!(tl.phase_sum(), tl.recovery_time());
         assert!(tl.covers_episode_within(0.0));
         assert_eq!(
             tl.phase(RecoveryPhase::Transfer).unwrap().duration(),

@@ -133,11 +133,6 @@ impl Poa {
         self.servants.contains_key(key)
     }
 
-    /// Keys of all active objects.
-    pub fn active_keys(&self) -> Vec<ObjectKey> {
-        self.servants.keys().cloned().collect()
-    }
-
     /// Dispatches an operation to the servant under `key` (an
     /// [`ObjectKey`] or the bytes of one).
     ///

@@ -157,8 +157,6 @@ pub struct TotemNode {
     launched: bool,
     /// Highest ring seq this node has ever been part of.
     ring_seq_high: u64,
-    /// Diagnostic: what triggered the most recent gather (TOTEM_DEBUG).
-    gather_reason: &'static str,
 
     // ---- application traffic ----
     pending: VecDeque<(Bytes, TraceTag)>,
@@ -170,21 +168,12 @@ pub struct TotemNode {
     old_recovery: Option<OldRecovery>,
 
     // ---- statistics ----
-    broadcast_count: u64,
-    delivered_count: u64,
-    config_changes: u64,
-    retransmits_served: u64,
-    token_retransmits: u64,
-    reformations: u64,
-    batches: u64,
-    batched_messages: u64,
-    frames_saved: u64,
-    store_refused: u64,
+    stats: TotemStats,
     last_flow_occupancy: u64,
 }
 
-/// Snapshot of a node's protocol counters, for export into a metrics
-/// registry.
+/// A node's protocol counters: the node updates them in place, and
+/// [`TotemNode::stats`] copies them out for a metrics registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TotemStats {
     /// Application messages this node has broadcast.
@@ -233,21 +222,11 @@ impl TotemNode {
             retransmit_count: 0,
             launched: false,
             ring_seq_high: 0,
-            gather_reason: "start",
             pending: VecDeque::new(),
             deferred: Vec::new(),
             gather: None,
             old_recovery: None,
-            broadcast_count: 0,
-            delivered_count: 0,
-            config_changes: 0,
-            retransmits_served: 0,
-            token_retransmits: 0,
-            reformations: 0,
-            batches: 0,
-            batched_messages: 0,
-            frames_saved: 0,
-            store_refused: 0,
+            stats: TotemStats::default(),
             last_flow_occupancy: 0,
         }
     }
@@ -272,35 +251,9 @@ impl TotemNode {
         &self.members
     }
 
-    /// Number of application messages this node has broadcast.
-    pub fn broadcast_count(&self) -> u64 {
-        self.broadcast_count
-    }
-
-    /// Number of ordered deliveries made to the application.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    /// Number of configuration changes delivered.
-    pub fn config_changes(&self) -> u64 {
-        self.config_changes
-    }
-
     /// Snapshot of all protocol counters.
     pub fn stats(&self) -> TotemStats {
-        TotemStats {
-            broadcasts: self.broadcast_count,
-            delivered: self.delivered_count,
-            config_changes: self.config_changes,
-            retransmits_served: self.retransmits_served,
-            token_retransmits: self.token_retransmits,
-            reformations: self.reformations,
-            batches: self.batches,
-            batched_messages: self.batched_messages,
-            frames_saved: self.frames_saved,
-            store_refused: self.store_refused,
-        }
+        self.stats
     }
 
     /// Number of app payloads waiting to be sequenced.
@@ -422,17 +375,15 @@ impl TotemNode {
             Timer::TokenLoss => {
                 // The ring has stalled (token lost, holder crashed, or a
                 // formation attempt died). Reform.
-                self.gather_reason = "token-loss";
                 self.enter_gather(BTreeSet::new(), BTreeSet::new(), actions);
             }
             Timer::TokenRetransmit => {
                 if let Some(frame) = self.forwarded.clone() {
                     self.retransmit_count += 1;
-                    self.token_retransmits += 1;
+                    self.stats.token_retransmits += 1;
                     if self.retransmit_count > 10 {
                         // The next member is unreachable; reform now
                         // rather than waiting for token loss.
-                        self.gather_reason = "retransmit-exhausted";
                         self.enter_gather(BTreeSet::new(), BTreeSet::new(), actions);
                     } else {
                         actions.push(Action::Multicast(frame));
@@ -492,15 +443,7 @@ impl TotemNode {
         extra_fails: BTreeSet<NodeId>,
         actions: &mut Vec<Action>,
     ) {
-        // Diagnostic hook: set TOTEM_DEBUG=1 to log every membership
-        // reformation with the trigger that caused it.
-        if std::env::var_os("TOTEM_DEBUG").is_some() {
-            eprintln!(
-                "[{}] enter_gather from {:?} ring={:?} reason={}",
-                self.id, self.phase, self.ring, self.gather_reason
-            );
-        }
-        self.reformations += 1;
+        self.stats.reformations += 1;
         let mut proc_set: BTreeSet<NodeId> = self.members.iter().copied().collect();
         proc_set.insert(self.id);
         proc_set.extend(extra_procs);
@@ -545,7 +488,6 @@ impl TotemNode {
                         .copied()
                         .filter(|&f| f != self.id)
                         .collect();
-                    self.gather_reason = "join-during-commit";
                     self.enter_gather(procs, fails, actions);
                     // fall through to normal gather processing below
                 }
@@ -590,7 +532,6 @@ impl TotemNode {
                     .copied()
                     .filter(|&f| f != self.id)
                     .collect();
-                self.gather_reason = "join-while-settled";
                 self.enter_gather(procs, fails, actions);
                 if let Some(g) = self.gather.as_mut() {
                     g.joins.insert(j.sender, j);
@@ -606,7 +547,6 @@ impl TotemNode {
         };
         if g.committing {
             // The commit token died; reform from scratch.
-            self.gather_reason = "commit-stalled";
             self.enter_gather(BTreeSet::new(), BTreeSet::new(), actions);
             return;
         }
@@ -954,11 +894,11 @@ impl TotemNode {
                             };
                         match payload {
                             Payload::App(data) => {
-                                deliver(data, tag_at(0), &mut self.delivered_count, actions)
+                                deliver(data, tag_at(0), &mut self.stats.delivered, actions)
                             }
                             Payload::Batch(items) => {
                                 for (i, data) in items.into_iter().enumerate() {
-                                    deliver(data, tag_at(i), &mut self.delivered_count, actions);
+                                    deliver(data, tag_at(i), &mut self.stats.delivered, actions);
                                 }
                             }
                             Payload::Recovered { .. } => {
@@ -976,14 +916,14 @@ impl TotemNode {
         // Recovery complete.
         self.old_recovery = None;
         self.phase = Phase::Operational;
-        self.config_changes += 1;
+        self.stats.config_changes += 1;
         actions.push(Action::Deliver(Delivery::ConfigChange {
             ring: self.ring.expect("installed"),
             members: self.members.clone(),
         }));
         // Flush new-ring traffic that arrived during recovery.
         for (ring, seq, sender, data, trace) in std::mem::take(&mut self.deferred) {
-            self.delivered_count += 1;
+            self.stats.delivered += 1;
             actions.push(Action::Deliver(Delivery::Message {
                 ring,
                 seq,
@@ -1068,11 +1008,6 @@ impl TotemNode {
                 let outsider = !self.members.contains(&evidence);
                 if (newer || outsider) && matches!(self.phase, Phase::Operational | Phase::Recover)
                 {
-                    self.gather_reason = if newer {
-                        "newer-foreign-ring"
-                    } else {
-                        "outsider-frame"
-                    };
                     self.enter_gather(BTreeSet::new(), BTreeSet::new(), actions);
                 }
                 true
@@ -1109,7 +1044,7 @@ impl TotemNode {
                 served.push(s);
             }
         }
-        self.retransmits_served += served.len() as u64;
+        self.stats.retransmits_served += served.len() as u64;
         for s in served {
             t.rtr.remove(&s);
         }
@@ -1241,7 +1176,7 @@ impl TotemNode {
     /// batching; it is empty when no item carries a trace (untraced
     /// traffic pays zero wire bytes).
     fn pack_batch(&mut self, first: (Bytes, TraceTag)) -> (Payload, Vec<TraceTag>) {
-        self.broadcast_count += 1;
+        self.stats.broadcasts += 1;
         let (first, first_tag) = first;
         let budget = self.cfg.batch_budget_bytes;
         // A batch costs 4 bytes (item count) plus 4 bytes per item.
@@ -1276,10 +1211,10 @@ impl TotemNode {
                 tags.push(tag);
             }
         }
-        self.broadcast_count += fitting as u64;
-        self.batches += 1;
-        self.batched_messages += items.len() as u64;
-        self.frames_saved += items.len() as u64 - 1;
+        self.stats.broadcasts += fitting as u64;
+        self.stats.batches += 1;
+        self.stats.batched_messages += items.len() as u64;
+        self.stats.frames_saved += items.len() as u64 - 1;
         (Payload::Batch(items), tags)
     }
 
@@ -1290,7 +1225,7 @@ impl TotemNode {
         if !self.received.insert(m) {
             // Beyond the window: as good as lost, and asked for again
             // through the token like any other gap.
-            self.store_refused += 1;
+            self.stats.store_refused += 1;
             return;
         }
         // New-ring traffic is buffered while old-ring recovery is still
@@ -1304,7 +1239,7 @@ impl TotemNode {
                 if recovering {
                     self.deferred.push((ring, seq, sender, data, trace));
                 } else {
-                    self.delivered_count += 1;
+                    self.stats.delivered += 1;
                     actions.push(Action::Deliver(Delivery::Message {
                         ring,
                         seq,
@@ -1345,7 +1280,7 @@ impl TotemNode {
         debug_assert_eq!(self.members.len(), 1);
         while let Some((data, tag)) = self.pending.pop_front() {
             let seq = self.my_aru + 1;
-            self.broadcast_count += 1;
+            self.stats.broadcasts += 1;
             let msg = RegularMsg {
                 ring: self.ring.expect("installed"),
                 seq,
@@ -1494,8 +1429,8 @@ mod tests {
         assert_eq!(b.phase(), Phase::Operational);
         assert_eq!(a.ring(), b.ring());
         assert_eq!(a.members(), &[n(0), n(1)]);
-        assert_eq!(a.config_changes(), 1);
-        assert_eq!(b.config_changes(), 1);
+        assert_eq!(a.stats().config_changes, 1);
+        assert_eq!(b.stats().config_changes, 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use eternal::properties::FaultToleranceProperties;
 use eternal_cdr::{Any, Value};
+use eternal_obs::EventKind;
 use eternal_orb::servant::{CheckpointableServant, Servant, ServantError};
 use eternal_sim::net::NodeId;
 use eternal_sim::Duration;
@@ -88,10 +89,9 @@ fn rolling_upgrade_preserves_state_and_service() {
     );
     assert_eq!(m.replies_discarded_by_orb, 0);
     // Trace shows the orderly rollout.
-    assert!(c.trace().first_of_kind("upgrade.begin").is_some());
-    assert!(c.trace().first_of_kind("upgrade.complete").is_some());
-    let begin = c.trace().position_of("upgrade.begin").unwrap();
-    let end = c.trace().position_of("upgrade.complete").unwrap();
+    let first_at = |kind| c.trace().of(kind).next().map(|e| e.at);
+    let begin = first_at(EventKind::UpgradeBegin).expect("upgrade began");
+    let end = first_at(EventKind::UpgradeComplete).expect("upgrade completed");
     assert!(begin < end);
 }
 

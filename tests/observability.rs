@@ -1,6 +1,6 @@
-//! Integration tests for the unified instrumentation layer: typed
-//! spans, phase-resolved recovery timelines, and layer-local metrics
-//! across Totem, the ORB, and the Eternal mechanisms.
+//! Integration tests for the unified instrumentation layer: the typed
+//! event trace, phase-resolved recovery timelines, and layer-local
+//! metrics across Totem, the ORB, and the Eternal mechanisms.
 
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
@@ -33,58 +33,24 @@ fn timeline_phases_tile_the_recovery_episode() {
     let m = c.metrics();
     assert_eq!(m.recoveries_completed, 1);
 
+    // The metrics and the timeline view are the same one record.
     let timelines = c.recovery_timelines();
-    assert_eq!(timelines.len(), 1);
+    assert_eq!(timelines, &m.recoveries[..]);
     let tl = &timelines[0];
 
-    // The five phases are contiguous and tile the episode exactly, so
-    // their sum matches RecoveryRecord::recovery_time() — well inside
+    // The five phases are contiguous, in canonical order and tile the
+    // episode exactly, so their sum is the recovery time — well inside
     // the 5% acceptance tolerance.
     assert!(tl.is_contiguous(), "phases must tile the episode: {tl:?}");
-    assert_eq!(tl.phase_sum(), tl.total());
+    assert_eq!(tl.phase_sum(), tl.recovery_time());
     assert!(tl.covers_episode_within(0.05));
-    assert_eq!(tl.total(), m.recoveries[0].recovery_time());
-    assert_eq!(tl.app_state_bytes, m.recoveries[0].app_state_bytes);
+    assert!(tl.blocking_window <= tl.recovery_time());
 
     // With 50 kB of state the fragmented transfer dominates the
     // size-independent quiesce/get_state floor.
     let transfer = tl.phase(RecoveryPhase::Transfer).expect("present");
     let get_state = tl.phase(RecoveryPhase::GetState).expect("present");
     assert!(transfer.duration() > get_state.duration());
-}
-
-#[test]
-fn recovery_spans_nest_and_cover_the_episode() {
-    let c = recovery_run(ClusterConfig::default(), 20_000, 22);
-    let spans = c.trace().spans();
-
-    let episode = spans
-        .iter()
-        .find(|s| s.kind == EventKind::RecoveryEpisode)
-        .expect("episode span emitted");
-    let phase_spans: Vec<_> = spans
-        .iter()
-        .filter(|s| matches!(s.kind, EventKind::Phase(_)))
-        .collect();
-    assert_eq!(phase_spans.len(), RecoveryPhase::ALL.len());
-
-    // Every phase span nests inside the episode span …
-    for p in &phase_spans {
-        assert_eq!(p.parent, Some(episode.id), "phase nests under episode");
-        assert!(p.begin >= episode.begin && p.end <= episode.end);
-    }
-    // … in canonical order, back to back, covering the whole episode.
-    let mut cursor = episode.begin;
-    for &want in RecoveryPhase::ALL.iter() {
-        let span = phase_spans
-            .iter()
-            .find(|s| s.kind == EventKind::Phase(want))
-            .expect("each phase has a span");
-        assert_eq!(span.begin, cursor, "{want:?} begins where the prior ended");
-        assert!(span.end >= span.begin);
-        cursor = span.end;
-    }
-    assert_eq!(cursor, episode.end, "phases cover the episode");
 }
 
 #[test]
@@ -139,8 +105,9 @@ fn orb_metrics_flow_into_the_cluster_registry() {
     // Recovery dispatches get_state at a donor and set_state at the
     // recovering replica through the ORB's control path.
     assert!(reg.counter("orb.control_dispatches") >= 2);
+    // The latency histograms are derived from the metrics' records.
     let rtt = reg.histogram("orb.round_trip").expect("round trips timed");
-    assert!(rtt.count() > 0);
+    assert_eq!(rtt.count(), c.metrics().round_trips.len() as u64);
     assert!(rtt.p99() >= rtt.p50());
     let rec = reg
         .histogram("eternal.recovery_time")
@@ -164,8 +131,6 @@ fn disabled_trace_records_and_allocates_nothing() {
     assert!(!c.trace().is_enabled());
     assert!(c.trace().is_empty());
     assert_eq!(c.trace().dropped_events(), 0);
-    // no episode timelines were assembled into spans,
-    assert!(c.trace().spans().is_empty());
     // and every ORB's trace stayed disabled and empty too.
     for node in c.processors() {
         let orb_trace = c.mechanisms(node).orb().obs_trace();
@@ -177,20 +142,25 @@ fn disabled_trace_records_and_allocates_nothing() {
 #[test]
 fn bounded_trace_drops_oldest_but_keeps_counting() {
     let config = ClusterConfig {
-        trace_capacity: 8,
+        trace_capacity: 4,
         ..ClusterConfig::default()
     };
     let c = recovery_run(config, 10_000, 26);
     let trace = c.trace();
-    assert_eq!(trace.capacity(), 8);
+    assert_eq!(trace.capacity(), 4);
     assert!(
         trace.dropped_events() > 0,
-        "a full recovery run overflows an 8-event ring"
+        "a full recovery run overflows a 4-event ring"
     );
     // The ring is full and holds the newest events: total observed
     // activity is the buffer plus everything evicted before it.
-    assert_eq!(trace.len(), 8);
-    let newest = trace.event(trace.len() - 1).expect("nonempty").at;
-    let oldest = trace.event(0).expect("nonempty").at;
-    assert!(newest >= oldest, "buffer preserved chronology");
+    assert_eq!(trace.len(), 4);
+    let newest = trace.event(trace.len() - 1).expect("nonempty");
+    let oldest = trace.event(0).expect("nonempty");
+    assert!(newest.at >= oldest.at, "buffer preserved chronology");
+    assert_eq!(
+        newest.kind,
+        EventKind::RecoveryComplete,
+        "the last event is kept"
+    );
 }

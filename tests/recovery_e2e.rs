@@ -154,13 +154,12 @@ fn recovery_phases_run_in_protocol_order() {
     assert_eq!(c.metrics().recoveries_completed, 1);
 
     // Quiesce completes before get_state begins, which completes before
-    // the transfer — read off the cluster's phase spans.
-    let spans = c.trace().spans();
+    // the transfer — read off the episode's recovery timeline.
+    let timeline = &c.recovery_timelines()[0];
     let phase = |p: RecoveryPhase| {
-        spans
-            .iter()
-            .find(|s| s.kind == EventKind::Phase(p))
-            .unwrap_or_else(|| panic!("{p:?} span emitted"))
+        timeline
+            .phase(p)
+            .unwrap_or_else(|| panic!("{p:?} in the timeline"))
     };
     assert!(phase(RecoveryPhase::Quiesce).end <= phase(RecoveryPhase::GetState).begin);
     assert!(phase(RecoveryPhase::GetState).end <= phase(RecoveryPhase::Transfer).begin);
@@ -174,7 +173,7 @@ fn recovery_phases_run_in_protocol_order() {
         .into_iter()
         .find(|n| !hosts_before.contains(n) || *n == hosts_before[0])
         .expect("replacement instantiated");
-    let launched_at = c.recovery_timelines()[0].launched_at;
+    let launched_at = timeline.launched_at;
     let orb_trace = c.mechanisms(replacement).orb().obs_trace();
     let events: Vec<_> = orb_trace.events().collect();
     let set_state_idx = events
@@ -220,7 +219,8 @@ fn warm_passive_failover_replays_suffix() {
     assert_eq!(m.promotions, 1);
     let promotion = c
         .trace()
-        .last_of_kind("promotion.complete")
+        .of(EventKind::PromotionComplete)
+        .last()
         .expect("promotion traced");
     let replayed: usize = promotion
         .detail
