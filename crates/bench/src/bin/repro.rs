@@ -357,22 +357,22 @@ fn run_tool<S: AsRef<str>>(tool: &Tool, raw: &[S]) -> i32 {
     i32::from(!out.passed)
 }
 
-/// `chaos`: one seeded campaign (`docs/CHAOS.md`); the same seed and
-/// step count reproduce the same summary byte for byte. `--causal`
-/// records causal traces, `--force-violation` plants a synthetic
-/// violation so the flight-recorder path can be exercised.
+/// `chaos`: one seeded campaign (`docs/CHAOS.md`), byte-identical per
+/// seed and step count; a violating one is shrunk to a regression
+/// skeleton. `--causal` records causal traces, `--force-violation`
+/// plants a violation so the shrink and flight-recorder paths run.
 fn chaos(args: &Args) -> Result<Outcome, String> {
     let mut cfg = CampaignConfig::default();
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.steps = args.num("--steps", cfg.steps as u64) as usize;
     cfg.force_violation = args.has("--force-violation");
-    cfg.causal = cfg.force_violation || args.has("--causal");
+    cfg.topology.cluster.causal = cfg.force_violation || args.has("--causal");
     let summary = run_campaign(&cfg);
     Ok(Outcome {
         stdout: format!("{summary}\n"),
         artefact: summary.to_json(),
         passed: summary.passed(),
-        flight_recorder: summary.flight_recorder,
+        flight_recorder: summary.run.flight_recorder,
         ..Outcome::default()
     })
 }
@@ -383,12 +383,12 @@ fn chaos(args: &Args) -> Result<Outcome, String> {
 /// `--force-violation` plants an exactly-once bug to exercise that path.
 fn explore(args: &Args) -> Result<Outcome, String> {
     let mut cfg = ExploreConfig::default();
-    cfg.seed = args.num("--seed", cfg.seed);
+    cfg.run.seed = args.num("--seed", cfg.run.seed);
     if args.has("--quick") {
         cfg.budget = ExploreConfig::quick().budget;
     }
     cfg.budget = args.num("--budget", cfg.budget as u64) as usize;
-    cfg.force_violation = args.has("--force-violation");
+    cfg.run.force_violation = args.has("--force-violation");
     let report = run_explore(&cfg);
     let flight_recorder = report
         .counterexample

@@ -4,47 +4,39 @@
 //! scripted failure; a **campaign** instead drives a seeded schedule of
 //! randomized faults — replica kills, processor crash/restart cycles,
 //! partitions healed mid-reformation, loss bursts, delay spikes, and
-//! crashes of the *recovering* host in the middle of a §5.1 state
-//! transfer — through the same public [`Cluster`] APIs, and checks the
-//! paper's correctness claims as machine-verified invariants after
-//! every fault, once the system has re-quiesced:
+//! crashes of the *recovering* host or of the *donor* in the middle of
+//! a §5.1 state transfer — through the same public [`Cluster`] APIs,
+//! and after every fault, once the system has re-quiesced, checks the
+//! paper's correctness claims: the shared oracle's invariants
+//! ([`crate::oracle`]) and a cap on every recovery episode.
 //!
-//! 1. **Convergence** — all live replicas of every group hold
-//!    byte-identical application-level state (strong consistency, §2).
-//! 2. **Exactly-once effects** — the operations a server executed equal
-//!    the logical invocations its drivers issued: duplicates are
-//!    suppressed, but nothing is lost or re-executed (§4.1).
-//! 3. **Bounded recovery** — every completed recovery episode finished
-//!    within a configured cap, and the cluster re-quiesced at all.
-//! 4. **No orphaned reassembly state** — partially reassembled
-//!    multicast messages do not survive quiescence.
-//! 5. **Bounded duplicate-detection memory** — per-processor dedup
-//!    tables stay under a fixed resident cap (§4.1's tables must not
-//!    grow without bound under loss and restarts).
-//! 6. **Bounded log suffix** — passive-group message logs stay under
-//!    the suffix-bound checkpoint trigger's cap at every quiescent
-//!    point: sustained load must not grow replay memory (or warm
-//!    promotion time) without bound (§3.3, docs/RECOVERY.md).
-//!
-//! Everything is derived from [`CampaignConfig::seed`] through
-//! [`SimRng`]: the same seed reproduces the same fault schedule, the
-//! same virtual-time trajectory, and the same summary, byte for byte —
-//! a failing campaign is a deterministic regression test. Run one from
-//! the command line with `cargo run -p eternal-bench --bin repro --
-//! chaos --seed N --steps M`, or see `docs/CHAOS.md`.
+//! There is one fault engine. A fault is decided in one place,
+//! [`fault_step`], which asks the run's [`ChoiceSource`] for a kind, a
+//! victim and each duration, and runs the kind's script; the one run
+//! loop ([`crate::explore`]) deploys a [`Topology`] and then, per step,
+//! injects a fault, re-bursts the drivers, settles and audits. A
+//! campaign is a seeded **walk** through that loop: its source draws
+//! every fault and parameter from a `SimRng` seeded with
+//! [`CampaignConfig::seed`] and leaves the scheduler alone, so the same
+//! seed reproduces the same summary byte for byte. A violating campaign
+//! is shrunk to the fault choices that still violate, and its summary
+//! carries a regression-test skeleton. Run one with `cargo run -p
+//! eternal-bench --bin repro -- chaos --seed N --steps M`, or see
+//! `docs/CHAOS.md`.
 
-use crate::app::BurstClient;
-use crate::app::{BlobServant, CounterServant};
+use crate::app::{BlobServant, BurstClient, CounterServant};
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::explore::{self, Counterexample, Pin, RunOutcome, TraceSource};
 use crate::gid::GroupId;
-use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
+use crate::oracle::{OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::export::{JsonWriter, Layout};
-use eternal_obs::{EventKind, RecoveryTimeline};
+use eternal_obs::EventKind;
+use eternal_orb::servant::CheckpointableServant;
+use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::net::NodeId;
-use eternal_sim::rng::SimRng;
-use eternal_sim::{Duration, SimTime};
-use std::collections::BTreeMap;
+use eternal_sim::Duration;
+use std::cell::RefCell;
 use std::fmt;
 
 /// One kind of injected fault.
@@ -72,7 +64,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All kinds, in schedule-draw order.
+    /// All kinds, in draw order: branch `i` of a fault choice is
+    /// `ALL[i - 1]`.
     pub const ALL: [FaultKind; 7] = [
         FaultKind::KillReplica,
         FaultKind::CrashRestart,
@@ -97,73 +90,148 @@ impl FaultKind {
     }
 }
 
-/// Cluster size of a campaign, and of a health-lab scenario: both
-/// topologies (three-way active groups beside their drivers) need at
-/// least four processors.
-pub(crate) const PROCESSORS: u32 = 5;
-
-/// Two-way invocations each driver replica issues per load tick, here
-/// and in the health lab.
-pub(crate) const BURST: u64 = 4;
-
-/// Upper bound on any completed recovery episode (invariant 3).
-const RECOVERY_CAP: Duration = Duration::from_millis(1_000);
-
 /// Settle-loop slice of every harness: quiescence requires one full
 /// slice with no metrics movement.
 const SETTLE_SLICE: Duration = Duration::from_millis(10);
 
-/// Settle-loop deadline per campaign step; exceeding it is itself a
-/// bounded-recovery violation.
-const SETTLE_CAP: Duration = Duration::from_secs(3);
+/// What a run deploys: the cluster's configuration and its
+/// server/driver pairs. Plain data, so a test plants an ablation by
+/// editing `cluster` (`cluster.mech.transfer_orb_state = false`).
+#[derive(Debug, Clone)]
+pub struct Topology {
+    /// Prefix of every group name: `{name}-{server}` and
+    /// `{name}-{server}-driver`.
+    pub name: &'static str,
+    /// The cluster every run of this topology builds.
+    pub cluster: ClusterConfig,
+    /// Server groups `(name, properties, servant)`, each driven by a
+    /// client group of its own; deployed in order, then the drivers.
+    pub servers: Vec<(&'static str, FaultToleranceProperties, ServantKind)>,
+    /// Every driver group's properties.
+    pub driver: FaultToleranceProperties,
+    /// Two-way invocations each driver replica issues per load tick.
+    pub burst: u64,
+    /// Index into `servers` of the group the mid-transfer faults aim at.
+    pub target: usize,
+}
 
-/// Suffix-bound checkpoint trigger applied to every processor's
-/// [`MechConfig::suffix_checkpoint_len`](crate::mechanisms::MechConfig)
-/// — tight enough that the campaign's warm-passive ledger trips it
-/// under load. Invariant 6 audits suffixes against twice this value
-/// (the trigger's fabricated retrieval needs a round trip through the
-/// total order, during which the suffix keeps growing).
-const SUFFIX_CHECKPOINT_LEN: usize = 24;
+impl Topology {
+    /// The campaign's (and the health lab's): five processors,
+    /// three-way active counter and blob (`blob_size` bytes of state, so
+    /// a transfer spans many chunks and frames) and a warm-passive
+    /// ledger, each with a two-way driver issuing four calls per tick.
+    pub fn campaign(blob_size: usize) -> Self {
+        let mut cluster = ClusterConfig {
+            processors: 5,
+            ..ClusterConfig::default()
+        };
+        // Small chunks: the blob's transfer streams many of them,
+        // opening the window [`FaultKind::KillDonorMidStream`] aims at.
+        cluster.mech.chunk_bytes = 4_096;
+        // Tight enough that the ledger trips the suffix-bound trigger
+        // under load (invariant 6 audits suffixes against twice it).
+        cluster.mech.suffix_checkpoint_len = 24;
+        let active = FaultToleranceProperties::active;
+        Topology {
+            name: "chaos",
+            cluster,
+            servers: vec![
+                ("counter", active(3), ServantKind::Counter),
+                // Three replicas: [`FaultKind::KillDonorMidStream`]
+                // consumes two (the recovering replica and the killed
+                // donor) and still needs a survivor to take over.
+                ("blob", active(3), ServantKind::Blob { size: blob_size }),
+                // Warm passive: the primary logs every invocation, so
+                // the suffix-bound trigger (invariant 6) is exercised
+                // and primary kills go through promotion + replay.
+                (
+                    "ledger",
+                    FaultToleranceProperties::warm_passive(2),
+                    ServantKind::Counter,
+                ),
+            ],
+            driver: active(2),
+            burst: 4,
+            target: 1,
+        }
+    }
+
+    /// The explorer's: three processors, a two-way active counter
+    /// driven by one client replica; no trace is recorded.
+    pub fn counter() -> Self {
+        let active = FaultToleranceProperties::active;
+        Topology {
+            name: "explore",
+            cluster: ClusterConfig {
+                processors: 3,
+                trace: false,
+                ..ClusterConfig::default()
+            },
+            servers: vec![("counter", active(2), ServantKind::Counter)],
+            driver: active(1),
+            burst: 2,
+            target: 0,
+        }
+    }
+
+    /// Builds the cluster (network seed `seed`), deploys every server
+    /// and then every driver, and runs until deployed. Returns the
+    /// cluster and the oracle's pairs, in `servers` order.
+    pub fn deploy(&self, seed: u64) -> (Cluster, Vec<OraclePair>) {
+        let mut cluster = Cluster::new(self.cluster.clone(), seed);
+        let mut groups = Vec::new();
+        for &(name, ref props, kind) in &self.servers {
+            let name = format!("{}-{name}", self.name);
+            let server = cluster.deploy_server(&name, props.clone(), move || {
+                let servant: Box<dyn CheckpointableServant> = match kind {
+                    ServantKind::Counter => Box::new(CounterServant::default()),
+                    ServantKind::Blob { size } => Box::new(BlobServant::with_size(size)),
+                };
+                servant
+            });
+            groups.push((name, server, kind));
+        }
+        let burst = self.burst;
+        let pairs = groups
+            .into_iter()
+            .map(|(name, server, kind)| {
+                let op = kind.operation();
+                let driver = cluster.deploy_client(
+                    &format!("{name}-driver"),
+                    self.driver.clone(),
+                    move |_| Box::new(BurstClient::new(server, op, burst)),
+                );
+                OraclePair {
+                    server,
+                    driver,
+                    kind,
+                }
+            })
+            .collect();
+        cluster.run_until_deployed();
+        (cluster, pairs)
+    }
+}
 
 /// Parameters of one campaign. Everything that affects the run is in
 /// here — two equal configs produce byte-identical summaries.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Seed of the fault schedule and of the cluster's network model.
+    /// Seed of the fault schedule; the cluster's network model is
+    /// seeded with `seed + 1`.
     pub seed: u64,
     /// Number of fault steps to inject.
     pub steps: usize,
-    /// Application-level state size of the blob server (sized so a
-    /// state transfer spans many frames, opening a window for
-    /// [`FaultKind::KillMidTransfer`]).
-    pub blob_size: usize,
-    /// Chunk payload size applied to every processor's
-    /// [`MechConfig::chunk_bytes`](crate::mechanisms::MechConfig):
-    /// small enough that the blob's transfer streams many chunks,
-    /// opening the window [`FaultKind::KillDonorMidStream`] aims at.
-    pub chunk_bytes: usize,
-    /// Overrides Totem's token-visit batching budget for the run
-    /// (`Some(0)` disables batching, `None` keeps the protocol
-    /// default). The invariants must hold at any budget — the batching
-    /// test drives the same campaign with batching on and off.
-    pub batch_budget_bytes: Option<usize>,
-    /// Record causal traces during the campaign, arming the flight
-    /// recorder: when any invariant fires, the summary carries the
-    /// `flight_recorder.json` dump of the last spans before the
-    /// violation. Off by default — traced frames carry extra wire
-    /// bytes, so this is a distinct (still deterministic) campaign.
-    pub causal: bool,
-    /// Inject one synthetic invariant violation at the end of the run,
-    /// regardless of what the campaign observed. Exists to exercise the
-    /// violation → flight-recorder path end to end (the CI trace-smoke
-    /// job asserts the dump is well-formed).
+    /// What the campaign deploys. Its `cluster` carries every
+    /// cluster-level option, such as Totem's batching budget or causal
+    /// tracing (`cluster.causal`: a violating run then carries the
+    /// flight-recorder dump of the last spans before the violation).
+    pub topology: Topology,
+    /// Plant a synthetic exactly-once bug: a run that dropped a frame
+    /// or injected a fault reports the re-execution a broken duplicate
+    /// detector would have produced. Exercises the detect → shrink →
+    /// report → flight-recorder path end to end (CI asserts on it).
     pub force_violation: bool,
-    /// Health-snapshot publish interval for the run's cluster
-    /// ([`ClusterConfig::health_period`]). `Duration::ZERO` (the
-    /// default) keeps health monitoring off and the campaign summary
-    /// byte-identical to pre-health builds; nonzero adds a `health`
-    /// rollup to the summary. See `docs/HEALTH.md`.
-    pub health_period: Duration,
 }
 
 impl Default for CampaignConfig {
@@ -171,27 +239,19 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 42,
             steps: 10,
-            blob_size: 60_000,
-            chunk_bytes: 4_096,
-            batch_budget_bytes: None,
-            causal: false,
+            topology: Topology::campaign(60_000),
             force_violation: false,
-            health_period: Duration::ZERO,
         }
     }
 }
 
-/// Aggregate of the health auditor's output over one campaign, present
-/// in the summary only when [`CampaignConfig::health_period`] was
-/// nonzero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthRollup {
-    /// Agreed health epochs observed.
-    pub epochs: u64,
-    /// Diagnoses fired, all severities.
-    pub diagnoses: u64,
-    /// Critical diagnoses fired.
-    pub critical: u64,
+impl CampaignConfig {
+    /// Replays the schedule `pins` names: each pinned choice takes its
+    /// branch, every other choice its default. A campaign's minimal
+    /// counterexample replays through this.
+    pub fn replay(&self, pins: &[Pin]) -> RunOutcome {
+        explore::run_schedule(self, TraceSource::pinned(pins))
+    }
 }
 
 /// One invariant violation observed at a quiescent point.
@@ -225,90 +285,75 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Deterministic result of one campaign. [`Display`](fmt::Display)
-/// renders it as the stable text block the CI smoke job diffs.
+/// Deterministic result of one campaign: a view of its run's outcome.
+/// [`Display`](fmt::Display) renders it as the stable text block the CI
+/// smoke job diffs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSummary {
     /// The seed the campaign ran with.
     pub seed: u64,
     /// Fault steps injected.
     pub steps: usize,
-    /// Virtual time at the end of the campaign.
-    pub final_time: SimTime,
-    /// Injected faults by kind name.
-    pub faults: BTreeMap<&'static str, u64>,
-    /// Requests executed by server replicas.
-    pub requests_dispatched: u64,
-    /// Replies delivered to client replicas.
-    pub replies_delivered: u64,
-    /// Duplicate operations suppressed by the mechanisms.
-    pub duplicates_suppressed: u64,
-    /// Completed §5.1 recovery episodes.
-    pub recoveries_completed: u64,
-    /// Chunked transfers taken over by a surviving host after a donor
-    /// fault, summed over live processors at the end — each one is a
-    /// stream that resumed from its cursor instead of restarting.
-    pub transfer_takeovers: u64,
-    /// Request-ids force-skipped by dedup window eviction, summed over
-    /// live processors at the end (should stay 0: Totem delivers
-    /// reliably, so windows never overflow on gaps).
-    pub dedup_gaps_skipped: u64,
-    /// Invariant checks run.
-    pub invariant_checks: u64,
-    /// Violations, in discovery order.
-    pub violations: Vec<Violation>,
-    /// The post-mortem flight-recorder dump: present when the campaign
-    /// ran with [`CampaignConfig::causal`] and at least one invariant
-    /// was violated. `repro -- chaos` writes it to
-    /// `flight_recorder.json`.
-    pub flight_recorder: Option<String>,
-    /// Health-auditor rollup, present only when the campaign ran with a
-    /// nonzero [`CampaignConfig::health_period`] (keeps default
-    /// summaries byte-identical).
-    pub health: Option<HealthRollup>,
+    /// The campaign's run: faults, traffic, violations, end time, and
+    /// the flight-recorder dump `repro -- chaos` writes.
+    pub run: RunOutcome,
+    /// The violating schedule shrunk to its load-bearing choices, with
+    /// a regression-test skeleton; `None` when the campaign passed.
+    pub counterexample: Option<Counterexample>,
+}
+
+/// Runs one campaign to completion: a walk of the run loop whose source
+/// draws every fault from the seed; a violating run is shrunk.
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
+    let run = explore::run_schedule(cfg, TraceSource::walk(cfg.seed, false));
+    let counterexample = (!run.violations.is_empty())
+        .then(|| explore::build_counterexample(cfg, &run, "chaos", "CampaignConfig::default()"));
+    CampaignSummary {
+        seed: cfg.seed,
+        steps: cfg.steps,
+        run,
+        counterexample,
+    }
 }
 
 impl CampaignSummary {
     /// Whether every invariant held at every quiescent point.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.run.violations.is_empty()
     }
 
     /// Machine-readable rendering of the summary (the
     /// `repro -- chaos --json` export; the flight-recorder dump is a
     /// separate file and is not embedded). Byte-deterministic.
     pub fn to_json(&self) -> String {
+        let r = &self.run;
         let mut w = JsonWriter::default();
         w.object(Layout::Block)
             .field("seed", self.seed)
             .field("steps", self.steps)
-            .field("final_time_ns", self.final_time.as_nanos())
+            .field("final_time_ns", r.final_time.as_nanos())
             .key("faults")
             .object(Layout::Spaced);
-        for (name, n) in &self.faults {
+        for (name, n) in &r.faults {
             w.field(name, n);
         }
         w.end()
-            .field("requests_dispatched", self.requests_dispatched)
-            .field("replies_delivered", self.replies_delivered)
-            .field("duplicates_suppressed", self.duplicates_suppressed)
-            .field("recoveries_completed", self.recoveries_completed)
-            .field("transfer_takeovers", self.transfer_takeovers)
-            .field("dedup_gaps_skipped", self.dedup_gaps_skipped)
-            .field("invariant_checks", self.invariant_checks)
+            .field("requests_dispatched", r.requests_dispatched)
+            .field("replies_delivered", r.replies_delivered)
+            .field("duplicates_suppressed", r.duplicates_suppressed)
+            .field("recoveries_completed", r.recoveries_completed)
+            .field("transfer_takeovers", r.transfer_takeovers)
+            .field("dedup_gaps_skipped", r.dedup_gaps_skipped)
+            .field("invariant_checks", r.invariant_checks)
             .key("violations")
             .array(Layout::Spaced);
-        for v in &self.violations {
+        for v in &r.violations {
             v.write_json(&mut w);
         }
         w.end();
-        if let Some(h) = &self.health {
-            w.key("health")
-                .object(Layout::Spaced)
-                .field("epochs", h.epochs)
-                .field("diagnoses", h.diagnoses)
-                .field("critical", h.critical)
-                .end();
+        if let Some(ce) = &self.counterexample {
+            w.key("counterexample");
+            ce.write_json(&mut w);
         }
         w.field("passed", self.passed()).end();
         w.finish()
@@ -317,41 +362,38 @@ impl CampaignSummary {
 
 impl fmt::Display for CampaignSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.run;
         writeln!(
             f,
             "chaos campaign: seed={} steps={} end={}",
-            self.seed, self.steps, self.final_time
+            self.seed, self.steps, r.final_time
         )?;
         write!(f, "  faults:")?;
-        for (name, n) in &self.faults {
+        for (name, n) in &r.faults {
             write!(f, " {name}={n}")?;
         }
         writeln!(f)?;
         writeln!(
             f,
             "  traffic: dispatched={} replies={} duplicates_suppressed={}",
-            self.requests_dispatched, self.replies_delivered, self.duplicates_suppressed
+            r.requests_dispatched, r.replies_delivered, r.duplicates_suppressed
         )?;
         writeln!(
             f,
             "  recovery: completed={} takeovers={} dedup_gaps_skipped={}",
-            self.recoveries_completed, self.transfer_takeovers, self.dedup_gaps_skipped
+            r.recoveries_completed, r.transfer_takeovers, r.dedup_gaps_skipped
         )?;
         writeln!(
             f,
             "  invariants: checks={} violations={}",
-            self.invariant_checks,
-            self.violations.len()
+            r.invariant_checks,
+            r.violations.len()
         )?;
-        for v in &self.violations {
+        for v in &r.violations {
             writeln!(f, "    VIOLATION {v}")?;
         }
-        if let Some(h) = &self.health {
-            writeln!(
-                f,
-                "  health: epochs={} diagnoses={} critical={}",
-                h.epochs, h.diagnoses, h.critical
-            )?;
+        if let Some(ce) = &self.counterexample {
+            write!(f, "{ce}")?;
         }
         write!(
             f,
@@ -361,13 +403,128 @@ impl fmt::Display for CampaignSummary {
     }
 }
 
+// ---- the fault step ----
+
+/// Draws one fault from `source` and runs its script, for a campaign's
+/// walk and an explored schedule alike. Branch 0 of the
+/// [`ChoiceKind::Fault`] choice is "no fault", branch `i` is
+/// [`FaultKind::ALL`]`[i - 1]`. The victim and every duration are
+/// [`ChoiceKind::Param`] choices whose branch 0 is the first candidate
+/// or the shortest span. Mid-transfer faults aim at `target`.
+/// Partitions come at traffic quiescence and heal before traffic
+/// resumes, so split replicas cannot diverge; the short hold still
+/// lands the heal mid-reformation.
+pub(crate) fn fault_step(
+    cluster: &mut Cluster,
+    source: &RefCell<dyn ChoiceSource>,
+    target: GroupId,
+    step: usize,
+) -> Option<FaultKind> {
+    let kind = pick_fault(cluster, source, target)?;
+    cluster.record_event(
+        "chaos/campaign",
+        EventKind::ChaosFault,
+        format!("step {step} {}", kind.name()),
+    );
+    let param = |arity: usize| source.borrow_mut().choose(ChoiceKind::Param, arity);
+    let ms = |base: u64, arity: usize| Duration::from_millis(base + param(arity) as u64);
+    let us = |base: u64, arity: usize| Duration::from_micros(base + param(arity) as u64);
+    match kind {
+        FaultKind::KillReplica => {
+            let groups = killable_groups(cluster);
+            let group = groups[param(groups.len())];
+            let hosting = cluster.hosting(group);
+            cluster.kill_replica(group, hosting[param(hosting.len())]);
+        }
+        FaultKind::CrashRestart => {
+            let candidates = crashable_processors(cluster);
+            let victim = candidates[param(candidates.len())];
+            let downtime = ms(20, 100);
+            crash_restart(cluster, victim, downtime, downtime);
+        }
+        FaultKind::PartitionHeal => {
+            let cut = 1 + param(cluster.live_processors().len() - 1);
+            partition_heal(cluster, cut, ms(5, 55));
+        }
+        FaultKind::LossBurst => {
+            // 53 uniform mantissa bits, as `SimRng::next_f64` draws them.
+            let unit = param(1 << 53) as f64 * (1.0 / (1u64 << 53) as f64);
+            loss_burst(cluster, 0.05 + 0.25 * unit, 1, ms(20, 60));
+        }
+        FaultKind::DelaySpike => {
+            let delay = us(200, 1_800);
+            delay_spike(cluster, delay, true, ms(20, 60));
+        }
+        FaultKind::KillMidTransfer | FaultKind::KillDonorMidStream => {
+            let hosting = cluster.hosting(target);
+            let victim = hosting[param(hosting.len())];
+            let into = || us(200, 1_800);
+            if kind == FaultKind::KillDonorMidStream {
+                kill_donor_mid_stream(cluster, target, victim, into);
+            } else if let Some(new_host) = kill_mid_transfer(cluster, target, victim, into) {
+                crash_restart(cluster, new_host, ms(20, 40), Duration::ZERO);
+            }
+        }
+    }
+    Some(kind)
+}
+
+/// The fault-kind choice of [`fault_step`], asked again (eight times at
+/// most, then a loss burst, which always applies) while the drawn kind
+/// does not apply right now.
+fn pick_fault(
+    cluster: &Cluster,
+    source: &RefCell<dyn ChoiceSource>,
+    target: GroupId,
+) -> Option<FaultKind> {
+    let arity = FaultKind::ALL.len() + 1;
+    for _ in 0..8 {
+        let branch = source.borrow_mut().choose(ChoiceKind::Fault, arity);
+        let kind = FaultKind::ALL[branch.checked_sub(1)?.min(arity - 2)];
+        let applicable = match kind {
+            FaultKind::KillReplica => !killable_groups(cluster).is_empty(),
+            FaultKind::CrashRestart => !crashable_processors(cluster).is_empty(),
+            FaultKind::PartitionHeal => cluster.live_processors().len() >= 2,
+            FaultKind::LossBurst | FaultKind::DelaySpike => true,
+            FaultKind::KillMidTransfer => cluster.hosting(target).len() >= 2,
+            // One host recovers, one donates, one survives to take the
+            // stream over.
+            FaultKind::KillDonorMidStream => cluster.hosting(target).len() >= 3,
+        };
+        if applicable {
+            return Some(kind);
+        }
+    }
+    Some(FaultKind::LossBurst)
+}
+
+/// Groups that keep at least one replica if one is killed.
+fn killable_groups(cluster: &Cluster) -> Vec<GroupId> {
+    cluster
+        .groups()
+        .into_iter()
+        .map(|(g, _)| g)
+        .filter(|&g| cluster.hosting(g).len() >= 2)
+        .collect()
+}
+
+/// Processors whose crash leaves every group a replica: total loss has
+/// nothing to transfer state from and is out of scope.
+fn crashable_processors(cluster: &Cluster) -> Vec<NodeId> {
+    cluster
+        .live_processors()
+        .into_iter()
+        .filter(|&n| cluster.safe_to_crash(n))
+        .collect()
+}
+
 // ---- fault scripts ----
 //
 // One script per multi-step fault, parameterised by victim and
-// durations: a campaign draws the parameters from its rng, the health
-// lab (`health_lab.rs`) passes constants. A duration that is only
-// needed once something has been observed is a closure, so a campaign
-// draws it then and not before.
+// durations: [`fault_step`] asks its source for the parameters, the
+// health lab (`health_lab.rs`) passes constants. A duration that is
+// only needed once something has been observed is a closure, so a
+// campaign draws it then and not before.
 
 /// Crashes `victim` and keeps it down for `quiet`; if `loaded` is
 /// nonzero, re-bursts the clients and keeps it down that much longer,
@@ -503,368 +660,6 @@ pub fn kill_donor_mid_stream(
     }
 }
 
-/// The campaign state while running.
-struct Campaign<'a> {
-    cfg: &'a CampaignConfig,
-    rng: SimRng,
-    cluster: Cluster,
-    /// Server/driver pairs audited by the shared [`Oracle`]
-    /// (`pairs[1]` is always the blob pair, which the mid-transfer
-    /// faults target).
-    pairs: Vec<OraclePair>,
-    faults: BTreeMap<&'static str, u64>,
-    invariant_checks: u64,
-    violations: Vec<Violation>,
-    recoveries_seen: usize,
-}
-
-/// Runs one campaign to completion.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
-    let mut cluster_cfg = ClusterConfig {
-        processors: PROCESSORS,
-        ..ClusterConfig::default()
-    };
-    if let Some(budget) = cfg.batch_budget_bytes {
-        cluster_cfg.totem.batch_budget_bytes = budget;
-    }
-    cluster_cfg.mech.chunk_bytes = cfg.chunk_bytes;
-    cluster_cfg.mech.suffix_checkpoint_len = SUFFIX_CHECKPOINT_LEN;
-    cluster_cfg.causal = cfg.causal;
-    cluster_cfg.health_period = cfg.health_period;
-    let cluster = Cluster::new(cluster_cfg, cfg.seed.wrapping_add(1));
-    let mut campaign = Campaign {
-        cfg,
-        rng: SimRng::seed_from_u64(cfg.seed),
-        cluster,
-        pairs: Vec::new(),
-        faults: BTreeMap::new(),
-        invariant_checks: 0,
-        violations: Vec::new(),
-        recoveries_seen: 0,
-    };
-    campaign.deploy();
-    campaign.run();
-    campaign.finish()
-}
-
-impl Campaign<'_> {
-    fn deploy(&mut self) {
-        let blob_size = self.cfg.blob_size;
-        let counter = self.cluster.deploy_server(
-            "chaos-counter",
-            FaultToleranceProperties::active(3),
-            || Box::new(CounterServant::default()),
-        );
-        // Three replicas: [`FaultKind::KillDonorMidStream`] consumes
-        // two (the recovering replica and the killed donor) and still
-        // needs an operational survivor to take the stream over.
-        let blob = self.cluster.deploy_server(
-            "chaos-blob",
-            FaultToleranceProperties::active(3),
-            move || Box::new(BlobServant::with_size(blob_size)),
-        );
-        // A warm-passive pair: its primary logs every invocation, so
-        // the suffix-bound checkpoint trigger (and invariant 6) get
-        // exercised, and primary kills go through promotion + replay.
-        let ledger = self.cluster.deploy_server(
-            "chaos-ledger",
-            FaultToleranceProperties::warm_passive(2),
-            || Box::new(CounterServant::default()),
-        );
-        let counter_driver = self.cluster.deploy_client(
-            "chaos-counter-driver",
-            FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(counter, "increment", BURST)),
-        );
-        let blob_driver = self.cluster.deploy_client(
-            "chaos-blob-driver",
-            FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(blob, "touch", BURST)),
-        );
-        let ledger_driver = self.cluster.deploy_client(
-            "chaos-ledger-driver",
-            FaultToleranceProperties::active(2),
-            move |_| Box::new(BurstClient::new(ledger, "increment", BURST)),
-        );
-        self.pairs = vec![
-            OraclePair {
-                server: counter,
-                driver: counter_driver,
-                kind: ServantKind::Counter,
-            },
-            OraclePair {
-                server: blob,
-                driver: blob_driver,
-                kind: ServantKind::Blob { size: blob_size },
-            },
-            OraclePair {
-                server: ledger,
-                driver: ledger_driver,
-                kind: ServantKind::Counter,
-            },
-        ];
-        self.cluster.run_until_deployed();
-    }
-
-    fn run(&mut self) {
-        // Post-deployment baseline: the invariants must hold before any
-        // fault is injected (step 0).
-        let settled = settle(&mut self.cluster, SETTLE_CAP);
-        self.check_invariants(0, settled);
-        for step in 1..=self.cfg.steps {
-            let kind = self.pick_fault();
-            *self.faults.entry(kind.name()).or_insert(0) += 1;
-            self.cluster.record_event(
-                "chaos/campaign",
-                EventKind::ChaosFault,
-                format!("step {step} {}", kind.name()),
-            );
-            self.inject(kind);
-            // Re-burst traffic over the (now repaired) system, then
-            // drain it to the next quiescent point and audit.
-            self.cluster.kick_clients();
-            let settled = settle(&mut self.cluster, SETTLE_CAP);
-            self.check_invariants(step, settled);
-        }
-    }
-
-    /// Draws the next fault kind, retrying when the drawn kind is not
-    /// currently applicable (e.g. no processor is safe to crash).
-    /// Falls back to a loss burst, which always applies.
-    fn pick_fault(&mut self) -> FaultKind {
-        for _ in 0..8 {
-            let kind = FaultKind::ALL[self.rng.gen_range(FaultKind::ALL.len() as u64) as usize];
-            let applicable = match kind {
-                FaultKind::KillReplica => !Self::killable_groups(&self.cluster).is_empty(),
-                FaultKind::CrashRestart => !Self::crashable_processors(&self.cluster).is_empty(),
-                FaultKind::PartitionHeal => self.cluster.live_processors().len() >= 2,
-                FaultKind::LossBurst | FaultKind::DelaySpike => true,
-                FaultKind::KillMidTransfer => {
-                    let blob = self.pairs[1].server;
-                    self.cluster.hosting(blob).len() >= 2
-                }
-                FaultKind::KillDonorMidStream => {
-                    // One host recovers, one donates, one survives to
-                    // take the stream over.
-                    let blob = self.pairs[1].server;
-                    self.cluster.hosting(blob).len() >= 3
-                }
-            };
-            if applicable {
-                return kind;
-            }
-        }
-        FaultKind::LossBurst
-    }
-
-    /// Runs `kind`'s script with parameters drawn from the campaign's
-    /// rng. Partitions are applied at traffic quiescence and healed
-    /// before traffic resumes: replicas of one group split across
-    /// components must not diverge, and with no invocations in flight
-    /// they cannot; the short hold still lands the heal in the middle
-    /// of the components' ring reformations.
-    fn inject(&mut self, kind: FaultKind) {
-        let cluster = &mut self.cluster;
-        let rng = &mut self.rng;
-        let blob = self.pairs[1].server;
-        match kind {
-            FaultKind::KillReplica => {
-                let candidates = Self::killable_groups(cluster);
-                let &group = rng.choose(&candidates).expect("checked applicable");
-                let hosting = cluster.hosting(group);
-                let &victim = rng.choose(&hosting).expect("hosting >= 2");
-                cluster.kill_replica(group, victim);
-            }
-            FaultKind::CrashRestart => {
-                let candidates = Self::crashable_processors(cluster);
-                let &victim = rng.choose(&candidates).expect("checked applicable");
-                let downtime = Duration::from_millis(20 + rng.gen_range(100));
-                crash_restart(cluster, victim, downtime, downtime);
-            }
-            FaultKind::PartitionHeal => {
-                let live = cluster.live_processors().len() as u64;
-                let cut = 1 + rng.gen_range(live - 1) as usize;
-                let hold = Duration::from_millis(5 + rng.gen_range(55));
-                partition_heal(cluster, cut, hold);
-            }
-            FaultKind::LossBurst => {
-                let loss = 0.05 + 0.25 * rng.next_f64();
-                let hold = Duration::from_millis(20 + rng.gen_range(60));
-                loss_burst(cluster, loss, 1, hold);
-            }
-            FaultKind::DelaySpike => {
-                let delay = Duration::from_micros(200 + rng.gen_range(1_800));
-                let hold = Duration::from_millis(20 + rng.gen_range(60));
-                delay_spike(cluster, delay, true, hold);
-            }
-            FaultKind::KillMidTransfer | FaultKind::KillDonorMidStream => {
-                let &victim = rng
-                    .choose(&cluster.hosting(blob))
-                    .expect("checked applicable");
-                let into = || Duration::from_micros(200 + rng.gen_range(1_800));
-                if kind == FaultKind::KillDonorMidStream {
-                    kill_donor_mid_stream(cluster, blob, victim, into);
-                } else if let Some(new_host) = kill_mid_transfer(cluster, blob, victim, into) {
-                    let downtime = Duration::from_millis(20 + rng.gen_range(40));
-                    crash_restart(cluster, new_host, downtime, Duration::ZERO);
-                }
-            }
-        }
-    }
-
-    // ---- applicability helpers ----
-
-    /// Groups that keep at least one replica if one is killed.
-    fn killable_groups(cluster: &Cluster) -> Vec<GroupId> {
-        cluster
-            .groups()
-            .into_iter()
-            .map(|(g, _)| g)
-            .filter(|&g| cluster.hosting(g).len() >= 2)
-            .collect()
-    }
-
-    /// The campaign never takes a whole group out: total loss has
-    /// nothing to transfer state from and is out of scope.
-    fn crashable_processors(cluster: &Cluster) -> Vec<NodeId> {
-        cluster
-            .live_processors()
-            .into_iter()
-            .filter(|&n| cluster.safe_to_crash(n))
-            .collect()
-    }
-
-    // ---- invariants ----
-
-    fn violation(&mut self, step: usize, invariant: &'static str, detail: String) {
-        self.cluster.record_event(
-            "chaos/invariants",
-            EventKind::InvariantViolation,
-            format!("step {step} {invariant}: {detail}"),
-        );
-        self.violations.push(Violation {
-            step,
-            invariant,
-            detail,
-        });
-    }
-
-    fn check_invariants(&mut self, step: usize, settled: bool) {
-        self.cluster.record_event(
-            "chaos/invariants",
-            EventKind::InvariantCheck,
-            format!("step {step}"),
-        );
-        self.invariant_checks += 1;
-        if !settled {
-            self.violation(
-                step,
-                "bounded-recovery",
-                format!("cluster failed to quiesce within {SETTLE_CAP}"),
-            );
-        }
-        // Invariants 1, 2, 4, 5, 6 plus the single-copy reference
-        // replay are the shared oracle; only the episode-based
-        // recovery-time audit is campaign-specific.
-        let oracle = self.oracle();
-        for v in oracle.check(&mut self.cluster) {
-            self.violation(step, v.invariant, v.detail);
-        }
-        self.check_recovery_times(step);
-    }
-
-    /// The shared oracle configured for this campaign's caps and pairs.
-    fn oracle(&self) -> Oracle {
-        let mut oracle = Oracle::new(OracleConfig {
-            suffix_checkpoint_len: SUFFIX_CHECKPOINT_LEN,
-        });
-        for &pair in &self.pairs {
-            oracle.add_pair(pair);
-        }
-        oracle
-    }
-
-    /// Invariant 3 (episode half): every newly completed recovery
-    /// finished within the cap.
-    fn check_recovery_times(&mut self, step: usize) {
-        let cap = RECOVERY_CAP;
-        let timelines = self.cluster.recovery_timelines();
-        let overruns: Vec<Duration> = timelines[self.recoveries_seen..]
-            .iter()
-            .map(RecoveryTimeline::recovery_time)
-            .filter(|&took| took > cap)
-            .collect();
-        self.recoveries_seen = timelines.len();
-        for took in overruns {
-            self.violation(
-                step,
-                "bounded-recovery",
-                format!("episode took {took} (cap {cap})"),
-            );
-        }
-    }
-
-    fn finish(self) -> CampaignSummary {
-        let m = self.cluster.metrics();
-        let dedup_gaps_skipped = self
-            .cluster
-            .live_processors()
-            .iter()
-            .map(|&n| self.cluster.mechanisms(n).dedup_gaps_skipped())
-            .sum();
-        let transfer_takeovers = self
-            .cluster
-            .live_processors()
-            .iter()
-            .map(|&n| self.cluster.mechanisms(n).counters().transfer_takeovers)
-            .sum();
-        let mut violations = self.violations;
-        if self.cfg.force_violation {
-            violations.push(Violation {
-                step: self.cfg.steps,
-                invariant: "forced",
-                detail: "synthetic violation injected by force_violation".into(),
-            });
-        }
-        let flight_recorder = if self.cfg.causal && !violations.is_empty() {
-            let reason = violations
-                .iter()
-                .map(Violation::to_string)
-                .collect::<Vec<_>>()
-                .join("; ");
-            Some(self.cluster.causal().flight_recorder_json(&reason))
-        } else {
-            None
-        };
-        let health = if self.cfg.health_period > Duration::ZERO {
-            let auditor = self.cluster.health_auditor();
-            Some(HealthRollup {
-                epochs: auditor.epochs().len() as u64,
-                diagnoses: auditor.diagnoses().len() as u64,
-                critical: auditor.critical_count() as u64,
-            })
-        } else {
-            None
-        };
-        CampaignSummary {
-            seed: self.cfg.seed,
-            steps: self.cfg.steps,
-            final_time: self.cluster.now(),
-            faults: self.faults,
-            requests_dispatched: m.requests_dispatched,
-            replies_delivered: m.replies_delivered,
-            duplicates_suppressed: m.duplicates_suppressed,
-            recoveries_completed: m.recoveries_completed,
-            transfer_takeovers,
-            dedup_gaps_skipped,
-            invariant_checks: self.invariant_checks,
-            violations,
-            flight_recorder,
-            health,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,7 +668,7 @@ mod tests {
         CampaignConfig {
             seed,
             steps,
-            blob_size: 20_000,
+            topology: Topology::campaign(20_000),
             ..CampaignConfig::default()
         }
     }
@@ -882,9 +677,9 @@ mod tests {
     fn baseline_campaign_passes() {
         let summary = run_campaign(&quick(7, 3));
         assert!(summary.passed(), "{summary}");
-        assert!(summary.requests_dispatched > 0);
-        assert!(summary.replies_delivered > 0);
-        assert_eq!(summary.invariant_checks, 4); // baseline + 3 steps
+        assert!(summary.run.requests_dispatched > 0);
+        assert!(summary.run.replies_delivered > 0);
+        assert_eq!(summary.run.invariant_checks, 4); // baseline + 3 steps
     }
 
     #[test]
@@ -904,7 +699,7 @@ mod tests {
         // The schedules (and so the traffic totals) should differ; a
         // collision on both counters would mean the seed is ignored.
         assert!(
-            a.faults != b.faults || a.requests_dispatched != b.requests_dispatched,
+            a.run.faults != b.run.faults || a.run.requests_dispatched != b.run.requests_dispatched,
             "seed had no effect: {a} vs {b}"
         );
     }
@@ -923,7 +718,7 @@ mod tests {
         let mut cfg = quick(1, 1);
         cfg.force_violation = true;
         let mut summary = run_campaign(&cfg);
-        summary.violations[0].detail = "\"\\\n\t\u{1}".into();
+        summary.run.violations[0].detail = "\"\\\n\t\u{1}".into();
         let json = summary.to_json();
         assert!(
             json.contains(r#""detail": "\"\\\n\t\u0001"}"#),

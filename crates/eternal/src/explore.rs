@@ -1,120 +1,94 @@
-//! Systematic schedule-space exploration with a single-copy oracle.
+//! Systematic schedule-space exploration with a single-copy oracle, and
+//! the run loop every fault campaign goes through.
 //!
-//! The chaos campaigns ([`crate::chaos`]) sample the interleaving space
-//! along randomly-seeded fault schedules: each seed is one trajectory,
-//! and a bug that needs a specific event permutation can hide for a
-//! long time. This module searches the space *systematically* instead,
-//! in the style of stateless model checking:
-//!
-//! - Every nondeterministic decision the simulator makes is an explicit
-//!   **choice-point** ([`eternal_sim::choice`]): the same-instant
-//!   scheduler tie-break, the fate of each multicast frame at Totem
-//!   token-visit and delivery boundaries (deliver / drop / delay), and
-//!   coarse fault injection between load steps (kill a replica).
-//!   Branch 0 of every choice-point is the unmodified simulator
-//!   behaviour, so the all-defaults schedule is byte-identical to a
-//!   normal run.
-//! - A **search** walks distinct schedules: bounded breadth-first
-//!   expansion over choice prefixes (iterative deepening in the number
-//!   of non-default branches) followed by seeded random walks, all
-//!   under one run budget. Each schedule is fingerprinted (FNV-1a over
-//!   the recorded choice trace) for dedup and byte-identical
-//!   resumability: the same `(seed, budget)` explores the same
-//!   schedules in the same order, always.
-//! - Every explored schedule is audited by the shared single-copy
-//!   **oracle** ([`crate::oracle`]) at each quiescent point:
-//!   convergence, exactly-once effects, and byte-equality of the
-//!   replicated state against an unreplicated reference servant that
-//!   replayed the observed history serially.
-//!
-//! On a violation the explorer **shrinks** the choice trace — zeroing
-//! non-default branches one at a time while the violation reproduces —
-//! re-runs the minimal schedule with causal tracing armed to capture a
-//! flight-recorder dump, and emits a ready-to-paste regression-test
-//! skeleton (see `tests/explore_regressions.rs` for pinned examples).
-//! Run it from the command line: `cargo run -p eternal-bench --bin
-//! repro -- explore --quick --json EXPLORE_eternal.json`; see
-//! `docs/TESTING.md`.
+//! A chaos campaign ([`crate::chaos`]) is one seeded walk through the
+//! schedule space; this module searches it *systematically*, in the
+//! style of stateless model checking. Every nondeterministic decision
+//! is a **choice-point** ([`eternal_sim::choice`]): the same-instant
+//! scheduler tie-break, the fate of each multicast frame (deliver /
+//! drop / delay), and, between load steps, which of the seven
+//! [`FaultKind`]s to inject with what victim and durations
+//! ([`chaos::fault_step`]). Branch 0 is always the unmodified simulator
+//! and "no fault". A schedule is named by its [`Pin`]s and
+//! fingerprinted (FNV-1a over the recorded choice trace). The search
+//! spends its budget on breadth-first expansion — every tie, frame and
+//! token position inside a window, every fault position wherever it
+//! lies — and then, a fixed share of it, on seeded random walks; the
+//! same `(seed, budget)` explores the same schedules in the same order.
+//! Every schedule is audited at each quiescent point by the shared
+//! single-copy **oracle** ([`crate::oracle`]) and the recovery-time cap.
+//! A violating schedule — explored or a campaign's — is **shrunk**,
+//! re-run with causal tracing for a flight-recorder dump, and rendered
+//! as a ready-to-paste regression test (`tests/explore_regressions.rs`).
+//! Run it with `cargo run -p eternal-bench --bin repro -- explore
+//! --quick`; see `docs/TESTING.md`.
 
-use crate::app::{BurstClient, CounterServant};
-use crate::chaos::{settle, Violation};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::chaos::{self, settle, CampaignConfig, FaultKind, Topology, Violation};
+use crate::cluster::Cluster;
 use crate::hash::{fnv1a, FNV_OFFSET};
-use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
-use crate::properties::FaultToleranceProperties;
+use crate::oracle::{Oracle, OracleConfig};
 use eternal_obs::export::{JsonWriter, Layout};
-use eternal_obs::{EventKind, MetricsRegistry};
+use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::rng::SimRng;
-use eternal_sim::Duration;
+use eternal_sim::{Duration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// Cluster size per run.
-const PROCESSORS: u32 = 3;
-
-/// Two-way invocations each driver replica issues per load tick.
-const BURST: u64 = 2;
-
-/// Prefix expansion window: only the first this-many recorded choice
-/// positions of a run are branched during the breadth-first phase (the
-/// tail is covered by random walks).
+/// Prefix expansion branches ties, frames and tokens only among a run's
+/// first this-many recorded choices, and at most this many ways each.
 const DFS_WINDOW: usize = 48;
-
-/// Max branches explored per position during prefix expansion (arity
-/// is clamped to this).
 const MAX_ARITY: usize = 3;
 
-/// Settle-loop deadline per step; exceeding it is a bounded-recovery
-/// violation.
-const SETTLE_CAP: Duration = Duration::from_secs(2);
+/// Per-run cap on the expansion's non-default branches (iterative
+/// deepening) and on the ties, frames and tokens a walk perturbs.
+const NONDEFAULT_BUDGET: usize = 4;
+
+/// Probability numerator (out of 16) that a walk perturbs a tie, frame
+/// or token choice while under [`NONDEFAULT_BUDGET`].
+const WALK_BIAS: u64 = 3;
+
+/// Cap on recorded tie, frame and token choices per run: past it they
+/// default, which forces a perturbed run to drain deterministically.
+/// Fault and parameter choices are never capped.
+const MAX_TRACE: usize = 20_000;
+
+/// One run in this many of the budget is a random walk.
+const WALK_SHARE: usize = 8;
+
+/// Bounds on settling after a step and on every completed recovery
+/// episode: exceeding either is a bounded-recovery violation.
+const SETTLE_CAP: Duration = Duration::from_secs(3);
+const RECOVERY_CAP: Duration = Duration::from_millis(1_000);
+
+/// Number of [`ChoiceKind`]s: pins count choices per kind.
+const KINDS: usize = 5;
 
 /// Parameters of one exploration. Everything that affects the search is
 /// in here — two equal configs produce byte-identical reports.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Seed of the cluster's network model and of the random-walk tail.
-    pub seed: u64,
     /// Total schedule runs the search may spend (baseline + prefix
     /// expansion + random walks; shrinking and the traced re-run are
     /// not counted against it).
     pub budget: usize,
-    /// Load steps per run: each step optionally injects a fault
-    /// choice, kicks the drivers, settles, and audits the oracle.
-    pub steps: usize,
-    /// Per-run cap on non-default branches: bounds both the expansion
-    /// depth (iterative deepening) and a random walk's divergence.
-    pub nondefault_budget: usize,
-    /// Random-walk bias: probability numerator (out of 16) that a walk
-    /// takes a non-default branch at each choice-point.
-    pub walk_bias: u64,
-    /// Per-run step budget: hard cap on recorded choice-points; past
-    /// it every choice defaults, which forces the run to drain
-    /// deterministically.
-    pub max_trace: usize,
-    /// Plant a synthetic exactly-once bug that fires whenever a
-    /// schedule actually drops a frame: the run then reports the
-    /// re-execution a broken duplicate detector would have produced.
-    /// Exercises the detect → shrink → report path end to end (the CI
-    /// explore-smoke job asserts on it), like
-    /// [`CampaignConfig::force_violation`](crate::chaos::CampaignConfig::force_violation)
-    /// does for the chaos path.
-    pub force_violation: bool,
+    /// Every explored schedule's run: its seed (the walks' seeds derive
+    /// from it), load steps, [`Topology`] and plant.
+    pub run: CampaignConfig,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            seed: 42,
             budget: 2_048,
-            steps: 2,
-            nondefault_budget: 4,
-            walk_bias: 3,
-            max_trace: 20_000,
-            force_violation: false,
+            run: CampaignConfig {
+                seed: 42,
+                steps: 2,
+                topology: Topology::counter(),
+                force_violation: false,
+            },
         }
     }
 }
@@ -135,242 +109,284 @@ impl ExploreConfig {
 pub struct RecordedChoice {
     /// What kind of decision this was.
     pub kind: ChoiceKind,
+    /// Its rank among the run's choices of that kind (what a [`Pin`]
+    /// names).
+    pub nth: usize,
     /// The branch taken (0 = default).
-    pub branch: u8,
+    pub branch: usize,
     /// How many branches were available.
-    pub arity: u8,
+    pub arity: usize,
+}
+
+/// A forced branch: the `nth` (from 0) recorded choice of `kind` in a
+/// run takes `branch`. Pins count per kind, so dropping a fault leaves
+/// the other faults' pins on their own steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pin {
+    /// The kind of choice pinned.
+    pub kind: ChoiceKind,
+    /// Its rank among the run's choices of that kind.
+    pub nth: usize,
+    /// The branch it takes.
+    pub branch: usize,
+}
+
+impl fmt::Display for Pin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}#{}={}", self.kind.name(), self.nth, self.branch)
+    }
 }
 
 /// The deterministic result of running one schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// FNV-1a fingerprint of the recorded choice trace.
     pub fingerprint: u64,
-    /// Every armed choice-point resolution, in order.
+    /// Every recorded choice-point resolution, in order.
     pub trace: Vec<RecordedChoice>,
-    /// Oracle violations, in discovery order.
+    /// Injected faults by kind name.
+    pub faults: BTreeMap<&'static str, u64>,
+    /// Violations, in discovery order.
     pub violations: Vec<Violation>,
-    /// Virtual time at the end of the run, nanoseconds.
-    pub final_time_ns: u64,
+    /// Invariant checks run (baseline + one per step).
+    pub invariant_checks: u64,
+    /// Virtual time at the end of the run.
+    pub final_time: SimTime,
     /// Frames dropped by non-default frame-fate branches.
     pub frames_dropped: u64,
     /// Frames delayed by non-default frame-fate branches.
     pub frames_delayed: u64,
+    /// Requests executed by server replicas.
+    pub requests_dispatched: u64,
+    /// Replies delivered to client replicas.
+    pub replies_delivered: u64,
+    /// Duplicate operations suppressed by the mechanisms.
+    pub duplicates_suppressed: u64,
+    /// Completed §5.1 recovery episodes.
+    pub recoveries_completed: u64,
+    /// Chunked transfers resumed from a dead donor's cursor (live
+    /// processors at the end).
+    pub transfer_takeovers: u64,
+    /// Request-ids force-skipped by dedup window eviction (live
+    /// processors at the end; Totem's reliability keeps it 0).
+    pub dedup_gaps_skipped: u64,
+    /// The flight-recorder dump, when the topology was causal and an
+    /// invariant was violated.
+    pub flight_recorder: Option<String>,
 }
 
 impl RunOutcome {
-    /// The branch sequence of the trace, trimmed to the last
-    /// non-default branch — the prefix that reproduces this schedule.
-    pub fn prefix(&self) -> Vec<u8> {
-        let mut branches: Vec<u8> = self.trace.iter().map(|c| c.branch).collect();
-        while branches.last() == Some(&0) {
-            branches.pop();
-        }
-        branches
+    /// The trace's non-default choices as pins — the schedule that
+    /// reproduces this run.
+    pub fn pins(&self) -> Vec<Pin> {
+        let pinned = self.trace.iter().filter(|c| c.branch != 0);
+        pinned
+            .map(|c| Pin {
+                kind: c.kind,
+                nth: c.nth,
+                branch: c.branch,
+            })
+            .collect()
     }
 }
 
-/// The recording/replaying [`ChoiceSource`] the explorer installs into
-/// each run's cluster.
-#[derive(Debug)]
-struct TraceSource {
-    /// Branches to force at the first recorded positions.
-    prefix: Vec<u8>,
-    /// Random tail for walk runs (`None`: defaults after the prefix).
-    rng: Option<SimRng>,
-    walk_bias: u64,
-    nondefault_budget: usize,
-    max_trace: usize,
-    /// Recording starts only once armed (post-deployment), so trace
-    /// positions are stable relative to the first load step.
-    armed: bool,
+/// The recording [`ChoiceSource`] every run installs: pinned choices
+/// take their branch, the rest come from a seeded walk or default.
+///
+/// A walk injects a fault at every fault choice, `1 + gen_range(arity -
+/// 1)`, and draws every parameter as `gen_range(arity)`: in the order
+/// the fault step asks, these are a chaos campaign's draws. With
+/// `perturb`, a tie, frame or token choice also takes a non-default
+/// branch with probability [`WALK_BIAS`]/16 until [`NONDEFAULT_BUDGET`]
+/// are taken; without, it keeps its default.
+#[derive(Debug, Default)]
+pub(crate) struct TraceSource {
+    pins: Vec<Pin>,
+    walk: Option<SimRng>,
+    perturb: bool,
+    perturbed: usize,
+    /// Choices recorded so far, per kind.
+    seen: [usize; KINDS],
     taken: Vec<RecordedChoice>,
-    walk_nondefault: usize,
 }
 
 impl TraceSource {
-    fn new(prefix: Vec<u8>, rng: Option<SimRng>, cfg: &ExploreConfig) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(TraceSource {
-            prefix,
-            rng,
-            walk_bias: cfg.walk_bias,
-            nondefault_budget: cfg.nondefault_budget,
-            max_trace: cfg.max_trace,
-            armed: false,
-            taken: Vec::new(),
-            walk_nondefault: 0,
-        }))
+    /// Replays `pins`; every other choice takes its default.
+    pub(crate) fn pinned(pins: &[Pin]) -> Self {
+        TraceSource {
+            pins: pins.to_vec(),
+            ..TraceSource::default()
+        }
+    }
+
+    /// A walk seeded with `seed`.
+    pub(crate) fn walk(seed: u64, perturb: bool) -> Self {
+        TraceSource {
+            walk: Some(SimRng::seed_from_u64(seed)),
+            perturb,
+            ..TraceSource::default()
+        }
     }
 }
 
 impl ChoiceSource for TraceSource {
     fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize {
-        if !self.armed || arity < 2 || self.taken.len() >= self.max_trace {
+        let fault = matches!(kind, ChoiceKind::Fault | ChoiceKind::Param);
+        if !fault && (arity < 2 || self.taken.len() >= MAX_TRACE) {
             return 0;
         }
-        let pos = self.taken.len();
-        let branch = if pos < self.prefix.len() {
-            // Replay: forced branches are exact (clamped to arity in
-            // case the schedule diverged and this point got narrower).
-            usize::from(self.prefix[pos]).min(arity - 1)
-        } else if let Some(rng) = &mut self.rng {
-            // Walk tail, bounded by the non-default budget.
-            if self.walk_nondefault < self.nondefault_budget && rng.gen_range(16) < self.walk_bias {
-                self.walk_nondefault += 1;
-                1 + rng.gen_range(arity as u64 - 1) as usize
-            } else {
-                0
-            }
-        } else {
-            0
+        let nth = self.seen[kind as usize];
+        self.seen[kind as usize] += 1;
+        let pin = self.pins.iter().find(|p| p.kind == kind && p.nth == nth);
+        let branch = match (pin, &mut self.walk) {
+            // Clamped in case the schedule diverged and this point got
+            // narrower.
+            (Some(pin), _) => pin.branch.min(arity - 1),
+            (None, None) => 0,
+            (None, Some(rng)) => match kind {
+                ChoiceKind::Fault => 1 + rng.gen_range(arity as u64 - 1) as usize,
+                ChoiceKind::Param => rng.gen_range(arity as u64) as usize,
+                _ if self.perturb
+                    && self.perturbed < NONDEFAULT_BUDGET
+                    && rng.gen_range(16) < WALK_BIAS =>
+                {
+                    self.perturbed += 1;
+                    1 + rng.gen_range(arity as u64 - 1) as usize
+                }
+                _ => 0,
+            },
         };
         self.taken.push(RecordedChoice {
             kind,
-            branch: branch as u8,
-            arity: arity.min(u8::MAX as usize) as u8,
+            nth,
+            branch,
+            arity,
         });
         branch
     }
 }
 
-/// Replays the schedule identified by `prefix` (branch `prefix[i]` at
-/// the `i`-th armed choice-point, defaults afterwards) and returns its
-/// outcome. This is the resumability API: pinned regression tests in
-/// `tests/explore_regressions.rs` call it with emitted minimal
-/// schedules, and `run_explore` itself uses nothing stronger.
-pub fn replay_prefix(cfg: &ExploreConfig, prefix: &[u8]) -> RunOutcome {
-    run_schedule(cfg, prefix.to_vec(), None, false).0
+/// A run's cluster and what its audits have found.
+struct Audit {
+    cluster: Cluster,
+    oracle: Oracle,
+    violations: Vec<Violation>,
+    recoveries_seen: usize,
 }
 
-/// Runs one schedule: `prefix` forced, then either defaults or a
-/// seeded random tail. With `causal`, the cluster records causal spans
-/// and the returned string holds the flight-recorder dump (present
-/// only when the run violated).
-fn run_schedule(
-    cfg: &ExploreConfig,
-    prefix: Vec<u8>,
-    walk_seed: Option<u64>,
-    causal: bool,
-) -> (RunOutcome, Option<String>) {
-    let cluster_cfg = ClusterConfig {
-        processors: PROCESSORS,
-        trace: causal,
-        causal,
-        ..ClusterConfig::default()
-    };
-    let suffix_threshold = cluster_cfg.mech.suffix_checkpoint_len;
-    let mut cluster = Cluster::new(cluster_cfg, cfg.seed);
-    let server = cluster.deploy_server(
-        "explore-counter",
-        FaultToleranceProperties::active(2),
-        || Box::new(CounterServant::default()),
-    );
-    let driver = cluster.deploy_client(
-        "explore-driver",
-        FaultToleranceProperties::active(1),
-        move |_| Box::new(BurstClient::new(server, "increment", BURST)),
-    );
-    cluster.run_until_deployed();
-
-    let source = TraceSource::new(prefix, walk_seed.map(SimRng::seed_from_u64), cfg);
-    cluster.set_choice_source(source.clone());
-    source.borrow_mut().armed = true;
-
-    let oracle = Oracle::new(OracleConfig {
-        suffix_checkpoint_len: suffix_threshold,
-    })
-    .with_pair(OraclePair {
-        server,
-        driver,
-        kind: ServantKind::Counter,
-    });
-
-    let mut violations = Vec::new();
-    let audit =
-        |cluster: &mut Cluster, violations: &mut Vec<Violation>, step: usize, settled: bool| {
-            if !settled {
-                violations.push(Violation {
-                    step,
-                    invariant: "bounded-recovery",
-                    detail: format!("cluster failed to quiesce within {SETTLE_CAP}"),
-                });
-            }
-            for v in oracle.check(cluster) {
-                violations.push(Violation {
-                    step,
-                    invariant: v.invariant,
-                    detail: v.detail,
-                });
-            }
-        };
-
-    // Post-deployment baseline, then the load steps.
-    let settled = settle(&mut cluster, SETTLE_CAP);
-    audit(&mut cluster, &mut violations, 0, settled);
-    for step in 1..=cfg.steps {
-        // Fault choice-point: when the server group can lose a replica,
-        // branch 1 kills its first live one (auto-recovery then brings
-        // a replacement up through the §5.1 state transfer, all inside
-        // the explored schedule).
-        let live: Vec<_> = cluster
-            .hosting(server)
-            .into_iter()
-            .filter(|&n| cluster.is_alive(n))
-            .collect();
-        if live.len() >= 2 {
-            let branch = source.borrow_mut().choose(ChoiceKind::Fault, 2);
-            if branch == 1 {
-                if causal {
-                    cluster.record_event(
-                        "explore/fault",
-                        EventKind::ExploreChoice,
-                        format!("step {step}: kill {}", live[0]),
-                    );
-                }
-                cluster.kill_replica(server, live[0]);
-            }
-        }
-        cluster.kick_clients();
-        let settled = settle(&mut cluster, SETTLE_CAP);
-        audit(&mut cluster, &mut violations, step, settled);
-    }
-
-    // Planted bug (`--force-violation`): pretend duplicate detection is
-    // broken under frame loss — any schedule that actually dropped a
-    // frame "re-executed" the retransmitted invocations. Purely
-    // synthetic, but schedule-dependent the way a real dedup bug is, so
-    // the detect → shrink → report pipeline is exercised honestly:
-    // shrinking must converge on a minimal schedule that still drops a
-    // frame.
-    let registry = cluster.metrics_registry();
-    let frames_dropped = registry.counter("explore.frames_dropped");
-    let frames_delayed = registry.counter("explore.frames_delayed");
-    if cfg.force_violation && frames_dropped > 0 {
-        violations.push(Violation {
-            step: cfg.steps,
-            invariant: "exactly-once",
-            detail: format!(
-                "planted dedup bug: {frames_dropped} dropped frame(s) re-executed on retransmit"
-            ),
+impl Audit {
+    fn violation(&mut self, step: usize, invariant: &'static str, detail: String) {
+        self.cluster.record_event(
+            "chaos/invariants",
+            EventKind::InvariantViolation,
+            format!("step {step} {invariant}: {detail}"),
+        );
+        self.violations.push(Violation {
+            step,
+            invariant,
+            detail,
         });
     }
 
-    let trace = source.borrow().taken.clone();
-    let mut fp = FNV_OFFSET;
-    for c in &trace {
-        fp = fnv1a(fp, &[c.kind.tag(), c.arity, c.branch]);
+    /// Settles, then audits: the oracle's invariants (1, 2, 4, 5, 6
+    /// and the single-copy replay) and invariant 3 — the cluster
+    /// quiesced, and every newly completed recovery finished within
+    /// the cap.
+    fn check(&mut self, step: usize) {
+        let settled = settle(&mut self.cluster, SETTLE_CAP);
+        self.cluster.record_event(
+            "chaos/invariants",
+            EventKind::InvariantCheck,
+            format!("step {step}"),
+        );
+        if !settled {
+            self.violation(
+                step,
+                "bounded-recovery",
+                format!("cluster failed to quiesce within {SETTLE_CAP}"),
+            );
+        }
+        for v in self.oracle.check(&mut self.cluster) {
+            self.violation(step, v.invariant, v.detail);
+        }
+        let timelines = self.cluster.recovery_timelines();
+        let overruns: Vec<Duration> = timelines[self.recoveries_seen..]
+            .iter()
+            .map(RecoveryTimeline::recovery_time)
+            .filter(|&took| took > RECOVERY_CAP)
+            .collect();
+        self.recoveries_seen = timelines.len();
+        for took in overruns {
+            self.violation(
+                step,
+                "bounded-recovery",
+                format!("episode took {took} (cap {RECOVERY_CAP})"),
+            );
+        }
     }
-    let outcome = RunOutcome {
-        fingerprint: fp,
-        trace,
-        violations,
-        final_time_ns: cluster.now().as_nanos(),
-        frames_dropped,
-        frames_delayed,
+}
+
+/// The run loop: deploys `cfg`'s topology (network seed `seed + 1`),
+/// installs `source`, settles and audits a baseline, then per step
+/// asks for a fault, re-bursts the drivers, settles and audits; applies
+/// the plant and returns the outcome.
+pub(crate) fn run_schedule(cfg: &CampaignConfig, source: TraceSource) -> RunOutcome {
+    let topology = &cfg.topology;
+    let (mut cluster, pairs) = topology.deploy(cfg.seed.wrapping_add(1));
+    let target = pairs[topology.target].server;
+    let source = Rc::new(RefCell::new(source));
+    cluster.set_choice_source(source.clone());
+    let oracle = Oracle::new(OracleConfig {
+        suffix_checkpoint_len: topology.cluster.mech.suffix_checkpoint_len,
+    });
+    let mut audit = Audit {
+        cluster,
+        oracle: pairs.into_iter().fold(oracle, Oracle::with_pair),
+        violations: Vec::new(),
+        recoveries_seen: 0,
     };
-    let flight = if causal && !outcome.violations.is_empty() {
-        let reason = outcome
-            .violations
+    let mut faults = BTreeMap::new();
+    audit.check(0);
+    for step in 1..=cfg.steps {
+        if let Some(kind) = chaos::fault_step(&mut audit.cluster, &*source, target, step) {
+            *faults.entry(kind.name()).or_insert(0) += 1;
+        }
+        audit.cluster.kick_clients();
+        audit.check(step);
+    }
+
+    // The plant (`force_violation`): pretend duplicate detection is
+    // broken under loss — a schedule that dropped a frame or injected a
+    // fault "re-executed" the retransmitted invocations. Synthetic, but
+    // schedule-dependent the way a real dedup bug is, so shrinking must
+    // converge on one drop or one fault.
+    let registry = audit.cluster.metrics_registry();
+    let frames_dropped = registry.counter("explore.frames_dropped");
+    let injected: u64 = faults.values().sum();
+    if cfg.force_violation && frames_dropped + injected > 0 {
+        audit.violation(
+            cfg.steps,
+            "exactly-once",
+            format!(
+                "planted dedup bug: {frames_dropped} dropped frame(s) and {injected} fault(s) \
+                 re-executed on retransmit"
+            ),
+        );
+    }
+
+    let Audit {
+        mut cluster,
+        violations,
+        ..
+    } = audit;
+    let trace = std::mem::take(&mut source.borrow_mut().taken);
+    let fingerprint = trace.iter().fold(FNV_OFFSET, |fp, c| {
+        let fp = fnv1a(fp, &[c.kind.tag()]);
+        let fp = fnv1a(fp, &(c.arity as u64).to_le_bytes());
+        fnv1a(fp, &(c.branch as u64).to_le_bytes())
+    });
+    let flight_recorder = (topology.cluster.causal && !violations.is_empty()).then(|| {
+        let reason = violations
             .iter()
             .map(Violation::to_string)
             .collect::<Vec<_>>()
@@ -378,131 +394,65 @@ fn run_schedule(
         cluster.record_event(
             "explore/counterexample",
             EventKind::ExploreCounterexample,
-            format!("fingerprint {:#018x}: {reason}", outcome.fingerprint),
+            format!("fingerprint {fingerprint:#018x}: {reason}"),
         );
-        Some(cluster.causal().flight_recorder_json(&reason))
-    } else {
-        None
-    };
-    (outcome, flight)
+        cluster.causal().flight_recorder_json(&reason)
+    });
+    let m = cluster.metrics();
+    let live = cluster.live_processors();
+    let mechs = || live.iter().map(|&n| cluster.mechanisms(n));
+    RunOutcome {
+        fingerprint,
+        trace,
+        faults,
+        violations,
+        invariant_checks: cfg.steps as u64 + 1,
+        final_time: cluster.now(),
+        frames_dropped,
+        frames_delayed: registry.counter("explore.frames_delayed"),
+        requests_dispatched: m.requests_dispatched,
+        replies_delivered: m.replies_delivered,
+        duplicates_suppressed: m.duplicates_suppressed,
+        recoveries_completed: m.recoveries_completed,
+        transfer_takeovers: mechs().map(|mech| mech.counters().transfer_takeovers).sum(),
+        dedup_gaps_skipped: mechs().map(|mech| mech.dedup_gaps_skipped()).sum(),
+        flight_recorder,
+    }
 }
 
 /// A shrunk counterexample schedule, ready to be pinned as a test.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
     /// Fingerprint of the *minimal* schedule's trace.
     pub fingerprint: u64,
-    /// Minimal branch prefix that reproduces the violation.
-    pub prefix: Vec<u8>,
-    /// The minimal schedule's full recorded trace.
-    pub trace: Vec<RecordedChoice>,
+    /// The minimal schedule: every pin is load-bearing.
+    pub pins: Vec<Pin>,
     /// Violations the minimal schedule produces.
     pub violations: Vec<Violation>,
-    /// Prefix length before shrinking.
+    /// Pins before shrinking (the violating run's non-default choices).
     pub shrunk_from: usize,
     /// Schedule re-runs the shrinker spent.
     pub shrink_runs: usize,
     /// Ready-to-paste regression test.
     pub skeleton: String,
-    /// Flight-recorder dump from the traced re-run of the minimal
-    /// schedule (`None` when the violation did not reproduce under
-    /// tracing — traced frames carry extra wire bytes, which can shift
-    /// tight schedules).
+    /// Flight-recorder dump of the traced re-run (`None` when tracing's
+    /// extra wire bytes shifted the schedule off the violation).
     pub flight_recorder: Option<String>,
     /// Whether the traced re-run reproduced the violation.
     pub reproduced_with_tracing: bool,
 }
 
-/// Deterministic result of one exploration.
-#[derive(Debug, Clone)]
-pub struct ExploreReport {
-    /// The seed explored with.
-    pub seed: u64,
-    /// The configured run budget.
-    pub budget: usize,
-    /// Schedules actually run (≤ budget; the search stops early on a
-    /// violation).
-    pub runs: usize,
-    /// Distinct schedule fingerprints among them.
-    pub distinct_fingerprints: usize,
-    /// Runs from the breadth-first prefix expansion.
-    pub dfs_runs: usize,
-    /// Runs from the seeded random-walk phase.
-    pub walk_runs: usize,
-    /// Runs with at least one violation.
-    pub violating_runs: usize,
-    /// Armed choice-points resolved, by kind name, over all runs.
-    pub choice_counts: BTreeMap<&'static str, u64>,
-    /// Frames dropped by explored branches, over all runs.
-    pub frames_dropped: u64,
-    /// Frames delayed by explored branches, over all runs.
-    pub frames_delayed: u64,
-    /// Longest recorded trace.
-    pub max_trace_len: usize,
-    /// Largest per-run final virtual time, nanoseconds.
-    pub max_final_time_ns: u64,
-    /// The first (shrunk) counterexample, if any schedule violated.
-    pub counterexample: Option<Counterexample>,
-    /// Exploration counters + histograms (trace lengths, non-default
-    /// branches per run), rendered into the text report.
-    pub registry: MetricsRegistry,
-}
-
-impl ExploreReport {
-    /// Whether every explored schedule satisfied the oracle.
-    pub fn passed(&self) -> bool {
-        self.counterexample.is_none()
-    }
-
-    /// Machine-readable rendering (the `repro -- explore --json`
-    /// export). Byte-deterministic: equal configs produce equal bytes.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::default();
-        w.object(Layout::Block)
-            .field("schema", 1)
-            .field_str("tool", "explore")
-            .field("seed", self.seed)
-            .field("budget", self.budget)
-            .field("runs", self.runs)
-            .field("distinct_fingerprints", self.distinct_fingerprints)
-            .field("dfs_runs", self.dfs_runs)
-            .field("walk_runs", self.walk_runs)
-            .field("violating_runs", self.violating_runs)
-            .key("choice_points")
-            .object(Layout::Spaced);
-        for (name, n) in &self.choice_counts {
-            w.field(name, n);
-        }
-        w.end()
-            .field("frames_dropped", self.frames_dropped)
-            .field("frames_delayed", self.frames_delayed)
-            .field("max_trace_len", self.max_trace_len)
-            .field("max_final_time_ns", self.max_final_time_ns)
-            .key("counterexample");
-        match &self.counterexample {
-            None => w.value("null"),
-            Some(ce) => ce.write_json(&mut w),
-        };
-        w.field("passed", self.passed()).end();
-        w.finish()
-    }
-}
-
 impl Counterexample {
-    fn write_json<'w>(&self, w: &'w mut JsonWriter) -> &'w mut JsonWriter {
+    pub(crate) fn write_json<'w>(&self, w: &'w mut JsonWriter) -> &'w mut JsonWriter {
         w.object(Layout::Block)
             .field_str("fingerprint", format_args!("{:#018x}", self.fingerprint))
-            .key("prefix")
+            .key("pins")
             .array(Layout::Spaced);
-        for branch in &self.prefix {
-            w.value(branch);
-        }
-        w.end().key("trace").array(Layout::Spaced);
-        for c in &self.trace {
+        for p in &self.pins {
             w.object(Layout::Spaced)
-                .field_str("kind", c.kind.name())
-                .field("branch", c.branch)
-                .field("arity", c.arity)
+                .field_str("kind", p.kind.name())
+                .field("nth", p.nth)
+                .field("branch", p.branch)
                 .end();
         }
         w.end().key("violations").array(Layout::Spaced);
@@ -523,6 +473,109 @@ impl Counterexample {
     }
 }
 
+/// The report lines of a counterexample: pins, violations, skeleton.
+impl fmt::Display for Counterexample {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pins = self.pins.iter().map(Pin::to_string).collect::<Vec<_>>();
+        writeln!(
+            f,
+            "  counterexample: fingerprint={:#018x} pins=[{}] (shrunk from {} in {} runs)",
+            self.fingerprint,
+            pins.join(", "),
+            self.shrunk_from,
+            self.shrink_runs
+        )?;
+        for v in &self.violations {
+            writeln!(f, "    {v}")?;
+        }
+        writeln!(f, "  regression skeleton:")?;
+        for line in self.skeleton.lines() {
+            writeln!(f, "    {line}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Deterministic result of one exploration.
+#[derive(Debug, Clone, Default)]
+pub struct ExploreReport {
+    /// The seed explored with.
+    pub seed: u64,
+    /// The configured run budget.
+    pub budget: usize,
+    /// Schedules run (the search stops at the first violation).
+    pub runs: usize,
+    /// Distinct schedule fingerprints among them.
+    pub distinct_fingerprints: usize,
+    /// Runs from the breadth-first prefix expansion.
+    pub dfs_runs: usize,
+    /// Runs from the seeded random-walk phase.
+    pub walk_runs: usize,
+    /// Recorded choice-points, by kind name, over all runs.
+    pub choice_counts: BTreeMap<&'static str, u64>,
+    /// Non-default fault branches that injected a fault, by
+    /// [`FaultKind`] name (every kind listed), over all runs.
+    pub fault_branches: BTreeMap<&'static str, u64>,
+    /// The most non-default branches any one run took.
+    pub max_nondefault: usize,
+    /// Frames dropped by explored branches, over all runs.
+    pub frames_dropped: u64,
+    /// Frames delayed by explored branches, over all runs.
+    pub frames_delayed: u64,
+    /// Longest recorded trace.
+    pub max_trace_len: usize,
+    /// Largest per-run final virtual time, nanoseconds.
+    pub max_final_time_ns: u64,
+    /// The first (shrunk) counterexample, if any schedule violated.
+    pub counterexample: Option<Counterexample>,
+    /// Histograms of trace lengths and non-default branches per run.
+    pub registry: MetricsRegistry,
+}
+
+impl ExploreReport {
+    /// Whether every explored schedule satisfied the oracle.
+    pub fn passed(&self) -> bool {
+        self.counterexample.is_none()
+    }
+
+    /// Machine-readable rendering (the `repro -- explore --json`
+    /// export). Byte-deterministic: equal configs produce equal bytes.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::default();
+        w.object(Layout::Block)
+            .field("schema", 2)
+            .field_str("tool", "explore")
+            .field("seed", self.seed)
+            .field("budget", self.budget)
+            .field("runs", self.runs)
+            .field("distinct_fingerprints", self.distinct_fingerprints)
+            .field("dfs_runs", self.dfs_runs)
+            .field("walk_runs", self.walk_runs)
+            .field("max_nondefault", self.max_nondefault);
+        for (key, counts) in [
+            ("choice_points", &self.choice_counts),
+            ("fault_branches", &self.fault_branches),
+        ] {
+            w.key(key).object(Layout::Spaced);
+            for (name, n) in counts {
+                w.field(name, n);
+            }
+            w.end();
+        }
+        w.field("frames_dropped", self.frames_dropped)
+            .field("frames_delayed", self.frames_delayed)
+            .field("max_trace_len", self.max_trace_len)
+            .field("max_final_time_ns", self.max_final_time_ns)
+            .key("counterexample");
+        match &self.counterexample {
+            None => w.value("null"),
+            Some(ce) => ce.write_json(&mut w),
+        };
+        w.field("passed", self.passed()).end();
+        w.finish()
+    }
+}
+
 impl fmt::Display for ExploreReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -535,31 +588,23 @@ impl fmt::Display for ExploreReport {
             self.dfs_runs,
             self.walk_runs
         )?;
-        let counts = self
-            .choice_counts
-            .iter()
-            .map(|(name, n)| format!("{name}={n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        writeln!(f, "  choice-points: {counts}")?;
+        let line = |counts: &BTreeMap<&str, u64>| {
+            let pairs = counts.iter().map(|(name, n)| format!("{name}={n}"));
+            pairs.collect::<Vec<_>>().join(" ")
+        };
+        writeln!(f, "  choice-points: {}", line(&self.choice_counts))?;
+        writeln!(f, "  fault branches: {}", line(&self.fault_branches))?;
         writeln!(
             f,
-            "  frames dropped={} delayed={} max-trace={} max-time={}ns",
-            self.frames_dropped, self.frames_delayed, self.max_trace_len, self.max_final_time_ns
+            "  frames dropped={} delayed={} max-nondefault={} max-trace={} max-time={}ns",
+            self.frames_dropped,
+            self.frames_delayed,
+            self.max_nondefault,
+            self.max_trace_len,
+            self.max_final_time_ns
         )?;
         if let Some(ce) = &self.counterexample {
-            writeln!(
-                f,
-                "  counterexample: fingerprint={:#018x} prefix={:?} (shrunk from {} in {} runs)",
-                ce.fingerprint, ce.prefix, ce.shrunk_from, ce.shrink_runs
-            )?;
-            for v in &ce.violations {
-                writeln!(f, "    {v}")?;
-            }
-            writeln!(f, "  regression skeleton:")?;
-            for line in ce.skeleton.lines() {
-                writeln!(f, "    {line}")?;
-            }
+            write!(f, "{ce}")?;
         }
         for line in self.registry.render().lines() {
             writeln!(f, "  {line}")?;
@@ -576,202 +621,184 @@ impl fmt::Display for ExploreReport {
 /// prefix expansion, seeded random walks; stops early at the first
 /// violating schedule, which it shrinks and reports.
 pub fn run_explore(cfg: &ExploreConfig) -> ExploreReport {
+    let seed = cfg.run.seed;
+    let mut r = ExploreReport {
+        seed,
+        budget: cfg.budget,
+        fault_branches: FaultKind::ALL.iter().map(|k| (k.name(), 0)).collect(),
+        ..ExploreReport::default()
+    };
+    let dfs_budget = cfg.budget - cfg.budget / WALK_SHARE;
     let mut seen: HashSet<u64> = HashSet::new();
-    let mut registry = MetricsRegistry::new();
-    let mut choice_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut queue: VecDeque<Vec<u8>> = VecDeque::new();
-    queue.push_back(Vec::new()); // the all-defaults baseline
-    let mut runs = 0;
-    let mut dfs_runs = 0;
-    let mut walk_runs = 0;
-    let mut violating_runs = 0;
-    let mut frames_dropped = 0;
-    let mut frames_delayed = 0;
-    let mut max_trace_len = 0;
-    let mut max_final_time_ns = 0;
-    let mut counterexample = None;
-
-    while runs < cfg.budget {
-        let (outcome, from_dfs) = match queue.pop_front() {
-            Some(prefix) => {
-                dfs_runs += 1;
-                (replay_prefix(cfg, &prefix), true)
+    let mut queue: VecDeque<Vec<Pin>> = VecDeque::from([Vec::new()]); // the baseline
+    while r.runs < cfg.budget {
+        let pins = queue.pop_front().filter(|_| r.runs < dfs_budget);
+        let from_dfs = pins.is_some();
+        let source = match pins {
+            Some(pins) => {
+                r.dfs_runs += 1;
+                TraceSource::pinned(&pins)
             }
             None => {
-                walk_runs += 1;
-                let walk_seed = cfg
-                    .seed
-                    .wrapping_add((runs as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                (
-                    run_schedule(cfg, Vec::new(), Some(walk_seed), false).0,
-                    false,
-                )
+                r.walk_runs += 1;
+                let salt = (r.runs as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                TraceSource::walk(seed.wrapping_add(salt), true)
             }
         };
-        runs += 1;
+        let outcome = run_schedule(&cfg.run, source);
+        r.runs += 1;
         seen.insert(outcome.fingerprint);
-        registry.counter_add("explore.runs", 1);
-        registry.histogram_record_value("explore.trace_len", outcome.trace.len() as u64);
+        let trace_len = outcome.trace.len();
+        r.registry
+            .histogram_record_value("explore.trace_len", trace_len as u64);
         let nondefault = outcome.trace.iter().filter(|c| c.branch != 0).count();
-        registry.histogram_record_value("explore.nondefault_per_run", nondefault as u64);
+        r.registry
+            .histogram_record_value("explore.nondefault_per_run", nondefault as u64);
         for c in &outcome.trace {
-            *choice_counts.entry(c.kind.name()).or_insert(0) += 1;
+            *r.choice_counts.entry(c.kind.name()).or_insert(0) += 1;
         }
-        frames_dropped += outcome.frames_dropped;
-        frames_delayed += outcome.frames_delayed;
-        max_trace_len = max_trace_len.max(outcome.trace.len());
-        max_final_time_ns = max_final_time_ns.max(outcome.final_time_ns);
+        for (name, n) in &outcome.faults {
+            *r.fault_branches.entry(name).or_insert(0) += n;
+        }
+        r.frames_dropped += outcome.frames_dropped;
+        r.frames_delayed += outcome.frames_delayed;
+        r.max_nondefault = r.max_nondefault.max(nondefault);
+        r.max_trace_len = r.max_trace_len.max(trace_len);
+        r.max_final_time_ns = r.max_final_time_ns.max(outcome.final_time.as_nanos());
 
         if !outcome.violations.is_empty() {
-            violating_runs += 1;
-            registry.counter_add("explore.violations", outcome.violations.len() as u64);
-            counterexample = Some(build_counterexample(cfg, &outcome));
+            let ty = "eternal::explore::ExploreConfig::default().run";
+            r.counterexample = Some(build_counterexample(&cfg.run, &outcome, "explore", ty));
             break;
         }
 
-        // Breadth-first expansion: branch each unexplored position of
-        // this run's trace inside the window, one extra non-default
-        // branch per child (iterative deepening via queue order).
-        if from_dfs && nondefault < cfg.nondefault_budget {
+        // Breadth-first expansion: one extra non-default branch per
+        // child (iterative deepening via queue order), at each position
+        // past this run's last non-default one — tie, frame and token
+        // positions inside the window, fault positions anywhere.
+        if from_dfs && nondefault < NONDEFAULT_BUDGET {
+            let parent = outcome.pins();
             let explored_from = outcome
                 .trace
                 .iter()
                 .rposition(|c| c.branch != 0)
                 .map_or(0, |p| p + 1);
-            let window = outcome.trace.len().min(DFS_WINDOW);
-            for pos in explored_from..window {
-                let arity = usize::from(outcome.trace[pos].arity).min(MAX_ARITY);
+            for (pos, c) in outcome.trace.iter().enumerate().skip(explored_from) {
+                let arity = match c.kind {
+                    ChoiceKind::Fault => c.arity,
+                    ChoiceKind::Param => 1,
+                    _ if pos < DFS_WINDOW => c.arity.min(MAX_ARITY),
+                    _ => 1,
+                };
                 for branch in 1..arity {
-                    if queue.len() + runs >= cfg.budget {
+                    if queue.len() + r.runs >= dfs_budget {
                         break;
                     }
-                    let mut child: Vec<u8> =
-                        outcome.trace[..pos].iter().map(|c| c.branch).collect();
-                    child.push(branch as u8);
+                    let mut child = parent.clone();
+                    child.push(Pin {
+                        kind: c.kind,
+                        nth: c.nth,
+                        branch,
+                    });
                     queue.push_back(child);
                 }
             }
         }
     }
-
-    registry.counter_add("explore.distinct", seen.len() as u64);
-    ExploreReport {
-        seed: cfg.seed,
-        budget: cfg.budget,
-        runs,
-        distinct_fingerprints: seen.len(),
-        dfs_runs,
-        walk_runs,
-        violating_runs,
-        choice_counts,
-        frames_dropped,
-        frames_delayed,
-        max_trace_len,
-        max_final_time_ns,
-        counterexample,
-        registry,
-    }
+    r.distinct_fingerprints = seen.len();
+    r
 }
 
-/// Shrinks a violating schedule to a minimal prefix, re-runs it with
+/// Shrinks a violating run to a minimal schedule, re-runs it with
 /// causal tracing for the flight-recorder artifact, and renders the
-/// regression-test skeleton.
-fn build_counterexample(cfg: &ExploreConfig, found: &RunOutcome) -> Counterexample {
-    let original = found.prefix();
-    let mut prefix = original.clone();
+/// regression-test skeleton (`origin` names the `repro` tool, `base`
+/// the config expression the skeleton's run starts from).
+pub(crate) fn build_counterexample(
+    cfg: &CampaignConfig,
+    found: &RunOutcome,
+    origin: &str,
+    base: &str,
+) -> Counterexample {
+    let original = found.pins();
+    let mut pins = original.clone();
     let mut shrink_runs = 0;
-    // Greedy delta-debugging: zero each non-default branch (right to
-    // left, so later choices — usually consequences — go first) and
-    // keep the zeroing whenever the violation still reproduces; repeat
-    // until a fixed point.
+    // Greedy delta-debugging: drop each pin, right to left (later
+    // choices — usually consequences — go first), keeping the drop
+    // whenever the violation still reproduces; repeat until a pass
+    // drops nothing. A dropped pin takes its default: a dropped fault
+    // is no fault, a dropped parameter its first candidate or smallest
+    // value.
     loop {
-        let mut changed = false;
-        for pos in (0..prefix.len()).rev() {
-            if prefix[pos] == 0 {
-                continue;
-            }
-            let mut candidate = prefix.clone();
-            candidate[pos] = 0;
-            while candidate.last() == Some(&0) {
-                candidate.pop();
-            }
+        let before = pins.len();
+        for i in (0..pins.len()).rev() {
+            let mut candidate = pins.clone();
+            candidate.remove(i);
             shrink_runs += 1;
-            if !replay_prefix(cfg, &candidate).violations.is_empty() {
-                prefix = candidate;
-                changed = true;
-                break; // positions shifted; restart the scan
+            if !cfg.replay(&candidate).violations.is_empty() {
+                pins = candidate;
             }
         }
-        if !changed {
+        if pins.len() == before {
             break;
         }
     }
     // The minimal schedule, once plain (authoritative violations) and
     // once traced (flight recorder).
-    let minimal = replay_prefix(cfg, &prefix);
-    let (traced, flight) = run_schedule(cfg, prefix.clone(), None, true);
-    let skeleton = render_skeleton(cfg, &prefix, &minimal);
+    let minimal = cfg.replay(&pins);
+    let mut traced = cfg.clone();
+    traced.topology.cluster.trace = true;
+    traced.topology.cluster.causal = true;
+    let traced = traced.replay(&pins);
+    let fp = minimal.fingerprint;
+    let violated: String = minimal
+        .violations
+        .iter()
+        .map(|v| format!("/// Violated: {v}\n"))
+        .collect();
+    let pinned: String = pins
+        .iter()
+        .map(|p| {
+            let (kind, nth, branch) = (p.kind, p.nth, p.branch);
+            format!("        Pin {{ kind: ChoiceKind::{kind:?}, nth: {nth}, branch: {branch} }},\n")
+        })
+        .collect();
+    let (seed, steps, plant) = (cfg.seed, cfg.steps, cfg.force_violation);
+    let skeleton = format!(
+        "/// Pinned by `repro -- {origin} --seed {seed}`: schedule {fp:#018x}.
+{violated}#[test]
+fn {origin}_regression_{fp:016x}() {{
+    use eternal::chaos::CampaignConfig;
+    use eternal::explore::Pin;
+    use eternal_sim::choice::ChoiceKind;
+    let cfg = CampaignConfig {{
+        seed: {seed},
+        steps: {steps},
+        force_violation: {plant},
+        // plus any edit the run made to its topology
+        ..{base}
+    }};
+    let outcome = cfg.replay(&[
+{pinned}    ]);
+    // While the bug is unfixed this documents it; once fixed, flip to
+    // assert the schedule stays clean.
+    assert!(
+        outcome.violations.is_empty(),
+        \"schedule {fp:#018x} violated: {{:?}}\",
+        outcome.violations
+    );
+}}
+"
+    );
     Counterexample {
-        fingerprint: minimal.fingerprint,
-        prefix,
-        trace: minimal.trace,
+        fingerprint: fp,
+        skeleton,
+        pins,
         violations: minimal.violations,
         shrunk_from: original.len(),
         shrink_runs,
-        skeleton,
-        flight_recorder: flight,
         reproduced_with_tracing: !traced.violations.is_empty(),
+        flight_recorder: traced.flight_recorder,
     }
-}
-
-/// Renders a ready-to-paste regression test replaying `prefix`.
-fn render_skeleton(cfg: &ExploreConfig, prefix: &[u8], minimal: &RunOutcome) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/// Pinned by `repro -- explore --seed {}`: schedule {:#018x}.",
-        cfg.seed, minimal.fingerprint
-    );
-    for v in &minimal.violations {
-        let _ = writeln!(out, "/// Violated: {v}");
-    }
-    let _ = writeln!(out, "#[test]");
-    let _ = writeln!(
-        out,
-        "fn explore_regression_{:016x}() {{",
-        minimal.fingerprint
-    );
-    let _ = writeln!(
-        out,
-        "    use eternal::explore::{{replay_prefix, ExploreConfig}};"
-    );
-    let _ = writeln!(out, "    let cfg = ExploreConfig {{");
-    let _ = writeln!(out, "        seed: {},", cfg.seed);
-    let _ = writeln!(out, "        force_violation: {},", cfg.force_violation);
-    let _ = writeln!(out, "        ..ExploreConfig::default()");
-    let _ = writeln!(out, "    }};");
-    let branches = prefix
-        .iter()
-        .map(u8::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(out, "    let outcome = replay_prefix(&cfg, &[{branches}]);");
-    let _ = writeln!(
-        out,
-        "    // While the bug is unfixed this documents it; once fixed, flip to"
-    );
-    let _ = writeln!(out, "    // assert the schedule stays clean.");
-    let _ = writeln!(out, "    assert!(");
-    let _ = writeln!(out, "        outcome.violations.is_empty(),");
-    let _ = writeln!(
-        out,
-        "        \"schedule {:#018x} violated: {{:?}}\",",
-        minimal.fingerprint
-    );
-    let _ = writeln!(out, "        outcome.violations");
-    let _ = writeln!(out, "    );");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -779,17 +806,18 @@ mod tests {
     use super::*;
 
     fn tiny() -> ExploreConfig {
-        ExploreConfig {
+        let mut cfg = ExploreConfig {
             budget: 10,
-            steps: 1,
             ..ExploreConfig::default()
-        }
+        };
+        cfg.run.steps = 1;
+        cfg
     }
 
     #[test]
     fn baseline_schedule_is_clean_and_reproducible() {
-        let a = replay_prefix(&tiny(), &[]);
-        let b = replay_prefix(&tiny(), &[]);
+        let a = tiny().run.replay(&[]);
+        let b = tiny().run.replay(&[]);
         assert!(
             a.violations.is_empty(),
             "baseline violated: {:?}",
@@ -797,14 +825,18 @@ mod tests {
         );
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.trace, b.trace);
-        assert_eq!(a.final_time_ns, b.final_time_ns);
+        assert_eq!(a.final_time, b.final_time);
         assert!(!a.trace.is_empty(), "no choice-points recorded");
     }
 
     #[test]
     fn non_default_branch_changes_the_fingerprint() {
-        let base = replay_prefix(&tiny(), &[]);
-        let permuted = replay_prefix(&tiny(), &[1]);
+        let base = tiny().run.replay(&[]);
+        let permuted = tiny().run.replay(&[Pin {
+            kind: base.trace[0].kind,
+            nth: 0,
+            branch: 1,
+        }]);
         assert_ne!(base.fingerprint, permuted.fingerprint);
         // And both schedules still satisfy the oracle.
         assert!(permuted.violations.is_empty(), "{:?}", permuted.violations);
@@ -823,12 +855,11 @@ mod tests {
 
     #[test]
     fn forced_violation_is_found_shrunk_and_reported() {
-        let cfg = ExploreConfig {
+        let mut cfg = ExploreConfig {
             budget: 64,
-            steps: 1,
-            force_violation: true,
-            ..ExploreConfig::default()
+            ..tiny()
         };
+        cfg.run.force_violation = true;
         let report = run_explore(&cfg);
         assert!(!report.passed());
         let ce = report.counterexample.expect("counterexample");
@@ -837,31 +868,47 @@ mod tests {
             "planted bug not detected: {:?}",
             ce.violations
         );
-        // Minimality: every non-default branch is load-bearing, and for
-        // the planted frame-drop bug one branch suffices.
+        // Minimality: every pin is load-bearing, and for the planted
+        // bug one dropped frame or one fault suffices.
         assert_eq!(
-            ce.prefix.iter().filter(|&&b| b != 0).count(),
+            ce.pins.len(),
             1,
-            "shrunk prefix not minimal: {:?}",
-            ce.prefix
+            "shrunk schedule not minimal: {:?}",
+            ce.pins
         );
-        assert!(ce.skeleton.contains("replay_prefix"));
-        assert!(ce.skeleton.contains(&format!("seed: {}", cfg.seed)));
-        // The pinned prefix reproduces the violation on replay.
-        let again = replay_prefix(&cfg, &ce.prefix);
+        assert!(ce.skeleton.contains("cfg.replay(&["));
+        assert!(ce.skeleton.contains(&format!("seed: {}", cfg.run.seed)));
+        // The pinned schedule reproduces the violation on replay.
+        let again = cfg.run.replay(&ce.pins);
         assert!(!again.violations.is_empty());
+    }
+
+    /// The trace cap bounds only the recorded ties, frames and tokens:
+    /// a campaign that runs past it still injects a fault every step.
+    #[test]
+    fn faults_past_the_trace_cap_still_fire() {
+        let summary = crate::chaos::run_campaign(&CampaignConfig {
+            seed: 4,
+            steps: 14,
+            topology: Topology::campaign(20_000),
+            force_violation: false,
+        });
+        assert!(summary.passed(), "{summary}");
+        assert_eq!(summary.run.faults.values().sum::<u64>(), 14);
+        let trace = &summary.run.trace;
+        let last = trace.iter().rposition(|c| c.kind == ChoiceKind::Fault);
+        assert!(last.is_some_and(|pos| pos >= MAX_TRACE), "{last:?}");
     }
 
     /// As for the chaos export: a hostile violation detail comes out as
     /// an escaped JSON string.
     #[test]
     fn hostile_violation_detail_is_escaped_in_the_export() {
-        let cfg = ExploreConfig {
+        let mut cfg = ExploreConfig {
             budget: 64,
-            steps: 1,
-            force_violation: true,
-            ..ExploreConfig::default()
+            ..tiny()
         };
+        cfg.run.force_violation = true;
         let mut report = run_explore(&cfg);
         report.counterexample.as_mut().expect("planted").violations[0].detail =
             "\"\\\n\t\u{1}".into();
@@ -878,7 +925,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"schema\": 1"));
+        assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"counterexample\": null"));
         assert!(json.contains("\"passed\": true"));
     }

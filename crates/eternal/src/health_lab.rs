@@ -11,11 +11,9 @@
 //! so the same seed reproduces the same epochs and diagnoses byte for
 //! byte. See `docs/HEALTH.md` for the fault → detector map.
 
-use crate::app::{BlobServant, BurstClient, CounterServant};
-use crate::chaos::{self, FaultKind};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::chaos::{self, FaultKind, Topology};
+use crate::cluster::Cluster;
 use crate::gid::GroupId;
-use crate::properties::FaultToleranceProperties;
 use eternal_obs::health::{AuditorConfig, Detector};
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
@@ -140,49 +138,25 @@ pub fn auditor_config_for(fault: Option<FaultKind>) -> AuditorConfig {
 
 /// Runs one scenario to completion.
 pub fn run_scenario(cfg: &LabConfig) -> LabRun {
-    let mut cluster_cfg = ClusterConfig {
-        processors: chaos::PROCESSORS,
-        health_period: PERIOD,
-        health_auditor: auditor_config_for(cfg.fault),
-        ..ClusterConfig::default()
-    };
-    // Small chunks: the blob's transfer streams long enough that the
-    // donor-kill scenario has a window to land in.
-    cluster_cfg.mech.chunk_bytes = 4_096;
+    // The campaign's topology (small chunks, so the donor-kill scenario
+    // has a transfer window to land in) without its passive ledger, and
+    // with health monitoring on. Overload runs shrink the blob: its
+    // state transfer is irrelevant to backpressure and would crawl
+    // through the throttled ring.
+    let mut topology = Topology::campaign(if cfg.throttled_ring { 4_000 } else { 60_000 });
+    topology.name = "health";
+    topology.servers.pop();
+    let cluster_cfg = &mut topology.cluster;
+    cluster_cfg.health_period = PERIOD;
+    cluster_cfg.health_auditor = auditor_config_for(cfg.fault);
     if cfg.throttled_ring {
         // One new message per token visit and no batching: offered
         // load can now outrun the ring, which is the point.
         cluster_cfg.totem.max_messages_per_token = 1;
         cluster_cfg.totem.batch_budget_bytes = 0;
     }
-    let mut cluster = Cluster::new(cluster_cfg, cfg.seed.wrapping_add(1));
-
-    // Overload runs shrink the blob: its state transfer is irrelevant
-    // to backpressure and would crawl through the throttled ring.
-    let blob_size = if cfg.throttled_ring { 4_000 } else { 60_000 };
-    let counter = cluster.deploy_server(
-        "health-counter",
-        FaultToleranceProperties::active(3),
-        || Box::new(CounterServant::default()),
-    );
-    // Three replicas: the donor-kill scenario consumes the recovering
-    // replica and the donor and still needs a survivor to take over.
-    let blob = cluster.deploy_server(
-        "health-blob",
-        FaultToleranceProperties::active(3),
-        move || Box::new(BlobServant::with_size(blob_size)),
-    );
-    cluster.deploy_client(
-        "health-counter-driver",
-        FaultToleranceProperties::active(2),
-        move |_| Box::new(BurstClient::new(counter, "increment", chaos::BURST)),
-    );
-    cluster.deploy_client(
-        "health-blob-driver",
-        FaultToleranceProperties::active(2),
-        move |_| Box::new(BurstClient::new(blob, "touch", chaos::BURST)),
-    );
-    cluster.run_until_deployed();
+    let (mut cluster, pairs) = topology.deploy(cfg.seed.wrapping_add(1));
+    let (counter, blob) = (pairs[0].server, pairs[1].server);
 
     // Baseline: traffic over a healthy ring. Long enough that the
     // deployment transient (launch-phase recovering runs, initial

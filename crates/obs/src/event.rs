@@ -112,8 +112,8 @@ pub enum EventKind {
     OrbControlDispatch,
 
     // ---- fault-injection campaigns ----
-    /// A chaos campaign injected a fault (crash, partition, loss burst,
-    /// delay spike, …).
+    /// A campaign or an explored schedule injected a fault (crash,
+    /// partition, loss burst, delay spike, …).
     ChaosFault,
     /// An invariant check ran at a quiescent point.
     InvariantCheck,
@@ -127,9 +127,6 @@ pub enum EventKind {
     HealthDiagnosis,
 
     // ---- schedule exploration (docs/TESTING.md) ----
-    /// The explorer injected a non-default branch at a choice-point
-    /// (tie permutation, frame drop/delay, fault injection).
-    ExploreChoice,
     /// The explorer replayed a counterexample schedule (the traced
     /// re-run that feeds the flight recorder).
     ExploreCounterexample,
@@ -162,7 +159,6 @@ impl EventKind {
             EventKind::InvariantViolation => "invariant.violation",
             EventKind::HealthSnapshot => "health.snapshot",
             EventKind::HealthDiagnosis => "health.diagnosis",
-            EventKind::ExploreChoice => "explore.choice",
             EventKind::ExploreCounterexample => "explore.counterexample",
         }
     }
@@ -230,7 +226,6 @@ mod tests {
             EventKind::InvariantViolation,
             EventKind::HealthSnapshot,
             EventKind::HealthDiagnosis,
-            EventKind::ExploreChoice,
             EventKind::ExploreCounterexample,
         ];
         let codes: std::collections::BTreeSet<&str> = all.iter().map(|k| k.code()).collect();

@@ -1,21 +1,17 @@
 //! Pluggable choice-points for systematic schedule exploration.
 //!
-//! A deterministic simulation normally resolves every nondeterministic
-//! decision the same way on every run: same-instant events pop in FIFO
-//! order, frames are delivered, faults come from a seeded RNG. That is
-//! what makes a single run reproducible — but it also means one run
-//! samples exactly one schedule out of the astronomically many the real
-//! system could exhibit.
-//!
-//! A [`ChoiceSource`] turns those hard-wired decisions into explicit
-//! *choice-points*. Components that own a nondeterministic decision
-//! (the [`Scheduler`](crate::Scheduler) tie-break, a frame-delivery
-//! fate, a fault-injection site) ask the installed source to pick a
-//! branch in `0..arity`. Branch `0` is always the default — the exact
-//! decision the unmodified simulator would have made — so a source that
-//! answers `0` everywhere reproduces the baseline schedule byte for
-//! byte, and an explorer that enumerates non-zero answers walks the
-//! schedule space systematically.
+//! A deterministic simulation resolves every nondeterministic decision
+//! the same way on every run — same-instant events pop in FIFO order,
+//! frames are delivered — so one run samples exactly one schedule of
+//! the many the real system could exhibit. A [`ChoiceSource`] turns
+//! those hard-wired decisions into explicit *choice-points*: components
+//! that own one (the [`Scheduler`](crate::Scheduler) tie-break, a
+//! frame-delivery fate, a fault and its parameters) ask the installed
+//! source to pick a branch in `0..arity`. Branch `0` is always the
+//! default — the exact decision the unmodified simulator would have
+//! made — so a source that answers `0` everywhere reproduces the
+//! baseline schedule byte for byte, and an explorer that enumerates
+//! non-zero answers walks the schedule space systematically.
 //!
 //! Sources are shared via `Rc<RefCell<_>>`: the simulation is
 //! single-threaded, and the explorer needs to keep a handle on the
@@ -42,9 +38,10 @@ pub enum ChoiceKind {
     /// Fate of a Totem token frame at a token-visit boundary:
     /// `0` deliver, `1` drop, `2` delay.
     Token,
-    /// A coarse fault-injection site (e.g. kill a replica between load
-    /// steps): `0` no fault, `1..` inject.
+    /// Which fault to inject between load steps: `0` none, `1..` a kind.
     Fault,
+    /// A fault's victim, duration or probability: `0` the first or least.
+    Param,
 }
 
 impl ChoiceKind {
@@ -55,6 +52,7 @@ impl ChoiceKind {
             ChoiceKind::Frame => b'F',
             ChoiceKind::Token => b'K',
             ChoiceKind::Fault => b'X',
+            ChoiceKind::Param => b'P',
         }
     }
 
@@ -65,6 +63,7 @@ impl ChoiceKind {
             ChoiceKind::Frame => "frame",
             ChoiceKind::Token => "token",
             ChoiceKind::Fault => "fault",
+            ChoiceKind::Param => "param",
         }
     }
 }
@@ -78,9 +77,9 @@ impl ChoiceKind {
 pub trait ChoiceSource: std::fmt::Debug {
     /// Pick a branch in `0..arity` for a choice-point of `kind`.
     ///
-    /// Callers only consult the source when `arity >= 2`; a
-    /// single-branch decision is not a choice. Returning a value
-    /// `>= arity` is treated as the last branch by callers.
+    /// A tie, frame or token is asked about only when `arity >= 2`; a
+    /// [`ChoiceKind::Param`] at any arity. Returning a value `>= arity`
+    /// is treated as the last branch by callers.
     fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize;
 }
 
@@ -120,6 +119,7 @@ mod tests {
             ChoiceKind::Frame,
             ChoiceKind::Token,
             ChoiceKind::Fault,
+            ChoiceKind::Param,
         ];
         let mut tags: Vec<u8> = kinds.iter().map(|k| k.tag()).collect();
         tags.sort_unstable();

@@ -17,7 +17,7 @@
 //! order; the values are only ever compared with each other.
 
 use eternal::app::{CounterServant, StreamingClient};
-use eternal::chaos::{run_campaign, CampaignConfig};
+use eternal::chaos::{run_campaign, CampaignConfig, Topology};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::properties::FaultToleranceProperties;
 use eternal_sim::net::NodeId;
@@ -173,17 +173,34 @@ fn batched_and_unbatched_runs_deliver_the_same_order_under_faults() {
 
 /// The chaos campaign's invariants (total order, virtual synchrony,
 /// convergence, recovery liveness) must hold at any batching budget.
+/// The fault schedule is pinned per budget: the draws are the same, the
+/// trajectories' end times are not, and a drift in either would leave
+/// this test passing on a schedule it no longer means.
 #[test]
 fn chaos_campaign_passes_with_batching_on_and_off() {
-    for budget in [Some(0), Some(1408)] {
-        let summary = run_campaign(&CampaignConfig {
+    let faults = [
+        ("delay_spike", 1),
+        ("kill_mid_transfer", 2),
+        ("kill_replica", 1),
+        ("partition_heal", 1),
+    ];
+    for (budget, final_ns) in [(0, 385_123_200), (1408, 375_208_400)] {
+        let mut cfg = CampaignConfig {
             seed: 21,
             steps: 5,
-            blob_size: 20_000,
-            batch_budget_bytes: budget,
+            topology: Topology::campaign(20_000),
             ..CampaignConfig::default()
-        });
-        assert!(summary.passed(), "budget {budget:?}: {summary}");
+        };
+        cfg.topology.cluster.totem.batch_budget_bytes = budget;
+        let summary = run_campaign(&cfg);
+        assert!(summary.passed(), "budget {budget}: {summary}");
+        let drawn: Vec<(&str, u64)> = summary.run.faults.iter().map(|(&k, &n)| (k, n)).collect();
+        assert_eq!(drawn, faults, "budget {budget}: fault schedule drifted");
+        assert_eq!(
+            summary.run.final_time.as_nanos(),
+            final_ns,
+            "budget {budget}: trajectory drifted"
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 //! of these bugs flips the corresponding assertion.
 
 use eternal::app::{BlobServant, BurstClient, CounterServant, StreamingClient};
-use eternal::chaos::{run_campaign, CampaignConfig};
+use eternal::chaos::{run_campaign, CampaignConfig, CampaignSummary, Topology};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::gid::GroupId;
 use eternal::properties::FaultToleranceProperties;
@@ -14,6 +14,19 @@ use eternal_sim::Duration;
 
 fn cluster(seed: u64) -> Cluster {
     Cluster::new(ClusterConfig::default(), seed)
+}
+
+/// Pins a campaign's fault schedule: if the draws ever moved, a seed
+/// that replays a bug would keep passing on a schedule that no longer
+/// hits it. `faults` is the summary's map, `final_ns` its end time.
+fn assert_schedule(summary: &CampaignSummary, faults: &[(&str, u64)], final_ns: u64) {
+    let drawn: Vec<(&str, u64)> = summary.run.faults.iter().map(|(&k, &n)| (k, n)).collect();
+    assert_eq!(drawn, faults, "fault schedule drifted: {summary}");
+    assert_eq!(
+        summary.run.final_time.as_nanos(),
+        final_ns,
+        "trajectory drifted: {summary}"
+    );
 }
 
 /// All live operational replicas of `group`, with their
@@ -160,6 +173,17 @@ fn restarted_processor_transfer_ids_do_not_collide() {
         ..CampaignConfig::default()
     });
     assert!(summary.passed(), "{summary}");
+    assert_schedule(
+        &summary,
+        &[
+            ("crash_restart", 2),
+            ("delay_spike", 4),
+            ("kill_mid_transfer", 1),
+            ("kill_replica", 2),
+            ("loss_burst", 1),
+        ],
+        911_716_320,
+    );
 }
 
 /// Regression: a crash + fast restart used to rejoin the Totem ring
@@ -177,6 +201,17 @@ fn fast_restart_rejoin_prunes_stale_operational_views() {
         ..CampaignConfig::default()
     });
     assert!(summary.passed(), "{summary}");
+    assert_schedule(
+        &summary,
+        &[
+            ("delay_spike", 1),
+            ("kill_donor_mid_stream", 1),
+            ("kill_mid_transfer", 2),
+            ("kill_replica", 3),
+            ("partition_heal", 3),
+        ],
+        495_753_160,
+    );
 }
 
 /// Recovery must complete under sustained message loss: Totem
@@ -412,10 +447,19 @@ fn campaign_replay_is_byte_identical() {
     let cfg = CampaignConfig {
         seed: 17,
         steps: 3,
-        blob_size: 20_000,
+        topology: Topology::campaign(20_000),
         ..CampaignConfig::default()
     };
-    let a = run_campaign(&cfg).to_string();
-    let b = run_campaign(&cfg).to_string();
-    assert_eq!(a, b);
+    let a = run_campaign(&cfg);
+    let b = run_campaign(&cfg);
+    assert_eq!(a.to_string(), b.to_string());
+    assert_schedule(
+        &a,
+        &[
+            ("delay_spike", 1),
+            ("kill_donor_mid_stream", 1),
+            ("loss_burst", 1),
+        ],
+        212_362_800,
+    );
 }
