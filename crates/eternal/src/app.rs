@@ -7,7 +7,7 @@
 //! determinism requirement (§2.1) made explicit in the API.
 
 use crate::gid::GroupId;
-use eternal_cdr::{Any, Value};
+use eternal_cdr::{layout::end_string, Any, CdrEncoder, Endian, Value};
 use eternal_giop::ReplyStatus;
 use eternal_orb::servant::{CheckpointableServant, Servant, ServantError};
 
@@ -234,14 +234,15 @@ impl KvStoreServant {
     }
 
     fn write_string(s: &str) -> Vec<u8> {
-        let mut enc = eternal_cdr::CdrEncoder::new(eternal_cdr::Endian::Big);
+        let mut enc = CdrEncoder::with_capacity(Endian::Big, end_string(0, s));
         enc.write_string(s).expect("no NUL in values");
         enc.into_bytes()
     }
 
     /// Encodes `put` arguments (for clients).
     pub fn put_args(key: &str, value: &str) -> Vec<u8> {
-        let mut enc = eternal_cdr::CdrEncoder::new(eternal_cdr::Endian::Big);
+        let len = end_string(end_string(0, key), value);
+        let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
         enc.write_string(key).expect("no NUL");
         enc.write_string(value).expect("no NUL");
         enc.into_bytes()

@@ -26,7 +26,7 @@ use crate::gid::{ConnectionName, Direction, GroupId};
 use crate::hash::FNV_OFFSET;
 use crate::manager::{ReplicationManager, ResourceManager};
 use crate::mechanisms::{GroupKind, GroupMeta, MechConfig, Mechanisms, Out};
-use crate::message::{fragment_eternal, EternalMessage, EternalReassembler, RetrievalPurpose};
+use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose};
 use crate::metrics::Metrics;
 use crate::properties::{FaultToleranceProperties, ReplicationStyle};
 use eternal_obs::causal::{CausalRecorder, Hop, OrderPos, TraceTag};
@@ -649,12 +649,13 @@ impl Cluster {
             *id
         };
         // A message that fits one frame is written into it directly;
-        // a larger one is encoded and cut up.
+        // a larger one is cut up, its body copied straight into the
+        // frames.
         let whole = message.single_fragment(src, msg_id, max_payload);
-        let encoded = whole.is_none().then(|| message.to_bytes());
-        let cut = encoded.as_deref().map_or_else(Vec::new, |encoded| {
-            fragment_eternal(src, msg_id, encoded, max_payload)
-        });
+        let cut = match whole {
+            Some(_) => Vec::new(),
+            None => message.fragments(src, msg_id, max_payload),
+        };
         for (i, frag) in whole.map(Bytes::from).into_iter().chain(cut).enumerate() {
             let frag_tag = if tag.is_none() {
                 TraceTag::NONE
@@ -677,9 +678,6 @@ impl Cluster {
             };
             self.ring.broadcast(src, frag, frag_tag, &mut self.actions);
             self.apply_totem_actions(src);
-        }
-        if let Some(encoded) = encoded {
-            eternal_cdr::pool::recycle(encoded);
         }
     }
 

@@ -409,7 +409,7 @@ impl Mechanisms {
                         conn.server,
                         &outcome.operation,
                         outcome.status,
-                        &outcome.body,
+                        outcome.body,
                     )
                 });
                 self.issue_invocations(group, follow_ups, d);

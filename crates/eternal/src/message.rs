@@ -18,7 +18,7 @@ use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
 use eternal_sim::Bytes;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
@@ -200,7 +200,10 @@ impl OrderedInput {
                 direction,
                 op_seq,
                 bytes,
-            } => encode_iiop(enc, *conn, *direction, *op_seq, bytes),
+            } => {
+                encode_iiop_head(enc, *conn, *direction, *op_seq);
+                enc.write_octet_seq(bytes);
+            }
             OrderedInput::LoadTick => enc.write_u8(1),
         }
     }
@@ -208,12 +211,12 @@ impl OrderedInput {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, CdrError> {
         Ok(match dec.read_u8()? {
             0 => {
-                let (conn, direction, op_seq, bytes) = decode_iiop(dec)?;
+                let (conn, direction, op_seq) = decode_iiop_head(dec)?;
                 OrderedInput::Iiop {
                     conn,
                     direction,
                     op_seq,
-                    bytes: bytes.to_vec(),
+                    bytes: dec.read_octets()?.to_vec(),
                 }
             }
             1 => OrderedInput::LoadTick,
@@ -247,25 +250,19 @@ pub(crate) fn decode_direction(dec: &mut CdrDecoder<'_>) -> Result<Direction, Cd
     }
 }
 
-/// The wire form of an intercepted IIOP message, tag included: the same
-/// bytes whether it travels as an [`EternalMessage::Iiop`] of its own
-/// or as an [`OrderedInput::Iiop`] inside a transfer suffix.
-fn encode_iiop(
-    enc: &mut CdrEncoder,
-    conn: ConnectionName,
-    direction: Direction,
-    op_seq: u32,
-    bytes: &[u8],
-) {
+/// The wire form of an intercepted IIOP message, tag included, up to
+/// its body (a `sequence<octet>`): the same bytes whether it travels as
+/// an [`EternalMessage::Iiop`] of its own or as an
+/// [`OrderedInput::Iiop`] inside a transfer suffix.
+fn encode_iiop_head(enc: &mut CdrEncoder, conn: ConnectionName, direction: Direction, op_seq: u32) {
     enc.write_u8(0);
     enc.write_u32(conn.client.0);
     enc.write_u32(conn.server.0);
     enc.write_u8(direction.wire_byte());
     enc.write_u32(op_seq);
-    enc.write_octet_seq(bytes);
 }
 
-/// Where [`encode_iiop`] of a `body`-byte message stops when it starts
+/// Where an IIOP message with a `body`-byte body stops when it starts
 /// at `at`: tag, the connection's two groups, direction, operation id,
 /// body.
 fn iiop_end(at: usize, body: usize) -> usize {
@@ -273,17 +270,16 @@ fn iiop_end(at: usize, body: usize) -> usize {
     end_octet_seq(end_u32(direction), body)
 }
 
-/// Reads what [`encode_iiop`] wrote after its tag; the body is a view
-/// into the input.
-fn decode_iiop<'a>(
-    dec: &mut CdrDecoder<'a>,
-) -> Result<(ConnectionName, Direction, u32, &'a [u8]), CdrError> {
+/// Reads what [`encode_iiop_head`] wrote after its tag.
+fn decode_iiop_head(
+    dec: &mut CdrDecoder<'_>,
+) -> Result<(ConnectionName, Direction, u32), CdrError> {
     let conn = ConnectionName {
         client: GroupId(dec.read_u32()?),
         server: GroupId(dec.read_u32()?),
     };
     let direction = decode_direction(dec)?;
-    Ok((conn, direction, dec.read_u32()?, dec.read_octets()?))
+    Ok((conn, direction, dec.read_u32()?))
 }
 
 impl EternalMessage {
@@ -401,15 +397,43 @@ impl EternalMessage {
         Some(enc.into_bytes())
     }
 
+    /// What [`fragment_eternal`] makes of [`EternalMessage::to_bytes`].
+    /// The head of an `Iiop` or a `StateChunk` is encoded straight into
+    /// the first frame and the body copied once, into the frames; other
+    /// messages are encoded into a pooled buffer first. Panics as
+    /// [`fragment_eternal`] does.
+    pub fn fragments(&self, origin: NodeId, msg_id: u64, max_payload: usize) -> Vec<Bytes> {
+        let body = self.bulk();
+        let head = self.encoded_len() - body.len();
+        if body.is_empty() || FRAGMENT_OVERHEAD + head > max_payload {
+            let encoded = self.to_bytes();
+            let frags = fragment_eternal(origin, msg_id, &encoded, max_payload);
+            eternal_cdr::pool::recycle(encoded);
+            return frags;
+        }
+        let write_head = |enc: &mut CdrEncoder| self.encode_head(enc);
+        fragment_stream(origin, msg_id, head, write_head, body, max_payload)
+    }
+
     /// Writes the message as a CDR stream from `enc`'s base.
     fn encode(&self, enc: &mut CdrEncoder) {
+        self.encode_head(enc);
+        enc.write_raw(self.bulk());
+    }
+
+    /// Writes all of the message but the bytes of its bulk body, whose
+    /// length word it does write: the body follows it raw.
+    fn encode_head(&self, enc: &mut CdrEncoder) {
         match self {
             EternalMessage::Iiop {
                 conn,
                 direction,
                 op_seq,
                 bytes,
-            } => encode_iiop(enc, *conn, *direction, *op_seq, bytes),
+            } => {
+                encode_iiop_head(enc, *conn, *direction, *op_seq);
+                enc.write_u32(bytes.len() as u32);
+            }
             EternalMessage::ReplicaJoining { group, host } => {
                 enc.write_u8(1);
                 enc.write_u32(group.0);
@@ -487,7 +511,7 @@ impl EternalMessage {
                 enc.write_u32(new_host.0);
                 enc.write_u32(*index);
                 enc.write_u32(*total);
-                enc.write_octet_seq(bytes);
+                enc.write_u32(bytes.len() as u32);
             }
             EternalMessage::StateSuffix {
                 group,
@@ -517,6 +541,15 @@ impl EternalMessage {
         Delivered::view(bytes).map(Delivered::into_message)
     }
 
+    /// The bulk body of an `Iiop` or a `StateChunk`; empty for the other
+    /// variants.
+    fn bulk(&self) -> &[u8] {
+        match self {
+            EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => bytes,
+            _ => &[],
+        }
+    }
+
     /// The bulk body of the two variants that have one.
     fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
         match self {
@@ -531,23 +564,11 @@ impl EternalMessage {
     /// left empty in the returned message and reported as where it lies
     /// in `bytes`, for [`Delivered`] to view or to keep.
     fn decode(bytes: &[u8]) -> Result<(Self, Range<usize>), CdrError> {
+        if let Some((head, body)) = Self::decode_bulk_head(bytes)? {
+            return body_within(body, bytes.len()).map(|body| (head, body));
+        }
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
-        let tag = dec.read_u8()?;
-        // `body`, the last thing read, ends where the decoder stands.
-        let just_read =
-            |body: &[u8], dec: &CdrDecoder<'_>| dec.position() - body.len()..dec.position();
-        let mut bulk = 0..0;
-        let message = match tag {
-            0 => {
-                let (conn, direction, op_seq, body) = decode_iiop(&mut dec)?;
-                bulk = just_read(body, &dec);
-                EternalMessage::Iiop {
-                    conn,
-                    direction,
-                    op_seq,
-                    bytes: Vec::new(),
-                }
-            }
+        let message = match dec.read_u8()? {
             1 => EternalMessage::ReplicaJoining {
                 group: GroupId(dec.read_u32()?),
                 host: NodeId(dec.read_u32()?),
@@ -601,22 +622,6 @@ impl EternalMessage {
                     snap: Box::new(snap),
                 }
             }
-            7 => {
-                let group = GroupId(dec.read_u32()?);
-                let transfer = TransferId(dec.read_u64()?);
-                let new_host = NodeId(dec.read_u32()?);
-                let index = dec.read_u32()?;
-                let total = dec.read_u32()?;
-                bulk = just_read(dec.read_octets()?, &dec);
-                EternalMessage::StateChunk {
-                    group,
-                    transfer,
-                    new_host,
-                    index,
-                    total,
-                    bytes: Vec::new(),
-                }
-            }
             8 => {
                 let group = GroupId(dec.read_u32()?);
                 let transfer = TransferId(dec.read_u64()?);
@@ -635,7 +640,49 @@ impl EternalMessage {
             }
             other => return Err(CdrError::UnknownTypeCodeKind(other as u32)),
         };
-        Ok((message, bulk))
+        Ok((message, 0..0))
+    }
+
+    /// Decodes an `Iiop` or a `StateChunk` up to its bulk body's length
+    /// word: the message, that body left empty, and where the body lies
+    /// in the stream `bytes` begin, which need not hold it. `None` for
+    /// the other variants.
+    fn decode_bulk_head(bytes: &[u8]) -> Result<Option<(Self, Range<usize>)>, CdrError> {
+        let dec = &mut CdrDecoder::new(bytes, Endian::Big);
+        let head = match dec.read_u8()? {
+            0 => {
+                let (conn, direction, op_seq) = decode_iiop_head(dec)?;
+                EternalMessage::Iiop {
+                    conn,
+                    direction,
+                    op_seq,
+                    bytes: Vec::new(),
+                }
+            }
+            7 => EternalMessage::StateChunk {
+                group: GroupId(dec.read_u32()?),
+                transfer: TransferId(dec.read_u64()?),
+                new_host: NodeId(dec.read_u32()?),
+                index: dec.read_u32()?,
+                total: dec.read_u32()?,
+                bytes: Vec::new(),
+            },
+            _ => return Ok(None),
+        };
+        let len = dec.read_u32()? as usize;
+        Ok(Some((head, dec.position()..dec.position() + len)))
+    }
+}
+
+/// `body` when a stream `len` bytes long holds it; refused otherwise as
+/// `read_octets` refuses a length it cannot honour.
+fn body_within(body: Range<usize>, len: usize) -> Result<Range<usize>, CdrError> {
+    match body.end <= len {
+        true => Ok(body),
+        false => Err(CdrError::LengthOverrun {
+            declared: body.len() as u32,
+            remaining: len - body.start,
+        }),
     }
 }
 
@@ -665,28 +712,6 @@ impl<'a> Delivered<'a> {
     pub fn view(bytes: &'a [u8]) -> Result<Self, CdrError> {
         let (head, bulk) = EternalMessage::decode(bytes)?;
         let body = Cow::Borrowed(&bytes[bulk]);
-        Ok(Delivered { head, body })
-    }
-
-    /// As [`Delivered::view`], out of a buffer the caller is finished
-    /// with (a reassembled message's): the body — nearly all of such a
-    /// buffer — stays in it, moved down over the header, and is not
-    /// copied out.
-    ///
-    /// # Errors
-    ///
-    /// As [`EternalMessage::from_bytes`].
-    pub fn from_buffer(mut buf: Vec<u8>) -> Result<Delivered<'static>, CdrError> {
-        let (head, bulk) = EternalMessage::decode(&buf)?;
-        let body = if bulk.is_empty() {
-            // Nothing to keep: the buffer is freed here, not held
-            // through the delivery.
-            Cow::Borrowed(&[][..])
-        } else {
-            buf.truncate(bulk.end);
-            buf.drain(..bulk.start);
-            Cow::Owned(buf)
-        };
         Ok(Delivered { head, body })
     }
 
@@ -827,29 +852,53 @@ pub fn fragment_eternal(
     encoded: &[u8],
     max_payload: usize,
 ) -> Vec<Bytes> {
+    fragment_stream(origin, msg_id, 0, |_| {}, encoded, max_payload)
+}
+
+/// As [`fragment_eternal`] of a message whose first `head` bytes
+/// `write_head` writes, as a CDR stream of their own, into the first
+/// fragment (which must hold them), and whose `body` follows them.
+fn fragment_stream(
+    origin: NodeId,
+    msg_id: u64,
+    head: usize,
+    write_head: impl Fn(&mut CdrEncoder),
+    body: &[u8],
+    max_payload: usize,
+) -> Vec<Bytes> {
     assert!(
         max_payload > FRAGMENT_OVERHEAD,
         "max_payload {max_payload} cannot hold a fragment envelope"
     );
     let chunk_size = max_payload - FRAGMENT_OVERHEAD;
-    let total = encoded.len().div_ceil(chunk_size).max(1);
-    let mut buf = Vec::with_capacity(total * FRAGMENT_OVERHEAD + encoded.len());
+    debug_assert!(head <= chunk_size);
+    let len = head + body.len();
+    let total = len.div_ceil(chunk_size).max(1);
+    let mut buf = Vec::with_capacity(total * FRAGMENT_OVERHEAD + len);
     for index in 0..total {
         let start = index * chunk_size;
-        let end = (start + chunk_size).min(encoded.len());
+        let end = (start + chunk_size).min(len);
         let mut enc = CdrEncoder::append_to(buf, Endian::Big);
-        WireFragment {
+        let envelope = WireFragment {
             origin,
             msg_id,
             index: index as u32,
             total: total as u32,
-            chunk: &encoded[start..end],
+            chunk: &[],
+        };
+        envelope.encode_envelope(&mut enc, end - start);
+        if index == 0 {
+            // The message is a CDR stream of its own: aligned from
+            // where the envelope ends.
+            enc = CdrEncoder::append_to(enc.into_bytes(), Endian::Big);
+            write_head(&mut enc);
+            debug_assert_eq!(enc.len(), head);
         }
-        .encode(&mut enc);
         buf = enc.into_bytes();
+        buf.extend_from_slice(&body[start.saturating_sub(head)..end - head]);
     }
     // Every fragment but the last fills `max_payload` exactly.
-    debug_assert_eq!(buf.len(), total * FRAGMENT_OVERHEAD + encoded.len());
+    debug_assert_eq!(buf.len(), total * FRAGMENT_OVERHEAD + len);
     let buf = Bytes::from(buf);
     (0..total)
         .map(|index| {
@@ -861,19 +910,75 @@ pub fn fragment_eternal(
 
 /// A partially reassembled message: the fragment index expected next,
 /// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes accumulated so far, in a buffer sized by the
-/// first fragment for the whole message.
+/// agree), and the bytes received so far — after the head of an `Iiop`
+/// or a `StateChunk`, decoded from the first fragment when it holds it:
+/// then each body byte is written at its final offset in the buffer
+/// the delivered message keeps.
 #[derive(Debug)]
 struct Partial {
     next: u32,
     total: u32,
+    /// That head, and where its body lies in the whole message.
+    head: Option<(EternalMessage, Range<usize>)>,
     bytes: Vec<u8>,
 }
 
-/// Most bytes [`EternalReassembler::push`] reserves up front on the word
-/// of a first fragment's `total` (a larger message still reassembles; its
-/// buffer then grows as fragments arrive).
+/// Most bytes [`EternalReassembler::push`] reserves up front for one
+/// message (a larger one still reassembles; its buffer then grows as
+/// fragments arrive).
 const MAX_PRESIZE: usize = 1 << 24;
+
+/// Refusals of a fragment that does not continue its message.
+const TOTAL_MISMATCH: CdrError = CdrError::TypeMismatch {
+    expected: "consistent fragment total",
+    found: "total mismatch within one message",
+};
+const OUT_OF_ORDER: CdrError = CdrError::TypeMismatch {
+    expected: "next fragment index",
+    found: "out-of-order fragment",
+};
+
+impl Partial {
+    /// A message of `total` fragments begun by its first, `first`.
+    fn new(total: u32, first: &[u8]) -> Self {
+        let head = EternalMessage::decode_bulk_head(first).ok().flatten();
+        let (skip, body) = head
+            .as_ref()
+            .map_or((0, usize::MAX), |(_, body)| (body.start, body.len()));
+        // Every fragment but the last is as long as the first, so this
+        // holds the whole message, or its body, and never grows; no one
+        // corrupt word reserves the address space. Not a pooled buffer:
+        // the message keeps it.
+        let presize = (total as usize)
+            .saturating_mul(first.len())
+            .min(body)
+            .min(MAX_PRESIZE);
+        let mut bytes = Vec::with_capacity(presize);
+        bytes.extend_from_slice(&first[skip..]);
+        Partial {
+            next: 1,
+            total,
+            head,
+            bytes,
+        }
+    }
+
+    /// The message, its last fragment in: `bytes` become its body, or,
+    /// without a decoded head, are decoded whole. Either way the verdict
+    /// is [`EternalMessage::from_bytes`]' on the concatenated chunks.
+    fn finish(self) -> Result<Delivered<'static>, CdrError> {
+        let Some((head, body)) = self.head else {
+            return EternalMessage::from_bytes(&self.bytes).map(Delivered::from);
+        };
+        let mut bytes = self.bytes;
+        body_within(body.clone(), body.start + bytes.len())?;
+        bytes.truncate(body.len());
+        Ok(Delivered {
+            head,
+            body: Cow::Owned(bytes),
+        })
+    }
+}
 
 /// Reassembles [`WireFragment`] streams back into [`EternalMessage`]s.
 ///
@@ -909,7 +1014,8 @@ impl EternalReassembler {
     /// backpressure gauge: memory parked waiting for trailing
     /// fragments).
     pub fn pending_bytes(&self) -> usize {
-        self.partial.values().map(|p| p.bytes.len()).sum()
+        let head = |p: &Partial| p.head.as_ref().map_or(0, |(_, body)| body.start);
+        self.partial.values().map(|p| head(p) + p.bytes.len()).sum()
     }
 
     /// Drops every partial from `origin`. Called on a Totem membership
@@ -962,42 +1068,29 @@ impl EternalReassembler {
             // decoded straight from the delivered bytes.
             return Delivered::view(chunk).map(Some);
         }
-        let entry = self.partial.entry(key).or_insert_with(|| {
-            // Every fragment but the last is as long as the first, so
-            // this holds the whole message and never grows. The bound
-            // keeps a corrupt `total` from reserving the address space.
-            // Not a pooled buffer: the message keeps it.
-            let whole = (total as usize)
-                .saturating_mul(chunk.len())
-                .min(MAX_PRESIZE);
-            Partial {
-                next: 0,
-                total,
-                bytes: Vec::with_capacity(whole),
+        let mut entry = match self.partial.entry(key) {
+            Entry::Vacant(_) if index != 0 => return Err(OUT_OF_ORDER),
+            Entry::Vacant(slot) => {
+                slot.insert(Partial::new(total, chunk));
+                return Ok(None);
             }
-        });
-        if entry.total != total {
-            self.partial.remove(&key);
-            return Err(CdrError::TypeMismatch {
-                expected: "consistent fragment total",
-                found: "total mismatch within one message",
-            });
+            Entry::Occupied(entry) => entry,
+        };
+        let partial = entry.get_mut();
+        if partial.total != total || partial.next != index {
+            let refusal = match partial.total != total {
+                true => TOTAL_MISMATCH,
+                false => OUT_OF_ORDER,
+            };
+            entry.remove();
+            return Err(refusal);
         }
-        if entry.next != index {
-            self.partial.remove(&key);
-            return Err(CdrError::TypeMismatch {
-                expected: "next fragment index",
-                found: "out-of-order fragment",
-            });
-        }
-        entry.next += 1;
-        entry.bytes.extend_from_slice(chunk);
-        if entry.next == entry.total {
-            let Partial { bytes, .. } = self.partial.remove(&key).expect("just inserted");
+        partial.next += 1;
+        partial.bytes.extend_from_slice(chunk);
+        match partial.next == partial.total {
             // The buffer is this reassembler's own: the message keeps it.
-            Delivered::from_buffer(bytes).map(Some)
-        } else {
-            Ok(None)
+            true => entry.remove().finish().map(Some),
+            false => Ok(None),
         }
     }
 }
@@ -1545,13 +1638,12 @@ mod tests {
             }
             assert_eq!(r.pending(), 0);
         }
-        // The hand-over of a reassembled buffer: decoding a message out
-        // of a buffer of its own — with a reassembly buffer's spare
-        // capacity — yields what decoding a copy of it does, at every
-        // size (the smallest are truncated, hence undecodable), and the
-        // body of the two bulk variants stays where it was (an empty
-        // one has no place: the buffer is freed).
-        for &size in &sizes {
+        // The hand-over of a reassembled buffer: at every size (the
+        // smallest are truncated, hence undecodable) a message in several
+        // fragments reassembles to what decoding it whole yields, and
+        // the body of the two bulk variants is the partial's own buffer,
+        // written where it stays and not moved or copied out.
+        for (msg_id, &size) in sizes.iter().enumerate() {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
                 transfer: TransferId(9),
@@ -1561,22 +1653,72 @@ mod tests {
                 bytes: vec![0xC4; size],
             };
             for whole in [encoded_of_size(size, &mut rng), chunk.to_bytes()] {
-                let mut own = Vec::with_capacity(whole.len() + CHUNK);
-                own.extend_from_slice(&whole);
-                let buffer = own.as_ptr();
-                let handed_over = Delivered::from_buffer(own).map(Delivered::into_message);
-                assert_eq!(handed_over, EternalMessage::from_bytes(&whole), "{size}");
-                if let Ok(
-                    EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. },
-                ) = handed_over
+                let key = (NodeId(2), msg_id as u64);
+                let frags = fragment_eternal(key.0, key.1, &whole, CHUNK + FRAGMENT_OVERHEAD);
+                let (last, rest) = frags.split_last().unwrap();
+                for frag in rest {
+                    assert_eq!(r.push(frag), Ok(None));
+                }
+                let buffer = r.partial.get(&key).map(|p| p.bytes.as_ptr());
+                let handed_over = r.push(last);
+                assert_eq!(handed_over, EternalMessage::from_bytes(&whole).map(Some));
+                if let (
+                    Some(buffer),
+                    Ok(Some(
+                        EternalMessage::Iiop { bytes, .. }
+                        | EternalMessage::StateChunk { bytes, .. },
+                    )),
+                ) = (buffer, handed_over)
                 {
-                    assert!(
-                        bytes.is_empty() || bytes.as_ptr() == buffer,
-                        "the body was copied out"
-                    );
+                    assert_eq!(bytes.as_ptr(), buffer, "the body was moved or copied out");
                 }
             }
         }
+    }
+
+    /// A partial reserves the least of what the first fragment's `total`
+    /// allows, what the body's length word declares and
+    /// [`MAX_PRESIZE`]: one corrupt word cannot reserve the address
+    /// space, and an intact message gets exactly its body.
+    #[test]
+    fn a_partial_reserves_the_least_of_its_three_bounds() {
+        const BODY: usize = 5_000;
+        let msg = EternalMessage::Iiop {
+            conn: conn(),
+            direction: Direction::Request,
+            op_seq: 3,
+            bytes: vec![3; BODY],
+        };
+        let frags = fragment_eternal(NodeId(0), 1, &msg.to_bytes(), 1000);
+        let reserved = |total: u32, body_len: u32| {
+            let mut first = WireFragment::from_bytes(&frags[0]).unwrap();
+            first.total = total;
+            let mut first = first.to_bytes();
+            // The Iiop's body length word is its sixth 4-byte word.
+            let at = FRAGMENT_OVERHEAD + 20;
+            first[at..at + 4].copy_from_slice(&body_len.to_be_bytes());
+            let mut r = EternalReassembler::new();
+            assert_eq!(r.push(&first), Ok(None));
+            r.partial.values().next().unwrap().bytes.capacity()
+        };
+        let total = frags.len() as u32;
+        let chunk = 1000 - FRAGMENT_OVERHEAD;
+        assert_eq!(reserved(total, BODY as u32), BODY);
+        assert_eq!(reserved(1 << 20, BODY as u32), BODY, "a corrupt total");
+        assert_eq!(
+            reserved(total, u32::MAX),
+            frags.len() * chunk,
+            "a corrupt length"
+        );
+        assert_eq!(reserved(1 << 20, u32::MAX), MAX_PRESIZE, "both corrupt");
+        // A head the first fragment cannot hold: its whole message.
+        let cut = fragment_eternal(NodeId(0), 1, &msg.to_bytes(), FRAGMENT_OVERHEAD + 16);
+        let mut r = EternalReassembler::new();
+        assert_eq!(r.push(&cut[0]), Ok(None));
+        assert_eq!(
+            r.partial.values().next().unwrap().bytes.capacity(),
+            cut.len() * 16
+        );
     }
 
     #[test]

@@ -17,9 +17,10 @@ use eternal_giop::{
 };
 use std::collections::BTreeMap;
 
-/// A matched reply, returned by [`ClientConnection::handle_reply`].
+/// A matched reply, returned by [`ClientConnection::handle_reply`]; its
+/// body is lent from the reply's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplyOutcome {
+pub struct ReplyOutcome<'a> {
     /// The request this reply answers.
     pub request_id: u32,
     /// The operation that was invoked.
@@ -27,7 +28,7 @@ pub struct ReplyOutcome {
     /// The reply's status.
     pub status: ReplyStatus,
     /// The result (or exception) bytes.
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
 }
 
 #[derive(Debug, Clone)]
@@ -240,7 +241,7 @@ impl ClientConnection {
     /// reply's request id matches nothing — the reply is **discarded**,
     /// reproducing the commercial-ORB behaviour that makes request-id
     /// recovery necessary (paper §4.2.1).
-    pub fn handle_reply(&mut self, bytes: &[u8]) -> Result<ReplyOutcome, OrbError> {
+    pub fn handle_reply<'a>(&mut self, bytes: &'a [u8]) -> Result<ReplyOutcome<'a>, OrbError> {
         let MessageView::Reply(reply) = MessageView::parse(bytes)? else {
             return Err(OrbError::UnexpectedMessage(
                 "client connection received a non-reply message",
@@ -268,7 +269,7 @@ impl ClientConnection {
             request_id: reply.request_id,
             operation: outstanding.operation,
             status: reply.reply_status,
-            body: reply.body.to_vec(),
+            body: reply.body,
         })
     }
 
@@ -390,7 +391,8 @@ mod tests {
     fn matching_reply_is_delivered() {
         let mut c = ClientConnection::new(1);
         let (id, _) = c.build_request(&key(), "deposit", &[], true).unwrap();
-        let out = c.handle_reply(&reply(id, b"ok", vec![])).unwrap();
+        let reply = reply(id, b"ok", vec![]);
+        let out = c.handle_reply(&reply).unwrap();
         assert_eq!(out.request_id, id);
         assert_eq!(out.operation, "deposit");
         assert_eq!(out.body, b"ok");

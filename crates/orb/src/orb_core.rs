@@ -298,7 +298,11 @@ impl Orb {
     /// Unknown connection, parse failure, or a request-id mismatch (the
     /// reply is then discarded, per §4.2.1).
     #[inline]
-    pub fn handle_reply(&mut self, conn: u64, bytes: &[u8]) -> Result<ReplyOutcome, OrbError> {
+    pub fn handle_reply<'a>(
+        &mut self,
+        conn: u64,
+        bytes: &'a [u8],
+    ) -> Result<ReplyOutcome<'a>, OrbError> {
         let result = self.client(conn)?.handle_reply(bytes);
         if self.trace.is_enabled() {
             let source = format!("{}/orb", self.host);

@@ -421,7 +421,7 @@ mod tests {
         let reply = server.handle_request(&req, &mut poa).unwrap().unwrap();
         let out = client.handle_reply(&reply).unwrap();
         assert_eq!(out.status, ReplyStatus::SystemException);
-        let exc = SystemExceptionBody::from_bytes(&out.body).unwrap();
+        let exc = SystemExceptionBody::from_bytes(out.body).unwrap();
         assert!(exc.exception_id.contains("UNKNOWN"));
     }
 
@@ -465,7 +465,7 @@ mod tests {
             .unwrap();
         let reply = server.handle_request(&get_req, &mut poa).unwrap().unwrap();
         let out = client.handle_reply(&reply).unwrap();
-        let state = Any::from_bytes(&out.body).unwrap();
+        let state = Any::from_bytes(out.body).unwrap();
         assert_eq!(state.value, Value::ULong(3));
     }
 

@@ -149,7 +149,8 @@ def main():
             callers[inner][crate(own[1])] += 1
         for n in set(names[: names.index(root) + 1]):
             incl_count[n] += 1
-    what = "allocator calls (1 in 16 sampled)" if mode == "alloc" else "CPU-time samples"
+    what = {"alloc": "allocator calls (1 in 16 sampled)",
+            "bytes": "256 KiB samples of the bytes asked of the allocator"}.get(mode, "CPU-time samples")
     print(f"{kept} of {total} {what} under {root}" + (f"; {lost} lost, buffer full" if lost != "0" else ""))
     if kept < MIN_ROOT_SHARE * total:
         sys.exit(f"profile-report: only {kept} of {total} samples pass through `{root}` "

@@ -3,7 +3,7 @@
 # anyone edits the code (EXPERIMENTS.md P6 and P7 have them before and
 # after).
 #
-#   scripts/profile.sh <workload> [seconds] [cpu|alloc] [seed]
+#   scripts/profile.sh <workload> [seconds] [cpu|alloc|bytes] [seed]
 #
 # seconds defaults to 10, the mode to cpu, the seed to 7. Builds perf/
 # with frame pointers into target/profile (its own CARGO_TARGET_DIR, so
@@ -20,8 +20,11 @@
 # under a tenth of the samples, which is how a rename shows. cpu
 # asks for a sample every millisecond of CPU time (the kernel rounds that
 # to its tick, 4 ms on the sandbox); alloc takes every 16th malloc,
-# calloc or realloc (a fill of its 32 MB buffer is reported: use fewer
-# seconds).
+# calloc or realloc; bytes takes one sample per 256 KiB those calls ask
+# for, so a call weighs as much as it asks for. alloc ranks what
+# allocates often (on active_frag, BTreeMap entries), bytes what
+# allocates much (the reassembly buffers). A fill of the sampler's
+# 32 MB buffer is reported: use fewer seconds.
 #
 # Two caveats. libc's own symbol table is stripped, so its unexported
 # internals (`__memmove_avx_unaligned_erms` behind memcpy, `_int_malloc`,

@@ -7,8 +7,9 @@
 //! runs the shapes of two of perf's workloads — four processors, an
 //! active(2) server and a client with invocations in flight: tiny
 //! `increment`s (`active_small`) and 2–32 kB `put`s that travel as
-//! many Totem frames (`active_frag`) — and counts allocator calls per
-//! reply once the stream is warm. The counts are exact and repeat: the
+//! many Totem frames (`active_frag`) — and counts allocator calls and the
+//! bytes they ask for per reply once the stream is warm. The counts are
+//! exact and repeat: the
 //! simulation is deterministic and nothing else allocates on the
 //! measuring thread. A third case holds the metrics registry to its
 //! rule that a name is copied only when its metric is created.
@@ -28,12 +29,16 @@ thread_local! {
     /// thread. `const`-initialised and without a destructor, so reading
     /// it from inside the allocator allocates nothing.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a realloc's new size, as in perf's
+    /// `alloc_kb_per_req`).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A thread being torn down has no counter any more; it is not the
     // one being measured.
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = BYTES.try_with(|sum| sum.set(sum.get() + bytes as u64));
 }
 
 struct Counting;
@@ -43,19 +48,19 @@ struct Counting;
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as in `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,33 +81,45 @@ const WARM_UP: u64 = 200;
 const MEASURED: u64 = 1_000;
 
 /// Allocator calls per reply on the `active_small` shape, measured when
-/// this budget was set (ISSUE 25, EXPERIMENTS.md P6): 16.41, against
-/// 21.97 at the parent commit — what left is Totem's per-event action
-/// vector, the network model's per-frame delivery list and the
-/// per-delivery out-list, all now buffers the driver lends.
+/// this budget was last set (EXPERIMENTS.md P8): 15.40. It was 21.97
+/// before P6 lent Totem's per-event action vector, the network model's
+/// per-frame delivery list and the per-delivery out-list, and 16.41
+/// before P8 lent the reply body to the application.
 /// One request is twelve deliveries — its own at four processors and
 /// two reply copies at each — and none of them copies the body. What is
 /// left, per reply: 6 for the three multicasts (request, two reply
 /// copies: one exactly-sized payload and its reference count each); 4
 /// in the two server ORBs (the servant's result and the encoded reply,
-/// twice); 5 at the client (the application's invocation and its name,
-/// the outstanding-call record, the encoded request, the reply body
-/// handed to the application); ≈ 1.4 in Totem (batch vectors and the
-/// frame clones scheduled per destination).
-const SMALL_AT_ISSUE_25: f64 = 16.41;
+/// twice); 4 at the client (the application's invocation and its name,
+/// the outstanding-call record, the encoded request; the client ORB
+/// lends the reply body to the application instead of copying it);
+/// ≈ 1.4 in Totem (batch vectors and the frame clones scheduled per
+/// destination).
+const SMALL_CALLS: f64 = 15.40;
 
-/// The same on the fragmented shape: 31.61, against 94.46 at the parent
-/// commit, nearly two thirds of which were the per-event action vectors
-/// and per-frame delivery lists of a request's ≈ 15 frames at four
-/// processors.
-const FRAG_AT_ISSUE_25: f64 = 31.61;
+/// The same on the fragmented shape: 28.36. It was 94.46 before P6,
+/// nearly two thirds of which were the per-event action vectors and
+/// per-frame delivery lists of a request's ≈ 15 frames at four
+/// processors, and 31.61 before P8, which cut each multicast's body
+/// straight into its frames instead of encoding it first, sized the
+/// `put` arguments exactly instead of regrowing them, and lent the
+/// reply body.
+const FRAG_CALLS: f64 = 28.36;
 
-/// Steady-state allocator calls per reply of a four-processor cluster
-/// running `server` as an active(2) group under `client`.
+/// The kB those calls ask for per reply on the fragmented shape: 114.89,
+/// against 151.26 before P8. Each byte of a `put`'s value is now written
+/// once per hop: the value, its arguments, the GIOP request, the frames,
+/// the reassembled body at each of the four processors and the value
+/// each of the two servants keeps.
+const FRAG_KB: f64 = 114.89;
+
+/// Steady-state allocator calls and kB asked for per reply of a
+/// four-processor cluster running `server` as an active(2) group under
+/// `client`.
 fn allocations_per_reply(
     server: impl Fn() -> Box<dyn eternal_orb::servant::CheckpointableServant> + Send + Sync + 'static,
     client: impl Fn(GroupId) -> Box<dyn ClientApp> + Send + Sync + 'static,
-) -> f64 {
+) -> (f64, f64) {
     let config = ClusterConfig {
         trace: false,
         ..ClusterConfig::default()
@@ -119,32 +136,35 @@ fn allocations_per_reply(
     while replies(&cluster) < WARM_UP {
         assert!(cluster.step(), "the stream ran dry");
     }
-    let (replies_before, calls_before) = (replies(&cluster), CALLS.get());
+    let before = (replies(&cluster), CALLS.get(), BYTES.get());
     while replies(&cluster) < WARM_UP + MEASURED {
         assert!(cluster.step(), "the stream ran dry");
     }
-    let calls = CALLS.get() - calls_before;
-    calls as f64 / (replies(&cluster) - replies_before) as f64
+    let per_reply = (replies(&cluster) - before.0) as f64;
+    let calls = (CALLS.get() - before.1) as f64 / per_reply;
+    let kb = (BYTES.get() - before.2) as f64 / 1024.0 / per_reply;
+    println!("{calls:.2} allocator calls asking for {kb:.2} kB per reply");
+    (calls, kb)
 }
 
-fn assert_within_budget(shape: &str, per_reply: f64, measured: f64) {
+fn assert_within_budget(shape: &str, per_reply: f64, measured: f64, what: &str) {
     let budget = measured * 1.10;
     assert!(
         per_reply <= budget,
-        "{shape}: {per_reply:.2} allocator calls per reply in steady state, over the budget \
-         of {budget:.2} ({measured} measured + 10 %): find the new allocation with perf's \
-         `allocs_per_req` and `scripts/profile.sh <workload> 10 alloc`"
+        "{shape}: {per_reply:.2} {what} per reply in steady state, over the budget of \
+         {budget:.2} ({measured} measured + 10 %): find the new allocation with perf's \
+         `allocs_per_req`/`alloc_kb_per_req` and `scripts/profile.sh <workload> 10 alloc` \
+         (or `bytes`)"
     );
-    println!("{shape}: {per_reply:.2} allocator calls per reply");
 }
 
 #[test]
 fn steady_state_allocations_per_reply_stay_within_budget() {
-    let per_reply = allocations_per_reply(
+    let (calls, _) = allocations_per_reply(
         || Box::new(CounterServant::default()),
         |server| Box::new(StreamingClient::new(server, "increment", 16)),
     );
-    assert_within_budget("active_small shape", per_reply, SMALL_AT_ISSUE_25);
+    assert_within_budget("active_small shape", calls, SMALL_CALLS, "allocator calls");
 }
 
 /// `put`s of 2–32 kB (a log-uniform ladder of sizes, as in perf's
@@ -187,11 +207,12 @@ impl ClientApp for Putter {
 
 #[test]
 fn fragmented_stream_allocations_per_reply_stay_within_budget() {
-    let per_reply = allocations_per_reply(
+    let (calls, kb) = allocations_per_reply(
         || Box::new(KvStoreServant::default()),
         |server| Box::new(Putter { server, sent: 0 }),
     );
-    assert_within_budget("fragmented puts", per_reply, FRAG_AT_ISSUE_25);
+    assert_within_budget("fragmented puts", calls, FRAG_CALLS, "allocator calls");
+    assert_within_budget("fragmented puts", kb, FRAG_KB, "kB asked for");
 }
 
 /// A metric's name is copied into its key once, when the metric is

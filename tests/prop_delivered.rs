@@ -1,13 +1,17 @@
 //! Property tests for the Eternal delivery codec: [`Delivered::view`]
-//! (the body borrowed from the input), [`Delivered::from_buffer`] (the
-//! body kept in the input's own buffer) and [`EternalMessage::from_bytes`]
-//! (the body copied) are one decoder. On well-formed, truncated,
-//! length-inflated, single-bit-flipped and arbitrary inputs — the
-//! generators of `crates/giop/tests/prop_views.rs` — the three accept
-//! and reject the same bytes with the same error and yield the same
-//! fields, none panics, and [`EternalReassembler::push_view`] and
-//! [`EternalReassembler::push`] agree on the same fragments. Random
-//! cases come from the deterministic `eternal-sim` RNG (fixed seeds).
+//! (the body borrowed from the input), reassembly from several
+//! fragments (the body written into the reassembler's own buffer) and
+//! [`EternalMessage::from_bytes`] (the body copied) are one decoder. On
+//! well-formed, truncated, length-inflated and -deflated,
+//! single-bit-flipped and arbitrary inputs — the generators of
+//! `crates/giop/tests/prop_views.rs` — all accept and reject the same
+//! bytes with the same error and yield the same fields, none panics,
+//! a partial message holds exactly the bytes received, and
+//! [`EternalReassembler::push_view`] and [`EternalReassembler::push`]
+//! agree on the same fragments. [`EternalMessage::fragments`] writes the
+//! bytes [`fragment_eternal`] cuts from [`EternalMessage::to_bytes`].
+//! Random cases come from the deterministic `eternal-sim` RNG (fixed
+//! seeds).
 
 use eternal::gid::{ConnectionName, Direction, GroupId, TransferId};
 use eternal::message::{
@@ -21,6 +25,7 @@ use eternal_cdr::CdrError;
 use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
 use eternal_sim::rng::SimRng;
+use eternal_sim::Bytes;
 
 fn rand_bytes(rng: &mut SimRng, max_len: u64) -> Vec<u8> {
     let n = rng.gen_range(max_len + 1) as usize;
@@ -154,37 +159,61 @@ fn body_of(message: &EternalMessage) -> &[u8] {
     }
 }
 
-/// The whole contract on one input: the three decodes give the same
-/// verdict; when they accept, head and body are the owned message's,
-/// and an owned message viewed as delivered is that delivery again.
-/// Returns the verdict.
+/// `frags` pushed through a fresh reassembler: the message the last one
+/// completes. Before it, the partial holds exactly the chunk bytes
+/// received, whether it has decoded a head or not.
+fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
+    let mut reassembler = EternalReassembler::new();
+    let (last, rest) = frags.split_last().expect("one fragment at least");
+    let mut received = 0;
+    for frag in rest {
+        assert!(matches!(reassembler.push_view(frag), Ok(None)));
+        received += frag.len() - FRAGMENT_OVERHEAD;
+        assert_eq!(reassembler.pending_bytes(), received, "mid-message");
+    }
+    reassembler
+        .push_view(last)
+        .map(|done| done.expect("the last fragment completes the message"))
+}
+
+/// The whole contract on one input: viewing it, reassembling it from
+/// fragments and copying it give the same verdict; when they accept,
+/// head and body are the owned message's, and an owned message viewed
+/// as delivered is that delivery again. Returns the verdict.
 fn check(input: &[u8]) -> Result<EternalMessage, CdrError> {
     let owned = EternalMessage::from_bytes(input);
-    let viewed = Delivered::view(input);
-    // With a reassembly buffer's spare capacity.
-    let mut buffer = Vec::with_capacity(input.len() + 64);
-    buffer.extend_from_slice(input);
-    let kept = Delivered::from_buffer(buffer);
-    match (&owned, viewed, kept) {
-        (Ok(message), Ok(viewed), Ok(kept)) => {
-            for delivered in [viewed, kept, Delivered::from(message.clone())] {
+    // Chunks of 8 bytes cut every head across fragments; of 33, they
+    // leave the head of an `Iiop` or a `StateChunk` whole in the first.
+    let [across, first] =
+        [8, 33].map(|chunk| fragment_eternal(NodeId(3), 1, input, FRAGMENT_OVERHEAD + chunk));
+    let decodes = [
+        Delivered::view(input),
+        reassemble(&across),
+        reassemble(&first),
+    ];
+    for decoded in decodes {
+        match (&owned, decoded) {
+            (Ok(message), Ok(delivered)) => {
                 assert!(body_of(&delivered.head).is_empty(), "{input:02x?}");
                 assert_eq!(&delivered.body[..], body_of(message), "{input:02x?}");
                 assert_eq!(delivered.head.kind(), message.kind());
                 assert_eq!(&delivered.into_message(), message, "{input:02x?}");
             }
-            // Equal values, equal bytes.
-            let reencoded = message.to_bytes();
-            assert_eq!(EternalMessage::from_bytes(&reencoded).as_ref(), Ok(message));
+            (Err(error), Err(decoded)) => assert_eq!(error, &decoded, "{input:02x?}"),
+            (owned, decoded) => panic!(
+                "the decodes disagree on {input:02x?}: {owned:?} / {:?}",
+                decoded.map(Delivered::into_message),
+            ),
         }
-        (Err(error), Err(viewed), Err(kept)) => {
-            assert_eq!((error, error), (&viewed, &kept), "{input:02x?}");
-        }
-        (owned, viewed, kept) => panic!(
-            "the decodes disagree on {input:02x?}: {owned:?} / {:?} / {:?}",
-            viewed.map(Delivered::into_message),
-            kept.map(Delivered::into_message),
-        ),
+    }
+    if let Ok(message) = &owned {
+        let delivered = Delivered::from(message.clone());
+        assert!(body_of(&delivered.head).is_empty());
+        assert_eq!(&delivered.body[..], body_of(message));
+        assert_eq!(&delivered.into_message(), message);
+        // Equal values, equal bytes.
+        let reencoded = message.to_bytes();
+        assert_eq!(EternalMessage::from_bytes(&reencoded).as_ref(), Ok(message));
     }
     owned
 }
@@ -206,6 +235,21 @@ fn canonical_messages_are_accepted_by_all_and_reencode_to_themselves() {
             let short = FRAGMENT_OVERHEAD + bytes.len() - 1;
             assert_eq!(message.single_fragment(NodeId(1), 9, short), None);
         }
+    }
+}
+
+/// Cutting a message's head and body straight into frames writes the
+/// bytes that cutting its encoding does, for every kind and payload.
+#[test]
+fn fragments_are_the_cut_encoding() {
+    let mut rng = SimRng::seed_from_u64(0xE7E2_0107);
+    for case in 0..512u64 {
+        let message = rand_message(&mut rng);
+        let bytes = message.to_bytes();
+        let max_payload = FRAGMENT_OVERHEAD + 1 + rng.gen_range(bytes.len() as u64 + 8) as usize;
+        let frags = message.fragments(NodeId(2), case, max_payload);
+        let cut = fragment_eternal(NodeId(2), case, &bytes, max_payload);
+        assert_eq!(frags, cut, "{} at {max_payload}", message.kind());
     }
 }
 
@@ -244,6 +288,30 @@ fn inflated_lengths_get_the_same_verdict_from_all() {
     }
     // Most words of these small messages are ids, where any value is legal.
     assert!(rejected > 50, "only {rejected} of 512 inflations rejected");
+}
+
+/// A length or count word made smaller: a bulk body then ends early, and
+/// the bytes after it are not read.
+#[test]
+fn deflated_lengths_get_the_same_verdict_from_all() {
+    let mut rng = SimRng::seed_from_u64(0xE7E2_0108);
+    let (mut accepted, mut rejected) = (0, 0);
+    for _case in 0..512 {
+        let mut bytes = rand_message(&mut rng).to_bytes();
+        let words = bytes.len() / 4;
+        if words == 0 {
+            continue;
+        }
+        let at = 4 * rng.gen_range(words as u64) as usize;
+        let word = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
+        let shrunk = word.saturating_sub(1 + rng.gen_range(16) as u32);
+        bytes[at..at + 4].copy_from_slice(&shrunk.to_be_bytes());
+        match check(&bytes) {
+            Ok(_) => accepted += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(accepted > 100 && rejected > 10, "{accepted} / {rejected}");
 }
 
 #[test]
