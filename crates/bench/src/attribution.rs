@@ -7,10 +7,11 @@
 //!
 //! ```text
 //! {
-//!   "schema": 1,
+//!   "schema": 2,
 //!   "seed": …, "final_time_ns": …,
-//!   "requests": …, "incomplete_chains": …, "non_monotone_chains": …,
-//!   "dropped_events": …,
+//!   "requests": …,
+//!   "incomplete_rooted_at_replay": …, "incomplete_missing_parent": …,
+//!   "non_monotone_chains": …, "span_collisions": …, "dropped_events": …,
 //!   "phases": [ {phase, count, total_ns, p50_ns, p99_ns, max_ns} … ],
 //!   "rtt":    { count, total_ns, p50_ns, p99_ns, max_ns },
 //!   "top":    [ {trace_id, client_node, started_at_ns, rtt_ns,
@@ -21,8 +22,9 @@
 //! ```
 //!
 //! Exit policy (mirrored by `repro`): at least one request must have
-//! been attributed and every attributed request must tile exactly —
-//! any tiling violation fails the run. Same seed → byte-identical
+//! been attributed, every attributed request must tile exactly, and no
+//! two recorded hops may share a derived span id — any tiling violation
+//! or span collision fails the run. Same seed → byte-identical
 //! document; every `top` entry's phase values sum to its `rtt_ns`, so
 //! external validators can recheck the tiling from the JSON alone.
 
@@ -180,15 +182,18 @@ pub fn attribution_run(seed: u64) -> AttributionRun {
     cluster.run_for(Duration::from_millis(120));
 
     let report = attribute(cluster.causal());
-    let passed = !report.requests.is_empty() && report.violations.is_empty();
+    let passed =
+        !report.requests.is_empty() && report.violations.is_empty() && report.span_collisions == 0;
     let json = render_json(&report, seed, cluster.now().as_nanos(), passed);
     let text = report.render_text(TOP_K);
     let summary = format!(
-        "attribution: seed={seed} requests={} incomplete={} non_monotone={} dropped={} \
-         violations={} verdict={}",
+        "attribution: seed={seed} requests={} rooted_at_replay={} missing_parent={} \
+         non_monotone={} collisions={} dropped={} violations={} verdict={}",
         report.requests.len(),
-        report.incomplete_chains,
+        report.rooted_at_replay,
+        report.missing_parent,
         report.non_monotone_chains,
+        report.span_collisions,
         report.dropped_events,
         report.violations.len(),
         if passed { "PASS" } else { "FAIL" }
@@ -214,12 +219,14 @@ fn histogram_fields(w: &mut JsonWriter, h: &LogHistogram) {
 fn render_json(report: &AttributionReport, seed: u64, final_time_ns: u64, passed: bool) -> String {
     let mut w = JsonWriter::default();
     w.object(Layout::Block)
-        .field("schema", 1)
+        .field("schema", 2)
         .field("seed", seed)
         .field("final_time_ns", final_time_ns)
         .field("requests", report.requests.len())
-        .field("incomplete_chains", report.incomplete_chains)
+        .field("incomplete_rooted_at_replay", report.rooted_at_replay)
+        .field("incomplete_missing_parent", report.missing_parent)
         .field("non_monotone_chains", report.non_monotone_chains)
+        .field("span_collisions", report.span_collisions)
         .field("dropped_events", report.dropped_events)
         .key("phases")
         .array(Layout::Block);

@@ -1,24 +1,32 @@
 //! Causal-tracing glue between the Eternal mechanisms and the
 //! [`eternal_obs::causal`] recorder.
 //!
-//! The recorder itself lives in `eternal-obs` (it is shared with Totem,
-//! which carries [`TraceTag`]s in its frame metadata). This module owns
-//! the *Eternal-side* conventions:
+//! No trace byte crosses the wire. Every hop derives what it links to
+//! from what its layer already sees (`docs/TRACING.md`, "Derivation"):
 //!
-//! * how trace ids are derived from message identity (deterministic —
-//!   no randomness, so same-seed runs produce byte-identical exports),
-//! * the [`HopCtx`] handle the cluster passes into
-//!   [`crate::mechanisms::Mechanisms::on_delivered`] so the mechanisms
-//!   can stamp their hops (hold, dispatch, reply, `get_state`,
-//!   `set_state`, replay) without owning the recorder.
+//! * the **trace id** is a pure function of message identity
+//!   ([`trace_id_of`]), so every replica derives the same one;
+//! * the **span id** is a pure function of the trace, the node, the
+//!   hop kind and the fragment the hop handles ([`span_id`]), so a hop
+//!   names its parent by deriving the parent's id, never by being
+//!   told it;
+//! * the **clock** is the total-order position being processed
+//!   ([`OrderPos::clock`]): the agreed order already fixes every
+//!   delivery's place, so a logical clock on the wire would add
+//!   nothing.
 //!
-//! See `docs/TRACING.md` for the full span taxonomy and wire format.
+//! The one decision left — which hop a hop hangs under — is made here:
+//! a fragment's Send and Deliver hops under its Pack hop
+//! ([`pack_span`]), the Pack hops under the hop that emitted the
+//! message ([`emitted_by`]), and the mechanisms' hops along the chain a
+//! [`HopCtx`] carries through one delivery.
 
-use crate::gid::{ConnectionName, TransferId};
+use crate::gid::{ConnectionName, Direction, TransferId};
 use crate::hash::{fnv1a, FNV_OFFSET};
-use crate::message::EternalMessage;
-use eternal_obs::causal::{CausalRecorder, Hop, TraceTag};
+use crate::message::{EternalMessage, WireFragment};
+use eternal_obs::causal::{CausalEvent, CausalRecorder, Hop, OrderPos};
 use eternal_obs::SimTime;
+use eternal_sim::net::NodeId;
 use std::fmt;
 
 /// The trace id of one logical IIOP operation. Request and reply share
@@ -32,29 +40,18 @@ pub fn iiop_trace_id(conn: ConnectionName, op_seq: u32) -> u64 {
     h = fnv1a(h, &op_seq.to_be_bytes());
     // Trace id 0 means "untraced"; avoid the (astronomically unlikely)
     // collision deterministically.
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    h.max(1)
 }
 
 /// The trace id of one §5.1 state-transfer episode (`get_state` →
-/// assignment → `set_state` → replay form one causal chain).
+/// chunks → suffix → `set_state` → replay form one causal chain).
 pub fn transfer_trace_id(transfer: TransferId) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, b"xfer");
-    h = fnv1a(h, &transfer.0.to_be_bytes());
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    fnv1a(fnv1a(FNV_OFFSET, b"xfer"), &transfer.0.to_be_bytes()).max(1)
 }
 
-/// The trace id a multicast of `message` belongs to, for messages that
-/// reach [`crate::cluster::Cluster`]'s send path without an explicit
-/// tag. Infrastructure chatter (joins, faults, load ticks) is untraced:
-/// it returns 0, which keeps those frames at zero wire overhead.
+/// The trace id a multicast of `message` belongs to. Infrastructure
+/// chatter (joins, faults, load ticks, health snapshots) belongs to no
+/// invocation or transfer: it returns 0 and is not traced.
 pub fn trace_id_of(message: &EternalMessage) -> u64 {
     match message {
         EternalMessage::Iiop { conn, op_seq, .. } => iiop_trace_id(*conn, *op_seq),
@@ -67,16 +64,94 @@ pub fn trace_id_of(message: &EternalMessage) -> u64 {
         EternalMessage::ReplicaJoining { .. }
         | EternalMessage::ReplicaFault { .. }
         | EternalMessage::LoadTick { .. }
-        // Health snapshots are untraced infrastructure: tracing them
-        // would add TraceTag bytes to every periodic publish and skew
-        // the very timings they measure.
         | EternalMessage::Health { .. } => 0,
     }
 }
 
-/// A borrowed stamping context for one delivered message (or one client
-/// activation): the recorder, the processor it executes on, the chain
-/// being extended, and the receive-updated Lamport clock.
+/// The index a transfer's closing suffix is stamped under among its
+/// [`Hop::StateChunk`] hops (a chunk's is its own index).
+pub const SUFFIX: u32 = u32::MAX;
+
+/// What a hop handles, as far as its span id needs it: what tells the
+/// hops of one kind that one node stamps on one trace apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frag {
+    /// The processor that multicast the message.
+    pub origin: NodeId,
+    /// Its per-origin message counter (from 1).
+    pub msg_id: u64,
+    /// The fragment's index.
+    pub index: u32,
+}
+
+impl Frag {
+    /// The Totem fragment a wire hop (Pack, Send, Deliver) handles, as
+    /// its envelope names it.
+    pub fn of(fragment: &WireFragment<'_>) -> Self {
+        Frag {
+            origin: fragment.origin,
+            msg_id: fragment.msg_id,
+            index: fragment.index,
+        }
+    }
+
+    /// A mechanisms' hop: a node stamps each kind at most once per
+    /// trace, but for a transfer's chunks (`index` = the chunk's, or
+    /// [`SUFFIX`]) and an IIOP message's hold and replay (`index` = its
+    /// direction's wire byte). Message id 0 is no message's.
+    pub const fn local(index: u32) -> Self {
+        Frag {
+            origin: NodeId(0),
+            msg_id: 0,
+            index,
+        }
+    }
+}
+
+/// The span id of `hop` at `node` on `trace_id`, handling `frag`.
+/// Never 0, which means "no parent".
+pub fn span_id(trace_id: u64, node: u64, hop: Hop, frag: Frag) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, hop.code().as_bytes());
+    for word in [trace_id, node, u64::from(frag.origin.0), frag.msg_id] {
+        h = fnv1a(h, &word.to_be_bytes());
+    }
+    fnv1a(h, &frag.index.to_be_bytes()).max(1)
+}
+
+/// The span of the Pack hop of `frag` on `trace_id`: the parent of the
+/// fragment's Send hop at its origin and of its Deliver hop everywhere.
+pub fn pack_span(trace_id: u64, frag: Frag) -> u64 {
+    span_id(trace_id, u64::from(frag.origin.0), Hop::Pack, frag)
+}
+
+/// The span of the hop at `node` that emitted `message` (on its trace,
+/// `trace_id`): the parent of the message's Pack hops, derived from the
+/// message alone. 0 — the Pack hops root the chain — for what no hop
+/// emits: untraced chatter, and a fabricated `get_state`.
+pub fn emitted_by(message: &EternalMessage, trace_id: u64, node: NodeId) -> u64 {
+    let (hop, index) = match message {
+        EternalMessage::Iiop {
+            direction: Direction::Request,
+            ..
+        } => (Hop::Marshal, 0),
+        EternalMessage::Iiop {
+            direction: Direction::Reply,
+            ..
+        } => (Hop::Reply, 0),
+        EternalMessage::StateAssignment { .. } => (Hop::GetState, 0),
+        EternalMessage::StateChunk { index, .. } => (Hop::StateChunk, *index),
+        EternalMessage::StateSuffix { .. } => (Hop::StateChunk, SUFFIX),
+        _ => return 0,
+    };
+    match trace_id {
+        0 => 0,
+        _ => span_id(trace_id, u64::from(node.0), hop, Frag::local(index)),
+    }
+}
+
+/// A borrowed stamping context for one processor: the recorder, the
+/// node, the chain being extended and the total-order position being
+/// processed (0 outside an ordered delivery).
 ///
 /// [`stamp`](HopCtx::stamp) extends the current chain (each stamped hop
 /// becomes the parent of the next); [`stamp_new`](HopCtx::stamp_new)
@@ -92,7 +167,8 @@ pub struct HopCtx<'a> {
 }
 
 impl<'a> HopCtx<'a> {
-    /// A context for `node` continuing `trace_id` below `parent`.
+    /// A context for `node` continuing `trace_id` below `parent` while
+    /// the delivery at position `clock` is processed.
     pub fn new(
         rec: &'a mut CausalRecorder,
         node: u64,
@@ -109,11 +185,6 @@ impl<'a> HopCtx<'a> {
         }
     }
 
-    /// Whether stamping does anything at all.
-    pub fn enabled(&self) -> bool {
-        self.rec.is_enabled()
-    }
-
     /// The chain this context extends (0 = untraced delivery).
     pub fn trace_id(&self) -> u64 {
         self.trace_id
@@ -122,11 +193,6 @@ impl<'a> HopCtx<'a> {
     /// The span the next [`stamp`](HopCtx::stamp) will hang under.
     pub fn parent(&self) -> u64 {
         self.parent
-    }
-
-    /// The Lamport clock of the hop being processed.
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Redirects the context onto a different chain — used when one
@@ -140,70 +206,72 @@ impl<'a> HopCtx<'a> {
         self.parent = parent;
     }
 
-    /// Stamps a hop on the current chain and makes it the parent of
-    /// subsequent stamps. Returns the span id (0 when disabled or the
-    /// context is untraced). `detail` (pass `format_args!`) is rendered
-    /// only when the hop is recorded, so an untraced run formats and
-    /// allocates nothing.
-    pub fn stamp(&mut self, at: SimTime, hop: Hop, detail: fmt::Arguments<'_>) -> u64 {
-        if !self.rec.is_enabled() || self.trace_id == 0 {
-            return 0;
+    /// The span this node's `hop` number `index` on `trace_id` has, or
+    /// would have if stamped (0 when the recorder is disabled): how a
+    /// hop names a parent stamped by an earlier delivery.
+    pub fn span(&self, trace_id: u64, hop: Hop, index: u32) -> u64 {
+        match self.rec.is_enabled() && trace_id != 0 {
+            true => span_id(trace_id, self.node, hop, Frag::local(index)),
+            false => 0,
         }
-        let span = self.rec.record(
-            at,
-            self.node,
-            self.trace_id,
-            self.parent,
-            hop,
-            self.clock,
-            None,
-            detail.to_string(),
-        );
-        if span != 0 {
-            self.parent = span;
-        }
-        span
     }
 
-    /// Stamps a hop on an explicitly named trace without advancing this
-    /// context's chain — used when one delivery *originates* a new
-    /// causal chain (a fresh invocation, a state assignment).
+    /// Stamps `hop` number `index` on the current chain and makes it the
+    /// parent of subsequent stamps. Returns the span id (0 when disabled
+    /// or the context is untraced). `detail` (pass `format_args!`) is
+    /// rendered only when the hop is recorded, so an untraced run
+    /// formats and allocates nothing.
+    pub fn stamp(&mut self, at: SimTime, hop: Hop, index: u32, detail: fmt::Arguments<'_>) -> u64 {
+        self.record(at, hop, Frag::local(index), None, detail)
+    }
+
+    /// Stamps `hop` number `index` on an explicitly named trace without
+    /// advancing this context's chain — used when one delivery
+    /// *originates* a new causal chain (a fresh invocation, a chunk).
     pub fn stamp_new(
         &mut self,
         at: SimTime,
         trace_id: u64,
         parent: u64,
         hop: Hop,
+        index: u32,
         detail: fmt::Arguments<'_>,
     ) -> u64 {
-        if !self.rec.is_enabled() || trace_id == 0 {
-            return 0;
-        }
-        self.rec.record(
-            at,
-            self.node,
-            trace_id,
-            parent,
-            hop,
-            self.clock,
-            None,
-            detail.to_string(),
-        )
+        let chain = (self.trace_id, self.parent);
+        self.set_chain(trace_id, parent);
+        let span = self.stamp(at, hop, index, detail);
+        (self.trace_id, self.parent) = chain;
+        span
     }
 
-    /// The wire tag for a message whose last stamped hop on `trace_id`
-    /// was `parent`. [`TraceTag::NONE`] when the recorder is disabled —
-    /// untraced runs must not grow their frames by even one tag.
-    pub fn tag(&self, trace_id: u64, parent: u64) -> TraceTag {
-        if !self.rec.is_enabled() || trace_id == 0 {
-            TraceTag::NONE
-        } else {
-            TraceTag {
-                trace_id,
-                parent_span: parent,
-                clock: self.clock,
-            }
+    /// [`stamp`](HopCtx::stamp) of a hop that handles `frag` (at
+    /// total-order position `order`, for a Deliver hop): the one place
+    /// an event is made.
+    pub fn record(
+        &mut self,
+        at: SimTime,
+        hop: Hop,
+        frag: Frag,
+        order: Option<OrderPos>,
+        detail: fmt::Arguments<'_>,
+    ) -> u64 {
+        if !self.rec.is_enabled() || self.trace_id == 0 {
+            return 0;
         }
+        let span = span_id(self.trace_id, self.node, hop, frag);
+        self.rec.record(CausalEvent {
+            at,
+            node: self.node,
+            trace_id: self.trace_id,
+            span,
+            parent: self.parent,
+            hop,
+            clock: self.clock,
+            order,
+            detail: detail.to_string(),
+        });
+        self.parent = span;
+        span
     }
 }
 
@@ -256,7 +324,6 @@ mod tests {
 
     #[test]
     fn chunks_and_suffix_share_the_transfer_trace() {
-        use eternal_sim::net::NodeId;
         let transfer = TransferId(77);
         let chunk = EternalMessage::StateChunk {
             group: GroupId(0),
@@ -280,12 +347,14 @@ mod tests {
     fn hop_ctx_chains_spans() {
         let mut rec = CausalRecorder::new(16);
         let mut ctx = HopCtx::new(&mut rec, 1, 42, 0, 5);
-        let a = ctx.stamp(SimTime::ZERO, Hop::Deliver, format_args!("a"));
-        let b = ctx.stamp(SimTime::ZERO, Hop::Dispatch, format_args!("b {}", 2));
-        assert_ne!(a, 0);
+        let a = ctx.stamp(SimTime::ZERO, Hop::Hold, 1, format_args!("a"));
+        let b = ctx.stamp(SimTime::ZERO, Hop::Dispatch, 0, format_args!("b {}", 2));
+        assert_eq!(a, ctx.span(42, Hop::Hold, 1), "a later hop derives it");
+        assert_ne!(a, ctx.span(42, Hop::Hold, 0));
         let events: Vec<_> = rec.events().collect();
         assert_eq!(events[1].parent, a);
         assert_eq!(events[1].span, b);
+        assert_eq!(events[1].clock, 5);
         assert_eq!(events[1].detail, "b 2");
     }
 
@@ -293,7 +362,58 @@ mod tests {
     fn disabled_recorder_stamps_nothing() {
         let mut rec = CausalRecorder::disabled();
         let mut ctx = HopCtx::new(&mut rec, 1, 42, 0, 5);
-        assert_eq!(ctx.stamp(SimTime::ZERO, Hop::Deliver, format_args!("a")), 0);
+        assert_eq!(ctx.stamp(SimTime::ZERO, Hop::Hold, 0, format_args!("a")), 0);
+        assert_eq!(ctx.span(42, Hop::Hold, 0), 0);
         assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn span_ids_tell_apart_what_the_derivation_sees() {
+        let frag = |origin, msg_id, index| Frag {
+            origin: NodeId(origin),
+            msg_id,
+            index,
+        };
+        let base = span_id(7, 1, Hop::Deliver, frag(2, 5, 0));
+        assert_eq!(base, span_id(7, 1, Hop::Deliver, frag(2, 5, 0)));
+        // Two replicas' replies share a trace and may share a msg_id:
+        // the origin keeps their deliveries apart.
+        for other in [
+            span_id(8, 1, Hop::Deliver, frag(2, 5, 0)),
+            span_id(7, 3, Hop::Deliver, frag(2, 5, 0)),
+            span_id(7, 1, Hop::Pack, frag(2, 5, 0)),
+            span_id(7, 1, Hop::Deliver, frag(3, 5, 0)),
+            span_id(7, 1, Hop::Deliver, frag(2, 6, 0)),
+            span_id(7, 1, Hop::Deliver, frag(2, 5, 1)),
+        ] {
+            assert_ne!(base, other);
+        }
+        // Every receiver derives the Pack span at the fragment's origin.
+        assert_eq!(
+            pack_span(7, frag(2, 5, 0)),
+            span_id(7, 2, Hop::Pack, frag(2, 5, 0))
+        );
+    }
+
+    #[test]
+    fn the_send_path_derives_the_emitting_hop() {
+        let mut rec = CausalRecorder::new(16);
+        let conn = ConnectionName {
+            client: GroupId(1),
+            server: GroupId(0),
+        };
+        let reply = EternalMessage::Iiop {
+            conn,
+            direction: crate::gid::Direction::Reply,
+            op_seq: 3,
+            bytes: vec![],
+        };
+        let tid = trace_id_of(&reply);
+        let mut ctx = HopCtx::new(&mut rec, 2, tid, 0, 9);
+        let span = ctx.stamp(SimTime::ZERO, Hop::Reply, 0, format_args!("reply"));
+        assert_eq!(emitted_by(&reply, tid, NodeId(2)), span);
+        assert_eq!(emitted_by(&reply, 0, NodeId(2)), 0, "untraced");
+        let tick = EternalMessage::LoadTick { group: GroupId(0) };
+        assert_eq!(emitted_by(&tick, tid, NodeId(2)), 0, "no emitting hop");
     }
 }

@@ -13,7 +13,6 @@ use super::{server_kind, Cluster, Event, Processor};
 use crate::gid::{GroupId, TransferId};
 use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose};
 use crate::properties::ReplicationStyle;
-use eternal_obs::causal::TraceTag;
 use eternal_obs::timeline::PhaseSpan;
 use eternal_obs::{EventKind, RecoveryPhase, RecoveryTimeline};
 use eternal_orb::servant::CheckpointableServant;
@@ -171,6 +170,8 @@ impl Cluster {
         // The crashed node's queues died with it — a stale sample would
         // otherwise surface in its first post-restart health snapshots.
         proc.backpressure = Default::default();
+        // So did what it had packed and not yet sent.
+        proc.unsent.clear();
         self.record_event(format!("{node}/cluster"), EventKind::ProcessorCrashed, "");
     }
 
@@ -222,7 +223,6 @@ impl Cluster {
                 node,
                 EternalMessage::ReplicaFault { group, host: node },
                 now,
-                TraceTag::NONE,
             );
         }
     }

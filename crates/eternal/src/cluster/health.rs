@@ -5,7 +5,6 @@
 use super::Cluster;
 use crate::gid::GroupId;
 use crate::message::EternalMessage;
-use eternal_obs::causal::TraceTag;
 use eternal_obs::health::{HealthAuditor, HealthSnapshot};
 use eternal_obs::EventKind;
 use eternal_sim::net::NodeId;
@@ -120,7 +119,7 @@ impl Cluster {
             format!("seq#{seq}"),
         );
         self.registry.counter_add("health.snapshots_published", 1);
-        self.do_multicast(node, EternalMessage::Health { snap }, now, TraceTag::NONE);
+        self.do_multicast(node, EternalMessage::Health { snap }, now);
     }
 
     /// Reacts to a delivered health snapshot at `node`. The epoch is

@@ -18,7 +18,7 @@
 //! Every schedule is audited at each quiescent point by the shared
 //! single-copy **oracle** ([`crate::oracle`]) and the recovery-time cap.
 //! A violating schedule — explored or a campaign's — is **shrunk**,
-//! re-run with causal tracing for a flight-recorder dump, and rendered
+//! replayed with causal tracing for a flight-recorder dump, and rendered
 //! as a ready-to-paste regression test (`tests/explore_regressions.rs`).
 //! Run it with `cargo run -p eternal-bench --bin repro -- explore
 //! --quick`; see `docs/TESTING.md`.
@@ -435,11 +435,8 @@ pub struct Counterexample {
     pub shrink_runs: usize,
     /// Ready-to-paste regression test.
     pub skeleton: String,
-    /// Flight-recorder dump of the traced re-run (`None` when tracing's
-    /// extra wire bytes shifted the schedule off the violation).
+    /// Flight-recorder dump of the minimal schedule's run.
     pub flight_recorder: Option<String>,
-    /// Whether the traced re-run reproduced the violation.
-    pub reproduced_with_tracing: bool,
 }
 
 impl Counterexample {
@@ -462,7 +459,6 @@ impl Counterexample {
         w.end()
             .field("shrunk_from", self.shrunk_from)
             .field("shrink_runs", self.shrink_runs)
-            .field("reproduced_with_tracing", self.reproduced_with_tracing)
             .field_str("skeleton", &self.skeleton)
             .key("flight_recorder");
         match &self.flight_recorder {
@@ -709,7 +705,7 @@ pub fn run_explore(cfg: &ExploreConfig) -> ExploreReport {
     r
 }
 
-/// Shrinks a violating run to a minimal schedule, re-runs it with
+/// Shrinks a violating run to a minimal schedule, replays it with
 /// causal tracing for the flight-recorder artifact, and renders the
 /// regression-test skeleton (`origin` names the `repro` tool, `base`
 /// the config expression the skeleton's run starts from).
@@ -742,13 +738,12 @@ pub(crate) fn build_counterexample(
             break;
         }
     }
-    // The minimal schedule, once plain (authoritative violations) and
-    // once traced (flight recorder).
-    let minimal = cfg.replay(&pins);
+    // The minimal schedule, traced for the flight recorder: tracing puts
+    // nothing on the wire, so the traced run is the run.
     let mut traced = cfg.clone();
     traced.topology.cluster.trace = true;
     traced.topology.cluster.causal = true;
-    let traced = traced.replay(&pins);
+    let minimal = traced.replay(&pins);
     let fp = minimal.fingerprint;
     let violated: String = minimal
         .violations
@@ -796,8 +791,7 @@ fn {origin}_regression_{fp:016x}() {{
         violations: minimal.violations,
         shrunk_from: original.len(),
         shrink_runs,
-        reproduced_with_tracing: !traced.violations.is_empty(),
-        flight_recorder: traced.flight_recorder,
+        flight_recorder: minimal.flight_recorder,
     }
 }
 

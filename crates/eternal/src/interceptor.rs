@@ -18,54 +18,7 @@
 
 use crate::gid::{ConnectionName, Direction};
 use crate::message::EternalMessage;
-use eternal_giop::{GiopMessage, TraceContext, CONTEXT_ETERNAL_TRACE};
 use std::collections::HashMap;
-
-/// Adds the Eternal causal-trace service context (id
-/// [`CONTEXT_ETERNAL_TRACE`]) to an intercepted GIOP Request or Reply,
-/// re-encoding the message around it. Returns the original bytes
-/// untouched when the message is not a Request/Reply, already carries a
-/// trace context (the duplicate-rejecting
-/// `ServiceContextList::add` guards the invariant of exactly one trace
-/// context per message), or does not parse — tracing must never turn a
-/// deliverable message into an undeliverable one.
-pub fn inject_trace_context(bytes: Vec<u8>, tc: TraceContext) -> Vec<u8> {
-    let Ok(mut msg) = GiopMessage::from_bytes(&bytes) else {
-        return bytes;
-    };
-    let scl = match &mut msg {
-        GiopMessage::Request(r) => &mut r.service_context,
-        GiopMessage::Reply(r) => &mut r.service_context,
-        _ => return bytes,
-    };
-    if scl
-        .add(CONTEXT_ETERNAL_TRACE, tc.to_context_data())
-        .is_err()
-    {
-        return bytes;
-    }
-    match msg.to_bytes() {
-        Ok(reencoded) => {
-            eternal_cdr::pool::recycle(bytes);
-            reencoded
-        }
-        Err(_) => bytes,
-    }
-}
-
-/// Reads the Eternal causal-trace service context back out of
-/// intercepted GIOP bytes (test and tooling support; the hot path
-/// carries the tag in Totem frame metadata instead of re-parsing).
-pub fn extract_trace_context(bytes: &[u8]) -> Option<TraceContext> {
-    let msg = GiopMessage::from_bytes(bytes).ok()?;
-    let scl = match &msg {
-        GiopMessage::Request(r) => &r.service_context,
-        GiopMessage::Reply(r) => &r.service_context,
-        _ => return None,
-    };
-    let entry = scl.find(CONTEXT_ETERNAL_TRACE)?;
-    TraceContext::from_context_data(&entry.data).ok()
-}
 
 /// Captures IIOP byte streams at the ORB's transport boundary.
 #[derive(Debug, Default)]

@@ -43,7 +43,6 @@ use crate::gid::{ConnectionName, GroupId, TransferId};
 use crate::interceptor::Interceptor;
 use crate::message::{Delivered, EternalMessage, RetrievalPurpose};
 use crate::recovery::{DuplicateSuppressor, OrbStateObserver};
-use eternal_obs::causal::TraceTag;
 use eternal_orb::{ObjectKey, Orb};
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
@@ -61,11 +60,6 @@ pub enum Out {
         delay: Duration,
         /// The message.
         message: EternalMessage,
-        /// Causal tag of the chain this multicast extends
-        /// ([`TraceTag::NONE`] for untraced infrastructure chatter; the
-        /// cluster roots a fresh chain for traceable messages that
-        /// arrive untagged).
-        trace: TraceTag,
     },
     /// A reply was delivered into a local client application.
     ReplyDelivered {
@@ -116,14 +110,13 @@ pub enum Out {
 const _: () = assert!(std::mem::size_of::<Out>() <= 104);
 
 impl Out {
-    /// The mechanisms' own chatter (joining, fault, retrieval): sent at
-    /// once, and untagged — a recovery's chain roots at the cluster's
-    /// send path, under a trace id derived from the transfer id.
+    /// The mechanisms' own chatter (joining, fault, retrieval), sent at
+    /// once. No hop emits it: a retrieval's chain roots at its Pack
+    /// hops, under a trace id derived from the transfer id.
     fn chatter(message: EternalMessage) -> Out {
         Out::Multicast {
             delay: Duration::ZERO,
             message,
-            trace: TraceTag::NONE,
         }
     }
 }
@@ -132,8 +125,8 @@ impl Out {
 struct Delivery<'a, 'r> {
     /// The delivery instant.
     now: SimTime,
-    /// The causal-stamping context the cluster built from the delivered
-    /// frame's [`TraceTag`] (inert when tracing is off).
+    /// The causal-stamping context the cluster derived for the
+    /// delivered message (inert when tracing is off).
     ctx: &'a mut HopCtx<'r>,
     /// The one sink of this delivery: whatever handles the message,
     /// however deep, pushes what it asks of the driver here, in order.
@@ -377,8 +370,8 @@ impl Mechanisms {
     }
 
     /// Handles one totally ordered message. `now` is the delivery time;
-    /// `ctx` is the causal-stamping context the cluster built from the
-    /// delivered frame's [`TraceTag`] (inert when tracing is off).
+    /// `ctx` is the causal-stamping context the cluster derived for the
+    /// delivered message (inert when tracing is off).
     pub fn on_delivered_view(
         &mut self,
         delivered: Delivered<'_>,

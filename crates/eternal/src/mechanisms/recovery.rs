@@ -8,7 +8,7 @@
 
 use super::registry::{GroupKind, LocalReplica};
 use super::{Delivery, Mechanisms, Out, ReplicaPhase};
-use crate::causal::transfer_trace_id;
+use crate::causal::{transfer_trace_id, SUFFIX};
 use crate::gid::{Direction, GroupId, TransferId};
 use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose};
 use crate::properties::ReplicationStyle;
@@ -458,6 +458,7 @@ impl Mechanisms {
             let get_state = d.ctx.stamp(
                 d.now,
                 Hop::GetState,
+                0,
                 format_args!("{group} {transfer} {}B", state.application.len()),
             );
             d.outs.push(Out::StateCaptured {
@@ -493,7 +494,6 @@ impl Mechanisms {
                         purpose,
                         state: Box::new(state),
                     },
-                    trace: d.ctx.tag(d.ctx.trace_id(), get_state),
                 }),
             }
         }
@@ -545,11 +545,12 @@ impl Mechanisms {
         for index in range.start..range.end.min(dt.total) {
             let start = index as usize * size;
             let end = (start + size).min(dt.bytes.len());
-            let span = d.ctx.stamp_new(
+            d.ctx.stamp_new(
                 d.now,
                 transfer_trace_id(transfer),
                 parent,
                 Hop::StateChunk,
+                index,
                 format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
             );
             self.counters.chunks_streamed += 1;
@@ -563,7 +564,6 @@ impl Mechanisms {
                     total: dt.total,
                     bytes: dt.bytes[start..end].to_vec(),
                 },
-                trace: d.ctx.tag(transfer_trace_id(transfer), span),
             });
         }
     }
@@ -624,6 +624,7 @@ impl Mechanisms {
         d.ctx.stamp(
             d.now,
             Hop::StateChunk,
+            index,
             format_args!("recv {}/{} {}B", index + 1, total, bytes.len()),
         );
         if last {
@@ -662,11 +663,12 @@ impl Mechanisms {
             return;
         };
         let wait = replica.quiescence_wait(d.now);
-        let span = d.ctx.stamp_new(
+        d.ctx.stamp_new(
             d.now,
             transfer_trace_id(transfer),
             d.ctx.parent(),
             Hop::StateChunk,
+            SUFFIX,
             format_args!("suffix {} entries", entries.len()),
         );
         d.outs.push(Out::Multicast {
@@ -677,7 +679,6 @@ impl Mechanisms {
                 new_host,
                 entries,
             },
-            trace: d.ctx.tag(transfer_trace_id(transfer), span),
         });
     }
 
@@ -823,11 +824,11 @@ impl Mechanisms {
             // dropped here while the stream was in flight — then the
             // held traffic. The assignment itself is applied below, and
             // a sync point left by an abandoned transfer is skipped.
-            let mut replay: Vec<(OrderedInput, u64, &str)> =
-                suffix.into_iter().map(|e| (e, 0, "suffix ")).collect();
+            let mut replay: Vec<(OrderedInput, bool, &str)> =
+                suffix.into_iter().map(|e| (e, false, "suffix ")).collect();
             while let Some(entry) = replica.holding.pop() {
-                if let HeldEntry::Normal((input, hold)) = entry {
-                    replay.push((input, hold, ""));
+                if let HeldEntry::Normal(input) = entry {
+                    replay.push((input, true, ""));
                 }
             }
             (inbound.buf, replay)
@@ -842,6 +843,7 @@ impl Mechanisms {
         d.ctx.stamp(
             d.now,
             Hop::SetState,
+            0,
             format_args!("{group} {transfer} {app_state_bytes}B"),
         );
         self.apply_application_state(group, &state.application);
@@ -889,7 +891,7 @@ impl Mechanisms {
         // operation counters, same ids) duplicate the siblings' and are
         // suppressed downstream. A replica completing as a standby
         // replays nothing — backups take no traffic — but still logs.
-        for (input, hold, label) in replay {
+        for (input, held, label) in replay {
             if let OrderedInput::Iiop {
                 conn,
                 direction: Direction::Reply,
@@ -903,7 +905,7 @@ impl Mechanisms {
                 lg.outstanding.remove(&(*conn, *op_seq));
             }
             if operational {
-                self.replay(group, &input, hold, label, None, d);
+                self.replay(group, &input, held, label, None, d);
             }
             if logs && matches!(input, OrderedInput::Iiop { .. }) {
                 let lg = self.groups.get_mut(&group).expect("checked by caller");
@@ -1053,7 +1055,7 @@ impl Mechanisms {
             );
             if request {
                 let delay = base + self.config.exec_time * (i as u64 + 1);
-                self.replay(group, &logged.input, 0, "log ", Some(delay), d);
+                self.replay(group, &logged.input, false, "log ", Some(delay), d);
             }
         }
         self.groups

@@ -61,13 +61,8 @@ pub(super) struct LocalReplica {
     pub(super) phase: ReplicaPhase,
     /// Client behaviour instance (servers live in the ORB's POA).
     pub(super) client_app: Option<Box<dyn ClientApp>>,
-    /// Inputs held for replay after `set_state` (§5.1 step vi), each
-    /// with the span of its [`Hop::Hold`] stamp (0 = untraced) so the
-    /// eventual [`Hop::Replay`] hangs under the hold in the span tree.
-    ///
-    /// [`Hop::Hold`]: eternal_obs::causal::Hop::Hold
-    /// [`Hop::Replay`]: eternal_obs::causal::Hop::Replay
-    pub(super) holding: HoldingQueue<(OrderedInput, u64)>,
+    /// Inputs held for replay after `set_state` (§5.1 step vi).
+    pub(super) holding: HoldingQueue<OrderedInput>,
     /// Quiescence (paper §5): a replica is between operations at every
     /// delivery point, so only a dispatched oneway — no reply marks its
     /// completion — keeps the object busy, until this instant.

@@ -10,29 +10,11 @@ use super::{Delivery, Mechanisms, Out, ReplicaPhase};
 use crate::app::{AppInvocation, ClientApp};
 use crate::causal::{iiop_trace_id, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, OperationId};
-use crate::interceptor::inject_trace_context;
 use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose};
 use crate::recovery::state3::OutstandingCall;
-use eternal_giop::TraceContext;
 use eternal_obs::causal::Hop;
 use eternal_sim::{Duration, SimTime};
 use std::borrow::Cow;
-
-/// `bytes` — an intercepted GIOP request or reply — carrying the causal
-/// [`TraceContext`] of the hop `span` in-band, in its service-context
-/// list; untouched when the hop was not recorded (`span == 0`).
-fn traced(bytes: Vec<u8>, trace_id: u64, span: u64, parent: u64, clock: u64) -> Vec<u8> {
-    if span == 0 {
-        return bytes;
-    }
-    let context = TraceContext {
-        trace_id,
-        span_id: span,
-        parent_span_id: parent,
-        clock,
-    };
-    inject_trace_context(bytes, context)
-}
 
 impl Mechanisms {
     /// Starts locally hosted client replicas (deployment time): runs
@@ -112,13 +94,12 @@ impl Mechanisms {
                 // In the span tree a held message parks under a hold
                 // hop, and its eventual replay hangs under that.
                 let input = input();
-                let hold = match input {
-                    OrderedInput::Iiop { .. } => {
-                        d.ctx.stamp(d.now, Hop::Hold, format_args!("holding-queue"))
-                    }
-                    OrderedInput::LoadTick => 0,
-                };
-                replica.holding.hold((input, hold));
+                if let OrderedInput::Iiop { direction, .. } = &input {
+                    let index = u32::from(direction.wire_byte());
+                    d.ctx
+                        .stamp(d.now, Hop::Hold, index, format_args!("holding-queue"));
+                }
+                replica.holding.hold(input);
                 self.counters.enqueued_during_recovery += 1;
             }
         }
@@ -175,17 +156,16 @@ impl Mechanisms {
             self.observer.observe_request(conn, &bytes);
             // Each invocation roots its own causal chain at the client
             // interceptor (a follow-up issued from a reply handler hangs
-            // under that reply's match span). The TraceContext rides
-            // in-band in the GIOP request's service-context list.
+            // under that reply's match span).
             let trace_id = iiop_trace_id(conn, self.interceptor.next_op_seq(conn));
-            let marshal = d.ctx.stamp_new(
+            d.ctx.stamp_new(
                 d.now,
                 trace_id,
                 d.ctx.parent(),
                 Hop::Marshal,
+                0,
                 format_args!("req {conn} {}", inv.operation),
             );
-            let bytes = traced(bytes, trace_id, marshal, d.ctx.parent(), d.ctx.clock());
             let message = self.interceptor.capture_request(conn, bytes);
             let op_seq = match &message {
                 EternalMessage::Iiop { op_seq, .. } => *op_seq,
@@ -206,7 +186,6 @@ impl Mechanisms {
             d.outs.push(Out::Multicast {
                 delay: Duration::ZERO,
                 message,
-                trace: d.ctx.tag(trace_id, marshal),
             });
         }
     }
@@ -337,9 +316,8 @@ impl Mechanisms {
                 match disposition {
                     RequestDisposition::Dispatched => {
                         self.counters.requests_dispatched += 1;
-                        let dispatch =
-                            d.ctx
-                                .stamp(d.now, Hop::Dispatch, format_args!("{conn} op#{op_seq}"));
+                        d.ctx
+                            .stamp(d.now, Hop::Dispatch, 0, format_args!("{conn} op#{op_seq}"));
                         if maybe_reply.is_none() {
                             // A oneway: no reply will ever signal its
                             // completion, so the object is considered
@@ -352,18 +330,12 @@ impl Mechanisms {
                         }
                         if let Some(reply_bytes) = maybe_reply {
                             // The reply continues the request's chain:
-                            // its emission hop hangs under the dispatch
-                            // and the TraceContext travels back in the
-                            // GIOP reply's service-context list.
-                            let reply_span = d.ctx.stamp(d.now, Hop::Reply, format_args!("reply"));
-                            let (trace_id, clock) = (d.ctx.trace_id(), d.ctx.clock());
-                            let reply_bytes =
-                                traced(reply_bytes, trace_id, reply_span, dispatch, clock);
+                            // its emission hop hangs under the dispatch.
+                            d.ctx.stamp(d.now, Hop::Reply, 0, format_args!("reply"));
                             let message = self.interceptor.capture_reply(conn, op_seq, reply_bytes);
                             d.outs.push(Out::Multicast {
                                 delay: self.config.exec_time,
                                 message,
-                                trace: d.ctx.tag(d.ctx.trace_id(), reply_span),
                             });
                         }
                     }
@@ -400,8 +372,12 @@ impl Mechanisms {
                 // The round trip closes here; follow-up invocations the
                 // application issues from its reply handler root their
                 // new chains under this span.
-                d.ctx
-                    .stamp(d.now, Hop::ReplyMatch, format_args!("{conn} op#{op_seq}"));
+                d.ctx.stamp(
+                    d.now,
+                    Hop::ReplyMatch,
+                    0,
+                    format_args!("{conn} op#{op_seq}"),
+                );
                 d.outs.push(Out::ReplyDelivered { conn, op_seq });
                 let app = self.replica_mut(group).and_then(|r| r.client_app.as_mut());
                 let follow_ups = app.map_or_else(Vec::new, |app| {
@@ -427,9 +403,10 @@ impl Mechanisms {
     /// holding-queue drain (§5.1 step vi) and promotion replay (§3.3).
     /// An IIOP message replays on its *own* causal chain, not on the
     /// chain of whatever triggered the replay: a [`Hop::Replay`]
-    /// labelled `{label}{conn} op#{n}` under `hold` (the span of its
-    /// hold hop; 0 roots it afresh — the original hops of a logged
-    /// message may be long evicted), excursion and restore.
+    /// labelled `{label}{conn} op#{n}` under the hold hop this node
+    /// stamped when it enqueued the message (`held`; otherwise it roots
+    /// the chain afresh — a suffix or log entry was never held here),
+    /// excursion and restore.
     ///
     /// `delay` is set by promotion replay only: the message's position
     /// in the replay, added to every multicast it produces. Such a
@@ -439,23 +416,35 @@ impl Mechanisms {
         &mut self,
         group: GroupId,
         input: &OrderedInput,
-        hold: u64,
+        held: bool,
         label: &str,
         delay: Option<Duration>,
         d: &mut Delivery,
     ) {
-        let OrderedInput::Iiop { conn, op_seq, .. } = input else {
+        let OrderedInput::Iiop {
+            conn,
+            direction,
+            op_seq,
+            ..
+        } = input
+        else {
             // A tick ordered after the capture: the transferred state
             // predates it, so this replica must run it too.
             return self.deliver(group, input, d);
         };
         let saved = (d.ctx.trace_id(), d.ctx.parent());
         let trace = iiop_trace_id(*conn, *op_seq);
+        let index = u32::from(direction.wire_byte());
+        let hold = match held {
+            true => d.ctx.span(trace, Hop::Hold, index),
+            false => 0,
+        };
         let span = d.ctx.stamp_new(
             d.now,
             trace,
             hold,
             Hop::Replay,
+            index,
             format_args!("{label}{conn} op#{op_seq}"),
         );
         d.ctx.set_chain(trace, span);

@@ -1018,6 +1018,14 @@ impl EternalReassembler {
         self.partial.values().map(|p| head(p) + p.bytes.len()).sum()
     }
 
+    /// The head of the message `origin`'s `msg_id` is reassembling,
+    /// when its first fragment held it: an `Iiop` or a `StateChunk`
+    /// (bodies left empty).
+    pub fn partial_head(&self, origin: NodeId, msg_id: u64) -> Option<&EternalMessage> {
+        let partial = self.partial.get(&(origin, msg_id))?;
+        partial.head.as_ref().map(|(head, _)| head)
+    }
+
     /// Drops every partial from `origin`. Called on a Totem membership
     /// change that excludes `origin` (mirroring `giop::Reassembler`'s
     /// per-connection `reset`): the departed processor will never send
@@ -1652,15 +1660,27 @@ mod tests {
                 total: 2,
                 bytes: vec![0xC4; size],
             };
-            for whole in [encoded_of_size(size, &mut rng), chunk.to_bytes()] {
+            // Mid-message, a bulk message's head (its body left empty)
+            // is readable from the partial.
+            let mut head = chunk.clone();
+            head.bulk_mut().expect("a bulk variant").clear();
+            let wholes = [
+                (encoded_of_size(size, &mut rng), None),
+                (chunk.to_bytes(), Some(&head)),
+            ];
+            for (whole, bulk_head) in wholes {
                 let key = (NodeId(2), msg_id as u64);
                 let frags = fragment_eternal(key.0, key.1, &whole, CHUNK + FRAGMENT_OVERHEAD);
                 let (last, rest) = frags.split_last().unwrap();
                 for frag in rest {
                     assert_eq!(r.push(frag), Ok(None));
                 }
+                if !rest.is_empty() && bulk_head.is_some() {
+                    assert_eq!(r.partial_head(key.0, key.1), bulk_head);
+                }
                 let buffer = r.partial.get(&key).map(|p| p.bytes.as_ptr());
                 let handed_over = r.push(last);
+                assert_eq!(r.partial_head(key.0, key.1), None);
                 assert_eq!(handed_over, EternalMessage::from_bytes(&whole).map(Some));
                 if let (
                     Some(buffer),

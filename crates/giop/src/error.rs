@@ -32,8 +32,7 @@ pub enum GiopError {
     /// An IOR string was malformed.
     BadIor(&'static str),
     /// A service context with this id is already present on the list
-    /// (`ServiceContextList::add` refuses duplicates; trace propagation
-    /// relies on exactly one trace context per request).
+    /// (`ServiceContextList::add` refuses duplicates).
     DuplicateServiceContext(u32),
 }
 

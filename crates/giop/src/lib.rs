@@ -52,7 +52,7 @@ pub use message::{
 };
 pub use service_context::{
     CodeSetContext, ServiceContext, ServiceContextIter, ServiceContextList, ServiceContextsView,
-    TraceContext, VendorHandshake, CODESET_ISO_8859_1, CODESET_UTF_16, CODESET_UTF_8,
-    CONTEXT_CODE_SETS, CONTEXT_ETERNAL_TRACE, CONTEXT_ETERNAL_VENDOR,
+    VendorHandshake, CODESET_ISO_8859_1, CODESET_UTF_16, CODESET_UTF_8, CONTEXT_CODE_SETS,
+    CONTEXT_ETERNAL_VENDOR,
 };
 pub use view::{MessageView, ReplyView, RequestView};

@@ -18,12 +18,6 @@ pub const CONTEXT_CODE_SETS: u32 = 1;
 /// for VisiBroker-style proprietary negotiation. Foreign ORBs ignore it.
 pub const CONTEXT_ETERNAL_VENDOR: u32 = 0x4554_4552;
 
-/// Reserved service-context id (ASCII `"ETRC"`) carrying the causal
-/// [`TraceContext`] of a request or reply. Exactly one such context may
-/// appear per message (enforced by [`ServiceContextList::add`]); foreign
-/// ORBs ignore it. See `docs/TRACING.md` for the wire format.
-pub const CONTEXT_ETERNAL_TRACE: u32 = 0x4554_5243;
-
 /// OSF registry id for ISO 8859-1 (Latin-1).
 pub const CODESET_ISO_8859_1: u32 = 0x0001_0001;
 /// OSF registry id for UTF-16.
@@ -297,57 +291,6 @@ impl VendorHandshake {
     }
 }
 
-/// The payload of a [`CONTEXT_ETERNAL_TRACE`] context: the causal trace
-/// context a request or reply carries end to end (allocated at the
-/// client-side interceptor, propagated through the total order, and
-/// echoed on the reply). All four fields are fixed-width, so the
-/// encapsulation is always 40 bytes: 1 endian flag + 7 bytes of CDR
-/// alignment padding + 4 × u64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceContext {
-    /// Identifies the whole causal chain (one client invocation or one
-    /// state-transfer episode).
-    pub trace_id: u64,
-    /// The sending hop's span id.
-    pub span_id: u64,
-    /// The span id of the causal parent hop (0 = root).
-    pub parent_span_id: u64,
-    /// Lamport-style logical clock stamp at the sending hop.
-    pub clock: u64,
-}
-
-impl TraceContext {
-    /// Serializes into a service-context payload.
-    pub fn to_context_data(self) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(Endian::Big);
-        enc.write_u8(Endian::Big.flag());
-        enc.write_u64(self.trace_id);
-        enc.write_u64(self.span_id);
-        enc.write_u64(self.parent_span_id);
-        enc.write_u64(self.clock);
-        enc.into_bytes()
-    }
-
-    /// Parses a service-context payload.
-    pub fn from_context_data(data: &[u8]) -> Result<Self, GiopError> {
-        if data.is_empty() {
-            return Err(GiopError::Cdr(eternal_cdr::CdrError::BufferUnderflow {
-                needed: 1,
-                remaining: 0,
-            }));
-        }
-        let endian = Endian::from_flag(data[0]);
-        let mut dec = CdrDecoder::new(data, endian);
-        dec.read_u8()?;
-        Ok(TraceContext {
-            trace_id: dec.read_u64()?,
-            span_id: dec.read_u64()?,
-            parent_span_id: dec.read_u64()?,
-            clock: dec.read_u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,36 +347,22 @@ mod tests {
     fn empty_payloads_rejected() {
         assert!(CodeSetContext::from_context_data(&[]).is_err());
         assert!(VendorHandshake::from_context_data(&[]).is_err());
-        assert!(TraceContext::from_context_data(&[]).is_err());
     }
 
     #[test]
     fn add_rejects_duplicate_ids() {
         let mut list = ServiceContextList::new();
-        list.add(CONTEXT_ETERNAL_TRACE, vec![1]).unwrap();
+        list.add(CONTEXT_ETERNAL_VENDOR, vec![1]).unwrap();
         assert_eq!(
-            list.add(CONTEXT_ETERNAL_TRACE, vec![2]),
-            Err(GiopError::DuplicateServiceContext(CONTEXT_ETERNAL_TRACE))
+            list.add(CONTEXT_ETERNAL_VENDOR, vec![2]),
+            Err(GiopError::DuplicateServiceContext(CONTEXT_ETERNAL_VENDOR))
         );
         // The rejected add left the list unchanged.
         assert_eq!(list.contexts.len(), 1);
-        assert_eq!(list.find(CONTEXT_ETERNAL_TRACE).unwrap().data, vec![1]);
+        assert_eq!(list.find(CONTEXT_ETERNAL_VENDOR).unwrap().data, vec![1]);
         // `remove` then `add` is the sanctioned replacement path.
-        assert!(list.remove(CONTEXT_ETERNAL_TRACE).is_some());
-        list.add(CONTEXT_ETERNAL_TRACE, vec![2]).unwrap();
-        assert_eq!(list.find(CONTEXT_ETERNAL_TRACE).unwrap().data, vec![2]);
-    }
-
-    #[test]
-    fn trace_context_round_trip() {
-        let tc = TraceContext {
-            trace_id: 0xdead_beef_cafe_f00d,
-            span_id: 7,
-            parent_span_id: 3,
-            clock: 42,
-        };
-        let data = tc.to_context_data();
-        assert_eq!(data.len(), 40, "flag + alignment padding + 4 u64s");
-        assert_eq!(TraceContext::from_context_data(&data).unwrap(), tc);
+        assert!(list.remove(CONTEXT_ETERNAL_VENDOR).is_some());
+        list.add(CONTEXT_ETERNAL_VENDOR, vec![2]).unwrap();
+        assert_eq!(list.find(CONTEXT_ETERNAL_VENDOR).unwrap().data, vec![2]);
     }
 }

@@ -166,10 +166,19 @@ pub struct AttributionReport {
     pub phase_histograms: [LogHistogram; PHASES],
     /// End-to-end RTT histogram over all requests.
     pub rtt_histogram: LogHistogram,
-    /// Reply matches whose parent chain could not be walked to a
-    /// marshal root (typically because the recorder ring evicted early
-    /// hops) — not tiled, not silently dropped.
-    pub incomplete_chains: u64,
+    /// Reply matches whose walk ended at a replay with no parent: the
+    /// reply was replayed from a transfer suffix or a passive log, and
+    /// its delivery at the replaying node, long before, is linked to
+    /// nothing (docs/ATTRIBUTION.md). Not tiled, not silently dropped.
+    pub rooted_at_replay: u64,
+    /// Reply matches whose walk stopped short of a marshal root for any
+    /// other reason: a parent span not among the retained events
+    /// (evicted — see `dropped_events` — or never recorded).
+    pub missing_parent: u64,
+    /// Recorded events whose derived span id another event already has
+    /// ([`CausalRecorder::span_collisions`]): a walk through such an id
+    /// may take the wrong parent, so a nonzero count is reported.
+    pub span_collisions: u64,
     /// Chains skipped because hop times were not monotone along the
     /// path (replayed-from-log chains stamp at epoch zero).
     pub non_monotone_chains: u64,
@@ -209,10 +218,13 @@ impl AttributionReport {
         let total: u128 = self.rtt_histogram.sum_nanos().max(1);
         let _ = writeln!(
             out,
-            "attribution: {} round trips tiled ({} incomplete, {} non-monotone)",
+            "attribution: {} round trips tiled ({} rooted at a replay, {} missing a parent, \
+             {} non-monotone, {} span collisions)",
             self.requests.len(),
-            self.incomplete_chains,
-            self.non_monotone_chains
+            self.rooted_at_replay,
+            self.missing_parent,
+            self.non_monotone_chains,
+            self.span_collisions
         );
         if self.dropped_events > 0 {
             let _ = writeln!(
@@ -271,7 +283,9 @@ pub fn attribute(rec: &CausalRecorder) -> AttributionReport {
         requests: Vec::new(),
         phase_histograms: Default::default(),
         rtt_histogram: LogHistogram::new(),
-        incomplete_chains: 0,
+        rooted_at_replay: 0,
+        missing_parent: 0,
+        span_collisions: rec.span_collisions(),
         non_monotone_chains: 0,
         dropped_events: rec.dropped(),
         violations: Vec::new(),
@@ -307,9 +321,16 @@ pub fn attribute(rec: &CausalRecorder) -> AttributionReport {
                     }
                 }
             }
-            if broken || chain.last().map(|e| e.hop) != Some(Hop::Marshal) {
-                report.incomplete_chains += 1;
-                continue;
+            match chain.last().map(|e| e.hop) {
+                Some(Hop::Marshal) if !broken => {}
+                Some(Hop::Replay) if !broken => {
+                    report.rooted_at_replay += 1;
+                    continue;
+                }
+                _ => {
+                    report.missing_parent += 1;
+                    continue;
+                }
             }
             chain.reverse(); // marshal root first
             if chain.windows(2).any(|w| w[1].at < w[0].at) {
@@ -404,8 +425,30 @@ mod tests {
     use super::*;
     use crate::causal::OrderPos;
 
-    fn t(ns: u64) -> SimTime {
-        SimTime::from_nanos(ns)
+    /// Records a hop under the next span id of the test's own
+    /// numbering (one past the highest retained), returning it.
+    fn hop(
+        rec: &mut CausalRecorder,
+        at: u64,
+        node: u64,
+        trace_id: u64,
+        parent: u64,
+        hop: Hop,
+        order: Option<OrderPos>,
+    ) -> u64 {
+        let span = rec.events().map(|e| e.span).max().unwrap_or(0) + 1;
+        rec.record(CausalEvent {
+            at: SimTime::from_nanos(at),
+            node,
+            trace_id,
+            span,
+            parent,
+            hop,
+            clock: 0,
+            order,
+            detail: String::new(),
+        });
+        span
     }
 
     /// Builds one fully traced round trip with explicit times:
@@ -413,85 +456,31 @@ mod tests {
     /// dispatch 105 → reply 105 → pack 205 → send 215 → deliver 280 →
     /// reassemble 281 → reply_match 283.
     fn round_trip(rec: &mut CausalRecorder, trace: u64, hold_until: Option<u64>) {
-        let m = rec.record(t(0), 0, trace, 0, Hop::Marshal, 1, None, String::new());
-        let p = rec.record(t(10), 0, trace, m, Hop::Pack, 2, None, String::new());
-        rec.record(t(40), 0, trace, p, Hop::Send, 2, None, String::new());
+        let m = hop(rec, 0, 0, trace, 0, Hop::Marshal, None);
+        let p = hop(rec, 10, 0, trace, m, Hop::Pack, None);
+        hop(rec, 40, 0, trace, p, Hop::Send, None);
         let pos = Some(OrderPos {
             ring_rep: 0,
             ring_seq: 1,
             seq: 1,
         });
-        let d = rec.record(t(100), 1, trace, p, Hop::Deliver, 3, pos, String::new());
-        let r = rec.record(t(105), 1, trace, d, Hop::Reassemble, 4, None, String::new());
+        let d = hop(rec, 100, 1, trace, p, Hop::Deliver, pos);
+        let r = hop(rec, 105, 1, trace, d, Hop::Reassemble, None);
         let dispatch_parent = match hold_until {
             None => r,
             Some(drain) => {
-                let h = rec.record(t(105), 1, trace, r, Hop::Hold, 5, None, String::new());
-                rec.record(t(drain), 1, trace, h, Hop::Replay, 6, None, String::new())
+                let h = hop(rec, 105, 1, trace, r, Hop::Hold, None);
+                hop(rec, drain, 1, trace, h, Hop::Replay, None)
             }
         };
         let base = hold_until.unwrap_or(105);
-        let disp = rec.record(
-            t(base),
-            1,
-            trace,
-            dispatch_parent,
-            Hop::Dispatch,
-            7,
-            None,
-            String::new(),
-        );
-        let rep = rec.record(t(base), 1, trace, disp, Hop::Reply, 8, None, String::new());
-        let p2 = rec.record(
-            t(base + 100),
-            1,
-            trace,
-            rep,
-            Hop::Pack,
-            9,
-            None,
-            String::new(),
-        );
-        rec.record(
-            t(base + 110),
-            1,
-            trace,
-            p2,
-            Hop::Send,
-            9,
-            None,
-            String::new(),
-        );
-        let d2 = rec.record(
-            t(base + 175),
-            0,
-            trace,
-            p2,
-            Hop::Deliver,
-            10,
-            pos,
-            String::new(),
-        );
-        let r2 = rec.record(
-            t(base + 176),
-            0,
-            trace,
-            d2,
-            Hop::Reassemble,
-            11,
-            None,
-            String::new(),
-        );
-        rec.record(
-            t(base + 178),
-            0,
-            trace,
-            r2,
-            Hop::ReplyMatch,
-            12,
-            None,
-            String::new(),
-        );
+        let disp = hop(rec, base, 1, trace, dispatch_parent, Hop::Dispatch, None);
+        let rep = hop(rec, base, 1, trace, disp, Hop::Reply, None);
+        let p2 = hop(rec, base + 100, 1, trace, rep, Hop::Pack, None);
+        hop(rec, base + 110, 1, trace, p2, Hop::Send, None);
+        let d2 = hop(rec, base + 175, 0, trace, p2, Hop::Deliver, pos);
+        let r2 = hop(rec, base + 176, 0, trace, d2, Hop::Reassemble, None);
+        hop(rec, base + 178, 0, trace, r2, Hop::ReplyMatch, None);
     }
 
     #[test]
@@ -536,16 +525,16 @@ mod tests {
     #[test]
     fn missing_send_folds_token_wait_into_wire() {
         let mut rec = CausalRecorder::new(64);
-        let m = rec.record(t(0), 0, 7, 0, Hop::Marshal, 1, None, String::new());
-        let p = rec.record(t(10), 0, 7, m, Hop::Pack, 2, None, String::new());
-        let d = rec.record(t(100), 1, 7, p, Hop::Deliver, 3, None, String::new());
-        let r = rec.record(t(100), 1, 7, d, Hop::Reassemble, 4, None, String::new());
-        let disp = rec.record(t(100), 1, 7, r, Hop::Dispatch, 5, None, String::new());
-        let rep = rec.record(t(100), 1, 7, disp, Hop::Reply, 6, None, String::new());
-        let p2 = rec.record(t(150), 1, 7, rep, Hop::Pack, 7, None, String::new());
-        let d2 = rec.record(t(200), 0, 7, p2, Hop::Deliver, 8, None, String::new());
-        let r2 = rec.record(t(200), 0, 7, d2, Hop::Reassemble, 9, None, String::new());
-        rec.record(t(200), 0, 7, r2, Hop::ReplyMatch, 10, None, String::new());
+        let m = hop(&mut rec, 0, 0, 7, 0, Hop::Marshal, None);
+        let p = hop(&mut rec, 10, 0, 7, m, Hop::Pack, None);
+        let d = hop(&mut rec, 100, 1, 7, p, Hop::Deliver, None);
+        let r = hop(&mut rec, 100, 1, 7, d, Hop::Reassemble, None);
+        let disp = hop(&mut rec, 100, 1, 7, r, Hop::Dispatch, None);
+        let rep = hop(&mut rec, 100, 1, 7, disp, Hop::Reply, None);
+        let p2 = hop(&mut rec, 150, 1, 7, rep, Hop::Pack, None);
+        let d2 = hop(&mut rec, 200, 0, 7, p2, Hop::Deliver, None);
+        let r2 = hop(&mut rec, 200, 0, 7, d2, Hop::Reassemble, None);
+        hop(&mut rec, 200, 0, 7, r2, Hop::ReplyMatch, None);
         let report = attribute(&rec);
         let req = &report.requests[0];
         assert_eq!(req.phase_ns[Phase::TokenWait.index()], 0);
@@ -557,10 +546,15 @@ mod tests {
     fn broken_chain_is_counted_not_tiled() {
         let mut rec = CausalRecorder::new(64);
         // A reply match whose parent was evicted.
-        rec.record(t(50), 0, 9, 999, Hop::ReplyMatch, 3, None, String::new());
+        hop(&mut rec, 50, 0, 9, 999, Hop::ReplyMatch, None);
         let rep = attribute(&rec);
         assert_eq!(rep.requests.len(), 0);
-        assert_eq!(rep.incomplete_chains, 1);
+        assert_eq!(rep.missing_parent, 1);
+        // A replayed reply whose replay roots its chain.
+        let r = hop(&mut rec, 60, 0, 9, 0, Hop::Replay, None);
+        hop(&mut rec, 60, 0, 9, r, Hop::ReplyMatch, None);
+        let rep = attribute(&rec);
+        assert_eq!((rep.rooted_at_replay, rep.missing_parent), (1, 1));
     }
 
     #[test]

@@ -10,57 +10,27 @@
 //! their causal parent by span id, so a per-request **span tree** and a
 //! cluster-wide causal order can be reconstructed after the fact.
 //!
-//! The [`CausalRecorder`] is a bounded drop-oldest ring: always on (at
-//! a small, documented wire cost — see `docs/TRACING.md`), it doubles
-//! as the post-mortem **flight recorder** whose recent spans are dumped
-//! to `flight_recorder.json` when a chaos or bench invariant fires.
+//! The [`CausalRecorder`] is a bounded drop-oldest ring. It costs no
+//! wire byte: nothing about a trace travels with the messages, and
+//! every id it stores is derived by the recording layer from what that
+//! layer already sees (`eternal::causal`, `docs/TRACING.md`). It
+//! doubles as the post-mortem **flight recorder** whose recent spans
+//! are dumped to `flight_recorder.json` when a chaos or bench
+//! invariant fires.
 //!
-//! Everything here is deterministic: span ids are allocated in event
-//! order, trace ids are FNV-1a hashes of message identity, and both
-//! exports ([`CausalRecorder::chrome_trace_json`],
+//! Everything here is deterministic: trace and span ids are FNV-1a
+//! hashes of message and hop identity, and both exports
+//! ([`CausalRecorder::chrome_trace_json`],
 //! [`CausalRecorder::flight_recorder_json`]) render byte-identically
 //! for the same recorded history.
 
 use crate::export::{JsonWriter, Layout};
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write;
 
 /// Default bounded capacity of a [`CausalRecorder`].
 pub const DEFAULT_CAUSAL_CAPACITY: usize = 65_536;
-
-/// The causal metadata one message carries in flight: enough to attach
-/// the next hop to the chain. Carried in Totem frame/batch metadata
-/// (one tag per packed message) and — with the span id spelled out — in
-/// the reserved GIOP `ServiceContext` entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceTag {
-    /// Identifies the whole causal chain (0 = untraced).
-    pub trace_id: u64,
-    /// Span id of the hop that sent the message (the causal parent of
-    /// the receiving hop).
-    pub parent_span: u64,
-    /// Lamport-style logical clock stamp at the sending hop.
-    pub clock: u64,
-}
-
-impl TraceTag {
-    /// The absent tag: untraced messages carry this (and cost nothing
-    /// on the wire).
-    pub const NONE: TraceTag = TraceTag {
-        trace_id: 0,
-        parent_span: 0,
-        clock: 0,
-    };
-
-    /// Bytes one tag adds to a Totem frame when tracing is on.
-    pub const WIRE_LEN: usize = 24;
-
-    /// Whether this is the absent tag.
-    pub const fn is_none(self) -> bool {
-        self.trace_id == 0
-    }
-}
 
 /// The hop taxonomy: where in the pipeline a [`CausalEvent`] was
 /// stamped. Codes are stable strings used by both exports.
@@ -140,6 +110,15 @@ pub struct OrderPos {
     pub seq: u64,
 }
 
+impl OrderPos {
+    /// The position as one number that grows along the total order (a
+    /// ring formed later has a higher `ring_seq`): the clock of every
+    /// hop stamped while this delivery is processed.
+    pub const fn clock(self) -> u64 {
+        (self.ring_seq << 32) | (self.seq & 0xffff_ffff)
+    }
+}
+
 /// One stamped hop of a causal chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalEvent {
@@ -149,13 +128,15 @@ pub struct CausalEvent {
     pub node: u64,
     /// The chain this hop belongs to.
     pub trace_id: u64,
-    /// This hop's span id (unique, allocated in record order).
+    /// This hop's span id: a hash of the trace, the node, the hop kind
+    /// and what the hop handles, so the hops after it derive it.
     pub span: u64,
     /// Span id of the causal parent hop (0 = root).
     pub parent: u64,
     /// Where in the pipeline the hop was stamped.
     pub hop: Hop,
-    /// Lamport clock at the hop.
+    /// The total-order position being processed
+    /// ([`OrderPos::clock`]); 0 outside an ordered delivery.
     pub clock: u64,
     /// Total-order position, for [`Hop::Deliver`] events.
     pub order: Option<OrderPos>,
@@ -170,7 +151,6 @@ pub struct CausalRecorder {
     enabled: bool,
     capacity: usize,
     events: VecDeque<CausalEvent>,
-    next_span: u64,
     dropped: u64,
 }
 
@@ -181,7 +161,6 @@ impl CausalRecorder {
             enabled: true,
             capacity: capacity.max(1),
             events: VecDeque::new(),
-            next_span: 0,
             dropped: 0,
         }
     }
@@ -192,7 +171,6 @@ impl CausalRecorder {
             enabled: false,
             capacity: 1,
             events: VecDeque::new(),
-            next_span: 0,
             dropped: 0,
         }
     }
@@ -202,42 +180,17 @@ impl CausalRecorder {
         self.enabled
     }
 
-    /// Stamps one hop and returns its span id (0 when disabled). Span
-    /// ids keep incrementing even after old events are evicted, so a
-    /// flight-recorder dump shows how deep into the run it starts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        node: u64,
-        trace_id: u64,
-        parent: u64,
-        hop: Hop,
-        clock: u64,
-        order: Option<OrderPos>,
-        detail: String,
-    ) -> u64 {
-        if !self.enabled || trace_id == 0 {
-            return 0;
+    /// Stamps one hop; nothing when disabled or the event is untraced
+    /// (trace id 0).
+    pub fn record(&mut self, event: CausalEvent) {
+        if !self.enabled || event.trace_id == 0 {
+            return;
         }
-        self.next_span += 1;
-        let span = self.next_span;
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(CausalEvent {
-            at,
-            node,
-            trace_id,
-            span,
-            parent,
-            hop,
-            clock,
-            order,
-            detail,
-        });
-        span
+        self.events.push_back(event);
     }
 
     /// The retained events, oldest first.
@@ -258,6 +211,17 @@ impl CausalRecorder {
     /// Events evicted by the capacity bound.
     pub const fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Retained events whose span id an earlier retained event already
+    /// has. Span ids are derived, not allocated, so two events share
+    /// one when a node stamped one kind of hop twice on one trace for
+    /// the same fragment or index — which the derivation cannot tell
+    /// apart — or by a 64-bit hash collision. A parent link through
+    /// such an id is ambiguous, so it is counted, never hidden.
+    pub fn span_collisions(&self) -> u64 {
+        let mut seen = BTreeSet::new();
+        self.events.iter().filter(|e| !seen.insert(e.span)).count() as u64
     }
 
     /// Distinct trace ids among retained events, ascending.
@@ -506,72 +470,98 @@ mod tests {
         })
     }
 
-    /// One request traced across two replicas.
-    fn sample() -> CausalRecorder {
+    /// One hop of trace 0xA1 (whose span ids the tests pick).
+    fn hop(
+        at: u64,
+        node: u64,
+        span: u64,
+        parent: u64,
+        hop: Hop,
+        order: Option<OrderPos>,
+    ) -> CausalEvent {
+        CausalEvent {
+            at: SimTime::from_nanos(at),
+            node,
+            trace_id: 0xA1,
+            span,
+            parent,
+            hop,
+            clock: order.map_or(0, OrderPos::clock),
+            order,
+            detail: if hop == Hop::Marshal {
+                "op 1".into()
+            } else {
+                String::new()
+            },
+        }
+    }
+
+    /// One request traced across two replicas, `scale` apart in time,
+    /// delivered at `seq`.
+    fn request(scale: u64, seq: u64) -> CausalRecorder {
         let mut r = CausalRecorder::new(16);
-        let t = SimTime::from_nanos;
-        let m = r.record(t(10), 0, 0xA1, 0, Hop::Marshal, 1, None, "op 1".into());
-        let p = r.record(t(20), 0, 0xA1, m, Hop::Pack, 2, None, String::new());
+        r.record(hop(scale, 0, 1, 0, Hop::Marshal, None));
+        r.record(hop(2 * scale, 0, 2, 1, Hop::Pack, None));
         for node in [1u64, 2] {
-            let d = r.record(
-                t(30 + node),
+            r.record(hop(
+                3 * scale + node,
                 node,
-                0xA1,
-                p,
+                10 * node,
+                2,
                 Hop::Deliver,
-                3,
-                pos(7),
-                String::new(),
-            );
-            r.record(
-                t(40 + node),
+                pos(seq),
+            ));
+            r.record(hop(
+                4 * scale + node,
                 node,
-                0xA1,
-                d,
+                10 * node + 1,
+                10 * node,
                 Hop::Dispatch,
-                4,
                 None,
-                String::new(),
-            );
+            ));
         }
         r
+    }
+
+    fn sample() -> CausalRecorder {
+        request(10, 7)
     }
 
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = CausalRecorder::disabled();
-        let span = r.record(SimTime::ZERO, 0, 1, 0, Hop::Marshal, 0, None, String::new());
-        assert_eq!(span, 0);
+        r.record(hop(0, 0, 1, 0, Hop::Marshal, None));
         assert!(r.is_empty());
     }
 
     #[test]
     fn untraced_tag_records_nothing() {
         let mut r = CausalRecorder::new(4);
-        r.record(SimTime::ZERO, 0, 0, 0, Hop::Pack, 0, None, String::new());
+        r.record(CausalEvent {
+            trace_id: 0,
+            ..hop(0, 0, 1, 0, Hop::Pack, None)
+        });
         assert!(r.is_empty());
-        assert!(TraceTag::NONE.is_none());
     }
 
     #[test]
     fn ring_bounds_memory_and_counts_drops() {
         let mut r = CausalRecorder::new(2);
         for i in 1..=5u64 {
-            r.record(
-                SimTime::from_nanos(i),
-                0,
-                i,
-                0,
-                Hop::Marshal,
-                i,
-                None,
-                String::new(),
-            );
+            r.record(hop(i, 0, i, 0, Hop::Marshal, None));
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 3);
-        // Span ids keep incrementing past evictions.
+        // The newest events are the ones kept.
         assert_eq!(r.events().last().unwrap().span, 5);
+    }
+
+    #[test]
+    fn repeated_span_ids_are_counted() {
+        let mut r = sample();
+        assert_eq!(r.span_collisions(), 0);
+        r.record(hop(99, 1, 11, 10, Hop::Dispatch, None));
+        assert_eq!(r.span_collisions(), 1);
     }
 
     #[test]
@@ -579,16 +569,7 @@ mod tests {
         let mut agreeing = sample();
         assert!(agreeing.verify_total_order().is_empty());
         // A replica that saw the message at a different seq is caught.
-        agreeing.record(
-            SimTime::from_nanos(99),
-            3,
-            0xA1,
-            2, // same pack span as the others
-            Hop::Deliver,
-            5,
-            pos(8),
-            String::new(),
-        );
+        agreeing.record(hop(99, 3, 30, 2, Hop::Deliver, pos(8)));
         let violations = agreeing.verify_total_order();
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("disagree"));
@@ -596,35 +577,9 @@ mod tests {
 
     #[test]
     fn tree_signature_ignores_times_and_seqs() {
-        let a = sample().tree_signature();
         // Same shape, different times and seq numbers.
-        let mut r = CausalRecorder::new(16);
-        let t = SimTime::from_nanos;
-        let m = r.record(t(1000), 0, 0xA1, 0, Hop::Marshal, 1, None, "op 1".into());
-        let p = r.record(t(2000), 0, 0xA1, m, Hop::Pack, 2, None, String::new());
-        for node in [1u64, 2] {
-            let d = r.record(
-                t(3000),
-                node,
-                0xA1,
-                p,
-                Hop::Deliver,
-                3,
-                pos(19),
-                String::new(),
-            );
-            r.record(
-                t(4000),
-                node,
-                0xA1,
-                d,
-                Hop::Dispatch,
-                4,
-                None,
-                String::new(),
-            );
-        }
-        assert_eq!(a, r.tree_signature());
+        let a = sample().tree_signature();
+        assert_eq!(a, request(1000, 19).tree_signature());
         assert!(a.contains("totem.deliver@P1x1"));
     }
 

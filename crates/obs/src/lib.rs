@@ -13,8 +13,8 @@
 //!   simulator dependency, can timestamp events).
 //! * [`event`] — the typed [`event::EventKind`] taxonomy and
 //!   [`event::TraceEvent`] record.
-//! * [`causal`] — end-to-end causal tracing: the in-flight
-//!   [`causal::TraceTag`], the per-hop [`causal::CausalEvent`] taxonomy,
+//! * [`causal`] — end-to-end causal tracing: the per-hop
+//!   [`causal::CausalEvent`] taxonomy,
 //!   and the bounded [`causal::CausalRecorder`] that reconstructs span
 //!   trees, verifies the total-order claim, exports Chrome trace-event
 //!   JSON, and doubles as the post-mortem flight recorder
@@ -57,7 +57,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use attribution::{attribute, AttributionReport, Phase, RequestAttribution};
-pub use causal::{CausalEvent, CausalRecorder, Hop, OrderPos, TraceTag};
+pub use causal::{CausalEvent, CausalRecorder, Hop, OrderPos};
 pub use event::{EventKind, RecoveryPhase, TraceEvent};
 pub use health::{
     AuditorConfig, Detector, Diagnosis, EpochRecord, HealthAuditor, HealthSnapshot, NodeSummary,

@@ -11,7 +11,6 @@ use crate::node::{Action, Delivery, TotemNode};
 use crate::ring::{Popped, Ring};
 use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
-use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::{Bytes, Duration, SimTime};
 
 /// Drives [`TotemNode`]s over the deterministic network model.
@@ -84,8 +83,7 @@ impl TotemHarness {
     /// Queues an application payload for totally ordered broadcast from
     /// `id`.
     pub fn broadcast(&mut self, id: NodeId, data: impl Into<Bytes>) {
-        self.ring
-            .broadcast(id, data, TraceTag::NONE, &mut self.actions);
+        self.ring.broadcast(id, data, &mut self.actions);
         self.apply_actions(id);
     }
 

@@ -27,7 +27,6 @@ use crate::types::{
 };
 use crate::window::Window;
 use eternal_sim::net::NodeId;
-use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::Bytes;
 use eternal_sim::Duration;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -70,10 +69,6 @@ pub enum Delivery {
         /// Application bytes, shared with every other holder of the
         /// message (other members' deliveries, retransmission stores).
         data: Bytes,
-        /// Causal trace tag the message carried ([`TraceTag::NONE`]
-        /// when untraced); preserved through batching, retransmission,
-        /// and recovery re-broadcast.
-        trace: TraceTag,
     },
     /// The membership changed; subsequent messages are ordered on the
     /// new ring. Delivered after all surviving old-ring messages.
@@ -124,9 +119,8 @@ struct OldRecovery {
     expected: VecDeque<u64>,
     /// Old-ring messages I hold or have recovered, keyed by old seq. The
     /// payload is the original `App` or `Batch` (never `Recovered`), so
-    /// a recovered batch still unpacks into the same app messages. The
-    /// trace tags ride along so recovered messages keep their chains.
-    store: BTreeMap<u64, (NodeId, Payload, Vec<TraceTag>)>,
+    /// a recovered batch still unpacks into the same app messages.
+    store: BTreeMap<u64, (NodeId, Payload)>,
     /// Old-ring seqs assigned to me for re-broadcast.
     to_rebroadcast: VecDeque<u64>,
 }
@@ -159,9 +153,9 @@ pub struct TotemNode {
     ring_seq_high: u64,
 
     // ---- application traffic ----
-    pending: VecDeque<(Bytes, TraceTag)>,
+    pending: VecDeque<Bytes>,
     /// New-ring app messages buffered until recovery completes.
-    deferred: Vec<(RingId, u64, NodeId, Bytes, TraceTag)>,
+    deferred: Vec<(RingId, u64, NodeId, Bytes)>,
 
     // ---- membership ----
     gather: Option<GatherState>,
@@ -297,30 +291,17 @@ impl TotemNode {
 
     /// Queues an application payload for totally ordered broadcast.
     pub fn broadcast(&mut self, data: impl Into<Bytes>) -> Vec<Action> {
-        self.broadcast_traced(data, TraceTag::NONE)
-    }
-
-    /// Queues an application payload for totally ordered broadcast,
-    /// attaching a causal trace tag that rides the ring frame (and, for
-    /// batched frames, stays aligned with this message) all the way to
-    /// every member's [`Delivery::Message`].
-    pub fn broadcast_traced(&mut self, data: impl Into<Bytes>, tag: TraceTag) -> Vec<Action> {
         let mut actions = Vec::new();
-        self.broadcast_into(data, tag, &mut actions);
+        self.broadcast_into(data, &mut actions);
         actions
     }
 
-    /// [`TotemNode::broadcast_traced`], appending the actions to a
+    /// [`TotemNode::broadcast`], appending the actions to a
     /// buffer the caller lends (and drains) instead of returning a new
     /// vector. Like every `_into` entry point it only pushes: whatever
     /// the buffer already holds is left as it is.
-    pub fn broadcast_into(
-        &mut self,
-        data: impl Into<Bytes>,
-        tag: TraceTag,
-        actions: &mut Vec<Action>,
-    ) {
-        self.pending.push_back((data.into(), tag));
+    pub fn broadcast_into(&mut self, data: impl Into<Bytes>, actions: &mut Vec<Action>) {
+        self.pending.push_back(data.into());
         // A singleton operational ring has no token; sequence directly.
         if self.phase == Phase::Operational && self.members.len() == 1 {
             self.drain_singleton(actions);
@@ -821,10 +802,10 @@ impl TotemNode {
                 .copied()
                 .filter(|&s| s > self.my_aru)
                 .collect();
-            let store: BTreeMap<u64, (NodeId, Payload, Vec<TraceTag>)> = self
+            let store: BTreeMap<u64, (NodeId, Payload)> = self
                 .received
                 .iter()
-                .map(|(s, m)| (s, (m.sender, m.payload.inner().clone(), m.trace.clone())))
+                .map(|(s, m)| (s, (m.sender, m.payload.inner().clone())))
                 .collect();
             OldRecovery {
                 ring: old_ring,
@@ -876,29 +857,24 @@ impl TotemNode {
         if let Some(rec) = self.old_recovery.as_mut() {
             while let Some(&next) = rec.expected.front() {
                 match rec.store.get(&next) {
-                    Some((sender, payload, tags)) => {
-                        let (sender, payload, tags) = (*sender, payload.clone(), tags.clone());
+                    Some((sender, payload)) => {
+                        let (sender, payload) = (*sender, payload.clone());
                         rec.expected.pop_front();
                         let ring = rec.ring;
-                        let tag_at = |i: usize| tags.get(i).copied().unwrap_or(TraceTag::NONE);
-                        let deliver =
-                            |data: Bytes, trace, count: &mut u64, actions: &mut Vec<Action>| {
-                                *count += 1;
-                                actions.push(Action::Deliver(Delivery::Message {
-                                    ring,
-                                    seq: next,
-                                    sender,
-                                    data,
-                                    trace,
-                                }));
-                            };
+                        let deliver = |data: Bytes, count: &mut u64, actions: &mut Vec<Action>| {
+                            *count += 1;
+                            actions.push(Action::Deliver(Delivery::Message {
+                                ring,
+                                seq: next,
+                                sender,
+                                data,
+                            }));
+                        };
                         match payload {
-                            Payload::App(data) => {
-                                deliver(data, tag_at(0), &mut self.stats.delivered, actions)
-                            }
+                            Payload::App(data) => deliver(data, &mut self.stats.delivered, actions),
                             Payload::Batch(items) => {
-                                for (i, data) in items.into_iter().enumerate() {
-                                    deliver(data, tag_at(i), &mut self.stats.delivered, actions);
+                                for data in items {
+                                    deliver(data, &mut self.stats.delivered, actions);
                                 }
                             }
                             Payload::Recovered { .. } => {
@@ -922,14 +898,13 @@ impl TotemNode {
             members: self.members.clone(),
         }));
         // Flush new-ring traffic that arrived during recovery.
-        for (ring, seq, sender, data, trace) in std::mem::take(&mut self.deferred) {
+        for (ring, seq, sender, data) in std::mem::take(&mut self.deferred) {
             self.stats.delivered += 1;
             actions.push(Action::Deliver(Delivery::Message {
                 ring,
                 seq,
                 sender,
                 data,
-                trace,
             }));
         }
     }
@@ -1059,7 +1034,7 @@ impl TotemNode {
                 let Some(&old_seq) = rec.to_rebroadcast.front() else {
                     break;
                 };
-                let Some((orig_sender, payload, tags)) = rec.store.get(&old_seq).cloned() else {
+                let Some((orig_sender, payload)) = rec.store.get(&old_seq).cloned() else {
                     // We were assigned a message we no longer hold (should
                     // not happen); drop the obligation.
                     rec.to_rebroadcast.pop_front();
@@ -1078,7 +1053,6 @@ impl TotemNode {
                         original_sender: orig_sender,
                         data: Box::new(payload),
                     },
-                    trace: tags,
                 };
                 actions.push(Action::Multicast(Frame::Regular(msg.clone())));
                 self.store_and_deliver(msg, actions);
@@ -1090,7 +1064,7 @@ impl TotemNode {
         if self.phase == Phase::Operational {
             while budget > 0 && !self.pending.is_empty() && self.may_sequence_after(t.seq) {
                 let first = self.pending.pop_front().expect("non-empty");
-                let (payload, tags) = self.pack_batch(first);
+                let payload = self.pack_batch(first);
                 // The frame, and our own delivery of each message in it.
                 actions.reserve(1 + payload.message_count());
                 t.seq += 1;
@@ -1099,7 +1073,6 @@ impl TotemNode {
                     seq: t.seq,
                     sender: self.id,
                     payload,
-                    trace: tags,
                 };
                 actions.push(Action::Multicast(Frame::Regular(msg.clone())));
                 self.store_and_deliver(msg, actions);
@@ -1171,51 +1144,34 @@ impl TotemNode {
     /// as fit within the batch budget into one payload (the token-visit
     /// batching fast path). Returns a plain [`Payload::App`] when
     /// batching is disabled, the message alone exceeds the budget, or
-    /// nothing else fits. The returned tag vector is aligned with the
-    /// packed items so each message keeps its own causal chain through
-    /// batching; it is empty when no item carries a trace (untraced
-    /// traffic pays zero wire bytes).
-    fn pack_batch(&mut self, first: (Bytes, TraceTag)) -> (Payload, Vec<TraceTag>) {
+    /// nothing else fits.
+    fn pack_batch(&mut self, first: Bytes) -> Payload {
         self.stats.broadcasts += 1;
-        let (first, first_tag) = first;
         let budget = self.cfg.batch_budget_bytes;
         // A batch costs 4 bytes (item count) plus 4 bytes per item.
         let mut batch_len = 4 + 4 + first.len();
         // How many of the messages queued behind `first` fit (none when
-        // batching is off or `first` alone is over budget), and whether
-        // any message of the batch is traced: both vectors are then
-        // allocated once at their final size — untraced, the tags not
-        // at all.
-        let mut traced = !first_tag.is_none();
+        // batching is off or `first` alone is over budget): the item
+        // vector is then allocated once at its final size.
         let mut fitting = 0;
-        for (next, tag) in &self.pending {
+        for next in &self.pending {
             if batch_len + 4 + next.len() > budget {
                 break;
             }
             batch_len += 4 + next.len();
-            traced |= !tag.is_none();
             fitting += 1;
         }
-        let mut tags = Vec::with_capacity(if traced { 1 + fitting } else { 0 });
-        if traced {
-            tags.push(first_tag);
-        }
         if fitting == 0 {
-            return (Payload::App(first), tags);
+            return Payload::App(first);
         }
         let mut items = Vec::with_capacity(1 + fitting);
         items.push(first);
-        for (data, tag) in self.pending.drain(..fitting) {
-            items.push(data);
-            if traced {
-                tags.push(tag);
-            }
-        }
+        items.extend(self.pending.drain(..fitting));
         self.stats.broadcasts += fitting as u64;
         self.stats.batches += 1;
         self.stats.batched_messages += items.len() as u64;
         self.stats.frames_saved += items.len() as u64 - 1;
-        (Payload::Batch(items), tags)
+        Payload::Batch(items)
     }
 
     /// Stores a regular message and advances in-order (agreed) delivery.
@@ -1234,10 +1190,10 @@ impl TotemNode {
         while let Some(msg) = self.received.get(self.my_aru + 1) {
             self.my_aru += 1;
             let (ring, seq, sender) = (msg.ring, msg.seq, msg.sender);
-            let mut deliver = |i: usize, data: &Bytes| {
-                let (data, trace) = (data.clone(), msg.tag_at(i));
+            let mut deliver = |data: &Bytes| {
+                let data = data.clone();
                 if recovering {
-                    self.deferred.push((ring, seq, sender, data, trace));
+                    self.deferred.push((ring, seq, sender, data));
                 } else {
                     self.stats.delivered += 1;
                     actions.push(Action::Deliver(Delivery::Message {
@@ -1245,17 +1201,12 @@ impl TotemNode {
                         seq,
                         sender,
                         data,
-                        trace,
                     }));
                 }
             };
             match &msg.payload {
-                Payload::App(data) => deliver(0, data),
-                Payload::Batch(items) => {
-                    for (i, data) in items.iter().enumerate() {
-                        deliver(i, data);
-                    }
-                }
+                Payload::App(data) => deliver(data),
+                Payload::Batch(items) => items.iter().for_each(deliver),
                 Payload::Recovered {
                     old_ring,
                     old_seq,
@@ -1265,9 +1216,9 @@ impl TotemNode {
                     // Only meaningful while we are recovering that ring.
                     let rec = self.old_recovery.as_mut();
                     if let Some(rec) = rec.filter(|rec| recovering && rec.ring == *old_ring) {
-                        rec.store.entry(*old_seq).or_insert_with(|| {
-                            (*original_sender, (**data).clone(), msg.trace.clone())
-                        });
+                        rec.store
+                            .entry(*old_seq)
+                            .or_insert_with(|| (*original_sender, (**data).clone()));
                     }
                 }
             }
@@ -1278,7 +1229,7 @@ impl TotemNode {
     /// Sequences pending messages directly on a singleton ring.
     fn drain_singleton(&mut self, actions: &mut Vec<Action>) {
         debug_assert_eq!(self.members.len(), 1);
-        while let Some((data, tag)) = self.pending.pop_front() {
+        while let Some(data) = self.pending.pop_front() {
             let seq = self.my_aru + 1;
             self.stats.broadcasts += 1;
             let msg = RegularMsg {
@@ -1286,7 +1237,6 @@ impl TotemNode {
                 seq,
                 sender: self.id,
                 payload: Payload::App(data),
-                trace: if tag.is_none() { vec![] } else { vec![tag] },
             };
             // No receivers to multicast to, but deliver locally in order.
             self.store_and_deliver(msg, actions);
@@ -1443,7 +1393,6 @@ mod tests {
             seq: 1,
             sender: n(1),
             payload: Payload::App(vec![1].into()),
-            trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(bogus));
         assert!(deliveries(&actions).is_empty());
@@ -1464,7 +1413,6 @@ mod tests {
             seq: 1,
             sender: n(9),
             payload: Payload::App(vec![1].into()),
-            trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(foreign));
         assert!(deliveries(&actions).is_empty());
@@ -1482,7 +1430,6 @@ mod tests {
             seq: 1,
             sender: n(9),
             payload: Payload::App(vec![1].into()),
-            trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(foreign));
         assert!(deliveries(&actions).is_empty());
@@ -1498,7 +1445,6 @@ mod tests {
             seq: 1,
             sender: n(1),
             payload: Payload::App(vec![7].into()),
-            trace: vec![],
         };
         let first = a.handle_frame(Frame::Regular(msg.clone()));
         assert_eq!(deliveries(&first).len(), 1);
@@ -1515,7 +1461,6 @@ mod tests {
             seq,
             sender: n(1),
             payload: Payload::App(vec![seq as u8].into()),
-            trace: vec![],
         };
         let acts2 = a.handle_frame(Frame::Regular(mk(2)));
         assert!(deliveries(&acts2).is_empty(), "gap must block delivery");
@@ -1564,7 +1509,6 @@ mod tests {
             seq: 1,
             sender: n(1),
             payload: Payload::App(vec![42].into()),
-            trace: vec![],
         }));
         let mut rtr = BTreeSet::new();
         rtr.insert(1);
@@ -1746,7 +1690,6 @@ mod tests {
                 seq,
                 sender: n(1),
                 payload: Payload::App(vec![seq as u8].into()),
-                trace: vec![],
             }));
         }
         // Token claims the previous full rotation had min aru 3.
@@ -1807,7 +1750,6 @@ mod tests {
             seq,
             sender: n(1),
             payload: Payload::App(vec![seq as u8].into()),
-            trace: vec![],
         })
     }
 
@@ -2040,7 +1982,6 @@ mod tests {
             seq: 1,
             sender: n(1),
             payload: Payload::Batch(vec![vec![10].into(), vec![11].into(), vec![12].into()]),
-            trace: vec![],
         };
         let actions = a.handle_frame(Frame::Regular(batch));
         let dels = deliveries(&actions);

@@ -44,7 +44,6 @@ use crate::node::{Action, Delivery, Phase, TotemNode};
 use crate::types::{Frame, Timer};
 use eternal_sim::choice::{ChoiceKind, SharedChoiceSource};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
-use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::{Bytes, Duration, Scheduler, SimTime};
 
 /// Extra latency a frame's deliveries incur when a choice source picks
@@ -213,16 +212,10 @@ impl<X> Ring<X> {
     /// Queues `data` for totally ordered broadcast from `node`,
     /// appending what its engine asks to `actions`; a crashed node
     /// queues nothing.
-    pub fn broadcast(
-        &mut self,
-        node: NodeId,
-        data: impl Into<Bytes>,
-        tag: TraceTag,
-        actions: &mut Vec<Action>,
-    ) {
+    pub fn broadcast(&mut self, node: NodeId, data: impl Into<Bytes>, actions: &mut Vec<Action>) {
         let slot = &mut self.slots[node.0 as usize];
         if slot.alive {
-            slot.engine.broadcast_into(data, tag, actions);
+            slot.engine.broadcast_into(data, actions);
         }
     }
 
@@ -454,13 +447,13 @@ mod tests {
             ring.execute(N0, Action::SetTimer(timer, ms(delay)));
         }
         let mut actions = Vec::new();
-        ring.broadcast(N0, vec![1], TraceTag::NONE, &mut actions);
+        ring.broadcast(N0, vec![1], &mut actions);
         assert_eq!(ring.node(N0).backlog(), 1);
         ring.multicast(N1, join());
         ring.crash(N0);
         assert!(!ring.is_alive(N0) && !ring.net().is_up(N0));
         assert_eq!(ring.live().collect::<Vec<_>>(), [N1]);
-        ring.broadcast(N0, vec![2], TraceTag::NONE, &mut actions);
+        ring.broadcast(N0, vec![2], &mut actions);
         assert!(actions.is_empty());
         assert!(
             ring.pop(at(0) + Duration::from_micros(999), &mut actions)

@@ -7,7 +7,6 @@
 //! in `eternal-giop`).
 
 use eternal_sim::net::NodeId;
-use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::Bytes;
 use std::collections::BTreeSet;
 
@@ -102,21 +101,6 @@ pub struct RegularMsg {
     pub sender: NodeId,
     /// The payload.
     pub payload: Payload,
-    /// Causal trace metadata: one tag per application message the
-    /// payload delivers (aligned with batch items), so each packed
-    /// message retains its own causal chain through batching,
-    /// retransmission, and recovery re-broadcast. Empty when untraced —
-    /// an empty vec adds nothing to [`Frame::wire_len`], keeping the
-    /// tracing-off wire timing byte-identical.
-    pub trace: Vec<TraceTag>,
-}
-
-impl RegularMsg {
-    /// The trace tag of the `i`-th application message in the payload
-    /// ([`TraceTag::NONE`] when untraced).
-    pub fn tag_at(&self, i: usize) -> TraceTag {
-        self.trace.get(i).copied().unwrap_or(TraceTag::NONE)
-    }
 }
 
 /// Rotation-scoped minimum-aru bookkeeping carried on the token.
@@ -220,7 +204,7 @@ impl Frame {
     /// maximum payload.
     pub fn wire_len(&self) -> usize {
         match self {
-            Frame::Regular(m) => 32 + m.payload.wire_len() + TraceTag::WIRE_LEN * m.trace.len(),
+            Frame::Regular(m) => 32 + m.payload.wire_len(),
             Frame::Token(t) => 48 + 8 * t.rtr.len(),
             Frame::Join(j) => 32 + 4 * (j.proc_set.len() + j.fail_set.len()),
             Frame::Commit(c) => {
@@ -317,7 +301,6 @@ mod tests {
                 seq: 1,
                 sender: NodeId(0),
                 payload,
-                trace: vec![],
             })
         };
         let single = frame(Payload::App(bytes(10))).wire_len();
@@ -348,7 +331,6 @@ mod tests {
             seq: 1,
             sender: NodeId(0),
             payload: Payload::App(bytes(10)),
-            trace: vec![],
         });
         let large = Frame::Regular(RegularMsg {
             ring: RingId {
@@ -358,34 +340,9 @@ mod tests {
             seq: 1,
             sender: NodeId(0),
             payload: Payload::App(bytes(1000)),
-            trace: vec![],
         });
         assert_eq!(large.wire_len() - small.wire_len(), 990);
         assert_eq!(small.kind(), "regular");
-    }
-
-    #[test]
-    fn trace_tags_cost_wire_bytes_only_when_present() {
-        let msg = |trace| {
-            Frame::Regular(RegularMsg {
-                ring: RingId {
-                    seq: 0,
-                    rep: NodeId(0),
-                },
-                seq: 1,
-                sender: NodeId(0),
-                payload: Payload::Batch(vec![bytes(10), bytes(10)]),
-                trace,
-            })
-        };
-        let untraced = msg(vec![]).wire_len();
-        let traced = msg(vec![TraceTag::NONE; 2]).wire_len();
-        assert_eq!(traced - untraced, 2 * TraceTag::WIRE_LEN);
-        // tag_at defaults to NONE beyond the tag list.
-        if let Frame::Regular(m) = msg(vec![]) {
-            assert!(m.tag_at(0).is_none());
-            assert!(m.tag_at(7).is_none());
-        }
     }
 
     #[test]

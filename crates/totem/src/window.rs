@@ -126,7 +126,6 @@ mod tests {
             seq,
             sender: NodeId(u32::from(mark)),
             payload: Payload::App(vec![mark].into()),
-            trace: vec![],
         }
     }
 

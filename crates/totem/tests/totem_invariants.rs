@@ -7,7 +7,6 @@
 
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::net::{NetworkConfig, NodeId};
-use eternal_sim::obs::causal::TraceTag;
 use eternal_sim::rng::SimRng;
 use eternal_sim::Duration;
 use eternal_totem::harness::TotemHarness;
@@ -289,8 +288,8 @@ fn totem_guarantees_hold_under_explorer_fate_schedules() {
 
 /// The buffer-writing entry points are the allocating ones: two copies
 /// of four engines see the same seeded stream of frames (some lost),
-/// timer firings and traced and untraced broadcasts — one copy through
-/// `handle_frame`, `handle_timer` and `broadcast_traced`, the other
+/// timer firings and broadcasts — one copy through `handle_frame`,
+/// `handle_timer` and `broadcast`, the other
 /// through their `_into` forms writing into one reused buffer that is
 /// never cleared — and every call appends exactly the actions the
 /// allocating call returns.
@@ -325,17 +324,8 @@ fn lent_buffers_receive_what_the_allocating_entry_points_return() {
             let mark = buffer.len();
             let expected = if rng.chance(0.15) {
                 let data = vec![step as u8; 1 + rng.gen_range(600) as usize];
-                let tag = if rng.chance(0.3) {
-                    TraceTag {
-                        trace_id: 1 + u64::from(step),
-                        parent_span: u64::from(step),
-                        clock: 1,
-                    }
-                } else {
-                    TraceTag::NONE
-                };
-                lent[node].broadcast_into(data.clone(), tag, &mut buffer);
-                owned[node].broadcast_traced(data, tag)
+                lent[node].broadcast_into(data.clone(), &mut buffer);
+                owned[node].broadcast(data)
             } else if wire.is_empty() || rng.chance(0.02) {
                 let kinds: Vec<usize> = (0..4).filter(|&k| armed[node][k]).collect();
                 let Some(&kind) = rng.choose(&kinds) else {

@@ -68,7 +68,11 @@ fn fault_free_phases_tile_rtt_exactly() {
         "workload too thin: {} requests",
         report.requests.len()
     );
-    assert_eq!(report.incomplete_chains, 0, "fault-free chains must close");
+    assert_eq!(
+        (report.rooted_at_replay, report.missing_parent),
+        (0, 0),
+        "fault-free chains must close"
+    );
     assert_eq!(report.non_monotone_chains, 0);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     for r in &report.requests {

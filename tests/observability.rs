@@ -5,7 +5,7 @@
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::properties::FaultToleranceProperties;
-use eternal_obs::{EventKind, RecoveryPhase};
+use eternal_obs::{EventKind, RecoveryPhase, Trace};
 use eternal_sim::Duration;
 
 /// A Figure 6 style run: 2-way active server with `state_bytes` of
@@ -141,12 +141,19 @@ fn disabled_trace_records_and_allocates_nothing() {
 
 #[test]
 fn bounded_trace_drops_oldest_but_keeps_counting() {
-    let config = ClusterConfig {
-        trace_capacity: 4,
-        ..ClusterConfig::default()
-    };
-    let c = recovery_run(config, 10_000, 26);
-    let trace = c.trace();
+    let c = recovery_run(ClusterConfig::default(), 10_000, 26);
+    let full = c.trace();
+    assert_eq!(full.capacity(), eternal_obs::trace::DEFAULT_CAPACITY);
+    assert_eq!(
+        full.dropped_events(),
+        0,
+        "a recovery run fits the default ring"
+    );
+    // The same history through a 4-event ring.
+    let mut trace = Trace::with_capacity(4);
+    for e in full.events() {
+        trace.record(e.at, e.source.clone(), e.kind, e.detail.clone());
+    }
     assert_eq!(trace.capacity(), 4);
     assert!(
         trace.dropped_events() > 0,
@@ -155,6 +162,7 @@ fn bounded_trace_drops_oldest_but_keeps_counting() {
     // The ring is full and holds the newest events: total observed
     // activity is the buffer plus everything evicted before it.
     assert_eq!(trace.len(), 4);
+    assert_eq!(trace.dropped_events() + 4, full.len() as u64);
     let newest = trace.event(trace.len() - 1).expect("nonempty");
     let oldest = trace.event(0).expect("nonempty");
     assert!(newest.at >= oldest.at, "buffer preserved chronology");

@@ -1,11 +1,13 @@
 //! Causal tracing must survive every transport-layer transformation.
 //!
 //! The tracing layer (PAPER.md §4 interceptors + the Totem total
-//! order) stamps one span per pipeline hop and carries a 24-byte
-//! [`TraceTag`] in Totem frame metadata plus a GIOP service-context
-//! entry. This file checks the contract that makes those spans
-//! trustworthy evidence:
+//! order) stamps one span per pipeline hop and derives every link from
+//! what each layer already sees: nothing about a trace is on the wire.
+//! This file checks the contract that makes those spans trustworthy
+//! evidence:
 //!
+//! - a traced run is the untraced run: same frames, wire bytes, final
+//!   simulated time, replies and replica state;
 //! - batching may repack messages into frames but must not change any
 //!   trace's shape (`tree_signature` invariant, batching on vs off);
 //! - exports are byte-identical across same-seed runs (the CI
@@ -13,24 +15,21 @@
 //! - a fragmented state transfer stays one causal chain, with one
 //!   `totem.pack` span per fragment;
 //! - loss-driven retransmission and a membership reformation never
-//!   break cluster-wide total-order agreement (`verify_total_order`);
-//! - the GIOP `TraceContext` round-trips through a real Request/Reply
-//!   service-context entry and degrades safely on garbage input.
+//!   break cluster-wide total-order agreement (`verify_total_order`).
 
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
-use eternal::interceptor::{extract_trace_context, inject_trace_context};
+use eternal::gid::GroupId;
 use eternal::properties::FaultToleranceProperties;
-use eternal_giop::{GiopMessage, ReplyMessage, ReplyStatus, RequestMessage, TraceContext};
 use eternal_obs::causal::{CausalRecorder, Hop};
-use eternal_sim::Duration;
+use eternal_sim::{Duration, SimTime};
 
-/// Streams `limit` invocations through a traced 3-way active counter
-/// server, optionally injecting a loss burst mid-stream, drains
-/// completely, and returns the recorder for inspection.
-fn traced_run(seed: u64, batch_budget: usize, loss: f64) -> CausalRecorder {
+/// Streams `limit` invocations through a 3-way active counter server,
+/// optionally injecting a loss burst mid-stream, and drains
+/// completely; returns the cluster and the server group.
+fn stream_run(seed: u64, batch_budget: usize, loss: f64, causal: bool) -> (Cluster, GroupId) {
     let mut config = ClusterConfig {
-        causal: true,
+        causal,
         trace: false,
         ..ClusterConfig::default()
     };
@@ -65,7 +64,15 @@ fn traced_run(seed: u64, batch_budget: usize, loss: f64) -> CausalRecorder {
         );
     }
     c.run_for(Duration::from_millis(50));
-    c.causal().clone()
+    (c, server)
+}
+
+/// [`stream_run`] traced, for its recorder.
+fn traced_run(seed: u64, batch_budget: usize, loss: f64) -> CausalRecorder {
+    stream_run(seed, batch_budget, loss, true)
+        .0
+        .causal()
+        .clone()
 }
 
 // ---------------------------------------------------------------------
@@ -145,10 +152,13 @@ fn retransmission_under_loss_preserves_total_order_agreement() {
 // Fragmented state transfer and membership reformation.
 // ---------------------------------------------------------------------
 
-#[test]
-fn fragmented_transfer_and_reformation_keep_one_chain() {
+/// Streams through a 3-way active server whose state spans several
+/// frames, crashes one of its hosts (a membership reformation) and
+/// drains once recovery has moved the state to the replacement;
+/// returns the cluster and the server group.
+fn transfer_run(causal: bool) -> (Cluster, GroupId) {
     let config = ClusterConfig {
-        causal: true,
+        causal,
         trace: false,
         ..ClusterConfig::default()
     };
@@ -193,7 +203,12 @@ fn fragmented_transfer_and_reformation_keep_one_chain() {
         );
     }
     c.run_for(Duration::from_millis(100));
+    (c, server)
+}
 
+#[test]
+fn fragmented_transfer_and_reformation_keep_one_chain() {
+    let (c, _) = transfer_run(true);
     let rec = c.causal();
     let violations = rec.verify_total_order();
     assert!(violations.is_empty(), "order violations: {violations:?}");
@@ -219,7 +234,7 @@ fn fragmented_transfer_and_reformation_keep_one_chain() {
     let packs = hops.iter().filter(|&&h| h == Hop::Pack).count();
     assert!(
         packs > 1,
-        "a {blob_len}-byte state transfer should fragment into multiple packed frames, saw {packs}"
+        "a state larger than three frames should fragment into multiple packed frames, saw {packs}"
     );
 
     // Requests held while the replacement replica synchronized must be
@@ -239,63 +254,43 @@ fn fragmented_transfer_and_reformation_keep_one_chain() {
 }
 
 // ---------------------------------------------------------------------
-// GIOP TraceContext round trip.
+// A traced run is the untraced run.
 // ---------------------------------------------------------------------
 
-fn sample_request() -> RequestMessage {
-    RequestMessage {
-        service_context: Default::default(),
-        request_id: 7,
-        response_expected: true,
-        object_key: vec![0xAA, 0xBB],
-        operation: "increment".into(),
-        body: vec![1, 2, 3, 4],
-    }
+/// What anyone outside the recorder can observe of a finished run:
+/// frames and bytes on the wire, the final simulated time, the replies
+/// and their round trips, and every replica's state.
+type Observed = (u64, u64, SimTime, u64, Vec<Duration>, Vec<Option<Vec<u8>>>);
+
+fn observe((mut c, server): (Cluster, GroupId)) -> Observed {
+    let states = c
+        .hosting(server)
+        .into_iter()
+        .map(|node| c.probe_application_state(node, server))
+        .collect();
+    let m = c.metrics();
+    let (replies, round_trips) = (m.replies_delivered, m.round_trips.clone());
+    let net = c.net();
+    (
+        net.frames_sent(),
+        net.bytes_sent(),
+        c.now(),
+        replies,
+        round_trips,
+        states,
+    )
 }
 
 #[test]
-fn giop_trace_context_round_trips_through_request_and_reply() {
-    let tc = TraceContext {
-        trace_id: 0xDEAD_BEEF_0BAD_CAFE,
-        span_id: 42,
-        parent_span_id: 41,
-        clock: 99,
-    };
-    let req = GiopMessage::Request(sample_request()).to_bytes().unwrap();
-    let traced = inject_trace_context(req.clone(), tc);
-    assert_ne!(traced, req, "injection must add the service context");
-    assert_eq!(extract_trace_context(&traced), Some(tc));
-    // The carried message must still parse as a plain GIOP Request.
-    match GiopMessage::from_bytes(&traced).unwrap() {
-        GiopMessage::Request(r) => {
-            assert_eq!(r.operation, "increment");
-            assert_eq!(r.body, vec![1, 2, 3, 4]);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+fn a_traced_run_equals_the_untraced_run() {
+    let budget = ClusterConfig::default().totem.batch_budget_bytes;
+    let untraced = observe(stream_run(31, budget, 0.10, false));
+    let traced = observe(stream_run(31, budget, 0.10, true));
+    assert!(untraced.3 >= 40, "the lossy stream drained");
+    assert_eq!(traced, untraced, "tracing changed the lossy stream");
 
-    let reply = GiopMessage::Reply(ReplyMessage {
-        service_context: Default::default(),
-        request_id: 7,
-        reply_status: ReplyStatus::NoException,
-        body: vec![9],
-    })
-    .to_bytes()
-    .unwrap();
-    let traced_reply = inject_trace_context(reply, tc);
-    assert_eq!(extract_trace_context(&traced_reply), Some(tc));
-}
-
-#[test]
-fn giop_trace_context_degrades_safely() {
-    // No context present: extraction finds nothing.
-    let plain = GiopMessage::Request(sample_request()).to_bytes().unwrap();
-    assert_eq!(extract_trace_context(&plain), None);
-    // Garbage bytes: injection hands back the original unchanged.
-    let garbage = vec![0xFF; 24];
-    assert_eq!(
-        inject_trace_context(garbage.clone(), TraceContext::default()),
-        garbage
-    );
-    assert_eq!(extract_trace_context(&garbage), None);
+    let untraced = observe(transfer_run(false));
+    let traced = observe(transfer_run(true));
+    assert!(untraced.5.len() == 3, "recovery restored three replicas");
+    assert_eq!(traced, untraced, "tracing changed the recovering run");
 }
