@@ -23,7 +23,6 @@ mod probes;
 use crate::app::ClientApp;
 use crate::causal::{self, Frag, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId};
-use crate::hash::FNV_OFFSET;
 use crate::manager::{ReplicationManager, ResourceManager};
 use crate::mechanisms::{GroupKind, GroupMeta, MechConfig, Mechanisms, Out};
 use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose, WireFragment};
@@ -194,10 +193,6 @@ struct Processor {
     /// Latest backpressure gauges, refreshed at each token-visit
     /// boundary (see [`BackpressureSample`]).
     backpressure: BackpressureSample,
-    /// Chained digest over every reassembled IIOP delivery, in delivery
-    /// order (the batching-invariant witness): each link folds one
-    /// message's identity, length and word-wise body hash.
-    delivery_digest: u64,
     /// Restart count, stamped into rebuilt mechanisms so their
     /// fabricated transfer ids never repeat a pre-crash id.
     incarnation: u32,
@@ -229,7 +224,6 @@ impl Processor {
             unsent: BTreeMap::new(),
             last_token_at: None,
             backpressure: BackpressureSample::default(),
-            delivery_digest: FNV_OFFSET,
             incarnation: 0,
             health_seq: 0,
             health_digest_epoch: HealthSnapshot::NO_DIGEST,
@@ -248,6 +242,8 @@ pub struct Cluster {
     procs: Vec<Processor>,
     groups: BTreeMap<GroupId, GroupInfo>,
     next_group: u32,
+    /// When the first copy of each call awaiting a reply was sent,
+    /// until the reply is delivered.
     issue_times: BTreeMap<(ConnectionName, u32), SimTime>,
     /// Every replica launch in flight, by (group, new host), from the
     /// decision to reinstatement or abort (see `faults`).
@@ -268,9 +264,6 @@ pub struct Cluster {
     actions: Vec<TotemAction>,
     /// Likewise the out-list every ordered delivery is lent.
     outs: Vec<Out>,
-    /// Chained digests over each (connection, direction) IIOP stream as
-    /// seen at each node; direction encoded 0 = request, 1 = reply.
-    stream_digests: BTreeMap<(NodeId, ConnectionName, u8), u64>,
     repl_mgr: ReplicationManager,
     res_mgr: ResourceManager,
     clients_started: bool,
@@ -319,7 +312,6 @@ impl Cluster {
             registry: MetricsRegistry::new(),
             actions: Vec::new(),
             outs: Vec::new(),
-            stream_digests: BTreeMap::new(),
             clients_started: false,
             health_auditor: HealthAuditor::new(
                 config.health_auditor.clone(),
@@ -595,8 +587,11 @@ impl Cluster {
             ..
         } = &message
         {
-            // Round-trip timing starts at the first copy's send.
-            self.issue_times.entry((*conn, *op_seq)).or_insert(now);
+            // Round-trip timing starts at the first copy's send of a
+            // call whose client awaits a reply: a oneway's never ends.
+            if self.procs[src.0 as usize].mech.awaits_reply(*conn, *op_seq) {
+                self.issue_times.entry((*conn, *op_seq)).or_insert(now);
+            }
         }
         // Send-side causal bookkeeping: one Pack hop per Totem fragment,
         // under the hop that emitted the message (derived from the
@@ -756,7 +751,6 @@ impl Cluster {
                 }
                 match pushed {
                     Ok(Some(delivered)) => {
-                        self.digest_delivery(node, &delivered);
                         let message = &delivered.head;
                         self.observe_recovery_message(node, message, now);
                         self.resource_manager_hook(node, message);
@@ -870,7 +864,8 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{BlobServant, CounterServant, StreamingClient};
+    use crate::app::{AppInvocation, BlobServant, CounterServant, StreamingClient};
+    use eternal_cdr::{Any, Value};
 
     fn small_cluster(seed: u64) -> Cluster {
         Cluster::new(ClusterConfig::default(), seed)
@@ -977,112 +972,70 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    /// Both digests of one node after it delivers `history` — pairs of
-    /// (op_seq, body) on one request stream — in order.
-    fn digests_after(history: &[(u32, &[u8])]) -> (u64, u64) {
-        let mut c = small_cluster(1);
-        let node = NodeId(0);
-        let conn = ConnectionName {
-            client: GroupId(1),
-            server: GroupId(0),
-        };
-        for &(op_seq, body) in history {
-            let message = EternalMessage::Iiop {
-                conn,
-                direction: Direction::Request,
-                op_seq,
-                bytes: body.to_vec(),
+    /// Each round issues a oneway and a two-way `increment`; a reply
+    /// starts the next round until `rounds` are done.
+    struct OnewayThenCall {
+        server: GroupId,
+        rounds: u64,
+    }
+
+    impl OnewayThenCall {
+        fn round(&mut self) -> Vec<AppInvocation> {
+            if self.rounds == 0 {
+                return Vec::new();
+            }
+            self.rounds -= 1;
+            let oneway = AppInvocation {
+                response_expected: false,
+                ..AppInvocation::two_way(self.server, "increment")
             };
-            c.digest_delivery(node, &message.into());
-        }
-        let streams = c.stream_digests(node);
-        assert_eq!(streams.len(), usize::from(!history.is_empty()));
-        let stream = streams.first().map_or(FNV_OFFSET, |&(_, h)| h);
-        (c.delivery_digest(node), stream)
-    }
-
-    fn assert_both_differ(a: (u64, u64), b: (u64, u64), why: &str) {
-        assert_ne!(a.0, b.0, "per-node digest: {why}");
-        assert_ne!(a.1, b.1, "per-stream digest: {why}");
-    }
-
-    #[test]
-    fn digests_see_every_body_byte() {
-        let body: Vec<u8> = (0..100u8).collect();
-        let base = digests_after(&[(1, &body)]);
-        assert_eq!(base, digests_after(&[(1, &body)]), "a pure function");
-        assert_both_differ(base, digests_after(&[]), "something was delivered");
-        for i in 0..body.len() {
-            let mut flipped = body.clone();
-            flipped[i] ^= 1;
-            let why = format!("byte {i} flipped");
-            assert_both_differ(base, digests_after(&[(1, &flipped)]), &why);
+            vec![oneway, AppInvocation::two_way(self.server, "increment")]
         }
     }
 
-    #[test]
-    fn digests_see_delivery_order() {
-        let (a, b): (&[u8], &[u8]) = (b"first body", b"second body");
-        assert_both_differ(
-            digests_after(&[(1, a), (2, b)]),
-            digests_after(&[(2, b), (1, a)]),
-            "two deliveries swapped",
-        );
-        // Even when the two messages are byte-identical but for their
-        // operation ids.
-        assert_both_differ(
-            digests_after(&[(1, a), (2, a)]),
-            digests_after(&[(2, a), (1, a)]),
-            "two equal bodies swapped",
-        );
+    impl ClientApp for OnewayThenCall {
+        fn on_start(&mut self) -> Vec<AppInvocation> {
+            self.round()
+        }
+
+        fn on_reply(
+            &mut self,
+            _server: GroupId,
+            _operation: &str,
+            _status: eternal_giop::ReplyStatus,
+            _body: &[u8],
+        ) -> Vec<AppInvocation> {
+            self.round()
+        }
+
+        fn get_state(&self) -> Any {
+            Any::from(Value::ULongLong(self.rounds))
+        }
+
+        fn set_state(&mut self, state: &Any) {
+            if let Value::ULongLong(rounds) = state.value {
+                self.rounds = rounds;
+            }
+        }
     }
 
     #[test]
-    fn digests_see_message_boundaries() {
-        // The same bytes in the same order under the same operation
-        // ids, cut differently: only the folded lengths tell them apart
-        // from a stream's point of view.
-        assert_both_differ(
-            digests_after(&[(1, b"ab"), (2, b"c")]),
-            digests_after(&[(1, b"a"), (2, b"bc")]),
-            "a byte moved across a message boundary",
-        );
-        assert_both_differ(
-            digests_after(&[(1, b"abc"), (2, b"")]),
-            digests_after(&[(1, b""), (2, b"abc")]),
-            "a whole body moved across a message boundary",
-        );
-    }
-
-    #[test]
-    fn digests_see_every_identity_field() {
-        // Equal bodies under identities that differ in one field each,
-        // and with client and server swapped: all six links differ.
-        let digest = |client, server, direction, op_seq| {
-            let mut c = small_cluster(1);
-            let message = EternalMessage::Iiop {
-                conn: ConnectionName {
-                    client: GroupId(client),
-                    server: GroupId(server),
-                },
-                direction,
-                op_seq,
-                bytes: b"an equal body".to_vec(),
-            };
-            c.digest_delivery(NodeId(0), &message.into());
-            c.delivery_digest(NodeId(0))
-        };
-        let (req, rep) = (Direction::Request, Direction::Reply);
-        let links = [
-            digest(1, 2, req, 7),
-            digest(3, 2, req, 7),
-            digest(1, 3, req, 7),
-            digest(1, 2, rep, 7),
-            digest(1, 2, req, 8),
-            digest(2, 1, req, 7),
-        ];
-        let distinct: BTreeSet<u64> = links.iter().copied().collect();
-        assert_eq!(distinct.len(), links.len(), "{links:x?}");
+    fn only_awaited_calls_keep_a_round_trip_clock() {
+        let mut c = small_cluster(3);
+        let server = c.deploy_server("s", FaultToleranceProperties::active(2), || {
+            Box::new(CounterServant::default())
+        });
+        c.deploy_client("d", FaultToleranceProperties::active(1), move |_| {
+            Box::new(OnewayThenCall { server, rounds: 20 })
+        });
+        c.run_until_deployed();
+        c.run_for(Duration::from_millis(200));
+        let m = c.metrics();
+        assert_eq!(m.replies_delivered, 20);
+        assert_eq!(m.requests_dispatched, 2 * 2 * 20, "both kinds ran");
+        assert_eq!(m.round_trips.len(), 20);
+        assert_eq!(c.outstanding_calls(), 0);
+        assert!(c.issue_times.is_empty(), "{:?}", c.issue_times);
     }
 
     #[test]
@@ -1138,36 +1091,5 @@ mod tests {
             delivered.iter().all(|pack| sends.contains_key(pack)),
             "a delivered message was never stamped as sent"
         );
-    }
-
-    #[test]
-    fn digests_keep_streams_apart() {
-        let mut c = small_cluster(1);
-        let node = NodeId(0);
-        let conn = ConnectionName {
-            client: GroupId(1),
-            server: GroupId(0),
-        };
-        for direction in [Direction::Request, Direction::Reply] {
-            let message = EternalMessage::Iiop {
-                conn,
-                direction,
-                op_seq: 1,
-                bytes: b"same".to_vec(),
-            };
-            c.digest_delivery(node, &message.into());
-        }
-        // Non-IIOP traffic is not part of the application order.
-        let before = c.delivery_digest(node);
-        c.digest_delivery(node, &EternalMessage::LoadTick { group: GroupId(1) }.into());
-        assert_eq!(c.delivery_digest(node), before);
-        let streams = c.stream_digests(node);
-        assert_eq!(streams.len(), 2, "one chain per direction");
-        assert_ne!(streams[0].1, streams[1].1);
-        assert!(
-            c.stream_digests(NodeId(1)).is_empty(),
-            "digests are per node"
-        );
-        assert_eq!(c.delivery_digest(NodeId(1)), FNV_OFFSET);
     }
 }

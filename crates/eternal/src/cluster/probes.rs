@@ -1,12 +1,10 @@
 //! Read-only views of a running cluster for tests, harnesses and
 //! reports: accessors, probes, the aggregated metrics (fed from one sum
-//! of the processors' [`MechCounters`]), digests and the status report.
+//! of the processors' [`MechCounters`]) and the status report.
 
 use super::{Cluster, Processor};
-use crate::gid::{ConnectionName, GroupId};
-use crate::hash::{fold_word, hash_keyed, FNV_OFFSET};
+use crate::gid::GroupId;
 use crate::mechanisms::{MechCounters, Mechanisms};
-use crate::message::{Delivered, EternalMessage};
 use crate::metrics::Metrics;
 use eternal_obs::causal::CausalRecorder;
 use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
@@ -221,28 +219,6 @@ impl Cluster {
         &self.metrics.recoveries
     }
 
-    /// Chained digest over every IIOP message delivered (after
-    /// total-order delivery and reassembly) at `node`, in delivery
-    /// order. Two nodes that delivered the same messages in the same
-    /// order have equal digests; the digest survives processor restarts
-    /// (it keeps accumulating), so compare it across never-crashed
-    /// nodes only.
-    pub fn delivery_digest(&self, node: NodeId) -> u64 {
-        self.procs[node.0 as usize].delivery_digest
-    }
-
-    /// Per-stream delivery digests at `node`: for each logical
-    /// (connection, direction) IIOP stream, the chained digest
-    /// over that stream's messages in delivery order (direction encoded
-    /// 0 = request, 1 = reply). Deterministically ordered.
-    pub fn stream_digests(&self, node: NodeId) -> Vec<((ConnectionName, u8), u64)> {
-        self.stream_digests
-            .iter()
-            .filter(|((n, _, _), _)| *n == node)
-            .map(|(&(_, conn, dir), &h)| ((conn, dir), h))
-            .collect()
-    }
-
     /// All deployed groups with their names, in id order.
     pub fn groups(&self) -> Vec<(GroupId, String)> {
         self.groups
@@ -315,39 +291,5 @@ impl Cluster {
     /// Processors currently hosting an instance of `group`.
     pub fn hosting(&self, group: GroupId) -> Vec<NodeId> {
         self.groups[&group].hosting.iter().copied().collect()
-    }
-
-    /// Folds a reassembled IIOP delivery into `node`'s chained digests
-    /// (the whole-node digest and the per-stream one). Non-IIOP
-    /// protocol messages are excluded: they are identical by
-    /// construction across batching modes, and the invariant of
-    /// interest is the total order of *application* traffic.
-    pub(super) fn digest_delivery(&mut self, node: NodeId, delivered: &Delivered<'_>) {
-        let EternalMessage::Iiop {
-            conn,
-            direction,
-            op_seq,
-            ..
-        } = &delivered.head
-        else {
-            return;
-        };
-        let dir = direction.wire_byte();
-        // One call reads the body once, keyed by the message's identity
-        // (each field in a word half of its own, never folded into
-        // another) and finished with its length, which keeps message
-        // boundaries apart; each chain then folds that one word.
-        let key = [
-            (u64::from(conn.client.0) << 32) | u64::from(conn.server.0),
-            (u64::from(dir) << 32) | u64::from(*op_seq),
-        ];
-        let link = hash_keyed(key, &delivered.body);
-        let whole = &mut self.procs[node.0 as usize].delivery_digest;
-        *whole = fold_word(*whole, link);
-        let stream = self
-            .stream_digests
-            .entry((node, *conn, dir))
-            .or_insert(FNV_OFFSET);
-        *stream = fold_word(*stream, link);
     }
 }

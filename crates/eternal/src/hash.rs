@@ -1,4 +1,4 @@
-//! The three non-cryptographic hashes the system fingerprints with.
+//! The two non-cryptographic hashes the system fingerprints with.
 //!
 //! * [`fnv1a`] — byte-at-a-time FNV-1a. Its values are pinned in
 //!   committed artefacts (schedule fingerprints, trace ids, health and
@@ -7,12 +7,6 @@
 //! * [`hash_bytes`] — XXH64 (seed 0), word at a time: what `repro --
 //!   fingerprint` hashes each artefact with, so its values are pinned in
 //!   `FINGERPRINT.txt` (and against XXH64's reference values below).
-//! * [`hash_keyed`] — the delivery digest's bulk hash: every delivered
-//!   IIOP body at every node goes through it once, keyed by the
-//!   message's identity. Three independent 64 × 64 → 128-bit multiply
-//!   lanes over 48-byte blocks, about twice XXH64's bytes per cycle
-//!   here. Its values are compared only node to node and run to run,
-//!   never written to an artefact, so only its own tests pin them.
 
 /// FNV-1a offset basis: the hash of no input, and the seed to chain
 /// from.
@@ -43,12 +37,6 @@ fn round(acc: u64, word: u64) -> u64 {
 
 fn merge(h: u64, lane: u64) -> u64 {
     (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
-}
-
-/// Folds one more word into a running chain. Order matters: folding
-/// `a` then `b` and `b` then `a` leave different chains.
-pub fn fold_word(chain: u64, word: u64) -> u64 {
-    merge(chain, word)
 }
 
 fn word(bytes: &[u8]) -> u64 {
@@ -108,63 +96,6 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(P3);
     h ^ (h >> 32)
-}
-
-/// The full 128-bit product of `a` and `b`, its halves folded together.
-fn mum(a: u64, b: u64) -> u64 {
-    let product = u128::from(a) * u128::from(b);
-    product as u64 ^ (product >> 64) as u64
-}
-
-/// Hashes `bytes` under a two-word `key`, sixteen bytes per multiply.
-///
-/// The key words are the chain's first input — each enters one operand
-/// of the first multiply, so no two keys are folded into one word
-/// before they are mixed and none can cancel another. 48-byte blocks
-/// feed three independent lanes (two words per multiply each), 16-byte
-/// pieces one more chain, and the last 1–16 bytes are read as two
-/// words — overlapping when fewer than 16 remain, so every byte lands
-/// in at least one; the finalizer then folds in the length, which keeps
-/// a body apart from its zero-padded extension.
-pub fn hash_keyed(key: [u64; 2], bytes: &[u8]) -> u64 {
-    let mut h = mum(key[0] ^ P1, key[1] ^ P2);
-    let mut rest = bytes;
-    if rest.len() > 48 {
-        let (mut b, mut c) = (h, h);
-        while rest.len() > 48 {
-            let (block, tail) = rest.split_at(48);
-            h = mum(word(&block[..8]) ^ P1, word(&block[8..16]) ^ h);
-            b = mum(word(&block[16..24]) ^ P2, word(&block[24..32]) ^ b);
-            c = mum(word(&block[32..40]) ^ P3, word(&block[40..]) ^ c);
-            rest = tail;
-        }
-        h ^= b ^ c;
-    }
-    while rest.len() > 16 {
-        h = mum(word(&rest[..8]) ^ P2, word(&rest[8..16]) ^ h);
-        rest = &rest[16..];
-    }
-    let n = rest.len();
-    let (a, b) = match n {
-        8.. => (word(&rest[..8]), word(&rest[n - 8..])),
-        4.. => (half(&rest[..4]), half(&rest[n - 4..])),
-        1.. => (
-            (u64::from(rest[0]) << 56) | (u64::from(rest[n / 2]) << 32) | u64::from(rest[n - 1]),
-            0,
-        ),
-        0 => (0, 0),
-    };
-    let [lo, hi] = {
-        let product = u128::from(a ^ P2) * u128::from(b ^ h);
-        [product as u64, (product >> 64) as u64]
-    };
-    mum(lo ^ P1 ^ bytes.len() as u64, hi ^ P2)
-}
-
-fn half(bytes: &[u8]) -> u64 {
-    u64::from(u32::from_le_bytes(
-        bytes.try_into().expect("a 4-byte chunk"),
-    ))
 }
 
 #[cfg(test)]
@@ -227,64 +158,6 @@ mod tests {
             let mut flipped = body.clone();
             flipped[i] ^= 0x10;
             assert!(seen.insert(hash_bytes(&flipped)), "position {i}");
-        }
-    }
-
-    #[test]
-    fn hash_keyed_reference_values() {
-        // One value per read shape: empty, a 1–3 byte tail, a 4–7 byte
-        // tail, an 8–16 byte tail, a 16-byte piece, one block of three
-        // lanes, and two blocks with a piece and a tail behind them.
-        let bytes: Vec<u8> = (0..=255).collect();
-        let cases: [(usize, u64); 8] = [
-            (0, 0xe959_5576_af13_95b4),
-            (3, 0x72dd_3bce_9d55_3245),
-            (5, 0x9fd8_7c22_c4d1_cd4e),
-            (16, 0x5c0e_70f6_486d_7fe0),
-            (33, 0x08a7_4529_8c73_e496),
-            (64, 0x7cfa_d2e5_fa08_0d1f),
-            (111, 0xb4d0_6263_4483_b958),
-            (256, 0x092e_d75a_6fb5_b7cf),
-        ];
-        for (len, expected) in cases {
-            assert_eq!(hash_keyed([1, 2], &bytes[..len]), expected, "len {len}");
-        }
-        assert_eq!(hash_keyed([0, 0], b""), 0x82b6_d90d_821a_cbef);
-    }
-
-    #[test]
-    fn hash_keyed_sees_every_bit_of_every_body_shape() {
-        // Every length 0..=150 covers each block, piece and tail shape:
-        // a patterned body and each of its single-bit flips all hash
-        // apart, and so do all-zero bodies differing only in length.
-        let key = [0x0000_0001_0000_0002, 0x0000_0000_0000_0007];
-        let mut zeros = HashSet::new();
-        for len in 0..=150usize {
-            let body: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
-            let mut seen = HashSet::from([hash_keyed(key, &body)]);
-            for bit in 0..len * 8 {
-                let mut flipped = body.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                assert!(
-                    seen.insert(hash_keyed(key, &flipped)),
-                    "len {len} bit {bit}"
-                );
-            }
-            assert!(zeros.insert(hash_keyed(key, &vec![0; len])), "{len} zeros");
-        }
-    }
-
-    #[test]
-    fn hash_keyed_sees_each_key_word_apart() {
-        let body = b"an equal body";
-        let base = hash_keyed([1 << 32 | 2, 7], body);
-        for key in [
-            [2 << 32 | 1, 7],
-            [1 << 32 | 2, 8],
-            [7, 1 << 32 | 2],
-            [1 << 32 | 3, 7],
-        ] {
-            assert_ne!(hash_keyed(key, body), base, "{key:x?}");
         }
     }
 

@@ -297,6 +297,14 @@ impl Mechanisms {
         self.groups.values().map(|lg| lg.outstanding.len()).sum()
     }
 
+    /// Whether the client group of `conn` awaits a reply to its call
+    /// `op_seq` here (a oneway is never awaited).
+    pub fn awaits_reply(&self, conn: ConnectionName, op_seq: u32) -> bool {
+        self.groups
+            .get(&conn.client)
+            .is_some_and(|lg| lg.outstanding.contains_key(&(conn, op_seq)))
+    }
+
     /// Sparse dedup ids resident above the horizons (bounded by the
     /// suppressor's window; the chaos memory invariant watches it).
     pub fn dedup_resident(&self) -> usize {

@@ -55,11 +55,6 @@ impl Duration {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub const fn saturating_sub(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))
@@ -254,7 +249,6 @@ mod tests {
     #[test]
     fn fractional_accessors() {
         let d = Duration::from_micros(1500);
-        assert!((d.as_millis_f64() - 1.5).abs() < 1e-9);
         assert_eq!(d.as_millis(), 1);
     }
 }

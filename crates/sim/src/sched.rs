@@ -86,17 +86,6 @@ impl<E> Scheduler<E> {
         self.choices = Some(source);
     }
 
-    /// Removes the installed choice source, restoring pure FIFO
-    /// tie-breaking.
-    pub fn clear_choice_source(&mut self) {
-        self.choices = None;
-    }
-
-    /// Returns `true` if a choice source is installed.
-    pub fn has_choice_source(&self) -> bool {
-        self.choices.is_some()
-    }
-
     /// The current virtual time: the timestamp of the most recently
     /// popped event (or zero if none has been popped).
     pub fn now(&self) -> SimTime {
@@ -376,20 +365,5 @@ mod tests {
         s.schedule_at(t, "b");
         let (_, first) = s.pop().unwrap();
         assert_eq!(first, "b");
-    }
-
-    #[test]
-    fn clear_choice_source_restores_fifo() {
-        let mut s = Scheduler::new();
-        s.set_choice_source(Scripted::new(vec![1, 1, 1]));
-        assert!(s.has_choice_source());
-        s.clear_choice_source();
-        assert!(!s.has_choice_source());
-        let t = SimTime::from_nanos(5);
-        for i in 0..4 {
-            s.schedule_at(t, i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 }

@@ -9,17 +9,17 @@
 //! batching may only change how deliveries are packed into frames,
 //! never what is delivered or in what order.
 //!
-//! The evidence is the cluster's delivery digests: hash chains over
-//! every IIOP message each node delivers (whole-node, and split per
-//! logical connection/direction stream). Each link folds one message's
-//! identity, length and word-wise body hash (`eternal::hash`), so two
-//! chains are equal iff the same messages were delivered in the same
-//! order; the values are only ever compared with each other.
+//! The evidence is the causal recorder, which a test can turn on
+//! without changing what it observes: every node's Deliver hop of a
+//! fragment carries the total-order position it was delivered at, and
+//! its Reassemble hops name, in delivery order, each IIOP message the
+//! node completed.
 
 use eternal::app::{CounterServant, StreamingClient};
 use eternal::chaos::{run_campaign, CampaignConfig, Topology};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::properties::FaultToleranceProperties;
+use eternal_obs::causal::Hop;
 use eternal_sim::net::NodeId;
 use eternal_sim::Duration;
 
@@ -30,11 +30,22 @@ struct Outcome {
     batches: u64,
     /// Converged server-replica state bytes.
     state: Vec<u8>,
-    /// Request-direction stream digests at one never-crashed node.
-    /// (Reply streams carry one duplicate per active replica, and the
+    /// The IIOP requests one never-crashed node reassembled, in
+    /// delivery order. (Replies come once per active replica, and the
     /// number of live replicas varies with recovery timing, so only the
-    /// single-sender request streams are comparable across runs.)
-    request_streams: Vec<u64>,
+    /// single-sender requests are comparable across runs.)
+    requests: Vec<String>,
+}
+
+/// The IIOP messages `node` reassembled, in delivery order, each named
+/// by its identity (connection, direction, operation sequence).
+fn reassembled(c: &Cluster, node: NodeId) -> Vec<String> {
+    c.causal()
+        .events()
+        .filter(|e| e.node == u64::from(node.0) && e.hop == Hop::Reassemble)
+        .filter(|e| e.detail.starts_with("iiop "))
+        .map(|e| e.detail.clone())
+        .collect()
 }
 
 /// Streams 160 invocations through a 3-way active counter server while
@@ -43,6 +54,7 @@ struct Outcome {
 fn faulty_run(budget: usize, seed: u64) -> Outcome {
     let mut config = ClusterConfig {
         trace: false,
+        causal: true,
         ..ClusterConfig::default()
     };
     config.totem.batch_budget_bytes = budget;
@@ -105,39 +117,45 @@ fn faulty_run(budget: usize, seed: u64) -> Outcome {
         assert_eq!(pair[0], pair[1], "replica state diverged within one run");
     }
 
-    // … and every never-crashed node must have delivered the identical
-    // totally-ordered message sequence (whole-node and per-stream).
+    // … every node, the restarted one included, must have delivered
+    // each fragment at the same total-order position, with nothing of
+    // the history evicted …
+    let causal = c.causal();
+    assert_eq!(causal.verify_total_order(), Vec::<String>::new());
+    assert_eq!(causal.dropped(), 0, "the recorder evicted history");
+
+    // … and every never-crashed node must have reassembled the
+    // identical IIOP sequence.
     let survivors: Vec<NodeId> = c
         .processors()
         .into_iter()
         .filter(|&n| n != victim)
         .collect();
     assert!(survivors.len() >= 2);
-    for pair in survivors.windows(2) {
+    let sequence = reassembled(&c, survivors[0]);
+    for &node in &survivors[1..] {
         assert_eq!(
-            c.delivery_digest(pair[0]),
-            c.delivery_digest(pair[1]),
+            reassembled(&c, node),
+            sequence,
             "delivery order diverged between never-crashed nodes"
-        );
-        assert_eq!(
-            c.stream_digests(pair[0]),
-            c.stream_digests(pair[1]),
-            "per-stream delivery diverged between never-crashed nodes"
         );
     }
 
-    let request_streams = c
-        .stream_digests(survivors[0])
+    let requests: Vec<String> = sequence
         .into_iter()
-        .filter(|((_, dir), _)| *dir == 0)
-        .map(|(_, h)| h)
+        .filter(|identity| identity.contains(" req "))
         .collect();
+    assert!(
+        requests.len() as u64 >= limit,
+        "{} requests",
+        requests.len()
+    );
     Outcome {
         replies: c.metrics().replies_delivered,
         frames: c.net().frames_sent(),
         batches: c.metrics_registry().counter("totem.batches"),
         state: states.into_iter().next().unwrap(),
-        request_streams,
+        requests,
     }
 }
 
@@ -156,11 +174,11 @@ fn batched_and_unbatched_runs_deliver_the_same_order_under_faults() {
         batched.state, unbatched.state,
         "final replica state differs between batched and unbatched runs"
     );
-    // … the totally-ordered request streams are identical …
-    assert!(!batched.request_streams.is_empty());
+    // … the totally-ordered request sequences are identical …
+    assert!(!batched.requests.is_empty());
     assert_eq!(
-        batched.request_streams, unbatched.request_streams,
-        "request-stream delivery digests differ between batched and unbatched runs"
+        batched.requests, unbatched.requests,
+        "the request sequence differs between batched and unbatched runs"
     );
     // … and only the packing changed: fewer frames on the wire.
     assert!(
@@ -214,5 +232,5 @@ fn tiny_budget_degenerates_to_unbatched() {
     assert_eq!(tiny.batches, 0, "no two messages fit in a 1-byte budget");
     assert_eq!(tiny.replies, off.replies);
     assert_eq!(tiny.state, off.state);
-    assert_eq!(tiny.request_streams, off.request_streams);
+    assert_eq!(tiny.requests, off.requests);
 }

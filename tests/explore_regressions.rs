@@ -22,6 +22,7 @@ use eternal::chaos::{run_campaign, CampaignConfig};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::explore::{run_explore, ExploreConfig, Pin};
 use eternal::properties::FaultToleranceProperties;
+use eternal_obs::causal::CausalEvent;
 use eternal_sim::choice::{ChoiceKind, FifoChoice};
 use eternal_sim::Duration;
 use std::cell::RefCell;
@@ -186,14 +187,19 @@ fn campaign_seed_7_shrinks_the_orb_state_ablation_to_faults() {
     assert!(clean.violations.is_empty(), "{:?}", clean.violations);
 }
 
-/// Satellite property: installing the default FIFO tie-breaker is
-/// observationally a no-op for a whole cluster run — per-node delivery
-/// digests (a hash chain over every totally-ordered delivery) are
-/// byte-identical with and without the choice layer armed.
+/// Installing the default FIFO tie-breaker is observationally a no-op
+/// for a whole cluster run: the causal history — every hop's node,
+/// time, parent and total-order position — is identical with and
+/// without the choice layer armed, and so are the end time and the
+/// bytes sent.
 #[test]
-fn fifo_choice_source_preserves_cluster_digests() {
+fn fifo_choice_source_preserves_the_causal_history() {
     let run = |with_source: bool| {
-        let mut cluster = Cluster::new(ClusterConfig::default(), 42);
+        let config = ClusterConfig {
+            causal: true,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = Cluster::new(config, 42);
         if with_source {
             cluster.set_choice_source(Rc::new(RefCell::new(FifoChoice)));
         }
@@ -212,11 +218,15 @@ fn fifo_choice_source_preserves_cluster_digests() {
             cluster.kick_clients();
             cluster.run_for(Duration::from_millis(50));
         }
-        cluster
-            .processors()
-            .into_iter()
-            .map(|n| cluster.delivery_digest(n))
-            .collect::<Vec<u64>>()
+        let causal = cluster.causal();
+        assert_eq!(causal.dropped(), 0, "the recorder evicted history");
+        let history: Vec<CausalEvent> = causal.events().cloned().collect();
+        (history, cluster.now(), cluster.net().bytes_sent())
     };
-    assert_eq!(run(false), run(true));
+    let (fifo, with_source) = (run(false), run(true));
+    assert!(
+        fifo.0.iter().any(|e| e.order.is_some()),
+        "nothing delivered"
+    );
+    assert_eq!(fifo, with_source);
 }
