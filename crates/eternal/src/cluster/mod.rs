@@ -219,7 +219,7 @@ impl Processor {
     fn new(node: NodeId, config: &ClusterConfig) -> Self {
         Processor {
             mech: Self::new_mechanisms(node, config),
-            reasm: EternalReassembler::new(),
+            reasm: EternalReassembler::at(node),
             next_emsg_id: 0,
             unsent: BTreeMap::new(),
             last_token_at: None,

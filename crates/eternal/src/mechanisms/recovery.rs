@@ -10,14 +10,14 @@ use super::registry::{GroupKind, LocalReplica};
 use super::{Delivery, Mechanisms, Out, ReplicaPhase};
 use crate::causal::{transfer_trace_id, SUFFIX};
 use crate::gid::{Direction, GroupId, TransferId};
-use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose};
+use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose, MAX_PRESIZE};
 use crate::properties::ReplicationStyle;
 use crate::recovery::holding::HeldEntry;
 use crate::recovery::state3::{
     InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall, ThreeKindsOfState,
 };
 use crate::recovery::CheckpointLog;
-use eternal_cdr::Any;
+use eternal_cdr::{Any, CdrDecoder, Endian};
 use eternal_obs::causal::Hop;
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
@@ -92,6 +92,19 @@ pub(super) struct InboundTransfer {
     /// Next in-order chunk index expected (duplicates and out-of-order
     /// repeats from takeover races are ignored).
     next_index: u32,
+}
+
+impl InboundTransfer {
+    /// Appends chunk `index` of `total`. The first reserves room for all
+    /// of them at its own length, within [`MAX_PRESIZE`].
+    fn append(&mut self, index: u32, total: u32, bytes: &[u8]) {
+        if index == 0 {
+            let whole = (total as usize).saturating_mul(bytes.len());
+            self.buf.reserve_exact(whole.min(MAX_PRESIZE));
+        }
+        self.buf.extend_from_slice(bytes);
+        self.next_index += 1;
+    }
 }
 
 /// What a delivered chunk did to its retained context here.
@@ -619,8 +632,7 @@ impl Mechanisms {
             self.counters.chunk_duplicates += 1;
             return;
         }
-        inbound.buf.extend_from_slice(bytes);
-        inbound.next_index += 1;
+        inbound.append(index, total, bytes);
         d.ctx.stamp(
             d.now,
             Hop::StateChunk,
@@ -833,10 +845,12 @@ impl Mechanisms {
             }
             (inbound.buf, replay)
         };
-        let Ok(state) = ThreeKindsOfState::from_bytes(&state_bytes) else {
+        // The application state is lent from the buffer to `set_state`.
+        let dec = &mut CdrDecoder::new(&state_bytes, Endian::Big);
+        let Ok((state, application)) = ThreeKindsOfState::decode_lent(dec) else {
             return;
         };
-        let app_state_bytes = state.application.len();
+        let app_state_bytes = application.len();
 
         // Apply in the paper's order (§4.3): application first, then
         // ORB/POA, then infrastructure.
@@ -846,7 +860,7 @@ impl Mechanisms {
             0,
             format_args!("{group} {transfer} {app_state_bytes}B"),
         );
-        self.apply_application_state(group, &state.application);
+        self.apply_application_state(group, application);
         self.apply_orb_poa_state(group, &state.orb_poa);
         self.apply_infra_state(group, &state.infrastructure);
 
@@ -1127,6 +1141,30 @@ mod tests {
         // A transfer nobody retained here advances nothing.
         let other = TransferId(5);
         assert_eq!(t.chunk_delivered(other, 0, false), ChunkStep::Unretained);
+    }
+
+    /// The recovering replica reserves its buffer once, at chunk 0,
+    /// for the whole stream; a corrupt `total` reserves no more than
+    /// the cap the reassembler presizes to.
+    #[test]
+    fn the_inbound_buffer_is_reserved_once_within_the_cap() {
+        let first = |total| {
+            let mut inbound = InboundTransfer {
+                transfer: T,
+                buf: Vec::new(),
+                next_index: 0,
+            };
+            inbound.append(0, total, &[7; 1_000]);
+            inbound
+        };
+        let mut inbound = first(10);
+        assert_eq!(inbound.buf.capacity(), 10_000);
+        for index in 1..10 {
+            inbound.append(index, 10, &[7; 1_000][..1_000 - index as usize]);
+        }
+        assert_eq!(inbound.next_index, 10);
+        assert_eq!(inbound.buf.capacity(), 10_000, "the buffer grew");
+        assert!(first(u32::MAX).buf.capacity() <= MAX_PRESIZE);
     }
 
     #[test]

@@ -698,7 +698,8 @@ pub struct Delivered<'a> {
     pub head: EternalMessage,
     /// That body (empty for the other variants): a view into the
     /// delivered Totem payload when the message came in one fragment,
-    /// the reassembly buffer itself when it came in several.
+    /// the reassembly buffer itself when it came in several; empty for a
+    /// chunk of another processor's state ([`EternalReassembler::at`]).
     pub body: Cow<'a, [u8]>,
 }
 
@@ -920,13 +921,30 @@ struct Partial {
     total: u32,
     /// That head, and where its body lies in the whole message.
     head: Option<(EternalMessage, Range<usize>)>,
-    bytes: Vec<u8>,
+    bytes: Received,
 }
 
-/// Most bytes [`EternalReassembler::push`] reserves up front for one
-/// message (a larger one still reassembles; its buffer then grows as
-/// fragments arrive).
-const MAX_PRESIZE: usize = 1 << 24;
+/// What a partial keeps of the bytes after its head: all of them, or
+/// only their number for a state chunk bound for another processor.
+#[derive(Debug)]
+enum Received {
+    Kept(Vec<u8>),
+    Counted(usize),
+}
+
+impl Received {
+    fn len(&self) -> usize {
+        match self {
+            Received::Kept(bytes) => bytes.len(),
+            Received::Counted(len) => *len,
+        }
+    }
+}
+
+/// Most bytes reserved up front for one message: by a partial, or by a
+/// recovering replica for its state (a larger one still arrives; its
+/// buffer then grows).
+pub(crate) const MAX_PRESIZE: usize = 1 << 24;
 
 /// Refusals of a fragment that does not continue its message.
 const TOTAL_MISMATCH: CdrError = CdrError::TypeMismatch {
@@ -939,8 +957,9 @@ const OUT_OF_ORDER: CdrError = CdrError::TypeMismatch {
 };
 
 impl Partial {
-    /// A message of `total` fragments begun by its first, `first`.
-    fn new(total: u32, first: &[u8]) -> Self {
+    /// A message of `total` fragments begun by its first, `first`, at
+    /// the processor `at` (every body is kept when `None`).
+    fn new(total: u32, first: &[u8], at: Option<NodeId>) -> Self {
         let head = EternalMessage::decode_bulk_head(first).ok().flatten();
         let (skip, body) = head
             .as_ref()
@@ -953,8 +972,18 @@ impl Partial {
             .saturating_mul(first.len())
             .min(body)
             .min(MAX_PRESIZE);
-        let mut bytes = Vec::with_capacity(presize);
-        bytes.extend_from_slice(&first[skip..]);
+        let bytes = match &head {
+            Some((EternalMessage::StateChunk { new_host, .. }, _))
+                if at.is_some_and(|at| at != *new_host) =>
+            {
+                Received::Counted(first.len() - skip)
+            }
+            _ => {
+                let mut bytes = Vec::with_capacity(presize);
+                bytes.extend_from_slice(&first[skip..]);
+                Received::Kept(bytes)
+            }
+        };
         Partial {
             next: 1,
             total,
@@ -967,11 +996,15 @@ impl Partial {
     /// without a decoded head, are decoded whole. Either way the verdict
     /// is [`EternalMessage::from_bytes`]' on the concatenated chunks.
     fn finish(self) -> Result<Delivered<'static>, CdrError> {
-        let Some((head, body)) = self.head else {
-            return EternalMessage::from_bytes(&self.bytes).map(Delivered::from);
+        let received = self.bytes.len();
+        let mut bytes = match self.bytes {
+            Received::Kept(bytes) => bytes,
+            Received::Counted(_) => Vec::new(),
         };
-        let mut bytes = self.bytes;
-        body_within(body.clone(), body.start + bytes.len())?;
+        let Some((head, body)) = self.head else {
+            return EternalMessage::from_bytes(&bytes).map(Delivered::from);
+        };
+        body_within(body.clone(), body.start + received)?;
         bytes.truncate(body.len());
         Ok(Delivered {
             head,
@@ -992,12 +1025,24 @@ impl Partial {
 #[derive(Debug, Default)]
 pub struct EternalReassembler {
     partial: BTreeMap<(NodeId, u64), Partial>,
+    /// The processor reassembling, if it keeps only its state chunks.
+    at: Option<NodeId>,
 }
 
 impl EternalReassembler {
-    /// Creates an empty reassembler.
+    /// Creates an empty reassembler that keeps every body.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty reassembler at the processor `node`: of a state
+    /// chunk in several fragments bound for another processor it counts
+    /// the bytes, reaches the same verdicts and delivers an empty body.
+    pub fn at(node: NodeId) -> Self {
+        EternalReassembler {
+            partial: BTreeMap::new(),
+            at: Some(node),
+        }
     }
 
     /// Number of messages currently partially assembled.
@@ -1010,9 +1055,8 @@ impl EternalReassembler {
         self.partial.keys().filter(|&&(o, _)| o == origin).count()
     }
 
-    /// Bytes accumulated across all partially assembled messages (a
-    /// backpressure gauge: memory parked waiting for trailing
-    /// fragments).
+    /// Bytes received across all partially assembled messages, kept or
+    /// not (a backpressure gauge: what waits for trailing fragments).
     pub fn pending_bytes(&self) -> usize {
         let head = |p: &Partial| p.head.as_ref().map_or(0, |(_, body)| body.start);
         self.partial.values().map(|p| head(p) + p.bytes.len()).sum()
@@ -1079,7 +1123,7 @@ impl EternalReassembler {
         let mut entry = match self.partial.entry(key) {
             Entry::Vacant(_) if index != 0 => return Err(OUT_OF_ORDER),
             Entry::Vacant(slot) => {
-                slot.insert(Partial::new(total, chunk));
+                slot.insert(Partial::new(total, chunk, self.at));
                 return Ok(None);
             }
             Entry::Occupied(entry) => entry,
@@ -1094,7 +1138,10 @@ impl EternalReassembler {
             return Err(refusal);
         }
         partial.next += 1;
-        partial.bytes.extend_from_slice(chunk);
+        match &mut partial.bytes {
+            Received::Kept(bytes) => bytes.extend_from_slice(chunk),
+            Received::Counted(len) => *len += chunk.len(),
+        }
         match partial.next == partial.total {
             // The buffer is this reassembler's own: the message keeps it.
             true => entry.remove().finish().map(Some),
@@ -1576,6 +1623,15 @@ mod tests {
         }
     }
 
+    /// The bytes a partial keeps (all of them, at a reassembler that
+    /// keeps every body).
+    fn kept(received: &Received) -> &Vec<u8> {
+        match received {
+            Received::Kept(bytes) => bytes,
+            Received::Counted(_) => panic!("the bytes were counted, not kept"),
+        }
+    }
+
     /// An encoded IIOP message `size` bytes long — or, below the
     /// smallest such message, its truncated (undecodable) prefix.
     fn encoded_of_size(size: usize, rng: &mut SimRng) -> Vec<u8> {
@@ -1628,7 +1684,7 @@ mod tests {
                 let pushed = r.push(&frag);
                 if queue.len() > 0 {
                     assert_eq!(pushed, Ok(None), "message incomplete");
-                    let held = r.partial[&(*origin, msg_id)].bytes.capacity();
+                    let held = kept(&r.partial[&(*origin, msg_id)].bytes).capacity();
                     if *capacity[pick].get_or_insert(held) != held {
                         panic!("partial of {size_a}/{size_b} B reallocated");
                     }
@@ -1650,7 +1706,13 @@ mod tests {
         // smallest are truncated, hence undecodable) a message in several
         // fragments reassembles to what decoding it whole yields, and
         // the body of the two bulk variants is the partial's own buffer,
-        // written where it stays and not moved or copied out.
+        // written where it stays and not moved or copied out. A
+        // reassembler at the chunk's `new_host` does the same; one at
+        // another processor keeps no byte of a chunk in several
+        // fragments, yet reaches the same verdict, head and gauges at
+        // every step, the chunk whole, cut short or with its length
+        // word inflated.
+        let mut rs = [NodeId(4), NodeId(5)].map(EternalReassembler::at);
         for (msg_id, &size) in sizes.iter().enumerate() {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1664,22 +1726,63 @@ mod tests {
             // is readable from the partial.
             let mut head = chunk.clone();
             head.bulk_mut().expect("a bulk variant").clear();
+            let encoded = chunk.to_bytes();
+            let mut inflated = encoded.clone();
+            // The chunk's body length word is its eighth 4-byte word.
+            inflated[28..32].copy_from_slice(&(size as u32 + 1).to_be_bytes());
             let wholes = [
                 (encoded_of_size(size, &mut rng), None),
-                (chunk.to_bytes(), Some(&head)),
+                (encoded[..encoded.len() - 1].to_vec(), Some(&head)),
+                (inflated, Some(&head)),
+                (encoded, Some(&head)),
             ];
             for (whole, bulk_head) in wholes {
                 let key = (NodeId(2), msg_id as u64);
                 let frags = fragment_eternal(key.0, key.1, &whole, CHUNK + FRAGMENT_OVERHEAD);
+                let several = frags.len() > 1;
                 let (last, rest) = frags.split_last().unwrap();
+                let mut push = |r: &mut EternalReassembler, frag: &[u8]| {
+                    let [home, away] = &mut rs;
+                    let pushed = r.push(frag);
+                    assert_eq!(home.push(frag), pushed);
+                    let bodiless = pushed.clone().map(|done| {
+                        done.map(|mut message| {
+                            if let (EternalMessage::StateChunk { bytes, .. }, true) =
+                                (&mut message, several)
+                            {
+                                bytes.clear();
+                            }
+                            message
+                        })
+                    });
+                    assert_eq!(away.push(frag), bodiless, "size {size}");
+                    if let Some(partial) = away.partial.get(&key) {
+                        let chunk =
+                            matches!(partial.head, Some((EternalMessage::StateChunk { .. }, _)));
+                        let counted = matches!(partial.bytes, Received::Counted(_));
+                        assert_eq!(
+                            counted, chunk,
+                            "another processor's chunk kept, or only it not"
+                        );
+                    }
+                    for other in &rs {
+                        assert_eq!(
+                            other.partial_head(key.0, key.1),
+                            r.partial_head(key.0, key.1)
+                        );
+                        assert_eq!(other.pending(), r.pending());
+                        assert_eq!(other.pending_bytes(), r.pending_bytes());
+                    }
+                    pushed
+                };
                 for frag in rest {
-                    assert_eq!(r.push(frag), Ok(None));
+                    assert_eq!(push(&mut r, frag), Ok(None));
                 }
                 if !rest.is_empty() && bulk_head.is_some() {
                     assert_eq!(r.partial_head(key.0, key.1), bulk_head);
                 }
-                let buffer = r.partial.get(&key).map(|p| p.bytes.as_ptr());
-                let handed_over = r.push(last);
+                let buffer = r.partial.get(&key).map(|p| kept(&p.bytes).as_ptr());
+                let handed_over = push(&mut r, last);
                 assert_eq!(r.partial_head(key.0, key.1), None);
                 assert_eq!(handed_over, EternalMessage::from_bytes(&whole).map(Some));
                 if let (
@@ -1719,7 +1822,7 @@ mod tests {
             first[at..at + 4].copy_from_slice(&body_len.to_be_bytes());
             let mut r = EternalReassembler::new();
             assert_eq!(r.push(&first), Ok(None));
-            r.partial.values().next().unwrap().bytes.capacity()
+            kept(&r.partial.values().next().unwrap().bytes).capacity()
         };
         let total = frags.len() as u32;
         let chunk = 1000 - FRAGMENT_OVERHEAD;
@@ -1736,7 +1839,7 @@ mod tests {
         let mut r = EternalReassembler::new();
         assert_eq!(r.push(&cut[0]), Ok(None));
         assert_eq!(
-            r.partial.values().next().unwrap().bytes.capacity(),
+            kept(&r.partial.values().next().unwrap().bytes).capacity(),
             cut.len() * 16
         );
     }

@@ -221,12 +221,23 @@ impl ThreeKindsOfState {
     ///
     /// Propagates CDR decoding failures.
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, CdrError> {
-        Ok(ThreeKindsOfState {
-            group: GroupId(dec.read_u32()?),
-            application: dec.read_octet_seq()?,
+        let (mut state, application) = Self::decode_lent(dec)?;
+        state.application = application.to_vec();
+        Ok(state)
+    }
+
+    /// The one decoder: [`ThreeKindsOfState::decode`] with the
+    /// application state left empty and lent from the stream instead.
+    pub(crate) fn decode_lent<'a>(dec: &mut CdrDecoder<'a>) -> Result<(Self, &'a [u8]), CdrError> {
+        let group = GroupId(dec.read_u32()?);
+        let application = dec.read_octets()?;
+        let state = ThreeKindsOfState {
+            group,
+            application: Vec::new(),
             orb_poa: OrbPoaStateTransfer::decode(dec)?,
             infrastructure: InfraStateTransfer::decode(dec)?,
-        })
+        };
+        Ok((state, application))
     }
 
     /// Where [`ThreeKindsOfState::encode`] stops in a stream it starts
@@ -254,8 +265,7 @@ impl ThreeKindsOfState {
     ///
     /// Propagates CDR decoding failures.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CdrError> {
-        let mut dec = CdrDecoder::new(bytes, Endian::Big);
-        Self::decode(&mut dec)
+        Self::decode(&mut CdrDecoder::new(bytes, Endian::Big))
     }
 }
 
@@ -298,6 +308,24 @@ mod tests {
     fn round_trip() {
         let s = sample();
         assert_eq!(ThreeKindsOfState::from_bytes(&s.to_bytes()).unwrap(), s);
+    }
+
+    /// The lent decoder is the copying one: the same fields, the
+    /// application state a view into the input, the same refusals.
+    #[test]
+    fn a_view_lends_the_application_state_and_decodes_the_rest_alike() {
+        let bytes = sample().to_bytes();
+        let view = |bytes| ThreeKindsOfState::decode_lent(&mut CdrDecoder::new(bytes, Endian::Big));
+        let (mut state, application) = view(&bytes).unwrap();
+        assert!(state.application.is_empty());
+        assert!(bytes.as_ptr_range().contains(&application.as_ptr()));
+        state.application = application.to_vec();
+        assert_eq!(state, sample());
+        for cut in 0..bytes.len() {
+            let owned = ThreeKindsOfState::from_bytes(&bytes[..cut]);
+            let viewed = view(&bytes[..cut]).map(|(state, _)| state);
+            assert_eq!(owned.map(|_| ()), viewed.map(|_| ()), "cut at {cut}");
+        }
     }
 
     #[test]

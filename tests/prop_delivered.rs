@@ -8,15 +8,18 @@
 //! bytes with the same error and yield the same fields, none panics,
 //! a partial message holds exactly the bytes received, and
 //! [`EternalReassembler::push_view`] and [`EternalReassembler::push`]
-//! agree on the same fragments. [`EternalMessage::fragments`] writes the
-//! bytes [`fragment_eternal`] cuts from [`EternalMessage::to_bytes`].
+//! agree on the same fragments. A reassembler [`EternalReassembler::at`]
+//! a processor reaches every verdict and gauge of one that keeps every
+//! body, though it keeps none of a state chunk bound elsewhere.
+//! [`EternalMessage::fragments`] writes the bytes [`fragment_eternal`]
+//! cuts from [`EternalMessage::to_bytes`].
 //! Random cases come from the deterministic `eternal-sim` RNG (fixed
 //! seeds).
 
 use eternal::gid::{ConnectionName, Direction, GroupId, TransferId};
 use eternal::message::{
     fragment_eternal, Delivered, EternalMessage, EternalReassembler, OrderedInput,
-    RetrievalPurpose, FRAGMENT_OVERHEAD,
+    RetrievalPurpose, WireFragment, FRAGMENT_OVERHEAD,
 };
 use eternal::recovery::{
     InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall, ThreeKindsOfState,
@@ -159,21 +162,67 @@ fn body_of(message: &EternalMessage) -> &[u8] {
     }
 }
 
+/// The processor the [`EternalReassembler::at`] reassemblers run at:
+/// one in four generated state chunks is bound for it.
+const AT: NodeId = NodeId(1);
+
+/// What a reassembler at [`AT`] delivers of `message`, the partial
+/// whose last fragment completed it having decoded `head` from its
+/// first: a state chunk bound for another processor comes without its
+/// body.
+fn as_delivered_at(mut message: EternalMessage, head: Option<&EternalMessage>) -> EternalMessage {
+    let elsewhere =
+        matches!(head, Some(EternalMessage::StateChunk { new_host, .. }) if *new_host != AT);
+    if let (EternalMessage::StateChunk { bytes, .. }, true) = (&mut message, elsewhere) {
+        bytes.clear();
+    }
+    message
+}
+
 /// `frags` pushed through a fresh reassembler: the message the last one
 /// completes. Before it, the partial holds exactly the chunk bytes
-/// received, whether it has decoded a head or not.
+/// received, whether it has decoded a head or not. A reassembler at
+/// [`AT`] counts as many bytes at every push and reaches the same
+/// verdict, though it keeps no body of a chunk bound elsewhere.
 fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
     let mut reassembler = EternalReassembler::new();
+    let mut at = EternalReassembler::at(AT);
     let (last, rest) = frags.split_last().expect("one fragment at least");
     let mut received = 0;
     for frag in rest {
         assert!(matches!(reassembler.push_view(frag), Ok(None)));
+        assert!(matches!(at.push_view(frag), Ok(None)));
         received += frag.len() - FRAGMENT_OVERHEAD;
         assert_eq!(reassembler.pending_bytes(), received, "mid-message");
+        assert_eq!(at.pending_bytes(), received, "mid-message, at {AT}");
     }
-    reassembler
+    let first = WireFragment::from_bytes(&frags[0]).expect("an envelope");
+    let partial_head = reassembler
+        .partial_head(first.origin, first.msg_id)
+        .cloned();
+    assert_eq!(
+        at.partial_head(first.origin, first.msg_id),
+        partial_head.as_ref()
+    );
+    let done = reassembler
         .push_view(last)
-        .map(|done| done.expect("the last fragment completes the message"))
+        .map(|done| done.expect("the last fragment completes the message"));
+    let at_done = at.push_view(last).map(|done| {
+        let done = done.expect("the last fragment completes the message");
+        assert!(body_of(&done.head).is_empty());
+        as_delivered_at(done.into_message(), partial_head.as_ref())
+    });
+    match (&done, at_done) {
+        (Ok(done), Ok(at_done)) => {
+            let (head, body) = (done.head.clone(), done.body.clone());
+            let whole = Delivered { head, body }.into_message();
+            assert_eq!(as_delivered_at(whole, partial_head.as_ref()), at_done);
+        }
+        (Err(error), Err(at_error)) => assert_eq!(error, &at_error),
+        (done, at_done) => panic!("at {AT} the verdict differs: {done:?} / {at_done:?}"),
+    }
+    assert_eq!((at.pending(), at.pending_bytes()), (0, 0));
+    done
 }
 
 /// The whole contract on one input: viewing it, reassembling it from
@@ -352,11 +401,13 @@ fn no_decode_panics_on_garbage() {
 
 /// The reassembler's two entry points on the same fragments, in one
 /// frame and in several, intact and damaged: the same verdict at every
-/// push, and equal messages when one completes.
+/// push, and equal messages when one completes. A reassembler at [`AT`]
+/// gives that verdict and those gauges too.
 #[test]
 fn push_and_push_view_agree_fragment_by_fragment() {
     let mut rng = SimRng::seed_from_u64(0xE7E2_0106);
     let (mut owned, mut viewed) = (EternalReassembler::new(), EternalReassembler::new());
+    let mut at = EternalReassembler::at(AT);
     let (mut completed, mut refused) = (0, 0);
     for case in 0..512u64 {
         let message = rand_message(&mut rng);
@@ -372,12 +423,24 @@ fn push_and_push_view_agree_fragment_by_fragment() {
                 let bit = rng.gen_range(frag.len() as u64 * 8) as usize;
                 frag[bit / 8] ^= 1 << (bit % 8);
             }
+            let head = owned.partial_head(NodeId(2), case).cloned();
+            assert_eq!(at.partial_head(NodeId(2), case), head.as_ref());
             let by_view = viewed
                 .push_view(&frag)
                 .map(|d| d.map(Delivered::into_message));
             assert_eq!(owned.push(&frag), by_view, "case {case} fragment {i}");
             assert_eq!(owned.pending(), viewed.pending());
             assert_eq!(owned.pending_bytes(), viewed.pending_bytes());
+            let at_verdict = by_view
+                .clone()
+                .map(|done| done.map(|done| as_delivered_at(done, head.as_ref())));
+            assert_eq!(
+                at.push(&frag),
+                at_verdict,
+                "case {case} fragment {i} at {AT}"
+            );
+            assert_eq!(at.pending(), owned.pending());
+            assert_eq!(at.pending_bytes(), owned.pending_bytes());
             match by_view {
                 Ok(Some(done)) if damage.is_none() => {
                     assert_eq!(done, message);
@@ -391,6 +454,7 @@ fn push_and_push_view_agree_fragment_by_fragment() {
         // origin and presized on the word of a damaged total.
         if damage.is_some() {
             (owned, viewed) = (EternalReassembler::new(), EternalReassembler::new());
+            at = EternalReassembler::at(AT);
         }
     }
     assert!(completed > 200 && refused > 20, "{completed} / {refused}");
