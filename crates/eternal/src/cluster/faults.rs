@@ -202,7 +202,7 @@ impl Cluster {
             mech.register_group(info.meta(id));
         }
         proc.mech = mech;
-        proc.reasm = EternalReassembler::at(node);
+        proc.reasm = EternalReassembler::new();
         let now = self.now();
         self.record_event(format!("{node}/cluster"), EventKind::ProcessorRestarted, "");
         self.apply_totem_actions(node);

@@ -219,7 +219,7 @@ impl Processor {
     fn new(node: NodeId, config: &ClusterConfig) -> Self {
         Processor {
             mech: Self::new_mechanisms(node, config),
-            reasm: EternalReassembler::at(node),
+            reasm: EternalReassembler::new(),
             next_emsg_id: 0,
             unsent: BTreeMap::new(),
             last_token_at: None,
@@ -715,8 +715,8 @@ impl Cluster {
                     ring_seq: ring.seq,
                     seq,
                 };
-                let reasm = &mut self.procs[node.0 as usize].reasm;
-                let pushed = reasm.push_view(&data);
+                let Processor { reasm, mech, .. } = &mut self.procs[node.0 as usize];
+                let pushed = reasm.push_view(&data, |head| mech.keeps(head));
                 // Receive-side causal bookkeeping: a Deliver span under
                 // the fragment's Pack span, carrying the total-order
                 // position (the cross-replica agreement check keys on

@@ -415,7 +415,7 @@ impl Mechanisms {
                 transfer,
                 purpose,
                 state,
-            } => self.on_assignment(transfer, purpose, *state, now),
+            } => self.on_assignment(transfer, purpose, state, body, now),
             EternalMessage::StateChunk {
                 group,
                 transfer,
@@ -726,6 +726,63 @@ mod tests {
         assert_eq!(a.checkpoints_taken(server), 1);
         assert_eq!(b.checkpoints_taken(server), 1);
         assert_eq!(a.counters().checkpoints_logged, 1);
+    }
+
+    /// A checkpoint's body is kept and logged where the capture's mark
+    /// was recorded at the retrieval. Between the retrieval and the
+    /// assignment's last fragment P2 becomes a host of the group and P3
+    /// stops being one: P2 keeps no byte of the body and logs nothing (a
+    /// replica it gains is synchronized by a transfer, not by this
+    /// checkpoint); P3 keeps the body, for its mark, but logs nothing.
+    /// P4, no host but given a warm backup by a transfer beforehand,
+    /// keeps the body to apply it and logs nothing.
+    #[test]
+    fn a_host_change_after_the_retrieval_leaves_the_checkpoint_where_it_was_marked() {
+        use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        let server = GroupId(0);
+        let style = ReplicationStyle::WarmPassive;
+        let mut mechs = [0, 1, 2, 3, 4].map(|i| Mechanisms::new(n(i), MechConfig::default()));
+        deploy(
+            &mut mechs.each_mut(),
+            style,
+            vec![n(0), n(1), n(3)],
+            Vec::new,
+        );
+        let mut bus = Bus::new();
+        bus.collect(mechs[4].launch_recovering_replica(server));
+        bus.run(&mut mechs.each_mut());
+        assert_eq!(mechs[4].replica_phase(server), Some(ReplicaPhase::Standby));
+        bus.collect(mechs[0].checkpoint_due(server));
+        let (retrieval, _) = bus.step(&mut mechs.each_mut()).expect("the retrieval");
+        assert!(matches!(retrieval, EternalMessage::StateRetrieval { .. }));
+        let assignment = bus.queue.pop_front().expect("the assignment");
+        let hosts = [vec![n(0), n(1), n(2), n(3)], vec![n(0), n(1)]];
+        for (m, hosts) in mechs[2..4].iter_mut().zip(hosts) {
+            m.register_group(server_meta(server, hosts, style));
+        }
+        let taken = |mechs: &[Mechanisms; 5]| mechs.each_ref().map(|m| m.checkpoints_taken(server));
+        let before = taken(&mechs);
+        let frags = assignment.fragments(n(0), 1, FRAGMENT_OVERHEAD + 40);
+        assert!(frags.len() > 1, "the body comes in several fragments");
+        let mut kept = Vec::new();
+        for m in &mut mechs {
+            let mut reassembler = EternalReassembler::new();
+            let (last, rest) = frags.split_last().expect("fragments");
+            for frag in rest {
+                let pushed = reassembler.push_view(frag, |head| m.keeps(head));
+                assert!(matches!(pushed, Ok(None)));
+            }
+            let done = reassembler.push_view(last, |head| m.keeps(head));
+            let delivered = done.expect("well-formed").expect("the last fragment");
+            kept.push(!delivered.body.is_empty());
+            with_ctx(|ctx| m.on_delivered_view(delivered, bus.now, ctx));
+        }
+        assert_eq!(kept, [true, true, false, true, true]);
+        let logged: Vec<u64> = (taken(&mechs).iter().zip(before))
+            .map(|(a, b)| a - b)
+            .collect();
+        assert_eq!(logged, [1, 1, 0, 0, 0]);
+        assert_eq!(mechs[1].replica_phase(server), Some(ReplicaPhase::Standby));
     }
 
     #[test]

@@ -16,11 +16,12 @@ use crate::recovery::holding::HeldEntry;
 use crate::recovery::state3::{
     InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall, ThreeKindsOfState,
 };
-use crate::recovery::CheckpointLog;
+use crate::recovery::{CheckpointLog, LoggedState};
 use eternal_cdr::{Any, CdrDecoder, Endian};
 use eternal_obs::causal::Hop;
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
@@ -406,6 +407,24 @@ impl Mechanisms {
             .map(|dt| dt.donor)
     }
 
+    /// Whether this processor keeps the body of a message in several
+    /// fragments, asked of its head at the first (docs/RECOVERY.md,
+    /// "Copies of a checkpoint"): a state chunk's at its new host, a
+    /// checkpoint's where it is logged (the capture's mark was recorded
+    /// here) or applied (a warm backup), and every other body.
+    pub(crate) fn keeps(&self, head: &EternalMessage) -> bool {
+        let (group, transfer) = match head {
+            EternalMessage::StateChunk { new_host, .. } => return *new_host == self.node,
+            EternalMessage::StateAssignment {
+                transfer, state, ..
+            } => (state.group, *transfer),
+            _ => return true,
+        };
+        let marks = self.transfers.checkpoint_marks.get(&group);
+        marks.is_some_and(|marks| marks.iter().any(|&(t, _)| t == transfer))
+            || self.replica_phase(group) == Some(ReplicaPhase::Standby)
+    }
+
     /// A replica of `group` launched on `host` announced itself: the
     /// elected donor answers with the retrieval that marks its transfer.
     pub(super) fn on_joining(&mut self, group: GroupId, host: NodeId, outs: &mut Vec<Out>) {
@@ -773,34 +792,40 @@ impl Mechanisms {
         }
     }
 
-    /// A checkpoint's `set_state()` (§3.3): every host of the group
-    /// logs it, garbage-collecting the messages it covers, and a warm
-    /// backup applies it. A recovery's state never arrives this way.
+    /// A checkpoint's `set_state()` (§3.3), its application state the
+    /// `body` kept here: every host of the group that recorded the
+    /// capture's mark logs it as received, garbage-collecting the
+    /// messages it covers, and a warm backup applies it. A recovery's
+    /// state never arrives this way.
     pub(super) fn on_assignment(
         &mut self,
         transfer: TransferId,
         purpose: RetrievalPurpose,
-        state: ThreeKindsOfState,
+        mut state: Box<ThreeKindsOfState>,
+        body: Cow<'_, [u8]>,
         now: SimTime,
     ) {
         if purpose != RetrievalPurpose::Checkpoint || !self.transfers.first_completion(transfer) {
             return;
         }
         let group = state.group;
+        let mark = self.transfers.checkpoint_landed(group, transfer);
+        // Warm backups are synchronized to the primary's checkpoint as
+        // it is taken (§3.2), from the body lent. One that became a
+        // backup after the first fragment kept none.
+        if self.replica_phase(group) == Some(ReplicaPhase::Standby) && !body.is_empty() {
+            self.apply_application_state(group, &body);
+        }
+        // Without a mark there is no body to log: the processor took up
+        // the group after the retrieval, and a transfer synchronizes it.
         let Some(lg) = self.groups.get_mut(&group) else {
             return;
         };
-        let mark = self.transfers.checkpoint_landed(group, transfer);
-        if lg.meta.props.style.logs_checkpoints() && lg.meta.hosts.contains(&self.node) {
-            let mark = mark.unwrap_or_else(|| lg.log.mark());
-            lg.log
-                .record_checkpoint_at_mark(state.to_bytes(), now, mark);
+        if let (Some(mark), true) = (mark, lg.meta.hosts.contains(&self.node)) {
+            state.application = body.into_owned();
+            let state = LoggedState::Assigned(state);
+            lg.log.record_checkpoint_at_mark(state, now, mark);
             self.counters.checkpoints_logged += 1;
-        }
-        // Warm backups are synchronized to the primary's checkpoint as
-        // it is taken (§3.2).
-        if self.replica_phase(group) == Some(ReplicaPhase::Standby) {
-            self.apply_application_state(group, &state.application);
         }
     }
 
@@ -886,7 +911,8 @@ impl Mechanisms {
             let logs = lg.meta.props.style.logs_checkpoints();
             if logs {
                 lg.log.clear();
-                lg.log.record_checkpoint(state_bytes, d.now);
+                lg.log
+                    .record_checkpoint(LoggedState::Transferred(state_bytes), d.now);
             }
             let operational = lg.meta.props.style == ReplicationStyle::Active
                 || lg.primary_host() == Some(self.node);
@@ -1025,9 +1051,7 @@ impl Mechanisms {
         // Replay reads the log in place: it is lifted out of the group
         // for the duration (nothing below logs to it) and put back.
         let log = std::mem::take(&mut lg.log);
-        let checkpoint = log
-            .checkpoint()
-            .and_then(|(bytes, _)| ThreeKindsOfState::from_bytes(bytes).ok());
+        let checkpoint = log.checkpoint().and_then(|(state, _)| state.view());
         match style {
             // The replica is loaded and synchronized to the last
             // checkpoint's application state already; the other two
@@ -1037,13 +1061,13 @@ impl Mechanisms {
             // that order" (§3.3).
             ReplicationStyle::ColdPassive => {
                 self.instantiate_replica(group, ReplicaPhase::Operational);
-                if let Some(state) = &checkpoint {
-                    self.apply_application_state(group, &state.application);
+                if let Some((_, application)) = &checkpoint {
+                    self.apply_application_state(group, application);
                 }
             }
             ReplicationStyle::Active => unreachable!("only passive groups promote"),
         }
-        if let Some(state) = &checkpoint {
+        if let Some((state, _)) = &checkpoint {
             self.apply_orb_poa_state(group, &state.orb_poa);
             self.apply_infra_state(group, &state.infrastructure);
         }

@@ -86,7 +86,8 @@ pub enum EternalMessage {
     /// The fabricated `set_state()` of a periodic checkpoint, with the
     /// piggybacked three kinds of state: logged by every host of the
     /// group and applied by warm backups (§3.3). A recovery's state
-    /// travels as [`EternalMessage::StateChunk`]s instead.
+    /// travels as [`EternalMessage::StateChunk`]s instead. Its bulk body
+    /// is the application state, and the other two kinds follow it.
     StateAssignment {
         /// Matches the originating retrieval.
         transfer: TransferId,
@@ -405,7 +406,8 @@ impl EternalMessage {
     pub fn fragments(&self, origin: NodeId, msg_id: u64, max_payload: usize) -> Vec<Bytes> {
         let body = self.bulk();
         let head = self.encoded_len() - body.len();
-        if body.is_empty() || FRAGMENT_OVERHEAD + head > max_payload {
+        let tail = matches!(self, EternalMessage::StateAssignment { .. });
+        if body.is_empty() || tail || FRAGMENT_OVERHEAD + head > max_payload {
             let encoded = self.to_bytes();
             let frags = fragment_eternal(origin, msg_id, &encoded, max_payload);
             eternal_cdr::pool::recycle(encoded);
@@ -419,10 +421,13 @@ impl EternalMessage {
     fn encode(&self, enc: &mut CdrEncoder) {
         self.encode_head(enc);
         enc.write_raw(self.bulk());
+        if let EternalMessage::StateAssignment { state, .. } = self {
+            state.encode_tail(enc);
+        }
     }
 
-    /// Writes all of the message but the bytes of its bulk body, whose
-    /// length word it does write: the body follows it raw.
+    /// Writes the message up to the bytes of its bulk body, whose length
+    /// word it does write: the body follows it raw.
     fn encode_head(&self, enc: &mut CdrEncoder) {
         match self {
             EternalMessage::Iiop {
@@ -462,7 +467,8 @@ impl EternalMessage {
                 enc.write_u8(4);
                 enc.write_u64(transfer.0);
                 encode_purpose(enc, *purpose);
-                state.encode(enc).expect("operation names contain no NUL");
+                enc.write_u32(state.group.0);
+                enc.write_u32(state.application.len() as u32);
             }
             EternalMessage::LoadTick { group } => {
                 enc.write_u8(5);
@@ -541,31 +547,35 @@ impl EternalMessage {
         Delivered::view(bytes).map(Delivered::into_message)
     }
 
-    /// The bulk body of an `Iiop` or a `StateChunk`; empty for the other
-    /// variants.
+    /// The bulk body of an `Iiop`, a `StateChunk` or a
+    /// `StateAssignment`; empty for the other variants.
     fn bulk(&self) -> &[u8] {
         match self {
             EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => bytes,
+            EternalMessage::StateAssignment { state, .. } => &state.application,
             _ => &[],
         }
     }
 
-    /// The bulk body of the two variants that have one.
+    /// The bulk body of the three variants that have one.
     fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
         match self {
             EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => {
                 Some(bytes)
             }
+            EternalMessage::StateAssignment { state, .. } => Some(&mut state.application),
             _ => None,
         }
     }
 
-    /// The one decoder. The bulk body of an `Iiop` or a `StateChunk` is
-    /// left empty in the returned message and reported as where it lies
-    /// in `bytes`, for [`Delivered`] to view or to keep.
+    /// The one decoder. A bulk body is left empty in the returned
+    /// message and reported as where it lies in `bytes`, for
+    /// [`Delivered`] to view or to keep.
     fn decode(bytes: &[u8]) -> Result<(Self, Range<usize>), CdrError> {
-        if let Some((head, body)) = Self::decode_bulk_head(bytes)? {
-            return body_within(body, bytes.len()).map(|body| (head, body));
+        if let Some((mut head, body)) = Self::decode_bulk_head(bytes)? {
+            let body = body_within(body, bytes.len())?;
+            head.decode_tail(&bytes[body.end..], body.end)?;
+            return Ok((head, body));
         }
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
         let message = match dec.read_u8()? {
@@ -581,11 +591,6 @@ impl EternalMessage {
                 group: GroupId(dec.read_u32()?),
                 transfer: TransferId(dec.read_u64()?),
                 purpose: decode_purpose(&mut dec)?,
-            },
-            4 => EternalMessage::StateAssignment {
-                transfer: TransferId(dec.read_u64()?),
-                purpose: decode_purpose(&mut dec)?,
-                state: Box::new(ThreeKindsOfState::decode(&mut dec)?),
             },
             5 => EternalMessage::LoadTick {
                 group: GroupId(dec.read_u32()?),
@@ -643,10 +648,10 @@ impl EternalMessage {
         Ok((message, 0..0))
     }
 
-    /// Decodes an `Iiop` or a `StateChunk` up to its bulk body's length
-    /// word: the message, that body left empty, and where the body lies
-    /// in the stream `bytes` begin, which need not hold it. `None` for
-    /// the other variants.
+    /// Decodes a message with a bulk body up to the body's length word:
+    /// the message, that body (and what follows it) left empty, and
+    /// where the body lies in the stream `bytes` begin, which need not
+    /// hold it. `None` for the other variants.
     fn decode_bulk_head(bytes: &[u8]) -> Result<Option<(Self, Range<usize>)>, CdrError> {
         let dec = &mut CdrDecoder::new(bytes, Endian::Big);
         let head = match dec.read_u8()? {
@@ -667,10 +672,29 @@ impl EternalMessage {
                 total: dec.read_u32()?,
                 bytes: Vec::new(),
             },
+            4 => EternalMessage::StateAssignment {
+                transfer: TransferId(dec.read_u64()?),
+                purpose: decode_purpose(dec)?,
+                state: Box::new(ThreeKindsOfState::of(GroupId(dec.read_u32()?))),
+            },
             _ => return Ok(None),
         };
         let len = dec.read_u32()? as usize;
         Ok(Some((head, dec.position()..dec.position() + len)))
+    }
+
+    /// Decodes what follows an assignment's body, the other two kinds
+    /// of state, from `tail`, which starts at `at` in the message: from
+    /// a copy as far past a multiple of 4, the most they align to.
+    fn decode_tail(&mut self, tail: &[u8], at: usize) -> Result<(), CdrError> {
+        let EternalMessage::StateAssignment { state, .. } = self else {
+            return Ok(());
+        };
+        let mut stream = vec![0; at % 4];
+        stream.extend_from_slice(tail);
+        let dec = &mut CdrDecoder::new(&stream, Endian::Big);
+        dec.read_raw(at % 4)?;
+        state.decode_tail(dec)
     }
 }
 
@@ -693,13 +717,13 @@ fn body_within(body: Range<usize>, len: usize) -> Result<Range<usize>, CdrError>
 /// message, or a log that keeps it, reads or copies the body.
 #[derive(Debug)]
 pub struct Delivered<'a> {
-    /// The message, with the body of an [`EternalMessage::Iiop`] or an
-    /// [`EternalMessage::StateChunk`] left empty.
+    /// The message, with its bulk body left empty.
     pub head: EternalMessage,
     /// That body (empty for the other variants): a view into the
     /// delivered Totem payload when the message came in one fragment,
-    /// the reassembly buffer itself when it came in several; empty for a
-    /// chunk of another processor's state ([`EternalReassembler::at`]).
+    /// the reassembly buffer itself when it came in several; empty when
+    /// it came in several to a processor that does not keep it
+    /// ([`EternalReassembler::push_view`]).
     pub body: Cow<'a, [u8]>,
 }
 
@@ -911,21 +935,23 @@ fn fragment_stream(
 
 /// A partially reassembled message: the fragment index expected next,
 /// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes received so far — after the head of an `Iiop`
-/// or a `StateChunk`, decoded from the first fragment when it holds it:
+/// agree), and the bytes received so far — after the head of a message
+/// with a bulk body, decoded from the first fragment when it holds it:
 /// then each body byte is written at its final offset in the buffer
 /// the delivered message keeps.
 #[derive(Debug)]
 struct Partial {
     next: u32,
     total: u32,
-    /// That head, and where its body lies in the whole message.
+    /// That head, and where its body lies in the whole message. Its own
+    /// empty body collects the bytes after the body: an assignment's
+    /// other two kinds of state, which every processor decodes.
     head: Option<(EternalMessage, Range<usize>)>,
     bytes: Received,
 }
 
-/// What a partial keeps of the bytes after its head: all of them, or
-/// only their number for a state chunk bound for another processor.
+/// What a partial keeps of the bytes it receives: all of them, or only
+/// their number for a body the processor does not keep.
 #[derive(Debug)]
 enum Received {
     Kept(Vec<u8>),
@@ -957,9 +983,9 @@ const OUT_OF_ORDER: CdrError = CdrError::TypeMismatch {
 };
 
 impl Partial {
-    /// A message of `total` fragments begun by its first, `first`, at
-    /// the processor `at` (every body is kept when `None`).
-    fn new(total: u32, first: &[u8], at: Option<NodeId>) -> Self {
+    /// A message of `total` fragments begun by its first, `first`, whose
+    /// body is kept if there is no head or `keeps` says so of the head.
+    fn new(total: u32, first: &[u8], keeps: impl FnOnce(&EternalMessage) -> bool) -> Self {
         let head = EternalMessage::decode_bulk_head(first).ok().flatten();
         let (skip, body) = head
             .as_ref()
@@ -972,40 +998,59 @@ impl Partial {
             .saturating_mul(first.len())
             .min(body)
             .min(MAX_PRESIZE);
-        let bytes = match &head {
-            Some((EternalMessage::StateChunk { new_host, .. }, _))
-                if at.is_some_and(|at| at != *new_host) =>
-            {
-                Received::Counted(first.len() - skip)
-            }
-            _ => {
-                let mut bytes = Vec::with_capacity(presize);
-                bytes.extend_from_slice(&first[skip..]);
-                Received::Kept(bytes)
-            }
+        let bytes = match head.as_ref().is_none_or(|(head, _)| keeps(head)) {
+            true => Received::Kept(Vec::with_capacity(presize)),
+            false => Received::Counted(0),
         };
-        Partial {
+        let mut partial = Partial {
             next: 1,
             total,
             head,
             bytes,
+        };
+        partial.receive(&first[skip..]);
+        partial
+    }
+
+    /// Takes in the next `chunk` of the message: the bytes up to the
+    /// body's end are kept or counted, those after it collected in the
+    /// head's body buffer.
+    fn receive(&mut self, mut chunk: &[u8]) {
+        if let Some((head, body)) = &mut self.head {
+            let upto = body.len().saturating_sub(self.bytes.len());
+            if upto < chunk.len() {
+                let after = head.bulk_mut().expect("a head has a bulk body");
+                after.extend_from_slice(&chunk[upto..]);
+                chunk = &chunk[..upto];
+            }
+        }
+        match &mut self.bytes {
+            Received::Kept(bytes) => bytes.extend_from_slice(chunk),
+            Received::Counted(len) => *len += chunk.len(),
         }
     }
 
-    /// The message, its last fragment in: `bytes` become its body, or,
-    /// without a decoded head, are decoded whole. Either way the verdict
-    /// is [`EternalMessage::from_bytes`]' on the concatenated chunks.
+    /// Bytes received after the head, kept or not.
+    fn received(&self) -> usize {
+        let after = self.head.as_ref().map_or(0, |(head, _)| head.bulk().len());
+        self.bytes.len() + after
+    }
+
+    /// The message, its last fragment in: the kept bytes become its
+    /// body, or, without a decoded head, are decoded whole. Either way
+    /// the verdict is [`EternalMessage::from_bytes`]' on the whole.
     fn finish(self) -> Result<Delivered<'static>, CdrError> {
-        let received = self.bytes.len();
-        let mut bytes = match self.bytes {
+        let received = self.received();
+        let bytes = match self.bytes {
             Received::Kept(bytes) => bytes,
             Received::Counted(_) => Vec::new(),
         };
-        let Some((head, body)) = self.head else {
+        let Some((mut head, body)) = self.head else {
             return EternalMessage::from_bytes(&bytes).map(Delivered::from);
         };
         body_within(body.clone(), body.start + received)?;
-        bytes.truncate(body.len());
+        let after = std::mem::take(head.bulk_mut().expect("a head has a bulk body"));
+        head.decode_tail(&after, body.end)?;
         Ok(Delivered {
             head,
             body: Cow::Owned(bytes),
@@ -1025,24 +1070,12 @@ impl Partial {
 #[derive(Debug, Default)]
 pub struct EternalReassembler {
     partial: BTreeMap<(NodeId, u64), Partial>,
-    /// The processor reassembling, if it keeps only its state chunks.
-    at: Option<NodeId>,
 }
 
 impl EternalReassembler {
-    /// Creates an empty reassembler that keeps every body.
+    /// Creates an empty reassembler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty reassembler at the processor `node`: of a state
-    /// chunk in several fragments bound for another processor it counts
-    /// the bytes, reaches the same verdicts and delivers an empty body.
-    pub fn at(node: NodeId) -> Self {
-        EternalReassembler {
-            partial: BTreeMap::new(),
-            at: Some(node),
-        }
     }
 
     /// Number of messages currently partially assembled.
@@ -1059,15 +1092,19 @@ impl EternalReassembler {
     /// not (a backpressure gauge: what waits for trailing fragments).
     pub fn pending_bytes(&self) -> usize {
         let head = |p: &Partial| p.head.as_ref().map_or(0, |(_, body)| body.start);
-        self.partial.values().map(|p| head(p) + p.bytes.len()).sum()
+        self.partial.values().map(|p| head(p) + p.received()).sum()
     }
 
     /// The head of the message `origin`'s `msg_id` is reassembling,
-    /// when its first fragment held it: an `Iiop` or a `StateChunk`
-    /// (bodies left empty).
+    /// when its first fragment held it and it is an `Iiop` or a
+    /// `StateChunk` (body left empty). A checkpoint's head is not lent:
+    /// its assignment is traced once whole.
     pub fn partial_head(&self, origin: NodeId, msg_id: u64) -> Option<&EternalMessage> {
         let partial = self.partial.get(&(origin, msg_id))?;
-        partial.head.as_ref().map(|(head, _)| head)
+        match &partial.head {
+            Some((EternalMessage::StateAssignment { .. }, _)) | None => None,
+            Some((head, _)) => Some(head),
+        }
     }
 
     /// Drops every partial from `origin`. Called on a Totem membership
@@ -1078,19 +1115,26 @@ impl EternalReassembler {
         self.partial.retain(|&(o, _), _| o != origin);
     }
 
-    /// Consumes one Totem payload; returns the completed message when
-    /// this was its last fragment.
+    /// Consumes one Totem payload, keeping every body; returns the
+    /// completed message when this was its last fragment.
     ///
     /// # Errors
     ///
     /// As [`EternalReassembler::push_view`].
     pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
-        Ok(self.push_view(payload)?.map(Delivered::into_message))
+        Ok(self
+            .push_view(payload, |_| true)?
+            .map(Delivered::into_message))
     }
 
     /// Consumes one Totem payload; returns the completed message when
     /// this was its last fragment, its body a view into `payload` if it
-    /// was also its first.
+    /// was also its first. Of a message in several fragments whose
+    /// first holds its head, `keeps` is asked once, at that fragment,
+    /// whether this processor keeps the body: where it does not, the
+    /// body's bytes are counted, not kept, the verdicts, `pending()` and
+    /// `pending_bytes()` are those of keeping it, and the body is
+    /// delivered empty.
     ///
     /// # Errors
     ///
@@ -1099,7 +1143,11 @@ impl EternalReassembler {
     /// whose `total` disagrees with the first fragment's, or a zero
     /// `total` are reported as [`CdrError::TypeMismatch`] and the
     /// partial entry is dropped.
-    pub fn push_view<'a>(&mut self, payload: &'a [u8]) -> Result<Option<Delivered<'a>>, CdrError> {
+    pub fn push_view<'a>(
+        &mut self,
+        payload: &'a [u8],
+        keeps: impl FnOnce(&EternalMessage) -> bool,
+    ) -> Result<Option<Delivered<'a>>, CdrError> {
         let WireFragment {
             origin,
             msg_id,
@@ -1123,7 +1171,7 @@ impl EternalReassembler {
         let mut entry = match self.partial.entry(key) {
             Entry::Vacant(_) if index != 0 => return Err(OUT_OF_ORDER),
             Entry::Vacant(slot) => {
-                slot.insert(Partial::new(total, chunk, self.at));
+                slot.insert(Partial::new(total, chunk, keeps));
                 return Ok(None);
             }
             Entry::Occupied(entry) => entry,
@@ -1138,10 +1186,7 @@ impl EternalReassembler {
             return Err(refusal);
         }
         partial.next += 1;
-        match &mut partial.bytes {
-            Received::Kept(bytes) => bytes.extend_from_slice(chunk),
-            Received::Counted(len) => *len += chunk.len(),
-        }
+        partial.receive(chunk);
         match partial.next == partial.total {
             // The buffer is this reassembler's own: the message keeps it.
             true => entry.remove().finish().map(Some),
@@ -1153,7 +1198,7 @@ impl EternalReassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::state3::{InfraStateTransfer, OrbPoaStateTransfer};
+    use crate::recovery::state3::{InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall};
     use eternal_sim::rng::SimRng;
 
     fn conn() -> ConnectionName {
@@ -1307,6 +1352,71 @@ mod tests {
             assert_eq!(message.to_bytes(), bytes);
             assert_eq!(EternalMessage::from_bytes(&bytes).unwrap(), message);
         }
+    }
+
+    /// A checkpoint whose application state ends one byte past a
+    /// multiple of 4, with every kind of ORB/POA and infrastructure
+    /// state after it.
+    fn pinned_checkpoint() -> EternalMessage {
+        EternalMessage::StateAssignment {
+            transfer: TransferId(9),
+            purpose: RetrievalPurpose::Checkpoint,
+            state: Box::new(ThreeKindsOfState {
+                group: GroupId(2),
+                application: vec![0xA5; 13],
+                orb_poa: OrbPoaStateTransfer {
+                    next_request_ids: vec![(conn(), 351)],
+                    handshakes: vec![(conn(), vec![9, 9, 9])],
+                },
+                infrastructure: InfraStateTransfer {
+                    outstanding: vec![OutstandingCall {
+                        conn: conn(),
+                        op_seq: 4,
+                        request_id: 5,
+                        operation: "put".into(),
+                    }],
+                    dedup_horizons: vec![(conn(), Direction::Reply, 6)],
+                    op_counters: vec![(conn(), 7)],
+                },
+            }),
+        }
+    }
+
+    /// Golden wire vectors of a checkpoint's encoding and of its four
+    /// fragments of at most 40 bytes, captured at the commit before its
+    /// application state became a bulk body: the bytes have not moved.
+    #[test]
+    fn checkpoint_wire_bytes_and_fragments_are_pinned() {
+        let encoding = "0400000000000000000000000000000901000000000000020000000d\
+                        a5a5a5a5a5a5a5a5a5a5a5a5a5000000000000010000000100000002\
+                        0000015f00000001000000010000000200000003090909000000000100\
+                        0000010000000200000004000000050000000470757400000000010000\
+                        000100000002010000000000000600000001000000010000000200000007";
+        let fragments = [
+            "00000001000000000000000000000003000000000000000400000028\
+             0400000000000000000000000000000901000000000000020000000da5a5a5a5a5a5a5a5a5a5a5a5",
+            "00000001000000000000000000000003000000010000000400000028\
+             a50000000000000100000001000000020000015f0000000100000001000000020000000309090900",
+            "00000001000000000000000000000003000000020000000400000028\
+             00000001000000010000000200000004000000050000000470757400000000010000000100000002",
+            "00000001000000000000000000000003000000030000000400000018\
+             010000000000000600000001000000010000000200000007",
+        ];
+        let message = pinned_checkpoint();
+        assert_eq!(message.to_bytes(), unhex(encoding));
+        assert_eq!(
+            EternalMessage::from_bytes(&unhex(encoding)),
+            Ok(message.clone())
+        );
+        let frags = message.fragments(NodeId(1), 3, FRAGMENT_OVERHEAD + 40);
+        let frags: Vec<Vec<u8>> = frags.iter().map(|f| f.to_vec()).collect();
+        assert_eq!(frags, fragments.map(unhex));
+        let mut r = EternalReassembler::new();
+        let (last, rest) = frags.split_last().unwrap();
+        for frag in rest {
+            assert_eq!(r.push(frag), Ok(None));
+        }
+        assert_eq!(r.push(last), Ok(Some(message)));
     }
 
     fn unhex(hex: &str) -> Vec<u8> {
@@ -1705,14 +1815,21 @@ mod tests {
         // The hand-over of a reassembled buffer: at every size (the
         // smallest are truncated, hence undecodable) a message in several
         // fragments reassembles to what decoding it whole yields, and
-        // the body of the two bulk variants is the partial's own buffer,
+        // the body of a bulk variant is the partial's own buffer,
         // written where it stays and not moved or copied out. A
-        // reassembler at the chunk's `new_host` does the same; one at
-        // another processor keeps no byte of a chunk in several
-        // fragments, yet reaches the same verdict, head and gauges at
-        // every step, the chunk whole, cut short or with its length
-        // word inflated.
-        let mut rs = [NodeId(4), NodeId(5)].map(EternalReassembler::at);
+        // reassembler at a processor that keeps the body of a state
+        // chunk or a checkpoint does the same; one that keeps neither
+        // keeps no byte of their bodies in several fragments, yet
+        // reaches the same verdict, head and gauges at every step, the
+        // message whole, cut short or with its body's length word
+        // inflated. A checkpoint's head is never lent mid-message.
+        let keeps_none = |head: &EternalMessage| {
+            !matches!(
+                head,
+                EternalMessage::StateChunk { .. } | EternalMessage::StateAssignment { .. }
+            )
+        };
+        let mut rs = [EternalReassembler::new(), EternalReassembler::new()];
         for (msg_id, &size) in sizes.iter().enumerate() {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1722,20 +1839,24 @@ mod tests {
                 total: 2,
                 bytes: vec![0xC4; size],
             };
-            // Mid-message, a bulk message's head (its body left empty)
-            // is readable from the partial.
-            let mut head = chunk.clone();
-            head.bulk_mut().expect("a bulk variant").clear();
-            let encoded = chunk.to_bytes();
-            let mut inflated = encoded.clone();
-            // The chunk's body length word is its eighth 4-byte word.
-            inflated[28..32].copy_from_slice(&(size as u32 + 1).to_be_bytes());
-            let wholes = [
-                (encoded_of_size(size, &mut rng), None),
-                (encoded[..encoded.len() - 1].to_vec(), Some(&head)),
-                (inflated, Some(&head)),
-                (encoded, Some(&head)),
-            ];
+            let mut checkpoint = pinned_checkpoint();
+            *checkpoint.bulk_mut().expect("a bulk variant") = vec![0xA5; size];
+            // With the head each partial lends (an IIOP message's is not
+            // checked).
+            let mut wholes = vec![(encoded_of_size(size, &mut rng), None)];
+            // The body's length word: the chunk's eighth 4-byte word, the
+            // checkpoint's seventh.
+            for (message, word, lent) in [(chunk, 28, true), (checkpoint, 24, false)] {
+                let mut head = message.clone();
+                head.bulk_mut().expect("a bulk variant").clear();
+                let encoded = message.to_bytes();
+                let mut inflated = encoded.clone();
+                inflated[word..word + 4].copy_from_slice(&(size as u32 + 1).to_be_bytes());
+                let head = Some(lent.then_some(head));
+                wholes.push((encoded[..encoded.len() - 1].to_vec(), head.clone()));
+                wholes.push((inflated, head.clone()));
+                wholes.push((encoded, head));
+            }
             for (whole, bulk_head) in wholes {
                 let key = (NodeId(2), msg_id as u64);
                 let frags = fragment_eternal(key.0, key.1, &whole, CHUNK + FRAGMENT_OVERHEAD);
@@ -1744,26 +1865,32 @@ mod tests {
                 let mut push = |r: &mut EternalReassembler, frag: &[u8]| {
                     let [home, away] = &mut rs;
                     let pushed = r.push(frag);
-                    assert_eq!(home.push(frag), pushed);
+                    assert_eq!(
+                        home.push_view(frag, |_| true)
+                            .map(|d| d.map(Delivered::into_message)),
+                        pushed
+                    );
                     let bodiless = pushed.clone().map(|done| {
                         done.map(|mut message| {
-                            if let (EternalMessage::StateChunk { bytes, .. }, true) =
-                                (&mut message, several)
-                            {
-                                bytes.clear();
+                            if several && !keeps_none(&message) {
+                                message.bulk_mut().expect("a bulk variant").clear();
                             }
                             message
                         })
                     });
-                    assert_eq!(away.push(frag), bodiless, "size {size}");
+                    let by_away = away.push_view(frag, keeps_none);
+                    assert_eq!(
+                        by_away.map(|d| d.map(Delivered::into_message)),
+                        bodiless,
+                        "size {size}"
+                    );
                     if let Some(partial) = away.partial.get(&key) {
-                        let chunk =
-                            matches!(partial.head, Some((EternalMessage::StateChunk { .. }, _)));
                         let counted = matches!(partial.bytes, Received::Counted(_));
-                        assert_eq!(
-                            counted, chunk,
-                            "another processor's chunk kept, or only it not"
-                        );
+                        let bulk = partial
+                            .head
+                            .as_ref()
+                            .is_some_and(|(head, _)| !keeps_none(head));
+                        assert_eq!(counted, bulk, "a body not kept was kept, or one kept not");
                     }
                     for other in &rs {
                         assert_eq!(
@@ -1777,22 +1904,16 @@ mod tests {
                 };
                 for frag in rest {
                     assert_eq!(push(&mut r, frag), Ok(None));
-                }
-                if !rest.is_empty() && bulk_head.is_some() {
-                    assert_eq!(r.partial_head(key.0, key.1), bulk_head);
+                    if let Some(head) = &bulk_head {
+                        assert_eq!(r.partial_head(key.0, key.1), head.as_ref());
+                    }
                 }
                 let buffer = r.partial.get(&key).map(|p| kept(&p.bytes).as_ptr());
                 let handed_over = push(&mut r, last);
                 assert_eq!(r.partial_head(key.0, key.1), None);
                 assert_eq!(handed_over, EternalMessage::from_bytes(&whole).map(Some));
-                if let (
-                    Some(buffer),
-                    Ok(Some(
-                        EternalMessage::Iiop { bytes, .. }
-                        | EternalMessage::StateChunk { bytes, .. },
-                    )),
-                ) = (buffer, handed_over)
-                {
+                if let (Some(buffer), Ok(Some(mut message))) = (buffer, handed_over) {
+                    let bytes = message.bulk_mut().expect("a bulk variant");
                     assert_eq!(bytes.as_ptr(), buffer, "the body was moved or copied out");
                 }
             }

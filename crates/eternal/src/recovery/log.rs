@@ -8,7 +8,38 @@
 //! order.
 
 use crate::message::OrderedInput;
+use crate::recovery::state3::ThreeKindsOfState;
+use eternal_cdr::{CdrDecoder, Endian};
 use eternal_sim::SimTime;
+use std::borrow::Cow;
+
+/// A logged checkpoint's state as it was received, never re-encoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoggedState {
+    /// A checkpoint's assignment, its application state the body kept.
+    Assigned(Box<ThreeKindsOfState>),
+    /// A recovery's transferred encoding: the inbound buffer.
+    Transferred(Vec<u8>),
+}
+
+// Every group's log holds one, at every processor: no larger than the
+// buffer it replaced.
+const _: () = assert!(std::mem::size_of::<LoggedState>() <= 24);
+
+impl LoggedState {
+    /// The three kinds of state, the application state lent apart;
+    /// `None` if transferred bytes do not decode.
+    pub fn view(&self) -> Option<(Cow<'_, ThreeKindsOfState>, &[u8])> {
+        match self {
+            LoggedState::Assigned(state) => Some((Cow::Borrowed(&**state), &state.application)),
+            LoggedState::Transferred(bytes) => {
+                let dec = &mut CdrDecoder::new(bytes, Endian::Big);
+                let (state, application) = ThreeKindsOfState::decode_lent(dec).ok()?;
+                Some((Cow::Owned(state), application))
+            }
+        }
+    }
+}
 
 /// One logged, totally ordered input of the group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +54,8 @@ pub struct LoggedMessage {
 /// The checkpoint + suffix log kept for one replicated object.
 #[derive(Debug, Default)]
 pub struct CheckpointLog {
-    /// The most recent checkpoint (application-level state bytes) and
-    /// the time it was taken.
-    checkpoint: Option<(Vec<u8>, SimTime)>,
+    /// The most recent checkpoint and the time it was taken.
+    checkpoint: Option<(LoggedState, SimTime)>,
     /// Messages delivered after the checkpoint, in delivery order.
     messages: Vec<LoggedMessage>,
     /// Running byte total of `messages` (the suffix-bound trigger
@@ -47,7 +77,7 @@ impl CheckpointLog {
     /// Records a new checkpoint, overwriting the previous one and
     /// discarding the messages logged before it (§3.3: "each checkpoint
     /// ... overwrites the previous checkpoint").
-    pub fn record_checkpoint(&mut self, state: Vec<u8>, at: SimTime) {
+    pub fn record_checkpoint(&mut self, state: LoggedState, at: SimTime) {
         let mark = self.next_order;
         self.record_checkpoint_at_mark(state, at, mark);
     }
@@ -71,7 +101,7 @@ impl CheckpointLog {
     /// incarnation was logged *after* the capture point and honouring
     /// the stale mark literally would garbage-collect messages whose
     /// effects are not in the checkpoint.
-    pub fn record_checkpoint_at_mark(&mut self, state: Vec<u8>, at: SimTime, mark: u64) {
+    pub fn record_checkpoint_at_mark(&mut self, state: LoggedState, at: SimTime, mark: u64) {
         let mark = if mark > self.next_order { 0 } else { mark };
         self.checkpoint = Some((state, at));
         let before = self.messages.len();
@@ -91,8 +121,8 @@ impl CheckpointLog {
     }
 
     /// The current checkpoint, if any.
-    pub fn checkpoint(&self) -> Option<(&[u8], SimTime)> {
-        self.checkpoint.as_ref().map(|(b, t)| (b.as_slice(), *t))
+    pub fn checkpoint(&self) -> Option<(&LoggedState, SimTime)> {
+        self.checkpoint.as_ref().map(|(state, t)| (state, *t))
     }
 
     /// Messages logged since the current checkpoint, in order.
@@ -167,14 +197,14 @@ mod tests {
     #[test]
     fn checkpoint_overwrites_and_gcs() {
         let mut log = CheckpointLog::new();
-        log.record_checkpoint(vec![1], SimTime::from_nanos(10));
+        log.record_checkpoint(LoggedState::Transferred(vec![1]), SimTime::from_nanos(10));
         log.log_message(msg(10));
         log.log_message(msg(11));
         assert_eq!(log.suffix_len(), 2);
-        log.record_checkpoint(vec![2], SimTime::from_nanos(20));
+        log.record_checkpoint(LoggedState::Transferred(vec![2]), SimTime::from_nanos(20));
         assert_eq!(log.suffix_len(), 0, "suffix GC'd by new checkpoint");
         let (state, at) = log.checkpoint().unwrap();
-        assert_eq!(state, &[2]);
+        assert_eq!(state, &LoggedState::Transferred(vec![2]));
         assert_eq!(at, SimTime::from_nanos(20));
         assert_eq!(log.checkpoints_taken(), 2);
         assert_eq!(log.messages_discarded(), 2);
@@ -190,7 +220,11 @@ mod tests {
         let mark = log.mark();
         log.log_message(msg(2)); // in flight during the capture
         log.log_message(msg(3));
-        log.record_checkpoint_at_mark(vec![9], SimTime::from_nanos(5), mark);
+        log.record_checkpoint_at_mark(
+            LoggedState::Transferred(vec![9]),
+            SimTime::from_nanos(5),
+            mark,
+        );
         let kept: Vec<u8> = log.suffix().iter().map(payload).collect();
         assert_eq!(kept, vec![2, 3], "post-capture messages survive");
         assert_eq!(log.messages_discarded(), 1);
@@ -199,7 +233,7 @@ mod tests {
     #[test]
     fn suffix_keeps_order() {
         let mut log = CheckpointLog::new();
-        log.record_checkpoint(vec![], SimTime::ZERO);
+        log.record_checkpoint(LoggedState::Transferred(vec![]), SimTime::ZERO);
         for i in 0..5u8 {
             log.log_message(msg(i));
         }
@@ -214,7 +248,7 @@ mod tests {
     fn orders_stay_monotonic_across_checkpoints() {
         let mut log = CheckpointLog::new();
         log.log_message(msg(1));
-        log.record_checkpoint(vec![], SimTime::ZERO);
+        log.record_checkpoint(LoggedState::Transferred(vec![]), SimTime::ZERO);
         log.log_message(msg(2));
         assert_eq!(log.suffix()[0].order, 1);
     }
@@ -229,7 +263,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut log = CheckpointLog::new();
-        log.record_checkpoint(vec![1], SimTime::ZERO);
+        log.record_checkpoint(LoggedState::Transferred(vec![1]), SimTime::ZERO);
         log.log_message(msg(2));
         log.clear();
         assert!(log.checkpoint().is_none());
@@ -246,7 +280,7 @@ mod tests {
         for i in 0..5u8 {
             log.log_message(msg(i));
         }
-        log.record_checkpoint(vec![9], SimTime::from_nanos(1));
+        log.record_checkpoint(LoggedState::Transferred(vec![9]), SimTime::from_nanos(1));
         assert_eq!(log.messages_discarded(), 5);
         log.clear();
         assert_eq!(log.mark(), 0, "order counter restarts");
@@ -272,7 +306,11 @@ mod tests {
         log.clear();
         log.log_message(msg(100)); // logged *after* the capture point
         log.log_message(msg(101));
-        log.record_checkpoint_at_mark(vec![1], SimTime::from_nanos(2), stale_mark);
+        log.record_checkpoint_at_mark(
+            LoggedState::Transferred(vec![1]),
+            SimTime::from_nanos(2),
+            stale_mark,
+        );
         let kept: Vec<u8> = log.suffix().iter().map(payload).collect();
         assert_eq!(kept, vec![100, 101], "post-capture messages survive");
         assert_eq!(log.messages_discarded(), 0);
@@ -281,14 +319,14 @@ mod tests {
     #[test]
     fn mark_zero_on_fresh_log_discards_nothing() {
         let mut log = CheckpointLog::new();
-        log.record_checkpoint_at_mark(vec![1], SimTime::ZERO, 0);
+        log.record_checkpoint_at_mark(LoggedState::Transferred(vec![1]), SimTime::ZERO, 0);
         assert_eq!(log.messages_discarded(), 0);
         assert_eq!(log.checkpoints_taken(), 1);
         // And after a clear, mark 0 against the new incarnation keeps
         // the messages logged since.
         log.clear();
         log.log_message(msg(5));
-        log.record_checkpoint_at_mark(vec![2], SimTime::from_nanos(3), 0);
+        log.record_checkpoint_at_mark(LoggedState::Transferred(vec![2]), SimTime::from_nanos(3), 0);
         assert_eq!(log.suffix_len(), 1, "post-mark message retained");
         assert_eq!(log.messages_discarded(), 0);
     }
@@ -302,7 +340,11 @@ mod tests {
             }
             let mark = log.mark();
             log.log_message(msg(99)); // in flight during capture
-            log.record_checkpoint_at_mark(vec![cycle], SimTime::from_nanos(u64::from(cycle)), mark);
+            log.record_checkpoint_at_mark(
+                LoggedState::Transferred(vec![cycle]),
+                SimTime::from_nanos(u64::from(cycle)),
+                mark,
+            );
             assert_eq!(
                 log.messages_discarded(),
                 4,

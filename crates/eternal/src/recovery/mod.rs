@@ -11,6 +11,6 @@ pub mod state3;
 
 pub use dedup::DuplicateSuppressor;
 pub use holding::HoldingQueue;
-pub use log::CheckpointLog;
+pub use log::{CheckpointLog, LoggedState};
 pub use observer::OrbStateObserver;
 pub use state3::{InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall, ThreeKindsOfState};

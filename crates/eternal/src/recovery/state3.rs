@@ -207,37 +207,45 @@ impl InfraStateTransfer {
 }
 
 impl ThreeKindsOfState {
-    /// Marshals into `enc`.
-    pub fn encode(&self, enc: &mut CdrEncoder) -> Result<(), CdrError> {
-        enc.write_u32(self.group.0);
-        enc.write_octet_seq(&self.application);
-        self.orb_poa.encode(enc);
-        self.infrastructure.encode(enc)
-    }
-
-    /// Unmarshals from `dec`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CDR decoding failures.
-    pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, CdrError> {
-        let (mut state, application) = Self::decode_lent(dec)?;
-        state.application = application.to_vec();
-        Ok(state)
-    }
-
-    /// The one decoder: [`ThreeKindsOfState::decode`] with the
-    /// application state left empty and lent from the stream instead.
-    pub(crate) fn decode_lent<'a>(dec: &mut CdrDecoder<'a>) -> Result<(Self, &'a [u8]), CdrError> {
-        let group = GroupId(dec.read_u32()?);
-        let application = dec.read_octets()?;
-        let state = ThreeKindsOfState {
+    /// `group`'s state with all three kinds empty.
+    pub(crate) fn of(group: GroupId) -> Self {
+        ThreeKindsOfState {
             group,
             application: Vec::new(),
-            orb_poa: OrbPoaStateTransfer::decode(dec)?,
-            infrastructure: InfraStateTransfer::decode(dec)?,
-        };
+            orb_poa: OrbPoaStateTransfer::default(),
+            infrastructure: InfraStateTransfer::default(),
+        }
+    }
+
+    /// Marshals into `enc`.
+    pub fn encode(&self, enc: &mut CdrEncoder) {
+        enc.write_u32(self.group.0);
+        enc.write_octet_seq(&self.application);
+        self.encode_tail(enc);
+    }
+
+    /// Marshals what follows the application state: the ORB/POA and
+    /// the infrastructure state, neither aligned to more than 4.
+    pub(crate) fn encode_tail(&self, enc: &mut CdrEncoder) {
+        self.orb_poa.encode(enc);
+        let infra = self.infrastructure.encode(enc);
+        infra.expect("operation names contain no NUL");
+    }
+
+    /// The one decoder: the state with the application state left
+    /// empty and lent from the stream instead.
+    pub(crate) fn decode_lent<'a>(dec: &mut CdrDecoder<'a>) -> Result<(Self, &'a [u8]), CdrError> {
+        let mut state = Self::of(GroupId(dec.read_u32()?));
+        let application = dec.read_octets()?;
+        state.decode_tail(dec)?;
         Ok((state, application))
+    }
+
+    /// Unmarshals what [`ThreeKindsOfState::encode_tail`] wrote.
+    pub(crate) fn decode_tail(&mut self, dec: &mut CdrDecoder<'_>) -> Result<(), CdrError> {
+        self.orb_poa = OrbPoaStateTransfer::decode(dec)?;
+        self.infrastructure = InfraStateTransfer::decode(dec)?;
+        Ok(())
     }
 
     /// Where [`ThreeKindsOfState::encode`] stops in a stream it starts
@@ -253,19 +261,9 @@ impl ThreeKindsOfState {
     pub fn to_bytes(&self) -> Vec<u8> {
         let len = self.encoded_end(0);
         let mut enc = CdrEncoder::with_capacity(Endian::Big, len);
-        self.encode(&mut enc)
-            .expect("operation names contain no NUL");
+        self.encode(&mut enc);
         debug_assert_eq!(enc.len(), len);
         enc.into_bytes()
-    }
-
-    /// Convenience: decode from [`ThreeKindsOfState::to_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CDR decoding failures.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CdrError> {
-        Self::decode(&mut CdrDecoder::new(bytes, Endian::Big))
     }
 }
 
@@ -278,6 +276,14 @@ mod tests {
             client: GroupId(c),
             server: GroupId(s),
         }
+    }
+
+    /// The decoded state, its application state copied out of `bytes`.
+    fn decoded(bytes: &[u8]) -> Result<ThreeKindsOfState, CdrError> {
+        let dec = &mut CdrDecoder::new(bytes, Endian::Big);
+        let (mut state, application) = ThreeKindsOfState::decode_lent(dec)?;
+        state.application = application.to_vec();
+        Ok(state)
     }
 
     fn sample() -> ThreeKindsOfState {
@@ -307,11 +313,11 @@ mod tests {
     #[test]
     fn round_trip() {
         let s = sample();
-        assert_eq!(ThreeKindsOfState::from_bytes(&s.to_bytes()).unwrap(), s);
+        assert_eq!(decoded(&s.to_bytes()).unwrap(), s);
     }
 
-    /// The lent decoder is the copying one: the same fields, the
-    /// application state a view into the input, the same refusals.
+    /// The decoder lends the application state from its input, decodes
+    /// the rest, and refuses every truncation.
     #[test]
     fn a_view_lends_the_application_state_and_decodes_the_rest_alike() {
         let bytes = sample().to_bytes();
@@ -322,9 +328,7 @@ mod tests {
         state.application = application.to_vec();
         assert_eq!(state, sample());
         for cut in 0..bytes.len() {
-            let owned = ThreeKindsOfState::from_bytes(&bytes[..cut]);
-            let viewed = view(&bytes[..cut]).map(|(state, _)| state);
-            assert_eq!(owned.map(|_| ()), viewed.map(|_| ()), "cut at {cut}");
+            assert!(view(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -336,7 +340,7 @@ mod tests {
             orb_poa: OrbPoaStateTransfer::default(),
             infrastructure: InfraStateTransfer::default(),
         };
-        assert_eq!(ThreeKindsOfState::from_bytes(&s.to_bytes()).unwrap(), s);
+        assert_eq!(decoded(&s.to_bytes()).unwrap(), s);
     }
 
     /// Random states — lists of every length from none, byte strings and
@@ -376,7 +380,7 @@ mod tests {
             for at in 0..8 {
                 let mut enc = CdrEncoder::new(Endian::Big);
                 enc.write_raw(&[0; 8][..at]);
-                state.encode(&mut enc).unwrap();
+                state.encode(&mut enc);
                 assert_eq!(state.encoded_end(at), enc.len(), "{state:?} at {at}");
             }
             // And the buffer `to_bytes` reserves is the buffer it fills.
@@ -398,7 +402,7 @@ mod tests {
         for other in 2..=255 {
             bytes[direction] = other;
             assert_eq!(
-                ThreeKindsOfState::from_bytes(&bytes),
+                decoded(&bytes),
                 Err(CdrError::InvalidEnumDiscriminant {
                     got: u32::from(other),
                     count: 2
@@ -406,7 +410,7 @@ mod tests {
             );
         }
         bytes[direction] = 0;
-        let flipped = ThreeKindsOfState::from_bytes(&bytes).unwrap();
+        let flipped = decoded(&bytes).unwrap();
         assert_eq!(
             flipped.infrastructure.dedup_horizons[1].1,
             Direction::Request
@@ -417,7 +421,7 @@ mod tests {
     fn truncated_input_fails_cleanly() {
         let bytes = sample().to_bytes();
         for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(ThreeKindsOfState::from_bytes(&bytes[..cut]).is_err());
+            assert!(decoded(&bytes[..cut]).is_err());
         }
     }
 

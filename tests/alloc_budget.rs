@@ -11,10 +11,12 @@
 //! bytes they ask for per reply once the stream is warm. A third shape
 //! is a third workload's, `recovery_350kb`: a replica killed and
 //! recovered by a state transfer, and the bytes asked for in between
-//! counted in states' worth. The counts are exact and repeat: the
-//! simulation is deterministic and nothing else allocates on the
-//! measuring thread. A last case holds the metrics registry to its
-//! rule that a name is copied only when its metric is created.
+//! counted in states' worth. A fourth is `passive_failover`'s: a
+//! warm-passive group checkpointed again and again, the bytes asked for
+//! counted in states' worth per checkpoint. The counts are exact and
+//! repeat: the simulation is deterministic and nothing else allocates
+//! on the measuring thread. A last case holds the metrics registry to
+//! its rule that a name is copied only when its metric is created.
 
 use eternal::app::{
     AppInvocation, BlobServant, ClientApp, CounterServant, KvStoreServant, StreamingClient,
@@ -270,6 +272,53 @@ fn a_state_transfer_asks_for_its_states_worth_within_budget() {
     println!("{states:.2} states' worth of bytes asked for");
     let what = "states' worth of bytes asked for by a recovery";
     assert_within_budget("state transfer", states, TRANSFER_STATES, what);
+}
+
+/// Bytes asked for per checkpoint on the checkpoint shape, in states'
+/// worth: 7.23. It was 15.11 before P10, which keeps a checkpoint's
+/// application state only at the two hosts that log it (not at all four
+/// processors), logs it as received instead of decoding a copy and
+/// re-encoding it, and lends it to the warm backup's `set_state`
+/// (docs/RECOVERY.md, "Copies of a checkpoint"). Of the 7.23, 2.2 are
+/// the two kept bodies; the rest is the primary's capture and frames
+/// (≈ 4, its `Any` encoding growing by half a state) and the warm
+/// backup's `set_state` decoding its `Any` (≈ 1).
+const CHECKPOINT_STATES: f64 = 7.23;
+
+/// Checkpoints the checkpoint shape takes before counting starts, and
+/// counts.
+const CHECKPOINTS: (u64, u64) = (4, 32);
+
+/// A warm-passive(2) group of `BlobServant`s on four processors,
+/// checkpointed every 10 ms while streaming `touch`es four at a time.
+/// Counts what is asked for over [`CHECKPOINTS`]' second number of
+/// checkpoints, once the first number are logged.
+#[test]
+fn a_checkpoint_asks_for_its_states_worth_within_budget() {
+    let mut cluster = Cluster::new(ClusterConfig::default(), 42);
+    let props = FaultToleranceProperties::warm_passive(2)
+        .with_checkpoint_interval(Duration::from_millis(10));
+    let server = cluster.deploy_server("server", props, || {
+        Box::new(BlobServant::with_size(STATE_BYTES))
+    });
+    cluster.deploy_client("driver", FaultToleranceProperties::active(1), move |_| {
+        Box::new(StreamingClient::new(server, "touch", 4))
+    });
+    cluster.run_until_deployed();
+    let primary = cluster.hosting(server)[0];
+    let taken = |cluster: &Cluster| cluster.mechanisms(primary).checkpoints_taken(server);
+    let (warm_up, counted) = CHECKPOINTS;
+    while taken(&cluster) < warm_up {
+        assert!(cluster.step(), "the stream ran dry");
+    }
+    let before = BYTES.get();
+    while taken(&cluster) < warm_up + counted {
+        assert!(cluster.step(), "the stream ran dry");
+    }
+    let states = (BYTES.get() - before) as f64 / STATE_BYTES as f64 / counted as f64;
+    println!("{states:.2} states' worth of bytes asked for per checkpoint");
+    let what = "states' worth of bytes asked for per checkpoint";
+    assert_within_budget("checkpoint", states, CHECKPOINT_STATES, what);
 }
 
 /// A metric's name is copied into its key once, when the metric is

@@ -8,9 +8,10 @@
 //! bytes with the same error and yield the same fields, none panics,
 //! a partial message holds exactly the bytes received, and
 //! [`EternalReassembler::push_view`] and [`EternalReassembler::push`]
-//! agree on the same fragments. A reassembler [`EternalReassembler::at`]
-//! a processor reaches every verdict and gauge of one that keeps every
-//! body, though it keeps none of a state chunk bound elsewhere.
+//! agree on the same fragments. A reassembler at a processor reaches
+//! every verdict and gauge of one that keeps every body, though it keeps
+//! none of a state chunk bound elsewhere or of a checkpoint it does not
+//! log.
 //! [`EternalMessage::fragments`] writes the bytes [`fragment_eternal`]
 //! cuts from [`EternalMessage::to_bytes`].
 //! Random cases come from the deterministic `eternal-sim` RNG (fixed
@@ -154,27 +155,53 @@ fn rand_message(rng: &mut SimRng) -> EternalMessage {
     }
 }
 
-/// The bulk body of the two variants that have one.
+/// The bulk body of the three variants that have one.
+fn body_mut(message: &mut EternalMessage) -> Option<&mut Vec<u8>> {
+    match message {
+        EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => {
+            Some(bytes)
+        }
+        EternalMessage::StateAssignment { state, .. } => Some(&mut state.application),
+        _ => None,
+    }
+}
+
 fn body_of(message: &EternalMessage) -> &[u8] {
     match message {
         EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => bytes,
+        EternalMessage::StateAssignment { state, .. } => &state.application,
         _ => &[],
     }
 }
 
-/// The processor the [`EternalReassembler::at`] reassemblers run at:
-/// one in four generated state chunks is bound for it.
+/// The processor whose keep rule [`keeps_at`] is: one in four generated
+/// state chunks is bound for it, and it logs one in two checkpoints.
 const AT: NodeId = NodeId(1);
 
-/// What a reassembler at [`AT`] delivers of `message`, the partial
-/// whose last fragment completed it having decoded `head` from its
-/// first: a state chunk bound for another processor comes without its
-/// body.
-fn as_delivered_at(mut message: EternalMessage, head: Option<&EternalMessage>) -> EternalMessage {
-    let elsewhere =
-        matches!(head, Some(EternalMessage::StateChunk { new_host, .. }) if *new_host != AT);
-    if let (EternalMessage::StateChunk { bytes, .. }, true) = (&mut message, elsewhere) {
-        bytes.clear();
+/// Whether [`AT`] keeps the body of a message with this head.
+fn keeps_at(head: &EternalMessage) -> bool {
+    match head {
+        EternalMessage::StateChunk { new_host, .. } => *new_host == AT,
+        EternalMessage::StateAssignment { transfer, .. } => transfer.0 % 2 == 0,
+        _ => true,
+    }
+}
+
+/// `frag` pushed into a reassembler at [`AT`]; `kept` notes what the
+/// keep rule said, when it was asked.
+fn push_at<'a>(
+    at: &mut EternalReassembler,
+    frag: &'a [u8],
+    kept: &mut Option<bool>,
+) -> Result<Option<Delivered<'a>>, CdrError> {
+    at.push_view(frag, |head| *kept.insert(keeps_at(head)))
+}
+
+/// What a reassembler at [`AT`] delivers of `message` when the keep rule
+/// said `kept` of it: a body not kept comes empty.
+fn as_delivered_at(mut message: EternalMessage, kept: Option<bool>) -> EternalMessage {
+    if let (Some(body), Some(false)) = (body_mut(&mut message), kept) {
+        body.clear();
     }
     message
 }
@@ -183,15 +210,19 @@ fn as_delivered_at(mut message: EternalMessage, head: Option<&EternalMessage>) -
 /// completes. Before it, the partial holds exactly the chunk bytes
 /// received, whether it has decoded a head or not. A reassembler at
 /// [`AT`] counts as many bytes at every push and reaches the same
-/// verdict, though it keeps no body of a chunk bound elsewhere.
+/// verdict, though it keeps no body it does not want; it is asked
+/// whether it does once, and only of a message in several fragments.
 fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
     let mut reassembler = EternalReassembler::new();
-    let mut at = EternalReassembler::at(AT);
+    let mut at = EternalReassembler::new();
+    let mut kept = None;
     let (last, rest) = frags.split_last().expect("one fragment at least");
     let mut received = 0;
     for frag in rest {
-        assert!(matches!(reassembler.push_view(frag), Ok(None)));
-        assert!(matches!(at.push_view(frag), Ok(None)));
+        assert!(matches!(reassembler.push_view(frag, |_| true), Ok(None)));
+        let asked = kept.is_some();
+        assert!(matches!(push_at(&mut at, frag, &mut kept), Ok(None)));
+        assert!(!asked || kept.is_some(), "asked twice");
         received += frag.len() - FRAGMENT_OVERHEAD;
         assert_eq!(reassembler.pending_bytes(), received, "mid-message");
         assert_eq!(at.pending_bytes(), received, "mid-message, at {AT}");
@@ -205,18 +236,28 @@ fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
         partial_head.as_ref()
     );
     let done = reassembler
-        .push_view(last)
+        .push_view(last, |_| true)
         .map(|done| done.expect("the last fragment completes the message"));
-    let at_done = at.push_view(last).map(|done| {
+    let mut at_kept = kept;
+    let at_done = push_at(&mut at, last, &mut at_kept).map(|done| {
         let done = done.expect("the last fragment completes the message");
         assert!(body_of(&done.head).is_empty());
-        as_delivered_at(done.into_message(), partial_head.as_ref())
+        as_delivered_at(done.into_message(), kept)
     });
+    assert_eq!(at_kept, kept, "asked at the last fragment");
+    if rest.is_empty() {
+        assert_eq!(kept, None, "asked of a message in one fragment");
+    } else if partial_head.is_some() {
+        assert!(
+            kept.is_some(),
+            "not asked of a head the first fragment held"
+        );
+    }
     match (&done, at_done) {
         (Ok(done), Ok(at_done)) => {
             let (head, body) = (done.head.clone(), done.body.clone());
             let whole = Delivered { head, body }.into_message();
-            assert_eq!(as_delivered_at(whole, partial_head.as_ref()), at_done);
+            assert_eq!(as_delivered_at(whole, kept), at_done);
         }
         (Err(error), Err(at_error)) => assert_eq!(error, &at_error),
         (done, at_done) => panic!("at {AT} the verdict differs: {done:?} / {at_done:?}"),
@@ -407,7 +448,7 @@ fn no_decode_panics_on_garbage() {
 fn push_and_push_view_agree_fragment_by_fragment() {
     let mut rng = SimRng::seed_from_u64(0xE7E2_0106);
     let (mut owned, mut viewed) = (EternalReassembler::new(), EternalReassembler::new());
-    let mut at = EternalReassembler::at(AT);
+    let mut at = EternalReassembler::new();
     let (mut completed, mut refused) = (0, 0);
     for case in 0..512u64 {
         let message = rand_message(&mut rng);
@@ -417,6 +458,7 @@ fn push_and_push_view_agree_fragment_by_fragment() {
         let damage = rng
             .chance(0.3)
             .then(|| rng.gen_range(frags.len() as u64) as usize);
+        let mut kept = None;
         for (i, frag) in frags.iter().enumerate() {
             let mut frag = frag.to_vec();
             if damage == Some(i) {
@@ -426,19 +468,16 @@ fn push_and_push_view_agree_fragment_by_fragment() {
             let head = owned.partial_head(NodeId(2), case).cloned();
             assert_eq!(at.partial_head(NodeId(2), case), head.as_ref());
             let by_view = viewed
-                .push_view(&frag)
+                .push_view(&frag, |_| true)
                 .map(|d| d.map(Delivered::into_message));
             assert_eq!(owned.push(&frag), by_view, "case {case} fragment {i}");
             assert_eq!(owned.pending(), viewed.pending());
             assert_eq!(owned.pending_bytes(), viewed.pending_bytes());
+            let by_at = push_at(&mut at, &frag, &mut kept).map(|d| d.map(Delivered::into_message));
             let at_verdict = by_view
                 .clone()
-                .map(|done| done.map(|done| as_delivered_at(done, head.as_ref())));
-            assert_eq!(
-                at.push(&frag),
-                at_verdict,
-                "case {case} fragment {i} at {AT}"
-            );
+                .map(|done| done.map(|done| as_delivered_at(done, kept)));
+            assert_eq!(by_at, at_verdict, "case {case} fragment {i} at {AT}");
             assert_eq!(at.pending(), owned.pending());
             assert_eq!(at.pending_bytes(), owned.pending_bytes());
             match by_view {
@@ -454,7 +493,7 @@ fn push_and_push_view_agree_fragment_by_fragment() {
         // origin and presized on the word of a damaged total.
         if damage.is_some() {
             (owned, viewed) = (EternalReassembler::new(), EternalReassembler::new());
-            at = EternalReassembler::at(AT);
+            at = EternalReassembler::new();
         }
     }
     assert!(completed > 200 && refused > 20, "{completed} / {refused}");
