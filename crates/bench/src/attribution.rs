@@ -140,12 +140,11 @@ pub const TOP_K: usize = 10;
 /// replica kill so a recovering replica's holding queue sees traffic.
 pub fn attribution_run(seed: u64) -> AttributionRun {
     let config = ClusterConfig {
-        causal: true,
+        trace: true,
         // Large enough that no span of this workload is evicted: an
         // evicted parent would surface as an incomplete chain and
         // understate the report.
         causal_capacity: 1 << 18,
-        trace: false,
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::new(config, seed);

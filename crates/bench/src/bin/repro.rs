@@ -366,7 +366,7 @@ fn chaos(args: &Args) -> Result<Outcome, String> {
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.steps = args.num("--steps", cfg.steps as u64) as usize;
     cfg.force_violation = args.has("--force-violation");
-    cfg.topology.cluster.causal = cfg.force_violation || args.has("--causal");
+    cfg.topology.cluster.trace = cfg.force_violation || args.has("--causal");
     let summary = run_campaign(&cfg);
     Ok(Outcome {
         stdout: format!("{summary}\n"),
@@ -486,29 +486,18 @@ fn attribution_cmd(args: &Args) -> Result<Outcome, String> {
 /// phase; `--json` also writes the breakdown.
 fn timeline(_: &Args) -> Result<Outcome, String> {
     let mut timelines = Vec::new();
-    let mut dropped_events = 0u64;
     for &size in &[1_000usize, 10_000, 100_000, 300_000] {
-        let run = fig6_timeline(size, 42);
-        timelines.extend(run.timelines);
-        dropped_events += run.dropped_events;
-    }
-    let mut stderr = String::new();
-    if dropped_events > 0 {
-        stderr = format!(
-            "timeline: WARNING {dropped_events} trace event(s) were evicted from the \
-             ring — the breakdown reflects a truncated history\n"
-        );
+        timelines.extend(fig6_timeline(size, 42).timelines);
     }
     Ok(Outcome {
         stdout: format!(
             "== Figure 6 breakdown: where recovery time goes, per §5.1 phase ==\n   \
-             (same scenario as fig6, observability on; phases tile the episode)\n\
+             (same scenario as fig6; phases tile the episode)\n\
              {}   (transfer dominates as state grows — fragmentation over the ring;\n    \
              quiesce + get_state are the state-size-independent floor)\n\n",
             render_breakdown_table(&timelines)
         ),
-        stderr,
-        artefact: render_breakdown_json(&timelines, dropped_events),
+        artefact: render_breakdown_json(&timelines),
         passed: true,
         ..Outcome::default()
     })

@@ -6,14 +6,14 @@
 //!
 //! ```text
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "seed": …, "period_ns": …, "fault": "none" | <kind>,
 //!   "injected_at_ns": -1 | …, "final_time_ns": …,
 //!   "epochs":    [ {epoch, at_ns, snap{…}} … ],   // the agreed stream
 //!   "nodes":     [ {node, snapshots, max_…} … ],  // per-replica roll-ups
 //!   "diagnoses": [ {epoch, at_ns, detector, severity, …} … ],
 //!   "counts": {"epochs": …, "diagnoses": …, "warning": …, "critical": …,
-//!              "trace_dropped_events": …, "causal_dropped_events": …}
+//!              "causal_dropped_events": …}
 //! }
 //! ```
 //!
@@ -73,15 +73,12 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
     };
 
     let epochs = auditor.epochs();
-    // Truncated-observability accounting: overflow of the structured
-    // trace ring and the causal recorder during this run (both 0 on the
-    // default lab config, which records neither — the keys exist so a
-    // traced rerun can never silently hide eviction).
-    let trace_dropped = run.cluster.trace().dropped_events();
+    // Truncated-observability accounting: the lab traces, and spans its
+    // causal recorder evicted must not go unseen.
     let causal_dropped = run.cluster.causal().dropped();
     let mut w = JsonWriter::default();
     w.object(Layout::Block)
-        .field("schema", 2)
+        .field("schema", 3)
         .field("seed", seed)
         .field("period_ns", auditor.period_ns())
         .field_str("fault", fault.map_or("none", FaultKind::name))
@@ -114,7 +111,6 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
         .field("diagnoses", diagnoses.len())
         .field("warning", warning)
         .field("critical", critical)
-        .field("trace_dropped_events", trace_dropped)
         .field("causal_dropped_events", causal_dropped)
         .end()
         .field("passed", passed)
@@ -127,12 +123,11 @@ pub fn health_run(seed: u64, fault: Option<FaultKind>) -> HealthRun {
         diagnoses.len(),
         if passed { "PASS" } else { "FAIL" }
     );
-    if trace_dropped + causal_dropped > 0 {
+    if causal_dropped > 0 {
         let _ = write!(
             summary,
-            "\nhealth: WARNING {} event(s) were evicted from observability rings \
-             during this run",
-            trace_dropped + causal_dropped
+            "\nhealth: WARNING {causal_dropped} span(s) were evicted from the causal \
+             recorder during this run"
         );
     }
 

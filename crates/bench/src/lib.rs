@@ -32,7 +32,7 @@ use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::gid::GroupId;
 use eternal::properties::{FaultToleranceProperties, ReplicationStyle};
-use eternal_obs::{EventKind, RecoveryTimeline};
+use eternal_obs::RecoveryTimeline;
 use eternal_orb::{ClientConnection, ObjectKey, Orb, ServerConnection};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::{Duration, Scheduler, SimTime};
@@ -54,11 +54,11 @@ pub struct Fig6Point {
 /// client streaming two-way invocations at a 2-way actively replicated
 /// server; one replica killed and re-launched; recovery time measured.
 pub fn fig6_point(state_bytes: usize, seed: u64) -> Fig6Point {
-    fig6_run(state_bytes, seed, false).point
+    fig6_timeline(state_bytes, seed).point
 }
 
-/// A [`fig6_point`] run with observability on: the same recovery
-/// scenario, plus the phase-resolved timeline of each episode.
+/// A [`fig6_point`] run: the measurement, plus the phase-resolved
+/// timeline of each episode.
 #[derive(Debug, Clone)]
 pub struct TimelineRun {
     /// The Figure 6 measurement itself.
@@ -66,26 +66,12 @@ pub struct TimelineRun {
     /// Phase breakdown (quiesce → get_state → transfer → set_state →
     /// replay) of every completed recovery episode.
     pub timelines: Vec<RecoveryTimeline>,
-    /// Structured-trace ring overflow: events evicted before the
-    /// breakdown was computed (nonzero = truncated observability).
-    pub dropped_events: u64,
 }
 
-/// Runs the Figure 6 scenario for one state size with tracing enabled
-/// and returns the per-phase recovery breakdown.
+/// Runs the one Figure 6 scenario for one state size and returns the
+/// measurement with its per-phase recovery breakdown.
 pub fn fig6_timeline(state_bytes: usize, seed: u64) -> TimelineRun {
-    fig6_run(state_bytes, seed, true)
-}
-
-/// The one Figure 6 scenario. Every run records its recovery
-/// timelines; `trace` only decides whether the structured trace, whose
-/// overflow count the timeline export reports, is recorded too.
-fn fig6_run(state_bytes: usize, seed: u64, trace: bool) -> TimelineRun {
-    let config = ClusterConfig {
-        trace,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(config, seed);
+    let mut cluster = Cluster::new(ClusterConfig::default(), seed);
     let server = cluster.deploy_server("blob", FaultToleranceProperties::active(2), move || {
         Box::new(BlobServant::with_size(state_bytes))
     });
@@ -109,7 +95,6 @@ fn fig6_run(state_bytes: usize, seed: u64, trace: bool) -> TimelineRun {
             frames: cluster.net().frames_sent(),
         },
         timelines: cluster.recovery_timelines().to_vec(),
-        dropped_events: cluster.trace().dropped_events(),
     }
 }
 
@@ -139,7 +124,6 @@ pub fn overhead_point(exec_time: Duration, seed: u64) -> OverheadPoint {
     // Replicated path.
     let mut config = ClusterConfig::default();
     config.mech.exec_time = exec_time;
-    config.trace = false;
     let mut cluster = Cluster::new(config, seed);
     let server = cluster.deploy_server("counter", FaultToleranceProperties::active(2), || {
         Box::new(CounterServant::default())
@@ -256,11 +240,7 @@ pub struct StyleRun {
 
 /// Runs the T2 scenario for one replication style.
 pub fn style_run(style: ReplicationStyle, seed: u64) -> StyleRun {
-    let config = ClusterConfig {
-        trace: true, // needed to find reply times around the kill
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(config, seed);
+    let mut cluster = Cluster::new(ClusterConfig::default(), seed);
     let props = match style {
         ReplicationStyle::Active => FaultToleranceProperties::active(2),
         ReplicationStyle::WarmPassive => FaultToleranceProperties::warm_passive(2)
@@ -293,11 +273,7 @@ pub fn style_run(style: ReplicationStyle, seed: u64) -> StyleRun {
     let m = cluster.metrics();
     let restored_at = match style {
         ReplicationStyle::Active => m.recoveries.first().map(|r| r.operational_at),
-        _ => cluster
-            .trace()
-            .of(EventKind::PromotionComplete)
-            .next()
-            .map(|e| e.at),
+        _ => m.promoted.first().map(|p| p.ready_at),
     };
     let redundancy_restored = restored_at
         .map(|t| t.saturating_since(kill_time))
@@ -345,11 +321,7 @@ pub struct CheckpointSweepPoint {
 
 /// Runs the A3 scenario for one checkpoint interval (warm passive).
 pub fn checkpoint_sweep_point(interval: Duration, seed: u64) -> CheckpointSweepPoint {
-    let config = ClusterConfig {
-        trace: true,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(config, seed);
+    let mut cluster = Cluster::new(ClusterConfig::default(), seed);
     let server = cluster.deploy_server(
         "blob",
         FaultToleranceProperties::warm_passive(2)
@@ -385,14 +357,7 @@ pub fn checkpoint_sweep_point(interval: Duration, seed: u64) -> CheckpointSweepP
     cluster.kill_replica(server, primary);
     cluster.run_for(Duration::from_millis(500));
 
-    // Pull the replay count from the promotion trace record.
-    let replayed = cluster
-        .trace()
-        .of(EventKind::PromotionComplete)
-        .last()
-        .and_then(|e| e.detail.split("replayed=").nth(1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
+    let replayed = cluster.metrics().promoted.last().map_or(0, |p| p.replayed);
     CheckpointSweepPoint {
         interval,
         checkpoints,
@@ -448,7 +413,6 @@ pub struct ReplicaCountPoint {
 pub fn replica_count_point(replicas: usize, seed: u64) -> ReplicaCountPoint {
     let config = ClusterConfig {
         processors: (replicas as u32 + 2).max(4),
-        trace: false,
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::new(config, seed);
@@ -497,13 +461,12 @@ pub struct TraceRun {
 }
 
 /// Runs the causal-tracing scenario: a 3-way actively replicated
-/// counter and a streaming client with [`ClusterConfig::causal`] on, so
+/// counter and a streaming client with [`ClusterConfig::trace`] on, so
 /// every invocation is traced from client marshal through Totem
 /// delivery on all three replicas to the reply match.
 pub fn trace_run(seed: u64) -> TraceRun {
     let config = ClusterConfig {
-        causal: true,
-        trace: false,
+        trace: true,
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::new(config, seed);
@@ -550,7 +513,6 @@ pub struct AblationRun {
 pub fn ablation_run(transfer_orb_state: bool, recover_client: bool, seed: u64) -> AblationRun {
     let mut config = ClusterConfig::default();
     config.mech.transfer_orb_state = transfer_orb_state;
-    config.trace = false;
     let mut cluster = Cluster::new(config, seed);
     let server = cluster.deploy_server("counter", FaultToleranceProperties::active(2), || {
         Box::new(CounterServant::default())

@@ -112,12 +112,11 @@ fn throughput_run(
     budget: usize,
     limit: u64,
     seed: u64,
-    causal: bool,
+    trace: bool,
     health_period: Duration,
 ) -> ThroughputRun {
     let mut config = ClusterConfig {
-        trace: false,
-        causal,
+        trace,
         health_period,
         ..ClusterConfig::default()
     };
@@ -204,11 +203,7 @@ struct ChunkedRecoveryRun {
 /// traffic, and drains everything: replies, converged state, and the
 /// episode's blocking window are then comparable across state sizes.
 fn chunked_recovery_run(state_bytes: usize, limit: u64, seed: u64) -> ChunkedRecoveryRun {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(config, seed);
+    let mut cluster = Cluster::new(ClusterConfig::default(), seed);
     let server = cluster.deploy_server("blob", FaultToleranceProperties::active(2), move || {
         Box::new(BlobServant::with_size(state_bytes))
     });

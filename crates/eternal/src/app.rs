@@ -558,13 +558,11 @@ mod tests {
         assert_eq!(b2.blob, b.blob);
         assert_eq!(b2.touches, 2);
         // Marshalled size tracks the configured blob size.
-        let small = CheckpointableServant::get_state(&BlobServant::with_size(10))
-            .unwrap()
-            .encoded_len();
-        let large = CheckpointableServant::get_state(&BlobServant::with_size(10_000))
-            .unwrap()
-            .encoded_len();
-        assert!(large > small + 9_000);
+        let len = |b: BlobServant| {
+            let state = CheckpointableServant::get_state(&b).unwrap();
+            state.to_bytes().unwrap().len()
+        };
+        assert!(len(BlobServant::with_size(10_000)) > len(BlobServant::with_size(10)) + 9_000);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::gid::GroupId;
 use crate::oracle::{OraclePair, ServantKind};
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::export::{JsonWriter, Layout};
-use eternal_obs::EventKind;
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::net::NodeId;
@@ -157,14 +156,13 @@ impl Topology {
     }
 
     /// The explorer's: three processors, a two-way active counter
-    /// driven by one client replica; no trace is recorded.
+    /// driven by one client replica.
     pub fn counter() -> Self {
         let active = FaultToleranceProperties::active;
         Topology {
             name: "explore",
             cluster: ClusterConfig {
                 processors: 3,
-                trace: false,
                 ..ClusterConfig::default()
             },
             servers: vec![("counter", active(2), ServantKind::Counter)],
@@ -224,7 +222,7 @@ pub struct CampaignConfig {
     pub steps: usize,
     /// What the campaign deploys. Its `cluster` carries every
     /// cluster-level option, such as Totem's batching budget or causal
-    /// tracing (`cluster.causal`: a violating run then carries the
+    /// tracing (`cluster.trace`: a violating run then carries the
     /// flight-recorder dump of the last spans before the violation).
     pub topology: Topology,
     /// Plant a synthetic exactly-once bug: a run that dropped a frame
@@ -418,14 +416,8 @@ pub(crate) fn fault_step(
     cluster: &mut Cluster,
     source: &RefCell<dyn ChoiceSource>,
     target: GroupId,
-    step: usize,
 ) -> Option<FaultKind> {
     let kind = pick_fault(cluster, source, target)?;
-    cluster.record_event(
-        "chaos/campaign",
-        EventKind::ChaosFault,
-        format!("step {step} {}", kind.name()),
-    );
     let param = |arity: usize| source.borrow_mut().choose(ChoiceKind::Param, arity);
     let ms = |base: u64, arity: usize| Duration::from_millis(base + param(arity) as u64);
     let us = |base: u64, arity: usize| Duration::from_micros(base + param(arity) as u64);

@@ -14,7 +14,7 @@ use crate::gid::{GroupId, TransferId};
 use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose};
 use crate::properties::ReplicationStyle;
 use eternal_obs::timeline::PhaseSpan;
-use eternal_obs::{EventKind, RecoveryPhase, RecoveryTimeline};
+use eternal_obs::{RecoveryPhase, RecoveryTimeline};
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
@@ -54,7 +54,7 @@ struct EpisodeObs {
     enqueue_at: Option<SimTime>,
     /// The transfer's closing suffix was delivered at the recovering
     /// replica: the set_state instant.
-    assignment_at: Option<SimTime>,
+    suffix_at: Option<SimTime>,
 }
 
 impl EpisodeObs {
@@ -66,7 +66,7 @@ impl EpisodeObs {
         let t0 = launched_at;
         let cb = clamp(self.capture_begin.unwrap_or(t0), t0);
         let snd = clamp(self.send_at.unwrap_or(cb), cb);
-        let ta = clamp(self.assignment_at.unwrap_or(operational_at), snd);
+        let ta = clamp(self.suffix_at.unwrap_or(operational_at), snd);
         let bounds = [t0, cb, snd, ta, ta, operational_at];
         RecoveryPhase::ALL
             .iter()
@@ -111,11 +111,6 @@ impl Cluster {
         self.abort_recovery_at(node, Some(group));
         let outs = self.procs[node.0 as usize].mech.kill_local_replica(group);
         let now = self.now();
-        self.record_event(
-            format!("{node}/cluster"),
-            EventKind::ReplicaKilled,
-            format!("{group}"),
-        );
         self.process_outs(node, outs, now, monitor);
     }
 
@@ -143,11 +138,6 @@ impl Cluster {
             .expect("known group")
             .hosting
             .insert(node);
-        self.record_event(
-            format!("{node}/cluster"),
-            EventKind::ReplicaLaunched,
-            format!("{group}"),
-        );
         let outs = self.procs[node.0 as usize]
             .mech
             .launch_recovering_replica(group);
@@ -172,7 +162,6 @@ impl Cluster {
         proc.backpressure = Default::default();
         // So did what it had packed and not yet sent.
         proc.unsent.clear();
-        self.record_event(format!("{node}/cluster"), EventKind::ProcessorCrashed, "");
     }
 
     /// Drops the launches whose recovering replica lived on `node`
@@ -204,7 +193,6 @@ impl Cluster {
         proc.mech = mech;
         proc.reasm = EternalReassembler::new();
         let now = self.now();
-        self.record_event(format!("{node}/cluster"), EventKind::ProcessorRestarted, "");
         self.apply_totem_actions(node);
         // The replicas of the previous incarnation died with its
         // process, but a fast restart can rejoin the ring before
@@ -278,7 +266,7 @@ impl Cluster {
     /// message, membership change — from double-launching), chooses a
     /// host and launches a replica there. The candidates are the
     /// `members` of a new configuration or, on the fault path (`None`),
-    /// the live processors, the lowest of which acts as the manager.
+    /// the live processors.
     ///
     /// Called from both resource-manager paths, and again whenever a
     /// launch ends: a replica fault delivered *during* a launch (e.g.
@@ -296,11 +284,11 @@ impl Cluster {
             return;
         }
         let live: Vec<NodeId>;
-        let (alive, manager) = match members {
-            Some(members) => (members, None),
+        let alive = match members {
+            Some(members) => members,
             None => {
                 live = self.ring.live().collect();
-                (&live[..], live.first())
+                &live[..]
             }
         };
         let hosting: Vec<NodeId> = info.hosting.iter().copied().collect();
@@ -308,12 +296,6 @@ impl Cluster {
             .res_mgr
             .choose_replacement(&info.hosts, &hosting, alive)
         {
-            let source = match manager {
-                Some(rm_node) => format!("{rm_node}/resource-manager"),
-                None => "cluster/resource-manager".to_string(),
-            };
-            let choice = format!("{group} -> {replacement}");
-            self.record_event(source, EventKind::ReplacementChosen, choice);
             self.launch_replica(group, replacement);
         }
     }
@@ -357,11 +339,6 @@ impl Cluster {
         }
         let mut old_replicas: Vec<NodeId> = self.groups[&group].hosting.iter().copied().collect();
         old_replicas.reverse(); // pop() upgrades in host order
-        self.record_event(
-            "cluster/evolution-manager",
-            EventKind::UpgradeBegin,
-            format!("{group} replicas={old_replicas:?}"),
-        );
         self.upgrades.insert(group, old_replicas);
         self.upgrade_step(group);
     }
@@ -377,11 +354,6 @@ impl Cluster {
         };
         let Some(victim) = queue.pop() else {
             self.upgrades.remove(&group);
-            self.record_event(
-                "cluster/evolution-manager",
-                EventKind::UpgradeComplete,
-                format!("{group}"),
-            );
             return;
         };
         // Kill the old-version replica; the resource manager launches a
@@ -478,7 +450,7 @@ impl Cluster {
             }
             EternalMessage::StateSuffix { .. } => {
                 if let Some(ep) = launch.episodes.get_mut(&transfer) {
-                    ep.assignment_at.get_or_insert(now);
+                    ep.suffix_at.get_or_insert(now);
                 }
             }
             _ => {}
@@ -518,7 +490,7 @@ impl Cluster {
             // aborted transfer can have left an earlier one beside it.
             let completed = episodes
                 .into_iter()
-                .max_by_key(|(transfer, ep)| (ep.assignment_at.is_some(), *transfer))
+                .max_by_key(|(transfer, ep)| (ep.suffix_at.is_some(), *transfer))
                 .map(|(_, ep)| ep)
                 .unwrap_or_default();
             self.metrics.recoveries.push(RecoveryTimeline {
@@ -530,10 +502,5 @@ impl Cluster {
                 phases: completed.phases(t0, now),
             });
         }
-        self.record_event(
-            format!("{node}/recovery"),
-            EventKind::RecoveryComplete,
-            format!("{group} {app_state_bytes}B"),
-        );
     }
 }

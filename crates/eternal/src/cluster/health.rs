@@ -6,7 +6,6 @@ use super::Cluster;
 use crate::gid::GroupId;
 use crate::message::EternalMessage;
 use eternal_obs::health::{HealthAuditor, HealthSnapshot};
-use eternal_obs::EventKind;
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
 use eternal_totem::node::Phase;
@@ -113,11 +112,6 @@ impl Cluster {
             digest_epoch: proc.health_digest_epoch,
             digests: mech.health_digests().to_vec(),
         });
-        self.record_event(
-            format!("{node}/health"),
-            EventKind::HealthSnapshot,
-            format!("seq#{seq}"),
-        );
         self.registry.counter_add("health.snapshots_published", 1);
         self.do_multicast(node, EternalMessage::Health { snap }, now);
     }
@@ -154,11 +148,6 @@ impl Cluster {
                         .counter_add(&format!("health.diagnoses.{}", d.severity.name()), 1);
                     self.registry
                         .counter_add(&format!("health.detector.{}", d.detector.name()), 1);
-                    self.record_event(
-                        "cluster/health-auditor",
-                        EventKind::HealthDiagnosis,
-                        d.to_string(),
-                    );
                 }
                 e
             }

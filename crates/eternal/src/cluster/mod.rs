@@ -26,15 +26,14 @@ use crate::gid::{ConnectionName, Direction, GroupId};
 use crate::manager::{ReplicationManager, ResourceManager};
 use crate::mechanisms::{GroupKind, GroupMeta, MechConfig, Mechanisms, Out};
 use crate::message::{EternalMessage, EternalReassembler, RetrievalPurpose, WireFragment};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Promotion};
 use crate::properties::{FaultToleranceProperties, ReplicationStyle};
 use eternal_obs::causal::{CausalRecorder, Hop, OrderPos};
 use eternal_obs::health::{AuditorConfig, HealthAuditor, HealthSnapshot};
-use eternal_obs::{EventKind, MetricsRegistry};
+use eternal_obs::MetricsRegistry;
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NodeId};
-use eternal_sim::trace::Trace;
 use eternal_sim::Bytes;
 use eternal_sim::{Duration, SimTime};
 use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery};
@@ -60,16 +59,13 @@ pub struct ClusterConfig {
     /// Whether the resource manager automatically restores the replica
     /// count after faults.
     pub auto_recover: bool,
-    /// Record a structured trace (disable for benchmarks), of at most
-    /// [`eternal_obs::trace::DEFAULT_CAPACITY`] events (drop-oldest
-    /// beyond it).
-    pub trace: bool,
     /// Record end-to-end causal spans (marshal → pack → total-order
-    /// delivery → dispatch/recovery hops). Every link is derived from
-    /// what each layer already sees and nothing goes on the wire, so a
-    /// traced run is the untraced run, frame for frame (see
-    /// `docs/TRACING.md`). Off by default: recording costs host time.
-    pub causal: bool,
+    /// delivery → dispatch/recovery hops) and each ORB's event log and
+    /// counters. Every link is derived from what each layer already
+    /// sees and nothing goes on the wire, so a traced run is the
+    /// untraced run, frame for frame (see `docs/TRACING.md`). Off by
+    /// default: recording costs host time.
+    pub trace: bool,
     /// Ring-buffer capacity of the causal recorder (drop-oldest beyond
     /// it — the flight-recorder bound).
     pub causal_capacity: usize,
@@ -92,8 +88,7 @@ impl Default for ClusterConfig {
             totem: TotemConfig::default(),
             mech: MechConfig::default(),
             auto_recover: true,
-            trace: true,
-            causal: false,
+            trace: false,
             causal_capacity: eternal_obs::causal::DEFAULT_CAUSAL_CAPACITY,
             health_period: Duration::ZERO,
             health_auditor: AuditorConfig::default(),
@@ -252,7 +247,6 @@ pub struct Cluster {
     /// running the old implementation.
     upgrades: BTreeMap<GroupId, Vec<NodeId>>,
     metrics: Metrics,
-    trace: Trace,
     /// End-to-end causal span recorder (cluster-global, so the
     /// total-order check can compare deliveries of the same fragment on
     /// different nodes).
@@ -299,12 +293,7 @@ impl Cluster {
             launches: BTreeMap::new(),
             upgrades: BTreeMap::new(),
             metrics: Metrics::default(),
-            trace: if config.trace {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
-            causal: if config.causal {
+            causal: if config.trace {
                 CausalRecorder::new(config.causal_capacity)
             } else {
                 CausalRecorder::disabled()
@@ -769,21 +758,10 @@ impl Cluster {
                         self.outs = outs;
                     }
                     Ok(None) => {}
-                    Err(e) => {
-                        self.record_event(
-                            format!("{node}/reasm"),
-                            EventKind::ReassemblyError,
-                            e.to_string(),
-                        );
-                    }
+                    Err(_) => self.registry.counter_add("eternal.reassembly_errors", 1),
                 }
             }
             TotemDelivery::ConfigChange { members, .. } => {
-                self.record_event(
-                    format!("{node}/totem"),
-                    EventKind::ConfigChange,
-                    format!("{members:?}"),
-                );
                 // Departed processors will never complete their partial
                 // messages, and may rewind their msg_id counters on
                 // restart; evict their reassembly state (mirroring the
@@ -847,15 +825,11 @@ impl Cluster {
                     group,
                     replayed,
                     ready_after,
-                } => {
-                    self.metrics.promotions += 1;
-                    self.trace.record(
-                        now + ready_after,
-                        format!("{node}/recovery"),
-                        EventKind::PromotionComplete,
-                        format!("{group} replayed={replayed}"),
-                    );
-                }
+                } => self.metrics.promoted.push(Promotion {
+                    group,
+                    ready_at: now + ready_after,
+                    replayed,
+                }),
             }
         }
     }
@@ -1044,7 +1018,7 @@ mod tests {
         // restart: retransmissions and recovery re-broadcasts re-serve
         // frames, and none may be stamped a second time.
         let config = ClusterConfig {
-            causal: true,
+            trace: true,
             causal_capacity: 1 << 21,
             net: NetworkConfig {
                 loss_probability: 0.02,

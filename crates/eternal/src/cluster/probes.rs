@@ -7,9 +7,8 @@ use crate::gid::GroupId;
 use crate::mechanisms::{MechCounters, Mechanisms};
 use crate::metrics::Metrics;
 use eternal_obs::causal::CausalRecorder;
-use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
+use eternal_obs::{MetricsRegistry, RecoveryTimeline};
 use eternal_sim::net::{NetworkModel, NodeId};
-use eternal_sim::trace::Trace;
 use eternal_sim::Duration;
 
 impl Cluster {
@@ -21,28 +20,10 @@ impl Cluster {
             .all(|g| g.hosting.iter().any(|&n| n != victim && self.is_alive(n)))
     }
 
-    /// The structured trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// The causal span recorder (empty unless
-    /// [`ClusterConfig::causal`](super::ClusterConfig::causal) was set).
+    /// [`ClusterConfig::trace`](super::ClusterConfig::trace) was set).
     pub fn causal(&self) -> &CausalRecorder {
         &self.causal
-    }
-
-    /// Records an event in the cluster trace at the current instant —
-    /// the cluster's own occurrences, and those of an external driver
-    /// (the chaos campaign runner injects faults from outside).
-    pub fn record_event(
-        &mut self,
-        source: impl Into<String>,
-        kind: EventKind,
-        detail: impl Into<String>,
-    ) {
-        let now = self.now();
-        self.trace.record(now, source, kind, detail);
     }
 
     /// The network model, read-only (for counters).
@@ -114,6 +95,7 @@ impl Cluster {
         m.checkpoints_logged += t.checkpoints_logged;
         m.messages_logged += t.messages_logged;
         m.recoveries_completed = m.recoveries.len() as u64;
+        m.promotions = m.promoted.len() as u64;
         m
     }
 

@@ -28,7 +28,7 @@ use crate::cluster::Cluster;
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::oracle::{Oracle, OracleConfig};
 use eternal_obs::export::{JsonWriter, Layout};
-use eternal_obs::{EventKind, MetricsRegistry, RecoveryTimeline};
+use eternal_obs::{MetricsRegistry, RecoveryTimeline};
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::rng::SimRng;
 use eternal_sim::{Duration, SimTime};
@@ -276,11 +276,6 @@ struct Audit {
 
 impl Audit {
     fn violation(&mut self, step: usize, invariant: &'static str, detail: String) {
-        self.cluster.record_event(
-            "chaos/invariants",
-            EventKind::InvariantViolation,
-            format!("step {step} {invariant}: {detail}"),
-        );
         self.violations.push(Violation {
             step,
             invariant,
@@ -294,11 +289,6 @@ impl Audit {
     /// the cap.
     fn check(&mut self, step: usize) {
         let settled = settle(&mut self.cluster, SETTLE_CAP);
-        self.cluster.record_event(
-            "chaos/invariants",
-            EventKind::InvariantCheck,
-            format!("step {step}"),
-        );
         if !settled {
             self.violation(
                 step,
@@ -348,7 +338,7 @@ pub(crate) fn run_schedule(cfg: &CampaignConfig, source: TraceSource) -> RunOutc
     let mut faults = BTreeMap::new();
     audit.check(0);
     for step in 1..=cfg.steps {
-        if let Some(kind) = chaos::fault_step(&mut audit.cluster, &*source, target, step) {
+        if let Some(kind) = chaos::fault_step(&mut audit.cluster, &*source, target) {
             *faults.entry(kind.name()).or_insert(0) += 1;
         }
         audit.cluster.kick_clients();
@@ -375,7 +365,7 @@ pub(crate) fn run_schedule(cfg: &CampaignConfig, source: TraceSource) -> RunOutc
     }
 
     let Audit {
-        mut cluster,
+        cluster,
         violations,
         ..
     } = audit;
@@ -385,17 +375,12 @@ pub(crate) fn run_schedule(cfg: &CampaignConfig, source: TraceSource) -> RunOutc
         let fp = fnv1a(fp, &(c.arity as u64).to_le_bytes());
         fnv1a(fp, &(c.branch as u64).to_le_bytes())
     });
-    let flight_recorder = (topology.cluster.causal && !violations.is_empty()).then(|| {
+    let flight_recorder = (topology.cluster.trace && !violations.is_empty()).then(|| {
         let reason = violations
             .iter()
             .map(Violation::to_string)
             .collect::<Vec<_>>()
             .join("; ");
-        cluster.record_event(
-            "explore/counterexample",
-            EventKind::ExploreCounterexample,
-            format!("fingerprint {fingerprint:#018x}: {reason}"),
-        );
         cluster.causal().flight_recorder_json(&reason)
     });
     let m = cluster.metrics();
@@ -742,7 +727,6 @@ pub(crate) fn build_counterexample(
     // nothing on the wire, so the traced run is the run.
     let mut traced = cfg.clone();
     traced.topology.cluster.trace = true;
-    traced.topology.cluster.causal = true;
     let minimal = traced.replay(&pins);
     let fp = minimal.fingerprint;
     let violated: String = minimal

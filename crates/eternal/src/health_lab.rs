@@ -147,6 +147,8 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
     topology.name = "health";
     topology.servers.pop();
     let cluster_cfg = &mut topology.cluster;
+    // Traced, so the Prometheus exposition carries the ORBs' counters.
+    cluster_cfg.trace = true;
     cluster_cfg.health_period = PERIOD;
     cluster_cfg.health_auditor = auditor_config_for(cfg.fault);
     if cfg.throttled_ring {

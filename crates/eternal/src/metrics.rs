@@ -1,8 +1,21 @@
 //! Counters and timing records collected by the cluster, mined by the
 //! benchmark harness for the tables in `EXPERIMENTS.md`.
 
+use crate::gid::GroupId;
 use eternal_obs::RecoveryTimeline;
-use eternal_sim::Duration;
+use eternal_sim::{Duration, SimTime};
+
+/// One primary promotion of a passive group (§3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Promotion {
+    /// The promoted group.
+    pub group: GroupId,
+    /// When the new primary is serving: after its log replay and, for a
+    /// cold backup, its launch.
+    pub ready_at: SimTime,
+    /// Logged messages the new primary replayed.
+    pub replayed: usize,
+}
 
 /// System-wide counters.
 #[derive(Debug, Clone, Default)]
@@ -27,12 +40,15 @@ pub struct Metrics {
     /// State transfers completed (recoveries): the length of
     /// `recoveries`, filled in when the metrics are read.
     pub recoveries_completed: u64,
-    /// Primary promotions (passive styles).
+    /// Primary promotions (passive styles): the length of `promoted`,
+    /// filled in when the metrics are read.
     pub promotions: u64,
     /// Completed round-trip invocation latencies (client-observed).
     pub round_trips: Vec<Duration>,
     /// Completed recovery episodes, in completion order.
     pub recoveries: Vec<RecoveryTimeline>,
+    /// Completed promotions, in order.
+    pub promoted: Vec<Promotion>,
 }
 
 impl Metrics {

@@ -1,4 +1,4 @@
-//! The typed event taxonomy shared by every protocol layer.
+//! The typed events of the ORB's log, and the §5.1 recovery phases.
 //!
 //! Each [`TraceEvent`] carries an [`EventKind`] instead of a free-form
 //! string, so tests match on variants. Every kind also has a stable
@@ -60,39 +60,9 @@ impl RecoveryPhase {
     }
 }
 
-/// Machine-matchable kind of a trace event.
-///
-/// Grouped by the layer that records it: cluster lifecycle, the
-/// recovery protocol, Totem, and the ORB.
+/// Machine-matchable kind of an ORB trace event (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    // ---- cluster lifecycle ----
-    /// A replica process was killed (fault injection).
-    ReplicaKilled,
-    /// A replacement replica process was launched.
-    ReplicaLaunched,
-    /// A whole processor crashed.
-    ProcessorCrashed,
-    /// A crashed processor restarted.
-    ProcessorRestarted,
-    /// The resource manager chose a replacement host.
-    ReplacementChosen,
-    /// The evolution manager started a rolling upgrade.
-    UpgradeBegin,
-    /// A rolling upgrade replaced its last old replica.
-    UpgradeComplete,
-    /// A message could not be reassembled from its fragments.
-    ReassemblyError,
-    /// Totem delivered a configuration change.
-    ConfigChange,
-
-    // ---- recovery protocol (§5.1) ----
-    /// A §5.1 state transfer completed; the replica is operational.
-    RecoveryComplete,
-    /// A passive backup was promoted to primary.
-    PromotionComplete,
-
-    // ---- ORB layer (§4.2) ----
     /// A client connection built a GIOP request (request-id progress).
     OrbRequestIssued,
     /// A server connection dispatched a request through the POA.
@@ -110,43 +80,12 @@ pub enum EventKind {
     /// Eternal dispatched a control operation (`get_state`/`set_state`)
     /// through the POA.
     OrbControlDispatch,
-
-    // ---- fault-injection campaigns ----
-    /// A campaign or an explored schedule injected a fault (crash,
-    /// partition, loss burst, delay spike, …).
-    ChaosFault,
-    /// An invariant check ran at a quiescent point.
-    InvariantCheck,
-    /// An invariant check failed.
-    InvariantViolation,
-
-    // ---- cluster health (docs/HEALTH.md) ----
-    /// A replica published a health snapshot through the total order.
-    HealthSnapshot,
-    /// The health auditor fired a diagnosis.
-    HealthDiagnosis,
-
-    // ---- schedule exploration (docs/TESTING.md) ----
-    /// The explorer replayed a counterexample schedule (the traced
-    /// re-run that feeds the flight recorder).
-    ExploreCounterexample,
 }
 
 impl EventKind {
     /// The stable string code of this kind.
     pub const fn code(self) -> &'static str {
         match self {
-            EventKind::ReplicaKilled => "replica.killed",
-            EventKind::ReplicaLaunched => "replica.launched",
-            EventKind::ProcessorCrashed => "processor.crashed",
-            EventKind::ProcessorRestarted => "processor.restarted",
-            EventKind::ReplacementChosen => "replacement.chosen",
-            EventKind::UpgradeBegin => "upgrade.begin",
-            EventKind::UpgradeComplete => "upgrade.complete",
-            EventKind::ReassemblyError => "reassembly.error",
-            EventKind::ConfigChange => "config.change",
-            EventKind::RecoveryComplete => "recovery.complete",
-            EventKind::PromotionComplete => "promotion.complete",
             EventKind::OrbRequestIssued => "orb.request.issued",
             EventKind::OrbRequestDispatched => "orb.request.dispatched",
             EventKind::OrbRequestDiscarded => "orb.request.discarded",
@@ -154,12 +93,6 @@ impl EventKind {
             EventKind::OrbReplyDiscarded => "orb.reply.discarded",
             EventKind::OrbHandshakeNegotiated => "orb.handshake.negotiated",
             EventKind::OrbControlDispatch => "orb.control.dispatch",
-            EventKind::ChaosFault => "chaos.fault",
-            EventKind::InvariantCheck => "invariant.check",
-            EventKind::InvariantViolation => "invariant.violation",
-            EventKind::HealthSnapshot => "health.snapshot",
-            EventKind::HealthDiagnosis => "health.diagnosis",
-            EventKind::ExploreCounterexample => "explore.counterexample",
         }
     }
 }
@@ -203,17 +136,6 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let all = [
-            EventKind::ReplicaKilled,
-            EventKind::ReplicaLaunched,
-            EventKind::ProcessorCrashed,
-            EventKind::ProcessorRestarted,
-            EventKind::ReplacementChosen,
-            EventKind::UpgradeBegin,
-            EventKind::UpgradeComplete,
-            EventKind::ReassemblyError,
-            EventKind::ConfigChange,
-            EventKind::RecoveryComplete,
-            EventKind::PromotionComplete,
             EventKind::OrbRequestIssued,
             EventKind::OrbRequestDispatched,
             EventKind::OrbRequestDiscarded,
@@ -221,19 +143,12 @@ mod tests {
             EventKind::OrbReplyDiscarded,
             EventKind::OrbHandshakeNegotiated,
             EventKind::OrbControlDispatch,
-            EventKind::ChaosFault,
-            EventKind::InvariantCheck,
-            EventKind::InvariantViolation,
-            EventKind::HealthSnapshot,
-            EventKind::HealthDiagnosis,
-            EventKind::ExploreCounterexample,
         ];
         let codes: std::collections::BTreeSet<&str> = all.iter().map(|k| k.code()).collect();
         assert_eq!(codes.len(), all.len(), "codes must be unique");
-        // Codes consumed by pre-existing tests/benches must not change.
-        assert!(codes.contains("promotion.complete"));
-        assert!(codes.contains("upgrade.begin"));
-        assert!(codes.contains("upgrade.complete"));
+        // Codes consumed by tests must not change.
+        assert!(codes.contains("orb.control.dispatch"));
+        assert!(codes.contains("orb.request.dispatched"));
     }
 
     #[test]

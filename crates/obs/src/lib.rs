@@ -11,8 +11,8 @@
 //! * [`time`] — virtual nanosecond instants and durations (moved here
 //!   from `eternal-sim` so every layer, including the ORB which has no
 //!   simulator dependency, can timestamp events).
-//! * [`event`] — the typed [`event::EventKind`] taxonomy and
-//!   [`event::TraceEvent`] record.
+//! * [`event`] — the typed [`event::EventKind`]s of the ORB's log and
+//!   its [`event::TraceEvent`] record.
 //! * [`causal`] — end-to-end causal tracing: the per-hop
 //!   [`causal::CausalEvent`] taxonomy,
 //!   and the bounded [`causal::CausalRecorder`] that reconstructs span
@@ -25,7 +25,8 @@
 //!   histograms and a top-K slowest-requests table
 //!   (`docs/ATTRIBUTION.md`).
 //! * [`trace`] — a bounded, drop-oldest [`trace::Trace`] ring buffer
-//!   of point events; recording is a no-op when the trace is disabled.
+//!   of point events, the ORB's log; recording is a no-op when the
+//!   trace is disabled.
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of named counters,
 //!   gauges, and log-bucketed latency histograms (p50/p95/p99/max).
 //! * [`timeline`] — the phase-resolved

@@ -135,16 +135,9 @@ pub fn render_breakdown_table(timelines: &[RecoveryTimeline]) -> String {
 
 /// Renders the same per-episode breakdown as machine-readable JSON (the
 /// `repro -- timeline --json` export). Rendering is byte-deterministic.
-/// `dropped_events` is the structured-trace ring's overflow count for
-/// the run(s) the episodes came from: nonzero means the breakdown was
-/// computed from a truncated history, and consumers must see that
-/// rather than silently trusting the numbers.
-pub fn render_breakdown_json(timelines: &[RecoveryTimeline], dropped_events: u64) -> String {
+pub fn render_breakdown_json(timelines: &[RecoveryTimeline]) -> String {
     let mut w = JsonWriter::default();
-    w.object(Layout::Block)
-        .field("dropped_events", dropped_events)
-        .key("episodes")
-        .array(Layout::Block);
+    w.object(Layout::Block).key("episodes").array(Layout::Block);
     for t in timelines {
         w.object(Layout::Spaced)
             .field_str("label", &t.label)
@@ -239,14 +232,12 @@ mod tests {
 
     #[test]
     fn json_breakdown_is_deterministic_and_complete() {
-        let json = render_breakdown_json(&[sample()], 0);
-        assert_eq!(json, render_breakdown_json(&[sample()], 0));
-        assert!(json.contains("\"dropped_events\": 0"));
+        let json = render_breakdown_json(&[sample()]);
+        assert_eq!(json, render_breakdown_json(&[sample()]));
         assert!(json.contains("\"label\": \"G0 -> P2\""));
         assert!(json.contains("\"app_state_bytes\": 4096"));
         assert!(json.contains("\"total_ns\""));
         assert!(json.contains("\"phases\": {"));
-        assert!(render_breakdown_json(&[], 3).contains("\"dropped_events\": 3"));
-        assert!(render_breakdown_json(&[], 0).contains("\"episodes\": [\n  ]"));
+        assert!(render_breakdown_json(&[]).contains("\"episodes\": [\n  ]"));
     }
 }

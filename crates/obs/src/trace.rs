@@ -1,11 +1,10 @@
-//! A bounded, structured log of point events.
+//! A bounded, structured log of point events: each ORB's log.
 //!
-//! Simulations append [`TraceEvent`]s as they run; tests assert over
-//! the recorded sequence (e.g. "the `set_state` delivery at the
-//! recovering replica precedes every normal invocation delivered to
-//! it"), and the benchmark harness mines it for timings.
+//! An ORB appends [`TraceEvent`]s as it runs; tests assert over the
+//! recorded sequence (e.g. "the `set_state` dispatch at the recovering
+//! replica precedes every normal invocation dispatched to it").
 //!
-//! The buffer is a **ring**: beyond [`Trace::capacity`] events the
+//! The buffer is a **ring**: beyond its capacity the
 //! oldest are dropped (counted by [`Trace::dropped_events`]), so long
 //! benchmark runs cannot grow memory without bound. A disabled trace
 //! ([`Trace::disabled`]) records nothing and allocates nothing; guard
@@ -28,11 +27,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an enabled trace with the default capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
     /// Creates an enabled trace bounded to `capacity` events
     /// (drop-oldest beyond it).
     ///
@@ -65,13 +59,7 @@ impl Trace {
         self.enabled
     }
 
-    /// The ring-buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events evicted (oldest-first) since creation or the last
-    /// [`Trace::clear`].
+    /// Events evicted (oldest-first) since creation.
     pub fn dropped_events(&self) -> u64 {
         self.dropped
     }
@@ -116,22 +104,6 @@ impl Trace {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
-
-    /// The event at buffer index `i` (0 = oldest held).
-    pub fn event(&self, i: usize) -> Option<&TraceEvent> {
-        self.events.get(i)
-    }
-
-    /// Events whose typed kind equals `kind`.
-    pub fn of(&self, kind: EventKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Clears the buffer and the dropped counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -144,17 +116,18 @@ mod tests {
 
     #[test]
     fn records_in_order() {
-        let mut tr = Trace::new();
-        tr.record(t(1), "a", EventKind::ConfigChange, "");
-        tr.record(t(2), "b", EventKind::ReplicaKilled, "x");
+        let mut tr = Trace::with_capacity(DEFAULT_CAPACITY);
+        tr.record(t(1), "a", EventKind::OrbRequestIssued, "");
+        tr.record(t(2), "b", EventKind::OrbRequestDispatched, "x");
         assert_eq!(tr.len(), 2);
-        assert_eq!(tr.event(1).unwrap().detail, "x");
+        let details: Vec<&str> = tr.events().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, vec!["", "x"]);
     }
 
     #[test]
     fn disabled_trace_discards_and_allocates_nothing() {
         let mut tr = Trace::disabled();
-        tr.record(SimTime::ZERO, "a", EventKind::ConfigChange, "");
+        tr.record(SimTime::ZERO, "a", EventKind::OrbRequestIssued, "");
         assert!(tr.is_empty());
         assert_eq!(tr.dropped_events(), 0);
         assert!(!tr.is_enabled());
@@ -164,36 +137,11 @@ mod tests {
     fn ring_buffer_drops_oldest() {
         let mut tr = Trace::with_capacity(3);
         for i in 0..5u64 {
-            tr.record(t(i), "a", EventKind::ConfigChange, format!("{i}"));
+            tr.record(t(i), "a", EventKind::OrbRequestIssued, format!("{i}"));
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped_events(), 2);
         let details: Vec<&str> = tr.events().map(|e| e.detail.as_str()).collect();
         assert_eq!(details, vec!["2", "3", "4"]);
-    }
-
-    #[test]
-    fn kind_query_selects_by_variant() {
-        let mut tr = Trace::new();
-        tr.record(t(1), "a", EventKind::ReplicaKilled, "1");
-        tr.record(t(2), "a", EventKind::RecoveryComplete, "2");
-        tr.record(t(3), "a", EventKind::ReplicaKilled, "3");
-        let details: Vec<&str> = tr
-            .of(EventKind::ReplicaKilled)
-            .map(|e| e.detail.as_str())
-            .collect();
-        assert_eq!(details, vec!["1", "3"]);
-        assert_eq!(tr.of(EventKind::UpgradeBegin).count(), 0);
-    }
-
-    #[test]
-    fn clear_empties_and_resets_dropped() {
-        let mut tr = Trace::with_capacity(1);
-        tr.record(t(1), "a", EventKind::ConfigChange, "");
-        tr.record(t(2), "a", EventKind::ConfigChange, "");
-        assert_eq!(tr.dropped_events(), 1);
-        tr.clear();
-        assert!(tr.is_empty());
-        assert_eq!(tr.dropped_events(), 0);
     }
 }

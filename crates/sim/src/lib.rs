@@ -38,13 +38,11 @@ pub mod net;
 pub mod rng;
 pub mod sched;
 
-// Virtual time and the trace/span machinery moved down into
-// `eternal-obs` so layers without a simulator dependency (the ORB) can
-// timestamp events; re-export them here so `eternal_sim::time::…` and
-// `eternal_sim::trace::…` paths keep working.
+// Virtual time moved down into `eternal-obs` so layers without a
+// simulator dependency (the ORB) can timestamp events; re-export it
+// here so `eternal_sim::time::…` paths keep working.
 pub use eternal_obs as obs;
 pub use eternal_obs::time;
-pub use eternal_obs::trace;
 
 pub use bytes::Bytes;
 pub use choice::{ChoiceKind, ChoiceSource, FifoChoice, SharedChoiceSource};

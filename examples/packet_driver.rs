@@ -15,10 +15,7 @@ use eternal::properties::FaultToleranceProperties;
 use eternal_sim::Duration;
 
 fn recovery_time_for(state_bytes: usize) -> (Duration, u64) {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     let mut cluster = Cluster::new(config, 42);
     let server = cluster.deploy_server("blob", FaultToleranceProperties::active(2), move || {
         Box::new(BlobServant::with_size(state_bytes))

@@ -24,7 +24,6 @@ use eternal_sim::Duration;
 fn run(transfer_orb_state: bool, recover_client: bool) -> (u64, u64, u64) {
     let mut config = ClusterConfig::default();
     config.mech.transfer_orb_state = transfer_orb_state;
-    config.trace = false;
     let mut cluster = Cluster::new(config, 11);
 
     let server = cluster.deploy_server("counter", FaultToleranceProperties::active(2), || {

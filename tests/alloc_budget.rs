@@ -128,10 +128,7 @@ fn allocations_per_reply(
     server: impl Fn() -> Box<dyn eternal_orb::servant::CheckpointableServant> + Send + Sync + 'static,
     client: impl Fn(GroupId) -> Box<dyn ClientApp> + Send + Sync + 'static,
 ) -> (f64, f64) {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     assert_eq!(config.processors, 4);
     let mut cluster = Cluster::new(config, 42);
     let server = cluster.deploy_server("server", FaultToleranceProperties::active(2), server);

@@ -21,9 +21,8 @@ use eternal_obs::Duration;
 /// holds the replies delivered during recovery.
 fn traced_run(loss: f64, batching: bool, kill_client_replica: bool) -> AttributionReport {
     let mut config = ClusterConfig {
-        causal: true,
+        trace: true,
         causal_capacity: 1 << 18,
-        trace: false,
         ..ClusterConfig::default()
     };
     config.net.loss_probability = loss;

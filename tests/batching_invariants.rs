@@ -53,8 +53,7 @@ fn reassembled(c: &Cluster, node: NodeId) -> Vec<String> {
 /// processor, then drains completely and collects the evidence.
 fn faulty_run(budget: usize, seed: u64) -> Outcome {
     let mut config = ClusterConfig {
-        trace: false,
-        causal: true,
+        trace: true,
         ..ClusterConfig::default()
     };
     config.totem.batch_budget_bytes = budget;

@@ -10,10 +10,7 @@ use eternal_sim::rng::SimRng;
 use eternal_sim::Duration;
 
 fn full_run(seed: u64, kill_after_ms: u64) -> (u64, u64, u64, u64) {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     let mut c = Cluster::new(config, seed);
     let server = c.deploy_server("blob", FaultToleranceProperties::active(2), || {
         Box::new(BlobServant::with_size(5_000))
@@ -87,10 +84,7 @@ fn randomized_fault_schedule_never_wedges() {
     // every §4.2 counter must stay clean.
     let mut rng = SimRng::seed_from_u64(4242);
     for round in 0..3 {
-        let config = ClusterConfig {
-            trace: false,
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig::default();
         let mut c = Cluster::new(config, 1000 + round);
         let server = c.deploy_server("counter", FaultToleranceProperties::active(3), || {
             Box::new(CounterServant::default())

@@ -7,7 +7,6 @@ use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
 use eternal::properties::FaultToleranceProperties;
 use eternal_cdr::{Any, Value};
-use eternal_obs::EventKind;
 use eternal_orb::servant::{CheckpointableServant, Servant, ServantError};
 use eternal_sim::net::NodeId;
 use eternal_sim::Duration;
@@ -88,11 +87,13 @@ fn rolling_upgrade_preserves_state_and_service() {
         m.replies_delivered
     );
     assert_eq!(m.replies_discarded_by_orb, 0);
-    // Trace shows the orderly rollout.
-    let first_at = |kind| c.trace().of(kind).next().map(|e| e.at);
-    let begin = first_at(EventKind::UpgradeBegin).expect("upgrade began");
-    let end = first_at(EventKind::UpgradeComplete).expect("upgrade completed");
-    assert!(begin < end);
+    // The rollout replaced one replica at a time: the second episode
+    // launched after the first was operational.
+    let episodes = c.recovery_timelines();
+    assert!(
+        episodes[0].operational_at <= episodes[1].launched_at,
+        "{episodes:?}"
+    );
 }
 
 #[test]

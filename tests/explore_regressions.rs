@@ -196,7 +196,7 @@ fn campaign_seed_7_shrinks_the_orb_state_ablation_to_faults() {
 fn fifo_choice_source_preserves_the_causal_history() {
     let run = |with_source: bool| {
         let config = ClusterConfig {
-            causal: true,
+            trace: true,
             ..ClusterConfig::default()
         };
         let mut cluster = Cluster::new(config, 42);

@@ -34,6 +34,10 @@ fn fault_free_runs_fire_zero_diagnoses() {
             "seed {seed}: only {} epochs observed",
             auditor.epochs().len()
         );
+        // The lab traces, and its recorder holds the whole run.
+        let causal = run.cluster.causal();
+        assert!(!causal.is_empty(), "seed {seed}: nothing recorded");
+        assert_eq!(causal.dropped(), 0, "seed {seed}: spans evicted");
     }
 }
 

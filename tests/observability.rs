@@ -1,11 +1,12 @@
-//! Integration tests for the unified instrumentation layer: the typed
-//! event trace, phase-resolved recovery timelines, and layer-local
-//! metrics across Totem, the ORB, and the Eternal mechanisms.
+//! Integration tests for the unified instrumentation layer: the one
+//! switch that turns recording on, phase-resolved recovery timelines,
+//! and layer-local metrics across Totem, the ORB, and the Eternal
+//! mechanisms.
 
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::properties::FaultToleranceProperties;
-use eternal_obs::{EventKind, RecoveryPhase, Trace};
+use eternal_obs::RecoveryPhase;
 use eternal_sim::Duration;
 
 /// A Figure 6 style run: 2-way active server with `state_bytes` of
@@ -98,7 +99,11 @@ fn totem_metrics_surface_loss_and_reformation() {
 
 #[test]
 fn orb_metrics_flow_into_the_cluster_registry() {
-    let c = recovery_run(ClusterConfig::default(), 1_000, 24);
+    let config = ClusterConfig {
+        trace: true,
+        ..ClusterConfig::default()
+    };
+    let c = recovery_run(config, 1_000, 24);
     let reg = c.metrics_registry();
     assert!(reg.counter("orb.requests_dispatched") > 0);
     assert!(reg.counter("orb.replies_matched") > 0);
@@ -117,58 +122,21 @@ fn orb_metrics_flow_into_the_cluster_registry() {
 
 #[test]
 fn disabled_trace_records_and_allocates_nothing() {
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
-    let c = recovery_run(config, 10_000, 25);
+    // The default cluster is untraced.
+    let c = recovery_run(ClusterConfig::default(), 10_000, 25);
 
     // Work happened …
     assert_eq!(c.metrics().recoveries_completed, 1);
     assert!(c.metrics().replies_delivered > 0);
 
-    // … but the cluster trace captured nothing,
-    assert!(!c.trace().is_enabled());
-    assert!(c.trace().is_empty());
-    assert_eq!(c.trace().dropped_events(), 0);
-    // and every ORB's trace stayed disabled and empty too.
+    // … but the causal recorder captured nothing,
+    assert!(!c.causal().is_enabled());
+    assert!(c.causal().is_empty());
+    assert_eq!(c.causal().dropped(), 0);
+    // and every ORB's log stayed disabled and empty too.
     for node in c.processors() {
         let orb_trace = c.mechanisms(node).orb().obs_trace();
         assert!(!orb_trace.is_enabled());
         assert!(orb_trace.is_empty());
     }
-}
-
-#[test]
-fn bounded_trace_drops_oldest_but_keeps_counting() {
-    let c = recovery_run(ClusterConfig::default(), 10_000, 26);
-    let full = c.trace();
-    assert_eq!(full.capacity(), eternal_obs::trace::DEFAULT_CAPACITY);
-    assert_eq!(
-        full.dropped_events(),
-        0,
-        "a recovery run fits the default ring"
-    );
-    // The same history through a 4-event ring.
-    let mut trace = Trace::with_capacity(4);
-    for e in full.events() {
-        trace.record(e.at, e.source.clone(), e.kind, e.detail.clone());
-    }
-    assert_eq!(trace.capacity(), 4);
-    assert!(
-        trace.dropped_events() > 0,
-        "a full recovery run overflows a 4-event ring"
-    );
-    // The ring is full and holds the newest events: total observed
-    // activity is the buffer plus everything evicted before it.
-    assert_eq!(trace.len(), 4);
-    assert_eq!(trace.dropped_events() + 4, full.len() as u64);
-    let newest = trace.event(trace.len() - 1).expect("nonempty");
-    let oldest = trace.event(0).expect("nonempty");
-    assert!(newest.at >= oldest.at, "buffer preserved chronology");
-    assert_eq!(
-        newest.kind,
-        EventKind::RecoveryComplete,
-        "the last event is kept"
-    );
 }

@@ -16,7 +16,6 @@ fn scenario(transfer_orb: bool, transfer_infra: bool, recover_client: bool, seed
     let mut config = ClusterConfig::default();
     config.mech.transfer_orb_state = transfer_orb;
     config.mech.transfer_infra_state = transfer_infra;
-    config.trace = false;
     let mut c = Cluster::new(config, seed);
     let server = c.deploy_server("counter", FaultToleranceProperties::active(2), || {
         Box::new(CounterServant::default())

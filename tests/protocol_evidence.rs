@@ -20,10 +20,7 @@ fn recovery_drops_pre_sync_and_enqueues_post_sync_traffic() {
     // all-or-nothing accident of ring position. Unbatched trickle
     // traffic reliably straddles both windows; batched recovery
     // correctness is covered by the `batching_invariants` suite.
-    let mut config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let mut config = ClusterConfig::default();
     config.totem.batch_budget_bytes = 0;
     let mut c = Cluster::new(config, 50);
     let server = c.deploy_server("blob", FaultToleranceProperties::active(2), || {
@@ -65,7 +62,6 @@ fn full_stack_survives_a_lossy_network() {
     // mechanisms stay consistent, and recovery still works.
     let mut config = ClusterConfig::default();
     config.net.loss_probability = 0.02;
-    config.trace = false;
     let mut c = Cluster::new(config, 51);
     let server = c.deploy_server("blob", FaultToleranceProperties::active(2), || {
         Box::new(BlobServant::with_size(5_000))
@@ -93,10 +89,7 @@ fn full_stack_survives_a_lossy_network() {
 fn no_checkpoint_traffic_for_active_groups_until_recovery() {
     // §3.3: "For active replication, there is no need to log any
     // checkpoints or messages until a replica is being recovered."
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     let mut c = Cluster::new(config, 52);
     let server = c.deploy_server("blob", FaultToleranceProperties::active(2), || {
         Box::new(BlobServant::with_size(1_000))
@@ -121,10 +114,7 @@ fn passive_groups_log_continuously_but_transfer_rarely() {
     // The flip side of the §6 trade-off: warm passive logs constantly
     // (checkpoints + suffixes) but performs no §5.1 transfers while the
     // primary is healthy.
-    let config = ClusterConfig {
-        trace: false,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     let mut c = Cluster::new(config, 53);
     let server = c.deploy_server(
         "blob",

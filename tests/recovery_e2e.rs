@@ -137,8 +137,12 @@ fn recovery_is_concurrent_with_normal_operation() {
 fn recovery_phases_run_in_protocol_order() {
     // §5.1 orders the protocol strictly: the donor quiesces *before*
     // get_state runs, and set_state closes before the recovered replica
-    // dispatches any normal invocation.
-    let mut c = cluster(18);
+    // dispatches any normal invocation. The ORBs log only when traced.
+    let config = ClusterConfig {
+        trace: true,
+        ..ClusterConfig::default()
+    };
+    let mut c = Cluster::new(config, 18);
     let server = c.deploy_server("blob", FaultToleranceProperties::active(2), || {
         Box::new(BlobServant::with_size(30_000))
     });
@@ -217,19 +221,11 @@ fn warm_passive_failover_replays_suffix() {
 
     let m = c.metrics();
     assert_eq!(m.promotions, 1);
-    let promotion = c
-        .trace()
-        .of(EventKind::PromotionComplete)
-        .last()
-        .expect("promotion traced");
-    let replayed: usize = promotion
-        .detail
-        .split("replayed=")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("replay count recorded");
+    let promotion = m.promoted[0];
+    assert_eq!(promotion.group, server);
+    assert!(promotion.ready_at <= c.now());
     assert!(
-        replayed > 0,
+        promotion.replayed > 0,
         "messages since the last checkpoint must be replayed"
     );
     // Stream continues under the new primary.

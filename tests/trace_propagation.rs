@@ -7,7 +7,7 @@
 //! evidence:
 //!
 //! - a traced run is the untraced run: same frames, wire bytes, final
-//!   simulated time, replies and replica state;
+//!   simulated time, replies, replica state and promotions;
 //! - batching may repack messages into frames but must not change any
 //!   trace's shape (`tree_signature` invariant, batching on vs off);
 //! - exports are byte-identical across same-seed runs (the CI
@@ -20,6 +20,7 @@
 use eternal::app::{BlobServant, CounterServant, StreamingClient};
 use eternal::cluster::{Cluster, ClusterConfig};
 use eternal::gid::GroupId;
+use eternal::metrics::Promotion;
 use eternal::properties::FaultToleranceProperties;
 use eternal_obs::causal::{CausalRecorder, Hop};
 use eternal_sim::{Duration, SimTime};
@@ -27,10 +28,9 @@ use eternal_sim::{Duration, SimTime};
 /// Streams `limit` invocations through a 3-way active counter server,
 /// optionally injecting a loss burst mid-stream, and drains
 /// completely; returns the cluster and the server group.
-fn stream_run(seed: u64, batch_budget: usize, loss: f64, causal: bool) -> (Cluster, GroupId) {
+fn stream_run(seed: u64, batch_budget: usize, loss: f64, trace: bool) -> (Cluster, GroupId) {
     let mut config = ClusterConfig {
-        causal,
-        trace: false,
+        trace,
         ..ClusterConfig::default()
     };
     config.totem.batch_budget_bytes = batch_budget;
@@ -156,10 +156,9 @@ fn retransmission_under_loss_preserves_total_order_agreement() {
 /// frames, crashes one of its hosts (a membership reformation) and
 /// drains once recovery has moved the state to the replacement;
 /// returns the cluster and the server group.
-fn transfer_run(causal: bool) -> (Cluster, GroupId) {
+fn transfer_run(trace: bool) -> (Cluster, GroupId) {
     let config = ClusterConfig {
-        causal,
-        trace: false,
+        trace,
         ..ClusterConfig::default()
     };
     let frame_payload = config.net.frame_payload();
@@ -259,8 +258,16 @@ fn fragmented_transfer_and_reformation_keep_one_chain() {
 
 /// What anyone outside the recorder can observe of a finished run:
 /// frames and bytes on the wire, the final simulated time, the replies
-/// and their round trips, and every replica's state.
-type Observed = (u64, u64, SimTime, u64, Vec<Duration>, Vec<Option<Vec<u8>>>);
+/// and their round trips, every replica's state and every promotion.
+type Observed = (
+    u64,
+    u64,
+    SimTime,
+    u64,
+    Vec<Duration>,
+    Vec<Option<Vec<u8>>>,
+    Vec<Promotion>,
+);
 
 fn observe((mut c, server): (Cluster, GroupId)) -> Observed {
     let states = c
@@ -278,7 +285,37 @@ fn observe((mut c, server): (Cluster, GroupId)) -> Observed {
         replies,
         round_trips,
         states,
+        m.promoted,
     )
+}
+
+/// A warm-passive counter whose primary is killed mid-stream: the
+/// backup is promoted and replays the logged suffix.
+fn failover_run(trace: bool) -> (Cluster, GroupId) {
+    let config = ClusterConfig {
+        trace,
+        ..ClusterConfig::default()
+    };
+    let mut c = Cluster::new(config, 12);
+    let server = c.deploy_server(
+        "counter",
+        FaultToleranceProperties::warm_passive(2)
+            .with_checkpoint_interval(Duration::from_millis(30))
+            .with_min_replicas(1),
+        || Box::new(CounterServant::default()),
+    );
+    c.deploy_client("driver", FaultToleranceProperties::active(1), move |_| {
+        Box::new(StreamingClient::new(server, "increment", 2))
+    });
+    c.run_until_deployed();
+    c.run_for(Duration::from_millis(100));
+    let primary = c
+        .mechanisms(c.processors()[0])
+        .primary_host(server)
+        .expect("primary");
+    c.kill_replica(server, primary);
+    c.run_for(Duration::from_millis(300));
+    (c, server)
 }
 
 #[test]
@@ -293,4 +330,13 @@ fn a_traced_run_equals_the_untraced_run() {
     let traced = observe(transfer_run(true));
     assert!(untraced.5.len() == 3, "recovery restored three replicas");
     assert_eq!(traced, untraced, "tracing changed the recovering run");
+
+    let untraced = observe(failover_run(false));
+    let traced = observe(failover_run(true));
+    assert_eq!(untraced.6.len(), 1, "the backup was promoted");
+    assert!(
+        untraced.6[0].replayed > 0,
+        "the promotion replayed a suffix"
+    );
+    assert_eq!(traced, untraced, "tracing changed the failover");
 }
