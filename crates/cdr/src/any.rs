@@ -351,8 +351,13 @@ impl Any {
     }
 
     /// Serializes to a standalone CDR encapsulation (with flag byte).
+    /// The caller keeps the bytes (a recovery's donors stream chunks
+    /// from them until the transfer ends), so they are not a pooled
+    /// buffer, whose capacity may be far past their length: a fresh one
+    /// grows from its few small early writes to the exact length of a
+    /// trailing bulk value.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CdrError> {
-        let mut enc = CdrEncoder::new(crate::Endian::Big);
+        let mut enc = CdrEncoder::append_to(Vec::new(), crate::Endian::Big);
         enc.write_u8(crate::Endian::Big.flag());
         self.encode(&mut enc)?;
         Ok(enc.into_bytes())

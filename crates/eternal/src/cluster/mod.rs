@@ -705,7 +705,7 @@ impl Cluster {
                     seq,
                 };
                 let Processor { reasm, mech, .. } = &mut self.procs[node.0 as usize];
-                let pushed = reasm.push_view(&data, |head| mech.keeps(head));
+                let pushed = reasm.push_view(&data, mech);
                 // Receive-side causal bookkeeping: a Deliver span under
                 // the fragment's Pack span, carrying the total-order
                 // position (the cross-replica agreement check keys on

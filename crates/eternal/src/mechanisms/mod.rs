@@ -416,14 +416,7 @@ impl Mechanisms {
                 purpose,
                 state,
             } => self.on_assignment(transfer, purpose, state, body, now),
-            EternalMessage::StateChunk {
-                group,
-                transfer,
-                new_host,
-                index,
-                total,
-                ..
-            } => self.on_state_chunk(group, transfer, new_host, index, total, &body, d),
+            chunk @ EternalMessage::StateChunk { .. } => self.on_state_chunk(&chunk, &body, d),
             EternalMessage::StateSuffix {
                 group,
                 transfer,
@@ -769,10 +762,10 @@ mod tests {
             let mut reassembler = EternalReassembler::new();
             let (last, rest) = frags.split_last().expect("fragments");
             for frag in rest {
-                let pushed = reassembler.push_view(frag, |head| m.keeps(head));
+                let pushed = reassembler.push_view(frag, m);
                 assert!(matches!(pushed, Ok(None)));
             }
-            let done = reassembler.push_view(last, |head| m.keeps(head));
+            let done = reassembler.push_view(last, m);
             let delivered = done.expect("well-formed").expect("the last fragment");
             kept.push(!delivered.body.is_empty());
             with_ctx(|ctx| m.on_delivered_view(delivered, bus.now, ctx));
@@ -952,6 +945,96 @@ mod tests {
             b.probe_application_state(server),
             c.probe_application_state(server)
         );
+    }
+
+    /// The donor's processor dies between two fragments of a chunk that
+    /// is landing in the new host's inbound buffer: the new host forgets
+    /// the partial with its origin, the takeover resends the chunk from
+    /// the shared cursor, and it lands nothing the dead donor left
+    /// behind — the recovered state is the donors' byte for byte. The
+    /// new host takes every chunk in fragments, as the cluster delivers
+    /// them; the others take whole messages.
+    #[test]
+    fn a_donor_killed_between_two_fragments_of_a_chunk_leaves_no_byte_behind() {
+        use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        let server = GroupId(0);
+        let client = GroupId(1);
+        let cfg = MechConfig {
+            chunk_bytes: 16,
+            ..MechConfig::default()
+        };
+        let mut a = Mechanisms::new(n(0), cfg.clone());
+        let mut b = Mechanisms::new(n(1), cfg.clone());
+        let mut c = Mechanisms::new(n(2), cfg);
+        deploy(
+            &mut [&mut a, &mut b, &mut c],
+            ReplicationStyle::Active,
+            vec![n(0), n(1), n(2)],
+            || vec![client_meta(client, vec![n(0)], server)],
+        );
+        let mut bus = Bus::new();
+        bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
+        bus.run(&mut [&mut a, &mut b, &mut c]);
+        bus.collect(c.kill_local_replica(server));
+        bus.run(&mut [&mut a, &mut b, &mut c]);
+        bus.collect(c.launch_recovering_replica(server));
+
+        let mut reassembler = EternalReassembler::new();
+        let (mut donor, mut msg_id, mut chunks) = (n(0), 0, 0);
+        let mut recovered = false;
+        while let Some(message) = bus.queue.pop_front() {
+            bus.now += Duration::from_micros(100);
+            let mut outs = Vec::new();
+            let EternalMessage::StateChunk { total, .. } = message else {
+                for m in [&mut a, &mut b, &mut c] {
+                    outs.extend(with_ctx(|ctx| {
+                        m.on_delivered(message.clone(), bus.now, ctx)
+                    }));
+                }
+                recovered |= bus.collect(outs).iter().any(
+                    |out| matches!(out, Out::RecoveryComplete { group, .. } if *group == server),
+                );
+                continue;
+            };
+            msg_id += 1;
+            chunks += 1;
+            // The head and 4 body bytes in the first of two fragments.
+            let frags = message.fragments(donor, msg_id, FRAGMENT_OVERHEAD + 36);
+            assert_eq!(frags.len(), 2);
+            if chunks == 3 {
+                assert!(total > 3, "the stream goes on after the dead donor");
+                let pushed = reassembler.push_view(&frags[0], &mut c);
+                assert!(matches!(pushed, Ok(None)), "the first fragment lands");
+                // P0 dies: its last fragment and its later chunks never
+                // go out, and the new host forgets its partial.
+                reassembler.forget_origin(donor);
+                let dead = std::mem::take(&mut bus.queue);
+                let alive = dead
+                    .into_iter()
+                    .filter(|m| !matches!(m, EternalMessage::StateChunk { .. }));
+                bus.queue.extend(alive);
+                bus.collect(a.kill_local_replica(server));
+                donor = n(1);
+                continue;
+            }
+            for m in [&mut a, &mut b] {
+                outs.extend(with_ctx(|ctx| {
+                    m.on_delivered(message.clone(), bus.now, ctx)
+                }));
+            }
+            for frag in &frags {
+                if let Some(delivered) = reassembler.push_view(frag, &mut c).expect("well-formed") {
+                    outs.extend(with_ctx(|ctx| c.on_delivered_view(delivered, bus.now, ctx)));
+                }
+            }
+            bus.collect(outs);
+        }
+        assert!(recovered, "the takeover completed the recovery");
+        assert_eq!(b.counters().transfer_takeovers, 1);
+        assert_eq!(c.replica_phase(server), Some(ReplicaPhase::Operational));
+        let donors = b.probe_application_state(server);
+        assert!(donors.is_some());
+        assert_eq!(donors, c.probe_application_state(server));
     }
 
     /// Under sustained load a passive primary fabricates checkpoints

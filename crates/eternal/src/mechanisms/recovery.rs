@@ -10,7 +10,7 @@ use super::registry::{GroupKind, LocalReplica};
 use super::{Delivery, Mechanisms, Out, ReplicaPhase};
 use crate::causal::{transfer_trace_id, SUFFIX};
 use crate::gid::{Direction, GroupId, TransferId};
-use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose, MAX_PRESIZE};
+use crate::message::{EternalMessage, Keep, KeepRule, OrderedInput, RetrievalPurpose, MAX_PRESIZE};
 use crate::properties::ReplicationStyle;
 use crate::recovery::holding::HeldEntry;
 use crate::recovery::state3::{
@@ -67,9 +67,10 @@ struct DonorTransfer {
     /// faults (every retaining host updates this at the same
     /// total-order point).
     donor: NodeId,
-    /// The full encoded [`ThreeKindsOfState`] captured at the mark.
-    bytes: Vec<u8>,
-    /// Chunk count of `bytes` at the configured chunk size.
+    /// The encoded [`ThreeKindsOfState`] captured at the mark, in the
+    /// parts [`ThreeKindsOfState::into_parts`] cuts it into.
+    parts: [Vec<u8>; 3],
+    /// Chunk count of `parts` at the configured chunk size.
     total: u32,
     /// Highest contiguously *delivered* chunk index (`None` before
     /// chunk 0). Delivery is totally ordered, so the cursor is
@@ -85,7 +86,28 @@ struct DonorTransfer {
     logging: bool,
 }
 
-/// Recipient-side reassembly of a state transfer.
+impl DonorTransfer {
+    /// Chunk `index` at `size` bytes a chunk: its range of the parts
+    /// laid end to end, gathered into one exactly-sized buffer.
+    fn chunk(&self, index: u32, size: usize) -> Vec<u8> {
+        let len = self.parts.iter().map(Vec::len).sum();
+        let mut from = (index as usize * size).min(len);
+        let mut to = (from + size).min(len);
+        let mut chunk = Vec::with_capacity(to - from);
+        for part in &self.parts {
+            chunk.extend_from_slice(&part[from.min(part.len())..to.min(part.len())]);
+            (from, to) = (
+                from.saturating_sub(part.len()),
+                to.saturating_sub(part.len()),
+            );
+        }
+        chunk
+    }
+}
+
+/// Recipient-side reassembly of a state transfer: chunks
+/// `0..next_index` in order in one buffer, which chunk `next_index` may
+/// be landing in fragment by fragment (docs/RECOVERY.md).
 #[derive(Debug)]
 pub(super) struct InboundTransfer {
     transfer: TransferId,
@@ -93,18 +115,49 @@ pub(super) struct InboundTransfer {
     /// Next in-order chunk index expected (duplicates and out-of-order
     /// repeats from takeover races are ignored).
     next_index: u32,
+    /// Where the committed chunks end while chunk `next_index` lands
+    /// after them: one partial at a time, the first to begin.
+    landing: Option<usize>,
 }
 
 impl InboundTransfer {
-    /// Appends chunk `index` of `total`. The first reserves room for all
-    /// of them at its own length, within [`MAX_PRESIZE`].
-    fn append(&mut self, index: u32, total: u32, bytes: &[u8]) {
-        if index == 0 {
-            let whole = (total as usize).saturating_mul(bytes.len());
+    /// Whether chunk `index` of `total`, `len` bytes long, lands here as
+    /// it arrives: it is the next, and none is landing. Chunk 0 reserves
+    /// room for all of them at its length, within [`MAX_PRESIZE`].
+    fn lands(&mut self, index: u32, total: u32, len: usize) -> bool {
+        let lands = index == self.next_index && self.landing.is_none();
+        if lands && index == 0 {
+            let whole = (total as usize).saturating_mul(len);
             self.buf.reserve_exact(whole.min(MAX_PRESIZE));
         }
-        self.buf.extend_from_slice(bytes);
+        if lands {
+            self.landing = Some(self.buf.len());
+        }
+        lands
+    }
+
+    /// Writes the next `bytes` of chunk `index`, if it is landing.
+    fn land(&mut self, index: u32, bytes: &[u8]) -> bool {
+        let lands = index == self.next_index && self.landing.is_some();
+        if lands {
+            self.buf.extend_from_slice(bytes);
+        }
+        lands
+    }
+
+    /// Commits chunk `next_index` of `total`, delivered with `bytes`:
+    /// none when it landed here, all of it otherwise, and then it lands
+    /// now, over whatever a partial abandoned mid-way landed. Returns
+    /// the chunk's length.
+    fn commit(&mut self, total: u32, bytes: &[u8]) -> usize {
+        if !bytes.is_empty() {
+            self.buf
+                .truncate(self.landing.take().unwrap_or(self.buf.len()));
+            self.lands(self.next_index, total, bytes.len());
+            self.land(self.next_index, bytes);
+        }
         self.next_index += 1;
+        self.buf.len() - self.landing.take().unwrap_or(self.buf.len())
     }
 }
 
@@ -195,7 +248,7 @@ impl Transfers {
         id
     }
 
-    /// Retains `bytes`, the state captured at a recovery's mark, to be
+    /// Retains `parts`, the state captured at a recovery's mark, to be
     /// streamed by `donor` in chunks of `chunk_bytes`, and opens the
     /// transfer's suffix window.
     fn retain(
@@ -204,15 +257,16 @@ impl Transfers {
         group: GroupId,
         new_host: NodeId,
         donor: NodeId,
-        bytes: Vec<u8>,
+        parts: [Vec<u8>; 3],
         chunk_bytes: usize,
     ) {
+        let len: usize = parts.iter().map(Vec::len).sum();
         let dt = DonorTransfer {
             group,
             new_host,
             donor,
-            total: bytes.len().div_ceil(chunk_bytes).max(1) as u32,
-            bytes,
+            total: len.div_ceil(chunk_bytes).max(1) as u32,
+            parts,
             cursor: None,
             suffix: Vec::new(),
             logging: true,
@@ -347,6 +401,47 @@ impl Transfers {
     }
 }
 
+/// The keep rule (docs/RECOVERY.md, "Copies of the state" and "Copies
+/// of a checkpoint"): a state chunk lands in the inbound buffer it feeds
+/// when it is the next there and none is landing, and is kept there
+/// otherwise; a checkpoint is kept where it is logged (the capture's
+/// mark was recorded here) or applied (a warm backup); every other body
+/// is kept.
+impl KeepRule for Mechanisms {
+    fn keep(&mut self, head: &EternalMessage, len: usize) -> Keep {
+        let kept = match *head {
+            EternalMessage::StateChunk { index, total, .. } => {
+                match self.inbound_of(head).map(|it| it.lands(index, total, len)) {
+                    Some(true) => return Keep::Landed,
+                    bound => bound.is_some(),
+                }
+            }
+            EternalMessage::StateAssignment {
+                transfer,
+                ref state,
+                ..
+            } => {
+                let marks = self.transfers.checkpoint_marks.get(&state.group);
+                marks.is_some_and(|marks| marks.iter().any(|&(t, _)| t == transfer))
+                    || self.replica_phase(state.group) == Some(ReplicaPhase::Standby)
+            }
+            _ => true,
+        };
+        match kept {
+            true => Keep::Kept,
+            false => Keep::Counted,
+        }
+    }
+
+    fn land(&mut self, head: &EternalMessage, bytes: &[u8]) -> bool {
+        let EternalMessage::StateChunk { index, .. } = *head else {
+            return false;
+        };
+        let inbound = self.inbound_of(head);
+        inbound.is_some_and(|inbound| inbound.land(index, bytes))
+    }
+}
+
 impl Mechanisms {
     /// The application-level state bytes of the locally hosted replica
     /// of `group`, exactly as a state transfer would capture them —
@@ -405,24 +500,6 @@ impl Mechanisms {
             .values()
             .find(|dt| dt.group == group)
             .map(|dt| dt.donor)
-    }
-
-    /// Whether this processor keeps the body of a message in several
-    /// fragments, asked of its head at the first (docs/RECOVERY.md,
-    /// "Copies of a checkpoint"): a state chunk's at its new host, a
-    /// checkpoint's where it is logged (the capture's mark was recorded
-    /// here) or applied (a warm backup), and every other body.
-    pub(crate) fn keeps(&self, head: &EternalMessage) -> bool {
-        let (group, transfer) = match head {
-            EternalMessage::StateChunk { new_host, .. } => return *new_host == self.node,
-            EternalMessage::StateAssignment {
-                transfer, state, ..
-            } => (state.group, *transfer),
-            _ => return true,
-        };
-        let marks = self.transfers.checkpoint_marks.get(&group);
-        marks.is_some_and(|marks| marks.iter().any(|&(t, _)| t == transfer))
-            || self.replica_phase(group) == Some(ReplicaPhase::Standby)
     }
 
     /// A replica of `group` launched on `host` announced itself: the
@@ -510,9 +587,9 @@ impl Mechanisms {
                     let donor = self.groups[&group]
                         .donor_for(new_host)
                         .expect("a capturing host exists");
-                    let (bytes, size) = (state.to_bytes(), self.config.chunk_bytes);
+                    let (parts, size) = (state.into_parts(), self.config.chunk_bytes);
                     self.transfers
-                        .retain(transfer, group, new_host, donor, bytes, size);
+                        .retain(transfer, group, new_host, donor, parts, size);
                     if donor == self.node {
                         let delay = self.config.exec_time + wait;
                         let window = 0..CHUNK_PIPELINE as u32;
@@ -551,11 +628,12 @@ impl Mechanisms {
             // blocking window is O(suffix), not O(state).
             RetrievalPurpose::Recovery { new_host } => {
                 if let Some(replica) = self.awaiting_sync(group, new_host) {
-                    replica.inbound = Some(InboundTransfer {
+                    replica.inbound = Some(Box::new(InboundTransfer {
                         transfer,
                         buf: Vec::new(),
                         next_index: 0,
-                    });
+                        landing: None,
+                    }));
                 }
             }
         }
@@ -575,15 +653,14 @@ impl Mechanisms {
         let dt = &self.transfers.donor_transfers[&transfer];
         let size = self.config.chunk_bytes;
         for index in range.start..range.end.min(dt.total) {
-            let start = index as usize * size;
-            let end = (start + size).min(dt.bytes.len());
+            let bytes = dt.chunk(index, size);
             d.ctx.stamp_new(
                 d.now,
                 transfer_trace_id(transfer),
                 parent,
                 Hop::StateChunk,
                 index,
-                format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
+                format_args!("send {}/{} {}B", index + 1, dt.total, bytes.len()),
             );
             self.counters.chunks_streamed += 1;
             d.outs.push(Out::Multicast {
@@ -594,7 +671,7 @@ impl Mechanisms {
                     new_host: dt.new_host,
                     index,
                     total: dt.total,
-                    bytes: dt.bytes[start..end].to_vec(),
+                    bytes,
                 },
             });
         }
@@ -608,19 +685,20 @@ impl Mechanisms {
     /// * the streaming donor releases the next pipelined chunk — or,
     ///   on the last chunk, closes the suffix window and ships the
     ///   suffix after the quiescence wait,
-    /// * the recovering replica appends the payload and, on the last
-    ///   chunk, flips to enqueueing (its deferred §5.1 sync point).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_state_chunk(
-        &mut self,
-        group: GroupId,
-        transfer: TransferId,
-        new_host: NodeId,
-        index: u32,
-        total: u32,
-        bytes: &[u8],
-        d: &mut Delivery,
-    ) {
+    /// * the recovering replica commits the chunk — landed in its
+    ///   buffer already, or appended there from `bytes` — and, on the
+    ///   last chunk, flips to enqueueing (its deferred §5.1 sync point).
+    pub(super) fn on_state_chunk(&mut self, head: &EternalMessage, bytes: &[u8], d: &mut Delivery) {
+        let EternalMessage::StateChunk {
+            group,
+            transfer,
+            index,
+            total,
+            ..
+        } = *head
+        else {
+            return;
+        };
         // Off the wire: an index of `u32::MAX` must not overflow.
         let last = u64::from(index) + 1 == u64::from(total);
         let step = self.transfers.chunk_delivered(transfer, index, last);
@@ -637,26 +715,19 @@ impl Mechanisms {
             self.send_chunks(transfer, next..next + 1, self.config.exec_time, parent, d);
         }
         // ---- the recovering replica assembles the stream it is bound to.
-        let Some(replica) = self.awaiting_sync(group, new_host) else {
-            return;
-        };
-        let Some(inbound) = replica
-            .inbound
-            .as_mut()
-            .filter(|it| it.transfer == transfer)
-        else {
+        let Some(inbound) = self.inbound_of(head) else {
             return;
         };
         if index != inbound.next_index {
             self.counters.chunk_duplicates += 1;
             return;
         }
-        inbound.append(index, total, bytes);
+        let len = inbound.commit(total, bytes);
         d.ctx.stamp(
             d.now,
             Hop::StateChunk,
             index,
-            format_args!("recv {}/{} {}B", index + 1, total, bytes.len()),
+            format_args!("recv {}/{} {}B", index + 1, total, len),
         );
         if last {
             // §5.1 step i, deferred: the last chunk is the recovering
@@ -664,6 +735,7 @@ impl Mechanisms {
             // the retaining hosts closed their suffix windows. From
             // here traffic is held, not dropped; the blocking window
             // starts now.
+            let replica = self.replica_mut(group).expect("bound to the stream");
             replica.phase = ReplicaPhase::Enqueueing;
             replica.holding.mark_sync_point(transfer);
         }
@@ -676,6 +748,22 @@ impl Mechanisms {
         let here = new_host == self.node;
         self.replica_mut(group)
             .filter(|r| here && r.phase == ReplicaPhase::AwaitingSync)
+    }
+
+    /// The inbound stream a state chunk with this head feeds: the one
+    /// bound to its transfer at the replica recovering here.
+    fn inbound_of(&mut self, head: &EternalMessage) -> Option<&mut InboundTransfer> {
+        let EternalMessage::StateChunk {
+            group,
+            transfer,
+            new_host,
+            ..
+        } = *head
+        else {
+            return None;
+        };
+        let inbound = self.awaiting_sync(group, new_host)?.inbound.as_deref_mut();
+        inbound.filter(|it| it.transfer == transfer)
     }
 
     /// The donor's closing step: the last chunk is through, every
@@ -1136,7 +1224,7 @@ mod tests {
     /// chunks of `G`'s state streamed by P1 to the replica on P9.
     fn retaining(node: u32) -> Transfers {
         let mut t = Transfers::new(n(node));
-        t.retain(T, G, n(9), n(1), vec![0; 100], 10);
+        t.retain(T, G, n(9), n(1), [Vec::new(), vec![0; 100], Vec::new()], 10);
         t
     }
 
@@ -1168,34 +1256,200 @@ mod tests {
     }
 
     /// The recovering replica reserves its buffer once, at chunk 0,
-    /// for the whole stream; a corrupt `total` reserves no more than
-    /// the cap the reassembler presizes to.
+    /// for the whole stream, whether chunk 0 lands or is appended whole;
+    /// a corrupt `total` or chunk length reserves no more than the cap
+    /// the reassembler presizes to.
     #[test]
     fn the_inbound_buffer_is_reserved_once_within_the_cap() {
-        let first = |total| {
-            let mut inbound = InboundTransfer {
-                transfer: T,
-                buf: Vec::new(),
-                next_index: 0,
+        for landed in [false, true] {
+            let mut inbound = bound_inbound();
+            let chunk = |inbound: &mut InboundTransfer, index: u32, total, len| {
+                let bytes = vec![7; len];
+                if landed && inbound.lands(index, total, len) {
+                    assert!(inbound.land(index, &bytes));
+                    assert_eq!(inbound.commit(total, &[]), len);
+                } else {
+                    assert_eq!(inbound.commit(total, &bytes), len);
+                }
             };
-            inbound.append(0, total, &[7; 1_000]);
-            inbound
-        };
-        let mut inbound = first(10);
-        assert_eq!(inbound.buf.capacity(), 10_000);
-        for index in 1..10 {
-            inbound.append(index, 10, &[7; 1_000][..1_000 - index as usize]);
+            chunk(&mut inbound, 0, 10, 1_000);
+            assert_eq!(inbound.buf.capacity(), 10_000);
+            for index in 1..10 {
+                chunk(&mut inbound, index, 10, 1_000 - index as usize);
+            }
+            assert_eq!(inbound.next_index, 10);
+            assert_eq!(inbound.buf.capacity(), 10_000, "the buffer grew");
+            for (total, len) in [(u32::MAX, 1_000), (10, usize::MAX), (u32::MAX, usize::MAX)] {
+                let mut inbound = bound_inbound();
+                match landed {
+                    true => assert!(inbound.lands(0, total, len)),
+                    false => _ = inbound.commit(total, &vec![7; len.min(1_000)]),
+                }
+                assert!(inbound.buf.capacity() <= MAX_PRESIZE, "{total} x {len} B");
+            }
         }
-        assert_eq!(inbound.next_index, 10);
-        assert_eq!(inbound.buf.capacity(), 10_000, "the buffer grew");
-        assert!(first(u32::MAX).buf.capacity() <= MAX_PRESIZE);
+    }
+
+    fn bound_inbound() -> InboundTransfer {
+        InboundTransfer {
+            transfer: T,
+            buf: Vec::new(),
+            next_index: 0,
+            landing: None,
+        }
+    }
+
+    /// The chunks a donor cuts from the parts of its capture are the
+    /// slices of the whole encoding, at chunk boundaries in the head,
+    /// in the application state and in the tail, and of an empty
+    /// application state.
+    #[test]
+    fn chunks_are_the_slices_of_the_whole_encoding() {
+        let conn = ConnectionName {
+            client: G,
+            server: GroupId(8),
+        };
+        for app in [0, 1, 2, 3, 5, 9, 4_100, 40_000] {
+            let state = ThreeKindsOfState {
+                group: G,
+                application: (0..app).map(|i| i as u8).collect(),
+                orb_poa: OrbPoaStateTransfer {
+                    next_request_ids: vec![(conn, 12)],
+                    handshakes: vec![(conn, b"GIOP handshake".to_vec())],
+                },
+                infrastructure: InfraStateTransfer {
+                    outstanding: vec![OutstandingCall {
+                        conn,
+                        op_seq: 3,
+                        request_id: 4,
+                        operation: "touch".into(),
+                    }],
+                    dedup_horizons: vec![(conn, Direction::Reply, 2)],
+                    op_counters: vec![(conn, 5)],
+                },
+            };
+            let whole = state.to_bytes();
+            for size in [1, 3, 7, 8, 4_096, 32_768] {
+                let mut t = Transfers::new(n(2));
+                t.retain(T, G, n(9), n(1), state.clone().into_parts(), size);
+                let dt = &t.donor_transfers[&T];
+                assert_eq!(dt.total as usize, whole.len().div_ceil(size));
+                let chunks: Vec<Vec<u8>> = (0..dt.total).map(|k| dt.chunk(k, size)).collect();
+                for (k, chunk) in chunks.iter().enumerate() {
+                    let from = k * size;
+                    assert_eq!(chunk[..], whole[from..(from + size).min(whole.len())]);
+                    assert_eq!(chunk.capacity(), chunk.len());
+                }
+                assert_eq!(chunks.concat(), whole, "{app} B in chunks of {size}");
+            }
+        }
+    }
+
+    /// A keep rule that lands state chunks in `inbound` as the new
+    /// host's mechanisms do.
+    struct At<'a>(&'a mut InboundTransfer);
+
+    impl KeepRule for At<'_> {
+        fn keep(&mut self, head: &EternalMessage, len: usize) -> Keep {
+            match *head {
+                EternalMessage::StateChunk { index, total, .. }
+                    if self.0.lands(index, total, len) =>
+                {
+                    Keep::Landed
+                }
+                _ => Keep::Kept,
+            }
+        }
+
+        fn land(&mut self, head: &EternalMessage, bytes: &[u8]) -> bool {
+            matches!(*head, EternalMessage::StateChunk { index, .. } if self.0.land(index, bytes))
+        }
+    }
+
+    /// A chunk whose partial is abandoned mid-way — its donor killed
+    /// between two fragments and forgotten — or beaten by a takeover's
+    /// copy of the same chunk leaves no byte in the inbound buffer: the
+    /// copy that completes first is committed whole, and the buffer
+    /// ends up holding exactly the stream.
+    #[test]
+    fn an_abandoned_or_beaten_partial_leaves_no_byte_in_the_inbound_buffer() {
+        use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        const SIZE: usize = 100;
+        let whole: Vec<u8> = (0..4 * SIZE).map(|i| (i * 7) as u8).collect();
+        let frags = |origin: u32, msg_id: u64, index: u32| {
+            let start = index as usize * SIZE;
+            let message = EternalMessage::StateChunk {
+                group: G,
+                transfer: T,
+                new_host: n(9),
+                index,
+                total: 4,
+                bytes: whole[start..start + SIZE].to_vec(),
+            };
+            // The head and 8 body bytes in the first of four fragments.
+            message.fragments(n(origin), msg_id, FRAGMENT_OVERHEAD + 40)
+        };
+        let mut inbound = bound_inbound();
+        let mut r = EternalReassembler::new();
+        let push = |r: &mut EternalReassembler, inbound: &mut InboundTransfer, frag: &[u8]| {
+            let done = r.push_view(frag, &mut At(inbound)).expect("well-formed");
+            if let Some(delivered) = done {
+                let EternalMessage::StateChunk { index, total, .. } = delivered.head else {
+                    panic!("a chunk");
+                };
+                if index == inbound.next_index {
+                    inbound.commit(total, &delivered.body);
+                }
+                return Some(delivered.body.is_empty());
+            }
+            None
+        };
+        // Chunk 0 lands whole.
+        let landed: Vec<_> = frags(1, 0, 0)
+            .iter()
+            .map(|f| push(&mut r, &mut inbound, f))
+            .collect();
+        assert_eq!(
+            landed.last(),
+            Some(&Some(true)),
+            "delivered empty: it landed"
+        );
+        assert_eq!(inbound.buf, whole[..SIZE]);
+        // Chunk 1 from P1 lands two fragments; P1 dies and is forgotten.
+        for frag in &frags(1, 1, 1)[..2] {
+            assert_eq!(push(&mut r, &mut inbound, frag), None);
+        }
+        assert_eq!(inbound.buf.len(), SIZE + 8 + 40, "two fragments landed");
+        r.forget_origin(n(1));
+        // The takeover's copy of chunk 1 comes whole, replaces them,
+        // and chunk 2 lands again behind it.
+        for (msg_id, index) in [(0, 1), (1, 2)] {
+            for frag in &frags(2, msg_id, index) {
+                push(&mut r, &mut inbound, frag);
+            }
+        }
+        assert_eq!(inbound.buf, whole[..3 * SIZE]);
+        assert_eq!(inbound.landing, None);
+        // Chunk 3 from P2 lands while P3's copy, begun second, is kept;
+        // P3's completes first and is committed, P2's lands no more and
+        // is a duplicate.
+        let (p2, p3) = (frags(2, 2, 3), frags(3, 0, 3));
+        push(&mut r, &mut inbound, &p2[0]);
+        for frag in &p3 {
+            push(&mut r, &mut inbound, frag);
+        }
+        for frag in &p2[1..] {
+            push(&mut r, &mut inbound, frag);
+        }
+        assert_eq!(inbound.next_index, 4);
+        assert_eq!(inbound.buf, whole);
     }
 
     #[test]
     fn suffix_window_logs_from_the_mark_to_the_last_chunk() {
         let mut t = Transfers::new(n(2));
         t.log_input(G, || request(1)); // before the mark: no window yet
-        t.retain(T, G, n(9), n(1), vec![0; 20], 10);
+        t.retain(T, G, n(9), n(1), [vec![0; 8], vec![0; 12], Vec::new()], 10);
         t.log_input(G, || request(2));
         t.log_input(GroupId(3), || request(3)); // another group's traffic
         t.chunk_delivered(T, 0, false);

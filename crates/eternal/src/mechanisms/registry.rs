@@ -74,8 +74,10 @@ pub(super) struct LocalReplica {
     /// A crash-and-relaunch can leave chunks of an abandoned transfer
     /// in flight; accepting one would bind the new replica's sync point
     /// to a stream no donor is driving any more, wedging the recovery —
-    /// so the binding lives and dies with the replica.
-    pub(super) inbound: Option<InboundTransfer>,
+    /// so the binding lives and dies with the replica. Boxed: only a
+    /// recovering replica has one, and every group's entry would carry
+    /// its size.
+    pub(super) inbound: Option<Box<InboundTransfer>>,
 }
 
 impl LocalReplica {

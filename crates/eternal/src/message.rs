@@ -18,7 +18,6 @@ use eternal_obs::health::HealthSnapshot;
 use eternal_sim::net::NodeId;
 use eternal_sim::Bytes;
 use std::borrow::Cow;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
@@ -933,270 +932,13 @@ fn fragment_stream(
         .collect()
 }
 
-/// A partially reassembled message: the fragment index expected next,
-/// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes received so far — after the head of a message
-/// with a bulk body, decoded from the first fragment when it holds it:
-/// then each body byte is written at its final offset in the buffer
-/// the delivered message keeps.
-#[derive(Debug)]
-struct Partial {
-    next: u32,
-    total: u32,
-    /// That head, and where its body lies in the whole message. Its own
-    /// empty body collects the bytes after the body: an assignment's
-    /// other two kinds of state, which every processor decodes.
-    head: Option<(EternalMessage, Range<usize>)>,
-    bytes: Received,
-}
-
-/// What a partial keeps of the bytes it receives: all of them, or only
-/// their number for a body the processor does not keep.
-#[derive(Debug)]
-enum Received {
-    Kept(Vec<u8>),
-    Counted(usize),
-}
-
-impl Received {
-    fn len(&self) -> usize {
-        match self {
-            Received::Kept(bytes) => bytes.len(),
-            Received::Counted(len) => *len,
-        }
-    }
-}
-
-/// Most bytes reserved up front for one message: by a partial, or by a
-/// recovering replica for its state (a larger one still arrives; its
-/// buffer then grows).
-pub(crate) const MAX_PRESIZE: usize = 1 << 24;
-
-/// Refusals of a fragment that does not continue its message.
-const TOTAL_MISMATCH: CdrError = CdrError::TypeMismatch {
-    expected: "consistent fragment total",
-    found: "total mismatch within one message",
-};
-const OUT_OF_ORDER: CdrError = CdrError::TypeMismatch {
-    expected: "next fragment index",
-    found: "out-of-order fragment",
-};
-
-impl Partial {
-    /// A message of `total` fragments begun by its first, `first`, whose
-    /// body is kept if there is no head or `keeps` says so of the head.
-    fn new(total: u32, first: &[u8], keeps: impl FnOnce(&EternalMessage) -> bool) -> Self {
-        let head = EternalMessage::decode_bulk_head(first).ok().flatten();
-        let (skip, body) = head
-            .as_ref()
-            .map_or((0, usize::MAX), |(_, body)| (body.start, body.len()));
-        // Every fragment but the last is as long as the first, so this
-        // holds the whole message, or its body, and never grows; no one
-        // corrupt word reserves the address space. Not a pooled buffer:
-        // the message keeps it.
-        let presize = (total as usize)
-            .saturating_mul(first.len())
-            .min(body)
-            .min(MAX_PRESIZE);
-        let bytes = match head.as_ref().is_none_or(|(head, _)| keeps(head)) {
-            true => Received::Kept(Vec::with_capacity(presize)),
-            false => Received::Counted(0),
-        };
-        let mut partial = Partial {
-            next: 1,
-            total,
-            head,
-            bytes,
-        };
-        partial.receive(&first[skip..]);
-        partial
-    }
-
-    /// Takes in the next `chunk` of the message: the bytes up to the
-    /// body's end are kept or counted, those after it collected in the
-    /// head's body buffer.
-    fn receive(&mut self, mut chunk: &[u8]) {
-        if let Some((head, body)) = &mut self.head {
-            let upto = body.len().saturating_sub(self.bytes.len());
-            if upto < chunk.len() {
-                let after = head.bulk_mut().expect("a head has a bulk body");
-                after.extend_from_slice(&chunk[upto..]);
-                chunk = &chunk[..upto];
-            }
-        }
-        match &mut self.bytes {
-            Received::Kept(bytes) => bytes.extend_from_slice(chunk),
-            Received::Counted(len) => *len += chunk.len(),
-        }
-    }
-
-    /// Bytes received after the head, kept or not.
-    fn received(&self) -> usize {
-        let after = self.head.as_ref().map_or(0, |(head, _)| head.bulk().len());
-        self.bytes.len() + after
-    }
-
-    /// The message, its last fragment in: the kept bytes become its
-    /// body, or, without a decoded head, are decoded whole. Either way
-    /// the verdict is [`EternalMessage::from_bytes`]' on the whole.
-    fn finish(self) -> Result<Delivered<'static>, CdrError> {
-        let received = self.received();
-        let bytes = match self.bytes {
-            Received::Kept(bytes) => bytes,
-            Received::Counted(_) => Vec::new(),
-        };
-        let Some((mut head, body)) = self.head else {
-            return EternalMessage::from_bytes(&bytes).map(Delivered::from);
-        };
-        body_within(body.clone(), body.start + received)?;
-        let after = std::mem::take(head.bulk_mut().expect("a head has a bulk body"));
-        head.decode_tail(&after, body.end)?;
-        Ok(Delivered {
-            head,
-            body: Cow::Owned(bytes),
-        })
-    }
-}
-
-/// Reassembles [`WireFragment`] streams back into [`EternalMessage`]s.
-///
-/// Totem delivers fragments of one origin in order, but fragments of
-/// different origins interleave; partial messages are keyed by
-/// `(origin, msg_id)`. When a processor leaves the membership its
-/// partials must be evicted via [`EternalReassembler::forget_origin`]:
-/// a crashed sender will never complete them, and if it restarts with
-/// its `msg_id` counter rewound, stale bytes would otherwise collide
-/// with the reused key and corrupt or swallow the new message.
-#[derive(Debug, Default)]
-pub struct EternalReassembler {
-    partial: BTreeMap<(NodeId, u64), Partial>,
-}
-
-impl EternalReassembler {
-    /// Creates an empty reassembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of messages currently partially assembled.
-    pub fn pending(&self) -> usize {
-        self.partial.len()
-    }
-
-    /// Number of messages partially assembled from `origin`.
-    pub fn pending_from(&self, origin: NodeId) -> usize {
-        self.partial.keys().filter(|&&(o, _)| o == origin).count()
-    }
-
-    /// Bytes received across all partially assembled messages, kept or
-    /// not (a backpressure gauge: what waits for trailing fragments).
-    pub fn pending_bytes(&self) -> usize {
-        let head = |p: &Partial| p.head.as_ref().map_or(0, |(_, body)| body.start);
-        self.partial.values().map(|p| head(p) + p.received()).sum()
-    }
-
-    /// The head of the message `origin`'s `msg_id` is reassembling,
-    /// when its first fragment held it and it is an `Iiop` or a
-    /// `StateChunk` (body left empty). A checkpoint's head is not lent:
-    /// its assignment is traced once whole.
-    pub fn partial_head(&self, origin: NodeId, msg_id: u64) -> Option<&EternalMessage> {
-        let partial = self.partial.get(&(origin, msg_id))?;
-        match &partial.head {
-            Some((EternalMessage::StateAssignment { .. }, _)) | None => None,
-            Some((head, _)) => Some(head),
-        }
-    }
-
-    /// Drops every partial from `origin`. Called on a Totem membership
-    /// change that excludes `origin` (mirroring `giop::Reassembler`'s
-    /// per-connection `reset`): the departed processor will never send
-    /// the remaining fragments, and may reuse `msg_id`s after restart.
-    pub fn forget_origin(&mut self, origin: NodeId) {
-        self.partial.retain(|&(o, _), _| o != origin);
-    }
-
-    /// Consumes one Totem payload, keeping every body; returns the
-    /// completed message when this was its last fragment.
-    ///
-    /// # Errors
-    ///
-    /// As [`EternalReassembler::push_view`].
-    pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
-        Ok(self
-            .push_view(payload, |_| true)?
-            .map(Delivered::into_message))
-    }
-
-    /// Consumes one Totem payload; returns the completed message when
-    /// this was its last fragment, its body a view into `payload` if it
-    /// was also its first. Of a message in several fragments whose
-    /// first holds its head, `keeps` is asked once, at that fragment,
-    /// whether this processor keeps the body: where it does not, the
-    /// body's bytes are counted, not kept, the verdicts, `pending()` and
-    /// `pending_bytes()` are those of keeping it, and the body is
-    /// delivered empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates envelope/message decode failures; out-of-order
-    /// fragments (impossible under Totem's guarantees), a fragment
-    /// whose `total` disagrees with the first fragment's, or a zero
-    /// `total` are reported as [`CdrError::TypeMismatch`] and the
-    /// partial entry is dropped.
-    pub fn push_view<'a>(
-        &mut self,
-        payload: &'a [u8],
-        keeps: impl FnOnce(&EternalMessage) -> bool,
-    ) -> Result<Option<Delivered<'a>>, CdrError> {
-        let WireFragment {
-            origin,
-            msg_id,
-            index,
-            total,
-            chunk,
-        } = WireFragment::from_bytes(payload)?;
-        if total == 0 {
-            return Err(CdrError::TypeMismatch {
-                expected: "fragment total > 0",
-                found: "zero-fragment message",
-            });
-        }
-        let key = (origin, msg_id);
-        let begun = !self.partial.is_empty() && self.partial.contains_key(&key);
-        if total == 1 && index == 0 && !begun {
-            // The common case — a message that fits one frame — is
-            // decoded straight from the delivered bytes.
-            return Delivered::view(chunk).map(Some);
-        }
-        let mut entry = match self.partial.entry(key) {
-            Entry::Vacant(_) if index != 0 => return Err(OUT_OF_ORDER),
-            Entry::Vacant(slot) => {
-                slot.insert(Partial::new(total, chunk, keeps));
-                return Ok(None);
-            }
-            Entry::Occupied(entry) => entry,
-        };
-        let partial = entry.get_mut();
-        if partial.total != total || partial.next != index {
-            let refusal = match partial.total != total {
-                true => TOTAL_MISMATCH,
-                false => OUT_OF_ORDER,
-            };
-            entry.remove();
-            return Err(refusal);
-        }
-        partial.next += 1;
-        partial.receive(chunk);
-        match partial.next == partial.total {
-            // The buffer is this reassembler's own: the message keeps it.
-            true => entry.remove().finish().map(Some),
-            false => Ok(None),
-        }
-    }
-}
+mod reassembly;
+pub(crate) use reassembly::MAX_PRESIZE;
+pub use reassembly::{EternalReassembler, Keep, KeepRule};
 
 #[cfg(test)]
 mod tests {
+    use super::reassembly::Received;
     use super::*;
     use crate::recovery::state3::{InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall};
     use eternal_sim::rng::SimRng;
@@ -1738,7 +1480,27 @@ mod tests {
     fn kept(received: &Received) -> &Vec<u8> {
         match received {
             Received::Kept(bytes) => bytes,
-            Received::Counted(_) => panic!("the bytes were counted, not kept"),
+            _ => panic!("the bytes were counted or landed, not kept"),
+        }
+    }
+
+    /// A keep rule that lands the body of every state chunk in one
+    /// buffer, begun afresh at each, and keeps every other body.
+    #[derive(Default)]
+    struct Lands(Vec<u8>);
+
+    impl KeepRule for Lands {
+        fn keep(&mut self, head: &EternalMessage, _: usize) -> Keep {
+            self.0.clear();
+            match head {
+                EternalMessage::StateChunk { .. } => Keep::Landed,
+                _ => Keep::Kept,
+            }
+        }
+
+        fn land(&mut self, _: &EternalMessage, bytes: &[u8]) -> bool {
+            self.0.extend_from_slice(bytes);
+            true
         }
     }
 
@@ -1822,14 +1584,18 @@ mod tests {
         // keeps no byte of their bodies in several fragments, yet
         // reaches the same verdict, head and gauges at every step, the
         // message whole, cut short or with its body's length word
-        // inflated. A checkpoint's head is never lent mid-message.
+        // inflated. A state chunk at its new host lands its body, which
+        // is delivered empty, with the same verdict, head and gauges,
+        // and lands exactly the body decoding it whole yields. A
+        // checkpoint's head is never lent mid-message.
         let keeps_none = |head: &EternalMessage| {
             !matches!(
                 head,
                 EternalMessage::StateChunk { .. } | EternalMessage::StateAssignment { .. }
             )
         };
-        let mut rs = [EternalReassembler::new(), EternalReassembler::new()];
+        let mut rs = [(); 3].map(|_| EternalReassembler::new());
+        let mut lands = Lands::default();
         for (msg_id, &size) in sizes.iter().enumerate() {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1863,10 +1629,10 @@ mod tests {
                 let several = frags.len() > 1;
                 let (last, rest) = frags.split_last().unwrap();
                 let mut push = |r: &mut EternalReassembler, frag: &[u8]| {
-                    let [home, away] = &mut rs;
+                    let [home, away, lander] = &mut rs;
                     let pushed = r.push(frag);
                     assert_eq!(
-                        home.push_view(frag, |_| true)
+                        home.push_view(frag, &mut |_: &EternalMessage| true)
                             .map(|d| d.map(Delivered::into_message)),
                         pushed
                     );
@@ -1878,12 +1644,24 @@ mod tests {
                             message
                         })
                     });
-                    let by_away = away.push_view(frag, keeps_none);
+                    let by_away = away.push_view(frag, &mut |h: &EternalMessage| keeps_none(h));
                     assert_eq!(
                         by_away.map(|d| d.map(Delivered::into_message)),
                         bodiless,
                         "size {size}"
                     );
+                    let by_lander = lander.push_view(frag, &mut lands);
+                    let landed = pushed.clone().map(|done| {
+                        done.map(|mut message| {
+                            if let (true, EternalMessage::StateChunk { bytes, .. }) =
+                                (several, &mut message)
+                            {
+                                assert_eq!(lands.0, std::mem::take(bytes), "the landed body");
+                            }
+                            message
+                        })
+                    });
+                    assert_eq!(by_lander.map(|d| d.map(Delivered::into_message)), landed);
                     if let Some(partial) = away.partial.get(&key) {
                         let counted = matches!(partial.bytes, Received::Counted(_));
                         let bulk = partial

@@ -256,6 +256,24 @@ impl ThreeKindsOfState {
             .encoded_end(self.orb_poa.encoded_end(at))
     }
 
+    /// [`ThreeKindsOfState::to_bytes`]' stream in three parts, the
+    /// application state moved, not copied: the group and the
+    /// application state's length, the application state, and the other
+    /// two kinds, encoded where they follow it (nothing there aligns to
+    /// more than 4, so only that offset mod 4 matters).
+    pub(crate) fn into_parts(self) -> [Vec<u8>; 3] {
+        let at = 8 + self.application.len();
+        let head = [self.group.0, self.application.len() as u32].map(u32::to_be_bytes);
+        let pad = at % 4;
+        let buf = Vec::with_capacity(pad + self.encoded_end(0) - at);
+        let mut tail = CdrEncoder::append_to(buf, Endian::Big);
+        tail.write_raw(&[0; 3][..pad]);
+        self.encode_tail(&mut tail);
+        let mut tail = tail.into_bytes();
+        tail.drain(..pad);
+        [head.concat(), self.application, tail]
+    }
+
     /// Convenience: full round-trip to bytes (big-endian stream), in a
     /// buffer reserved once at the encoding's exact length.
     pub fn to_bytes(&self) -> Vec<u8> {

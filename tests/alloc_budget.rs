@@ -228,13 +228,17 @@ fn fragmented_stream_allocations_per_reply_stay_within_budget() {
 const STATE_BYTES: usize = 128 * 1024;
 
 /// Bytes asked for from a replica's kill until redundancy is restored
-/// on the transfer shape, in states' worth: 10.86. It was 17.36 before
+/// on the transfer shape, in states' worth: 8.08. It was 10.86 before
+/// P11, which cuts the donor's chunks straight from the parts of its
+/// capture instead of from a retained copy of the whole encoding, and
+/// lands each chunk's fragments in the recovering replica's inbound
+/// buffer instead of reassembling the chunk first; and 17.36 before
 /// P9, which reassembles a chunk's body at the recovering replica's
 /// host alone (not at all four processors), reserves that replica's
 /// inbound buffer once for the whole stream instead of doubling it,
 /// and lends it the application state for `set_state` instead of
 /// copying it out (docs/RECOVERY.md, "Copies of the state").
-const TRANSFER_STATES: f64 = 10.86;
+const TRANSFER_STATES: f64 = 8.08;
 
 /// An active(2) group of `BlobServant`s on four processors, streaming
 /// `touch`es four at a time, loses a replica; the replacement is
@@ -272,15 +276,16 @@ fn a_state_transfer_asks_for_its_states_worth_within_budget() {
 }
 
 /// Bytes asked for per checkpoint on the checkpoint shape, in states'
-/// worth: 7.23. It was 15.11 before P10, which keeps a checkpoint's
-/// application state only at the two hosts that log it (not at all four
-/// processors), logs it as received instead of decoding a copy and
-/// re-encoding it, and lends it to the warm backup's `set_state`
-/// (docs/RECOVERY.md, "Copies of a checkpoint"). Of the 7.23, 2.2 are
-/// the two kept bodies; the rest is the primary's capture and frames
-/// (≈ 4, its `Any` encoding growing by half a state) and the warm
-/// backup's `set_state` decoding its `Any` (≈ 1).
-const CHECKPOINT_STATES: f64 = 7.23;
+/// worth: 7.22 (7.23 before P11). It was 15.11 before P10, which keeps
+/// a checkpoint's application state only at the two hosts that log it
+/// (not at all four processors), logs it as received instead of
+/// decoding a copy and re-encoding it, and lends it to the warm
+/// backup's `set_state` (docs/RECOVERY.md, "Copies of a checkpoint").
+/// Of the 7.22, 2.2 are the two kept bodies; the rest is the primary's
+/// capture and frames (4: the `Any`, its encoding, the assignment's
+/// encoding, its frames) and the warm backup's `set_state` decoding its
+/// `Any` (1).
+const CHECKPOINT_STATES: f64 = 7.22;
 
 /// Checkpoints the checkpoint shape takes before counting starts, and
 /// counts.

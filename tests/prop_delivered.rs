@@ -11,7 +11,8 @@
 //! agree on the same fragments. A reassembler at a processor reaches
 //! every verdict and gauge of one that keeps every body, though it keeps
 //! none of a state chunk bound elsewhere or of a checkpoint it does not
-//! log.
+//! log, and one that lands the body of a state chunk bound for it
+//! ([`EternalReassembler::push_with`]) lands exactly that body.
 //! [`EternalMessage::fragments`] writes the bytes [`fragment_eternal`]
 //! cuts from [`EternalMessage::to_bytes`].
 //! Random cases come from the deterministic `eternal-sim` RNG (fixed
@@ -19,7 +20,7 @@
 
 use eternal::gid::{ConnectionName, Direction, GroupId, TransferId};
 use eternal::message::{
-    fragment_eternal, Delivered, EternalMessage, EternalReassembler, OrderedInput,
+    fragment_eternal, Delivered, EternalMessage, EternalReassembler, Keep, KeepRule, OrderedInput,
     RetrievalPurpose, WireFragment, FRAGMENT_OVERHEAD,
 };
 use eternal::recovery::{
@@ -194,7 +195,9 @@ fn push_at<'a>(
     frag: &'a [u8],
     kept: &mut Option<bool>,
 ) -> Result<Option<Delivered<'a>>, CdrError> {
-    at.push_view(frag, |head| *kept.insert(keeps_at(head)))
+    at.push_view(frag, &mut |head: &EternalMessage| {
+        *kept.insert(keeps_at(head))
+    })
 }
 
 /// What a reassembler at [`AT`] delivers of `message` when the keep rule
@@ -206,26 +209,62 @@ fn as_delivered_at(mut message: EternalMessage, kept: Option<bool>) -> EternalMe
     message
 }
 
+/// The keep rule at [`AT`] of its new host's mechanisms: the body of a
+/// state chunk bound for it lands in `landed`, and every other body is
+/// kept as [`keeps_at`] says.
+#[derive(Default)]
+struct LandsAt {
+    landed: Option<Vec<u8>>,
+}
+
+impl KeepRule for LandsAt {
+    fn keep(&mut self, head: &EternalMessage, _: usize) -> Keep {
+        match head {
+            EternalMessage::StateChunk { new_host, .. } if *new_host == AT => {
+                self.landed = Some(Vec::new());
+                Keep::Landed
+            }
+            head if keeps_at(head) => Keep::Kept,
+            _ => Keep::Counted,
+        }
+    }
+
+    fn land(&mut self, _: &EternalMessage, bytes: &[u8]) -> bool {
+        let landed = self.landed.as_mut().expect("asked to keep first");
+        landed.extend_from_slice(bytes);
+        true
+    }
+}
+
 /// `frags` pushed through a fresh reassembler: the message the last one
 /// completes. Before it, the partial holds exactly the chunk bytes
 /// received, whether it has decoded a head or not. A reassembler at
 /// [`AT`] counts as many bytes at every push and reaches the same
 /// verdict, though it keeps no body it does not want; it is asked
 /// whether it does once, and only of a message in several fragments.
+/// So does one at [`AT`] that lands the body of a state chunk bound
+/// for it, and what it lands is that body.
 fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
     let mut reassembler = EternalReassembler::new();
     let mut at = EternalReassembler::new();
+    let (mut lander, mut lands) = (EternalReassembler::new(), LandsAt::default());
     let mut kept = None;
     let (last, rest) = frags.split_last().expect("one fragment at least");
     let mut received = 0;
     for frag in rest {
-        assert!(matches!(reassembler.push_view(frag, |_| true), Ok(None)));
+        assert!(matches!(
+            reassembler.push_view(frag, &mut |_: &EternalMessage| true),
+            Ok(None)
+        ));
         let asked = kept.is_some();
         assert!(matches!(push_at(&mut at, frag, &mut kept), Ok(None)));
         assert!(!asked || kept.is_some(), "asked twice");
         received += frag.len() - FRAGMENT_OVERHEAD;
         assert_eq!(reassembler.pending_bytes(), received, "mid-message");
         assert_eq!(at.pending_bytes(), received, "mid-message, at {AT}");
+        assert!(matches!(lander.push_view(frag, &mut lands), Ok(None)));
+        assert_eq!(lander.pending_bytes(), received, "mid-message, landing");
+        assert_eq!(lander.pending(), 1);
     }
     let first = WireFragment::from_bytes(&frags[0]).expect("an envelope");
     let partial_head = reassembler
@@ -236,7 +275,7 @@ fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
         partial_head.as_ref()
     );
     let done = reassembler
-        .push_view(last, |_| true)
+        .push_view(last, &mut |_: &EternalMessage| true)
         .map(|done| done.expect("the last fragment completes the message"));
     let mut at_kept = kept;
     let at_done = push_at(&mut at, last, &mut at_kept).map(|done| {
@@ -263,6 +302,26 @@ fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
         (done, at_done) => panic!("at {AT} the verdict differs: {done:?} / {at_done:?}"),
     }
     assert_eq!((at.pending(), at.pending_bytes()), (0, 0));
+    let lander_done = lander.push_view(last, &mut lands).map(|done| {
+        let done = done.expect("the last fragment completes the message");
+        assert!(body_of(&done.head).is_empty());
+        let mut message = done.into_message();
+        if let Some(landed) = lands.landed.take() {
+            assert!(body_of(&message).is_empty(), "a landed body was kept");
+            *body_mut(&mut message).expect("a state chunk") = landed;
+        }
+        message
+    });
+    match (&done, lander_done) {
+        (Ok(done), Ok(lander_done)) => {
+            let (head, body) = (done.head.clone(), done.body.clone());
+            let whole = Delivered { head, body }.into_message();
+            assert_eq!(as_delivered_at(whole, kept), lander_done);
+        }
+        (Err(error), Err(lander_error)) => assert_eq!(error, &lander_error),
+        (done, lander_done) => panic!("landing, the verdict differs: {done:?} / {lander_done:?}"),
+    }
+    assert_eq!((lander.pending(), lander.pending_bytes()), (0, 0));
     done
 }
 
@@ -468,7 +527,7 @@ fn push_and_push_view_agree_fragment_by_fragment() {
             let head = owned.partial_head(NodeId(2), case).cloned();
             assert_eq!(at.partial_head(NodeId(2), case), head.as_ref());
             let by_view = viewed
-                .push_view(&frag, |_| true)
+                .push_view(&frag, &mut |_: &EternalMessage| true)
                 .map(|d| d.map(Delivered::into_message));
             assert_eq!(owned.push(&frag), by_view, "case {case} fragment {i}");
             assert_eq!(owned.pending(), viewed.pending());
