@@ -34,7 +34,6 @@ use eternal_obs::MetricsRegistry;
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::SharedChoiceSource;
 use eternal_sim::net::{NetworkConfig, NodeId};
-use eternal_sim::Bytes;
 use eternal_sim::{Duration, SimTime};
 use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery};
 use eternal_totem::ring::{Fate, Popped, Ring};
@@ -597,12 +596,7 @@ impl Cluster {
         // A message that fits one frame is written into it directly;
         // a larger one is cut up, its body copied straight into the
         // frames.
-        let whole = message.single_fragment(src, msg_id, max_payload);
-        let cut = match whole {
-            Some(_) => Vec::new(),
-            None => message.fragments(src, msg_id, max_payload),
-        };
-        for (i, frag) in whole.map(Bytes::from).into_iter().chain(cut).enumerate() {
+        for (i, frag) in message.fragments(src, msg_id, max_payload).enumerate() {
             if trace_id != 0 {
                 let index = i as u32;
                 let pack = Frag {
@@ -704,8 +698,8 @@ impl Cluster {
                     ring_seq: ring.seq,
                     seq,
                 };
-                let Processor { reasm, mech, .. } = &mut self.procs[node.0 as usize];
-                let pushed = reasm.push_view(&data, mech);
+                let reasm = &mut self.procs[node.0 as usize].reasm;
+                let pushed = reasm.push_view(&data);
                 // Receive-side causal bookkeeping: a Deliver span under
                 // the fragment's Pack span, carrying the total-order
                 // position (the cross-replica agreement check keys on
@@ -751,9 +745,10 @@ impl Cluster {
                         let mut ctx =
                             HopCtx::new(&mut self.causal, node.0 as u64, trace_id, parent, clock);
                         let mut outs = std::mem::take(&mut self.outs);
-                        self.procs[node.0 as usize]
-                            .mech
-                            .on_delivered_into(delivered, now, &mut ctx, &mut outs);
+                        let (head, body) = (delivered.head, delivered.body);
+                        let proc = &mut self.procs[node.0 as usize];
+                        (proc.mech).on_delivered_into(head, &body, now, &mut ctx, &mut outs);
+                        proc.reasm.recycle(body);
                         self.process_outs(node, outs.drain(..), now, Duration::ZERO);
                         self.outs = outs;
                     }

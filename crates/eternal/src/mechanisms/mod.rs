@@ -41,7 +41,7 @@ pub use registry::{GroupKind, GroupMeta};
 use crate::causal::HopCtx;
 use crate::gid::{ConnectionName, GroupId, TransferId};
 use crate::interceptor::Interceptor;
-use crate::message::{Delivered, EternalMessage, RetrievalPurpose};
+use crate::message::{Body, Delivered, EternalMessage, RetrievalPurpose};
 use crate::recovery::{DuplicateSuppressor, OrbStateObserver};
 use eternal_orb::{ObjectKey, Orb};
 use eternal_sim::net::NodeId;
@@ -277,6 +277,10 @@ pub struct Mechanisms {
     /// Test-only corruption hook: XORed into a group's health digest so
     /// the divergence detector has something real to catch.
     health_digest_salt: BTreeMap<GroupId, u64>,
+    /// Where a body delivered in pieces is gathered for a read that
+    /// does not keep it (the local ORB's, the observer's, a warm
+    /// backup's `set_state`), lent to each delivery.
+    scratch: Vec<u8>,
 }
 
 impl std::fmt::Debug for Mechanisms {
@@ -314,6 +318,7 @@ impl Mechanisms {
             counters: MechCounters::default(),
             health_digests: Vec::new(),
             health_digest_salt: BTreeMap::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -379,24 +384,27 @@ impl Mechanisms {
         ctx: &mut HopCtx,
     ) -> Vec<Out> {
         let mut outs = Vec::new();
-        self.on_delivered_into(delivered, now, ctx, &mut outs);
+        let Delivered { head, body } = delivered;
+        self.on_delivered_into(head, &body, now, ctx, &mut outs);
         outs
     }
 
-    /// [`Mechanisms::on_delivered_view`], appending what the delivery
-    /// asks of the driver to a list the driver lends (and drains)
-    /// instead of returning a new one; what `outs` already holds is
-    /// left as it is.
+    /// [`Mechanisms::on_delivered_view`] of `head` and its `body`, lent:
+    /// the body is read where it lies, and the driver keeps it (to hand
+    /// a list of pieces back to its reassembler). What the delivery
+    /// asks of the driver is appended to a list the driver lends (and
+    /// drains) instead of returned in a new one; what `outs` already
+    /// holds is left as it is.
     pub fn on_delivered_into(
         &mut self,
-        delivered: Delivered<'_>,
+        head: EternalMessage,
+        body: &Body<'_>,
         now: SimTime,
         ctx: &mut HopCtx,
         outs: &mut Vec<Out>,
     ) {
         self.orb.set_clock(now);
         let d = &mut Delivery::new(now, ctx, outs);
-        let Delivered { head, body } = delivered;
         match head {
             EternalMessage::Iiop {
                 conn,
@@ -416,7 +424,7 @@ impl Mechanisms {
                 purpose,
                 state,
             } => self.on_assignment(transfer, purpose, state, body, now),
-            chunk @ EternalMessage::StateChunk { .. } => self.on_state_chunk(&chunk, &body, d),
+            chunk @ EternalMessage::StateChunk { .. } => self.on_state_chunk(&chunk, body, d),
             EternalMessage::StateSuffix {
                 group,
                 transfer,
@@ -721,14 +729,14 @@ mod tests {
         assert_eq!(a.counters().checkpoints_logged, 1);
     }
 
-    /// A checkpoint's body is kept and logged where the capture's mark
-    /// was recorded at the retrieval. Between the retrieval and the
-    /// assignment's last fragment P2 becomes a host of the group and P3
-    /// stops being one: P2 keeps no byte of the body and logs nothing (a
-    /// replica it gains is synchronized by a transfer, not by this
-    /// checkpoint); P3 keeps the body, for its mark, but logs nothing.
-    /// P4, no host but given a warm backup by a transfer beforehand,
-    /// keeps the body to apply it and logs nothing.
+    /// A checkpoint is logged where the capture's mark was recorded at
+    /// the retrieval and the processor is a host of the group at the
+    /// assignment's delivery. Between the retrieval and the assignment's
+    /// last fragment P2 becomes a host of the group and P3 stops being
+    /// one: P2 logs nothing (a replica it gains is synchronized by a
+    /// transfer, not by this checkpoint), and neither does P3. P4, no
+    /// host but given a warm backup by a transfer beforehand, applies
+    /// the body and logs nothing.
     #[test]
     fn a_host_change_after_the_retrieval_leaves_the_checkpoint_where_it_was_marked() {
         use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
@@ -755,22 +763,20 @@ mod tests {
         }
         let taken = |mechs: &[Mechanisms; 5]| mechs.each_ref().map(|m| m.checkpoints_taken(server));
         let before = taken(&mechs);
-        let frags = assignment.fragments(n(0), 1, FRAGMENT_OVERHEAD + 40);
+        let frags: Vec<_> = assignment
+            .fragments(n(0), 1, FRAGMENT_OVERHEAD + 40)
+            .collect();
         assert!(frags.len() > 1, "the body comes in several fragments");
-        let mut kept = Vec::new();
         for m in &mut mechs {
             let mut reassembler = EternalReassembler::new();
             let (last, rest) = frags.split_last().expect("fragments");
             for frag in rest {
-                let pushed = reassembler.push_view(frag, m);
-                assert!(matches!(pushed, Ok(None)));
+                assert!(matches!(reassembler.push_view(frag), Ok(None)));
             }
-            let done = reassembler.push_view(last, m);
+            let done = reassembler.push_view(last);
             let delivered = done.expect("well-formed").expect("the last fragment");
-            kept.push(!delivered.body.is_empty());
             with_ctx(|ctx| m.on_delivered_view(delivered, bus.now, ctx));
         }
-        assert_eq!(kept, [true, true, false, true, true]);
         let logged: Vec<u64> = (taken(&mechs).iter().zip(before))
             .map(|(a, b)| a - b)
             .collect();
@@ -947,13 +953,13 @@ mod tests {
         );
     }
 
-    /// The donor's processor dies between two fragments of a chunk that
-    /// is landing in the new host's inbound buffer: the new host forgets
-    /// the partial with its origin, the takeover resends the chunk from
-    /// the shared cursor, and it lands nothing the dead donor left
-    /// behind — the recovered state is the donors' byte for byte. The
-    /// new host takes every chunk in fragments, as the cluster delivers
-    /// them; the others take whole messages.
+    /// The donor's processor dies between two fragments of a chunk: the
+    /// new host forgets the partial with its origin, the takeover
+    /// resends the chunk from the shared cursor, and nothing the dead
+    /// donor left behind reaches the inbound buffer — the recovered
+    /// state is the donors' byte for byte. The new host takes every
+    /// chunk in fragments, as the cluster delivers them; the others
+    /// take whole messages.
     #[test]
     fn a_donor_killed_between_two_fragments_of_a_chunk_leaves_no_byte_behind() {
         use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
@@ -999,12 +1005,14 @@ mod tests {
             msg_id += 1;
             chunks += 1;
             // The head and 4 body bytes in the first of two fragments.
-            let frags = message.fragments(donor, msg_id, FRAGMENT_OVERHEAD + 36);
+            let frags: Vec<_> = message
+                .fragments(donor, msg_id, FRAGMENT_OVERHEAD + 36)
+                .collect();
             assert_eq!(frags.len(), 2);
             if chunks == 3 {
                 assert!(total > 3, "the stream goes on after the dead donor");
-                let pushed = reassembler.push_view(&frags[0], &mut c);
-                assert!(matches!(pushed, Ok(None)), "the first fragment lands");
+                let pushed = reassembler.push_view(&frags[0]);
+                assert!(matches!(pushed, Ok(None)), "the first fragment is held");
                 // P0 dies: its last fragment and its later chunks never
                 // go out, and the new host forgets its partial.
                 reassembler.forget_origin(donor);
@@ -1023,7 +1031,7 @@ mod tests {
                 }));
             }
             for frag in &frags {
-                if let Some(delivered) = reassembler.push_view(frag, &mut c).expect("well-formed") {
+                if let Some(delivered) = reassembler.push_view(frag).expect("well-formed") {
                     outs.extend(with_ctx(|ctx| c.on_delivered_view(delivered, bus.now, ctx)));
                 }
             }
@@ -1035,6 +1043,126 @@ mod tests {
         let donors = b.probe_application_state(server);
         assert!(donors.is_some());
         assert_eq!(donors, c.probe_application_state(server));
+    }
+
+    /// Delivers `message` at its total-order point: whole to `whole`,
+    /// and in fragments of at most 40 body bytes through `reassembler`
+    /// to `cut`, whose first fragment was pushed before.
+    fn deliver_rest(
+        message: &EternalMessage,
+        frags: &[eternal_sim::Bytes],
+        whole: &mut [&mut Mechanisms],
+        (cut, reassembler): (&mut Mechanisms, &mut crate::message::EternalReassembler),
+        bus: &mut Bus,
+    ) {
+        let mut outs = Vec::new();
+        for m in whole {
+            outs.extend(with_ctx(|ctx| {
+                m.on_delivered(message.clone(), bus.now, ctx)
+            }));
+        }
+        let (last, middle) = frags[1..].split_last().expect("several fragments");
+        for frag in middle {
+            assert!(matches!(reassembler.push_view(frag), Ok(None)));
+        }
+        let delivered = reassembler.push_view(last).expect("well-formed");
+        let delivered = delivered.expect("the last fragment completes it");
+        assert!(matches!(delivered.body, Body::Pieces(_)));
+        outs.extend(with_ctx(|ctx| {
+            cut.on_delivered_view(delivered, bus.now, ctx)
+        }));
+        bus.collect(outs);
+    }
+
+    /// A processor that hosts nothing when a request's first fragment
+    /// arrives launches a recovering replica of its server group before
+    /// the last one. The request's fate falls at its total-order point:
+    /// delivered after the retrieval (the mark), it reaches the
+    /// donors' transfer suffix whole; delivered after the last chunk
+    /// (the sync point), it is held whole by the new replica. Either
+    /// way the replica converges with the donors.
+    #[test]
+    fn a_launch_or_a_retrieval_between_two_fragments_finds_the_body_whole() {
+        use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        let (server, client) = (GroupId(0), GroupId(1));
+        for after_last_chunk in [false, true] {
+            let mut a = Mechanisms::new(n(0), MechConfig::default());
+            let mut b = Mechanisms::new(n(1), MechConfig::default());
+            let mut c = Mechanisms::new(n(2), MechConfig::default());
+            deploy(
+                &mut [&mut a, &mut b, &mut c],
+                ReplicationStyle::Active,
+                vec![n(0), n(1)],
+                || vec![streaming_meta(client, n(0), server, 1, 6)],
+            );
+            let mut bus = Bus::new();
+            bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
+            let request = bus.queue.pop_front().expect("the first request");
+            let frags: Vec<_> = request.fragments(n(0), 1, FRAGMENT_OVERHEAD + 40).collect();
+            assert!(frags.len() > 2, "the request comes in several fragments");
+            let mut reassembler = EternalReassembler::new();
+            assert!(matches!(reassembler.push_view(&frags[0]), Ok(None)));
+            assert_eq!(c.replica_phase(server), None, "P2 hosts nothing");
+            bus.collect(c.launch_recovering_replica(server));
+            loop {
+                let mechs = &mut [&mut a, &mut b, &mut c];
+                let (message, _) = bus.step(mechs).expect("the recovery goes on");
+                let marked = matches!(message, EternalMessage::StateRetrieval { .. });
+                let synced = c.replica_phase(server) == Some(ReplicaPhase::Enqueueing);
+                if (marked && !after_last_chunk) || synced {
+                    break;
+                }
+            }
+            let mid_stream = c.replica_phase(server) == Some(ReplicaPhase::AwaitingSync);
+            assert_eq!(mid_stream, !after_last_chunk);
+            let (held, dropped) = (c.holding_depth_total(), c.counters().dropped_pre_sync);
+            let cut = (&mut c, &mut reassembler);
+            deliver_rest(&request, &frags, &mut [&mut a, &mut b], cut, &mut bus);
+            match after_last_chunk {
+                true => assert_eq!(c.holding_depth_total(), held + 1, "held whole"),
+                false => assert_eq!(c.counters().dropped_pre_sync, dropped + 1),
+            }
+            bus.run(&mut [&mut a, &mut b, &mut c]);
+            assert_eq!(c.replica_phase(server), Some(ReplicaPhase::Operational));
+            let donors = b.probe_application_state(server);
+            assert!(donors.is_some());
+            assert_eq!(donors, c.probe_application_state(server));
+            assert_eq!(donors, a.probe_application_state(server));
+        }
+    }
+
+    /// A processor that hosts neither group of a connection reads no
+    /// byte of a request in several fragments: it gathers nothing and
+    /// its observer learns nothing of the connection, while the hosts'
+    /// observers do.
+    #[test]
+    fn a_processor_hosting_neither_group_reads_no_body() {
+        use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        let (server, client) = (GroupId(0), GroupId(1));
+        let mut a = Mechanisms::new(n(0), MechConfig::default());
+        let mut b = Mechanisms::new(n(1), MechConfig::default());
+        let mut c = Mechanisms::new(n(2), MechConfig::default());
+        deploy(
+            &mut [&mut a, &mut b, &mut c],
+            ReplicationStyle::Active,
+            vec![n(1)],
+            || vec![streaming_meta(client, n(0), server, 1, 1)],
+        );
+        let mut bus = Bus::new();
+        bus.collect(with_ctx(|ctx| a.start_clients(SimTime::ZERO, ctx)));
+        let request = bus.queue.pop_front().expect("the request");
+        let frags: Vec<_> = request.fragments(n(0), 1, FRAGMENT_OVERHEAD + 40).collect();
+        for m in [&mut a, &mut b, &mut c] {
+            let mut reassembler = EternalReassembler::new();
+            assert!(matches!(reassembler.push_view(&frags[0]), Ok(None)));
+            deliver_rest(&request, &frags, &mut [], (m, &mut reassembler), &mut bus);
+        }
+        let conn = ConnectionName { client, server };
+        assert!(a.observer.connection(conn).is_some(), "the client's host");
+        assert!(b.observer.connection(conn).is_some(), "the server's host");
+        assert_eq!(c.observer.connection(conn), None);
+        assert_eq!(c.scratch.capacity(), 0, "a body was gathered");
+        assert_eq!(b.counters().requests_dispatched, 1);
     }
 
     /// Under sustained load a passive primary fabricates checkpoints

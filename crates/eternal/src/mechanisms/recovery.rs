@@ -10,7 +10,7 @@ use super::registry::{GroupKind, LocalReplica};
 use super::{Delivery, Mechanisms, Out, ReplicaPhase};
 use crate::causal::{transfer_trace_id, SUFFIX};
 use crate::gid::{Direction, GroupId, TransferId};
-use crate::message::{EternalMessage, Keep, KeepRule, OrderedInput, RetrievalPurpose, MAX_PRESIZE};
+use crate::message::{Body, BodyReader, EternalMessage, OrderedInput, RetrievalPurpose};
 use crate::properties::ReplicationStyle;
 use crate::recovery::holding::HeldEntry;
 use crate::recovery::state3::{
@@ -21,7 +21,6 @@ use eternal_cdr::{Any, CdrDecoder, Endian};
 use eternal_obs::causal::Hop;
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
@@ -33,6 +32,11 @@ const COLD_LOAD_TIME: Duration = Duration::from_millis(2);
 /// Passive-group suffix bound in bytes, beside the configurable bound
 /// in entries ([`super::MechConfig::suffix_checkpoint_len`]).
 const SUFFIX_CHECKPOINT_BYTES: usize = 4 << 20;
+
+/// Most bytes a recovering replica reserves up front for its state (a
+/// larger one still arrives; its buffer then grows): a corrupt `total`
+/// or chunk length cannot reserve the address space.
+const MAX_PRESIZE: usize = 1 << 24;
 
 /// Chunks the streaming donor keeps in flight, self-clocked by
 /// total-order delivery: chunk `k`'s delivery releases chunk
@@ -106,8 +110,7 @@ impl DonorTransfer {
 }
 
 /// Recipient-side reassembly of a state transfer: chunks
-/// `0..next_index` in order in one buffer, which chunk `next_index` may
-/// be landing in fragment by fragment (docs/RECOVERY.md).
+/// `0..next_index` in order in one buffer (docs/RECOVERY.md).
 #[derive(Debug)]
 pub(super) struct InboundTransfer {
     transfer: TransferId,
@@ -115,49 +118,21 @@ pub(super) struct InboundTransfer {
     /// Next in-order chunk index expected (duplicates and out-of-order
     /// repeats from takeover races are ignored).
     next_index: u32,
-    /// Where the committed chunks end while chunk `next_index` lands
-    /// after them: one partial at a time, the first to begin.
-    landing: Option<usize>,
 }
 
 impl InboundTransfer {
-    /// Whether chunk `index` of `total`, `len` bytes long, lands here as
-    /// it arrives: it is the next, and none is landing. Chunk 0 reserves
-    /// room for all of them at its length, within [`MAX_PRESIZE`].
-    fn lands(&mut self, index: u32, total: u32, len: usize) -> bool {
-        let lands = index == self.next_index && self.landing.is_none();
-        if lands && index == 0 {
+    /// Appends chunk `next_index` of `total`, delivered with `body`, and
+    /// returns its length. Chunk 0 reserves room for all of them at its
+    /// length, within [`MAX_PRESIZE`].
+    fn commit(&mut self, total: u32, body: &Body) -> usize {
+        let len = body.len();
+        if self.next_index == 0 {
             let whole = (total as usize).saturating_mul(len);
             self.buf.reserve_exact(whole.min(MAX_PRESIZE));
         }
-        if lands {
-            self.landing = Some(self.buf.len());
-        }
-        lands
-    }
-
-    /// Writes the next `bytes` of chunk `index`, if it is landing.
-    fn land(&mut self, index: u32, bytes: &[u8]) -> bool {
-        let lands = index == self.next_index && self.landing.is_some();
-        if lands {
-            self.buf.extend_from_slice(bytes);
-        }
-        lands
-    }
-
-    /// Commits chunk `next_index` of `total`, delivered with `bytes`:
-    /// none when it landed here, all of it otherwise, and then it lands
-    /// now, over whatever a partial abandoned mid-way landed. Returns
-    /// the chunk's length.
-    fn commit(&mut self, total: u32, bytes: &[u8]) -> usize {
-        if !bytes.is_empty() {
-            self.buf
-                .truncate(self.landing.take().unwrap_or(self.buf.len()));
-            self.lands(self.next_index, total, bytes.len());
-            self.land(self.next_index, bytes);
-        }
+        body.append_to(&mut self.buf);
         self.next_index += 1;
-        self.buf.len() - self.landing.take().unwrap_or(self.buf.len())
+        len
     }
 }
 
@@ -401,47 +376,6 @@ impl Transfers {
     }
 }
 
-/// The keep rule (docs/RECOVERY.md, "Copies of the state" and "Copies
-/// of a checkpoint"): a state chunk lands in the inbound buffer it feeds
-/// when it is the next there and none is landing, and is kept there
-/// otherwise; a checkpoint is kept where it is logged (the capture's
-/// mark was recorded here) or applied (a warm backup); every other body
-/// is kept.
-impl KeepRule for Mechanisms {
-    fn keep(&mut self, head: &EternalMessage, len: usize) -> Keep {
-        let kept = match *head {
-            EternalMessage::StateChunk { index, total, .. } => {
-                match self.inbound_of(head).map(|it| it.lands(index, total, len)) {
-                    Some(true) => return Keep::Landed,
-                    bound => bound.is_some(),
-                }
-            }
-            EternalMessage::StateAssignment {
-                transfer,
-                ref state,
-                ..
-            } => {
-                let marks = self.transfers.checkpoint_marks.get(&state.group);
-                marks.is_some_and(|marks| marks.iter().any(|&(t, _)| t == transfer))
-                    || self.replica_phase(state.group) == Some(ReplicaPhase::Standby)
-            }
-            _ => true,
-        };
-        match kept {
-            true => Keep::Kept,
-            false => Keep::Counted,
-        }
-    }
-
-    fn land(&mut self, head: &EternalMessage, bytes: &[u8]) -> bool {
-        let EternalMessage::StateChunk { index, .. } = *head else {
-            return false;
-        };
-        let inbound = self.inbound_of(head);
-        inbound.is_some_and(|inbound| inbound.land(index, bytes))
-    }
-}
-
 impl Mechanisms {
     /// The application-level state bytes of the locally hosted replica
     /// of `group`, exactly as a state transfer would capture them —
@@ -632,7 +566,6 @@ impl Mechanisms {
                         transfer,
                         buf: Vec::new(),
                         next_index: 0,
-                        landing: None,
                     }));
                 }
             }
@@ -685,10 +618,10 @@ impl Mechanisms {
     /// * the streaming donor releases the next pipelined chunk — or,
     ///   on the last chunk, closes the suffix window and ships the
     ///   suffix after the quiescence wait,
-    /// * the recovering replica commits the chunk — landed in its
-    ///   buffer already, or appended there from `bytes` — and, on the
-    ///   last chunk, flips to enqueueing (its deferred §5.1 sync point).
-    pub(super) fn on_state_chunk(&mut self, head: &EternalMessage, bytes: &[u8], d: &mut Delivery) {
+    /// * the recovering replica appends the chunk's `body` to its
+    ///   inbound buffer — the one copy it makes — and, on the last
+    ///   chunk, flips to enqueueing (its deferred §5.1 sync point).
+    pub(super) fn on_state_chunk(&mut self, head: &EternalMessage, body: &Body, d: &mut Delivery) {
         let EternalMessage::StateChunk {
             group,
             transfer,
@@ -722,7 +655,7 @@ impl Mechanisms {
             self.counters.chunk_duplicates += 1;
             return;
         }
-        let len = inbound.commit(total, bytes);
+        let len = inbound.commit(total, body);
         d.ctx.stamp(
             d.now,
             Hop::StateChunk,
@@ -881,16 +814,17 @@ impl Mechanisms {
     }
 
     /// A checkpoint's `set_state()` (§3.3), its application state the
-    /// `body` kept here: every host of the group that recorded the
-    /// capture's mark logs it as received, garbage-collecting the
-    /// messages it covers, and a warm backup applies it. A recovery's
+    /// `body` delivered: every host of the group that recorded the
+    /// capture's mark logs it as received (its one copy), garbage-
+    /// collecting the messages it covers, and a warm backup applies it,
+    /// from that copy or from the body where it lies. A recovery's
     /// state never arrives this way.
     pub(super) fn on_assignment(
         &mut self,
         transfer: TransferId,
         purpose: RetrievalPurpose,
         mut state: Box<ThreeKindsOfState>,
-        body: Cow<'_, [u8]>,
+        body: &Body,
         now: SimTime,
     ) {
         if purpose != RetrievalPurpose::Checkpoint || !self.transfers.first_completion(transfer) {
@@ -899,22 +833,29 @@ impl Mechanisms {
         let group = state.group;
         let mark = self.transfers.checkpoint_landed(group, transfer);
         // Warm backups are synchronized to the primary's checkpoint as
-        // it is taken (§3.2), from the body lent. One that became a
-        // backup after the first fragment kept none.
-        if self.replica_phase(group) == Some(ReplicaPhase::Standby) && !body.is_empty() {
-            self.apply_application_state(group, &body);
-        }
-        // Without a mark there is no body to log: the processor took up
+        // it is taken (§3.2).
+        let standby = self.replica_phase(group) == Some(ReplicaPhase::Standby);
+        // Without a mark there is nothing to log: the processor took up
         // the group after the retrieval, and a transfer synchronizes it.
-        let Some(lg) = self.groups.get_mut(&group) else {
+        let lg = self.groups.get(&group);
+        let host = lg.is_some_and(|lg| lg.meta.hosts.contains(&self.node));
+        let Some(mark) = mark.filter(|_| host) else {
+            if standby {
+                let mut scratch = std::mem::take(&mut self.scratch);
+                let mut application = BodyReader::new(body, &mut scratch);
+                self.apply_application_state(group, application.bytes());
+                self.scratch = scratch;
+            }
             return;
         };
-        if let (Some(mark), true) = (mark, lg.meta.hosts.contains(&self.node)) {
-            state.application = body.into_owned();
-            let state = LoggedState::Assigned(state);
-            lg.log.record_checkpoint_at_mark(state, now, mark);
-            self.counters.checkpoints_logged += 1;
+        state.application = body.to_vec();
+        if standby {
+            self.apply_application_state(group, &state.application);
         }
+        let lg = self.groups.get_mut(&group).expect("a host of the group");
+        lg.log
+            .record_checkpoint_at_mark(LoggedState::Assigned(state), now, mark);
+        self.counters.checkpoints_logged += 1;
     }
 
     /// §5.1 steps v–vi at the recovering replica: overwrite the sync
@@ -1256,37 +1197,24 @@ mod tests {
     }
 
     /// The recovering replica reserves its buffer once, at chunk 0,
-    /// for the whole stream, whether chunk 0 lands or is appended whole;
-    /// a corrupt `total` or chunk length reserves no more than the cap
-    /// the reassembler presizes to.
+    /// for the whole stream; a corrupt `total` or chunk length reserves
+    /// no more than [`MAX_PRESIZE`].
     #[test]
     fn the_inbound_buffer_is_reserved_once_within_the_cap() {
-        for landed in [false, true] {
+        let mut inbound = bound_inbound();
+        let chunk = |len| Body::Whole(vec![7; len].into());
+        assert_eq!(inbound.commit(10, &chunk(1_000)), 1_000);
+        assert_eq!(inbound.buf.capacity(), 10_000);
+        for index in 1..10 {
+            let len = 1_000 - index;
+            assert_eq!(inbound.commit(10, &chunk(len)), len);
+        }
+        assert_eq!(inbound.next_index, 10);
+        assert_eq!(inbound.buf.capacity(), 10_000, "the buffer grew");
+        for total in [u32::MAX, 1 << 20] {
             let mut inbound = bound_inbound();
-            let chunk = |inbound: &mut InboundTransfer, index: u32, total, len| {
-                let bytes = vec![7; len];
-                if landed && inbound.lands(index, total, len) {
-                    assert!(inbound.land(index, &bytes));
-                    assert_eq!(inbound.commit(total, &[]), len);
-                } else {
-                    assert_eq!(inbound.commit(total, &bytes), len);
-                }
-            };
-            chunk(&mut inbound, 0, 10, 1_000);
-            assert_eq!(inbound.buf.capacity(), 10_000);
-            for index in 1..10 {
-                chunk(&mut inbound, index, 10, 1_000 - index as usize);
-            }
-            assert_eq!(inbound.next_index, 10);
-            assert_eq!(inbound.buf.capacity(), 10_000, "the buffer grew");
-            for (total, len) in [(u32::MAX, 1_000), (10, usize::MAX), (u32::MAX, usize::MAX)] {
-                let mut inbound = bound_inbound();
-                match landed {
-                    true => assert!(inbound.lands(0, total, len)),
-                    false => _ = inbound.commit(total, &vec![7; len.min(1_000)]),
-                }
-                assert!(inbound.buf.capacity() <= MAX_PRESIZE, "{total} x {len} B");
-            }
+            inbound.commit(total, &chunk(1_000));
+            assert!(inbound.buf.capacity() <= MAX_PRESIZE, "{total} x 1000 B");
         }
     }
 
@@ -1295,7 +1223,6 @@ mod tests {
             transfer: T,
             buf: Vec::new(),
             next_index: 0,
-            landing: None,
         }
     }
 
@@ -1345,35 +1272,15 @@ mod tests {
         }
     }
 
-    /// A keep rule that lands state chunks in `inbound` as the new
-    /// host's mechanisms do.
-    struct At<'a>(&'a mut InboundTransfer);
-
-    impl KeepRule for At<'_> {
-        fn keep(&mut self, head: &EternalMessage, len: usize) -> Keep {
-            match *head {
-                EternalMessage::StateChunk { index, total, .. }
-                    if self.0.lands(index, total, len) =>
-                {
-                    Keep::Landed
-                }
-                _ => Keep::Kept,
-            }
-        }
-
-        fn land(&mut self, head: &EternalMessage, bytes: &[u8]) -> bool {
-            matches!(*head, EternalMessage::StateChunk { index, .. } if self.0.land(index, bytes))
-        }
-    }
-
     /// A chunk whose partial is abandoned mid-way — its donor killed
     /// between two fragments and forgotten — or beaten by a takeover's
-    /// copy of the same chunk leaves no byte in the inbound buffer: the
-    /// copy that completes first is committed whole, and the buffer
-    /// ends up holding exactly the stream.
+    /// copy of the same chunk leaves no byte in the inbound buffer:
+    /// only a chunk delivered whole, and the next in order, is
+    /// appended, from its slices of the frames it came in.
     #[test]
     fn an_abandoned_or_beaten_partial_leaves_no_byte_in_the_inbound_buffer() {
         use crate::message::{EternalReassembler, FRAGMENT_OVERHEAD};
+        use eternal_sim::Bytes;
         const SIZE: usize = 100;
         let whole: Vec<u8> = (0..4 * SIZE).map(|i| (i * 7) as u8).collect();
         let frags = |origin: u32, msg_id: u64, index: u32| {
@@ -1387,52 +1294,45 @@ mod tests {
                 bytes: whole[start..start + SIZE].to_vec(),
             };
             // The head and 8 body bytes in the first of four fragments.
-            message.fragments(n(origin), msg_id, FRAGMENT_OVERHEAD + 40)
+            let frags: Vec<_> = message
+                .fragments(n(origin), msg_id, FRAGMENT_OVERHEAD + 40)
+                .collect();
+            assert_eq!(frags.len(), 4);
+            frags
         };
         let mut inbound = bound_inbound();
         let mut r = EternalReassembler::new();
-        let push = |r: &mut EternalReassembler, inbound: &mut InboundTransfer, frag: &[u8]| {
-            let done = r.push_view(frag, &mut At(inbound)).expect("well-formed");
-            if let Some(delivered) = done {
-                let EternalMessage::StateChunk { index, total, .. } = delivered.head else {
-                    panic!("a chunk");
-                };
-                if index == inbound.next_index {
-                    inbound.commit(total, &delivered.body);
-                }
-                return Some(delivered.body.is_empty());
+        let push = |r: &mut EternalReassembler, inbound: &mut InboundTransfer, frag: &Bytes| {
+            let delivered = r.push_view(frag).expect("well-formed")?;
+            let EternalMessage::StateChunk { index, total, .. } = delivered.head else {
+                panic!("a chunk");
+            };
+            if index == inbound.next_index {
+                inbound.commit(total, &delivered.body);
             }
-            None
+            r.recycle(delivered.body);
+            Some(index)
         };
-        // Chunk 0 lands whole.
-        let landed: Vec<_> = frags(1, 0, 0)
-            .iter()
-            .map(|f| push(&mut r, &mut inbound, f))
-            .collect();
-        assert_eq!(
-            landed.last(),
-            Some(&Some(true)),
-            "delivered empty: it landed"
-        );
+        for frag in &frags(1, 0, 0) {
+            push(&mut r, &mut inbound, frag);
+        }
         assert_eq!(inbound.buf, whole[..SIZE]);
-        // Chunk 1 from P1 lands two fragments; P1 dies and is forgotten.
+        // Chunk 1 from P1 arrives in two fragments; P1 dies and is
+        // forgotten.
         for frag in &frags(1, 1, 1)[..2] {
             assert_eq!(push(&mut r, &mut inbound, frag), None);
         }
-        assert_eq!(inbound.buf.len(), SIZE + 8 + 40, "two fragments landed");
+        assert_eq!(inbound.buf, whole[..SIZE], "a partial wrote nothing");
         r.forget_origin(n(1));
-        // The takeover's copy of chunk 1 comes whole, replaces them,
-        // and chunk 2 lands again behind it.
+        // The takeover's copy of chunk 1 comes whole, then chunk 2.
         for (msg_id, index) in [(0, 1), (1, 2)] {
             for frag in &frags(2, msg_id, index) {
                 push(&mut r, &mut inbound, frag);
             }
         }
         assert_eq!(inbound.buf, whole[..3 * SIZE]);
-        assert_eq!(inbound.landing, None);
-        // Chunk 3 from P2 lands while P3's copy, begun second, is kept;
-        // P3's completes first and is committed, P2's lands no more and
-        // is a duplicate.
+        // Chunk 3 from P2 begins while P3's copy, begun second,
+        // completes first and is appended; P2's is a duplicate.
         let (p2, p3) = (frags(2, 2, 3), frags(3, 0, 3));
         push(&mut r, &mut inbound, &p2[0]);
         for frag in &p3 {

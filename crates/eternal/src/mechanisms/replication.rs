@@ -10,11 +10,10 @@ use super::{Delivery, Mechanisms, Out, ReplicaPhase};
 use crate::app::{AppInvocation, ClientApp};
 use crate::causal::{iiop_trace_id, HopCtx};
 use crate::gid::{ConnectionName, Direction, GroupId, OperationId};
-use crate::message::{EternalMessage, OrderedInput, RetrievalPurpose};
+use crate::message::{Body, BodyReader, EternalMessage, OrderedInput, RetrievalPurpose};
 use crate::recovery::state3::OutstandingCall;
 use eternal_obs::causal::Hop;
 use eternal_sim::{Duration, SimTime};
-use std::borrow::Cow;
 
 impl Mechanisms {
     /// Starts locally hosted client replicas (deployment time): runs
@@ -191,17 +190,19 @@ impl Mechanisms {
     }
 
     /// One totally ordered IIOP message. Everything that decides its
-    /// fate here — duplicate, request id, target group, who logs it,
-    /// the local replica's phase — is read from the header and from
-    /// `body` in place; an owned [`OrderedInput`] is made only where
-    /// one is kept: an open transfer-suffix window, a passive group's
-    /// log, an enqueueing replica's holding queue.
+    /// fate here — duplicate, target group, who logs it, the local
+    /// replica's phase — is read from the header, at this total-order
+    /// point; the body is read only by the observer, where a replica of
+    /// either group is hosted, and by what takes the message: an open
+    /// transfer-suffix window, a passive group's log, an enqueueing
+    /// replica's holding queue (each an owned [`OrderedInput`]) or the
+    /// local ORB. A body in pieces is gathered once, at its first read.
     pub(super) fn on_iiop(
         &mut self,
         conn: ConnectionName,
         direction: Direction,
         op_seq: u32,
-        mut body: Cow<'_, [u8]>,
+        body: &Body<'_>,
         d: &mut Delivery,
     ) {
         let op = OperationId {
@@ -213,10 +214,25 @@ impl Mechanisms {
             self.counters.duplicates_suppressed += 1;
             return;
         }
-        if direction == Direction::Request {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let reader = &mut BodyReader::new(body, &mut scratch);
+        self.take_iiop(conn, direction, op_seq, reader, d);
+        self.scratch = scratch;
+    }
+
+    /// [`Mechanisms::on_iiop`] past duplicate suppression.
+    fn take_iiop(
+        &mut self,
+        conn: ConnectionName,
+        direction: Direction,
+        op_seq: u32,
+        body: &mut BodyReader,
+        d: &mut Delivery,
+    ) {
+        if direction == Direction::Request && self.hosts_either(conn) {
             // Learn ORB/POA-level state by parsing (§4.2): request ids
             // and the stored handshake for later replay.
-            self.observer.observe_request(conn, &body);
+            self.observer.observe_request(conn, body.bytes());
         }
         let target_group = match direction {
             Direction::Request => conn.server,
@@ -257,18 +273,27 @@ impl Mechanisms {
             // host of the client group, deterministically.
             lg.outstanding.remove(&(conn, op_seq));
         }
-        // Held, the body is taken: one that came in several fragments
-        // is moved, not copied.
-        let held = || record(std::mem::take(&mut body).into_owned());
-        let admitted = self.admit(target_group, held, d);
+        let admitted = self.admit(target_group, || record(body.to_vec()), d);
         if trigger_checkpoint {
             self.counters.suffix_checkpoints_triggered += 1;
             d.outs
                 .push(self.retrieval(target_group, RetrievalPurpose::Checkpoint));
         }
         if admitted {
-            self.deliver_iiop(target_group, conn, direction, op_seq, &body, d);
+            self.deliver_iiop(target_group, conn, direction, op_seq, body.bytes(), d);
         }
+    }
+
+    /// Whether a replica of either group of `conn` is hosted here, in
+    /// any phase, or the group was deployed here (a cold backup): where
+    /// a capture of either group may read the observer. A replica
+    /// launched elsewhere later gets the entries at its transfer
+    /// (`merge_transferred`) and observes from its launch on.
+    fn hosts_either(&self, conn: ConnectionName) -> bool {
+        [conn.client, conn.server].iter().any(|group| {
+            let lg = self.groups.get(group);
+            lg.is_some_and(|lg| lg.replica.is_some() || lg.meta.hosts.contains(&self.node))
+        })
     }
 
     /// Delivers one admitted input into the local operational replica

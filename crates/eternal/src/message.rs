@@ -397,23 +397,34 @@ impl EternalMessage {
         Some(enc.into_bytes())
     }
 
-    /// What [`fragment_eternal`] makes of [`EternalMessage::to_bytes`].
-    /// The head of an `Iiop` or a `StateChunk` is encoded straight into
-    /// the first frame and the body copied once, into the frames; other
-    /// messages are encoded into a pooled buffer first. Panics as
-    /// [`fragment_eternal`] does.
-    pub fn fragments(&self, origin: NodeId, msg_id: u64, max_payload: usize) -> Vec<Bytes> {
+    /// What [`fragment_eternal`] makes of [`EternalMessage::to_bytes`],
+    /// cut from its one buffer as the frames are taken (no list of them
+    /// is made). A message that fits one frame is written there by
+    /// [`EternalMessage::single_fragment`]; the head of a larger `Iiop`
+    /// or `StateChunk` is encoded straight into the first frame and the
+    /// body copied once, into the frames; other messages are encoded
+    /// into a pooled buffer first. Panics as [`fragment_eternal`] does.
+    pub fn fragments(
+        &self,
+        origin: NodeId,
+        msg_id: u64,
+        max_payload: usize,
+    ) -> impl ExactSizeIterator<Item = Bytes> {
         let body = self.bulk();
         let head = self.encoded_len() - body.len();
         let tail = matches!(self, EternalMessage::StateAssignment { .. });
-        if body.is_empty() || tail || FRAGMENT_OVERHEAD + head > max_payload {
+        let buf = if let Some(whole) = self.single_fragment(origin, msg_id, max_payload) {
+            Bytes::from(whole)
+        } else if body.is_empty() || tail || FRAGMENT_OVERHEAD + head > max_payload {
             let encoded = self.to_bytes();
-            let frags = fragment_eternal(origin, msg_id, &encoded, max_payload);
+            let buf = fragment_stream(origin, msg_id, 0, |_| {}, &encoded, max_payload);
             eternal_cdr::pool::recycle(encoded);
-            return frags;
-        }
-        let write_head = |enc: &mut CdrEncoder| self.encode_head(enc);
-        fragment_stream(origin, msg_id, head, write_head, body, max_payload)
+            buf
+        } else {
+            let write_head = |enc: &mut CdrEncoder| self.encode_head(enc);
+            fragment_stream(origin, msg_id, head, write_head, body, max_payload)
+        };
+        frames(buf, max_payload)
     }
 
     /// Writes the message as a CDR stream from `enc`'s base.
@@ -573,7 +584,7 @@ impl EternalMessage {
     fn decode(bytes: &[u8]) -> Result<(Self, Range<usize>), CdrError> {
         if let Some((mut head, body)) = Self::decode_bulk_head(bytes)? {
             let body = body_within(body, bytes.len())?;
-            head.decode_tail(&bytes[body.end..], body.end)?;
+            head.decode_tail(&bytes[body.end..], &[], body.end)?;
             return Ok((head, body));
         }
         let mut dec = CdrDecoder::new(bytes, Endian::Big);
@@ -683,14 +694,19 @@ impl EternalMessage {
     }
 
     /// Decodes what follows an assignment's body, the other two kinds
-    /// of state, from `tail`, which starts at `at` in the message: from
-    /// a copy as far past a multiple of 4, the most they align to.
-    fn decode_tail(&mut self, tail: &[u8], at: usize) -> Result<(), CdrError> {
+    /// of state, from `first` and the `rest` after it, which start at
+    /// `at` in the message: from a copy as far past a multiple of 4, the
+    /// most they align to.
+    fn decode_tail(&mut self, first: &[u8], rest: &[Bytes], at: usize) -> Result<(), CdrError> {
         let EternalMessage::StateAssignment { state, .. } = self else {
             return Ok(());
         };
-        let mut stream = vec![0; at % 4];
-        stream.extend_from_slice(tail);
+        let len = first.len() + rest.iter().map(|piece| piece.len()).sum::<usize>();
+        let mut stream = Vec::with_capacity(at % 4 + len);
+        stream.resize(at % 4, 0);
+        stream.extend_from_slice(first);
+        rest.iter()
+            .for_each(|piece| stream.extend_from_slice(piece));
         let dec = &mut CdrDecoder::new(&stream, Endian::Big);
         dec.read_raw(at % 4)?;
         state.decode_tail(dec)
@@ -712,18 +728,93 @@ fn body_within(body: Range<usize>, len: usize) -> Result<Range<usize>, CdrError>
 /// An ordered message as a processor receives it: every field decoded
 /// but the bulk body, which is not copied. All that decides a message's
 /// fate — whose it is, whether it is a duplicate, whether anything
-/// local wants it — is in the head; only a replica that takes the
-/// message, or a log that keeps it, reads or copies the body.
+/// local wants it — is in the head, and is decided at its total-order
+/// point; only a reader of the body gathers or copies it.
 #[derive(Debug)]
 pub struct Delivered<'a> {
     /// The message, with its bulk body left empty.
     pub head: EternalMessage,
-    /// That body (empty for the other variants): a view into the
-    /// delivered Totem payload when the message came in one fragment,
-    /// the reassembly buffer itself when it came in several; empty when
-    /// it came in several to a processor that does not keep it
-    /// ([`EternalReassembler::push_view`]).
-    pub body: Cow<'a, [u8]>,
+    /// That body (empty for the other variants), where it lies.
+    pub body: Body<'a>,
+}
+
+/// Where the bulk body of a delivered message lies.
+#[derive(Debug, Clone)]
+pub enum Body<'a> {
+    /// In one slice: the delivered payload of a message in one
+    /// fragment, or a buffer of its own (an owned message, or one
+    /// decoded whole).
+    Whole(Cow<'a, [u8]>),
+    /// Its slices of the frames it came in, in order
+    /// ([`EternalReassembler::push_view`], whose
+    /// [`EternalReassembler::recycle`] takes the list back).
+    Pieces(Vec<Bytes>),
+}
+
+impl Body<'_> {
+    fn slices(&self) -> impl Iterator<Item = &[u8]> {
+        let (whole, pieces): (&[u8], &[Bytes]) = match self {
+            Body::Whole(bytes) => (bytes, &[]),
+            Body::Pieces(pieces) => (&[], pieces),
+        };
+        std::iter::once(whole).chain(pieces.iter().map(|piece| &piece[..]))
+    }
+
+    /// Its length in bytes.
+    pub fn len(&self) -> usize {
+        self.slices().map(<[u8]>::len).sum()
+    }
+
+    /// Whether it is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends it to `buf`.
+    pub fn append_to(&self, buf: &mut Vec<u8>) {
+        self.slices().for_each(|slice| buf.extend_from_slice(slice));
+    }
+
+    /// A copy in a buffer of exactly its length.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(self.len());
+        self.append_to(&mut bytes);
+        bytes
+    }
+}
+
+/// A body as the mechanisms read it: where it lies when that is one
+/// slice, and otherwise gathered, once, into a scratch buffer they lend.
+pub(crate) struct BodyReader<'b, 'a> {
+    body: &'b Body<'a>,
+    /// Empty until the body is gathered into it.
+    scratch: &'b mut Vec<u8>,
+}
+
+impl<'b, 'a> BodyReader<'b, 'a> {
+    pub(crate) fn new(body: &'b Body<'a>, scratch: &'b mut Vec<u8>) -> Self {
+        scratch.clear();
+        BodyReader { body, scratch }
+    }
+
+    /// The body in one slice.
+    pub(crate) fn bytes(&mut self) -> &[u8] {
+        match self.body {
+            Body::Whole(bytes) => bytes,
+            Body::Pieces(pieces) if pieces.len() == 1 => &pieces[0],
+            body => {
+                if self.scratch.is_empty() {
+                    body.append_to(self.scratch);
+                }
+                self.scratch
+            }
+        }
+    }
+
+    /// A copy in a buffer of exactly its length.
+    pub(crate) fn to_vec(&self) -> Vec<u8> {
+        self.body.to_vec()
+    }
 }
 
 impl<'a> Delivered<'a> {
@@ -735,16 +826,19 @@ impl<'a> Delivered<'a> {
     /// As [`EternalMessage::from_bytes`].
     pub fn view(bytes: &'a [u8]) -> Result<Self, CdrError> {
         let (head, bulk) = EternalMessage::decode(bytes)?;
-        let body = Cow::Borrowed(&bytes[bulk]);
+        let body = Body::Whole(Cow::Borrowed(&bytes[bulk]));
         Ok(Delivered { head, body })
     }
 
-    /// The owned message: the body is copied if it was a view, moved if
-    /// it was a buffer.
+    /// The owned message: the body is moved if it was a buffer, copied
+    /// otherwise.
     pub fn into_message(self) -> EternalMessage {
         let mut message = self.head;
         if let Some(body) = message.bulk_mut() {
-            *body = self.body.into_owned();
+            *body = match self.body {
+                Body::Whole(bytes) => bytes.into_owned(),
+                pieces => pieces.to_vec(),
+            };
         }
         message
     }
@@ -757,7 +851,7 @@ impl From<EternalMessage> for Delivered<'static> {
         let body = head.bulk_mut().map(std::mem::take).unwrap_or_default();
         Delivered {
             head,
-            body: Cow::Owned(body),
+            body: Body::Whole(Cow::Owned(body)),
         }
     }
 }
@@ -876,12 +970,23 @@ pub fn fragment_eternal(
     encoded: &[u8],
     max_payload: usize,
 ) -> Vec<Bytes> {
-    fragment_stream(origin, msg_id, 0, |_| {}, encoded, max_payload)
+    let buf = fragment_stream(origin, msg_id, 0, |_| {}, encoded, max_payload);
+    frames(buf, max_payload).collect()
 }
 
-/// As [`fragment_eternal`] of a message whose first `head` bytes
-/// `write_head` writes, as a CDR stream of their own, into the first
-/// fragment (which must hold them), and whose `body` follows them.
+/// The frames of `buf`, fragments laid end to end, each `max_payload`
+/// long but the last: views into it.
+fn frames(buf: Bytes, max_payload: usize) -> impl ExactSizeIterator<Item = Bytes> {
+    (0..buf.len().div_ceil(max_payload)).map(move |index| {
+        let start = index * max_payload;
+        buf.slice(start..(start + max_payload).min(buf.len()))
+    })
+}
+
+/// The one buffer of the fragments [`fragment_eternal`] cuts from a
+/// message whose first `head` bytes `write_head` writes, as a CDR
+/// stream of their own, into the first fragment (which must hold
+/// them), and whose `body` follows them.
 fn fragment_stream(
     origin: NodeId,
     msg_id: u64,
@@ -889,7 +994,7 @@ fn fragment_stream(
     write_head: impl Fn(&mut CdrEncoder),
     body: &[u8],
     max_payload: usize,
-) -> Vec<Bytes> {
+) -> Bytes {
     assert!(
         max_payload > FRAGMENT_OVERHEAD,
         "max_payload {max_payload} cannot hold a fragment envelope"
@@ -923,22 +1028,14 @@ fn fragment_stream(
     }
     // Every fragment but the last fills `max_payload` exactly.
     debug_assert_eq!(buf.len(), total * FRAGMENT_OVERHEAD + len);
-    let buf = Bytes::from(buf);
-    (0..total)
-        .map(|index| {
-            let start = index * max_payload;
-            buf.slice(start..(start + max_payload).min(buf.len()))
-        })
-        .collect()
+    Bytes::from(buf)
 }
 
 mod reassembly;
-pub(crate) use reassembly::MAX_PRESIZE;
-pub use reassembly::{EternalReassembler, Keep, KeepRule};
+pub use reassembly::EternalReassembler;
 
 #[cfg(test)]
 mod tests {
-    use super::reassembly::Received;
     use super::*;
     use crate::recovery::state3::{InfraStateTransfer, OrbPoaStateTransfer, OutstandingCall};
     use eternal_sim::rng::SimRng;
@@ -1150,9 +1247,10 @@ mod tests {
             EternalMessage::from_bytes(&unhex(encoding)),
             Ok(message.clone())
         );
-        let frags = message.fragments(NodeId(1), 3, FRAGMENT_OVERHEAD + 40);
-        let frags: Vec<Vec<u8>> = frags.iter().map(|f| f.to_vec()).collect();
-        assert_eq!(frags, fragments.map(unhex));
+        let frags: Vec<Bytes> = message
+            .fragments(NodeId(1), 3, FRAGMENT_OVERHEAD + 40)
+            .collect();
+        assert_eq!(frags, fragments.map(|hex| Bytes::from(unhex(hex))));
         let mut r = EternalReassembler::new();
         let (last, rest) = frags.split_last().unwrap();
         for frag in rest {
@@ -1374,7 +1472,7 @@ mod tests {
         let mut r = EternalReassembler::new();
         assert_eq!(r.push(&frags[0]).unwrap(), None);
         assert!(
-            r.push(&lying.to_bytes()).is_err(),
+            r.push(&Bytes::from(lying.to_bytes())).is_err(),
             "total mismatch rejected"
         );
         assert_eq!(r.pending(), 0, "poisoned partial dropped");
@@ -1392,7 +1490,7 @@ mod tests {
             chunk: &[1, 2, 3],
         };
         let mut r = EternalReassembler::new();
-        assert!(r.push(&frag.to_bytes()).is_err());
+        assert!(r.push(&Bytes::from(frag.to_bytes())).is_err());
         assert_eq!(r.pending(), 0);
     }
 
@@ -1475,32 +1573,12 @@ mod tests {
         }
     }
 
-    /// The bytes a partial keeps (all of them, at a reassembler that
-    /// keeps every body).
-    fn kept(received: &Received) -> &Vec<u8> {
-        match received {
-            Received::Kept(bytes) => bytes,
-            _ => panic!("the bytes were counted or landed, not kept"),
-        }
-    }
-
-    /// A keep rule that lands the body of every state chunk in one
-    /// buffer, begun afresh at each, and keeps every other body.
-    #[derive(Default)]
-    struct Lands(Vec<u8>);
-
-    impl KeepRule for Lands {
-        fn keep(&mut self, head: &EternalMessage, _: usize) -> Keep {
-            self.0.clear();
-            match head {
-                EternalMessage::StateChunk { .. } => Keep::Landed,
-                _ => Keep::Kept,
-            }
-        }
-
-        fn land(&mut self, _: &EternalMessage, bytes: &[u8]) -> bool {
-            self.0.extend_from_slice(bytes);
-            true
+    /// Whether every piece of `body` is a slice of `frames`' one
+    /// buffer: no byte of it was copied.
+    fn held_by_reference(body: &Body, frames: &[Bytes]) -> bool {
+        match body {
+            Body::Pieces(pieces) => pieces.iter().all(|p| Bytes::ptr_eq(p, &frames[0])),
+            _ => false,
         }
     }
 
@@ -1546,20 +1624,18 @@ mod tests {
                 let whole = &wholes[origin.0 as usize];
                 let frags = fragment_eternal(origin, msg_id, whole, CHUNK + FRAGMENT_OVERHEAD);
                 assert_eq!(frags.len(), whole.len().div_ceil(CHUNK).max(1));
-                (origin, frags.len(), frags.into_iter())
+                (origin, frags.clone(), frags.into_iter())
             });
-            let mut capacity: [Option<usize>; 2] = [None, None];
             while queues.iter().any(|(_, _, q)| q.len() > 0) {
                 let pick = rng.gen_range(2) as usize;
-                let (origin, _, queue) = &mut queues[pick];
+                let (origin, frags, queue) = &mut queues[pick];
                 let Some(frag) = queue.next() else { continue };
                 let pushed = r.push(&frag);
                 if queue.len() > 0 {
                     assert_eq!(pushed, Ok(None), "message incomplete");
-                    let held = kept(&r.partial[&(*origin, msg_id)].bytes).capacity();
-                    if *capacity[pick].get_or_insert(held) != held {
-                        panic!("partial of {size_a}/{size_b} B reallocated");
-                    }
+                    // What a partial holds is its frames'.
+                    let pieces = &r.partial[&(*origin, msg_id)].pieces;
+                    assert!(pieces.iter().all(|p| Bytes::ptr_eq(p, &frags[0])));
                 } else {
                     let whole = EternalMessage::from_bytes(&wholes[pick]);
                     assert_eq!(pushed, whole.map(Some), "sizes {size_a}/{size_b}");
@@ -1567,35 +1643,21 @@ mod tests {
                 // Only a message some but not all of whose fragments
                 // have arrived occupies a partial: a single-fragment
                 // message never does.
-                let begun = |(_, total, q): &(_, usize, std::vec::IntoIter<Bytes>)| {
-                    (1..*total).contains(&q.len())
+                let begun = |(_, frags, q): &(_, Vec<Bytes>, std::vec::IntoIter<Bytes>)| {
+                    (1..frags.len()).contains(&q.len())
                 };
                 assert_eq!(r.pending(), queues.iter().filter(|q| begun(q)).count());
             }
             assert_eq!(r.pending(), 0);
         }
-        // The hand-over of a reassembled buffer: at every size (the
-        // smallest are truncated, hence undecodable) a message in several
-        // fragments reassembles to what decoding it whole yields, and
-        // the body of a bulk variant is the partial's own buffer,
-        // written where it stays and not moved or copied out. A
-        // reassembler at a processor that keeps the body of a state
-        // chunk or a checkpoint does the same; one that keeps neither
-        // keeps no byte of their bodies in several fragments, yet
-        // reaches the same verdict, head and gauges at every step, the
-        // message whole, cut short or with its body's length word
-        // inflated. A state chunk at its new host lands its body, which
-        // is delivered empty, with the same verdict, head and gauges,
-        // and lands exactly the body decoding it whole yields. A
-        // checkpoint's head is never lent mid-message.
-        let keeps_none = |head: &EternalMessage| {
-            !matches!(
-                head,
-                EternalMessage::StateChunk { .. } | EternalMessage::StateAssignment { .. }
-            )
-        };
-        let mut rs = [(); 3].map(|_| EternalReassembler::new());
-        let mut lands = Lands::default();
+        // The hand-over: at every size (the smallest are truncated,
+        // hence undecodable) a message in several fragments reassembles
+        // to what decoding it whole yields, its body cut short or with
+        // its length word inflated too, and the body of a bulk variant
+        // is its slices of the frames, no byte of it copied — a state
+        // chunk's, a checkpoint's (whose other two kinds of state, after
+        // the body, are decoded from the last slices) and an IIOP
+        // message's. A checkpoint's head is never lent mid-message.
         for (msg_id, &size) in sizes.iter().enumerate() {
             let chunk = EternalMessage::StateChunk {
                 group: GroupId(3),
@@ -1626,84 +1688,37 @@ mod tests {
             for (whole, bulk_head) in wholes {
                 let key = (NodeId(2), msg_id as u64);
                 let frags = fragment_eternal(key.0, key.1, &whole, CHUNK + FRAGMENT_OVERHEAD);
-                let several = frags.len() > 1;
                 let (last, rest) = frags.split_last().unwrap();
-                let mut push = |r: &mut EternalReassembler, frag: &[u8]| {
-                    let [home, away, lander] = &mut rs;
-                    let pushed = r.push(frag);
-                    assert_eq!(
-                        home.push_view(frag, &mut |_: &EternalMessage| true)
-                            .map(|d| d.map(Delivered::into_message)),
-                        pushed
-                    );
-                    let bodiless = pushed.clone().map(|done| {
-                        done.map(|mut message| {
-                            if several && !keeps_none(&message) {
-                                message.bulk_mut().expect("a bulk variant").clear();
-                            }
-                            message
-                        })
-                    });
-                    let by_away = away.push_view(frag, &mut |h: &EternalMessage| keeps_none(h));
-                    assert_eq!(
-                        by_away.map(|d| d.map(Delivered::into_message)),
-                        bodiless,
-                        "size {size}"
-                    );
-                    let by_lander = lander.push_view(frag, &mut lands);
-                    let landed = pushed.clone().map(|done| {
-                        done.map(|mut message| {
-                            if let (true, EternalMessage::StateChunk { bytes, .. }) =
-                                (several, &mut message)
-                            {
-                                assert_eq!(lands.0, std::mem::take(bytes), "the landed body");
-                            }
-                            message
-                        })
-                    });
-                    assert_eq!(by_lander.map(|d| d.map(Delivered::into_message)), landed);
-                    if let Some(partial) = away.partial.get(&key) {
-                        let counted = matches!(partial.bytes, Received::Counted(_));
-                        let bulk = partial
-                            .head
-                            .as_ref()
-                            .is_some_and(|(head, _)| !keeps_none(head));
-                        assert_eq!(counted, bulk, "a body not kept was kept, or one kept not");
-                    }
-                    for other in &rs {
-                        assert_eq!(
-                            other.partial_head(key.0, key.1),
-                            r.partial_head(key.0, key.1)
-                        );
-                        assert_eq!(other.pending(), r.pending());
-                        assert_eq!(other.pending_bytes(), r.pending_bytes());
-                    }
-                    pushed
-                };
+                let mut pending_bytes = 0;
                 for frag in rest {
-                    assert_eq!(push(&mut r, frag), Ok(None));
+                    assert_eq!(r.push_view(frag).map(|d| d.is_none()), Ok(true));
+                    pending_bytes += frag.len() - FRAGMENT_OVERHEAD;
+                    assert_eq!(r.pending_bytes(), pending_bytes);
                     if let Some(head) = &bulk_head {
                         assert_eq!(r.partial_head(key.0, key.1), head.as_ref());
                     }
                 }
-                let buffer = r.partial.get(&key).map(|p| kept(&p.bytes).as_ptr());
-                let handed_over = push(&mut r, last);
+                let handed_over = r.push_view(last);
                 assert_eq!(r.partial_head(key.0, key.1), None);
-                assert_eq!(handed_over, EternalMessage::from_bytes(&whole).map(Some));
-                if let (Some(buffer), Ok(Some(mut message))) = (buffer, handed_over) {
-                    let bytes = message.bulk_mut().expect("a bulk variant");
-                    assert_eq!(bytes.as_ptr(), buffer, "the body was moved or copied out");
+                assert_eq!((r.pending(), r.pending_bytes()), (0, 0));
+                if let Ok(Some(delivered)) = &handed_over {
+                    if frags.len() > 1 && !delivered.body.is_empty() {
+                        let held = held_by_reference(&delivered.body, &frags);
+                        assert!(held, "size {size}: the body was copied");
+                    }
                 }
+                let owned = handed_over.map(|done| done.map(Delivered::into_message));
+                assert_eq!(owned, EternalMessage::from_bytes(&whole).map(Some));
             }
         }
     }
 
-    /// A partial reserves the least of what the first fragment's `total`
-    /// allows, what the body's length word declares and
-    /// [`MAX_PRESIZE`]: one corrupt word cannot reserve the address
-    /// space, and an intact message gets exactly its body.
+    /// A partial holds each fragment's chunk as a slice of its frame,
+    /// after the head the first fragment holds, or whole when it cannot
+    /// hold the head; it reserves no byte, and a corrupt `total`
+    /// reserves a bounded list.
     #[test]
-    fn a_partial_reserves_the_least_of_its_three_bounds() {
+    fn a_partial_holds_its_fragments_by_reference() {
         const BODY: usize = 5_000;
         let msg = EternalMessage::Iiop {
             conn: conn(),
@@ -1712,34 +1727,64 @@ mod tests {
             bytes: vec![3; BODY],
         };
         let frags = fragment_eternal(NodeId(0), 1, &msg.to_bytes(), 1000);
-        let reserved = |total: u32, body_len: u32| {
-            let mut first = WireFragment::from_bytes(&frags[0]).unwrap();
-            first.total = total;
-            let mut first = first.to_bytes();
-            // The Iiop's body length word is its sixth 4-byte word.
-            let at = FRAGMENT_OVERHEAD + 20;
-            first[at..at + 4].copy_from_slice(&body_len.to_be_bytes());
-            let mut r = EternalReassembler::new();
-            assert_eq!(r.push(&first), Ok(None));
-            kept(&r.partial.values().next().unwrap().bytes).capacity()
-        };
-        let total = frags.len() as u32;
-        let chunk = 1000 - FRAGMENT_OVERHEAD;
-        assert_eq!(reserved(total, BODY as u32), BODY);
-        assert_eq!(reserved(1 << 20, BODY as u32), BODY, "a corrupt total");
-        assert_eq!(
-            reserved(total, u32::MAX),
-            frags.len() * chunk,
-            "a corrupt length"
-        );
-        assert_eq!(reserved(1 << 20, u32::MAX), MAX_PRESIZE, "both corrupt");
-        // A head the first fragment cannot hold: its whole message.
+        let mut r = EternalReassembler::new();
+        for frag in &frags[..3] {
+            assert_eq!(r.push(frag), Ok(None));
+        }
+        let partial = r.partial.values().next().unwrap();
+        // The Iiop's head is 24 bytes long.
+        let starts: Vec<_> = partial.pieces.iter().map(|p| p.as_ptr()).collect();
+        let chunks = [24, 0, 0].map(|skip| FRAGMENT_OVERHEAD + skip);
+        let expected: Vec<_> = (frags[..3].iter().zip(chunks))
+            .map(|(f, at)| f[at..].as_ptr())
+            .collect();
+        assert_eq!(starts, expected);
+        assert_eq!(r.pending_bytes(), 3 * (1000 - FRAGMENT_OVERHEAD));
+        // A corrupt total.
+        let mut first = WireFragment::from_bytes(&frags[0]).unwrap();
+        first.total = u32::MAX;
+        let mut r = EternalReassembler::new();
+        assert_eq!(r.push(&Bytes::from(first.to_bytes())), Ok(None));
+        assert!(r.partial.values().next().unwrap().pieces.capacity() <= 64);
+        // A head the first fragment cannot hold: its whole chunks.
         let cut = fragment_eternal(NodeId(0), 1, &msg.to_bytes(), FRAGMENT_OVERHEAD + 16);
         let mut r = EternalReassembler::new();
         assert_eq!(r.push(&cut[0]), Ok(None));
-        assert_eq!(
-            kept(&r.partial.values().next().unwrap().bytes).capacity(),
-            cut.len() * 16
+        let pieces = &r.partial.values().next().unwrap().pieces;
+        assert_eq!(pieces[0].as_ptr(), cut[0][FRAGMENT_OVERHEAD..].as_ptr());
+        assert_eq!(pieces[0].len(), 16);
+    }
+
+    /// A body handed back lends its list to the next partial: a
+    /// reassembler that gets every body back makes no list of its own
+    /// after its first.
+    #[test]
+    fn a_recycled_body_lends_its_list_to_the_next_message() {
+        let msg = |op_seq| EternalMessage::Iiop {
+            conn: conn(),
+            direction: Direction::Request,
+            op_seq,
+            bytes: vec![5; 3_000],
+        };
+        let mut r = EternalReassembler::new();
+        let mut lists = Vec::new();
+        for msg_id in 0..3 {
+            let frags = fragment_eternal(NodeId(1), msg_id, &msg(msg_id as u32).to_bytes(), 1000);
+            let (last, rest) = frags.split_last().unwrap();
+            for frag in rest {
+                assert_eq!(r.push_view(frag).map(|d| d.is_none()), Ok(true));
+            }
+            let delivered = r.push_view(last).unwrap().expect("the last fragment");
+            let Body::Pieces(pieces) = &delivered.body else {
+                panic!("a body in several fragments is held in pieces");
+            };
+            lists.push(pieces.as_ptr());
+            assert_eq!(delivered.body.to_vec(), vec![5; 3_000]);
+            r.recycle(delivered.body);
+        }
+        assert!(
+            lists.iter().all(|&list| list == lists[0]),
+            "a list was made anew"
         );
     }
 

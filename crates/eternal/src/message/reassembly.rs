@@ -1,87 +1,29 @@
-//! Reassembly of [`WireFragment`] streams: a body in several fragments
-//! is kept, counted or landed where it stays, as a [`KeepRule`] says.
+//! Reassembly of [`WireFragment`] streams: a message in several
+//! fragments is held by reference, its body delivered as the fragments'
+//! slices of the frames Totem delivered ([`Body::Pieces`]). No byte is
+//! copied here; a reader of the body gathers it.
 
-use super::{body_within, Delivered, EternalMessage, WireFragment};
+use super::{body_within, Body, Delivered, EternalMessage, WireFragment, FRAGMENT_OVERHEAD};
 use eternal_cdr::CdrError;
 use eternal_sim::net::NodeId;
-use std::borrow::Cow;
+use eternal_sim::Bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
 
-/// What becomes of the body of a message in several fragments. Only a
-/// kept body is delivered; the others arrive empty, with the verdicts
-/// and gauges of keeping it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keep {
-    /// In the partial's own buffer, which the message keeps.
-    Kept,
-    /// Nowhere: its bytes are counted.
-    Counted,
-    /// Each fragment's bytes are handed to [`KeepRule::land`].
-    Landed,
-}
-
-/// A processor's keep rule, asked of a head at its first fragment. A
-/// closure over the head keeps (`true`) or counts a body.
-pub trait KeepRule {
-    /// What becomes of `head`'s body, declared `len` bytes long.
-    fn keep(&mut self, head: &EternalMessage, len: usize) -> Keep;
-
-    /// Writes the next `bytes` of `head`'s landed body where it stays;
-    /// `false` once they no longer land there, and the rest is counted.
-    fn land(&mut self, _head: &EternalMessage, _bytes: &[u8]) -> bool {
-        false
-    }
-}
-
-impl<F: FnMut(&EternalMessage) -> bool> KeepRule for F {
-    fn keep(&mut self, head: &EternalMessage, _: usize) -> Keep {
-        match self(head) {
-            true => Keep::Kept,
-            false => Keep::Counted,
-        }
-    }
-}
-
 /// A partially reassembled message: the fragment index expected next,
 /// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes received so far — after the head of a message
-/// with a bulk body, decoded from the first fragment when it holds it:
-/// then each body byte is written at its final offset in the buffer
-/// the delivered message keeps, or where it lands.
+/// agree), and the chunks received so far, each a slice of its frame —
+/// after the head of a message with a bulk body, decoded from the first
+/// fragment when it holds it.
 #[derive(Debug)]
 pub(super) struct Partial {
     next: u32,
     total: u32,
-    /// That head, and where its body lies in the whole message. Its own
-    /// empty body collects the bytes after the body: an assignment's
-    /// other two kinds of state, which every processor decodes.
+    /// That head, and where its body lies in the whole message.
     pub(super) head: Option<(EternalMessage, Range<usize>)>,
-    pub(super) bytes: Received,
+    /// The chunks after it, in order, empty ones left out.
+    pub(super) pieces: Vec<Bytes>,
 }
-
-/// What a partial keeps of the bytes it receives: all of them, or only
-/// their number for a body the processor does not keep or lands.
-#[derive(Debug)]
-pub(super) enum Received {
-    Kept(Vec<u8>),
-    Counted(usize),
-    Landed(usize),
-}
-
-impl Received {
-    fn len(&self) -> usize {
-        match self {
-            Received::Kept(bytes) => bytes.len(),
-            Received::Counted(len) | Received::Landed(len) => *len,
-        }
-    }
-}
-
-/// Most bytes reserved up front for one message: by a partial, or by a
-/// recovering replica for its state (a larger one still arrives; its
-/// buffer then grows).
-pub(crate) const MAX_PRESIZE: usize = 1 << 24;
 
 /// Refusals of a fragment that does not continue its message.
 const TOTAL_MISMATCH: CdrError = CdrError::TypeMismatch {
@@ -94,91 +36,60 @@ const OUT_OF_ORDER: CdrError = CdrError::TypeMismatch {
 };
 
 impl Partial {
-    /// A message of `total` fragments begun by its first, `first`, whose
-    /// body is kept if there is no head, and otherwise as `rule` says.
-    fn new(total: u32, first: &[u8], rule: &mut impl KeepRule) -> Self {
-        let head = EternalMessage::decode_bulk_head(first).ok().flatten();
-        let (skip, body) = head
-            .as_ref()
-            .map_or((0, usize::MAX), |(_, body)| (body.start, body.len()));
-        // Every fragment but the last is as long as the first, so this
-        // holds the whole message, or its body, and never grows; no one
-        // corrupt word reserves the address space. Not a pooled buffer:
-        // the message keeps it.
-        let presize = (total as usize)
-            .saturating_mul(first.len())
-            .min(body)
-            .min(MAX_PRESIZE);
-        let bytes = match head
-            .as_ref()
-            .map_or(Keep::Kept, |(h, _)| rule.keep(h, body))
-        {
-            Keep::Kept => Received::Kept(Vec::with_capacity(presize)),
-            Keep::Counted => Received::Counted(0),
-            Keep::Landed => Received::Landed(0),
-        };
+    /// A message of `total` fragments begun by its first's chunk,
+    /// `first`, collected in `pieces` (an empty list, lent).
+    fn new(total: u32, first: Bytes, pieces: Vec<Bytes>) -> Self {
+        let head = EternalMessage::decode_bulk_head(&first).ok().flatten();
+        let skip = head.as_ref().map_or(0, |(_, body)| body.start);
         let mut partial = Partial {
             next: 1,
             total,
             head,
-            bytes,
+            pieces,
         };
-        partial.receive(&first[skip..], rule);
+        partial.receive(first.slice(skip..first.len()));
         partial
     }
 
-    /// Takes in the next `chunk` of the message: the bytes up to the
-    /// body's end are kept, counted or landed, those after it collected
-    /// in the head's body buffer. Bytes `rule` refuses to land are
-    /// counted, and so is the rest of the body.
-    fn receive(&mut self, mut chunk: &[u8], rule: &mut impl KeepRule) {
-        if let Some((head, body)) = &mut self.head {
-            let upto = body.len().saturating_sub(self.bytes.len());
-            if upto < chunk.len() {
-                let after = head.bulk_mut().expect("a head has a bulk body");
-                after.extend_from_slice(&chunk[upto..]);
-                chunk = &chunk[..upto];
-            }
-        }
-        let len = match &mut self.bytes {
-            Received::Kept(bytes) => return bytes.extend_from_slice(chunk),
-            Received::Counted(len) | Received::Landed(len) => {
-                *len += chunk.len();
-                *len
-            }
-        };
-        if let (Received::Landed(_), Some((head, _))) = (&self.bytes, &self.head) {
-            if !rule.land(head, chunk) {
-                self.bytes = Received::Counted(len);
-            }
+    /// Takes in the next `chunk` of the message.
+    fn receive(&mut self, chunk: Bytes) {
+        if !chunk.is_empty() {
+            self.pieces.push(chunk);
         }
     }
 
-    /// Bytes received after the head, kept or not.
+    /// Bytes received after the head.
     fn received(&self) -> usize {
-        let after = self.head.as_ref().map_or(0, |(head, _)| head.bulk().len());
-        self.bytes.len() + after
+        self.pieces.iter().map(|piece| piece.len()).sum()
     }
 
-    /// The message, its last fragment in: the kept bytes become its
-    /// body, or, without a decoded head, are decoded whole. Either way
-    /// the verdict is [`EternalMessage::from_bytes`]' on the whole.
+    /// The message, its last fragment in. Without a decoded head it is
+    /// gathered and decoded whole; with one, the pieces are cut at the
+    /// body's end and what follows (an assignment's other two kinds of
+    /// state) is decoded from the rest. Either way the verdict is
+    /// [`EternalMessage::from_bytes`]' on the whole.
     fn finish(self) -> Result<Delivered<'static>, CdrError> {
-        let received = self.received();
-        let bytes = match self.bytes {
-            Received::Kept(bytes) => bytes,
-            Received::Counted(_) | Received::Landed(_) => Vec::new(),
-        };
+        let (received, mut pieces) = (self.received(), self.pieces);
         let Some((mut head, body)) = self.head else {
-            return EternalMessage::from_bytes(&bytes).map(Delivered::from);
+            let whole = Body::Pieces(pieces).to_vec();
+            return EternalMessage::from_bytes(&whole).map(Delivered::from);
         };
         body_within(body.clone(), body.start + received)?;
-        let after = std::mem::take(head.bulk_mut().expect("a head has a bulk body"));
-        head.decode_tail(&after, body.end)?;
-        Ok(Delivered {
-            head,
-            body: Cow::Owned(bytes),
-        })
+        // The piece the body ends in, and where in it.
+        let (mut cut, mut at) = (0, body.len());
+        while pieces.get(cut).is_some_and(|piece| at >= piece.len()) {
+            at -= pieces[cut].len();
+            cut += 1;
+        }
+        let first = pieces.get(cut).map_or(&[][..], |piece| &piece[at..]);
+        let rest = pieces.get(cut + 1..).unwrap_or(&[]);
+        head.decode_tail(first, rest, body.end)?;
+        if let Some(end) = pieces.get(cut).map(|piece| piece.slice(0..at)) {
+            pieces.truncate(cut);
+            pieces.extend((!end.is_empty()).then_some(end));
+        }
+        let body = Body::Pieces(pieces);
+        Ok(Delivered { head, body })
     }
 }
 
@@ -194,6 +105,8 @@ impl Partial {
 #[derive(Debug, Default)]
 pub struct EternalReassembler {
     pub(super) partial: BTreeMap<(NodeId, u64), Partial>,
+    /// Emptied lists of pieces handed back, lent to the next partials.
+    spare: Vec<Vec<Bytes>>,
 }
 
 impl EternalReassembler {
@@ -212,8 +125,9 @@ impl EternalReassembler {
         self.partial.keys().filter(|&&(o, _)| o == origin).count()
     }
 
-    /// Bytes received across all partially assembled messages, kept or
-    /// not (a backpressure gauge: what waits for trailing fragments).
+    /// Bytes received across all partially assembled messages, held by
+    /// reference to their frames (a backpressure gauge: what waits for
+    /// trailing fragments).
     pub fn pending_bytes(&self) -> usize {
         let head = |p: &Partial| p.head.as_ref().map_or(0, |(_, body)| body.start);
         self.partial.values().map(|p| head(p) + p.received()).sum()
@@ -239,24 +153,28 @@ impl EternalReassembler {
         self.partial.retain(|&(o, _), _| o != origin);
     }
 
-    /// Consumes one Totem payload, keeping every body; returns the
-    /// completed message when this was its last fragment.
+    /// Consumes one Totem payload; returns the completed message, owned,
+    /// when this was its last fragment.
     ///
     /// # Errors
     ///
     /// As [`EternalReassembler::push_view`].
-    pub fn push(&mut self, payload: &[u8]) -> Result<Option<EternalMessage>, CdrError> {
-        Ok(self
-            .push_view(payload, &mut |_: &EternalMessage| true)?
-            .map(Delivered::into_message))
+    pub fn push(&mut self, payload: &Bytes) -> Result<Option<EternalMessage>, CdrError> {
+        let Some(Delivered { mut head, body }) = self.push_view(payload)? else {
+            return Ok(None);
+        };
+        if let Some(bulk) = head.bulk_mut() {
+            *bulk = body.to_vec();
+        }
+        self.recycle(body);
+        Ok(Some(head))
     }
 
     /// Consumes one Totem payload; returns the completed message when
-    /// this was its last fragment, its body a view into `payload` if it
-    /// was also its first. Of a message in several fragments whose
-    /// first holds its head, `rule` is asked once, at that fragment,
-    /// what becomes of the body ([`Keep`]), and handed each fragment's
-    /// bytes of a body it lands.
+    /// this was its last fragment. Its body is a view into `payload` if
+    /// that was also its first, and otherwise its slices of the frames
+    /// it came in ([`Body::Pieces`]), whose list [`Self::recycle`]
+    /// takes back.
     ///
     /// # Errors
     ///
@@ -265,11 +183,7 @@ impl EternalReassembler {
     /// whose `total` disagrees with the first fragment's, or a zero
     /// `total` are reported as [`CdrError::TypeMismatch`] and the
     /// partial entry is dropped.
-    pub fn push_view<'a>(
-        &mut self,
-        payload: &'a [u8],
-        rule: &mut impl KeepRule,
-    ) -> Result<Option<Delivered<'a>>, CdrError> {
+    pub fn push_view<'a>(&mut self, payload: &'a Bytes) -> Result<Option<Delivered<'a>>, CdrError> {
         let WireFragment {
             origin,
             msg_id,
@@ -290,10 +204,15 @@ impl EternalReassembler {
             // decoded straight from the delivered bytes.
             return Delivered::view(chunk).map(Some);
         }
+        // The chunk ends the envelope: a slice of the same frame.
+        debug_assert_eq!(chunk.as_ptr(), payload[FRAGMENT_OVERHEAD..].as_ptr());
+        let chunk = payload.slice(FRAGMENT_OVERHEAD..FRAGMENT_OVERHEAD + chunk.len());
         let mut entry = match self.partial.entry(key) {
             Entry::Vacant(_) if index != 0 => return Err(OUT_OF_ORDER),
             Entry::Vacant(slot) => {
-                slot.insert(Partial::new(total, chunk, rule));
+                let mut pieces = self.spare.pop().unwrap_or_default();
+                pieces.reserve_exact((total as usize).min(64));
+                slot.insert(Partial::new(total, chunk, pieces));
                 return Ok(None);
             }
             Entry::Occupied(entry) => entry,
@@ -308,11 +227,21 @@ impl EternalReassembler {
             return Err(refusal);
         }
         partial.next += 1;
-        partial.receive(chunk, rule);
-        match partial.next == partial.total {
-            // The buffer is this reassembler's own: the message keeps it.
-            true => entry.remove().finish().map(Some),
-            false => Ok(None),
+        partial.receive(chunk);
+        if partial.next < partial.total {
+            return Ok(None);
+        }
+        entry.remove().finish().map(Some)
+    }
+
+    /// Takes back the list of a delivered body's pieces, emptied, for a
+    /// later message: a reassembler whose driver hands every body back
+    /// makes no allocator call for a list once it has as many as it
+    /// holds partials at once. Other bodies are dropped.
+    pub fn recycle(&mut self, body: Body<'_>) {
+        if let Body::Pieces(mut pieces) = body {
+            pieces.clear();
+            self.spare.push(pieces);
         }
     }
 }

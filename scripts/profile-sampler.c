@@ -1,9 +1,14 @@
 /* The sampler of scripts/profile.sh, LD_PRELOADed into a frame-pointer
  * build of perf. PROFILE_MODE=cpu takes a sample on every millisecond of
  * CPU time (SIGPROF); PROFILE_MODE=alloc on every 16th malloc, calloc or
- * realloc call; PROFILE_MODE=bytes once for every 256 KiB those calls
- * ask for (a call that crosses k multiples of it is sampled k times, so
- * the samples weigh each call by its size). A sample is the program counter followed by the return
+ * realloc call; PROFILE_MODE=bytes on 256 KiB those calls ask for, on
+ * average: the bytes between two samples are drawn from an exponential
+ * distribution of that mean (a fixed seed, so a run repeats), as
+ * tcmalloc's heap sampler draws them, and a call that spans k of the
+ * gaps is sampled k times. Each sample so stands for its expected
+ * 256 KiB whatever the period of the program: a fixed step would charge
+ * every sample of a periodic run to the same few allocations. A sample
+ * is the program counter followed by the return
  * addresses a frame-pointer walk finds between the stack pointer and the
  * top of the main thread's stack; at exit the samples and
  * /proc/self/maps go to $PROFILE_OUT for scripts/profile-report.py.
@@ -21,8 +26,10 @@
 #define DEPTH 64
 #define CAP (1 << 22)
 static uintptr_t buf[CAP], stack_hi;
-static size_t used, lost, requested;
+static size_t used, lost;
 static unsigned long calls;
+static uint64_t seed = 0x9e3779b97f4a7c15u; /* xorshift64's state */
+static double gap;                          /* bytes until the next sample */
 static const char *mode = "cpu";
 static int sampling; /* 0 while cpu (or finished), 1 for alloc, 2 for bytes */
 
@@ -50,13 +57,26 @@ static void on_prof(int sig, siginfo_t *info, void *ctx) {
     record(m->gregs[REG_RIP], m->gregs[REG_RBP], m->gregs[REG_RSP]);
 }
 
+/* An exponential draw of mean 256 KiB: -ln(u) for u uniform in (0, 1],
+ * ln from the exponent and a series in (m - 1) / (m + 1) of the
+ * mantissa m (libm is not ours to link). */
+static double next_gap(void) {
+    seed ^= seed << 13, seed ^= seed >> 7, seed ^= seed << 17;
+    double u = (double)((seed >> 11) + 1) / 9007199254740992.0, m = u;
+    int e = 0;
+    while (m < 1) m *= 2, e--;
+    double z = (m - 1) / (m + 1), z2 = z * z, term = z, series = 0;
+    for (int k = 1; k < 40; k += 2, term *= z2) series += term / k;
+    return -(e * 0.6931471805599453 + 2 * series) * (1 << 18);
+}
+
 /* How many samples a call asking for `n` bytes takes. */
 static size_t samples_for(size_t n) {
     if (sampling == 1) return ++calls % 16 == 0;
     if (sampling != 2) return 0;
-    size_t before = requested >> 18;
-    requested += n;
-    return (requested >> 18) - before;
+    size_t k = 0;
+    for (gap -= (double)n; gap <= 0; gap += next_gap()) k++;
+    return k;
 }
 
 /* Our own frame is [fp]: the caller's frame pointer, then our return. */
@@ -82,6 +102,7 @@ __attribute__((constructor)) static void start(void) {
     if (asked && !strcmp(asked, "bytes")) sampling = 2;
     if (sampling) {
         mode = asked;
+        gap = next_gap();
         return;
     }
     struct sigaction sa = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};

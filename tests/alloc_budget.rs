@@ -7,11 +7,12 @@
 //! runs the shapes of two of perf's workloads — four processors, an
 //! active(2) server and a client with invocations in flight: tiny
 //! `increment`s (`active_small`) and 2–32 kB `put`s that travel as
-//! many Totem frames (`active_frag`) — and counts allocator calls and the
-//! bytes they ask for per reply once the stream is warm. A third shape
-//! is a third workload's, `recovery_350kb`: a replica killed and
-//! recovered by a state transfer, and the bytes asked for in between
-//! counted in states' worth. A fourth is `passive_failover`'s: a
+//! many Totem frames (`active_frag`) — and of `get`s of 2–32 kB values,
+//! whose large replies come in two copies, and counts allocator calls
+//! and the bytes they ask for per reply once the stream is warm. A
+//! fourth shape is a third workload's, `recovery_350kb`: a replica
+//! killed and recovered by a state transfer, and the bytes asked for in
+//! between counted in states' worth. A fifth is `passive_failover`'s: a
 //! warm-passive group checkpointed again and again, the bytes asked for
 //! counted in states' worth per checkpoint. The counts are exact and
 //! repeat: the simulation is deterministic and nothing else allocates
@@ -105,21 +106,27 @@ const MEASURED: u64 = 1_000;
 /// destination).
 const SMALL_CALLS: f64 = 15.40;
 
-/// The same on the fragmented shape: 28.36. It was 94.46 before P6,
+/// The same on the fragmented shape: 23.36. It was 28.36 before P12,
+/// which holds a body in several fragments by reference to its frames
+/// instead of reassembling it at every processor (one list of pieces,
+/// lent, in place of the buffer) and cuts a multicast's frames without
+/// listing them; 94.46 before P6,
 /// nearly two thirds of which were the per-event action vectors and
 /// per-frame delivery lists of a request's ≈ 15 frames at four
 /// processors, and 31.61 before P8, which cut each multicast's body
 /// straight into its frames instead of encoding it first, sized the
 /// `put` arguments exactly instead of regrowing them, and lent the
 /// reply body.
-const FRAG_CALLS: f64 = 28.36;
+const FRAG_CALLS: f64 = 23.36;
 
-/// The kB those calls ask for per reply on the fragmented shape: 114.89,
-/// against 151.26 before P8. Each byte of a `put`'s value is now written
-/// once per hop: the value, its arguments, the GIOP request, the frames,
-/// the reassembled body at each of the four processors and the value
-/// each of the two servants keeps.
-const FRAG_KB: f64 = 114.89;
+/// The kB those calls ask for per reply on the fragmented shape: 69.06,
+/// against 114.89 before P12 and 151.26 before P8. Each byte of a
+/// `put`'s value is now written once per hop, and only where the hop
+/// reads it: the value, its arguments, the GIOP request, the frames,
+/// the body gathered at the two processors that host a server replica
+/// (for their ORBs; the two others read none of it) and the value each
+/// of the two servants keeps.
+const FRAG_KB: f64 = 69.06;
 
 /// Steady-state allocator calls and kB asked for per reply of a
 /// four-processor cluster running `server` as an active(2) group under
@@ -179,10 +186,15 @@ struct Putter {
     sent: u64,
 }
 
+/// The `n`-th value of the ladder: 2–32 kB, log-uniform over 13 rungs.
+fn ladder_value(n: u64) -> String {
+    let size = (2_048.0 * 16f64.powf((n % 13) as f64 / 12.0)) as usize;
+    (0..size).map(|i| (b'a' + (i % 26) as u8) as char).collect()
+}
+
 impl Putter {
     fn next(&mut self) -> AppInvocation {
-        let size = (2_048.0 * 16f64.powf((self.sent % 13) as f64 / 12.0)) as usize;
-        let value: String = (0..size).map(|i| (b'a' + (i % 26) as u8) as char).collect();
+        let value = ladder_value(self.sent);
         let key = format!("key-{}", self.sent % 8);
         self.sent += 1;
         AppInvocation {
@@ -222,22 +234,89 @@ fn fragmented_stream_allocations_per_reply_stay_within_budget() {
     assert_within_budget("fragmented puts", kb, FRAG_KB, what);
 }
 
+/// `get`s over eight keys whose values are 2–32 kB (the ladder's
+/// first eight rungs, each `put` once first), eight in flight: large
+/// replies, in two copies, one from each server replica.
+struct Getter {
+    server: GroupId,
+    sent: u64,
+}
+
+impl Getter {
+    fn next(&mut self) -> AppInvocation {
+        let key = format!("key-{}", self.sent % 8);
+        let (operation, args) = match self.sent < 8 {
+            true => (
+                "put",
+                KvStoreServant::put_args(&key, &ladder_value(self.sent)),
+            ),
+            false => ("get", KvStoreServant::key_args(&key)),
+        };
+        self.sent += 1;
+        AppInvocation {
+            server: self.server,
+            operation: operation.to_owned(),
+            args,
+            response_expected: true,
+        }
+    }
+}
+
+impl ClientApp for Getter {
+    fn on_start(&mut self) -> Vec<AppInvocation> {
+        (0..8).map(|_| self.next()).collect()
+    }
+
+    fn on_reply(&mut self, _: GroupId, _: &str, _: ReplyStatus, _: &[u8]) -> Vec<AppInvocation> {
+        vec![self.next()]
+    }
+
+    fn get_state(&self) -> Any {
+        Any::from(self.sent as u32)
+    }
+
+    fn set_state(&mut self, _: &Any) {}
+}
+
+/// The kB asked for per reply on the get-heavy shape: 31.81, against
+/// 73.42 before P12, when every processor reassembled both copies of
+/// every reply. A reply's value is written by the servant, the reply's encoding and
+/// its frames at each of the two server replicas; the client's host
+/// gathers the first copy into a buffer it lends the ORB and reads the
+/// second copy not at all (duplicate suppression decides it from the
+/// head), and the two processors that host neither group gather
+/// nothing.
+const GET_KB: f64 = 31.81;
+
+#[test]
+fn fragmented_replies_ask_for_their_bytes_within_budget() {
+    let (_, kb) = allocations_per_reply(
+        || Box::new(KvStoreServant::default()),
+        |server| Box::new(Getter { server, sent: 0 }),
+    );
+    let what = "kB asked for per reply in steady state";
+    assert_within_budget("fragmented gets", kb, GET_KB, what);
+}
+
 /// Application state of the transfer shape's servant: large enough
 /// that its copies, not the requests served beside the transfer, set
 /// the count.
 const STATE_BYTES: usize = 128 * 1024;
 
 /// Bytes asked for from a replica's kill until redundancy is restored
-/// on the transfer shape, in states' worth: 8.08. It was 10.86 before
-/// P11, which cuts the donor's chunks straight from the parts of its
-/// capture instead of from a retained copy of the whole encoding, and
-/// lands each chunk's fragments in the recovering replica's inbound
-/// buffer instead of reassembling the chunk first; and 17.36 before
-/// P9, which reassembles a chunk's body at the recovering replica's
-/// host alone (not at all four processors), reserves that replica's
-/// inbound buffer once for the whole stream instead of doubling it,
-/// and lends it the application state for `set_state` instead of
-/// copying it out (docs/RECOVERY.md, "Copies of the state").
+/// on the transfer shape, in states' worth: 8.08 (8.076 before P12,
+/// 8.079 after: the lists of pieces at the four processors, lent from
+/// then on, ask for about what the donor's lists of frames no longer
+/// do). It was 10.86 before P11, which cuts the donor's chunks straight
+/// from the parts of its capture instead of from a retained copy of the
+/// whole encoding, and wrote each chunk's fragments into the recovering
+/// replica's inbound buffer instead of reassembling the chunk first (a
+/// chunk's pieces are appended there at its delivery since P12); and
+/// 17.36 before P9, which reassembles a chunk's body at the recovering
+/// replica's host alone (not at all four processors), reserves that
+/// replica's inbound buffer once for the whole stream instead of
+/// doubling it, and lends it the application state for `set_state`
+/// instead of copying it out (docs/RECOVERY.md, "Copies of the state").
 const TRANSFER_STATES: f64 = 8.08;
 
 /// An active(2) group of `BlobServant`s on four processors, streaming
@@ -276,16 +355,17 @@ fn a_state_transfer_asks_for_its_states_worth_within_budget() {
 }
 
 /// Bytes asked for per checkpoint on the checkpoint shape, in states'
-/// worth: 7.22 (7.23 before P11). It was 15.11 before P10, which keeps
+/// worth: 7.18 (7.22 before P12, 7.23 before P11). It was 15.11 before
+/// P10, which keeps
 /// a checkpoint's application state only at the two hosts that log it
 /// (not at all four processors), logs it as received instead of
 /// decoding a copy and re-encoding it, and lends it to the warm
 /// backup's `set_state` (docs/RECOVERY.md, "Copies of a checkpoint").
-/// Of the 7.22, 2.2 are the two kept bodies; the rest is the primary's
+/// Of the 7.18, 2.2 are the two logged bodies; the rest is the primary's
 /// capture and frames (4: the `Any`, its encoding, the assignment's
 /// encoding, its frames) and the warm backup's `set_state` decoding its
 /// `Any` (1).
-const CHECKPOINT_STATES: f64 = 7.22;
+const CHECKPOINT_STATES: f64 = 7.18;
 
 /// Checkpoints the checkpoint shape takes before counting starts, and
 /// counts.

@@ -1,26 +1,23 @@
 //! Property tests for the Eternal delivery codec: [`Delivered::view`]
 //! (the body borrowed from the input), reassembly from several
-//! fragments (the body written into the reassembler's own buffer) and
-//! [`EternalMessage::from_bytes`] (the body copied) are one decoder. On
-//! well-formed, truncated, length-inflated and -deflated,
+//! fragments (the body held as its slices of the frames, gathered when
+//! read) and [`EternalMessage::from_bytes`] (the body copied) are one
+//! decoder. On well-formed, truncated, length-inflated and -deflated,
 //! single-bit-flipped and arbitrary inputs — the generators of
 //! `crates/giop/tests/prop_views.rs` — all accept and reject the same
 //! bytes with the same error and yield the same fields, none panics,
-//! a partial message holds exactly the bytes received, and
-//! [`EternalReassembler::push_view`] and [`EternalReassembler::push`]
-//! agree on the same fragments. A reassembler at a processor reaches
-//! every verdict and gauge of one that keeps every body, though it keeps
-//! none of a state chunk bound elsewhere or of a checkpoint it does not
-//! log, and one that lands the body of a state chunk bound for it
-//! ([`EternalReassembler::push_with`]) lands exactly that body.
-//! [`EternalMessage::fragments`] writes the bytes [`fragment_eternal`]
-//! cuts from [`EternalMessage::to_bytes`].
+//! a partial message holds exactly the bytes received, by reference to
+//! the frames they came in, and a reassembled body gathered is the body
+//! decoding the whole yields. [`EternalReassembler::push_view`] and
+//! [`EternalReassembler::push`] agree on the same fragments, damaged or
+//! announcing a zero total too. [`EternalMessage::fragments`] writes the
+//! bytes [`fragment_eternal`] cuts from [`EternalMessage::to_bytes`].
 //! Random cases come from the deterministic `eternal-sim` RNG (fixed
 //! seeds).
 
 use eternal::gid::{ConnectionName, Direction, GroupId, TransferId};
 use eternal::message::{
-    fragment_eternal, Delivered, EternalMessage, EternalReassembler, Keep, KeepRule, OrderedInput,
+    fragment_eternal, Body, Delivered, EternalMessage, EternalReassembler, OrderedInput,
     RetrievalPurpose, WireFragment, FRAGMENT_OVERHEAD,
 };
 use eternal::recovery::{
@@ -156,17 +153,6 @@ fn rand_message(rng: &mut SimRng) -> EternalMessage {
     }
 }
 
-/// The bulk body of the three variants that have one.
-fn body_mut(message: &mut EternalMessage) -> Option<&mut Vec<u8>> {
-    match message {
-        EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => {
-            Some(bytes)
-        }
-        EternalMessage::StateAssignment { state, .. } => Some(&mut state.application),
-        _ => None,
-    }
-}
-
 fn body_of(message: &EternalMessage) -> &[u8] {
     match message {
         EternalMessage::Iiop { bytes, .. } | EternalMessage::StateChunk { bytes, .. } => bytes,
@@ -175,153 +161,31 @@ fn body_of(message: &EternalMessage) -> &[u8] {
     }
 }
 
-/// The processor whose keep rule [`keeps_at`] is: one in four generated
-/// state chunks is bound for it, and it logs one in two checkpoints.
-const AT: NodeId = NodeId(1);
-
-/// Whether [`AT`] keeps the body of a message with this head.
-fn keeps_at(head: &EternalMessage) -> bool {
-    match head {
-        EternalMessage::StateChunk { new_host, .. } => *new_host == AT,
-        EternalMessage::StateAssignment { transfer, .. } => transfer.0 % 2 == 0,
-        _ => true,
-    }
-}
-
-/// `frag` pushed into a reassembler at [`AT`]; `kept` notes what the
-/// keep rule said, when it was asked.
-fn push_at<'a>(
-    at: &mut EternalReassembler,
-    frag: &'a [u8],
-    kept: &mut Option<bool>,
-) -> Result<Option<Delivered<'a>>, CdrError> {
-    at.push_view(frag, &mut |head: &EternalMessage| {
-        *kept.insert(keeps_at(head))
-    })
-}
-
-/// What a reassembler at [`AT`] delivers of `message` when the keep rule
-/// said `kept` of it: a body not kept comes empty.
-fn as_delivered_at(mut message: EternalMessage, kept: Option<bool>) -> EternalMessage {
-    if let (Some(body), Some(false)) = (body_mut(&mut message), kept) {
-        body.clear();
-    }
-    message
-}
-
-/// The keep rule at [`AT`] of its new host's mechanisms: the body of a
-/// state chunk bound for it lands in `landed`, and every other body is
-/// kept as [`keeps_at`] says.
-#[derive(Default)]
-struct LandsAt {
-    landed: Option<Vec<u8>>,
-}
-
-impl KeepRule for LandsAt {
-    fn keep(&mut self, head: &EternalMessage, _: usize) -> Keep {
-        match head {
-            EternalMessage::StateChunk { new_host, .. } if *new_host == AT => {
-                self.landed = Some(Vec::new());
-                Keep::Landed
-            }
-            head if keeps_at(head) => Keep::Kept,
-            _ => Keep::Counted,
-        }
-    }
-
-    fn land(&mut self, _: &EternalMessage, bytes: &[u8]) -> bool {
-        let landed = self.landed.as_mut().expect("asked to keep first");
-        landed.extend_from_slice(bytes);
-        true
-    }
-}
-
 /// `frags` pushed through a fresh reassembler: the message the last one
 /// completes. Before it, the partial holds exactly the chunk bytes
-/// received, whether it has decoded a head or not. A reassembler at
-/// [`AT`] counts as many bytes at every push and reaches the same
-/// verdict, though it keeps no body it does not want; it is asked
-/// whether it does once, and only of a message in several fragments.
-/// So does one at [`AT`] that lands the body of a state chunk bound
-/// for it, and what it lands is that body.
+/// received, whether it has decoded a head or not; a body in pieces is
+/// slices of the frames, no byte of it copied.
 fn reassemble(frags: &[Bytes]) -> Result<Delivered<'_>, CdrError> {
     let mut reassembler = EternalReassembler::new();
-    let mut at = EternalReassembler::new();
-    let (mut lander, mut lands) = (EternalReassembler::new(), LandsAt::default());
-    let mut kept = None;
     let (last, rest) = frags.split_last().expect("one fragment at least");
     let mut received = 0;
     for frag in rest {
-        assert!(matches!(
-            reassembler.push_view(frag, &mut |_: &EternalMessage| true),
-            Ok(None)
-        ));
-        let asked = kept.is_some();
-        assert!(matches!(push_at(&mut at, frag, &mut kept), Ok(None)));
-        assert!(!asked || kept.is_some(), "asked twice");
+        assert!(matches!(reassembler.push_view(frag), Ok(None)));
         received += frag.len() - FRAGMENT_OVERHEAD;
         assert_eq!(reassembler.pending_bytes(), received, "mid-message");
-        assert_eq!(at.pending_bytes(), received, "mid-message, at {AT}");
-        assert!(matches!(lander.push_view(frag, &mut lands), Ok(None)));
-        assert_eq!(lander.pending_bytes(), received, "mid-message, landing");
-        assert_eq!(lander.pending(), 1);
+        assert_eq!(reassembler.pending(), 1);
     }
-    let first = WireFragment::from_bytes(&frags[0]).expect("an envelope");
-    let partial_head = reassembler
-        .partial_head(first.origin, first.msg_id)
-        .cloned();
-    assert_eq!(
-        at.partial_head(first.origin, first.msg_id),
-        partial_head.as_ref()
-    );
     let done = reassembler
-        .push_view(last, &mut |_: &EternalMessage| true)
+        .push_view(last)
         .map(|done| done.expect("the last fragment completes the message"));
-    let mut at_kept = kept;
-    let at_done = push_at(&mut at, last, &mut at_kept).map(|done| {
-        let done = done.expect("the last fragment completes the message");
-        assert!(body_of(&done.head).is_empty());
-        as_delivered_at(done.into_message(), kept)
-    });
-    assert_eq!(at_kept, kept, "asked at the last fragment");
-    if rest.is_empty() {
-        assert_eq!(kept, None, "asked of a message in one fragment");
-    } else if partial_head.is_some() {
-        assert!(
-            kept.is_some(),
-            "not asked of a head the first fragment held"
-        );
+    if let Ok(Delivered {
+        body: Body::Pieces(pieces),
+        ..
+    }) = &done
+    {
+        assert!(pieces.iter().all(|p| Bytes::ptr_eq(p, &frags[0])));
     }
-    match (&done, at_done) {
-        (Ok(done), Ok(at_done)) => {
-            let (head, body) = (done.head.clone(), done.body.clone());
-            let whole = Delivered { head, body }.into_message();
-            assert_eq!(as_delivered_at(whole, kept), at_done);
-        }
-        (Err(error), Err(at_error)) => assert_eq!(error, &at_error),
-        (done, at_done) => panic!("at {AT} the verdict differs: {done:?} / {at_done:?}"),
-    }
-    assert_eq!((at.pending(), at.pending_bytes()), (0, 0));
-    let lander_done = lander.push_view(last, &mut lands).map(|done| {
-        let done = done.expect("the last fragment completes the message");
-        assert!(body_of(&done.head).is_empty());
-        let mut message = done.into_message();
-        if let Some(landed) = lands.landed.take() {
-            assert!(body_of(&message).is_empty(), "a landed body was kept");
-            *body_mut(&mut message).expect("a state chunk") = landed;
-        }
-        message
-    });
-    match (&done, lander_done) {
-        (Ok(done), Ok(lander_done)) => {
-            let (head, body) = (done.head.clone(), done.body.clone());
-            let whole = Delivered { head, body }.into_message();
-            assert_eq!(as_delivered_at(whole, kept), lander_done);
-        }
-        (Err(error), Err(lander_error)) => assert_eq!(error, &lander_error),
-        (done, lander_done) => panic!("landing, the verdict differs: {done:?} / {lander_done:?}"),
-    }
-    assert_eq!((lander.pending(), lander.pending_bytes()), (0, 0));
+    assert_eq!((reassembler.pending(), reassembler.pending_bytes()), (0, 0));
     done
 }
 
@@ -344,7 +208,7 @@ fn check(input: &[u8]) -> Result<EternalMessage, CdrError> {
         match (&owned, decoded) {
             (Ok(message), Ok(delivered)) => {
                 assert!(body_of(&delivered.head).is_empty(), "{input:02x?}");
-                assert_eq!(&delivered.body[..], body_of(message), "{input:02x?}");
+                assert_eq!(delivered.body.to_vec(), body_of(message), "{input:02x?}");
                 assert_eq!(delivered.head.kind(), message.kind());
                 assert_eq!(&delivered.into_message(), message, "{input:02x?}");
             }
@@ -358,7 +222,7 @@ fn check(input: &[u8]) -> Result<EternalMessage, CdrError> {
     if let Ok(message) = &owned {
         let delivered = Delivered::from(message.clone());
         assert!(body_of(&delivered.head).is_empty());
-        assert_eq!(&delivered.body[..], body_of(message));
+        assert_eq!(delivered.body.to_vec(), body_of(message));
         assert_eq!(&delivered.into_message(), message);
         // Equal values, equal bytes.
         let reencoded = message.to_bytes();
@@ -396,7 +260,7 @@ fn fragments_are_the_cut_encoding() {
         let message = rand_message(&mut rng);
         let bytes = message.to_bytes();
         let max_payload = FRAGMENT_OVERHEAD + 1 + rng.gen_range(bytes.len() as u64 + 8) as usize;
-        let frags = message.fragments(NodeId(2), case, max_payload);
+        let frags: Vec<_> = message.fragments(NodeId(2), case, max_payload).collect();
         let cut = fragment_eternal(NodeId(2), case, &bytes, max_payload);
         assert_eq!(frags, cut, "{} at {max_payload}", message.kind());
     }
@@ -500,14 +364,13 @@ fn no_decode_panics_on_garbage() {
 }
 
 /// The reassembler's two entry points on the same fragments, in one
-/// frame and in several, intact and damaged: the same verdict at every
-/// push, and equal messages when one completes. A reassembler at [`AT`]
-/// gives that verdict and those gauges too.
+/// frame and in several, intact, damaged or announcing a zero total:
+/// the same verdict at every push, and equal messages when one
+/// completes.
 #[test]
 fn push_and_push_view_agree_fragment_by_fragment() {
     let mut rng = SimRng::seed_from_u64(0xE7E2_0106);
     let (mut owned, mut viewed) = (EternalReassembler::new(), EternalReassembler::new());
-    let mut at = EternalReassembler::new();
     let (mut completed, mut refused) = (0, 0);
     for case in 0..512u64 {
         let message = rand_message(&mut rng);
@@ -517,28 +380,31 @@ fn push_and_push_view_agree_fragment_by_fragment() {
         let damage = rng
             .chance(0.3)
             .then(|| rng.gen_range(frags.len() as u64) as usize);
-        let mut kept = None;
+        let zero_total = rng.chance(0.2);
         for (i, frag) in frags.iter().enumerate() {
             let mut frag = frag.to_vec();
-            if damage == Some(i) {
+            if damage == Some(i) && zero_total {
+                let mut zeroed = WireFragment::from_bytes(&frag).expect("an envelope");
+                zeroed.total = 0;
+                frag = zeroed.to_bytes();
+            } else if damage == Some(i) {
                 let bit = rng.gen_range(frag.len() as u64 * 8) as usize;
                 frag[bit / 8] ^= 1 << (bit % 8);
             }
-            let head = owned.partial_head(NodeId(2), case).cloned();
-            assert_eq!(at.partial_head(NodeId(2), case), head.as_ref());
+            let frag = Bytes::from(frag);
             let by_view = viewed
-                .push_view(&frag, &mut |_: &EternalMessage| true)
+                .push_view(&frag)
                 .map(|d| d.map(Delivered::into_message));
             assert_eq!(owned.push(&frag), by_view, "case {case} fragment {i}");
             assert_eq!(owned.pending(), viewed.pending());
             assert_eq!(owned.pending_bytes(), viewed.pending_bytes());
-            let by_at = push_at(&mut at, &frag, &mut kept).map(|d| d.map(Delivered::into_message));
-            let at_verdict = by_view
-                .clone()
-                .map(|done| done.map(|done| as_delivered_at(done, kept)));
-            assert_eq!(by_at, at_verdict, "case {case} fragment {i} at {AT}");
-            assert_eq!(at.pending(), owned.pending());
-            assert_eq!(at.pending_bytes(), owned.pending_bytes());
+            assert_eq!(
+                owned.partial_head(NodeId(2), case),
+                viewed.partial_head(NodeId(2), case)
+            );
+            if damage == Some(i) && zero_total {
+                assert!(by_view.is_err(), "a zero total accepted");
+            }
             match by_view {
                 Ok(Some(done)) if damage.is_none() => {
                     assert_eq!(done, message);
@@ -549,10 +415,9 @@ fn push_and_push_view_agree_fragment_by_fragment() {
             }
         }
         // A damaged message may leave a partial behind, under any
-        // origin and presized on the word of a damaged total.
+        // origin and on the word of a damaged total.
         if damage.is_some() {
             (owned, viewed) = (EternalReassembler::new(), EternalReassembler::new());
-            at = EternalReassembler::new();
         }
     }
     assert!(completed > 200 && refused > 20, "{completed} / {refused}");
