@@ -1046,8 +1046,8 @@ mod tests {
     }
 
     /// Delivers `message` at its total-order point: whole to `whole`,
-    /// and in fragments of at most 40 body bytes through `reassembler`
-    /// to `cut`, whose first fragment was pushed before.
+    /// and as the rest of its `frags` through `reassembler` to `cut`,
+    /// which was pushed the first one before.
     fn deliver_rest(
         message: &EternalMessage,
         frags: &[eternal_sim::Bytes],

@@ -189,14 +189,12 @@ impl Mechanisms {
         }
     }
 
-    /// One totally ordered IIOP message. Everything that decides its
-    /// fate here — duplicate, target group, who logs it, the local
-    /// replica's phase — is read from the header, at this total-order
-    /// point; the body is read only by the observer, where a replica of
-    /// either group is hosted, and by what takes the message: an open
-    /// transfer-suffix window, a passive group's log, an enqueueing
-    /// replica's holding queue (each an owned [`OrderedInput`]) or the
-    /// local ORB. A body in pieces is gathered once, at its first read.
+    /// One totally ordered IIOP message. Its fate — duplicate, target
+    /// group, who logs it, the local replica's phase — is decided from
+    /// the header here, at its total-order point; the body is read only
+    /// by the observer and by what takes the message: an open suffix
+    /// window, a passive log, a holding queue (each an owned
+    /// [`OrderedInput`]) or the local ORB.
     pub(super) fn on_iiop(
         &mut self,
         conn: ConnectionName,
@@ -286,9 +284,7 @@ impl Mechanisms {
 
     /// Whether a replica of either group of `conn` is hosted here, in
     /// any phase, or the group was deployed here (a cold backup): where
-    /// a capture of either group may read the observer. A replica
-    /// launched elsewhere later gets the entries at its transfer
-    /// (`merge_transferred`) and observes from its launch on.
+    /// a capture of either group may read the observer.
     fn hosts_either(&self, conn: ConnectionName) -> bool {
         [conn.client, conn.server].iter().any(|group| {
             let lg = self.groups.get(group);

@@ -241,6 +241,7 @@ impl EternalReassembler {
     pub fn recycle(&mut self, body: Body<'_>) {
         if let Body::Pieces(mut pieces) = body {
             pieces.clear();
+            self.spare.reserve_exact(1); // a few, kept run long
             self.spare.push(pieces);
         }
     }

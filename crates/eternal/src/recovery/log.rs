@@ -16,7 +16,7 @@ use std::borrow::Cow;
 /// A logged checkpoint's state as it was received, never re-encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoggedState {
-    /// A checkpoint's assignment, its application state the body kept.
+    /// A checkpoint's assignment, its application state the body delivered.
     Assigned(Box<ThreeKindsOfState>),
     /// A recovery's transferred encoding: the inbound buffer.
     Transferred(Vec<u8>),

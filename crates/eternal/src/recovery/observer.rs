@@ -4,13 +4,17 @@
 //! the ORB, and "there are no hooks in today's ORBs to retrieve this
 //! information. Fortunately, the request_id information is visible from
 //! outside the ORB, in the IIOP request and response messages that are
-//! sent by the ORB." The observer therefore parses every IIOP message
+//! sent by the ORB." The observer therefore parses the IIOP requests
 //! the local mechanisms convey and maintains, per logical connection:
 //!
 //! * the last request id each client-side ORB assigned (§4.2.1), and
 //! * the stored initial handshake request (§4.2.2), kept verbatim so it
 //!   can be replayed into a new server replica's ORB ahead of any other
 //!   request from that client.
+//!
+//! It observes only where a replica of either group of a connection is
+//! hosted or deployed, which is where a capture reads it; a replica
+//! launched elsewhere gets the entries at its transfer (`merge_transferred`).
 
 use crate::gid::ConnectionName;
 use eternal_giop::{MessageView, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR};

@@ -304,10 +304,10 @@ fn fragmented_replies_ask_for_their_bytes_within_budget() {
 const STATE_BYTES: usize = 128 * 1024;
 
 /// Bytes asked for from a replica's kill until redundancy is restored
-/// on the transfer shape, in states' worth: 8.08 (8.076 before P12,
-/// 8.079 after: the lists of pieces at the four processors, lent from
-/// then on, ask for about what the donor's lists of frames no longer
-/// do). It was 10.86 before P11, which cuts the donor's chunks straight
+/// on the transfer shape, in states' worth: 8.08 (8.0760 before P12,
+/// 8.0766 after: the lists of pieces at the four processors, lent from
+/// then on, ask for what the donor's lists of frames no longer do). It
+/// was 10.86 before P11, which cuts the donor's chunks straight
 /// from the parts of its capture instead of from a retained copy of the
 /// whole encoding, and wrote each chunk's fragments into the recovering
 /// replica's inbound buffer instead of reassembling the chunk first (a
